@@ -231,15 +231,13 @@ def cmd_convergence(args) -> int:
     try:
         for w in words:
             for H in hs:
-                rows = []
-                for m in ms:
-                    g = ga.signature_gap(w, H, m, config)
-                    rows.append((m, g))
+                rows = ga.gap_rows(w, H, ms, config)
+                for m, g in rows:
                     table.add(kind="row", word=str(w), H=H, m=m, exact=g.exact,
                               approx=g.approx, gap=g.gap,
                               m2H_gap=m ** (2 * H) * g.gap, err_bar=g.err_bar)
-                fit = ga.convergence_slope(w, H, ms, config)
-                bound = ga.coefficient_bound_check(w, H, ms, config)
+                fit = ga.slope_from_rows(rows)
+                bound = ga.bound_from_rows(w, H, rows)
                 any_fail |= not bound.passed
                 table.add(kind="summary", word=str(w), H=H,
                           slope=fit.slope if fit.ok else None,

@@ -30,7 +30,6 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.special import betainc, betaln
-from scipy.stats import qmc
 
 __all__ = ["QuadConfig", "QuadResult", "matching_simplex_integral"]
 
@@ -319,6 +318,10 @@ def _qmc_eval(n, pairs, exponent, U) -> float:
 
 
 def _qmc_integral(n, pairs, exponent, config: QuadConfig) -> QuadResult:
+    # scipy.stats takes most of the package's import time and only this
+    # scheme needs it, so it is imported here rather than at module level
+    from scipy.stats import qmc
+
     eng = qmc.Sobol(d=n, scramble=True, seed=config.seed)
     n1 = config.samples
     u1 = eng.random(n1)

@@ -1,8 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from collections import Counter
 
 import pytest
 
+import fbmsig
+from fbmsig import gridapprox as ga
 from fbmsig.cli import main
 
 
@@ -79,6 +85,33 @@ class TestConvergence:
     def test_needs_four_grids(self, tmp_path):
         rc, _ = run(tmp_path, "convergence", "--m", "4,8,16")
         assert rc == 2
+
+    def test_grid_beyond_budget_is_usage_error(self, tmp_path, capsys):
+        rc, _ = run(tmp_path, "convergence", "--m", "4,8,16,8192")
+        assert rc == 2
+        assert "budget" in capsys.readouterr().err
+
+    def test_each_value_computed_once(self, tmp_path, monkeypatch):
+        calls = Counter()
+
+        def counted(fn, key):
+            def wrapper(*args, **kwargs):
+                calls[key(*args)] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(ga, "expected_word", counted(
+            ga.expected_word, lambda w, H, *rest: ("exact", str(w), H)))
+        monkeypatch.setattr(ga, "approx_expected_word", counted(
+            ga.approx_expected_word, lambda w, H, m, *rest: ("approx", str(w), H, m)))
+        rc, _ = run(
+            tmp_path, "convergence", "--H", "0.6,0.75", "--words", "1,2,1,2;1,1,2,2",
+            "--m", "4,8,16,32", "--no-timestamp",
+        )
+        assert rc == 0
+        assert sum(1 for key in calls if key[0] == "exact") == 2 * 2
+        assert sum(1 for key in calls if key[0] == "approx") == 2 * 2 * 4
+        assert set(calls.values()) == {1}
 
 
 class TestCubature:
@@ -185,3 +218,13 @@ class TestHarness:
         with pytest.raises(SystemExit) as exc:
             main(["no-such-command"])
         assert exc.value.code == 2
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # only the quasi-random quadrature scheme needs scipy.stats, and no
+    # command reaches it, so importing the CLI must not pay for it
+    src = os.path.dirname(os.path.dirname(fbmsig.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, fbmsig.cli; assert 'scipy.stats' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)

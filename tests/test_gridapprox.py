@@ -1,10 +1,14 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import zeta
 
+from fbmsig import matchings as mt
 from fbmsig.expected import expected_word
 from fbmsig.gridapprox import (
     approx_expected_word,
@@ -88,7 +92,41 @@ class TestCellPairIntegral:
                 assert approx_triangle == pytest.approx(triangle, rel=1e-12)
 
 
+def enumerated_approx(word, H, m):
+    """Reference value of B^m by direct enumeration of every weakly
+    increasing cell assignment c_1 <= ... <= c_2k (O(m^2k) work): per
+    compatible matching, prod H(2H-1) m^2 D[c_a][c_b] times the ordered
+    volume prod over tie runs of (1/m)^s / s!."""
+    two_k = len(word.letters)
+    rho = H * (2.0 * H - 1.0) * m * m * cell_covariance_matrix(H, m).matrix
+    terms = []
+    for cells in itertools.combinations_with_replacement(range(m), two_k):
+        runs = [len(list(g)) for _, g in itertools.groupby(cells)]
+        vol = m ** (-float(two_k)) / math.prod(math.factorial(s) for s in runs)
+        for matching in mt.compatible_matchings(word):
+            terms.append(vol * math.prod(rho[cells[a], cells[b]] for a, b in matching))
+    return math.fsum(terms)
+
+
 class TestApproxExpectedWord:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        letters=st.lists(st.sampled_from((1, 2)), min_size=2, max_size=4).filter(
+            lambda x: len(x) != 3
+        ),
+        m=st.integers(1, 24),
+        H=st.floats(0.501, 0.999),
+    )
+    def test_matches_enumeration(self, letters, m, H):
+        word = W(*letters)
+        want = enumerated_approx(word, H, m)
+        got = approx_expected_word(word, H, m)
+        assert abs(got - want) <= max(1e-13 * abs(want), 1e-15)
+
+    def test_large_grid_within_default_budget(self):
+        value = approx_expected_word(W(1, 2, 1, 2), 0.75, 4096)
+        assert 0.0 < value < 1.0 / 8.0
+
     @pytest.mark.parametrize("m", (1, 2, 7, 16))
     def test_level2_exact_half(self, m):
         assert approx_expected_word(W(1, 1), 0.75, m) == pytest.approx(0.5, abs=1e-14)
@@ -113,6 +151,10 @@ class TestApproxExpectedWord:
     def test_rejects_time_letters(self):
         with pytest.raises(ValueError):
             approx_expected_word(W(1, 0), 0.75, 4)
+
+    def test_rejects_empty_grid(self):
+        with pytest.raises(ValueError, match="m must be"):
+            approx_expected_word(W(1, 1), 0.75, 0)
 
     @pytest.mark.parametrize("letters", [(1, 1, 2, 2), (1, 2, 1, 2)])
     def test_monte_carlo_cross_check(self, letters):
@@ -200,6 +242,23 @@ class TestConstants:
         got = constant_A(H)
         assert got.value == pytest.approx(want, abs=1e-7)
         assert got.error < 1e-8
+
+    @pytest.mark.parametrize("H", (0.5001, 0.517, 0.6, 0.75, 0.933, 0.9999))
+    def test_error_bars_cover_high_precision_values(self, H):
+        from fbmsig.gridapprox import _zeta_series
+
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            h = mpmath.mpf(H)
+            hh, two_h = h * (2 * h - 1), 2 * h
+            S = mpmath.zeta(3 - two_h)
+            A = 2 * (1 / hh + (2**two_h + 2) / hh + (4 - 4 * h) * S) + (
+                3**two_h + 10 * 2**two_h + 2
+            ) / (2 * hh)
+            Atilde = 56 * (1 + 2**two_h) + 4 * 3**two_h + 16 * hh * (4 - 4 * h) * S
+            for got, want in [(_zeta_series(H, 1e-8, 1.0), S), (constant_A(H), A),
+                              (constant_Atilde(H), Atilde)]:
+                assert abs(got.value - want) <= got.error
 
     @pytest.mark.parametrize("H", (0.6, 0.75, 0.9))
     def test_identity_eight_A_H(self, H):
