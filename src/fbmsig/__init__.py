@@ -20,6 +20,7 @@ from .expected import (
     FbmParams,
     KernelConstant,
     QuadratureToleranceError,
+    check_hurst,
     closed_form_value,
     covariance,
     decay_bound_check,

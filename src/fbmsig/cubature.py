@@ -16,7 +16,7 @@ import numpy as np
 
 from .expected import closed_form_value, expected_word
 from .simplexquad import QuadConfig
-from .tensor import PiecewiseLinearPath, TruncatedTensor, Word, path_signature
+from .tensor import PiecewiseLinearPath, Word, path_signature
 
 __all__ = [
     "CubatureFormula",
@@ -92,28 +92,10 @@ def three_path_formula(H: float) -> CubatureFormula:
     """The explicit three-path formula: two opposite piecewise-linear paths
     with breakpoints at thirds and one zero path, weights (1/6, 1/6, 2/3).
 
-    Degree 5 for 1/2 <= H < 2/3, degree 4 for 2/3 <= H < 1.
+    It is the "minus" root of the ansatz system.  Degree 5 for
+    1/2 <= H < 2/3, degree 4 for 2/3 <= H < 1.
     """
-    _check_H_cubature(H)
-    disc = -96.0 * H * H + 66.0 * H + 57.0
-    if disc < 0:
-        raise AssertionError("discriminant cannot be negative for H < 1")
-    alpha = (2.0 * H * SQRT3 + SQRT3) / (2.0 * H + 1.0)
-    beta = math.sqrt(disc) / (2.0 * H + 1.0)
-    times = (0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0)
-    vals = np.array(
-        [0.0, (2.0 * alpha - beta) / 3.0, (alpha + beta) / 3.0, alpha]
-    )
-    omega1 = PiecewiseLinearPath.time_augmented(times, vals)
-    omega2 = PiecewiseLinearPath.time_augmented(times, -vals)
-    omega3 = PiecewiseLinearPath.time_augmented(times, np.zeros(4))
-    degree = 5 if H < 2.0 / 3.0 else 4
-    return CubatureFormula(
-        H=H,
-        weights=(1.0 / 6.0, 1.0 / 6.0, 2.0 / 3.0),
-        paths=(omega1, omega2, omega3),
-        claimed_degree=degree,
-    )
+    return formula_from_solution(solve_ansatz(H, "minus"))
 
 
 @dataclass(frozen=True)
@@ -135,7 +117,7 @@ class AnsatzSolution:
 def solve_ansatz(H: float, branch: str = "minus") -> AnsatzSolution:
     """Solve the ansatz system; both quadratic roots are valid formulas.
 
-    branch "minus" reproduces three_path_formula; "plus" is the second root.
+    branch "minus" gives three_path_formula; "plus" is the second root.
     The returned solution satisfies all six system residuals to 1e-10 and the
     derived identities a = c1, b0 = -c0.
     """
@@ -267,10 +249,6 @@ class VerifyReport:
     passed: bool
 
 
-def _formula_signatures(formula: CubatureFormula, depth: int) -> list[TruncatedTensor]:
-    return [path_signature(p, depth) for p in formula.paths]
-
-
 def _expected_side(word: Word, H: float, config: QuadConfig | None):
     cf = closed_form_value(word, H)
     if cf is not None:
@@ -294,10 +272,9 @@ def verify_formula(
     is the fallback, and its error bar is added to the per-word tolerance.
     Mismatches are report content, never exceptions.
     """
-    _check_H_cubature(H)
     words = words_of_degree(degree, H, d=1)
     depth = max((len(w) for w in words), default=0)
-    sigs = _formula_signatures(formula, depth)
+    sigs = [path_signature(p, depth) for p in formula.paths]
     rows: list[VerifyRow] = []
     skipped: list[Word] = []
     for w in sorted(words, key=lambda w: (len(w), w.letters)):

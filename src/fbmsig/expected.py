@@ -31,6 +31,7 @@ __all__ = [
     "KernelConstant",
     "ExpectedWord",
     "QuadratureToleranceError",
+    "check_hurst",
     "covariance",
     "expected_word",
     "expected_tensor",
@@ -43,6 +44,12 @@ __all__ = [
 ]
 
 
+def check_hurst(H: float) -> None:
+    """Reject H outside the Young range (1/2, 1) (NaN included)."""
+    if not 0.5 < H < 1.0:
+        raise ValueError(f"H must lie in (1/2, 1), got {H}")
+
+
 @dataclass(frozen=True)
 class FbmParams:
     """Hurst parameter and number of spatial components."""
@@ -51,8 +58,7 @@ class FbmParams:
     d: int = 1
 
     def __post_init__(self):
-        if not 0.5 < self.H < 1.0:
-            raise ValueError(f"H must lie in (1/2, 1), got {self.H}")
+        check_hurst(self.H)
         if self.d < 1:
             raise ValueError(f"d must be >= 1, got {self.d}")
 
@@ -67,8 +73,7 @@ class KernelConstant:
 
     @classmethod
     def from_hurst(cls, H: float) -> "KernelConstant":
-        if not 0.5 < H < 1.0:
-            raise ValueError(f"H must lie in (1/2, 1), got {H}")
+        check_hurst(H)
         return cls(H * (2.0 * H - 1.0), 2.0 * H - 2.0)
 
 
@@ -119,8 +124,7 @@ def expected_word(
     Raises QuadratureToleranceError when the quadrature error estimate misses
     config.tol; the failure carries the achieved value and error.
     """
-    if not 0.5 < H < 1.0:
-        raise ValueError(f"H must lie in (1/2, 1), got {H}")
+    kernel = KernelConstant.from_hurst(H)  # checks H before any shortcut
     config = config or QuadConfig()
     positions = word.nonzero_positions
     if len(positions) > 6:
@@ -133,17 +137,15 @@ def expected_word(
         return ExpectedWord(1.0 / math.factorial(n), 0.0)
     sub = Word(tuple(word.letters[i] for i in positions), word.d)
     k = len(positions) // 2
-    c_H = KernelConstant.from_hurst(H).c_H
-    exponent = 2.0 * H - 2.0
     value = 0.0
     error = 0.0
     for m in mt.compatible_matchings(sub):
         pairs = [(positions[a], positions[b]) for a, b in m]
-        res = matching_simplex_integral(n, pairs, exponent, config)
+        res = matching_simplex_integral(n, pairs, kernel.exponent, config)
         value += res.value
         error += res.error
-    value *= c_H**k
-    error *= c_H**k
+    value *= kernel.c_H**k
+    error *= kernel.c_H**k
     if error > config.tol:
         raise QuadratureToleranceError(word, value, error, config.tol)
     return ExpectedWord(value, error)
@@ -260,14 +262,11 @@ def decay_bound_check(
         raise ValueError("decay bound applies to even-length words with nonzero letters")
     k = len(letters) // 2
     val, err = expected_word(word, H, config)
-    bound = 1.0 / (math.factorial(k) * 2**k)
-    p = len(set(letters))
-    refined = mt.refined_count_bound(k, p) / (
-        math.factorial(k) * 2**k * math.factorial(2 * k)
-    )
-    candidate = mt.permutation_count(word) / (
-        math.factorial(k) * 2**k * math.factorial(2 * k)
-    )
+    norm = math.factorial(k) * 2**k
+    bound = 1.0 / norm
+    counted = norm * math.factorial(2 * k)
+    refined = mt.refined_count_bound(k, len(set(letters))) / counted
+    candidate = mt.permutation_count(word) / counted
     return DecayReport(
         word=word,
         H=H,

@@ -13,6 +13,7 @@ costing O(m) or O(m^2), so the grid can grow to thousands of cells.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import warnings
@@ -23,7 +24,7 @@ import numpy as np
 from scipy.special import comb, zeta
 
 from . import matchings as mt
-from .expected import expected_word
+from .expected import check_hurst, expected_word
 from .simplexquad import QuadConfig
 from .tensor import Word
 
@@ -51,11 +52,6 @@ __all__ = [
 _MAX_GRID = 4096
 
 
-def _check_H(H: float) -> None:
-    if not 0.5 < H < 1.0:
-        raise ValueError(f"H must lie in (1/2, 1), got {H}")
-
-
 def cell_pair_integral(i: int, j: int, m: int, H: float) -> float:
     """Integral of |x-y|^(2H-2) over cell_i x cell_j of the uniform m-grid.
 
@@ -63,25 +59,49 @@ def cell_pair_integral(i: int, j: int, m: int, H: float) -> float:
     gives m^(-2H)/(H(2H-1)), distance r >= 1 gives the second difference
     ((r+1)^2H - 2 r^2H + (r-1)^2H) m^(-2H) / (2H(2H-1)).
     """
-    _check_H(H)
+    check_hurst(H)
     if not (0 <= i < m and 0 <= j < m):
         raise ValueError(f"cell index out of range: ({i}, {j}) for m={m}")
     two_h = 2.0 * H
-    r = abs(i - j)
-    if r == 0:
-        return m**-two_h / (H * (two_h - 1.0))
-    second_diff = (r + 1) ** two_h - 2.0 * r**two_h + (r - 1) ** two_h
+    second_diff = float(_second_differences(H, np.array([abs(i - j)]))[0])
     return m**-two_h * second_diff / (two_h * (two_h - 1.0))
 
 
-def _second_differences(H: float, m: int) -> np.ndarray:
-    """(r+1)^2H - 2 r^2H + (r-1)^2H for cell distances r = 0..m-1, with the
-    diagonal value 2 at r = 0: cell_pair_integral up to m^(-2H)/(2H(2H-1))."""
-    r = np.arange(m, dtype=float)
-    two_h = 2.0 * H
-    with np.errstate(invalid="ignore"):
-        d = (r + 1.0) ** two_h - 2.0 * r**two_h + np.abs(r - 1.0) ** two_h
-    d[0] = 2.0
+_SERIES_TERMS = 24
+
+
+@functools.lru_cache(maxsize=64)
+def _series_coefficients(H: float) -> np.ndarray:
+    """c_j = 2 binom(2H, 2j), j = 1..24: (1+x)^2H + (1-x)^2H - 2 = sum c_j x^(2j).
+
+    All are positive and carry the factor 2H(2H-1), so their sum keeps full
+    relative precision as H -> 1/2.  Cached: the engine asks for one H at
+    several grid sizes.
+    """
+    a = 2.0 * H
+    c = np.empty(_SERIES_TERMS)
+    b = a * (a - 1.0) / 2.0
+    for j in range(1, _SERIES_TERMS + 1):
+        c[j - 1] = 2.0 * b
+        b *= (a - 2 * j) * (a - 2 * j - 1) / ((2 * j + 1) * (2 * j + 2))
+    return c
+
+
+def _second_differences(H: float, r: np.ndarray) -> np.ndarray:
+    """(r+1)^2H - 2 r^2H + (r-1)^2H for integer cell distances r, with the
+    diagonal value 2 at r = 0: cell_pair_integral up to m^(-2H)/(2H(2H-1)).
+
+    The direct formula cancels to a relative error of about
+    eps r^2 / (2H(2H-1)).  Instead r = 1 uses 2 expm1((2H-1) ln 2), and
+    r >= 2 the series r^(2H-2) sum_j c_j r^(2-2j) in 1/r^2, truncated after
+    24 terms (4^-24 at r = 2) and evaluated as one matrix-vector product.
+    """
+    r = np.asarray(r, dtype=float)
+    d = np.where(r == 0, 2.0, 2.0 * math.expm1((2.0 * H - 1.0) * math.log(2.0)))
+    far = r >= 2
+    rf = r[far]
+    powers = np.vander(1.0 / (rf * rf), _SERIES_TERMS, increasing=True)
+    d[far] = rf ** (2.0 * H - 2.0) * (powers @ _series_coefficients(H))
     return d
 
 
@@ -95,12 +115,12 @@ class GridCellCovariance:
 
 
 def cell_covariance_matrix(H: float, m: int) -> GridCellCovariance:
-    _check_H(H)
+    check_hurst(H)
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     r = np.abs(np.arange(m)[:, None] - np.arange(m)[None, :])
     two_h = 2.0 * H
-    D = _second_differences(H, m)[r] * (m**-two_h / (two_h * (two_h - 1.0)))
+    D = _second_differences(H, np.arange(m))[r] * (m**-two_h / (two_h * (two_h - 1.0)))
     return GridCellCovariance(H, m, D)
 
 
@@ -159,7 +179,7 @@ def approx_expected_word(
     caps that work, counted as (pattern, matching) terms times m^2; the
     default admits m = 4096 for every four-letter word.
     """
-    _check_H(H)
+    check_hurst(H)
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     letters = word.letters
@@ -174,7 +194,7 @@ def approx_expected_word(
     work = 2 ** (two_k - 1) * len(matchings_) * m * m
     if work > budget:
         raise ValueError(f"grid work {work} exceeds budget {budget} at m={m}")
-    g = 0.5 * m ** (2.0 - 2.0 * H) * _second_differences(H, m)
+    g = 0.5 * m ** (2.0 - 2.0 * H) * _second_differences(H, np.arange(m))
     # (blocks, edges between blocks) -> summed weight; a pair inside one
     # block contributes the diagonal kernel value g[0]
     weights: dict = {}
@@ -302,7 +322,6 @@ _FORMULA_REL_ERR = 2e-15
 def _zeta_series(H: float, tol: float, coefficient: float) -> CertifiedValue:
     """sum_{i>=1} i^(2H-3) = zeta(3 - 2H), certified so that
     coefficient * error < tol."""
-    _check_H(H)
     value = float(zeta(3.0 - 2.0 * H))
     error = _ZETA_REL_ERR * value
     if abs(coefficient) * error >= tol:
@@ -316,7 +335,7 @@ def constant_A(H: float, tol: float = 1e-8) -> CertifiedValue:
     A = 2( 1/(H(2H-1)) + (2^2H + 2)/(H(2H-1)) + (4-4H) sum i^(2H-3) )
         + (3^2H + 10*2^2H + 2) / (2H(2H-1)).
     """
-    _check_H(H)
+    check_hurst(H)
     coef = 2.0 * (4.0 - 4.0 * H)
     S = _zeta_series(H, tol, coef)
     hh = H * (2.0 * H - 1.0)
@@ -330,7 +349,7 @@ def constant_Atilde(H: float, tol: float = 1e-8) -> CertifiedValue:
     """A-tilde = 8 A H (2H-1), evaluated both through constant_A and through
     its direct expansion 56(1+2^2H) + 4*3^2H + 16H(2H-1)(4-4H) sum i^(2H-3);
     the two must agree within 1e-10 plus their certified errors."""
-    _check_H(H)
+    check_hurst(H)
     coef = 16.0 * H * (2.0 * H - 1.0) * (4.0 - 4.0 * H)
     S = _zeta_series(H, tol, coef)
     two_h = 2.0 * H
@@ -396,7 +415,7 @@ def sample_fbm_batch(
     Dense Cholesky of the grid covariance; a jitter of 1e-12 is applied (and
     reported) if the factorization fails.  Deterministic in the seed.
     """
-    _check_H(H)
+    check_hurst(H)
     if m > _MAX_GRID:
         raise ValueError(f"m capped at {_MAX_GRID}")
     if m < 1 or n_paths < 1 or d < 1:

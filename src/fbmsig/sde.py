@@ -17,6 +17,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .cubature import CubatureFormula, rescale_formula
+from .expected import check_hurst
 from .gridapprox import sample_fbm_batch
 from .tensor import PiecewiseLinearPath
 
@@ -141,8 +142,7 @@ def mc_weak_value(
     Returns (estimate, standard error); deterministic in the seed.  Requires
     H > 1/2 (pathwise Young regime).  f must accept batched states (B, N).
     """
-    if not 0.5 < H < 1.0:
-        raise ValueError(f"Monte-Carlo driver requires H in (1/2, 1), got {H}")
+    check_hurst(H)
     d = vf.d
     spatial = sample_fbm_batch(H, n_steps, d, n_paths, seed, T)  # (B, m+1, d)
     times = np.arange(n_steps + 1) * (T / n_steps)
@@ -181,8 +181,7 @@ class ErrorBoundParams:
             raise ValueError("M must be > 0")
         if not 0.0 <= self.gamma < 0.5:
             raise ValueError("gamma must lie in [0, 1/2)")
-        if not 0.5 < self.H < 1.0:
-            raise ValueError("H must lie in (1/2, 1)")
+        check_hurst(self.H)
 
     @property
     def K(self) -> float:

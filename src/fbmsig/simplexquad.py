@@ -25,7 +25,7 @@ Two schemes are provided:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -36,30 +36,30 @@ __all__ = ["QuadConfig", "QuadResult", "matching_simplex_integral"]
 SCHEMES = ("tensorized-singularity-split", "quasi-random")
 
 
+# Deterministic scheme: Gauss-Legendre points per core axis (the refinement
+# run behind the error estimate adds 16).  Both schemes map every axis through
+# a Beta(p, q) CDF whose exponents are sized so that the mapped integrand has
+# about SMOOTH derivatives at each endpoint, with q at most QCAP.
+POINTS_PER_AXIS = 48
+SMOOTH = 6.0
+QCAP = 40
+
+
 @dataclass(frozen=True)
 class QuadConfig:
-    """Quadrature knobs.
-
-    points_per_axis applies to the deterministic scheme (the refinement run
-    adds 16 points per axis); samples is the base Sobol count for the
-    quasi-random scheme (the error estimate doubles it).
-    """
+    """Quadrature knobs; samples is the base Sobol count for the quasi-random
+    scheme (the error estimate doubles it)."""
 
     scheme: str = "tensorized-singularity-split"
-    points_per_axis: int = 48
     samples: int = 2**16
     tol: float = 1e-6
     seed: int = 10_000
-    smooth: float = 6.0
-    qcap: int = 40
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}; expected one of {SCHEMES}")
         if self.tol <= 0:
             raise ValueError("tolerance must be > 0")
-        if self.points_per_axis < 4:
-            raise ValueError("points_per_axis must be >= 4")
 
 
 class QuadResult(NamedTuple):
@@ -82,9 +82,14 @@ def matching_simplex_integral(
     flat = [p for ab in pairs for p in ab]
     if len(set(flat)) != len(flat):
         raise ValueError("pairs must be disjoint")
+    if len(pairs) > 3 and config.scheme != "quasi-random":
+        # its cores reach dimension len(pairs); POINTS_PER_AXIS**3 is the
+        # largest grid it evaluates
+        raise ValueError("the deterministic scheme takes at most 3 pairs")
+    factors = tuple((a + 1, b + 1, float(exponent)) for a, b in pairs)
     if config.scheme == "quasi-random":
-        return _qmc_integral(n, pairs, exponent, config)
-    return _reduced_integral(n, pairs, exponent, config)
+        return _qmc_integral(n, factors, config)
+    return _reduced_integral(n, factors)
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +163,7 @@ def _beta_core(factors, n: int) -> float:
     )
 
 
-def _axis_rules(m: int, factors, smooth: float, qcap: int):
+def _axis_rules(m: int, factors):
     """Per-axis exponents and Beta-map parameters for an m-dim core.
 
     Positions are 1..m with sentinels 0 and m+1.  Under t_j = prod_{i>=j} x_i:
@@ -191,103 +196,80 @@ def _axis_rules(m: int, factors, smooth: float, qcap: int):
         if e == np.inf:
             return 1
         if e <= -1.0:
-            return qcap
-        return min(qcap, max(1, math.ceil(smooth / (e + 1.0))))
+            return QCAP
+        return min(QCAP, max(1, math.ceil(SMOOTH / (e + 1.0))))
 
-    p = [max(1, math.ceil(smooth / (g + 1.0))) for g in gam]
+    p = [max(1, math.ceil(SMOOTH / (g + 1.0))) for g in gam]
     q = [max(q_for(neg[i] if neg[i] < 0 else np.inf), q_for(crease[i])) for i in range(m)]
     return gam, spans, p, q
 
 
-def _core_numeric(m: int, factors, N: int, smooth: float, qcap: int) -> float:
-    """Tensor Gauss-Legendre evaluation of an m-dim irreducible core."""
-    gam, spans, p, q = _axis_rules(m, factors, smooth, qcap)
+def _beta_axis(p: int, q: int, gam: float, u, log_w=0.0):
+    """One axis under the Beta(p, q)-CDF substitution x = I_u(p, q).
+
+    Returns log x (taken from the complementary CDF, so it stays accurate
+    where x is close to 1) and log(density * x**gam) plus the node log-weight.
+    """
+    x = np.clip(betainc(p, q, u), 1e-300, None)
+    cx = np.clip(betainc(q, p, 1.0 - u), 1e-300, 1.0 - 1e-16)
+    ljac = (p - 1) * np.log(u) + (q - 1) * np.log1p(-u) - betaln(p, q) + log_w
+    return np.log1p(-cx), ljac + gam * np.log(x)
+
+
+def _log_integrand(logx, logjac, spans):
+    """Log of the mapped core integrand: the per-axis log-Jacobians plus, for
+    each span, e * log(1 - prod of the span's x).  The per-axis arrays may be
+    sample columns or broadcastable tensor axes."""
+    L = 0.0
+    for lj in logjac:
+        L = L + lj
+    for axes, e in spans:
+        s = 0.0
+        for ax in axes:
+            s = s + logx[ax]
+        L = L + e * np.log(-np.expm1(s))
+    return L
+
+
+def _core_numeric(m: int, factors, N: int) -> float:
+    """Tensor Gauss-Legendre evaluation of an m-dim irreducible core.
+
+    Every core left by _reduce_terms for up to three pairs has m <= 3, so the
+    N**m grid is evaluated in one piece.
+    """
+    gam, spans, p, q = _axis_rules(m, factors)
     u, w = np.polynomial.legendre.leggauss(N)
     u = 0.5 * (u + 1.0)
-    w = 0.5 * w
+    log_w = np.log(0.5 * w)
     logx, logjac = [], []
     for i in range(m):
-        pi, qi = int(p[i]), int(q[i])
-        x = np.clip(betainc(pi, qi, u), 1e-300, None)
-        cx = np.clip(betainc(qi, pi, 1.0 - u), 1e-300, 1.0 - 1e-16)
-        ljac = (
-            (pi - 1) * np.log(u)
-            + (qi - 1) * np.log1p(-u)
-            - betaln(pi, qi)
-            + np.log(w)
-        )
-        logx.append(np.log1p(-cx))  # log x, stable where x is close to 1
-        logjac.append(ljac + gam[i] * np.log(x))
-
-    def bcast(vec, axis, ndim):
-        shape = [1] * ndim
-        shape[axis] = N
-        return vec.reshape(shape)
-
-    def eval_block(first_axis_value_logjac, first_axis_value_logx):
-        # remaining axes 1..m-1 live in an (m-1)-dim tensor
-        nd = m - 1
-        L = first_axis_value_logjac
-        for i in range(1, m):
-            L = L + bcast(logjac[i], i - 1, nd)
-        for axes, e in spans:
-            s = 0.0
-            for ax in axes:
-                if ax == 0:
-                    s = s + first_axis_value_logx
-                else:
-                    s = s + bcast(logx[ax], ax - 1, nd)
-            L = L + e * np.log(-np.expm1(s))
-        return float(np.exp(L).sum())
-
-    if N**m <= 4_000_000:
-        # single block: treat axis 0 like the others
-        nd = m
-        L = 0.0
-        for i in range(m):
-            L = L + bcast(logjac[i], i, nd)
-        for axes, e in spans:
-            s = 0.0
-            for ax in axes:
-                s = s + bcast(logx[ax], ax, nd)
-            L = L + e * np.log(-np.expm1(s))
-        return float(np.exp(L).sum())
-    return sum(eval_block(logjac[0][i0], logx[0][i0]) for i0 in range(N))
+        shape = [1] * m
+        shape[i] = N
+        lx, lj = _beta_axis(p[i], q[i], gam[i], u, log_w)
+        logx.append(lx.reshape(shape))
+        logjac.append(lj.reshape(shape))
+    return float(np.exp(_log_integrand(logx, logjac, spans)).sum())
 
 
-def _core_value(coeff: float, factors, variables, n: int, N: int, smooth, qcap):
-    """Evaluate one reduced term; returns (value, is_exact)."""
-    m = len(variables)
-    if m == 0:
-        return coeff, True  # all factors are (0, n+1, e) -> 1
-    if m == 1:
-        return coeff * _beta_core(factors, n), True
-    # relabel surviving positions to 1..m
-    idx = {v: i + 1 for i, v in enumerate(variables)}
-    mapped = []
-    for a, b, e in factors:
-        pa = 0 if a == 0 else idx[a]
-        pb = m + 1 if b == n + 1 else idx[b]
-        mapped.append((pa, pb, e))
-    return coeff * _core_numeric(m, tuple(mapped), N, smooth, qcap), False
-
-
-def _reduced_integral(n, pairs, exponent, config: QuadConfig) -> QuadResult:
-    factors = tuple((a + 1, b + 1, float(exponent)) for a, b in pairs)
-    terms = _reduce_terms(n, factors, tuple(range(1, n + 1)))
-    N = config.points_per_axis
-    total = 0.0
-    err = 0.0
-    scale = 0.0
-    for coeff, fs, vs in terms:
-        v, exact = _core_value(coeff, fs, vs, n, N + 16, config.smooth, config.qcap)
+def _reduced_integral(n, factors) -> QuadResult:
+    """Sum of the reduced terms; the error estimate is the change of every
+    numeric core between POINTS_PER_AXIS and POINTS_PER_AXIS + 16 points."""
+    total = err = scale = 0.0
+    for coeff, fs, vs in _reduce_terms(n, factors, tuple(range(1, n + 1))):
+        m = len(vs)
+        if m == 0:
+            v = coeff  # all factors are (0, n+1, e) -> 1
+        elif m == 1:
+            v = coeff * _beta_core(fs, n)
+        else:
+            # relabel surviving positions to 1..m, the sentinels to 0 and m+1
+            idx = {0: 0, n + 1: m + 1} | {x: i + 1 for i, x in enumerate(vs)}
+            core = tuple((idx[a], idx[b], e) for a, b, e in fs)
+            v = coeff * _core_numeric(m, core, POINTS_PER_AXIS + 16)
+            err += abs(v - coeff * _core_numeric(m, core, POINTS_PER_AXIS))
         total += v
         scale += abs(v)
-        if not exact:
-            v0, _ = _core_value(coeff, fs, vs, n, N, config.smooth, config.qcap)
-            err += abs(v - v0)
-    err += 1e-15 * scale
-    return QuadResult(total, err)
+    return QuadResult(total, err + 1e-15 * scale)
 
 
 # ---------------------------------------------------------------------------
@@ -295,29 +277,15 @@ def _reduced_integral(n, pairs, exponent, config: QuadConfig) -> QuadResult:
 # ---------------------------------------------------------------------------
 
 
-def _qmc_eval(n, pairs, exponent, U) -> float:
-    factors = tuple((a + 1, b + 1, float(exponent)) for a, b in pairs)
-    gam, spans, p, q = _axis_rules(n, factors, smooth=6.0, qcap=40)
+def _qmc_eval(n, factors, U) -> float:
+    gam, spans, p, q = _axis_rules(n, factors)
     U = np.clip(U, 1e-15, 1.0 - 1e-15)
-    L = np.zeros(U.shape[0])
-    logx = []
-    for i in range(n):
-        pi, qi = int(p[i]), int(q[i])
-        u = U[:, i]
-        x = np.clip(betainc(pi, qi, u), 1e-300, None)
-        cx = np.clip(betainc(qi, pi, 1.0 - u), 1e-300, 1.0 - 1e-16)
-        L += (pi - 1) * np.log(u) + (qi - 1) * np.log1p(-u) - betaln(pi, qi)
-        L += gam[i] * np.log(x)
-        logx.append(np.log1p(-cx))
-    for axes, e in spans:
-        s = np.zeros(U.shape[0])
-        for ax in axes:
-            s += logx[ax]
-        L += e * np.log(-np.expm1(s))
-    return float(np.exp(L).mean())
+    logx, logjac = zip(*(_beta_axis(p[i], q[i], gam[i], U[:, i])
+                         for i in range(n)))
+    return float(np.exp(_log_integrand(logx, logjac, spans)).mean())
 
 
-def _qmc_integral(n, pairs, exponent, config: QuadConfig) -> QuadResult:
+def _qmc_integral(n, factors, config: QuadConfig) -> QuadResult:
     # scipy.stats takes most of the package's import time and only this
     # scheme needs it, so it is imported here rather than at module level
     from scipy.stats import qmc
@@ -326,6 +294,6 @@ def _qmc_integral(n, pairs, exponent, config: QuadConfig) -> QuadResult:
     n1 = config.samples
     u1 = eng.random(n1)
     u2 = eng.random(n1)  # next n1 points of the same sequence
-    v1 = _qmc_eval(n, pairs, exponent, u1)
-    v2 = _qmc_eval(n, pairs, exponent, np.concatenate([u1, u2]))
+    v1 = _qmc_eval(n, factors, u1)
+    v2 = _qmc_eval(n, factors, np.concatenate([u1, u2]))
     return QuadResult(v2, abs(v2 - v1) + 1e-15 * abs(v2))

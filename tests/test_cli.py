@@ -10,6 +10,8 @@ import pytest
 import fbmsig
 from fbmsig import gridapprox as ga
 from fbmsig.cli import main
+from fbmsig.expected import decay_bound_check
+from fbmsig.tensor import Word
 
 
 def run(tmp_path, *argv):
@@ -37,12 +39,36 @@ class TestExpectedSig:
         assert float(body["1"][2]) == 0.0
         assert float(body["1,2"][2]) == 0.0
 
-    def test_tolerance_exit_code(self, tmp_path):
+    def test_tolerance_exit_code(self, tmp_path, capsys):
         rc, _ = run(
             tmp_path, "expected-sig", "--H", "0.75", "--words", "1,2,1,2",
             "--tol", "1e-18",
         )
         assert rc == 3
+        capsys.readouterr()
+        rc = main(["convergence", "--H", "0.75", "--words", "1,2,1,2",
+                   "--m", "4,8,16,32", "--tol", "1e-18"])
+        out, err = capsys.readouterr()
+        assert rc == 3
+        assert out == ""
+        assert err.startswith("error: quadrature for word (1,2,1,2)")
+
+    def test_bound_columns_match_decay_bound_check(self, tmp_path):
+        words = "1,1;1,1,1,1;1,1,2,2;1,2,1,2"
+        rc, text = run(tmp_path, "expected-sig", "--H", "0.6,0.9", "--words",
+                       words, "--no-timestamp")
+        assert rc == 0
+        rows = read_csv(text)
+        header = rows[0]
+        assert len(rows) == 1 + 4 * 2
+        for row in rows[1:]:
+            col = dict(zip(header, row))
+            rep = decay_bound_check(Word.parse(col["word"]), float(col["H"]))
+            assert float(col["value"]) == rep.value
+            assert float(col["err_bar"]) == rep.quad_error
+            assert float(col["bound"]) == rep.bound
+            assert float(col["refined_bound"]) == rep.refined_bound
+            assert col["pass"] == str(rep.passed)
 
 
 class TestApproxSig:

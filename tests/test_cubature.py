@@ -123,11 +123,17 @@ class TestSolveAnsatz:
         assert sol.lam3 == pytest.approx(2.0 / 3.0)
 
     def test_minus_branch_reproduces_formula(self):
-        for H in (0.5, 0.75):
-            a = three_path_formula(H)
-            b = formula_from_solution(solve_ansatz(H, "minus"))
-            for pa, pb in zip(a.paths, b.paths):
-                np.testing.assert_allclose(pa.values, pb.values, atol=1e-12)
+        # the paper's explicit breakpoints of the first path at 0, 1/3, 2/3, 1
+        for H in (0.5, 0.6, 2.0 / 3.0, 0.75, 0.99):
+            beta = math.sqrt(-96 * H * H + 66 * H + 57) / (2 * H + 1)
+            paper = [0.0, (2 * SQRT3 - beta) / 3, (SQRT3 + beta) / 3, SQRT3]
+            f = formula_from_solution(solve_ansatz(H, "minus"))
+            assert f.weights == pytest.approx((1 / 6, 1 / 6, 2 / 3), abs=1e-15)
+            for path, sign in zip(f.paths, (1.0, -1.0, 0.0)):
+                np.testing.assert_allclose(path.times, [0, 1 / 3, 2 / 3, 1], atol=1e-15)
+                np.testing.assert_allclose(
+                    path.values[:, 1], sign * np.array(paper), rtol=0, atol=1e-14
+                )
 
     def test_bad_branch(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from fbmsig.expected import (
     KernelConstant,
     QuadratureToleranceError,
     canonical_relabel,
+    check_hurst,
     closed_form_table,
     closed_form_value,
     covariance,
@@ -17,7 +19,9 @@ from fbmsig.expected import (
     expected_word,
     scaling_exponent,
 )
-from fbmsig.simplexquad import QuadConfig, matching_simplex_integral
+from fbmsig import gridapprox as ga
+from fbmsig import sde
+from fbmsig.simplexquad import QuadConfig, _reduce_terms, matching_simplex_integral
 from fbmsig.tensor import Word
 
 H_GRID = (0.6, 0.75, 0.9)
@@ -269,9 +273,64 @@ class TestMatchingIntegralValidation:
             matching_simplex_integral(3, [(0, 3)], -0.5)
         with pytest.raises(ValueError):
             matching_simplex_integral(4, [(0, 1), (1, 2)], -0.5)
+        with pytest.raises(ValueError, match="at most 3 pairs"):
+            matching_simplex_integral(8, [(0, 4), (1, 5), (2, 6), (3, 7)], -0.5)
 
     def test_scheme_validation(self):
         with pytest.raises(ValueError):
             QuadConfig(scheme="nope")
         with pytest.raises(ValueError):
             QuadConfig(tol=0.0)
+
+
+def _perfect_matchings(points):
+    if not points:
+        yield ()
+        return
+    first, rest = points[0], points[1:]
+    for i, partner in enumerate(rest):
+        for tail in _perfect_matchings(rest[:i] + rest[i + 1 :]):
+            yield ((first, partner),) + tail
+
+
+class TestReducedCores:
+    def test_every_core_has_at_most_three_dimensions(self):
+        # the deterministic scheme evaluates each core on one N**dim grid,
+        # which is sized for dim <= 3
+        dims = set()
+        for n in range(2, 10):
+            for k in (1, 2, 3):
+                for positions in itertools.combinations(range(1, n + 1), 2 * k):
+                    for matching in _perfect_matchings(positions):
+                        factors = tuple((a, b, -0.5) for a, b in matching)
+                        terms = _reduce_terms(n, factors, tuple(range(1, n + 1)))
+                        dims.update(len(vs) for _, _, vs in terms)
+        assert max(dims) <= 3
+
+
+def _mc_weak_value(H):
+    vf = sde.VectorFieldSet(1, (np.zeros_like, np.ones_like))
+    return sde.mc_weak_value(vf, lambda y: y[..., 0], [0.0], H, 1.0, 4, 4, 0)
+
+
+HURST_ENTRY_POINTS = {
+    "check_hurst": check_hurst,
+    "FbmParams": FbmParams,
+    "KernelConstant.from_hurst": KernelConstant.from_hurst,
+    "expected_word": lambda H: expected_word(W(1, 1), H),
+    "cell_pair_integral": lambda H: ga.cell_pair_integral(0, 1, 4, H),
+    "cell_covariance_matrix": lambda H: ga.cell_covariance_matrix(H, 4),
+    "approx_expected_word": lambda H: ga.approx_expected_word(W(1, 1), H, 4),
+    "constant_A": ga.constant_A,
+    "constant_Atilde": ga.constant_Atilde,
+    "sample_fbm_batch": lambda H: ga.sample_fbm_batch(H, 4, 1, 2, 0),
+    "mc_weak_value": _mc_weak_value,
+    "ErrorBoundParams": lambda H: sde.ErrorBoundParams(1.0, 0.0, 1, 5, H),
+}
+
+
+@pytest.mark.parametrize("H", (0.5, 1.0, math.nan), ids=("half", "one", "nan"))
+@pytest.mark.parametrize("entry", sorted(HURST_ENTRY_POINTS))
+def test_entry_points_reject_hurst_outside_young_range(entry, H):
+    with pytest.raises(ValueError, match="H must lie in"):
+        HURST_ENTRY_POINTS[entry](H)

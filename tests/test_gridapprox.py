@@ -78,6 +78,27 @@ class TestCellPairIntegral:
         with pytest.raises(ValueError):
             cell_pair_integral(0, 5, 5, 0.75)
 
+    @pytest.mark.parametrize("H", (0.501, 0.6, 0.75, 0.9, 0.999))
+    def test_second_differences_against_high_precision(self, H):
+        # (r+1)^2H - 2 r^2H + (r-1)^2H cancels to about 2H(2H-1) r^(2H-2);
+        # the engine kernel and cell_pair_integral must keep full relative
+        # precision over every distance of the largest grid
+        from fbmsig.gridapprox import _second_differences
+
+        mpmath = pytest.importorskip("mpmath")
+        m = 4096
+        got = _second_differences(H, np.arange(1, m))
+        with mpmath.workdps(40):
+            a = 2 * mpmath.mpf(H)
+            want = [(k + 1) ** a - 2 * mpmath.mpf(k) ** a + (k - 1) ** a
+                    for k in range(1, m)]
+            rel = max(abs((float(g) - w) / w) for g, w in zip(got, want))
+            scale = mpmath.mpf(m) ** -a / (a * (a - 1))
+            for k in (1, 2, 3, m - 1):
+                cell = cell_pair_integral(0, k, m, H)
+                assert abs((cell - want[k - 1] * scale) / (want[k - 1] * scale)) <= 1e-12
+        assert rel <= 1e-12
+
     def test_diagonal_triangle_exactness(self):
         # inside one diagonal cell the ordered-triangle kernel mass equals
         # half the full cell mass, which is exactly what the cell-averaged
