@@ -7,8 +7,7 @@ win.  Words are exchanged as comma-separated letter strings ("1,0,1", letter
 other lists by commas.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 quadrature
-tolerance failure.  FBMSIG_MAX_WORKERS caps the thread pool used for
-independent table rows (default 1; results are identical for any value).
+tolerance failure.
 """
 from __future__ import annotations
 
@@ -16,9 +15,7 @@ import argparse
 import csv
 import datetime
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -39,14 +36,6 @@ def _fmt(x) -> str:
     if isinstance(x, float):
         return format(x, ".17g")
     return "" if x is None else str(x)
-
-
-def _map_rows(fn, items):
-    workers = int(os.environ.get("FBMSIG_MAX_WORKERS", "1"))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items))
-    return [fn(it) for it in items]
 
 
 class TableWriter:
@@ -168,23 +157,21 @@ def cmd_expected_sig(args) -> int:
     config = _quad_config(args)
     cols = ["word", "H", "value", "err_bar", "bound", "refined_bound", "pass"]
     table = TableWriter(cols)
-
-    def one(pair):
+    failures = 0
+    for w in words:
         # pure-fBm even words get the decay-bound report (one quadrature
         # each), every other word just its value
-        w, H = pair
-        if w.letters and all(x != 0 for x in w.letters) and len(w) % 2 == 0:
-            rep = ex.decay_bound_check(w, H, config)
-            return dict(value=rep.value, err_bar=rep.quad_error, bound=rep.bound,
-                        refined_bound=rep.refined_bound, **{"pass": rep.passed})
-        res = ex.expected_word(w, H, config)
-        return dict(value=res.value, err_bar=res.error)
-
-    jobs = [(w, H) for w in words for H in hs]
-    failures = 0
-    for (w, H), row in zip(jobs, _map_rows(one, jobs)):
-        failures += not row.get("pass", True)
-        table.add(word=str(w), H=H, **row)
+        bounded = w.letters and all(x != 0 for x in w.letters) and len(w) % 2 == 0
+        for H in hs:
+            if bounded:
+                rep = ex.decay_bound_check(w, H, config)
+                failures += not rep.passed
+                table.add(word=str(w), H=H, value=rep.value, err_bar=rep.quad_error,
+                          bound=rep.bound, refined_bound=rep.refined_bound,
+                          **{"pass": rep.passed})
+            else:
+                res = ex.expected_word(w, H, config)
+                table.add(word=str(w), H=H, value=res.value, err_bar=res.error)
     _emit(args, table)
     return EXIT_VERIFICATION if failures else EXIT_OK
 

@@ -141,7 +141,7 @@ def expected_word(
     error = 0.0
     for m in mt.compatible_matchings(sub):
         pairs = [(positions[a], positions[b]) for a, b in m]
-        res = matching_simplex_integral(n, pairs, kernel.exponent, config)
+        res = matching_simplex_integral(n, pairs, kernel.exponent)
         value += res.value
         error += res.error
     value *= kernel.c_H**k

@@ -50,6 +50,9 @@ __all__ = [
 ]
 
 _MAX_GRID = 4096
+# approx_expected_word refuses more work than this, counted as (tie pattern,
+# matching) terms times m^2; it admits m = 4096 for every four-letter word
+_WORK_BUDGET = 500_000_000
 
 
 def cell_pair_integral(i: int, j: int, m: int, H: float) -> float:
@@ -164,9 +167,7 @@ def _chain_sum(r: int, edges, g: np.ndarray) -> float:
     raise ValueError(f"no chain sum for edges {shape}")
 
 
-def approx_expected_word(
-    word: Word, H: float, m: int, budget: int = 500_000_000
-) -> float:
+def approx_expected_word(word: Word, H: float, m: int) -> float:
     """Exact expected iterated-integral coefficient of B^m for a pure-fBm word.
 
     The value is, per compatible matching, a sum over weakly increasing cell
@@ -175,9 +176,8 @@ def approx_expected_word(
     the cell box is prod over tie runs of (1/m)^s / s!.  It is summed by tie
     pattern instead: each of the 2^(2k-1) patterns of runs, weighted by
     m^(-2k) / prod s!, leaves a strictly increasing chain of distinct cells,
-    and each (pattern, matching) chain sum costs at most O(m^2).  `budget`
-    caps that work, counted as (pattern, matching) terms times m^2; the
-    default admits m = 4096 for every four-letter word.
+    and each (pattern, matching) chain sum costs at most O(m^2); the total
+    is capped by _WORK_BUDGET.
     """
     check_hurst(H)
     if m < 1:
@@ -192,8 +192,8 @@ def approx_expected_word(
         raise ValueError("word length capped at 4 (grid approximation)")
     matchings_ = mt.compatible_matchings(word)
     work = 2 ** (two_k - 1) * len(matchings_) * m * m
-    if work > budget:
-        raise ValueError(f"grid work {work} exceeds budget {budget} at m={m}")
+    if work > _WORK_BUDGET:
+        raise ValueError(f"grid work {work} exceeds budget {_WORK_BUDGET} at m={m}")
     g = 0.5 * m ** (2.0 - 2.0 * H) * _second_differences(H, np.arange(m))
     # (blocks, edges between blocks) -> summed weight; a pair inside one
     # block contributes the diagonal kernel value g[0]

@@ -210,11 +210,13 @@ def _entire_series(z: float, gamma: float) -> float:
         k += 1
         logt = k * logz - power * math.lgamma(k + 1)
         total_log = np.logaddexp(total_log, logt)
+        if total_log >= 709.0:
+            return math.inf  # the log-sum never decreases
         if z / k**power < 1.0 and logt < total_log - 40.0:
             break
         if k > 5_000_000:
             raise RuntimeError("series failed to converge (gamma too close to 1/2?)")
-    return math.exp(total_log) if total_log < 709.0 else math.inf
+    return math.exp(total_log)
 
 
 def error_bound_shape(params: ErrorBoundParams, T: float) -> BoundShape:

@@ -8,19 +8,13 @@ The object computed here is, for a perfect matching M of a subset of positions
 
 unmatched positions carrying unit density (they are the time letters).
 
-Two schemes are provided:
-
-* ``tensorized-singularity-split`` (default, deterministic).  The integrand is
-  first reduced exactly: any variable appearing in at most one power factor is
-  integrated out in closed form, splitting the term in two.  What survives is a
-  sum of Beta-type closed forms plus low-dimensional irreducible cores, which
-  are evaluated on a tensor Gauss-Legendre grid after mapping the simplex to
-  the unit cube and absorbing every endpoint singularity into per-axis
-  Beta-CDF substitutions.  The error estimate comes from re-evaluating the
-  numeric cores at a finer resolution.
-
-* ``quasi-random``: scrambled Sobol points through the same singularity-taming
-  map, with the empirical error taken from doubling the sample size.
+The integrand is first reduced exactly: any variable appearing in at most one
+power factor is integrated out in closed form, splitting the term in two.
+What survives is a sum of Beta-type closed forms plus low-dimensional
+irreducible cores, which are evaluated on a tensor Gauss-Legendre grid after
+mapping the simplex to the unit cube and absorbing every endpoint singularity
+into per-axis Beta-CDF substitutions.  The error estimate comes from
+re-evaluating the numeric cores at a finer resolution.
 """
 from __future__ import annotations
 
@@ -33,13 +27,10 @@ from scipy.special import betainc, betaln
 
 __all__ = ["QuadConfig", "QuadResult", "matching_simplex_integral"]
 
-SCHEMES = ("tensorized-singularity-split", "quasi-random")
-
-
-# Deterministic scheme: Gauss-Legendre points per core axis (the refinement
-# run behind the error estimate adds 16).  Both schemes map every axis through
-# a Beta(p, q) CDF whose exponents are sized so that the mapped integrand has
-# about SMOOTH derivatives at each endpoint, with q at most QCAP.
+# Gauss-Legendre points per core axis (the refinement run behind the error
+# estimate adds 16).  Every axis is mapped through a Beta(p, q) CDF whose
+# exponents are sized so that the mapped integrand has about SMOOTH
+# derivatives at each endpoint, with q at most QCAP.
 POINTS_PER_AXIS = 48
 SMOOTH = 6.0
 QCAP = 40
@@ -47,17 +38,11 @@ QCAP = 40
 
 @dataclass(frozen=True)
 class QuadConfig:
-    """Quadrature knobs; samples is the base Sobol count for the quasi-random
-    scheme (the error estimate doubles it)."""
+    """Quadrature tolerance: the largest accepted error estimate."""
 
-    scheme: str = "tensorized-singularity-split"
-    samples: int = 2**16
     tol: float = 1e-6
-    seed: int = 10_000
 
     def __post_init__(self):
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}; expected one of {SCHEMES}")
         if self.tol <= 0:
             raise ValueError("tolerance must be > 0")
 
@@ -67,14 +52,11 @@ class QuadResult(NamedTuple):
     error: float
 
 
-def matching_simplex_integral(
-    n: int, pairs, exponent: float, config: QuadConfig | None = None
-) -> QuadResult:
+def matching_simplex_integral(n: int, pairs, exponent: float) -> QuadResult:
     """Integral of prod (t_b - t_a)**exponent over the ordered n-simplex.
 
     pairs are 0-based disjoint (a, b) position pairs with a < b < n.
     """
-    config = config or QuadConfig()
     pairs = [(int(a), int(b)) for a, b in pairs]
     for a, b in pairs:
         if not 0 <= a < b < n:
@@ -82,13 +64,11 @@ def matching_simplex_integral(
     flat = [p for ab in pairs for p in ab]
     if len(set(flat)) != len(flat):
         raise ValueError("pairs must be disjoint")
-    if len(pairs) > 3 and config.scheme != "quasi-random":
-        # its cores reach dimension len(pairs); POINTS_PER_AXIS**3 is the
-        # largest grid it evaluates
+    if len(pairs) > 3:
+        # cores reach dimension len(pairs); POINTS_PER_AXIS**3 is the largest
+        # grid evaluated
         raise ValueError("the deterministic scheme takes at most 3 pairs")
     factors = tuple((a + 1, b + 1, float(exponent)) for a, b in pairs)
-    if config.scheme == "quasi-random":
-        return _qmc_integral(n, factors, config)
     return _reduced_integral(n, factors)
 
 
@@ -204,36 +184,13 @@ def _axis_rules(m: int, factors):
     return gam, spans, p, q
 
 
-def _beta_axis(p: int, q: int, gam: float, u, log_w=0.0):
-    """One axis under the Beta(p, q)-CDF substitution x = I_u(p, q).
-
-    Returns log x (taken from the complementary CDF, so it stays accurate
-    where x is close to 1) and log(density * x**gam) plus the node log-weight.
-    """
-    x = np.clip(betainc(p, q, u), 1e-300, None)
-    cx = np.clip(betainc(q, p, 1.0 - u), 1e-300, 1.0 - 1e-16)
-    ljac = (p - 1) * np.log(u) + (q - 1) * np.log1p(-u) - betaln(p, q) + log_w
-    return np.log1p(-cx), ljac + gam * np.log(x)
-
-
-def _log_integrand(logx, logjac, spans):
-    """Log of the mapped core integrand: the per-axis log-Jacobians plus, for
-    each span, e * log(1 - prod of the span's x).  The per-axis arrays may be
-    sample columns or broadcastable tensor axes."""
-    L = 0.0
-    for lj in logjac:
-        L = L + lj
-    for axes, e in spans:
-        s = 0.0
-        for ax in axes:
-            s = s + logx[ax]
-        L = L + e * np.log(-np.expm1(s))
-    return L
-
-
 def _core_numeric(m: int, factors, N: int) -> float:
     """Tensor Gauss-Legendre evaluation of an m-dim irreducible core.
 
+    Every axis takes the Beta(p, q)-CDF substitution x = I_u(p, q); log x
+    comes from the complementary CDF, so it stays accurate where x is close
+    to 1.  The log integrand is the sum of the per-axis log-Jacobians
+    (density, x**gam and node weight) plus e * log(1 - prod x) per span.
     Every core left by _reduce_terms for up to three pairs has m <= 3, so the
     N**m grid is evaluated in one piece.
     """
@@ -241,14 +198,23 @@ def _core_numeric(m: int, factors, N: int) -> float:
     u, w = np.polynomial.legendre.leggauss(N)
     u = 0.5 * (u + 1.0)
     log_w = np.log(0.5 * w)
-    logx, logjac = [], []
+    logx = []
+    L = 0.0
     for i in range(m):
         shape = [1] * m
         shape[i] = N
-        lx, lj = _beta_axis(p[i], q[i], gam[i], u, log_w)
-        logx.append(lx.reshape(shape))
-        logjac.append(lj.reshape(shape))
-    return float(np.exp(_log_integrand(logx, logjac, spans)).sum())
+        x = np.clip(betainc(p[i], q[i], u), 1e-300, None)
+        cx = np.clip(betainc(q[i], p[i], 1.0 - u), 1e-300, 1.0 - 1e-16)
+        ljac = ((p[i] - 1) * np.log(u) + (q[i] - 1) * np.log1p(-u)
+                - betaln(p[i], q[i]) + log_w)
+        logx.append(np.log1p(-cx).reshape(shape))
+        L = L + (ljac + gam[i] * np.log(x)).reshape(shape)
+    for axes, e in spans:
+        s = 0.0
+        for ax in axes:
+            s = s + logx[ax]
+        L = L + e * np.log(-np.expm1(s))
+    return float(np.exp(L).sum())
 
 
 def _reduced_integral(n, factors) -> QuadResult:
@@ -270,30 +236,3 @@ def _reduced_integral(n, factors) -> QuadResult:
         total += v
         scale += abs(v)
     return QuadResult(total, err + 1e-15 * scale)
-
-
-# ---------------------------------------------------------------------------
-# quasi-random scheme
-# ---------------------------------------------------------------------------
-
-
-def _qmc_eval(n, factors, U) -> float:
-    gam, spans, p, q = _axis_rules(n, factors)
-    U = np.clip(U, 1e-15, 1.0 - 1e-15)
-    logx, logjac = zip(*(_beta_axis(p[i], q[i], gam[i], U[:, i])
-                         for i in range(n)))
-    return float(np.exp(_log_integrand(logx, logjac, spans)).mean())
-
-
-def _qmc_integral(n, factors, config: QuadConfig) -> QuadResult:
-    # scipy.stats takes most of the package's import time and only this
-    # scheme needs it, so it is imported here rather than at module level
-    from scipy.stats import qmc
-
-    eng = qmc.Sobol(d=n, scramble=True, seed=config.seed)
-    n1 = config.samples
-    u1 = eng.random(n1)
-    u2 = eng.random(n1)  # next n1 points of the same sequence
-    v1 = _qmc_eval(n, factors, u1)
-    v2 = _qmc_eval(n, factors, np.concatenate([u1, u2]))
-    return QuadResult(v2, abs(v2 - v1) + 1e-15 * abs(v2))

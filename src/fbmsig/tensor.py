@@ -120,9 +120,6 @@ class TruncatedTensor:
             raise ValueError(f"word length {len(word)} exceeds depth {self.depth}")
         self.levels[len(word)][word_index(word.letters, self.d)] = value
 
-    def copy(self) -> "TruncatedTensor":
-        return TruncatedTensor(self.d, self.depth, [lv.copy() for lv in self.levels])
-
     def __repr__(self) -> str:
         return f"TruncatedTensor(d={self.d}, depth={self.depth})"
 

@@ -193,6 +193,15 @@ class TestBounds:
         assert len(rows) == 3
         assert rows[1][-1] == "T<1" and rows[2][-1] == "T>=1"
 
+    def test_overflowing_series_prints_inf(self, tmp_path):
+        rc, text = run(
+            tmp_path, "bounds", "--H", "0.501", "--T", "3", "--M", "2",
+            "--gamma", "0.2", "--no-timestamp",
+        )
+        assert rc == 0
+        rows = read_csv(text)
+        assert rows[1][rows[0].index("bound_shape")] == "inf"
+
 
 class TestHarness:
     def test_byte_identical_reruns(self, tmp_path):
@@ -228,14 +237,6 @@ class TestHarness:
         assert {float(r[1]) for r in rows[1:]} == {0.9}       # config fills H
         assert {r[2] for r in rows[1:]} == {"1", "2"}         # config fills m
 
-    def test_worker_pool_does_not_change_output(self, tmp_path, monkeypatch):
-        args = ("expected-sig", "--H", "0.6,0.75", "--words", "1,1,2,2;1,2,1,2",
-                "--no-timestamp")
-        _, serial = run(tmp_path, *args)
-        monkeypatch.setenv("FBMSIG_MAX_WORKERS", "4")
-        _, pooled = run(tmp_path, *args)
-        assert serial == pooled
-
     def test_unknown_problem_is_usage_error(self, tmp_path):
         rc, _ = run(tmp_path, "sde", "compare", "--problem", "cubic")
         assert rc == 2
@@ -247,10 +248,17 @@ class TestHarness:
 
 
 def test_import_leaves_scipy_stats_unloaded():
-    # only the quasi-random quadrature scheme needs scipy.stats, and no
-    # command reaches it, so importing the CLI must not pay for it
+    # no code path needs scipy.stats, so neither importing the CLI nor
+    # running a quadrature or a grid command may pay for its import
     src = os.path.dirname(os.path.dirname(fbmsig.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = "import sys, fbmsig.cli; assert 'scipy.stats' not in sys.modules"
+    code = (
+        "import os, sys\n"
+        "from fbmsig.cli import main\n"
+        "null = os.devnull\n"
+        "assert main(['expected-sig', '--words', '1,2,1,2', '--out', null]) == 0\n"
+        "assert main(['convergence', '--m', '4,8,16,32', '--out', null]) == 0\n"
+        "assert 'scipy.stats' not in sys.modules\n"
+    )
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)

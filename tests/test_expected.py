@@ -169,13 +169,6 @@ class TestExpectedWord:
         assert exc.value.error > 1e-18
         assert math.isfinite(exc.value.value)
 
-    def test_quasi_random_scheme_agrees(self):
-        cfg = QuadConfig(scheme="quasi-random", samples=2**14, tol=1.0)
-        got = expected_word(W(1, 1, 1, 1, d=1), 0.75, cfg)
-        assert got.value == pytest.approx(0.125, abs=5e-3)
-        again = expected_word(W(1, 1, 1, 1, d=1), 0.75, cfg)
-        assert got.value == again.value  # deterministic in the seed
-
 
 class TestScalingExponent:
     def test_values(self):
@@ -277,8 +270,6 @@ class TestMatchingIntegralValidation:
             matching_simplex_integral(8, [(0, 4), (1, 5), (2, 6), (3, 7)], -0.5)
 
     def test_scheme_validation(self):
-        with pytest.raises(ValueError):
-            QuadConfig(scheme="nope")
         with pytest.raises(ValueError):
             QuadConfig(tol=0.0)
 

@@ -167,7 +167,8 @@ class TestApproxExpectedWord:
 
     def test_budget_enforced(self):
         with pytest.raises(ValueError, match="budget"):
-            approx_expected_word(W(1, 1, 2, 2), 0.75, 64, budget=1000)
+            # one matching, 8 tie patterns: work 8 * 8192^2 = 5.4e8 exceeds 5e8
+            approx_expected_word(W(1, 1, 2, 2), 0.75, 8192)
 
     def test_rejects_time_letters(self):
         with pytest.raises(ValueError):

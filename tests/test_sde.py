@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from fbmsig.sde import (
     mc_weak_value,
     ode_along_path,
     run_compare,
+    _entire_series,
 )
 from fbmsig.tensor import PiecewiseLinearPath
 
@@ -162,6 +164,13 @@ class TestErrorBoundShape:
         # mathematically finite but beyond double precision
         p = ErrorBoundParams(M=2.0, gamma=0.2, d=2, degree=5, H=0.75)
         assert error_bound_shape(p, 5.0).value == math.inf
+
+    def test_overflow_returns_before_convergence(self):
+        # d M K T at H = 0.501, M = 2, T = 3: the terms only start to shrink
+        # past k ~ 268^(1/0.3), so inf must come from the running log-sum
+        t0 = time.perf_counter()
+        assert _entire_series(268.0, 0.2) == math.inf
+        assert time.perf_counter() - t0 < 0.5
 
     def test_param_validation(self):
         with pytest.raises(ValueError):
