@@ -16,7 +16,6 @@ from .cubature import (
 )
 from .expected import (
     DecayReport,
-    ExpectedWord,
     FbmParams,
     KernelConstant,
     QuadratureToleranceError,
@@ -30,8 +29,6 @@ from .expected import (
 )
 from .gridapprox import (
     BoundReport,
-    CertifiedValue,
-    GridCellCovariance,
     SlopeFit,
     approx_expected_word,
     cell_covariance_matrix,
@@ -40,9 +37,8 @@ from .gridapprox import (
     constant_A,
     constant_Atilde,
     convergence_slope,
-    sample_fbm,
+    gap_rows,
     sample_fbm_batch,
-    signature_gap,
 )
 from .matchings import (
     compatible_matchings,
@@ -61,7 +57,7 @@ from .sde import (
     ode_along_path,
     run_compare,
 )
-from .simplexquad import QuadConfig, QuadResult, matching_simplex_integral
+from .simplexquad import CertifiedValue, QuadConfig, matching_simplex_integral
 from .tensor import (
     PiecewiseLinearPath,
     TruncatedTensor,

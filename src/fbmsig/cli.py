@@ -210,8 +210,8 @@ def cmd_convergence(args) -> int:
                 table.add(kind="row", word=str(w), H=H, m=m, exact=g.exact,
                           approx=g.approx, gap=g.gap,
                           m2H_gap=m ** (2 * H) * g.gap, err_bar=g.err_bar)
-            fit = ga.slope_from_rows(rows)
-            bound = ga.bound_from_rows(w, H, rows)
+            fit = ga.convergence_slope(rows)
+            bound = ga.coefficient_bound_check(w, H, rows)
             any_fail |= not bound.passed
             table.add(kind="summary", word=str(w), H=H,
                       slope=fit.slope if fit.ok else None,
@@ -319,12 +319,14 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("csv", "json"), default=None)
     common.add_argument("--no-timestamp", action="store_true",
                         help="omit the generated-at header for byte-identical reruns")
-    common.add_argument("--tol", default=None, help="quadrature tolerance")
+    # only the commands that run quadrature take a tolerance
+    quad = argparse.ArgumentParser(add_help=False)
+    quad.add_argument("--tol", help="quadrature tolerance")
 
     p = argparse.ArgumentParser(prog="fbmsig", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    s = sub.add_parser("expected-sig", parents=[common],
+    s = sub.add_parser("expected-sig", parents=[common, quad],
                        help="exact expected signature coefficients")
     s.add_argument("--H")
     s.add_argument("--words")
@@ -337,14 +339,14 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--m")
     s.set_defaults(fn=cmd_approx_sig)
 
-    s = sub.add_parser("convergence", parents=[common],
+    s = sub.add_parser("convergence", parents=[common, quad],
                        help="gap table, fitted rate and coefficient bound")
     s.add_argument("--H")
     s.add_argument("--words")
     s.add_argument("--m")
     s.set_defaults(fn=cmd_convergence)
 
-    s = sub.add_parser("cubature", parents=[common],
+    s = sub.add_parser("cubature", parents=[common, quad],
                        help="verify the cubature identity or solve the ansatz")
     s.add_argument("action", choices=("verify", "solve"))
     s.add_argument("--H")

@@ -45,7 +45,8 @@ def _check_H_cubature(H: float) -> None:
 
 @dataclass(frozen=True)
 class CubatureFormula:
-    """Positive weights summing to one and matching time-augmented paths."""
+    """Positive weights summing to one and matching time-augmented paths that
+    share their breakpoints."""
 
     H: float
     weights: tuple[float, ...]
@@ -62,6 +63,8 @@ class CubatureFormula:
         for p in self.paths:
             if not np.allclose(p.values[0], 0.0, atol=1e-12):
                 raise ValueError("every cubature path must start at the origin")
+            if p.times != self.paths[0].times:
+                raise ValueError("every cubature path must share the same breakpoints")
 
 
 def word_weight(word: Word, H: float) -> float:

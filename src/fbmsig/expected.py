@@ -18,18 +18,16 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
-from typing import NamedTuple
 
 import numpy as np
 
 from . import matchings as mt
-from .simplexquad import QuadConfig, matching_simplex_integral
+from .simplexquad import CertifiedValue, QuadConfig, matching_simplex_integral
 from .tensor import TruncatedTensor, Word, all_words
 
 __all__ = [
     "FbmParams",
     "KernelConstant",
-    "ExpectedWord",
     "QuadratureToleranceError",
     "check_hurst",
     "covariance",
@@ -77,11 +75,6 @@ class KernelConstant:
         return cls(H * (2.0 * H - 1.0), 2.0 * H - 2.0)
 
 
-class ExpectedWord(NamedTuple):
-    value: float
-    error: float
-
-
 class QuadratureToleranceError(RuntimeError):
     """Raised when the quadrature error estimate exceeds the requested
     tolerance; carries the value actually achieved."""
@@ -118,7 +111,7 @@ def _odd_letter(word: Word) -> bool:
 
 def expected_word(
     word: Word, H: float, config: QuadConfig | None = None
-) -> ExpectedWord:
+) -> CertifiedValue:
     """Expected iterated-integral coefficient of the word over [0, 1].
 
     Raises QuadratureToleranceError when the quadrature error estimate misses
@@ -130,11 +123,11 @@ def expected_word(
     if len(positions) > 6:
         raise ValueError("at most 6 nonzero letters supported")
     if _odd_letter(word):
-        return ExpectedWord(0.0, 0.0)
+        return CertifiedValue(0.0, 0.0)
     n = len(word)
     if not positions:
         # pure time word: volume of the ordered simplex
-        return ExpectedWord(1.0 / math.factorial(n), 0.0)
+        return CertifiedValue(1.0 / math.factorial(n), 0.0)
     sub = Word(tuple(word.letters[i] for i in positions), word.d)
     k = len(positions) // 2
     value = 0.0
@@ -148,7 +141,7 @@ def expected_word(
     error *= kernel.c_H**k
     if error > config.tol:
         raise QuadratureToleranceError(word, value, error, config.tol)
-    return ExpectedWord(value, error)
+    return CertifiedValue(value, error)
 
 
 def canonical_relabel(word: Word) -> Word:

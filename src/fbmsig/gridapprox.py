@@ -25,27 +25,21 @@ from scipy.special import comb, zeta
 
 from . import matchings as mt
 from .expected import check_hurst, expected_word
-from .simplexquad import QuadConfig
+from .simplexquad import CertifiedValue, QuadConfig
 from .tensor import Word
 
 __all__ = [
-    "GridCellCovariance",
-    "CertifiedValue",
     "cell_pair_integral",
     "cell_covariance_matrix",
     "approx_expected_word",
     "gap_rows",
-    "signature_gap",
     "GapResult",
-    "slope_from_rows",
     "convergence_slope",
     "SlopeFit",
     "constant_A",
     "constant_Atilde",
-    "bound_from_rows",
     "coefficient_bound_check",
     "BoundReport",
-    "sample_fbm",
     "sample_fbm_batch",
 ]
 
@@ -108,23 +102,14 @@ def _second_differences(H: float, r: np.ndarray) -> np.ndarray:
     return d
 
 
-@dataclass(frozen=True)
-class GridCellCovariance:
+def cell_covariance_matrix(H: float, m: int) -> np.ndarray:
     """m x m matrix of cell-pair kernel integrals for one (H, m)."""
-
-    H: float
-    m: int
-    matrix: np.ndarray
-
-
-def cell_covariance_matrix(H: float, m: int) -> GridCellCovariance:
     check_hurst(H)
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     r = np.abs(np.arange(m)[:, None] - np.arange(m)[None, :])
     two_h = 2.0 * H
-    D = _second_differences(H, np.arange(m))[r] * (m**-two_h / (two_h * (two_h - 1.0)))
-    return GridCellCovariance(H, m, D)
+    return _second_differences(H, np.arange(m))[r] * (m**-two_h / (two_h * (two_h - 1.0)))
 
 
 def _chain_sum(r: int, edges, g: np.ndarray) -> float:
@@ -236,13 +221,6 @@ def gap_rows(
     return tuple(rows)
 
 
-def signature_gap(
-    word: Word, H: float, m: int, config: QuadConfig | None = None
-) -> GapResult:
-    """|exact - grid approximation| with the quadrature error bar attached."""
-    return gap_rows(word, H, (m,), config)[0][1]
-
-
 @dataclass(frozen=True)
 class SlopeFit:
     ok: bool
@@ -254,7 +232,7 @@ class SlopeFit:
     reason: str = ""
 
 
-def slope_from_rows(rows) -> SlopeFit:
+def convergence_slope(rows) -> SlopeFit:
     """Least-squares slope of log(gap) versus log(m) over gap_rows output.
 
     Points whose gap sits below 10x the quadrature error bar are refused so
@@ -292,21 +270,9 @@ def slope_from_rows(rows) -> SlopeFit:
     )
 
 
-def convergence_slope(
-    word: Word, H: float, m_list, config: QuadConfig | None = None
-) -> SlopeFit:
-    """slope_from_rows over the gaps of `word` at the grid sizes `m_list`."""
-    return slope_from_rows(gap_rows(word, H, m_list, config))
-
-
 # ---------------------------------------------------------------------------
 # bound constants
 # ---------------------------------------------------------------------------
-
-
-class CertifiedValue(NamedTuple):
-    value: float
-    error: float
 
 
 # Four times the worst relative error of scipy.special.zeta(3 - 2H) against
@@ -375,7 +341,7 @@ class BoundReport:
     passed: bool
 
 
-def bound_from_rows(word: Word, H: float, rows) -> BoundReport:
+def coefficient_bound_check(word: Word, H: float, rows) -> BoundReport:
     """Compare max_m m^2H * gap over gap_rows output against the uniform
     coefficient bound A-tilde * k(2k-1) / ((k-1)! 2^k)."""
     k = len(word.letters) // 2
@@ -392,13 +358,6 @@ def bound_from_rows(word: Word, H: float, rows) -> BoundReport:
         rows=scaled,
         passed=max_scaled <= bound,
     )
-
-
-def coefficient_bound_check(
-    word: Word, H: float, m_list, config: QuadConfig | None = None
-) -> BoundReport:
-    """bound_from_rows over the gaps of `word` at the grid sizes `m_list`."""
-    return bound_from_rows(word, H, gap_rows(word, H, m_list, config))
 
 
 # ---------------------------------------------------------------------------
@@ -434,8 +393,3 @@ def sample_fbm_batch(
     z = rng.standard_normal((n_paths, d, m))
     paths = np.einsum("ij,sdj->sid", L, z)
     return np.concatenate([np.zeros((n_paths, 1, d)), paths], axis=1)
-
-
-def sample_fbm(H: float, m: int, d: int, seed: int, T: float = 1.0) -> np.ndarray:
-    """One fBm path on the uniform m-grid of [0, T], shape (m+1, d)."""
-    return sample_fbm_batch(H, m, d, 1, seed, T)[0]

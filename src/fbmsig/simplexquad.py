@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import betainc, betaln
 
-__all__ = ["QuadConfig", "QuadResult", "matching_simplex_integral"]
+__all__ = ["QuadConfig", "CertifiedValue", "matching_simplex_integral"]
 
 # Gauss-Legendre points per core axis (the refinement run behind the error
 # estimate adds 16).  Every axis is mapped through a Beta(p, q) CDF whose
@@ -47,12 +47,14 @@ class QuadConfig:
             raise ValueError("tolerance must be > 0")
 
 
-class QuadResult(NamedTuple):
+class CertifiedValue(NamedTuple):
+    """A value and a bound on its absolute error."""
+
     value: float
     error: float
 
 
-def matching_simplex_integral(n: int, pairs, exponent: float) -> QuadResult:
+def matching_simplex_integral(n: int, pairs, exponent: float) -> CertifiedValue:
     """Integral of prod (t_b - t_a)**exponent over the ordered n-simplex.
 
     pairs are 0-based disjoint (a, b) position pairs with a < b < n.
@@ -217,7 +219,7 @@ def _core_numeric(m: int, factors, N: int) -> float:
     return float(np.exp(L).sum())
 
 
-def _reduced_integral(n, factors) -> QuadResult:
+def _reduced_integral(n, factors) -> CertifiedValue:
     """Sum of the reduced terms; the error estimate is the change of every
     numeric core between POINTS_PER_AXIS and POINTS_PER_AXIS + 16 points."""
     total = err = scale = 0.0
@@ -235,4 +237,4 @@ def _reduced_integral(n, factors) -> QuadResult:
             err += abs(v - coeff * _core_numeric(m, core, POINTS_PER_AXIS))
         total += v
         scale += abs(v)
-    return QuadResult(total, err + 1e-15 * scale)
+    return CertifiedValue(total, err + 1e-15 * scale)

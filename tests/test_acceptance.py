@@ -28,8 +28,8 @@ from fbmsig.gridapprox import (
     constant_A,
     constant_Atilde,
     convergence_slope,
+    gap_rows,
     sample_fbm_batch,
-    signature_gap,
 )
 from fbmsig.matchings import (
     decomposition_bijection_check,
@@ -108,7 +108,7 @@ def slope_fits():
     for letters in RATE_WORDS:
         for H in RATE_H:
             out[(letters, H)] = convergence_slope(
-                Word(letters, 2), H, M_LIST, QuadConfig(tol=1e-9)
+                gap_rows(Word(letters, 2), H, M_LIST, QuadConfig(tol=1e-9))
             )
     out["elapsed"] = time.perf_counter() - t0
     return out
@@ -117,7 +117,7 @@ def slope_fits():
 def test_criterion_3_convergence_rate(slope_fits):
     t0 = time.perf_counter()
     zero_ok = all(
-        signature_gap(Word((1, 1), 2), 0.75, m).gap <= 1e-14 for m in M_LIST
+        g.gap <= 1e-14 for _, g in gap_rows(Word((1, 1), 2), 0.75, M_LIST)
     )
     lines = []
     all_ok = zero_ok
@@ -162,7 +162,8 @@ def test_criterion_4_coefficient_bound(slope_fits):
         details.append(f"H={H}: Atilde={at.value:.6g}+-{at.error:.1e} ident_gap={ident:.1e}")
     for letters in RATE_WORDS:
         for H in RATE_H:
-            rep = coefficient_bound_check(Word(letters, 2), H, M_LIST)
+            w = Word(letters, 2)
+            rep = coefficient_bound_check(w, H, gap_rows(w, H, M_LIST))
             all_ok &= rep.passed
             details.append(
                 f"word={''.join(map(str, letters))} H={H} "

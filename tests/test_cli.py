@@ -246,6 +246,14 @@ class TestHarness:
             main(["no-such-command"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", (["bounds"], ["approx-sig"], ["sde", "compare"]))
+    def test_tol_refused_without_quadrature(self, argv, capsys):
+        # only expected-sig, convergence and cubature read a tolerance
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--tol", "1e-3"])
+        assert exc.value.code == 2
+        assert "--tol" in capsys.readouterr().err
+
 
 def test_import_leaves_scipy_stats_unloaded():
     # no code path needs scipy.stats, so neither importing the CLI nor

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fbmsig.cubature import (
+    CubatureFormula,
     empirical_degree,
     formula_from_solution,
     rescale_formula,
@@ -14,7 +15,12 @@ from fbmsig.cubature import (
     word_weight,
     words_of_degree,
 )
-from fbmsig.tensor import Word, path_signature, signature_coeff_by_quadrature
+from fbmsig.tensor import (
+    PiecewiseLinearPath,
+    Word,
+    path_signature,
+    signature_coeff_by_quadrature,
+)
 
 SQRT3 = math.sqrt(3.0)
 
@@ -86,6 +92,12 @@ class TestThreePathFormula:
     def test_H_range(self):
         with pytest.raises(ValueError):
             three_path_formula(0.4)
+
+    def test_paths_must_share_breakpoints(self):
+        f = three_path_formula(0.7)
+        halves = PiecewiseLinearPath.time_augmented([0.0, 0.5, 1.0], [0.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match="breakpoints"):
+            CubatureFormula(f.H, f.weights, f.paths[:2] + (halves,), f.claimed_degree)
 
 
 class TestSolveAnsatz:

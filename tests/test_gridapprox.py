@@ -18,9 +18,8 @@ from fbmsig.gridapprox import (
     constant_A,
     constant_Atilde,
     convergence_slope,
-    sample_fbm,
+    gap_rows,
     sample_fbm_batch,
-    signature_gap,
 )
 from fbmsig.tensor import Word, batch_grid_signatures, word_index
 
@@ -65,11 +64,11 @@ class TestCellPairIntegral:
     @pytest.mark.parametrize("H", (0.6, 0.9))
     def test_total_mass_identity(self, H):
         for m in (1, 3, 8):
-            D = cell_covariance_matrix(H, m).matrix
+            D = cell_covariance_matrix(H, m)
             assert D.sum() == pytest.approx(1.0 / (H * (2 * H - 1)), rel=1e-12)
 
     def test_symmetry_and_translation(self):
-        D = cell_covariance_matrix(0.75, 6).matrix
+        D = cell_covariance_matrix(0.75, 6)
         assert np.allclose(D, D.T)
         assert D[0, 2] == pytest.approx(D[1, 3], abs=1e-16)
         assert D[2, 2] == pytest.approx(D[0, 0], abs=1e-16)
@@ -119,7 +118,7 @@ def enumerated_approx(word, H, m):
     compatible matching, prod H(2H-1) m^2 D[c_a][c_b] times the ordered
     volume prod over tie runs of (1/m)^s / s!."""
     two_k = len(word.letters)
-    rho = H * (2.0 * H - 1.0) * m * m * cell_covariance_matrix(H, m).matrix
+    rho = H * (2.0 * H - 1.0) * m * m * cell_covariance_matrix(H, m)
     terms = []
     for cells in itertools.combinations_with_replacement(range(m), two_k):
         runs = [len(list(g)) for _, g in itertools.groupby(cells)]
@@ -197,17 +196,16 @@ class TestApproxExpectedWord:
 
 class TestSignatureGap:
     def test_level2_gap_zero(self):
-        for m in (1, 2, 5, 64):
-            g = signature_gap(W(1, 1), 0.75, m)
+        for _, g in gap_rows(W(1, 1), 0.75, (1, 2, 5, 64)):
             assert g.gap <= 1e-14
 
     def test_single_cell_gap(self):
-        g = signature_gap(W(1, 1, 2, 2), 0.75, 1)
+        (_, g), = gap_rows(W(1, 1, 2, 2), 0.75, (1,))
         exact = expected_word(W(1, 1, 2, 2), 0.75).value
         assert g.gap == pytest.approx(abs(exact - 1.0 / 24.0), abs=1e-13)
 
     def test_gaps_decrease(self):
-        gaps = [signature_gap(W(1, 1, 2, 2), 0.75, m).gap for m in (4, 8, 16)]
+        gaps = [g.gap for _, g in gap_rows(W(1, 1, 2, 2), 0.75, (4, 8, 16))]
         assert gaps[0] > gaps[1] > gaps[2]
 
     def test_grid_refinement_factor(self):
@@ -215,13 +213,13 @@ class TestSignatureGap:
         H = 0.6
         factor = 16.0 ** (2 * H) / 2.0
         for letters in [(1, 1, 2, 2), (1, 2, 1, 2)]:
-            g4 = signature_gap(W(*letters), H, 4).gap
-            g64 = signature_gap(W(*letters), H, 64).gap
-            assert g64 <= g4 / factor
+            (_, g4), (_, g64) = gap_rows(W(*letters), H, (4, 64))
+            assert g64.gap <= g4.gap / factor
 
     def test_scaled_gap_monitored_bounded(self):
         H = 0.75
-        rep = coefficient_bound_check(W(1, 1, 2, 2), H, (4, 8, 16, 32))
+        w = W(1, 1, 2, 2)
+        rep = coefficient_bound_check(w, H, gap_rows(w, H, (4, 8, 16, 32)))
         scaled = [row[2] for row in rep.rows]
         assert max(scaled) < 1.0  # far below the uniform bound
         assert rep.passed
@@ -229,19 +227,19 @@ class TestSignatureGap:
 
 class TestConvergenceSlope:
     def test_refuses_identically_zero(self):
-        fit = convergence_slope(W(1, 1), 0.75, (4, 8, 16, 32))
+        fit = convergence_slope(gap_rows(W(1, 1), 0.75, (4, 8, 16, 32)))
         assert not fit.ok
         assert "zero" in fit.reason
 
     def test_fits_level4_word(self):
-        fit = convergence_slope(W(1, 1, 2, 2), 0.6, (4, 8, 16, 32))
+        fit = convergence_slope(gap_rows(W(1, 1, 2, 2), 0.6, (4, 8, 16, 32)))
         assert fit.ok
         assert -1.4 < fit.slope < -0.9
         assert fit.residual < 0.05
 
     def test_needs_four_points(self):
         with pytest.raises(ValueError):
-            convergence_slope(W(1, 1, 2, 2), 0.6, (4, 8, 16))
+            convergence_slope(gap_rows(W(1, 1, 2, 2), 0.6, (4, 8, 16)))
 
 
 class TestConstants:
@@ -307,12 +305,13 @@ class TestCoefficientBound:
         assert bound(3) / bound(2) == pytest.approx(0.625)
 
     def test_level2_trivial(self):
-        rep = coefficient_bound_check(W(1, 1), 0.75, (4, 8, 16, 32))
+        rep = coefficient_bound_check(W(1, 1), 0.75, gap_rows(W(1, 1), 0.75, (4, 8, 16, 32)))
         assert rep.max_scaled_gap <= 1e-12
         assert rep.passed
 
     def test_level4_passes(self):
-        rep = coefficient_bound_check(W(1, 1, 2, 2), 0.75, (4, 8, 16, 32, 64))
+        w = W(1, 1, 2, 2)
+        rep = coefficient_bound_check(w, 0.75, gap_rows(w, 0.75, (4, 8, 16, 32, 64)))
         assert rep.bound == pytest.approx(1.5 * rep.atilde.value, rel=1e-12)
         assert rep.max_scaled_gap < rep.bound
         assert rep.passed
@@ -320,17 +319,18 @@ class TestCoefficientBound:
 
 class TestSampleFbm:
     def test_seed_determinism(self):
-        a = sample_fbm(0.7, 16, 2, seed=99)
-        b = sample_fbm(0.7, 16, 2, seed=99)
+        a = sample_fbm_batch(0.7, 16, 2, 1, seed=99)[0]
+        b = sample_fbm_batch(0.7, 16, 2, 1, seed=99)[0]
         assert np.array_equal(a, b)
-        assert not np.array_equal(a, sample_fbm(0.7, 16, 2, seed=100))
+        assert not np.array_equal(a, sample_fbm_batch(0.7, 16, 2, 1, seed=100)[0])
 
     def test_starts_at_zero(self):
-        assert np.all(sample_fbm(0.6, 8, 3, seed=1)[0] == 0.0)
+        assert np.all(sample_fbm_batch(0.6, 8, 3, 1, seed=1)[0, 0] == 0.0)
 
     def test_single_equals_batch_head(self):
-        a = sample_fbm(0.8, 8, 1, seed=5)
-        b = sample_fbm_batch(0.8, 8, 1, 1, seed=5)[0]
+        # a one-path batch is the first path of a larger batch on the same seed
+        a = sample_fbm_batch(0.8, 8, 1, 1, seed=5)[0]
+        b = sample_fbm_batch(0.8, 8, 1, 4, seed=5)[0]
         assert np.array_equal(a, b)
 
     def test_variance_and_covariance(self):
@@ -347,4 +347,4 @@ class TestSampleFbm:
 
     def test_grid_cap(self):
         with pytest.raises(ValueError):
-            sample_fbm(0.75, 5000, 1, seed=0)
+            sample_fbm_batch(0.75, 5000, 1, 1, seed=0)

@@ -4,7 +4,7 @@ import time
 import numpy as np
 import pytest
 
-from fbmsig.cubature import three_path_formula
+from fbmsig.cubature import rescale_formula, three_path_formula
 from fbmsig.sde import (
     ErrorBoundParams,
     VectorFieldSet,
@@ -87,6 +87,19 @@ class TestCubatureWeakValue:
         )
         assert val == pytest.approx(x0**2 + 4.0, abs=1e-10)
 
+    @pytest.mark.parametrize("H", (0.55, 0.7, 0.9))
+    def test_batch_equals_per_path_solves(self, H):
+        # the paths are solved as one batch; the value must be bit-identical
+        # to the in-order weighted sum of one solve per path
+        vf = VectorFieldSet(1, (lambda y: -0.5 * y, lambda y: 1.0 + 0.2 * y - 0.1 * y * y))
+        f = lambda y: y[0] ** 3 + y[0]
+        formula, T, x0 = three_path_formula(H), 1.7, [0.4]
+        want = 0.0
+        resc = rescale_formula(formula, T, H)
+        for lam, p in zip(resc.weights, resc.paths):
+            want += lam * float(f(ode_along_path(vf, x0, p, steps_per_piece=64)))
+        assert cubature_weak_value(vf, f, x0, formula, T, H) == want
+
 
 class TestMcWeakValue:
     def test_zero_fields(self):
@@ -122,6 +135,12 @@ class TestMcWeakValue:
         a = mc_weak_value(*args, n_paths=500, n_steps=16, seed=42)
         b = mc_weak_value(*args, n_paths=500, n_steps=16, seed=42)
         assert a == b
+
+    def test_steps_per_piece_checked(self):
+        vf = VectorFieldSet(1, (ZERO, ONE))
+        with pytest.raises(ValueError, match="steps_per_piece"):
+            mc_weak_value(vf, lambda y: y[:, 0], [0.0], 0.75, 1.0, 10, 4, seed=0,
+                          steps_per_piece=0)
 
     def test_requires_young_regime(self):
         vf = VectorFieldSet(1, (ZERO, ONE))
