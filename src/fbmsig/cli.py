@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import datetime
+import functools
 import json
 import sys
 
@@ -312,6 +313,9 @@ def cmd_bounds(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+# Building the parser costs about 2 ms, half of a small request, and parsing
+# leaves it unchanged, so main() builds it once per process.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="flat key=value config file")
@@ -346,12 +350,16 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--m")
     s.set_defaults(fn=cmd_convergence)
 
-    s = sub.add_parser("cubature", parents=[common, quad],
+    s = sub.add_parser("cubature",
                        help="verify the cubature identity or solve the ansatz")
-    s.add_argument("action", choices=("verify", "solve"))
-    s.add_argument("--H")
-    s.add_argument("--degree")
-    s.add_argument("--branch", choices=("minus", "plus", "both"))
+    formula = argparse.ArgumentParser(add_help=False)
+    formula.add_argument("--H")
+    formula.add_argument("--branch", choices=("minus", "plus", "both"))
+    actions = s.add_subparsers(dest="action", required=True)
+    # only verify runs quadrature, so only verify takes --tol and --degree
+    a = actions.add_parser("verify", parents=[common, quad, formula])
+    a.add_argument("--degree")
+    actions.add_parser("solve", parents=[common, formula])
     s.set_defaults(fn=cmd_cubature)
 
     s = sub.add_parser("sde", parents=[common],

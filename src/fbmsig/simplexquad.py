@@ -18,6 +18,7 @@ re-evaluating the numeric cores at a finer resolution.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -186,6 +187,23 @@ def _axis_rules(m: int, factors):
     return gam, spans, p, q
 
 
+@functools.cache
+def _gauss_legendre(N: int):
+    """The N-point Gauss-Legendre rule mapped to [0, 1], as (nodes, log
+    weights); read-only, since every core shares it."""
+    x, w = np.polynomial.legendre.leggauss(N)
+    u = 0.5 * (x + 1.0)
+    log_w = np.log(0.5 * w)
+    u.flags.writeable = False
+    log_w.flags.writeable = False
+    return u, log_w
+
+
+# A core is a pure function of its hashable key (factors are (int, int, float)
+# tuples), so a repeat returns the identical float.  The bound keeps memory
+# flat across requests that each draw a fresh H; one length-6 level table
+# needs 136 entries.
+@functools.lru_cache(maxsize=512)
 def _core_numeric(m: int, factors, N: int) -> float:
     """Tensor Gauss-Legendre evaluation of an m-dim irreducible core.
 
@@ -197,9 +215,7 @@ def _core_numeric(m: int, factors, N: int) -> float:
     N**m grid is evaluated in one piece.
     """
     gam, spans, p, q = _axis_rules(m, factors)
-    u, w = np.polynomial.legendre.leggauss(N)
-    u = 0.5 * (u + 1.0)
-    log_w = np.log(0.5 * w)
+    u, log_w = _gauss_legendre(N)
     logx = []
     L = 0.0
     for i in range(m):

@@ -246,13 +246,20 @@ class TestHarness:
             main(["no-such-command"])
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("argv", (["bounds"], ["approx-sig"], ["sde", "compare"]))
+    @pytest.mark.parametrize("argv", (
+        ["bounds", "--tol", "1e-3"],
+        ["approx-sig", "--tol", "1e-3"],
+        ["sde", "compare", "--tol", "1e-3"],
+        ["cubature", "solve", "--H", "0.6", "--tol", "banana"],
+        ["cubature", "solve", "--H", "0.6", "--degree", "3"],
+    ))
     def test_tol_refused_without_quadrature(self, argv, capsys):
-        # only expected-sig, convergence and cubature read a tolerance
+        # only expected-sig, convergence and cubature verify read a tolerance
+        # (and only cubature verify a degree)
         with pytest.raises(SystemExit) as exc:
-            main(argv + ["--tol", "1e-3"])
+            main(argv)
         assert exc.value.code == 2
-        assert "--tol" in capsys.readouterr().err
+        assert argv[-2] in capsys.readouterr().err
 
 
 def test_import_leaves_scipy_stats_unloaded():

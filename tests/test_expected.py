@@ -21,6 +21,8 @@ from fbmsig.expected import (
 )
 from fbmsig import gridapprox as ga
 from fbmsig import sde
+from fbmsig import simplexquad as sq
+from fbmsig.cli import main
 from fbmsig.simplexquad import QuadConfig, _reduce_terms, matching_simplex_integral
 from fbmsig.tensor import Word
 
@@ -297,6 +299,46 @@ class TestReducedCores:
                         terms = _reduce_terms(n, factors, tuple(range(1, n + 1)))
                         dims.update(len(vs) for _, _, vs in terms)
         assert max(dims) <= 3
+
+
+def _canonical_words(length):
+    """Words over {0,1,2,3} whose nonzero letters first appear as 1, 2, 3."""
+    for word in itertools.product(range(4), repeat=length):
+        seen = [x for i, x in enumerate(word) if x and x not in word[:i]]
+        if seen == list(range(1, len(seen) + 1)):
+            yield ",".join(map(str, word))
+
+
+class TestQuadratureReuse:
+    def test_rule_built_once_per_size(self, monkeypatch, tmp_path):
+        calls = []
+        leggauss = np.polynomial.legendre.leggauss
+
+        def counting(N):
+            calls.append(N)
+            return leggauss(N)
+
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
+        sq._gauss_legendre.cache_clear()
+        sq._core_numeric.cache_clear()
+        words = ";".join(_canonical_words(5))
+        rc = main(["expected-sig", "--H", "0.75", "--words", words,
+                   "--out", str(tmp_path / "out.csv")])
+        assert rc == 0
+        assert sorted(calls) == [sq.POINTS_PER_AXIS, sq.POINTS_PER_AXIS + 16]
+
+    @pytest.mark.parametrize("H", (0.52, 0.75, 0.98))
+    def test_core_memo_is_exact(self, H, monkeypatch):
+        texts = ("1,1,1,1,1,1", "1,2,3,1,2,3", "1,2,1,3,3,2",  # six letters
+                 "1,0,1", "0,1,1,0", "1,1,0,0,1,1",            # time letters
+                 "1,0,2,1,0,2", "0,1,2,0,0,2,1")              # mixed
+        words = [Word.parse(t) for t in texts]
+        sq._core_numeric.cache_clear()
+        memo = [expected_word(w, H) for w in words]
+        assert sq._core_numeric.cache_info().hits > 0
+        assert [expected_word(w, H) for w in words] == memo
+        monkeypatch.setattr(sq, "_core_numeric", sq._core_numeric.__wrapped__)
+        assert [expected_word(w, H) for w in words] == memo
 
 
 def _mc_weak_value(H):
