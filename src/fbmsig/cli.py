@@ -16,6 +16,7 @@ import csv
 import datetime
 import functools
 import json
+import math
 import sys
 
 import numpy as np
@@ -270,19 +271,27 @@ def _sde_problem(name: str, x0: float):
     return vf, f, np.array([x0])
 
 
+def _finite(args, name: str) -> float:
+    value = float(getattr(args, name))
+    if not math.isfinite(value):
+        raise ValueError(f"--{name} must be finite, got {value}")
+    return value
+
+
 def cmd_sde(args) -> int:
     H = float(args.H)
-    vf, f, x0 = _sde_problem(args.problem, float(args.x0))
+    x0 = _finite(args, "x0")
+    vf, f, state0 = _sde_problem(args.problem, x0)
     formula = cb.three_path_formula(H)
     rep = sde.run_compare(
-        vf, f, x0, formula, H=H, T=float(args.T), n_paths=int(args.paths),
+        vf, f, state0, formula, H=H, T=_finite(args, "T"), n_paths=int(args.paths),
         n_steps=int(args.steps), seed=int(args.seed),
-        M=float(args.M), gamma=float(args.gamma),
+        M=_finite(args, "M"), gamma=_finite(args, "gamma"),
     )
     table = TableWriter(["H", "T", "problem", "x0", "cubature_value", "mc_value",
                          "mc_stderr", "bound_value", "bound_branch", "n_paths",
                          "n_steps", "seed"])
-    table.add(H=rep.H, T=rep.T, problem=args.problem, x0=float(args.x0),
+    table.add(H=rep.H, T=rep.T, problem=args.problem, x0=x0,
               cubature_value=rep.cubature_value, mc_value=rep.mc_value,
               mc_stderr=rep.mc_stderr, bound_value=rep.bound_value,
               bound_branch=rep.bound_branch, n_paths=rep.n_paths,

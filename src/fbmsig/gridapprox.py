@@ -16,7 +16,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -371,25 +370,50 @@ def sample_fbm_batch(
     """n_paths independent d-dimensional fBm paths on the uniform m-grid of
     [0, T], shape (n_paths, m+1, d), row 0 identically zero.
 
-    Dense Cholesky of the grid covariance; a jitter of 1e-12 is applied (and
-    reported) if the factorization fails.  Deterministic in the seed.
+    The grid covariance factors as chol(C) = A chol(S), where S is the
+    Toeplitz covariance of the increments (fractional Gaussian noise) and A
+    the cumulative sum, so the paths are the cumulative sums of chol(S) z.
+    chol(S) comes from the O(m^2) Schur recursion (Hosking's method) and is
+    applied to every (path, coordinate) row of z by one matrix product.
+    Deterministic in the seed.
     """
     check_hurst(H)
     if m > _MAX_GRID:
         raise ValueError(f"m capped at {_MAX_GRID}")
     if m < 1 or n_paths < 1 or d < 1:
         raise ValueError("m, d and n_paths must be positive")
-    t = np.arange(1, m + 1) * (T / m)
-    two_h = 2.0 * H
-    C = 0.5 * (
-        t[:, None] ** two_h + t[None, :] ** two_h - np.abs(t[:, None] - t[None, :]) ** two_h
-    )
-    try:
-        L = np.linalg.cholesky(C)
-    except np.linalg.LinAlgError:
-        warnings.warn("covariance factorization needed 1e-12 jitter", RuntimeWarning)
-        L = np.linalg.cholesky(C + 1e-12 * np.eye(m))
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal((n_paths, d, m))
-    paths = np.einsum("ij,sdj->sid", L, z)
-    return np.concatenate([np.zeros((n_paths, 1, d)), paths], axis=1)
+    if not T > 0:
+        raise ValueError(f"T must be positive, got {T}")
+    z = np.random.default_rng(seed).standard_normal((n_paths, d, m))
+    increments = (z.reshape(-1, m) @ _fgn_cholesky_t(H, m, T)).reshape(n_paths, d, m)
+    paths = np.zeros((n_paths, m + 1, d))
+    np.cumsum(increments.transpose(0, 2, 1), axis=1, out=paths[:, 1:])
+    return paths
+
+
+def _fgn_cholesky_t(H: float, m: int, T: float) -> np.ndarray:
+    """U = L^T, where L L^T = S is the Toeplitz covariance of the m increments
+    of fBm over cells of width T/m, by the Schur recursion in O(m^2).
+
+    S has first column gamma_k = (T/m)^2H (|k+1|^2H - 2|k|^2H + |k-1|^2H) / 2.
+    The generators (a, b) satisfy S - Z S Z^T = a a^T - b b^T (Z the down
+    shift); row k of U is a, after which a is shifted down one place and a
+    hyperbolic rotation by rho = b[k+1] / a[k] zeroes b[k+1].  |rho| < 1 at
+    every step exactly when S is positive definite, so anything else raises.
+    """
+    gamma = 0.5 * (T / m) ** (2.0 * H) * _second_differences(H, np.arange(m))
+    a = gamma / math.sqrt(gamma[0])
+    b = a.copy()
+    b[0] = 0.0
+    U = np.zeros((m, m))
+    for k in range(m - 1):
+        U[k, k:] = a[k:]
+        rho = b[k + 1] / a[k]
+        if not abs(rho) < 1.0:
+            raise RuntimeError(f"fGn covariance is not positive definite at step {k}")
+        c = math.sqrt((1.0 - rho) * (1.0 + rho))
+        shifted = a[k : m - 1]
+        tail = b[k + 1 :]
+        a[k + 1 :], b[k + 1 :] = (shifted - rho * tail) / c, (tail - rho * shifted) / c
+    U[m - 1, m - 1] = a[m - 1]
+    return U

@@ -151,16 +151,17 @@ def mc_weak_value(
     paths (piecewise-linear interpolation on the n_steps grid of [0, T]).
 
     Returns (estimate, standard error); deterministic in the seed.  Requires
-    H > 1/2 (pathwise Young regime).  f must accept batched states (B, N).
+    H > 1/2 (pathwise Young regime) and n_paths >= 2, since one path gives no
+    standard error.  f must accept batched states (B, N).
     """
     check_hurst(H)
+    if n_paths < 2:
+        raise ValueError(f"n_paths must be >= 2 for a standard error, got {n_paths}")
     spatial = sample_fbm_batch(H, n_steps, vf.d, n_paths, seed, T)  # (B, m+1, d)
     times = np.arange(n_steps + 1) * (T / n_steps)
     y = _solve(vf, x0, times, spatial, steps_per_piece)
     vals = np.asarray(f(y), dtype=float).reshape(n_paths)
-    est = float(vals.mean())
-    stderr = float(vals.std(ddof=1) / math.sqrt(n_paths)) if n_paths > 1 else 0.0
-    return est, stderr
+    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(n_paths))
 
 
 # ---------------------------------------------------------------------------

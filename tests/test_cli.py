@@ -181,6 +181,19 @@ class TestSde:
         se = float(row[header.index("mc_stderr")])
         assert abs(mc - cub) < 5 * se
 
+    @pytest.mark.parametrize("flag", ["--x0", "--T", "--M", "--gamma"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_input_is_usage_error(self, tmp_path, capsys, flag, value):
+        rc, text = run(tmp_path, "sde", "compare", "--paths", "8", "--steps", "4",
+                       f"{flag}={value}")
+        assert rc == 2 and text == ""
+        assert f"{flag} must be finite" in capsys.readouterr().err
+
+    def test_single_path_is_usage_error(self, tmp_path, capsys):
+        rc, _ = run(tmp_path, "sde", "compare", "--paths", "1", "--steps", "4")
+        assert rc == 2
+        assert "n_paths must be >= 2" in capsys.readouterr().err
+
 
 class TestBounds:
     def test_columns(self, tmp_path):
@@ -263,8 +276,9 @@ class TestHarness:
 
 
 def test_import_leaves_scipy_stats_unloaded():
-    # no code path needs scipy.stats, so neither importing the CLI nor
-    # running a quadrature or a grid command may pay for its import
+    # no code path needs scipy.stats or scipy.linalg, so neither importing the
+    # CLI nor running a quadrature, a grid or a sampler command may pay for
+    # their import
     src = os.path.dirname(os.path.dirname(fbmsig.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -274,6 +288,8 @@ def test_import_leaves_scipy_stats_unloaded():
         "null = os.devnull\n"
         "assert main(['expected-sig', '--words', '1,2,1,2', '--out', null]) == 0\n"
         "assert main(['convergence', '--m', '4,8,16,32', '--out', null]) == 0\n"
+        "assert main(['sde', 'compare', '--paths', '8', '--steps', '16', '--out', null]) == 0\n"
         "assert 'scipy.stats' not in sys.modules\n"
+        "assert 'scipy.linalg' not in sys.modules\n"
     )
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import zeta
 
+from fbmsig import gridapprox as ga
 from fbmsig import matchings as mt
 from fbmsig.expected import expected_word
 from fbmsig.gridapprox import (
@@ -348,3 +350,69 @@ class TestSampleFbm:
     def test_grid_cap(self):
         with pytest.raises(ValueError):
             sample_fbm_batch(0.75, 5000, 1, 1, seed=0)
+
+
+def dense_fbm_batch(H, m, d, n_paths, seed, T=1.0):
+    """Oracle: the dense Cholesky factor of the m x m covariance of the grid
+    points, applied to the same normal draws as sample_fbm_batch."""
+    t = np.arange(1, m + 1) * (T / m)
+    two_h = 2.0 * H
+    C = 0.5 * (
+        t[:, None] ** two_h + t[None, :] ** two_h - np.abs(t[:, None] - t[None, :]) ** two_h
+    )
+    z = np.random.default_rng(seed).standard_normal((n_paths, d, m))
+    paths = np.einsum("ij,sdj->sid", np.linalg.cholesky(C), z)
+    return np.concatenate([np.zeros((n_paths, 1, d)), paths], axis=1)
+
+
+class TestToeplitzSampler:
+    @pytest.mark.parametrize("H", [0.5001, 0.55, 0.75, 0.95, 0.999])
+    @pytest.mark.parametrize("m", [1, 2, 3, 17, 256])
+    def test_matches_dense_cholesky(self, H, m):
+        # chol(C) = A chol(S), A the cumulative sum, so the paths agree up to
+        # rounding.  The dense factor is the less accurate one (7e-12 of its
+        # largest entry against mpmath at H = 0.999, m = 120); the two differ
+        # by 1.2e-10 of the largest path value at H = 0.999, m = 256.
+        new = sample_fbm_batch(H, m, 2, 5, seed=11, T=1.3)
+        old = dense_fbm_batch(H, m, 2, 5, seed=11, T=1.3)
+        assert new.shape == old.shape == (5, m + 1, 2)
+        assert np.abs(new - old).max() <= 1e-9 * np.abs(old).max()
+
+    @pytest.mark.parametrize("H", [0.5001, 0.75, 0.999])
+    def test_factor_matches_mpmath(self, H):
+        # the increment covariance built and factored at 40 digits
+        mpmath = pytest.importorskip("mpmath")
+        m = 64
+        with mpmath.workdps(40):
+            two_h = 2 * mpmath.mpf(H)
+            gamma = [
+                ((k + 1) ** two_h - 2 * mpmath.mpf(k) ** two_h + abs(k - 1) ** two_h)
+                / (2 * mpmath.mpf(m) ** two_h)
+                for k in range(m)
+            ]
+            S = mpmath.matrix(m, m)
+            for i in range(m):
+                for j in range(m):
+                    S[i, j] = gamma[abs(i - j)]
+            want = np.array(mpmath.cholesky(S).tolist(), dtype=float)
+        got = ga._fgn_cholesky_t(H, m, 1.0).T
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("T", [0.0, -1.0, float("nan")])
+    def test_refuses_non_positive_horizon(self, T):
+        with pytest.raises(ValueError, match="T must be positive"):
+            sample_fbm_batch(0.75, 4, 1, 1, seed=0, T=T)
+
+    def test_indefinite_covariance_raises(self, monkeypatch):
+        # fGn covariances are positive definite, so only a broken kernel can
+        # reach the check; it must raise rather than perturb the matrix
+        kernel = np.array([2.0, 2.5, 0.0, 0.0])
+        monkeypatch.setattr(ga, "_second_differences", lambda H, r: kernel[: len(r)])
+        with pytest.raises(RuntimeError, match="not positive definite"):
+            sample_fbm_batch(0.75, 4, 1, 1, seed=0)
+
+    def test_near_one_at_the_cap_needs_no_jitter(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            paths = sample_fbm_batch(0.9999, 4096, 1, 2, seed=3)
+        assert np.all(np.isfinite(paths))

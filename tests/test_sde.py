@@ -147,6 +147,13 @@ class TestMcWeakValue:
         with pytest.raises(ValueError):
             mc_weak_value(vf, lambda y: y[:, 0], [0.0], 0.5, 1.0, 10, 4, seed=0)
 
+    @pytest.mark.parametrize("n_paths", [0, 1])
+    def test_refuses_fewer_than_two_paths(self, n_paths):
+        # one path has no sample variance: a zero error bar would be a lie
+        vf = VectorFieldSet(1, (ZERO, ONE))
+        with pytest.raises(ValueError, match="n_paths"):
+            mc_weak_value(vf, lambda y: y[:, 0], [0.0], 0.75, 1.0, n_paths, 4, seed=0)
+
 
 class TestErrorBoundShape:
     def test_K_value(self):
