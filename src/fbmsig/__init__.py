@@ -58,13 +58,6 @@ from .sde import (
     run_compare,
 )
 from .simplexquad import CertifiedValue, QuadConfig, matching_simplex_integral
-from .tensor import (
-    PiecewiseLinearPath,
-    TruncatedTensor,
-    Word,
-    chen_concat,
-    path_signature,
-    segment_exponential,
-)
+from .tensor import PiecewiseLinearPath, TruncatedTensor, Word, path_signature
 
 __version__ = "0.1.0"

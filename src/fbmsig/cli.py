@@ -195,9 +195,9 @@ def cmd_approx_sig(args) -> int:
 def cmd_convergence(args) -> int:
     words = _parse_words(args.words)
     hs = _parse_list(args.H, float)
-    ms = sorted(_parse_list(args.m, int))
+    ms = sorted(set(_parse_list(args.m, int)))
     if len(ms) < 4:
-        print("error: convergence needs at least 4 grid sizes", file=sys.stderr)
+        print("error: convergence needs at least 4 distinct grid sizes", file=sys.stderr)
         return EXIT_USAGE
     config = _quad_config(args)
     cols = ["kind", "word", "H", "m", "exact", "approx", "gap", "m2H_gap",
@@ -271,8 +271,7 @@ def _sde_problem(name: str, x0: float):
     return vf, f, np.array([x0])
 
 
-def _finite(args, name: str) -> float:
-    value = float(getattr(args, name))
+def _finite(name: str, value: float) -> float:
     if not math.isfinite(value):
         raise ValueError(f"--{name} must be finite, got {value}")
     return value
@@ -280,14 +279,17 @@ def _finite(args, name: str) -> float:
 
 def cmd_sde(args) -> int:
     H = float(args.H)
-    x0 = _finite(args, "x0")
+    x0 = _finite("x0", float(args.x0))
     vf, f, state0 = _sde_problem(args.problem, x0)
     formula = cb.three_path_formula(H)
     rep = sde.run_compare(
-        vf, f, state0, formula, H=H, T=_finite(args, "T"), n_paths=int(args.paths),
-        n_steps=int(args.steps), seed=int(args.seed),
-        M=_finite(args, "M"), gamma=_finite(args, "gamma"),
+        vf, f, state0, formula, H=H, T=_finite("T", float(args.T)),
+        n_paths=int(args.paths), n_steps=int(args.steps), seed=int(args.seed),
+        M=_finite("M", float(args.M)), gamma=_finite("gamma", float(args.gamma)),
     )
+    if not all(map(math.isfinite, (rep.cubature_value, rep.mc_value, rep.mc_stderr))):
+        raise ValueError("a weak value or its standard error overflows a double; "
+                         "reduce --x0 or --T")
     table = TableWriter(["H", "T", "problem", "x0", "cubature_value", "mc_value",
                          "mc_stderr", "bound_value", "bound_branch", "n_paths",
                          "n_steps", "seed"])
@@ -302,14 +304,14 @@ def cmd_sde(args) -> int:
 
 def cmd_bounds(args) -> int:
     hs = _parse_list(args.H, float)
-    ts = _parse_list(args.T, float)
+    ts = [_finite("T", t) for t in _parse_list(args.T, float)]
+    M, gamma = _finite("M", float(args.M)), _finite("gamma", float(args.gamma))
     table = TableWriter(["H", "A", "A_err", "Atilde", "Atilde_err", "K", "T",
                          "bound_shape", "branch"])
     for H in hs:
         a = ga.constant_A(H)
         at = ga.constant_Atilde(H)
-        params = sde.ErrorBoundParams(M=float(args.M), gamma=float(args.gamma),
-                                      d=1, degree=int(args.degree), H=H)
+        params = sde.ErrorBoundParams(M=M, gamma=gamma, d=1, degree=int(args.degree), H=H)
         for T in ts:
             shape = sde.error_bound_shape(params, T)
             table.add(H=H, A=a.value, A_err=a.error, Atilde=at.value,

@@ -36,6 +36,10 @@ __all__ = [
 ]
 
 SQRT3 = math.sqrt(3.0)
+# verify_formula accepts a word when |lhs - rhs| <= BASE_TOL plus the error
+# bar of the expected side; empirical_degree scans degrees up to SCAN_CAP.
+BASE_TOL = 1e-9
+SCAN_CAP = 6
 
 
 def _check_H_cubature(H: float) -> None:
@@ -267,7 +271,6 @@ def verify_formula(
     H: float,
     degree: int,
     config: QuadConfig | None = None,
-    base_tol: float = 1e-9,
 ) -> VerifyReport:
     """Check the cubature identity for every word of weight <= degree (d = 1).
 
@@ -298,7 +301,7 @@ def verify_formula(
                 abs_err=err,
                 lhs_source=source,
                 lhs_err=lhs_err,
-                passed=err <= base_tol + lhs_err,
+                passed=err <= BASE_TOL + lhs_err,
             )
         )
     max_err = max((r.abs_err for r in rows), default=0.0)
@@ -317,7 +320,6 @@ class DegreeScan:
     H: float
     claimed_degree: int
     measured_degree: int
-    scan_cap: int
     first_failure: Word | None
     skipped: tuple[Word, ...]
 
@@ -326,16 +328,14 @@ def empirical_degree(
     formula: CubatureFormula,
     H: float,
     config: QuadConfig | None = None,
-    scan_cap: int = 6,
-    base_tol: float = 1e-9,
 ) -> DegreeScan:
-    """Measure the largest integer degree at which every evaluable word still
-    matches, instead of assuming the claimed degree.
+    """Measure the largest integer degree up to SCAN_CAP at which every
+    evaluable word still matches, instead of assuming the claimed degree.
 
     Words whose expected side cannot be evaluated (no closed form and H at the
     Brownian boundary) are listed as skipped.
     """
-    report = verify_formula(formula, H, scan_cap, config, base_tol)
+    report = verify_formula(formula, H, SCAN_CAP, config)
     failing = sorted(
         (r for r in report.rows if not r.passed),
         key=lambda r: (r.weight, len(r.word), r.word.letters),
@@ -343,14 +343,13 @@ def empirical_degree(
     first_failure = failing[0].word if failing else None
     fail_weight = failing[0].weight if failing else math.inf
     measured = 0
-    for m in range(1, scan_cap + 1):
+    for m in range(1, SCAN_CAP + 1):
         if m + 1e-9 < fail_weight:
             measured = m
     return DegreeScan(
         H=H,
         claimed_degree=formula.claimed_degree,
         measured_degree=measured,
-        scan_cap=scan_cap,
         first_failure=first_failure,
         skipped=report.skipped,
     )

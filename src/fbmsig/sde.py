@@ -33,6 +33,9 @@ __all__ = [
     "run_compare",
 ]
 
+# RK4 steps per linear piece of the three cubature paths (three pieces each)
+CUBATURE_STEPS_PER_PIECE = 64
+
 
 @dataclass(frozen=True)
 class VectorFieldSet:
@@ -123,13 +126,13 @@ def cubature_weak_value(
     formula: CubatureFormula,
     T: float,
     H: float,
-    steps_per_piece: int = 64,
 ) -> float:
     """Weighted combination sum_j lambda_j f(endpoint of the ODE along the
     rescaled cubature path omega_j); the paths are solved as one batch."""
     resc = rescale_formula(formula, T, H)
     spatial = np.stack([p.values[:, 1:] for p in resc.paths])
-    ends = _solve(vf, x0, np.asarray(resc.paths[0].times), spatial, steps_per_piece)
+    ends = _solve(vf, x0, np.asarray(resc.paths[0].times), spatial,
+                  CUBATURE_STEPS_PER_PIECE)
     total = 0.0
     for lam, y in zip(resc.weights, ends):
         total += lam * float(f(y))
@@ -180,8 +183,8 @@ class ErrorBoundParams:
     H: float
 
     def __post_init__(self):
-        if self.M <= 0:
-            raise ValueError("M must be > 0")
+        if not 0.0 < self.M < math.inf:
+            raise ValueError(f"M must be positive and finite, got {self.M}")
         if not 0.0 <= self.gamma < 0.5:
             raise ValueError("gamma must lie in [0, 1/2)")
         check_hurst(self.H)
@@ -227,18 +230,23 @@ def error_bound_shape(params: ErrorBoundParams, T: float) -> BoundShape:
 
     T >= 1 branch:  T^((m+2)/2) (1 + M^((m+2)/2) S(d M K T))
     T < 1 branch:   T^(2H) + T^(H(m+2)/2) M^((m+2)/2) S(d M K T^H)
-    where S is the entire series above.  Diagnostic output only: the true
-    constants are unknown, so this is never a pass/fail oracle.
+    where S is the entire series above.  A value beyond double precision
+    comes back as inf.  Diagnostic output only: the true constants are
+    unknown, so this is never a pass/fail oracle.
     """
-    if T <= 0:
-        raise ValueError("T must be positive")
+    if not 0.0 < T < math.inf:
+        raise ValueError(f"T must be positive and finite, got {T}")
     m2 = 0.5 * (params.degree + 2.0)
-    if T >= 1.0:
-        s = _entire_series(params.d * params.M * params.K * T, params.gamma)
-        return BoundShape(T**m2 * (1.0 + params.M**m2 * s), "T>=1", params.K)
-    s = _entire_series(params.d * params.M * params.K * T**params.H, params.gamma)
-    value = T ** (2.0 * params.H) + T ** (params.H * m2) * params.M**m2 * s
-    return BoundShape(value, "T<1", params.K)
+    try:
+        if T >= 1.0:
+            s = _entire_series(params.d * params.M * params.K * T, params.gamma)
+            value = T**m2 * (1.0 + params.M**m2 * s)
+        else:
+            s = _entire_series(params.d * params.M * params.K * T**params.H, params.gamma)
+            value = T ** (2.0 * params.H) + T ** (params.H * m2) * params.M**m2 * s
+    except OverflowError:  # float ** raises here instead of returning inf
+        value = math.inf
+    return BoundShape(value, "T>=1" if T >= 1.0 else "T<1", params.K)
 
 
 @dataclass(frozen=True)
@@ -267,11 +275,10 @@ def run_compare(
     seed: int,
     M: float = 1.0,
     gamma: float = 0.0,
-    steps_per_piece: int = 64,
 ) -> SolveReport:
     """Cubature value vs Monte-Carlo reference plus the bound shape."""
     t0 = time.perf_counter()
-    cub = cubature_weak_value(vf, f, x0, formula, T, H, steps_per_piece)
+    cub = cubature_weak_value(vf, f, x0, formula, T, H)
     mc, se = mc_weak_value(vf, f, x0, H, T, n_paths, n_steps, seed)
     shape = error_bound_shape(
         ErrorBoundParams(M=M, gamma=gamma, d=vf.d, degree=formula.claimed_degree, H=H),

@@ -44,8 +44,8 @@ class QuadConfig:
     tol: float = 1e-6
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("tolerance must be > 0")
+        if not self.tol > 0:
+            raise ValueError(f"tolerance must be > 0, got {self.tol}")
 
 
 class CertifiedValue(NamedTuple):

@@ -18,8 +18,6 @@ __all__ = [
     "Word",
     "TruncatedTensor",
     "PiecewiseLinearPath",
-    "segment_exponential",
-    "chen_concat",
     "path_signature",
     "batch_grid_signatures",
     "signature_coeff_by_quadrature",
@@ -176,51 +174,20 @@ class PiecewiseLinearPath:
         return PiecewiseLinearPath(self.times, v)
 
 
-def segment_exponential(increment, depth: int) -> TruncatedTensor:
-    """Signature of a single linear segment: level n holds increment^(x)n / n!."""
-    if depth < 0:
-        raise ValueError(f"depth must be >= 0, got {depth}")
-    inc = np.asarray(increment, dtype=float)
-    if inc.ndim != 1 or len(inc) < 2:
-        raise ValueError("increment must be a vector in R^(d+1) with d >= 1")
-    d = len(inc) - 1
-    out = TruncatedTensor.identity(d, depth)
-    cur = np.ones(1)
-    for n in range(1, depth + 1):
-        cur = np.multiply.outer(cur, inc).reshape(-1) / n
-        out.levels[n] = cur.copy()
-    return out
-
-
-def chen_concat(a: TruncatedTensor, b: TruncatedTensor) -> TruncatedTensor:
-    """Truncated tensor product: coeff(w) = sum over splits w = u.v of a(u) b(v)."""
-    if a.d != b.d or a.depth != b.depth:
-        raise ValueError(
-            f"alphabet/depth mismatch: ({a.d},{a.depth}) vs ({b.d},{b.depth})"
-        )
-    d, depth = a.d, a.depth
-    out = TruncatedTensor(d, depth)
-    for l in range(depth + 1):
-        acc = np.zeros((d + 1) ** l)
-        for p in range(l + 1):
-            acc += np.multiply.outer(a.levels[p], b.levels[l - p]).reshape(-1)
-        out.levels[l] = acc
-    return out
-
-
 def path_signature(path: PiecewiseLinearPath, depth: int) -> TruncatedTensor:
-    """Exact signature of a piecewise-linear path by folding segment exponentials."""
-    sig = TruncatedTensor.identity(path.d, depth)
-    for inc in path.increments:
-        sig = chen_concat(sig, segment_exponential(inc, depth))
-    return sig
+    """Exact signature of a piecewise-linear path: batch_grid_signatures on a
+    batch of one."""
+    levels = batch_grid_signatures(path.increments[None], depth)
+    return TruncatedTensor(path.d, depth, [lv[0] for lv in levels])
 
 
 def batch_grid_signatures(increments: np.ndarray, depth: int) -> list[np.ndarray]:
     """Signatures of a batch of piecewise-linear paths, vectorized over the batch.
 
     increments: (n_paths, n_segments, d+1).  Returns one array per level with
-    shape (n_paths, (d+1)**level).  Matches path_signature path by path.
+    shape (n_paths, (d+1)**level).  Chen's identity: each segment's
+    exponential (level n holds dx^(x)n / n!) is folded into the running
+    signature by the truncated tensor product.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")

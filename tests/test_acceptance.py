@@ -153,8 +153,8 @@ def test_criterion_4_coefficient_bound(slope_fits):
     all_ok = True
     details = []
     for H in H_TABLE:
-        a = constant_A(H, tol=1e-8)
-        at = constant_Atilde(H, tol=1e-8)
+        a = constant_A(H)
+        at = constant_Atilde(H)
         ident = abs(at.value - 8.0 * a.value * H * (2.0 * H - 1.0))
         id_ok = ident <= 1e-10 + at.error + 8.0 * H * (2.0 * H - 1.0) * a.error
         tail_ok = at.error <= 1e-8

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -52,6 +53,13 @@ class TestExpectedSig:
         assert rc == 3
         assert out == ""
         assert err.startswith("error: quadrature for word (1,2,1,2)")
+
+    def test_nan_tolerance_is_usage_error(self, tmp_path, capsys):
+        # with the gate off this printed the even moment E[B^6]/6! as -0.0179
+        rc, text = run(tmp_path, "expected-sig", "--H", "0.5001", "--words",
+                       "1,1,1,1,1,1", "--tol", "nan")
+        assert rc == 2 and text == ""
+        assert "tolerance must be > 0" in capsys.readouterr().err
 
     def test_bound_columns_match_decay_bound_check(self, tmp_path):
         words = "1,1;1,1,1,1;1,1,2,2;1,2,1,2"
@@ -111,6 +119,13 @@ class TestConvergence:
     def test_needs_four_grids(self, tmp_path):
         rc, _ = run(tmp_path, "convergence", "--m", "4,8,16")
         assert rc == 2
+
+    @pytest.mark.parametrize("ms", ["4,4,4,4", "8,8,16,16", "4,8,16,8"])
+    def test_repeated_grid_sizes_count_once(self, tmp_path, capsys, ms):
+        rc, text = run(tmp_path, "convergence", "--H", "0.75", "--words", "1,2,1,2",
+                       "--m", ms)
+        assert rc == 2 and text == ""
+        assert "4 distinct grid sizes" in capsys.readouterr().err
 
     def test_grid_beyond_budget_is_usage_error(self, tmp_path, capsys):
         rc, _ = run(tmp_path, "convergence", "--m", "4,8,16,8192")
@@ -194,6 +209,37 @@ class TestSde:
         assert rc == 2
         assert "n_paths must be >= 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value", [("--x0", "1e200"), ("--T", "1e150")])
+    def test_overflowing_weak_value_is_usage_error(self, tmp_path, capsys, flag, value):
+        # y^2 overflows at x0 = 1e200; at T = 1e150 the squares inside the
+        # standard error do
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            rc, text = run(tmp_path, "sde", "compare", "--paths", "8", "--steps", "4",
+                           flag, value)
+        assert rc == 2 and text == ""
+        assert "reduce --x0 or --T" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("T", ["1e300", "1e-300"])
+    def test_covariance_scale_outside_float_range_is_usage_error(self, tmp_path,
+                                                                 capsys, T):
+        rc, text = run(tmp_path, "sde", "compare", "--problem", "zero", "--paths", "8",
+                       "--steps", "4", "--T", T)
+        assert rc == 2 and text == ""
+        assert "covariance scale" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("H, T, problem", [("0.75", "1e150", "zero"),
+                                               ("0.6", "1e100", "quadratic")])
+    def test_huge_horizon_prints_finite_values_and_inf_bound(self, tmp_path, H, T,
+                                                             problem):
+        rc, text = run(tmp_path, "sde", "compare", "--H", H, "--T", T, "--problem",
+                       problem, "--paths", "8", "--steps", "4", "--x0", "0.5",
+                       "--no-timestamp")
+        assert rc == 0
+        header, row = read_csv(text)
+        for col in ("cubature_value", "mc_value", "mc_stderr"):
+            assert math.isfinite(float(row[header.index(col)]))
+        assert row[header.index("bound_value")] == "inf"
+
 
 class TestBounds:
     def test_columns(self, tmp_path):
@@ -205,6 +251,20 @@ class TestBounds:
         assert rows[0][:2] == ["H", "A"]
         assert len(rows) == 3
         assert rows[1][-1] == "T<1" and rows[2][-1] == "T>=1"
+
+    @pytest.mark.parametrize("flag", ["--T", "--M", "--gamma"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_input_is_usage_error(self, tmp_path, capsys, flag, value):
+        rc, text = run(tmp_path, "bounds", "--H", "0.75", f"{flag}={value}")
+        assert rc == 2 and text == ""
+        assert f"{flag} must be finite" in capsys.readouterr().err
+
+    def test_overflowing_horizon_prints_inf(self, tmp_path):
+        rc, text = run(tmp_path, "bounds", "--H", "0.75", "--T", "1e150",
+                       "--no-timestamp")
+        assert rc == 0
+        rows = read_csv(text)
+        assert rows[1][rows[0].index("bound_shape")] == "inf"
 
     def test_overflowing_series_prints_inf(self, tmp_path):
         rc, text = run(

@@ -275,6 +275,11 @@ class TestMatchingIntegralValidation:
         with pytest.raises(ValueError):
             QuadConfig(tol=0.0)
 
+    def test_nan_tolerance_rejected(self):
+        # a NaN tolerance would switch the tolerance gate off
+        with pytest.raises(ValueError, match="tolerance must be > 0"):
+            QuadConfig(tol=float("nan"))
+
 
 def _perfect_matchings(points):
     if not points:

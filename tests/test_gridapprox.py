@@ -243,17 +243,17 @@ class TestConvergenceSlope:
         with pytest.raises(ValueError):
             convergence_slope(gap_rows(W(1, 1, 2, 2), 0.6, (4, 8, 16)))
 
+    def test_repeated_grid_sizes_count_once(self):
+        rows = gap_rows(W(1, 2, 1, 2), 0.75, (4, 4, 8, 4, 16, 8))
+        assert [m for m, _ in rows] == [4, 8, 16]
+        with pytest.raises(ValueError, match="4 distinct grid sizes"):
+            convergence_slope(rows)
+        # hand-built rows with a repeated size are counted the same way
+        with pytest.raises(ValueError, match="4 distinct grid sizes"):
+            convergence_slope(rows + rows[:1])
+
 
 class TestConstants:
-    def test_series_matches_zeta(self):
-        # sum i^(2H-3) = zeta(3 - 2H); at H = 3/4 this is zeta(1.5) ~ 2.612375
-        from fbmsig.gridapprox import _zeta_series
-
-        s = _zeta_series(0.75, 1e-8, 1.0)
-        assert s.value == pytest.approx(zeta(1.5), abs=2e-9)
-        assert s.value == pytest.approx(2.612375348685488, abs=1e-8)
-        assert s.error < 1e-8
-
     @pytest.mark.parametrize("H", (0.6, 0.75, 0.9))
     def test_A_against_independent_formula(self, H):
         S = zeta(3 - 2 * H)
@@ -267,8 +267,6 @@ class TestConstants:
 
     @pytest.mark.parametrize("H", (0.5001, 0.517, 0.6, 0.75, 0.933, 0.9999))
     def test_error_bars_cover_high_precision_values(self, H):
-        from fbmsig.gridapprox import _zeta_series
-
         mpmath = pytest.importorskip("mpmath")
         with mpmath.workdps(40):
             h = mpmath.mpf(H)
@@ -278,8 +276,7 @@ class TestConstants:
                 3**two_h + 10 * 2**two_h + 2
             ) / (2 * hh)
             Atilde = 56 * (1 + 2**two_h) + 4 * 3**two_h + 16 * hh * (4 - 4 * h) * S
-            for got, want in [(_zeta_series(H, 1e-8, 1.0), S), (constant_A(H), A),
-                              (constant_Atilde(H), Atilde)]:
+            for got, want in [(constant_A(H), A), (constant_Atilde(H), Atilde)]:
                 assert abs(got.value - want) <= got.error
 
     @pytest.mark.parametrize("H", (0.6, 0.75, 0.9))
@@ -402,6 +399,12 @@ class TestToeplitzSampler:
     def test_refuses_non_positive_horizon(self, T):
         with pytest.raises(ValueError, match="T must be positive"):
             sample_fbm_batch(0.75, 4, 1, 1, seed=0, T=T)
+
+    @pytest.mark.parametrize("T", [1e300, 1e-300])
+    def test_covariance_scale_outside_float_range_refused(self, T):
+        # (T/m)^2H overflows (a Python OverflowError) or underflows to 0
+        with pytest.raises(ValueError, match="covariance scale"):
+            sample_fbm_batch(0.75, 4, 1, 2, seed=0, T=T)
 
     def test_indefinite_covariance_raises(self, monkeypatch):
         # fGn covariances are positive definite, so only a broken kernel can

@@ -208,6 +208,22 @@ class TestErrorBoundShape:
                 ErrorBoundParams(M=1.0, gamma=0.0, d=1, degree=5, H=0.75), 0.0
             )
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_M_and_T_rejected(self, value):
+        with pytest.raises(ValueError, match="M must be positive and finite"):
+            ErrorBoundParams(M=value, gamma=0.0, d=1, degree=5, H=0.75)
+        p = ErrorBoundParams(M=1.0, gamma=0.0, d=1, degree=5, H=0.75)
+        with pytest.raises(ValueError, match="T must be positive and finite"):
+            error_bound_shape(p, value)
+
+    @pytest.mark.parametrize("M, T", [(1.0, 1e150), (1e200, 2.0), (1e200, 0.5)])
+    def test_overflowing_power_reported_as_inf(self, M, T):
+        # T^((m+2)/2) or M^((m+2)/2) beyond double precision
+        p = ErrorBoundParams(M=M, gamma=0.0, d=1, degree=4, H=0.75)
+        shape = error_bound_shape(p, T)
+        assert shape.value == math.inf
+        assert shape.branch == ("T>=1" if T >= 1.0 else "T<1")
+
 
 class TestRunCompare:
     def test_report_fields(self):

@@ -9,9 +9,7 @@ from fbmsig.tensor import (
     TruncatedTensor,
     Word,
     batch_grid_signatures,
-    chen_concat,
     path_signature,
-    segment_exponential,
     signature_coeff_by_quadrature,
     word_index,
 )
@@ -19,14 +17,6 @@ from fbmsig.tensor import (
 
 def W(*letters, d=1):
     return Word(tuple(letters), d)
-
-
-def random_tensor(rng, d, depth):
-    t = TruncatedTensor(d, depth)
-    t.levels[0][0] = 1.0
-    for l in range(1, depth + 1):
-        t.levels[l] = rng.standard_normal((d + 1) ** l)
-    return t
 
 
 class TestWord:
@@ -47,14 +37,24 @@ class TestWord:
             Word((1,), d=0)
 
 
+def segment(increment, depth):
+    """Signature of one linear segment through the Chen fold; unlike a
+    PiecewiseLinearPath, the time increment may be zero here."""
+    inc = np.asarray(increment, dtype=float)
+    levels = batch_grid_signatures(inc[None, None, :], depth)
+    return TruncatedTensor(len(inc) - 1, depth, [lv[0] for lv in levels])
+
+
 class TestSegmentExponential:
+    """Level n of one linear segment holds increment^(x)n / n!."""
+
     def test_zero_increment_is_identity(self):
-        t = segment_exponential([0.0, 0.0], 3)
+        t = segment([0.0, 0.0], 3)
         assert t.coeff(W()) == 1.0
         assert all(np.all(t.levels[l] == 0) for l in range(1, 4))
 
     def test_unit_spatial_increment(self):
-        t = segment_exponential([0.0, 1.0], 2)
+        t = segment([0.0, 1.0], 2)
         assert t.coeff(W()) == 1.0
         assert t.coeff(W(1)) == 1.0
         assert t.coeff(W(1, 1)) == 0.5
@@ -62,57 +62,32 @@ class TestSegmentExponential:
         assert t.coeff(W(0, 1)) == 0.0
 
     def test_mixed_increment(self):
-        t = segment_exponential([1.0, 2.0], 2)
+        t = path_signature(PiecewiseLinearPath.time_augmented([0.0, 1.0], [0.0, 2.0]), 2)
         assert t.coeff(W(0, 1)) == pytest.approx(1.0, abs=0)
         assert t.coeff(W(1, 0)) == pytest.approx(1.0, abs=0)
         assert t.coeff(W(1, 1)) == pytest.approx(2.0, abs=0)
 
     def test_negative_depth_rejected(self):
         with pytest.raises(ValueError):
-            segment_exponential([0.0, 1.0], -1)
+            path_signature(PiecewiseLinearPath.time_augmented([0.0, 1.0], [0.0, 1.0]), -1)
 
 
 class TestChenConcat:
-    def test_identity_is_neutral(self):
-        rng = np.random.default_rng(0)
-        a = random_tensor(rng, 2, 3)
-        e = TruncatedTensor.identity(2, 3)
-        out = chen_concat(e, a)
-        for l in range(4):
-            np.testing.assert_allclose(out.levels[l], a.levels[l], atol=1e-15)
+    """Chen's identity across the breakpoint of a two-segment path."""
 
     def test_collinear_segments_merge(self):
-        inc = np.array([0.5, -1.3])
-        two = chen_concat(segment_exponential(inc, 4), segment_exponential(inc, 4))
-        one = segment_exponential(2 * inc, 4)
+        # two segments of increment (0.5, -1.3) against one of (1.0, -2.6)
+        two = path_signature(
+            PiecewiseLinearPath.time_augmented([0.0, 0.5, 1.0], [0.0, -1.3, -2.6]), 4
+        )
+        one = path_signature(PiecewiseLinearPath.time_augmented([0.0, 1.0], [0.0, -2.6]), 4)
         for l in range(5):
             np.testing.assert_allclose(two.levels[l], one.levels[l], atol=1e-14)
 
     def test_cancelling_spatial_increments(self):
         # segments (1,1) then (1,-1): the (1,1) coefficient is 1/2 - 1 + 1/2 = 0
-        a = segment_exponential([1.0, 1.0], 2)
-        b = segment_exponential([1.0, -1.0], 2)
-        assert chen_concat(a, b).coeff(W(1, 1)) == pytest.approx(0.0, abs=1e-15)
-
-    def test_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            chen_concat(TruncatedTensor(1, 2), TruncatedTensor(1, 3))
-        with pytest.raises(ValueError):
-            chen_concat(TruncatedTensor(1, 2), TruncatedTensor(2, 2))
-
-    def test_associativity_random(self):
-        rng = np.random.default_rng(42)
-        for d in (1, 2):
-            for _ in range(5):
-                a = random_tensor(rng, d, 5)
-                b = random_tensor(rng, d, 5)
-                c = random_tensor(rng, d, 5)
-                left = chen_concat(a, chen_concat(b, c))
-                right = chen_concat(chen_concat(a, b), c)
-                for l in range(6):
-                    np.testing.assert_allclose(
-                        left.levels[l], right.levels[l], atol=1e-14, rtol=1e-12
-                    )
+        p = PiecewiseLinearPath.time_augmented([0.0, 1.0, 2.0], [0.0, 1.0, 0.0])
+        assert path_signature(p, 2).coeff(W(1, 1)) == pytest.approx(0.0, abs=1e-15)
 
 
 class TestPathSignature:
@@ -123,11 +98,13 @@ class TestPathSignature:
         assert sig.coeff(W(0, 1)) == pytest.approx(0.5, abs=1e-15)
 
     def test_single_segment_equals_exponential(self):
+        # level n of a linear segment is increment^(x)n / n!
         p = PiecewiseLinearPath.time_augmented([0.0, 2.0], [0.0, -1.5])
         sig = path_signature(p, 3)
-        exp = segment_exponential([2.0, -1.5], 3)
+        exp = np.ones(1)
         for l in range(4):
-            np.testing.assert_allclose(sig.levels[l], exp.levels[l], atol=1e-14)
+            np.testing.assert_allclose(sig.levels[l], exp / math.factorial(l), atol=1e-14)
+            exp = np.multiply.outer(exp, [2.0, -1.5]).reshape(-1)
 
     def test_brownian_cubature_path_level4(self):
         # the first cubature path at H=1/2 ends at sqrt(3); for a 1-d path the
