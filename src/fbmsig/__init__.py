@@ -25,7 +25,6 @@ from .expected import (
     decay_bound_check,
     expected_tensor,
     expected_word,
-    scaling_exponent,
 )
 from .gridapprox import (
     BoundReport,
@@ -49,13 +48,11 @@ from .matchings import (
 )
 from .sde import (
     ErrorBoundParams,
-    SolveReport,
     VectorFieldSet,
     cubature_weak_value,
     error_bound_shape,
     mc_weak_value,
     ode_along_path,
-    run_compare,
 )
 from .simplexquad import CertifiedValue, QuadConfig, matching_simplex_integral
 from .tensor import PiecewiseLinearPath, TruncatedTensor, Word, path_signature

@@ -208,12 +208,12 @@ def cmd_convergence(args) -> int:
     for w in words:
         for H in hs:
             rows = ga.gap_rows(w, H, ms, config)
-            for m, g in rows:
-                table.add(kind="row", word=str(w), H=H, m=m, exact=g.exact,
-                          approx=g.approx, gap=g.gap,
-                          m2H_gap=m ** (2 * H) * g.gap, err_bar=g.err_bar)
-            fit = ga.convergence_slope(rows)
             bound = ga.coefficient_bound_check(w, H, rows)
+            for (m, g), (_, _, m2H_gap) in zip(rows, bound.rows):
+                table.add(kind="row", word=str(w), H=H, m=m, exact=g.exact,
+                          approx=g.approx, gap=g.gap, m2H_gap=m2H_gap,
+                          err_bar=g.err_bar)
+            fit = ga.convergence_slope(rows)
             any_fail |= not bound.passed
             table.add(kind="summary", word=str(w), H=H,
                       slope=fit.slope if fit.ok else None,
@@ -248,7 +248,7 @@ def cmd_cubature(args) -> int:
     for H in hs:
         formula = cb.formula_from_solution(cb.solve_ansatz(H, args.branch))
         degree = int(args.degree) if args.degree is not None else formula.claimed_degree
-        rep = cb.verify_formula(formula, H, degree, config)
+        rep = cb.verify_formula(formula, degree, config)
         all_ok &= rep.passed
         for r in rep.rows:
             table.add(H=H, degree=degree, word=str(r.word), weight=r.weight,
@@ -282,22 +282,23 @@ def cmd_sde(args) -> int:
     x0 = _finite("x0", float(args.x0))
     vf, f, state0 = _sde_problem(args.problem, x0)
     formula = cb.three_path_formula(H)
-    rep = sde.run_compare(
-        vf, f, state0, formula, H=H, T=_finite("T", float(args.T)),
-        n_paths=int(args.paths), n_steps=int(args.steps), seed=int(args.seed),
-        M=_finite("M", float(args.M)), gamma=_finite("gamma", float(args.gamma)),
-    )
-    if not all(map(math.isfinite, (rep.cubature_value, rep.mc_value, rep.mc_stderr))):
+    T = _finite("T", float(args.T))
+    n_paths, n_steps, seed = int(args.paths), int(args.steps), int(args.seed)
+    M, gamma = _finite("M", float(args.M)), _finite("gamma", float(args.gamma))
+    cub = sde.cubature_weak_value(vf, f, state0, formula, T)
+    mc, se = sde.mc_weak_value(vf, f, state0, H, T, n_paths, n_steps, seed)
+    shape = sde.error_bound_shape(
+        sde.ErrorBoundParams(M, gamma, d=vf.d, degree=formula.claimed_degree, H=H), T)
+    if not all(map(math.isfinite, (cub, mc, se))):
         raise ValueError("a weak value or its standard error overflows a double; "
                          "reduce --x0 or --T")
     table = TableWriter(["H", "T", "problem", "x0", "cubature_value", "mc_value",
                          "mc_stderr", "bound_value", "bound_branch", "n_paths",
                          "n_steps", "seed"])
-    table.add(H=rep.H, T=rep.T, problem=args.problem, x0=x0,
-              cubature_value=rep.cubature_value, mc_value=rep.mc_value,
-              mc_stderr=rep.mc_stderr, bound_value=rep.bound_value,
-              bound_branch=rep.bound_branch, n_paths=rep.n_paths,
-              n_steps=rep.n_steps, seed=int(args.seed))
+    table.add(H=H, T=T, problem=args.problem, x0=x0, cubature_value=cub,
+              mc_value=mc, mc_stderr=se, bound_value=shape.value,
+              bound_branch=shape.branch, n_paths=n_paths, n_steps=n_steps,
+              seed=seed)
     _emit(args, table)
     return EXIT_OK
 

@@ -82,6 +82,8 @@ def words_of_degree(m: int, H: float, d: int) -> list[Word]:
     Finite because every letter adds at least 2H >= 1 to the weight.
     """
     _check_H_cubature(H)
+    if m < 0:
+        raise ValueError(f"cubature degree must be >= 0, got {m}")
     if m > 6 or d > 2:
         raise ValueError("degree capped at 6 and d at 2 (enumeration budget)")
     out = []
@@ -210,16 +212,16 @@ def formula_from_solution(sol: AnsatzSolution) -> CubatureFormula:
     )
 
 
-def rescale_formula(formula: CubatureFormula, T: float, H: float) -> CubatureFormula:
+def rescale_formula(formula: CubatureFormula, T: float) -> CubatureFormula:
     """Carry a unit-interval formula to [0, T]: time scales by T, spatial
-    coordinates by T^H, weights unchanged."""
+    coordinates by T^H with H = formula.H, weights unchanged."""
     if T <= 0:
         raise ValueError(f"T must be positive, got {T}")
-    _check_H_cubature(H)
+    _check_H_cubature(formula.H)
     paths = []
     for p in formula.paths:
         times = np.asarray(p.times) * T
-        spatial = p.values[:, 1:] * T**H
+        spatial = p.values[:, 1:] * T**formula.H
         paths.append(PiecewiseLinearPath.time_augmented(times, spatial))
     return CubatureFormula(
         H=formula.H,
@@ -268,16 +270,17 @@ def _expected_side(word: Word, H: float, config: QuadConfig | None):
 
 def verify_formula(
     formula: CubatureFormula,
-    H: float,
     degree: int,
     config: QuadConfig | None = None,
 ) -> VerifyReport:
-    """Check the cubature identity for every word of weight <= degree (d = 1).
+    """Check the cubature identity at H = formula.H for every word of weight
+    <= degree (d = 1).
 
     The expected side prefers the closed-form table (exact in H); quadrature
     is the fallback, and its error bar is added to the per-word tolerance.
     Mismatches are report content, never exceptions.
     """
+    H = formula.H
     words = words_of_degree(degree, H, d=1)
     depth = max((len(w) for w in words), default=0)
     sigs = [path_signature(p, depth) for p in formula.paths]
@@ -326,7 +329,6 @@ class DegreeScan:
 
 def empirical_degree(
     formula: CubatureFormula,
-    H: float,
     config: QuadConfig | None = None,
 ) -> DegreeScan:
     """Measure the largest integer degree up to SCAN_CAP at which every
@@ -335,7 +337,7 @@ def empirical_degree(
     Words whose expected side cannot be evaluated (no closed form and H at the
     Brownian boundary) are listed as skipped.
     """
-    report = verify_formula(formula, H, SCAN_CAP, config)
+    report = verify_formula(formula, SCAN_CAP, config)
     failing = sorted(
         (r for r in report.rows if not r.passed),
         key=lambda r: (r.weight, len(r.word), r.word.letters),
@@ -347,7 +349,7 @@ def empirical_degree(
         if m + 1e-9 < fail_weight:
             measured = m
     return DegreeScan(
-        H=H,
+        H=formula.H,
         claimed_degree=formula.claimed_degree,
         measured_degree=measured,
         first_failure=first_failure,

@@ -33,7 +33,6 @@ __all__ = [
     "covariance",
     "expected_word",
     "expected_tensor",
-    "scaling_exponent",
     "closed_form_value",
     "closed_form_table",
     "decay_bound_check",
@@ -97,11 +96,6 @@ def covariance(s: float, t: float, H: float) -> float:
     if s < 0 or t < 0:
         raise ValueError("times must be nonnegative")
     return 0.5 * (t ** (2 * H) + s ** (2 * H) - abs(t - s) ** (2 * H))
-
-
-def scaling_exponent(word: Word, H: float) -> float:
-    """Exponent of T in the expectation over [0, T]: kH + (1-H) * #zeros."""
-    return len(word) * H + (1.0 - H) * word.zero_count
 
 
 def _odd_letter(word: Word) -> bool:

@@ -10,7 +10,6 @@ comparisons isolate the choice of measure rather than the discretization.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -25,12 +24,10 @@ __all__ = [
     "VectorFieldSet",
     "ErrorBoundParams",
     "BoundShape",
-    "SolveReport",
     "ode_along_path",
     "cubature_weak_value",
     "mc_weak_value",
     "error_bound_shape",
-    "run_compare",
 ]
 
 # RK4 steps per linear piece of the three cubature paths (three pieces each)
@@ -125,11 +122,10 @@ def cubature_weak_value(
     x0,
     formula: CubatureFormula,
     T: float,
-    H: float,
 ) -> float:
     """Weighted combination sum_j lambda_j f(endpoint of the ODE along the
     rescaled cubature path omega_j); the paths are solved as one batch."""
-    resc = rescale_formula(formula, T, H)
+    resc = rescale_formula(formula, T)
     spatial = np.stack([p.values[:, 1:] for p in resc.paths])
     ends = _solve(vf, x0, np.asarray(resc.paths[0].times), spatial,
                   CUBATURE_STEPS_PER_PIECE)
@@ -155,7 +151,8 @@ def mc_weak_value(
 
     Returns (estimate, standard error); deterministic in the seed.  Requires
     H > 1/2 (pathwise Young regime) and n_paths >= 2, since one path gives no
-    standard error.  f must accept batched states (B, N).
+    standard error.  f must accept batched states (B, N).  The standard
+    error is NaN when f is non-finite on some path.
     """
     check_hurst(H)
     if n_paths < 2:
@@ -164,7 +161,13 @@ def mc_weak_value(
     times = np.arange(n_steps + 1) * (T / n_steps)
     y = _solve(vf, x0, times, spatial, steps_per_piece)
     vals = np.asarray(f(y), dtype=float).reshape(n_paths)
-    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(n_paths))
+    if not np.all(np.isfinite(vals)):
+        return float(vals.mean()), math.nan
+    # std squares the deviations, which underflow or overflow far inside the
+    # double range; scaling by a power of two first is exact and avoids both
+    _, e = np.frexp(np.max(np.abs(vals)))
+    se = np.ldexp(vals, -e).std(ddof=1) / math.sqrt(n_paths)
+    return float(vals.mean()), float(np.ldexp(se, e))
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +190,8 @@ class ErrorBoundParams:
             raise ValueError(f"M must be positive and finite, got {self.M}")
         if not 0.0 <= self.gamma < 0.5:
             raise ValueError("gamma must lie in [0, 1/2)")
+        if self.degree < 0:
+            raise ValueError(f"cubature degree must be >= 0, got {self.degree}")
         check_hurst(self.H)
 
     @property
@@ -197,7 +202,6 @@ class ErrorBoundParams:
 class BoundShape(NamedTuple):
     value: float
     branch: str
-    K: float
 
 
 def _entire_series(z: float, gamma: float) -> float:
@@ -246,53 +250,4 @@ def error_bound_shape(params: ErrorBoundParams, T: float) -> BoundShape:
             value = T ** (2.0 * params.H) + T ** (params.H * m2) * params.M**m2 * s
     except OverflowError:  # float ** raises here instead of returning inf
         value = math.inf
-    return BoundShape(value, "T>=1" if T >= 1.0 else "T<1", params.K)
-
-
-@dataclass(frozen=True)
-class SolveReport:
-    cubature_value: float
-    mc_value: float
-    mc_stderr: float
-    bound_value: float
-    bound_branch: str
-    H: float
-    T: float
-    n_paths: int
-    n_steps: int
-    elapsed_s: float
-
-
-def run_compare(
-    vf: VectorFieldSet,
-    f,
-    x0,
-    formula: CubatureFormula,
-    H: float,
-    T: float,
-    n_paths: int,
-    n_steps: int,
-    seed: int,
-    M: float = 1.0,
-    gamma: float = 0.0,
-) -> SolveReport:
-    """Cubature value vs Monte-Carlo reference plus the bound shape."""
-    t0 = time.perf_counter()
-    cub = cubature_weak_value(vf, f, x0, formula, T, H)
-    mc, se = mc_weak_value(vf, f, x0, H, T, n_paths, n_steps, seed)
-    shape = error_bound_shape(
-        ErrorBoundParams(M=M, gamma=gamma, d=vf.d, degree=formula.claimed_degree, H=H),
-        T,
-    )
-    return SolveReport(
-        cubature_value=cub,
-        mc_value=mc,
-        mc_stderr=se,
-        bound_value=shape.value,
-        bound_branch=shape.branch,
-        H=H,
-        T=T,
-        n_paths=n_paths,
-        n_steps=n_steps,
-        elapsed_s=time.perf_counter() - t0,
-    )
+    return BoundShape(value, "T>=1" if T >= 1.0 else "T<1")

@@ -177,11 +177,11 @@ def test_criterion_5_cubature():
     worst = 0.0
     all_pass = True
     for H in (0.50, 0.55, 0.60, 0.65):
-        rep = verify_formula(three_path_formula(H), H, 5)
+        rep = verify_formula(three_path_formula(H), 5)
         worst = max(worst, rep.max_abs_err)
         all_pass &= rep.passed and rep.max_abs_err <= 1e-9
     for H in (0.70, 0.80, 0.90):
-        rep = verify_formula(three_path_formula(H), H, 4)
+        rep = verify_formula(three_path_formula(H), 4)
         worst = max(worst, rep.max_abs_err)
         all_pass &= rep.passed and rep.max_abs_err <= 1e-9
     f = three_path_formula(0.5)
@@ -229,7 +229,7 @@ def test_criterion_7_sde_weak_approximation():
     x0 = 0.3
     H = 0.75
     cub = cubature_weak_value(
-        vf, lambda y: y[0] ** 2, [x0], three_path_formula(H), 1.0, H
+        vf, lambda y: y[0] ** 2, [x0], three_path_formula(H), 1.0
     )
     cub_err = abs(cub - (x0**2 + 1.0))
     mc, se = mc_weak_value(
@@ -237,7 +237,7 @@ def test_criterion_7_sde_weak_approximation():
     )
     mc_ok = abs(mc - (x0**2 + 1.0)) <= 4.0 * se
     cub4 = cubature_weak_value(
-        vf, lambda y: y[0] ** 2, [x0], three_path_formula(0.5), 4.0, 0.5
+        vf, lambda y: y[0] ** 2, [x0], three_path_formula(0.5), 4.0
     )
     cub4_err = abs(cub4 - (x0**2 + 4.0))
     elapsed = time.perf_counter() - t0

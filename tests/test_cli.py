@@ -9,6 +9,7 @@ from collections import Counter
 import pytest
 
 import fbmsig
+from fbmsig import cli, cubature, sde
 from fbmsig import gridapprox as ga
 from fbmsig.cli import main
 from fbmsig.expected import decay_bound_check
@@ -105,6 +106,22 @@ class TestConvergence:
         assert -1.5 < slope < -0.8
         assert summary[0][header.index("bound_pass")] == "True"
 
+    def test_summary_max_is_the_largest_row_value(self, tmp_path):
+        rc, text = run(
+            tmp_path, "convergence", "--H", "0.6,0.75", "--words", "1,2,1,2;1,1,2,2",
+            "--m", "4,8,16,32", "--no-timestamp",
+        )
+        assert rc == 0
+        rows = read_csv(text)
+        header = rows[0]
+        col = lambda name: header.index(name)
+        for r in rows[1:]:
+            if r[col("kind")] == "summary":
+                scaled = [float(x[col("m2H_gap")]) for x in rows[1:]
+                          if x[col("kind")] == "row" and x[1:3] == r[1:3]]
+                assert len(scaled) == 4
+                assert float(r[col("max_m2H_gap")]) == max(scaled)
+
     def test_zero_gap_word_notes_refusal(self, tmp_path):
         rc, text = run(
             tmp_path, "convergence", "--H", "0.75", "--words", "1,1",
@@ -169,6 +186,20 @@ class TestCubature:
         rc, _ = run(tmp_path, "cubature", "verify", "--H", "0.5", "--degree", "6")
         assert rc == 1
 
+    def test_negative_degree_is_usage_error(self, tmp_path, capsys):
+        # an empty table must not count as a pass
+        rc, text = run(tmp_path, "cubature", "verify", "--H", "0.6", "--degree", "-3")
+        assert rc == 2 and text == ""
+        assert "degree must be >= 0" in capsys.readouterr().err
+
+    def test_degree_zero_checks_the_empty_word(self, tmp_path):
+        rc, text = run(tmp_path, "cubature", "verify", "--H", "0.6", "--degree", "0",
+                       "--no-timestamp")
+        assert rc == 0
+        rows = read_csv(text)
+        assert len(rows) == 2
+        assert rows[1][rows[0].index("word")] == "" and rows[1][-1] == "True"
+
     def test_solve_both_branches(self, tmp_path):
         rc, text = run(
             tmp_path, "cubature", "solve", "--H", "0.6", "--branch", "both",
@@ -209,10 +240,9 @@ class TestSde:
         assert rc == 2
         assert "n_paths must be >= 2" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag, value", [("--x0", "1e200"), ("--T", "1e150")])
+    @pytest.mark.parametrize("flag, value", [("--x0", "1e200")])
     def test_overflowing_weak_value_is_usage_error(self, tmp_path, capsys, flag, value):
-        # y^2 overflows at x0 = 1e200; at T = 1e150 the squares inside the
-        # standard error do
+        # y^2 overflows at x0 = 1e200
         with pytest.warns(RuntimeWarning, match="overflow"):
             rc, text = run(tmp_path, "sde", "compare", "--paths", "8", "--steps", "4",
                            flag, value)
@@ -228,6 +258,7 @@ class TestSde:
         assert "covariance scale" in capsys.readouterr().err
 
     @pytest.mark.parametrize("H, T, problem", [("0.75", "1e150", "zero"),
+                                               ("0.75", "1e150", "quadratic"),
                                                ("0.6", "1e100", "quadratic")])
     def test_huge_horizon_prints_finite_values_and_inf_bound(self, tmp_path, H, T,
                                                              problem):
@@ -239,6 +270,39 @@ class TestSde:
         for col in ("cubature_value", "mc_value", "mc_stderr"):
             assert math.isfinite(float(row[header.index(col)]))
         assert row[header.index("bound_value")] == "inf"
+
+    def test_tiny_horizon_has_a_nonzero_standard_error(self, tmp_path):
+        # the squared deviations (~1e-602) underflow inside a plain std
+        rc, text = run(tmp_path, "sde", "compare", "--T", "1e-200", "--paths", "100",
+                       "--steps", "8", "--no-timestamp")
+        assert rc == 0
+        header, row = read_csv(text)
+        cub, mc, se = (float(row[header.index(c)])
+                       for c in ("cubature_value", "mc_value", "mc_stderr"))
+        assert se > 0.0
+        assert abs(mc - cub) <= 4.0 * se
+
+    @pytest.mark.parametrize("H, T, problem, seed", [("0.75", "1", "quadratic", "7"),
+                                                     ("0.6", "0.3", "quadratic", "8"),
+                                                     ("0.9", "2.5", "zero", "9")])
+    def test_printed_values_are_the_library_calls(self, tmp_path, H, T, problem, seed):
+        rc, text = run(tmp_path, "sde", "compare", "--H", H, "--T", T, "--problem",
+                       problem, "--paths", "50", "--steps", "8", "--seed", seed,
+                       "--x0", "0.3", "--M", "0.7", "--gamma", "0.1",
+                       "--no-timestamp")
+        assert rc == 0
+        header, row = read_csv(text)
+        h, t = float(H), float(T)
+        vf, f, state0 = cli._sde_problem(problem, 0.3)
+        formula = cubature.three_path_formula(h)
+        mc, se = sde.mc_weak_value(vf, f, state0, h, t, 50, 8, int(seed))
+        shape = sde.error_bound_shape(
+            sde.ErrorBoundParams(0.7, 0.1, d=1, degree=formula.claimed_degree, H=h), t)
+        want = {"cubature_value": sde.cubature_weak_value(vf, f, state0, formula, t),
+                "mc_value": mc, "mc_stderr": se, "bound_value": shape.value}
+        for col, value in want.items():
+            assert float(row[header.index(col)]) == value
+        assert row[header.index("bound_branch")] == shape.branch
 
 
 class TestBounds:
@@ -274,6 +338,19 @@ class TestBounds:
         assert rc == 0
         rows = read_csv(text)
         assert rows[1][rows[0].index("bound_shape")] == "inf"
+
+    def test_negative_degree_is_usage_error(self, tmp_path, capsys):
+        rc, text = run(tmp_path, "bounds", "--H", "0.75", "--degree", "-9")
+        assert rc == 2 and text == ""
+        assert "degree must be >= 0" in capsys.readouterr().err
+
+    def test_degree_zero_is_valid(self, tmp_path):
+        rc, text = run(tmp_path, "bounds", "--H", "0.75", "--T", "0.5,2",
+                       "--degree", "0", "--no-timestamp")
+        assert rc == 0
+        rows = read_csv(text)
+        assert len(rows) == 3
+        assert all(math.isfinite(float(r[rows[0].index("bound_shape")])) for r in rows[1:])
 
 
 class TestHarness:

@@ -33,6 +33,7 @@ class TestWordWeight:
     def test_values(self):
         H = 0.7
         assert word_weight(W(1, 1), H) == pytest.approx(4 * H)
+        assert word_weight(W(0), H) == pytest.approx(2.0)
         assert word_weight(W(1, 0, 1), H) == pytest.approx(4 * H + 2)
         assert word_weight(W(), H) == 0.0
 
@@ -60,6 +61,11 @@ class TestWordsOfDegree:
     def test_caps(self):
         with pytest.raises(ValueError):
             words_of_degree(7, 0.6, 1)
+
+    @pytest.mark.parametrize("m", (-1, -3))
+    def test_negative_degree_refused(self, m):
+        with pytest.raises(ValueError, match="degree must be >= 0"):
+            words_of_degree(m, 0.6, 1)
 
 
 class TestThreePathFormula:
@@ -154,20 +160,20 @@ class TestSolveAnsatz:
 
 class TestVerify:
     def test_level2_word_exact(self):
-        rep = verify_formula(three_path_formula(0.6), 0.6, 3)
+        rep = verify_formula(three_path_formula(0.6), 3)
         row = next(r for r in rep.rows if r.word.letters == (1, 1))
         assert row.lhs == 0.5
         assert row.abs_err < 1e-14
 
     @pytest.mark.parametrize("H", (0.5, 0.6))
     def test_time_sandwich_word(self, H):
-        rep = verify_formula(three_path_formula(H), H, 5)
+        rep = verify_formula(three_path_formula(H), 5)
         row = next(r for r in rep.rows if r.word.letters == (1, 0, 1))
         assert row.lhs == pytest.approx((2 * H - 1) / (2 * (2 * H + 1)), abs=1e-15)
         assert row.abs_err < 1e-10
 
     def test_odd_words_cancel_exactly(self):
-        rep = verify_formula(three_path_formula(0.55), 0.55, 5)
+        rep = verify_formula(three_path_formula(0.55), 5)
         for r in rep.rows:
             ones = sum(1 for x in r.word.letters if x == 1)
             if ones % 2 == 1:
@@ -176,14 +182,14 @@ class TestVerify:
 
     @pytest.mark.parametrize("H,degree", [(0.5, 5), (0.65, 5), (0.7, 4), (0.9, 4)])
     def test_passes_at_claimed_degree(self, H, degree):
-        rep = verify_formula(three_path_formula(H), H, degree)
+        rep = verify_formula(three_path_formula(H), degree)
         assert rep.passed
         assert rep.max_abs_err <= 1e-9
 
     @pytest.mark.parametrize("H", (0.5, 0.6))
     def test_second_root_also_passes(self, H):
         f = formula_from_solution(solve_ansatz(H, "plus"))
-        rep = verify_formula(f, H, f.claimed_degree)
+        rep = verify_formula(f, f.claimed_degree)
         assert rep.passed
 
     def test_chen_side_matches_nested_quadrature(self):
@@ -197,7 +203,7 @@ class TestVerify:
     def test_brownian_failure_beyond_claimed_degree(self):
         # the six-letter single word breaks degree 6 at H = 1/2:
         # expected 1/48, cubature side 1/80
-        rep = verify_formula(three_path_formula(0.5), 0.5, 6)
+        rep = verify_formula(three_path_formula(0.5), 6)
         row = next(r for r in rep.rows if r.word.letters == (1,) * 6)
         assert row.lhs == pytest.approx(1.0 / 48.0)
         assert row.rhs == pytest.approx(1.0 / 80.0)
@@ -206,26 +212,26 @@ class TestVerify:
 
 class TestEmpiricalDegree:
     def test_brownian_measures_five(self):
-        scan = empirical_degree(three_path_formula(0.5), 0.5)
+        scan = empirical_degree(three_path_formula(0.5))
         assert scan.measured_degree == 5
         assert scan.first_failure is not None
         assert scan.first_failure.letters == (1,) * 6
 
     def test_above_two_thirds_meets_claim(self):
-        scan = empirical_degree(three_path_formula(0.8), 0.8)
+        scan = empirical_degree(three_path_formula(0.8))
         assert scan.measured_degree >= scan.claimed_degree
 
 
 class TestRescale:
     def test_identity_at_T1(self):
         f = three_path_formula(0.6)
-        g = rescale_formula(f, 1.0, 0.6)
+        g = rescale_formula(f, 1.0)
         for pf, pg in zip(f.paths, g.paths):
             np.testing.assert_allclose(pf.values, pg.values, atol=0)
 
     def test_spatial_scaling(self):
         f = three_path_formula(0.5)
-        g = rescale_formula(f, 4.0, 0.5)
+        g = rescale_formula(f, 4.0)
         np.testing.assert_allclose(
             g.paths[0].values[:, 1], 2.0 * f.paths[0].values[:, 1], atol=1e-14
         )
@@ -235,7 +241,7 @@ class TestRescale:
 
     def test_level2_integral_scales(self):
         T, H = 4.0, 0.5
-        g = rescale_formula(three_path_formula(H), T, H)
+        g = rescale_formula(three_path_formula(H), T)
         total = sum(
             lam * path_signature(p, 2).coeff(W(1, 1))
             for lam, p in zip(g.weights, g.paths)
@@ -244,4 +250,4 @@ class TestRescale:
 
     def test_positive_T(self):
         with pytest.raises(ValueError):
-            rescale_formula(three_path_formula(0.6), 0.0, 0.6)
+            rescale_formula(three_path_formula(0.6), 0.0)

@@ -17,12 +17,12 @@ from fbmsig.expected import (
     decay_bound_check,
     expected_tensor,
     expected_word,
-    scaling_exponent,
 )
 from fbmsig import gridapprox as ga
 from fbmsig import sde
 from fbmsig import simplexquad as sq
 from fbmsig.cli import main
+from fbmsig.cubature import word_weight
 from fbmsig.simplexquad import QuadConfig, _reduce_terms, matching_simplex_integral
 from fbmsig.tensor import Word
 
@@ -172,19 +172,12 @@ class TestExpectedWord:
         assert math.isfinite(exc.value.value)
 
 
-class TestScalingExponent:
-    def test_values(self):
-        H = 0.7
-        assert scaling_exponent(W(1, 1), H) == pytest.approx(2 * H)
-        assert scaling_exponent(W(0), H) == pytest.approx(1.0)
-        assert scaling_exponent(W(1, 0, 1), H) == pytest.approx(2 * H + 1)
-
-
 class TestScalingLaw:
     @pytest.mark.parametrize("T", (0.5, 2.0))
     def test_level2_rescaled_brute_force(self, T):
         # kernel mass over the ordered 2-simplex of [0, T], by midpoint
-        # summation with two-stage Richardson, against T^(2H) * value on [0, 1]
+        # summation with two-stage Richardson, against T^(2H) * value on [0, 1];
+        # the exponent of T is half the cubature degree weight
         H = 0.75
         c = KernelConstant.from_hurst(H).c_H
 
@@ -200,7 +193,7 @@ class TestScalingLaw:
         R1 = [(v[i + 1] - r1 * v[i]) / (1 - r1) for i in range(2)]
         r2 = 2.0 ** -(2 * H)
         extrap = (R1[1] - r2 * R1[0]) / (1 - r2)
-        want = T ** scaling_exponent(W(1, 1), H) * expected_word(W(1, 1), H).value
+        want = T ** (word_weight(W(1, 1), H) / 2) * expected_word(W(1, 1), H).value
         assert extrap == pytest.approx(want, abs=1e-6)
 
 

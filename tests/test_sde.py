@@ -1,5 +1,6 @@
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from fbmsig.sde import (
     error_bound_shape,
     mc_weak_value,
     ode_along_path,
-    run_compare,
     _entire_series,
 )
 from fbmsig.tensor import PiecewiseLinearPath
@@ -66,7 +66,7 @@ class TestCubatureWeakValue:
     def test_odd_observable_cancels(self):
         vf = VectorFieldSet(1, (ZERO, ONE))
         val = cubature_weak_value(
-            vf, lambda y: y[0], [0.7], three_path_formula(0.8), 1.0, 0.8
+            vf, lambda y: y[0], [0.7], three_path_formula(0.8), 1.0
         )
         assert val == pytest.approx(0.7, abs=1e-13)
 
@@ -75,7 +75,7 @@ class TestCubatureWeakValue:
         vf = VectorFieldSet(1, (ZERO, ONE))
         x0 = 0.3
         val = cubature_weak_value(
-            vf, lambda y: y[0] ** 2, [x0], three_path_formula(H), 1.0, H
+            vf, lambda y: y[0] ** 2, [x0], three_path_formula(H), 1.0
         )
         assert val == pytest.approx(x0**2 + 1.0, abs=1e-10)
 
@@ -83,7 +83,7 @@ class TestCubatureWeakValue:
         vf = VectorFieldSet(1, (ZERO, ONE))
         x0 = 0.3
         val = cubature_weak_value(
-            vf, lambda y: y[0] ** 2, [x0], three_path_formula(0.5), 4.0, 0.5
+            vf, lambda y: y[0] ** 2, [x0], three_path_formula(0.5), 4.0
         )
         assert val == pytest.approx(x0**2 + 4.0, abs=1e-10)
 
@@ -95,10 +95,10 @@ class TestCubatureWeakValue:
         f = lambda y: y[0] ** 3 + y[0]
         formula, T, x0 = three_path_formula(H), 1.7, [0.4]
         want = 0.0
-        resc = rescale_formula(formula, T, H)
+        resc = rescale_formula(formula, T)
         for lam, p in zip(resc.weights, resc.paths):
             want += lam * float(f(ode_along_path(vf, x0, p, steps_per_piece=64)))
-        assert cubature_weak_value(vf, f, x0, formula, T, H) == want
+        assert cubature_weak_value(vf, f, x0, formula, T) == want
 
 
 class TestMcWeakValue:
@@ -122,7 +122,7 @@ class TestMcWeakValue:
         vf = VectorFieldSet(1, (ZERO, ONE))
         H = 0.75
         cub = cubature_weak_value(
-            vf, lambda y: y[0] ** 2, [0.5], three_path_formula(H), 1.0, H
+            vf, lambda y: y[0] ** 2, [0.5], three_path_formula(H), 1.0
         )
         est, se = mc_weak_value(
             vf, lambda y: y[:, 0] ** 2, [0.5], H, 1.0, n_paths=10_000, n_steps=64, seed=11
@@ -146,6 +146,26 @@ class TestMcWeakValue:
         vf = VectorFieldSet(1, (ZERO, ONE))
         with pytest.raises(ValueError):
             mc_weak_value(vf, lambda y: y[:, 0], [0.0], 0.5, 1.0, 10, 4, seed=0)
+
+    @pytest.mark.parametrize("scale", [2.0**-900, 2.0**-40, 2.0**700],
+                             ids=["2^-900", "2^-40", "2^700"])
+    def test_standard_error_scales_exactly(self, scale):
+        # std squares the deviations, which leave the double range far
+        # inside it: at 2^-900 they underflow, at 2^700 they overflow
+        vf = VectorFieldSet(1, (ZERO, ONE))
+        args = (vf, lambda y: y[:, 0] ** 2, [0.3], 0.75, 1.0, 200, 8)
+        _, se = mc_weak_value(*args, seed=5)
+        scaled = (vf, lambda y: scale * y[:, 0] ** 2) + args[2:]
+        _, se_scaled = mc_weak_value(*scaled, seed=5)
+        assert se_scaled == scale * se > 0.0
+
+    def test_non_finite_values_give_nan_error_without_warning(self):
+        vf = VectorFieldSet(1, (ZERO, ONE))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est, se = mc_weak_value(vf, lambda y: np.full(len(y), np.inf), [0.0],
+                                    0.75, 1.0, 8, 4, seed=0)
+        assert est == math.inf and math.isnan(se)
 
     @pytest.mark.parametrize("n_paths", [0, 1])
     def test_refuses_fewer_than_two_paths(self, n_paths):
@@ -203,6 +223,9 @@ class TestErrorBoundShape:
             ErrorBoundParams(M=0.0, gamma=0.0, d=1, degree=5, H=0.75)
         with pytest.raises(ValueError):
             ErrorBoundParams(M=1.0, gamma=0.5, d=1, degree=5, H=0.75)
+        with pytest.raises(ValueError, match="degree must be >= 0"):
+            ErrorBoundParams(M=1.0, gamma=0.0, d=1, degree=-1, H=0.75)
+        assert ErrorBoundParams(M=1.0, gamma=0.0, d=1, degree=0, H=0.75).degree == 0
         with pytest.raises(ValueError):
             error_bound_shape(
                 ErrorBoundParams(M=1.0, gamma=0.0, d=1, degree=5, H=0.75), 0.0
@@ -224,15 +247,3 @@ class TestErrorBoundShape:
         assert shape.value == math.inf
         assert shape.branch == ("T>=1" if T >= 1.0 else "T<1")
 
-
-class TestRunCompare:
-    def test_report_fields(self):
-        vf = VectorFieldSet(1, (ZERO, ONE))
-        rep = run_compare(
-            vf, lambda y: y[..., 0] ** 2, [0.0], three_path_formula(0.75),
-            H=0.75, T=1.0, n_paths=400, n_steps=16, seed=9,
-        )
-        assert rep.cubature_value == pytest.approx(1.0, abs=1e-10)
-        assert abs(rep.mc_value - 1.0) <= 5 * rep.mc_stderr
-        assert rep.bound_branch == "T>=1"
-        assert rep.elapsed_s >= 0.0
