@@ -172,6 +172,16 @@ class TestExpectedWord:
         assert math.isfinite(exc.value.value)
 
 
+class TestScalingExponent:
+    def test_values(self):
+        # exponent of T in the expectation over [0, T]: kH + (1-H) * #zeros,
+        # which is half the cubature degree weight
+        H = 0.7
+        assert word_weight(W(1, 1), H) / 2 == pytest.approx(2 * H)
+        assert word_weight(W(0), H) / 2 == pytest.approx(1.0)
+        assert word_weight(W(1, 0, 1), H) / 2 == pytest.approx(2 * H + 1)
+
+
 class TestScalingLaw:
     @pytest.mark.parametrize("T", (0.5, 2.0))
     def test_level2_rescaled_brute_force(self, T):
