@@ -21,7 +21,6 @@ from .expected import (
     QuadratureToleranceError,
     check_hurst,
     closed_form_value,
-    covariance,
     decay_bound_check,
     expected_tensor,
     expected_word,

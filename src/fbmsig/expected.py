@@ -30,7 +30,6 @@ __all__ = [
     "KernelConstant",
     "QuadratureToleranceError",
     "check_hurst",
-    "covariance",
     "expected_word",
     "expected_tensor",
     "closed_form_value",
@@ -87,15 +86,6 @@ class QuadratureToleranceError(RuntimeError):
         self.value = value
         self.error = error
         self.tol = tol
-
-
-def covariance(s: float, t: float, H: float) -> float:
-    """fBm covariance (t^2H + s^2H - |t-s|^2H) / 2."""
-    if not 0.0 < H < 1.0:
-        raise ValueError(f"H must lie in (0, 1), got {H}")
-    if s < 0 or t < 0:
-        raise ValueError("times must be nonnegative")
-    return 0.5 * (t ** (2 * H) + s ** (2 * H) - abs(t - s) ** (2 * H))
 
 
 def _odd_letter(word: Word) -> bool:

@@ -20,7 +20,6 @@ __all__ = [
     "permutation_count",
     "refined_count_bound",
     "decomposition_bijection_check",
-    "bound_violation_sweep",
 ]
 
 # A matching is a tuple of (a, b) pairs with a < b, sorted by a: disjoint pairs
@@ -93,27 +92,6 @@ def refined_count_bound(k: int, p: int) -> int:
         return 0
     s = k - p + 1
     return math.factorial(k) * 2 ** (p - 1) * math.factorial(2 * s) // math.factorial(s)
-
-
-def bound_violation_sweep(max_two_k: int = 8, d: int = 3) -> list[tuple]:
-    """Exhaustively compare permutation_count against refined_count_bound for
-    every word with nonzero letters up to the given size.
-
-    Returns the violating (word, count, bound) triples; expected empty.  Kept
-    as a report rather than an assertion because the bound's worst-case letter
-    multiplicity pattern is chosen case by case.
-    """
-    bad = []
-    for two_k in range(2, max_two_k + 1, 2):
-        k = two_k // 2
-        for letters in itertools.product(range(1, d + 1), repeat=two_k):
-            w = Word(letters, d)
-            p = len(set(letters))
-            c = permutation_count(w)
-            b = refined_count_bound(k, p)
-            if c > b:
-                bad.append((w, c, b))
-    return bad
 
 
 def _expand_pair(s1: int, s2: int, tau: tuple[int, ...]) -> tuple[int, ...]:

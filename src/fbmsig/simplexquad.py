@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import betainc, betaln
 
 __all__ = ["QuadConfig", "CertifiedValue", "matching_simplex_integral"]
 
@@ -199,6 +198,35 @@ def _gauss_legendre(N: int):
     return u, log_w
 
 
+def _binomial_tail(k: int, n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """P(Binomial(n, u) >= k) = sum_{j=k}^{n} C(n, j) u^j v^(n-j), v = 1 - u:
+    a sum of n - k + 1 positive terms."""
+    return sum(math.comb(n, j) * u**j * v ** (n - j) for j in range(k, n + 1))
+
+
+@functools.cache
+def _beta_axis(p: int, q: int, N: int):
+    """The Beta(p, q)-CDF axis map x = I_u(p, q) on the N-point rule, as (log
+    x, log x from the complementary CDF, log-Jacobian); read-only, since every
+    core with these exponents shares it.
+
+    For integer p and q, x = I_u(p, q) is the binomial tail of q terms and
+    1 - x = I_{1-u}(q, p) the one of p terms.  The log-Jacobian is the Beta
+    density plus the log node weight, with B(p, q) = 1 / (q C(p+q-1, q)).
+    """
+    u, log_w = _gauss_legendre(N)
+    v = 1.0 - u
+    n = p + q - 1
+    x = np.clip(_binomial_tail(p, n, u, v), 1e-300, None)
+    cx = np.clip(_binomial_tail(q, n, v, u), 1e-300, 1.0 - 1e-16)
+    ljac = ((p - 1) * np.log(u) + (q - 1) * np.log1p(-u)
+            + math.log(q * math.comb(n, q)) + log_w)
+    axis = (np.log(x), np.log1p(-cx), ljac)
+    for a in axis:
+        a.flags.writeable = False
+    return axis
+
+
 # A core is a pure function of its hashable key (factors are (int, int, float)
 # tuples), so a repeat returns the identical float.  The bound keeps memory
 # flat across requests that each draw a fresh H; one length-6 level table
@@ -207,26 +235,22 @@ def _gauss_legendre(N: int):
 def _core_numeric(m: int, factors, N: int) -> float:
     """Tensor Gauss-Legendre evaluation of an m-dim irreducible core.
 
-    Every axis takes the Beta(p, q)-CDF substitution x = I_u(p, q); log x
-    comes from the complementary CDF, so it stays accurate where x is close
-    to 1.  The log integrand is the sum of the per-axis log-Jacobians
-    (density, x**gam and node weight) plus e * log(1 - prod x) per span.
-    Every core left by _reduce_terms for up to three pairs has m <= 3, so the
-    N**m grid is evaluated in one piece.
+    Every axis takes the Beta(p, q)-CDF substitution x = I_u(p, q); the log
+    x under each span comes from the complementary CDF, so it stays accurate
+    where x is close to 1.  The log integrand is the sum of the per-axis
+    log-Jacobians (density, x**gam and node weight) plus e * log(1 - prod x)
+    per span.  Every core left by _reduce_terms for up to three pairs has
+    m <= 3, so the N**m grid is evaluated in one piece.
     """
     gam, spans, p, q = _axis_rules(m, factors)
-    u, log_w = _gauss_legendre(N)
     logx = []
     L = 0.0
     for i in range(m):
         shape = [1] * m
         shape[i] = N
-        x = np.clip(betainc(p[i], q[i], u), 1e-300, None)
-        cx = np.clip(betainc(q[i], p[i], 1.0 - u), 1e-300, 1.0 - 1e-16)
-        ljac = ((p[i] - 1) * np.log(u) + (q[i] - 1) * np.log1p(-u)
-                - betaln(p[i], q[i]) + log_w)
-        logx.append(np.log1p(-cx).reshape(shape))
-        L = L + (ljac + gam[i] * np.log(x)).reshape(shape)
+        log_x, log_x_c, ljac = _beta_axis(p[i], q[i], N)
+        logx.append(log_x_c.reshape(shape))
+        L = L + (ljac + gam[i] * log_x).reshape(shape)
     for axes, e in spans:
         s = 0.0
         for ax in axes:

@@ -20,7 +20,6 @@ __all__ = [
     "PiecewiseLinearPath",
     "path_signature",
     "batch_grid_signatures",
-    "signature_coeff_by_quadrature",
     "all_words",
 ]
 
@@ -165,14 +164,6 @@ class PiecewiseLinearPath:
     def increments(self) -> np.ndarray:
         return np.diff(self.values, axis=0)
 
-    def negated(self, coordinate: int) -> "PiecewiseLinearPath":
-        """Flip the sign of one spatial coordinate."""
-        if coordinate < 1:
-            raise ValueError("only spatial coordinates can be negated")
-        v = self.values.copy()
-        v[:, coordinate] = -v[:, coordinate]
-        return PiecewiseLinearPath(self.times, v)
-
 
 def path_signature(path: PiecewiseLinearPath, depth: int) -> TruncatedTensor:
     """Exact signature of a piecewise-linear path: batch_grid_signatures on a
@@ -209,28 +200,3 @@ def batch_grid_signatures(increments: np.ndarray, depth: int) -> list[np.ndarray
             new.append(acc)
         lev = new
     return lev
-
-
-def signature_coeff_by_quadrature(
-    path: PiecewiseLinearPath, word: Word, points_per_segment: int = 2000
-) -> float:
-    """Iterated-integral coefficient by direct nested trapezoid quadrature.
-
-    Independent of the Chen-identity code path; used as a cross-check oracle.
-    """
-    times = np.asarray(path.times)
-    grids = []
-    for j in range(len(times) - 1):
-        g = np.linspace(times[j], times[j + 1], points_per_segment + 1)
-        grids.append(g if j == 0 else g[1:])
-    t = np.concatenate(grids)
-    # piecewise-linear interpolation of every coordinate on the fine grid
-    coords = np.stack(
-        [np.interp(t, times, path.values[:, c]) for c in range(path.d + 1)], axis=1
-    )
-    F = np.ones_like(t)
-    for letter in word.letters:
-        x = coords[:, letter]
-        dF = 0.5 * (F[1:] + F[:-1]) * np.diff(x)
-        F = np.concatenate([[0.0], np.cumsum(dF)])
-    return float(F[-1])

@@ -413,20 +413,28 @@ class TestHarness:
 
 
 def test_import_leaves_scipy_stats_unloaded():
-    # no code path needs scipy.stats or scipy.linalg, so neither importing the
-    # CLI nor running a quadrature, a grid or a sampler command may pay for
-    # their import
+    # the runtime needs numpy and the standard library only, so neither
+    # importing the CLI nor running any command may load a scipy module
     src = os.path.dirname(os.path.dirname(fbmsig.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    commands = (
+        ["expected-sig", "--words", "1,2,1,2"],
+        ["convergence", "--m", "4,8,16,32"],
+        ["approx-sig", "--words", "1,1,2,2", "--m", "4,8"],
+        ["bounds", "--H", "0.6,0.9"],
+        ["cubature", "verify", "--H", "0.5", "--degree", "5"],
+        ["cubature", "solve", "--H", "0.6", "--branch", "both"],
+        ["sde", "compare", "--paths", "8", "--steps", "16"],
+    )
     code = (
         "import os, sys\n"
         "from fbmsig.cli import main\n"
-        "null = os.devnull\n"
-        "assert main(['expected-sig', '--words', '1,2,1,2', '--out', null]) == 0\n"
-        "assert main(['convergence', '--m', '4,8,16,32', '--out', null]) == 0\n"
-        "assert main(['sde', 'compare', '--paths', '8', '--steps', '16', '--out', null]) == 0\n"
-        "assert 'scipy.stats' not in sys.modules\n"
-        "assert 'scipy.linalg' not in sys.modules\n"
+        "def scipy_modules():\n"
+        "    return [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+        "assert not scipy_modules(), scipy_modules()\n"
+        f"for argv in {commands!r}:\n"
+        "    assert main(argv + ['--out', os.devnull]) == 0, argv\n"
+        "    assert not scipy_modules(), (argv, scipy_modules())\n"
     )
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)

@@ -15,12 +15,9 @@ from fbmsig.cubature import (
     word_weight,
     words_of_degree,
 )
-from fbmsig.tensor import (
-    PiecewiseLinearPath,
-    Word,
-    path_signature,
-    signature_coeff_by_quadrature,
-)
+from fbmsig.tensor import PiecewiseLinearPath, Word, path_signature
+
+from oracles import signature_coeff_by_quadrature
 
 SQRT3 = math.sqrt(3.0)
 

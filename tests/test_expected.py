@@ -13,7 +13,6 @@ from fbmsig.expected import (
     check_hurst,
     closed_form_table,
     closed_form_value,
-    covariance,
     decay_bound_check,
     expected_tensor,
     expected_word,
@@ -23,6 +22,7 @@ from fbmsig import sde
 from fbmsig import simplexquad as sq
 from fbmsig.cli import main
 from fbmsig.cubature import word_weight
+from fbmsig.matchings import enumerate_matchings
 from fbmsig.simplexquad import QuadConfig, _reduce_terms, matching_simplex_integral
 from fbmsig.tensor import Word
 
@@ -49,25 +49,6 @@ def level4_closed(H):
     T4 = 1.0 / ((2 * nu + 1) * (2 * nu + 2))
     J2 = (T1 - T23 + T4) / nu**2                                      # (0,2),(1,3)
     return J1, J2, J3
-
-
-class TestCovariance:
-    def test_variance_at_one(self):
-        for H in H_GRID:
-            assert covariance(1.0, 1.0, H) == pytest.approx(1.0, abs=1e-15)
-
-    def test_zero_time(self):
-        assert covariance(0.0, 0.7, 0.75) == 0.0
-
-    def test_direct_value(self):
-        assert covariance(1.0, 2.0, 0.75) == pytest.approx(math.sqrt(2.0), abs=1e-14)
-
-    def test_symmetry(self):
-        assert covariance(0.3, 0.9, 0.6) == covariance(0.9, 0.3, 0.6)
-
-    def test_H_range(self):
-        with pytest.raises(ValueError):
-            covariance(0.1, 0.2, 1.5)
 
 
 class TestParams:
@@ -328,6 +309,7 @@ class TestQuadratureReuse:
 
         monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
         sq._gauss_legendre.cache_clear()
+        sq._beta_axis.cache_clear()
         sq._core_numeric.cache_clear()
         words = ";".join(_canonical_words(5))
         rc = main(["expected-sig", "--H", "0.75", "--words", words,
@@ -347,6 +329,77 @@ class TestQuadratureReuse:
         assert [expected_word(w, H) for w in words] == memo
         monkeypatch.setattr(sq, "_core_numeric", sq._core_numeric.__wrapped__)
         assert [expected_word(w, H) for w in words] == memo
+
+
+class TestBetaAxis:
+    def test_closed_form_cdf_against_mpmath(self):
+        # x = I_u(p, q) and 1 - x = I_{1-u}(q, p) on both rules, for every
+        # (p, q) the Beta-map can choose, against 30-digit mpmath
+        mpmath = pytest.importorskip("mpmath")
+        worst = 0.0
+        with mpmath.workdps(30):
+            for N in (sq.POINTS_PER_AXIS, sq.POINTS_PER_AXIS + 16):
+                u, _ = sq._gauss_legendre(N)
+                for p in range(1, 7):
+                    for q in range(1, sq.QCAP + 1):
+                        n = p + q - 1
+                        x = sq._binomial_tail(p, n, u, 1.0 - u)
+                        cx = sq._binomial_tail(q, n, 1.0 - u, u)
+                        for ui, xi, ci in zip(u, x, cx):
+                            ui = mpmath.mpf(float(ui))
+                            want = mpmath.betainc(p, q, 0, ui, regularized=True)
+                            want_c = mpmath.betainc(q, p, 0, 1 - ui, regularized=True)
+                            worst = max(worst, abs(xi / want - 1), abs(ci / want_c - 1))
+        assert worst <= 1e-13
+
+    @pytest.mark.parametrize("H", (0.5001, 0.6, 0.95))
+    def test_six_letter_cores_take_integer_exponents(self, H, monkeypatch):
+        # the closed-form map needs integer p and q; every core of every
+        # matching on six positions (time letters included) stays within
+        # p <= 6 and q <= QCAP
+        seen = []
+        axis_rules = sq._axis_rules
+
+        def recording(m, factors):
+            out = axis_rules(m, factors)
+            seen.extend(zip(out[2], out[3]))
+            return out
+
+        monkeypatch.setattr(sq, "_axis_rules", recording)
+        sq._core_numeric.cache_clear()
+        for size in (2, 4, 6):
+            for subset in itertools.combinations(range(6), size):
+                for matching in enumerate_matchings(size):
+                    pairs = [(subset[a], subset[b]) for a, b in matching]
+                    sq.matching_simplex_integral(6, pairs, 2.0 * H - 2.0)
+        sq._core_numeric.cache_clear()
+        assert seen
+        for p, q in seen:
+            assert type(p) is int and type(q) is int
+            assert 1 <= p <= 6 and 1 <= q <= sq.QCAP
+
+    def test_axis_built_once_per_key(self, monkeypatch, tmp_path):
+        # one length-5 table evaluates each (p, q, N) closed form exactly
+        # once, and reuses it across cores
+        built = []
+        tail = sq._binomial_tail
+
+        def counting(k, n, u, v):
+            built.append((k, n, len(u)))
+            return tail(k, n, u, v)
+
+        monkeypatch.setattr(sq, "_binomial_tail", counting)
+        sq._beta_axis.cache_clear()
+        sq._core_numeric.cache_clear()
+        words = ";".join(_canonical_words(5))
+        rc = main(["expected-sig", "--H", "0.75", "--words", words,
+                   "--out", str(tmp_path / "out.csv")])
+        assert rc == 0
+        info = sq._beta_axis.cache_info()
+        assert info.misses == info.currsize > 0
+        assert info.hits > 0
+        # two binomial tails (x and 1 - x) per distinct key
+        assert len(built) == 2 * info.currsize
 
 
 def _mc_weak_value(H):

@@ -296,6 +296,28 @@ class TestConstants:
         assert constant_A(0.51).value > constant_A(0.75).value
 
 
+class TestSpecialFunctions:
+    def test_comb_is_exact(self):
+        # the chain sum weights C(dist - 1, j - i - 1) C(m - dist, r - (j - i))
+        # take k in 0..3 at every distance up to the largest m; k > x and
+        # k < 0 give 0
+        x = np.arange(0, 4097, dtype=float)
+        for k in range(-1, 5):
+            want = [math.comb(int(v), k) if k >= 0 else 0 for v in x]
+            assert ga._comb(x, k).tolist() == want
+
+    def test_zeta_against_mpmath(self):
+        # the measurement behind _ZETA_REL_ERR, which is four times its worst
+        # relative error rounded up
+        mpmath = pytest.importorskip("mpmath")
+        worst = 0.0
+        with mpmath.workdps(40):
+            for H in np.linspace(0.5001, 0.99999999, 4004):
+                want = mpmath.zeta(3 - 2 * mpmath.mpf(float(H)))
+                worst = max(worst, abs(ga._zeta(3.0 - 2.0 * float(H)) / want - 1))
+        assert 4 * worst <= ga._ZETA_REL_ERR
+
+
 class TestCoefficientBound:
     def test_bound_formula_ratio(self):
         # bound_k = Atilde * k(2k-1)/((k-1)! 2^k): between k=3 and k=2 words
