@@ -284,6 +284,8 @@ def cmd_sde(args) -> int:
     formula = cb.three_path_formula(H)
     T = _finite("T", float(args.T))
     n_paths, n_steps, seed = int(args.paths), int(args.steps), int(args.seed)
+    if not 1 <= n_steps <= ga._MAX_GRID:
+        raise ValueError(f"--steps must lie in [1, {ga._MAX_GRID}], got {n_steps}")
     M, gamma = _finite("M", float(args.M)), _finite("gamma", float(args.gamma))
     cub = sde.cubature_weak_value(vf, f, state0, formula, T)
     mc, se = sde.mc_weak_value(vf, f, state0, H, T, n_paths, n_steps, seed)

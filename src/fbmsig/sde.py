@@ -55,35 +55,17 @@ class VectorFieldSet:
         return len(self.fields) - 1
 
 
-def _rk4_piece(vf: VectorFieldSet, y: np.ndarray, slopes: np.ndarray, dt: float,
-               steps: int) -> np.ndarray:
-    """Classical one-step order-4 integration of dy = sum slopes_i V_i(y) over
-    a single linear piece (the driver derivative is constant there)."""
-
-    def g(state):
-        acc = slopes[..., 0, None] * vf.fields[0](state)
-        for i in range(1, len(vf.fields)):
-            acc = acc + slopes[..., i, None] * vf.fields[i](state)
-        return acc
-
-    h = dt / steps
-    for _ in range(steps):
-        k1 = g(y)
-        k2 = g(y + 0.5 * h * k1)
-        k3 = g(y + 0.5 * h * k2)
-        k4 = g(y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return y
-
-
 def _solve(vf: VectorFieldSet, x0, times: np.ndarray, spatial: np.ndarray,
            steps_per_piece: int) -> np.ndarray:
     """Endpoints (B, N) of dy = V_0(y) dt + sum_i V_i(y) d omega^i along B
     piecewise-linear drivers that share the breakpoints `times`; `spatial`
     holds their spatial values, shape (B, len(times), d).
 
-    Doubling steps_per_piece shrinks the error by ~16x (order 4).  Non-finite
-    states abort, naming the time reached, rather than propagating silently.
+    Classical RK4 with steps_per_piece steps on each linear piece, where the
+    driver derivative is constant: the slope columns, the step fractions and
+    the field pairing are set up once per piece, not once per stage.  Doubling
+    steps_per_piece shrinks the error by ~16x (order 4).  Non-finite states
+    abort, naming the time reached, rather than propagating silently.
     """
     if steps_per_piece < 1:
         raise ValueError("steps_per_piece must be >= 1")
@@ -93,14 +75,34 @@ def _solve(vf: VectorFieldSet, x0, times: np.ndarray, spatial: np.ndarray,
             f"path has {d} spatial coordinates but {len(vf.fields) - 1} "
             "spatial fields were supplied"
         )
+    v0, *spatial_fields = vf.fields
     y = np.broadcast_to(np.asarray(x0, dtype=float), (n_paths, vf.dimension)).copy()
     for j in range(len(times) - 1):
         dt = times[j + 1] - times[j]
-        slopes = np.empty((n_paths, d + 1))
-        slopes[:, 0] = 1.0
-        slopes[:, 1:] = (spatial[:, j + 1, :] - spatial[:, j, :]) / dt
-        y = _rk4_piece(vf, y, slopes, dt, steps_per_piece)
-        if not np.all(np.isfinite(y)):
+        slopes = (spatial[:, j + 1, :] - spatial[:, j, :]) / dt
+        # the time slope is 1, and 1.0 * V_0(y) == V_0(y) bit for bit; fields'
+        # return values are never updated in place (V_0 may return y itself)
+        terms = [(slopes[:, i, None], v) for i, v in enumerate(spatial_fields)]
+        h = dt / steps_per_piece
+        half, sixth = 0.5 * h, h / 6.0
+        for _ in range(steps_per_piece):
+            k1 = v0(y)
+            for s, v in terms:
+                k1 = k1 + s * v(y)
+            y2 = y + half * k1
+            k2 = v0(y2)
+            for s, v in terms:
+                k2 = k2 + s * v(y2)
+            y3 = y + half * k2
+            k3 = v0(y3)
+            for s, v in terms:
+                k3 = k3 + s * v(y3)
+            y4 = y + h * k3
+            k4 = v0(y4)
+            for s, v in terms:
+                k4 = k4 + s * v(y4)
+            y = y + sixth * (k1 + (k2 + k2) + (k3 + k3) + k4)
+        if not np.isfinite(y).all():
             raise RuntimeError(f"non-finite state at t={times[j + 1]:g}")
     return y
 

@@ -240,6 +240,28 @@ class TestSde:
         assert rc == 2
         assert "n_paths must be >= 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("steps", ["0", "-3", str(ga._MAX_GRID + 1)])
+    def test_steps_out_of_range_fails_before_any_solve(self, tmp_path, capsys,
+                                                       monkeypatch, steps):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before checking --steps")
+
+        monkeypatch.setattr(sde, "cubature_weak_value", no_solve)
+        monkeypatch.setattr(sde, "mc_weak_value", no_solve)
+        rc, text = run(tmp_path, "sde", "compare", "--paths", "8", "--steps", steps)
+        assert rc == 2 and text == ""
+        assert f"--steps must lie in [1, {ga._MAX_GRID}], got {steps}" in \
+            capsys.readouterr().err
+
+    def test_steps_at_the_cap_reach_the_solver(self, tmp_path, monkeypatch):
+        seen = []
+        monkeypatch.setattr(sde, "cubature_weak_value", lambda *args: 1.0)
+        monkeypatch.setattr(sde, "mc_weak_value",
+                            lambda *args: seen.append(args[6]) or (1.0, 0.1))
+        rc, _ = run(tmp_path, "sde", "compare", "--paths", "8", "--steps",
+                    str(ga._MAX_GRID))
+        assert rc == 0 and seen == [ga._MAX_GRID]
+
     @pytest.mark.parametrize("flag, value", [("--x0", "1e200")])
     def test_overflowing_weak_value_is_usage_error(self, tmp_path, capsys, flag, value):
         # y^2 overflows at x0 = 1e200

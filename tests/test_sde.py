@@ -1,3 +1,4 @@
+import inspect
 import math
 import time
 import warnings
@@ -5,7 +6,9 @@ import warnings
 import numpy as np
 import pytest
 
+from fbmsig.cli import _sde_problem
 from fbmsig.cubature import rescale_formula, three_path_formula
+from fbmsig.gridapprox import sample_fbm_batch
 from fbmsig.sde import (
     ErrorBoundParams,
     VectorFieldSet,
@@ -14,8 +17,10 @@ from fbmsig.sde import (
     mc_weak_value,
     ode_along_path,
     _entire_series,
+    _solve,
 )
 from fbmsig.tensor import PiecewiseLinearPath
+from oracles import rk4_solve_per_piece
 
 ZERO = lambda y: np.zeros_like(y)
 ONE = lambda y: np.ones_like(y)
@@ -60,6 +65,59 @@ class TestOdeAlongPath:
         vf = VectorFieldSet(1, (ZERO, ZERO, ZERO))
         with pytest.raises(ValueError):
             ode_along_path(vf, [0.0], time_only_path())
+
+
+def _field_set(name):
+    """(fields, x0): both CLI problems, a nonlinear d = 2 set, and a V_0 that
+    returns its argument."""
+    if name in ("quadratic", "zero"):
+        vf, _, x0 = _sde_problem(name, 0.3)
+        return vf, x0
+    if name == "nonlinear":
+        return VectorFieldSet(2, (lambda y: y, np.sin,
+                                  lambda y: np.cos(y[..., ::-1]))), [0.3, -0.2]
+    return VectorFieldSet(1, (lambda y: y, lambda y: 0.5 * y)), [0.3]
+
+
+def _driver(kind, B, d):
+    """(times, spatial) for B drivers in d coordinates: sampled fBm on a
+    uniform grid, or the three cubature paths (breakpoints at thirds of T)
+    cycled over the batch and scaled apart."""
+    if kind == "uniform":
+        return np.arange(7) * (1.3 / 6), sample_fbm_batch(0.7, 6, d, B, B, 1.3)
+    resc = rescale_formula(three_path_formula(0.65), 1.7)
+    base = np.stack([p.values[:, 1] for p in resc.paths])  # (3, 4)
+    spatial = np.stack([np.stack([base[(b + c) % 3] for c in range(d)], axis=1)
+                        * (1.0 + 0.5 * b / B) for b in range(B)])
+    return np.asarray(resc.paths[0].times), spatial
+
+
+class TestSolveMatchesPerPieceOracle:
+    # the flat loop hoists the piece invariants out of the stages and drops
+    # the multiply by the time slope 1.0; nothing else may change a bit
+    @pytest.mark.parametrize("driver", ["uniform", "cubature"])
+    @pytest.mark.parametrize("B", [1, 3, 2000])
+    @pytest.mark.parametrize("steps_per_piece", [1, 4, 64])
+    @pytest.mark.parametrize("fields", ["quadratic", "zero", "nonlinear", "identity"])
+    def test_bit_identical(self, fields, steps_per_piece, B, driver):
+        vf, x0 = _field_set(fields)
+        times, spatial = _driver(driver, B, vf.d)
+        got = _solve(vf, x0, times, spatial, steps_per_piece)
+        want = rk4_solve_per_piece(vf, x0, times, spatial, steps_per_piece)
+        assert got.shape == (B, vf.dimension)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("steps_per_piece", [1, 4, 64])
+    def test_divergence_names_the_same_time(self, steps_per_piece):
+        vf = VectorFieldSet(1, (lambda y: y * y, ONE))  # blows up near t = 0.5
+        times, spatial = _driver("uniform", 3, 1)
+        messages = []
+        with np.errstate(over="ignore", invalid="ignore"):
+            for solve in (_solve, rk4_solve_per_piece):
+                with pytest.raises(RuntimeError, match="non-finite state at t=") as err:
+                    solve(vf, [2.0], times, spatial, steps_per_piece)
+                messages.append(str(err.value))
+        assert messages[0] == messages[1]
 
 
 class TestCubatureWeakValue:
@@ -166,6 +224,11 @@ class TestMcWeakValue:
             est, se = mc_weak_value(vf, lambda y: np.full(len(y), np.inf), [0.0],
                                     0.75, 1.0, 8, 4, seed=0)
         assert est == math.inf and math.isnan(se)
+
+    def test_tracer_binds_parameters_by_name(self):
+        # the benchmark tracer's field-evaluation count reads these by name
+        params = inspect.signature(mc_weak_value).parameters
+        assert {"n_paths", "n_steps", "steps_per_piece"} <= params.keys()
 
     @pytest.mark.parametrize("n_paths", [0, 1])
     def test_refuses_fewer_than_two_paths(self, n_paths):
