@@ -16,8 +16,6 @@ from .cubature import (
 )
 from .expected import (
     DecayReport,
-    FbmParams,
-    KernelConstant,
     QuadratureToleranceError,
     check_hurst,
     closed_form_value,
@@ -51,7 +49,6 @@ from .sde import (
     cubature_weak_value,
     error_bound_shape,
     mc_weak_value,
-    ode_along_path,
 )
 from .simplexquad import CertifiedValue, QuadConfig, matching_simplex_integral
 from .tensor import PiecewiseLinearPath, TruncatedTensor, Word, path_signature

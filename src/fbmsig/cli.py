@@ -279,6 +279,7 @@ def _finite(name: str, value: float) -> float:
 
 def cmd_sde(args) -> int:
     H = float(args.H)
+    ex.check_hurst(H)
     x0 = _finite("x0", float(args.x0))
     vf, f, state0 = _sde_problem(args.problem, x0)
     formula = cb.three_path_formula(H)

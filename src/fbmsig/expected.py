@@ -13,6 +13,7 @@ short-circuited without quadrature.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 from collections import Counter
@@ -26,8 +27,6 @@ from .simplexquad import CertifiedValue, QuadConfig, matching_simplex_integral
 from .tensor import TruncatedTensor, Word, all_words
 
 __all__ = [
-    "FbmParams",
-    "KernelConstant",
     "QuadratureToleranceError",
     "check_hurst",
     "expected_word",
@@ -44,33 +43,6 @@ def check_hurst(H: float) -> None:
     """Reject H outside the Young range (1/2, 1) (NaN included)."""
     if not 0.5 < H < 1.0:
         raise ValueError(f"H must lie in (1/2, 1), got {H}")
-
-
-@dataclass(frozen=True)
-class FbmParams:
-    """Hurst parameter and number of spatial components."""
-
-    H: float
-    d: int = 1
-
-    def __post_init__(self):
-        check_hurst(self.H)
-        if self.d < 1:
-            raise ValueError(f"d must be >= 1, got {self.d}")
-
-
-@dataclass(frozen=True)
-class KernelConstant:
-    """Prefactor c_H = H(2H-1) and exponent 2H-2 of the increment covariance
-    density E[dB_s dB_t] = c_H |t-s|^(2H-2) ds dt."""
-
-    c_H: float
-    exponent: float
-
-    @classmethod
-    def from_hurst(cls, H: float) -> "KernelConstant":
-        check_hurst(H)
-        return cls(H * (2.0 * H - 1.0), 2.0 * H - 2.0)
 
 
 class QuadratureToleranceError(RuntimeError):
@@ -101,7 +73,8 @@ def expected_word(
     Raises QuadratureToleranceError when the quadrature error estimate misses
     config.tol; the failure carries the achieved value and error.
     """
-    kernel = KernelConstant.from_hurst(H)  # checks H before any shortcut
+    check_hurst(H)  # before any shortcut
+    c_H, exponent = H * (2.0 * H - 1.0), 2.0 * H - 2.0
     config = config or QuadConfig()
     positions = word.nonzero_positions
     if len(positions) > 6:
@@ -118,11 +91,11 @@ def expected_word(
     error = 0.0
     for m in mt.compatible_matchings(sub):
         pairs = [(positions[a], positions[b]) for a, b in m]
-        res = matching_simplex_integral(n, pairs, kernel.exponent)
+        res = matching_simplex_integral(n, pairs, exponent)
         value += res.value
         error += res.error
-    value *= kernel.c_H**k
-    error *= kernel.c_H**k
+    value *= c_H**k
+    error *= c_H**k
     if error > config.tol:
         raise QuadratureToleranceError(word, value, error, config.tol)
     return CertifiedValue(value, error)
@@ -144,19 +117,20 @@ def canonical_relabel(word: Word) -> Word:
 
 
 def expected_tensor(
-    params: FbmParams, depth: int, config: QuadConfig | None = None
+    H: float, d: int, depth: int, config: QuadConfig | None = None
 ) -> TruncatedTensor:
-    """Expected signature tensor up to the given depth, deduplicating words
-    that agree after relabeling the nonzero alphabet."""
+    """Expected signature tensor of d-dimensional fBm up to the given depth,
+    deduplicating words that agree after relabeling the nonzero alphabet."""
+    check_hurst(H)
     if depth > 6:
         raise ValueError("depth capped at 6")
-    out = TruncatedTensor.identity(params.d, depth)
+    out = TruncatedTensor.identity(d, depth)
     cache: dict[tuple[int, ...], float] = {}
     for length in range(1, depth + 1):
-        for w in all_words(params.d, length):
+        for w in all_words(d, length):
             key = canonical_relabel(w).letters
             if key not in cache:
-                cache[key] = expected_word(Word(key, params.d), params.H, config).value
+                cache[key] = expected_word(Word(key, d), H, config).value
             out.set_coeff(w, cache[key])
     return out
 
@@ -166,14 +140,13 @@ def expected_tensor(
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def closed_form_table() -> dict[str, dict]:
-    """The shipped table of closed-form coefficients (rational functions of H)."""
+    """The shipped table of closed-form coefficients (rational functions of H),
+    read once per process; callers must not mutate it."""
     with resources.files("fbmsig.data").joinpath("closed_forms.json").open() as fh:
         data = json.load(fh)
     return {e["word"]: e for e in data["entries"]}
-
-
-_TABLE: dict[str, dict] | None = None
 
 
 def closed_form_value(word: Word, H: float) -> float | None:
@@ -183,12 +156,8 @@ def closed_form_value(word: Word, H: float) -> float | None:
     words (E B_1^{2k} / (2k)! = 1/(k! 2^k)), pure-time words (1/n!), and the
     exact-zero rule for odd letter counts.  Valid for H >= 1/2.
     """
-    global _TABLE
-    if _TABLE is None:
-        _TABLE = closed_form_table()
-    key = str(word)
-    if key in _TABLE:
-        e = _TABLE[key]
+    e = closed_form_table().get(str(word))
+    if e is not None:
         num = np.polynomial.polynomial.polyval(H, e["num"])
         den = np.polynomial.polynomial.polyval(H, e["den"])
         return float(num / den)

@@ -357,6 +357,8 @@ def coefficient_bound_check(word: Word, H: float, rows) -> BoundReport:
     """Compare max_m m^2H * gap over gap_rows output against the uniform
     coefficient bound A-tilde * k(2k-1) / ((k-1)! 2^k)."""
     k = len(word.letters) // 2
+    if k < 1:
+        raise ValueError(f"coefficient bound needs at least 2 letters, got word ({word})")
     at = constant_Atilde(H)
     bound = at.value * k * (2 * k - 1) / (math.factorial(k - 1) * 2**k)
     scaled = tuple((m, g.gap, m ** (2.0 * H) * g.gap) for m, g in rows)

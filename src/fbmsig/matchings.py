@@ -30,15 +30,30 @@ _MAX_TWO_K = 12
 
 
 def enumerate_matchings(two_k: int) -> list[Matching]:
-    """All (2k-1)!! perfect matchings of {0, ..., two_k-1}, deterministic order.
-
-    Recursion pairs the smallest unmatched index with each larger index, so the
-    output order is stable across runs.
-    """
+    """All (2k-1)!! perfect matchings of {0, ..., two_k-1}, deterministic order:
+    the compatible matchings of a word whose letters are all equal."""
     if two_k % 2 != 0:
         raise ValueError(f"need an even number of positions, got {two_k}")
     if not 2 <= two_k <= _MAX_TWO_K:
         raise ValueError(f"two_k must be in [2, {_MAX_TWO_K}], got {two_k}")
+    return compatible_matchings(Word((1,) * two_k, 1))
+
+
+def compatible_matchings(word: Word) -> list[Matching]:
+    """Matchings of the word's positions in which every pair joins equal letters.
+
+    Recursion pairs the smallest unmatched position with each larger position
+    holding the same letter, so the output order is stable across runs.  The
+    word must have even length and contain no time letter (0); callers strip
+    time positions first so this layer stays purely Gaussian.
+    """
+    letters = word.letters
+    if any(x == 0 for x in letters):
+        raise ValueError("letter 0 is not allowed here; strip time positions first")
+    if len(letters) % 2 != 0:
+        raise ValueError(f"word length must be even, got {len(letters)}")
+    if len(letters) > _MAX_TWO_K:
+        raise ValueError(f"at most {_MAX_TWO_K} positions, got {len(letters)}")
 
     def rec(pos: tuple[int, ...]):
         if not pos:
@@ -47,30 +62,11 @@ def enumerate_matchings(two_k: int) -> list[Matching]:
         a = pos[0]
         for j in range(1, len(pos)):
             b = pos[j]
-            for rest in rec(pos[1:j] + pos[j + 1 :]):
-                yield ((a, b),) + rest
+            if letters[b] == letters[a]:
+                for rest in rec(pos[1:j] + pos[j + 1 :]):
+                    yield ((a, b),) + rest
 
-    return list(rec(tuple(range(two_k))))
-
-
-def compatible_matchings(word: Word) -> list[Matching]:
-    """Matchings of the word's positions in which every pair joins equal letters.
-
-    The word must have even length and contain no time letter (0); callers
-    strip time positions first so this layer stays purely Gaussian.
-    """
-    letters = word.letters
-    if any(x == 0 for x in letters):
-        raise ValueError("letter 0 is not allowed here; strip time positions first")
-    if len(letters) % 2 != 0:
-        raise ValueError(f"word length must be even, got {len(letters)}")
-    if len(letters) == 0:
-        return [()]
-    out = []
-    for m in enumerate_matchings(len(letters)):
-        if all(letters[a] == letters[b] for a, b in m):
-            out.append(m)
-    return out
+    return list(rec(tuple(range(len(letters)))))
 
 
 def permutation_count(word: Word) -> int:

@@ -18,13 +18,11 @@ import numpy as np
 from .cubature import CubatureFormula, rescale_formula
 from .expected import check_hurst
 from .gridapprox import sample_fbm_batch
-from .tensor import PiecewiseLinearPath
 
 __all__ = [
     "VectorFieldSet",
     "ErrorBoundParams",
     "BoundShape",
-    "ode_along_path",
     "cubature_weak_value",
     "mc_weak_value",
     "error_bound_shape",
@@ -105,17 +103,6 @@ def _solve(vf: VectorFieldSet, x0, times: np.ndarray, spatial: np.ndarray,
         if not np.isfinite(y).all():
             raise RuntimeError(f"non-finite state at t={times[j + 1]:g}")
     return y
-
-
-def ode_along_path(
-    vf: VectorFieldSet,
-    x0,
-    path: PiecewiseLinearPath,
-    steps_per_piece: int = 32,
-) -> np.ndarray:
-    """Solve dy = sum_i V_i(y) d omega-hat^i along one piecewise-linear driver."""
-    return _solve(vf, x0, np.asarray(path.times), path.values[None, :, 1:],
-                  steps_per_piece)[0]
 
 
 def cubature_weak_value(

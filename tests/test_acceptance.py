@@ -16,7 +16,6 @@ from fbmsig.cubature import (
     verify_formula,
 )
 from fbmsig.expected import (
-    KernelConstant,
     canonical_relabel,
     closed_form_table,
     closed_form_value,
@@ -292,7 +291,7 @@ def _brute_level4_matching(pairs, H, G):
 def _brute_expected_level4(letters, H, G):
     from fbmsig.matchings import compatible_matchings
 
-    c2 = KernelConstant.from_hurst(H).c_H ** 2
+    c2 = (H * (2.0 * H - 1.0)) ** 2
     return c2 * sum(
         _brute_level4_matching(m, H, G)
         for m in compatible_matchings(Word(letters, 2))

@@ -92,6 +92,12 @@ class TestApproxSig:
 
 
 class TestConvergence:
+    def test_one_letter_word_is_usage_error(self, tmp_path, capsys):
+        rc, text = run(tmp_path, "convergence", "--words", "1", "--no-timestamp")
+        assert rc == 2 and text == ""
+        assert "error: coefficient bound needs at least 2 letters, got word (1)" in \
+            capsys.readouterr().err
+
     def test_summary_row(self, tmp_path):
         rc, text = run(
             tmp_path, "convergence", "--H", "0.6", "--words", "1,1,2,2",
@@ -252,6 +258,19 @@ class TestSde:
         assert rc == 2 and text == ""
         assert f"--steps must lie in [1, {ga._MAX_GRID}], got {steps}" in \
             capsys.readouterr().err
+
+    @pytest.mark.parametrize("H", ["0.5", "1", "nan"])
+    def test_hurst_out_of_range_fails_before_any_solve(self, tmp_path, capsys,
+                                                       monkeypatch, H):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before checking --H")
+
+        monkeypatch.setattr(sde, "cubature_weak_value", no_solve)
+        monkeypatch.setattr(sde, "mc_weak_value", no_solve)
+        rc, text = run(tmp_path, "sde", "compare", "--H", H, "--paths", "8",
+                       "--steps", "4")
+        assert rc == 2 and text == ""
+        assert "H must lie in (1/2, 1)" in capsys.readouterr().err
 
     def test_steps_at_the_cap_reach_the_solver(self, tmp_path, monkeypatch):
         seen = []

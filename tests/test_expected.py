@@ -6,8 +6,6 @@ import pytest
 
 from fbmsig.expected import (
     DecayReport,
-    FbmParams,
-    KernelConstant,
     QuadratureToleranceError,
     canonical_relabel,
     check_hurst,
@@ -51,22 +49,12 @@ def level4_closed(H):
     return J1, J2, J3
 
 
-class TestParams:
-    def test_fbm_params_validation(self):
-        with pytest.raises(ValueError):
-            FbmParams(H=0.5)
-        with pytest.raises(ValueError):
-            FbmParams(H=0.7, d=0)
-
-    def test_kernel_constant(self):
-        kc = KernelConstant.from_hurst(0.75)
-        assert kc.c_H == pytest.approx(0.375)
-        assert kc.exponent == pytest.approx(-0.5)
-
-
 class TestClosedFormTable:
     def test_shipped_entry_count(self):
         assert len(closed_form_table()) == 17
+
+    def test_read_once(self):
+        assert closed_form_table() is closed_form_table()
 
     @pytest.mark.parametrize("H", H_GRID)
     def test_table_values(self, H):
@@ -102,7 +90,7 @@ class TestExpectedWord:
     @pytest.mark.parametrize("H", H_GRID)
     def test_level4_matching_oracle(self, H):
         J1, J2, J3 = level4_closed(H)
-        c2 = KernelConstant.from_hurst(H).c_H ** 2
+        c2 = (H * (2 * H - 1)) ** 2
         # nested-adjacent, crossing, and fully nested pair structures
         assert expected_word(W(1, 1, 2, 2), H).value == pytest.approx(c2 * J1, abs=1e-12)
         assert expected_word(W(1, 2, 1, 2), H).value == pytest.approx(c2 * J2, abs=1e-12)
@@ -111,7 +99,7 @@ class TestExpectedWord:
     @pytest.mark.parametrize("H", H_GRID)
     def test_level4_sum_identity(self, H):
         J1, J2, J3 = level4_closed(H)
-        c2 = KernelConstant.from_hurst(H).c_H ** 2
+        c2 = (H * (2 * H - 1)) ** 2
         assert c2 * (J1 + J2 + J3) == pytest.approx(0.125, abs=1e-13)
 
     def test_crossing_value_frozen(self):
@@ -170,7 +158,7 @@ class TestScalingLaw:
         # summation with two-stage Richardson, against T^(2H) * value on [0, 1];
         # the exponent of T is half the cubature degree weight
         H = 0.75
-        c = KernelConstant.from_hurst(H).c_H
+        c = H * (2 * H - 1)
 
         def brute(G):
             t = (np.arange(G) + 0.5) * (T / G)
@@ -190,7 +178,7 @@ class TestScalingLaw:
 
 class TestExpectedTensor:
     def test_depth2_structure(self):
-        t = expected_tensor(FbmParams(H=0.75, d=2), depth=2)
+        t = expected_tensor(0.75, 2, depth=2)
         assert t.coeff(Word((), 2)) == 1.0
         for i in range(3):
             assert t.coeff(Word((i,), 2)) == (1.0 if i == 0 else 0.0)
@@ -201,14 +189,20 @@ class TestExpectedTensor:
         assert t.coeff(Word((0, 0), 2)) == pytest.approx(0.5, abs=0)
 
     def test_depth4_matches_expected_word(self):
-        t = expected_tensor(FbmParams(H=0.8, d=2), depth=4)
+        t = expected_tensor(0.8, 2, depth=4)
         for letters in [(1, 2, 1, 2), (1, 1, 2, 2), (2, 1, 1, 2), (1, 0, 1)]:
             w = W(*letters)
             assert t.coeff(w) == pytest.approx(expected_word(w, 0.8).value, abs=1e-12)
 
     def test_depth_cap(self):
         with pytest.raises(ValueError):
-            expected_tensor(FbmParams(H=0.75), depth=7)
+            expected_tensor(0.75, 1, depth=7)
+
+    def test_rejects_bad_params(self):
+        with pytest.raises(ValueError, match="H must lie in"):
+            expected_tensor(0.5, 2, depth=2)
+        with pytest.raises(ValueError, match="d must be >= 1"):
+            expected_tensor(0.7, 0, depth=2)
 
 
 class TestDecayBound:
@@ -409,9 +403,8 @@ def _mc_weak_value(H):
 
 HURST_ENTRY_POINTS = {
     "check_hurst": check_hurst,
-    "FbmParams": FbmParams,
-    "KernelConstant.from_hurst": KernelConstant.from_hurst,
     "expected_word": lambda H: expected_word(W(1, 1), H),
+    "expected_tensor": lambda H: expected_tensor(H, 1, 2),
     "cell_pair_integral": lambda H: ga.cell_pair_integral(0, 1, 4, H),
     "cell_covariance_matrix": lambda H: ga.cell_covariance_matrix(H, 4),
     "approx_expected_word": lambda H: ga.approx_expected_word(W(1, 1), H, 4),

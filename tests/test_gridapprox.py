@@ -337,6 +337,11 @@ class TestCoefficientBound:
         assert rep.max_scaled_gap < rep.bound
         assert rep.passed
 
+    def test_refuses_words_shorter_than_two_letters(self):
+        rows = gap_rows(W(1), 0.75, (4, 8, 16, 32))
+        with pytest.raises(ValueError, match=r"at least 2 letters, got word \(1\)"):
+            coefficient_bound_check(W(1), 0.75, rows)
+
 
 class TestSampleFbm:
     def test_seed_determinism(self):

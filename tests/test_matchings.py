@@ -1,3 +1,5 @@
+import functools
+import itertools
 import math
 
 import pytest
@@ -24,12 +26,34 @@ def double_factorial(n):
     return out
 
 
+@functools.cache
+def all_pairings(two_k):
+    """Oracle: every perfect matching of {0, ..., two_k-1}, the smallest open
+    position paired with each larger one in turn."""
+    def rec(pos):
+        if not pos:
+            yield ()
+            return
+        for j in range(1, len(pos)):
+            for rest in rec(pos[1:j] + pos[j + 1:]):
+                yield ((pos[0], pos[j]),) + rest
+
+    return tuple(rec(tuple(range(two_k))))
+
+
+def filtered_pairings(letters):
+    """Oracle: enumerate every pairing, then keep those joining equal letters."""
+    return [m for m in all_pairings(len(letters))
+            if all(letters[a] == letters[b] for a, b in m)]
+
+
 class TestEnumerate:
     @pytest.mark.parametrize("k", range(1, 7))
     def test_counts(self, k):
         ms = enumerate_matchings(2 * k)
         assert len(ms) == double_factorial(2 * k - 1)
         assert len(set(ms)) == len(ms)
+        assert ms == list(all_pairings(2 * k))
 
     def test_deterministic_order(self):
         ms = enumerate_matchings(4)
@@ -63,6 +87,17 @@ class TestCompatible:
     def test_rejects_odd_length(self):
         with pytest.raises(ValueError):
             compatible_matchings(Word((1, 1, 1), 1))
+
+    @pytest.mark.parametrize("letters", [(1,) * 14, (1, 2) * 7])
+    def test_rejects_fourteen_positions(self, letters):
+        with pytest.raises(ValueError, match="at most 12 positions"):
+            compatible_matchings(Word(letters, 2))
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 8])
+    def test_equals_filtered_enumeration_in_order(self, n):
+        # every word over {1, 2, 3} of length n, against enumerate-then-filter
+        for letters in itertools.product((1, 2, 3), repeat=n):
+            assert compatible_matchings(Word(letters, 3)) == filtered_pairings(letters)
 
 
 class TestPermutationCount:

@@ -15,7 +15,6 @@ from fbmsig.sde import (
     cubature_weak_value,
     error_bound_shape,
     mc_weak_value,
-    ode_along_path,
     _entire_series,
     _solve,
 )
@@ -30,41 +29,48 @@ def time_only_path(T=1.0):
     return PiecewiseLinearPath.time_augmented([0.0, T], [0.0, 0.0])
 
 
+def solve_one(vf, x0, path, steps_per_piece):
+    """Endpoint of the ODE along one piecewise-linear driver: `_solve` on a
+    batch of one."""
+    return _solve(vf, x0, np.asarray(path.times), path.values[None, :, 1:],
+                  steps_per_piece)[0]
+
+
 class TestOdeAlongPath:
     def test_zero_fields_fixed_point(self):
         vf = VectorFieldSet(2, (ZERO, ZERO))
         p = three_path_formula(0.6).paths[0]
-        out = ode_along_path(vf, [1.5, -2.0], p)
+        out = solve_one(vf, [1.5, -2.0], p, steps_per_piece=32)
         np.testing.assert_allclose(out, [1.5, -2.0], atol=0)
 
     def test_constant_field_exact(self):
         vf = VectorFieldSet(1, (ZERO, ONE))
         p = three_path_formula(0.75).paths[0]
-        out = ode_along_path(vf, [0.25], p, steps_per_piece=1)
+        out = solve_one(vf, [0.25], p, steps_per_piece=1)
         assert out[0] == pytest.approx(0.25 + math.sqrt(3.0), abs=1e-12)
 
     def test_linear_drift_exponential(self):
         vf = VectorFieldSet(1, (lambda y: y, ZERO))
-        out = ode_along_path(vf, [1.0], time_only_path(), steps_per_piece=256)
+        out = solve_one(vf, [1.0], time_only_path(), steps_per_piece=256)
         assert out[0] == pytest.approx(math.e, abs=1e-10)
 
     def test_fourth_order(self):
         vf = VectorFieldSet(1, (lambda y: y * (1.0 - y), ZERO))
-        ref = ode_along_path(vf, [0.1], time_only_path(), steps_per_piece=512)[0]
-        e8 = abs(ode_along_path(vf, [0.1], time_only_path(), steps_per_piece=8)[0] - ref)
-        e16 = abs(ode_along_path(vf, [0.1], time_only_path(), steps_per_piece=16)[0] - ref)
+        ref = solve_one(vf, [0.1], time_only_path(), steps_per_piece=512)[0]
+        e8 = abs(solve_one(vf, [0.1], time_only_path(), steps_per_piece=8)[0] - ref)
+        e16 = abs(solve_one(vf, [0.1], time_only_path(), steps_per_piece=16)[0] - ref)
         assert e8 / e16 >= 12.0
 
     def test_nonfinite_aborts(self):
         vf = VectorFieldSet(1, (lambda y: y * y, ZERO))
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(RuntimeError, match="non-finite"):
-                ode_along_path(vf, [50.0], time_only_path(), steps_per_piece=64)
+                solve_one(vf, [50.0], time_only_path(), steps_per_piece=64)
 
     def test_field_count_checked(self):
         vf = VectorFieldSet(1, (ZERO, ZERO, ZERO))
         with pytest.raises(ValueError):
-            ode_along_path(vf, [0.0], time_only_path())
+            solve_one(vf, [0.0], time_only_path(), steps_per_piece=32)
 
 
 def _field_set(name):
@@ -155,7 +161,7 @@ class TestCubatureWeakValue:
         want = 0.0
         resc = rescale_formula(formula, T)
         for lam, p in zip(resc.weights, resc.paths):
-            want += lam * float(f(ode_along_path(vf, x0, p, steps_per_piece=64)))
+            want += lam * float(f(solve_one(vf, x0, p, steps_per_piece=64)))
         assert cubature_weak_value(vf, f, x0, formula, T) == want
 
 
