@@ -244,16 +244,12 @@ class VerifyRow:
     rhs: float
     abs_err: float
     lhs_source: str  # "closed-form" or "quadrature"
-    lhs_err: float
     passed: bool
 
 
 @dataclass(frozen=True)
 class VerifyReport:
-    H: float
-    degree: int
     rows: tuple[VerifyRow, ...]
-    skipped: tuple[Word, ...]
     max_abs_err: float
     passed: bool
 
@@ -262,8 +258,6 @@ def _expected_side(word: Word, H: float, config: QuadConfig | None):
     cf = closed_form_value(word, H)
     if cf is not None:
         return cf, 0.0, "closed-form"
-    if H <= 0.5:
-        return None, None, "unavailable"  # quadrature needs H > 1/2
     val, err = expected_word(word, H, config)
     return val, err, "quadrature"
 
@@ -276,8 +270,9 @@ def verify_formula(
     """Check the cubature identity at H = formula.H for every word of weight
     <= degree (d = 1).
 
-    The expected side prefers the closed-form table (exact in H); quadrature
-    is the fallback, and its error bar is added to the per-word tolerance.
+    The expected side prefers a closed form (exact in H, and available for
+    every word at H = 1/2); quadrature is the fallback, and its error bar is
+    added to the per-word tolerance.
     Mismatches are report content, never exceptions.
     """
     H = formula.H
@@ -285,12 +280,8 @@ def verify_formula(
     depth = max((len(w) for w in words), default=0)
     sigs = [path_signature(p, depth) for p in formula.paths]
     rows: list[VerifyRow] = []
-    skipped: list[Word] = []
     for w in sorted(words, key=lambda w: (len(w), w.letters)):
         lhs, lhs_err, source = _expected_side(w, H, config)
-        if lhs is None:
-            skipped.append(w)
-            continue
         rhs = sum(
             lam * sig.coeff(w) for lam, sig in zip(formula.weights, sigs)
         )
@@ -303,16 +294,12 @@ def verify_formula(
                 rhs=rhs,
                 abs_err=err,
                 lhs_source=source,
-                lhs_err=lhs_err,
                 passed=err <= BASE_TOL + lhs_err,
             )
         )
     max_err = max((r.abs_err for r in rows), default=0.0)
     return VerifyReport(
-        H=H,
-        degree=degree,
         rows=tuple(rows),
-        skipped=tuple(skipped),
         max_abs_err=max_err,
         passed=all(r.passed for r in rows),
     )
@@ -320,11 +307,9 @@ def verify_formula(
 
 @dataclass(frozen=True)
 class DegreeScan:
-    H: float
     claimed_degree: int
     measured_degree: int
     first_failure: Word | None
-    skipped: tuple[Word, ...]
 
 
 def empirical_degree(
@@ -332,11 +317,7 @@ def empirical_degree(
     config: QuadConfig | None = None,
 ) -> DegreeScan:
     """Measure the largest integer degree up to SCAN_CAP at which every
-    evaluable word still matches, instead of assuming the claimed degree.
-
-    Words whose expected side cannot be evaluated (no closed form and H at the
-    Brownian boundary) are listed as skipped.
-    """
+    word still matches, instead of assuming the claimed degree."""
     report = verify_formula(formula, SCAN_CAP, config)
     failing = sorted(
         (r for r in report.rows if not r.passed),
@@ -349,9 +330,7 @@ def empirical_degree(
         if m + 1e-9 < fail_weight:
             measured = m
     return DegreeScan(
-        H=formula.H,
         claimed_degree=formula.claimed_degree,
         measured_degree=measured,
         first_failure=first_failure,
-        skipped=report.skipped,
     )

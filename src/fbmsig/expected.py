@@ -149,13 +149,31 @@ def closed_form_table() -> dict[str, dict]:
     return {e["word"]: e for e in data["entries"]}
 
 
+def _brownian_value(letters: tuple[int, ...]) -> float:
+    """Coefficient of E S = exp(e_0 + 1/2 sum_i e_i e_i) at H = 1/2: a word
+    that splits left to right into z letters 0 and p doubled letters i,i has
+    2^-p / (z+p)!, every other word 0."""
+    z = p = j = 0
+    while j < len(letters):
+        if letters[j] == 0:
+            z, j = z + 1, j + 1
+        elif j + 1 < len(letters) and letters[j + 1] == letters[j]:
+            p, j = p + 1, j + 2
+        else:
+            return 0.0
+    return 2.0**-p / math.factorial(z + p)
+
+
 def closed_form_value(word: Word, H: float) -> float | None:
     """Closed-form expectation when one is known, else None.
 
-    Sources: the shipped table, the even-moment formula for single-letter
-    words (E B_1^{2k} / (2k)! = 1/(k! 2^k)), pure-time words (1/n!), and the
+    Sources: the Brownian expected signature at H = 1/2 (every word), the
+    shipped table, the even-moment formula for single-letter words
+    (E B_1^{2k} / (2k)! = 1/(k! 2^k)), pure-time words (1/n!), and the
     exact-zero rule for odd letter counts.  Valid for H >= 1/2.
     """
+    if H == 0.5:
+        return _brownian_value(word.letters)
     e = closed_form_table().get(str(word))
     if e is not None:
         num = np.polynomial.polynomial.polyval(H, e["num"])
@@ -182,14 +200,11 @@ def closed_form_value(word: Word, H: float) -> float | None:
 
 @dataclass(frozen=True)
 class DecayReport:
-    word: Word
-    H: float
     value: float
     quad_error: float
     bound: float              # 1 / (k! 2^k)
     refined_bound: float      # letter-multiplicity refinement of the bound
-    candidate_h_independent: float  # permutation_count / (k! 2^k (2k)!)
-    candidate_difference: float
+    candidate_difference: float  # value - permutation_count / (k! 2^k (2k)!)
     passed: bool
 
 
@@ -199,9 +214,9 @@ def decay_bound_check(
     """Check the sharp decay bound value <= 1/(k! 2^k) for a pure-fBm word.
 
     The report also carries the word-dependent refined bound and the
-    H-independent candidate value permutation_count / (k! 2^k (2k)!); whether
-    the candidate equals the true value for mixed words is not assumed, only
-    measured (the difference is reported).
+    difference from the H-independent candidate permutation_count /
+    (k! 2^k (2k)!); whether the candidate equals the true value for mixed
+    words is not assumed, only measured.
     """
     letters = word.letters
     if any(x == 0 for x in letters) or len(letters) % 2 != 0 or not letters:
@@ -214,13 +229,10 @@ def decay_bound_check(
     refined = mt.refined_count_bound(k, len(set(letters))) / counted
     candidate = mt.permutation_count(word) / counted
     return DecayReport(
-        word=word,
-        H=H,
         value=val,
         quad_error=err,
         bound=bound,
         refined_bound=refined,
-        candidate_h_independent=candidate,
         candidate_difference=val - candidate,
         passed=val <= bound + err,
     )

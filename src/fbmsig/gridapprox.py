@@ -71,7 +71,7 @@ def _series_coefficients(H: float) -> np.ndarray:
 
     All are positive and carry the factor 2H(2H-1), so their sum keeps full
     relative precision as H -> 1/2.  Cached: the engine asks for one H at
-    several grid sizes.
+    several grid sizes, so the array is read-only.
     """
     a = 2.0 * H
     c = np.empty(_SERIES_TERMS)
@@ -79,6 +79,7 @@ def _series_coefficients(H: float) -> np.ndarray:
     for j in range(1, _SERIES_TERMS + 1):
         c[j - 1] = 2.0 * b
         b *= (a - 2 * j) * (a - 2 * j - 1) / ((2 * j + 1) * (2 * j + 2))
+    c.flags.writeable = False
     return c
 
 
@@ -178,12 +179,13 @@ def approx_expected_word(word: Word, H: float, m: int) -> float:
         raise ValueError(f"m must be >= 1, got {m}")
     letters = word.letters
     if not letters or any(x == 0 for x in letters):
-        raise ValueError("approximation values are defined for pure-fBm words")
+        raise ValueError(
+            f"approximation values are defined for pure-fBm words, got word ({word})")
     if len(letters) % 2 != 0:
         return 0.0
     two_k = len(letters)
     if two_k > 4:
-        raise ValueError("word length capped at 4 (grid approximation)")
+        raise ValueError(f"word length capped at 4 (grid approximation), got word ({word})")
     matchings_ = mt.compatible_matchings(word)
     work = 2 ** (two_k - 1) * len(matchings_) * m * m
     if work > _WORK_BUDGET:
@@ -234,10 +236,7 @@ def gap_rows(
 class SlopeFit:
     ok: bool
     slope: float
-    intercept: float
     residual: float
-    m_used: tuple[int, ...]
-    gaps: tuple[float, ...]
     reason: str = ""
 
 
@@ -259,10 +258,7 @@ def convergence_slope(rows) -> SlopeFit:
         return SlopeFit(
             ok=False,
             slope=float("nan"),
-            intercept=float("nan"),
             residual=float("nan"),
-            m_used=tuple(m for m, _ in usable),
-            gaps=tuple(g for _, g in usable),
             reason=reason,
         )
     lm = np.log([m for m, _ in usable])
@@ -272,10 +268,7 @@ def convergence_slope(rows) -> SlopeFit:
     return SlopeFit(
         ok=True,
         slope=float(slope),
-        intercept=float(intercept),
         residual=resid,
-        m_used=tuple(m for m, _ in usable),
-        gaps=tuple(g for _, g in usable),
     )
 
 
@@ -344,8 +337,6 @@ def constant_Atilde(H: float) -> CertifiedValue:
 
 @dataclass(frozen=True)
 class BoundReport:
-    word: Word
-    H: float
     atilde: CertifiedValue
     bound: float
     max_scaled_gap: float
@@ -364,8 +355,6 @@ def coefficient_bound_check(word: Word, H: float, rows) -> BoundReport:
     scaled = tuple((m, g.gap, m ** (2.0 * H) * g.gap) for m, g in rows)
     max_scaled = max(r[2] for r in scaled)
     return BoundReport(
-        word=word,
-        H=H,
         atilde=at,
         bound=bound,
         max_scaled_gap=max_scaled,

@@ -98,6 +98,11 @@ class TestConvergence:
         assert "error: coefficient bound needs at least 2 letters, got word (1)" in \
             capsys.readouterr().err
 
+    def test_time_letter_word_is_named(self, tmp_path, capsys):
+        rc, text = run(tmp_path, "convergence", "--words", "1,1;0", "--no-timestamp")
+        assert rc == 2 and text == ""
+        assert "pure-fBm words, got word (0)" in capsys.readouterr().err
+
     def test_summary_row(self, tmp_path):
         rc, text = run(
             tmp_path, "convergence", "--H", "0.6", "--words", "1,1,2,2",

@@ -206,13 +206,22 @@ class TestVerify:
         assert row.rhs == pytest.approx(1.0 / 80.0)
         assert not rep.passed
 
+    def test_brownian_checks_every_word(self):
+        # at H = 1/2 every word has a closed form, so none is left out
+        rep = verify_formula(three_path_formula(0.5), 6)
+        words = words_of_degree(6, 0.5, 1)
+        assert len(words) == len(rep.rows) == 33
+        assert {r.word.letters for r in rep.rows} == {w.letters for w in words}
+        assert {r.lhs_source for r in rep.rows} == {"closed-form"}
+
 
 class TestEmpiricalDegree:
     def test_brownian_measures_five(self):
         scan = empirical_degree(three_path_formula(0.5))
         assert scan.measured_degree == 5
         assert scan.first_failure is not None
-        assert scan.first_failure.letters == (1,) * 6
+        # weight 6 and four letters, so it sorts before (1,) * 6
+        assert scan.first_failure.letters == (0, 0, 1, 1)
 
     def test_above_two_thirds_meets_claim(self):
         scan = empirical_degree(three_path_formula(0.8))

@@ -22,7 +22,7 @@ from fbmsig.cli import main
 from fbmsig.cubature import word_weight
 from fbmsig.matchings import enumerate_matchings
 from fbmsig.simplexquad import QuadConfig, _reduce_terms, matching_simplex_integral
-from fbmsig.tensor import Word
+from fbmsig.tensor import Word, all_words
 
 H_GRID = (0.6, 0.75, 0.9)
 
@@ -74,6 +74,32 @@ class TestClosedFormTable:
         assert closed_form_value(Word((0, 0), 1), 0.7) == 0.5
         assert closed_form_value(Word((1, 2), 2), 0.7) == 0.0
         assert closed_form_value(Word((1, 2, 1, 2), 2), 0.7) is None
+
+    def test_brownian_rule_equals_table_at_half(self):
+        polyval = np.polynomial.polynomial.polyval
+        for key, e in closed_form_table().items():
+            want = float(polyval(0.5, e["num"]) / polyval(0.5, e["den"]))
+            assert closed_form_value(Word.parse(key), 0.5) == want, key
+
+    def test_brownian_rule_every_word_at_half(self):
+        # exp(e_0 + 1/2 sum_i e_i e_i): z time letters and p pairs i,i give
+        # 2^-p / (z+p)!; a word that does not split that way gives 0
+        assert closed_form_value(Word((1, 2, 1, 2), 2), 0.5) == 0.0
+        assert closed_form_value(Word((1, 1, 0, 2, 2), 2), 0.5) == 1.0 / 24.0
+        assert closed_form_value(Word((0, 1, 1, 0), 1), 0.5) == 1.0 / 12.0
+        assert closed_form_value(Word((2, 2, 1, 1), 2), 0.5) == 1.0 / 8.0
+        assert closed_form_value(Word((1, 0, 1), 1), 0.5) == 0.0
+        assert closed_form_value(Word((1, 1, 1, 1, 1, 1), 1), 0.5) == 1.0 / 48.0
+
+    @pytest.mark.parametrize("H", (0.5001, 0.501))
+    def test_brownian_rule_is_the_limit_at_half(self, H):
+        # every d = 1 word of length <= 5 with at most four letters 1
+        # (measured worst case 0.49995 (H - 1/2))
+        for n in range(6):
+            for w in all_words(1, n):
+                if w.letters.count(1) <= 4:
+                    gap = abs(expected_word(w, H).value - closed_form_value(w, 0.5))
+                    assert gap <= H - 0.5, w
 
 
 class TestExpectedWord:

@@ -100,6 +100,13 @@ class TestCellPairIntegral:
                 assert abs((cell - want[k - 1] * scale) / (want[k - 1] * scale)) <= 1e-12
         assert rel <= 1e-12
 
+    def test_series_coefficients_are_read_only(self):
+        # the array is cached per H; a write would change every later kernel
+        c = ga._series_coefficients(0.7)
+        with pytest.raises(ValueError, match="read-only"):
+            c[0] = 0.0
+        assert ga._series_coefficients(0.7) is c
+
     def test_diagonal_triangle_exactness(self):
         # inside one diagonal cell the ordered-triangle kernel mass equals
         # half the full cell mass, which is exactly what the cell-averaged
@@ -172,8 +179,12 @@ class TestApproxExpectedWord:
             approx_expected_word(W(1, 1, 2, 2), 0.75, 8192)
 
     def test_rejects_time_letters(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"pure-fBm words, got word \(1,0\)"):
             approx_expected_word(W(1, 0), 0.75, 4)
+
+    def test_rejects_six_letters(self):
+        with pytest.raises(ValueError, match=r"capped at 4 .*, got word \(1,2,1,2,1,2\)"):
+            approx_expected_word(W(1, 2, 1, 2, 1, 2), 0.75, 4)
 
     def test_rejects_empty_grid(self):
         with pytest.raises(ValueError, match="m must be"):
