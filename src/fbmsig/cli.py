@@ -259,9 +259,11 @@ def cmd_cubature(args) -> int:
 
 
 def _sde_problem(name: str, x0: float):
-    zero = lambda y: np.zeros_like(y)
+    # additive noise: every field is state-independent, so each returns a
+    # constant that the solver broadcasts, not a fresh array per stage
+    zero = lambda y: 0.0
     if name == "quadratic":
-        vf = sde.VectorFieldSet(1, (zero, lambda y: np.ones_like(y)))
+        vf = sde.VectorFieldSet(1, (zero, lambda y: 1.0))
         f = lambda y: y[..., 0] ** 2
     elif name == "zero":
         vf = sde.VectorFieldSet(1, (zero, zero))
@@ -289,7 +291,11 @@ def cmd_sde(args) -> int:
         raise ValueError(f"--steps must lie in [1, {ga._MAX_GRID}], got {n_steps}")
     M, gamma = _finite("M", float(args.M)), _finite("gamma", float(args.gamma))
     cub = sde.cubature_weak_value(vf, f, state0, formula, T)
-    mc, se = sde.mc_weak_value(vf, f, state0, H, T, n_paths, n_steps, seed)
+    try:
+        mc, se = sde.mc_weak_value(vf, f, state0, H, T, n_paths, n_steps, seed)
+    except MemoryError:
+        raise ValueError(f"--paths {n_paths} with --steps {n_steps} needs more "
+                         "memory than is available") from None
     shape = sde.error_bound_shape(
         sde.ErrorBoundParams(M, gamma, d=vf.d, degree=formula.claimed_degree, H=H), T)
     if not all(map(math.isfinite, (cub, mc, se))):

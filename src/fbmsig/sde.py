@@ -36,9 +36,10 @@ CUBATURE_STEPS_PER_PIECE = 64
 class VectorFieldSet:
     """The driving vector fields V_0, ..., V_d on R^N.
 
-    Each field maps arrays of shape (..., N) to the same shape, so solves can
-    be batched across Monte-Carlo paths.  Field 0 multiplies the time
-    coordinate of the driver.
+    Each field maps states of shape (..., N) to a value that broadcasts to
+    that shape, so solves can be batched across Monte-Carlo paths; a field
+    that does not depend on the state may return a constant (a float or an
+    (N,) array).  Field 0 multiplies the time coordinate of the driver.
     """
 
     dimension: int

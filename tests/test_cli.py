@@ -6,6 +6,7 @@ import subprocess
 import sys
 from collections import Counter
 
+import numpy as np
 import pytest
 
 import fbmsig
@@ -285,6 +286,43 @@ class TestSde:
         rc, _ = run(tmp_path, "sde", "compare", "--paths", "8", "--steps",
                     str(ga._MAX_GRID))
         assert rc == 0 and seen == [ga._MAX_GRID]
+
+    def test_unallocatable_paths_is_usage_error(self, tmp_path, capsys):
+        # 10^12 paths of 4096 steps need 29 PiB, more than any address space,
+        # so the sampler's first allocation fails at once
+        rc, text = run(tmp_path, "sde", "compare", "--paths", "1000000000000",
+                       "--steps", "4096")
+        assert rc == 2 and text == ""
+        err = capsys.readouterr().err
+        assert "--paths 1000000000000 with --steps 4096" in err
+
+    @pytest.mark.parametrize("problem", ["quadratic", "zero"])
+    def test_problem_fields_return_constants(self, problem):
+        vf, _, _ = cli._sde_problem(problem, 0.3)
+        for field in vf.fields:
+            assert np.ndim(field(np.zeros((5, 1)))) == 0
+
+    @pytest.mark.parametrize("problem", ["quadratic", "zero"])
+    @pytest.mark.parametrize("seed, paths, steps", [("3", "50", "16"),
+                                                    ("4", "20", "64"),
+                                                    ("5", "7", "1536")])
+    def test_constant_fields_print_what_array_fields_print(self, capsys, monkeypatch,
+                                                           problem, seed, paths, steps):
+        argv = ["sde", "compare", "--H", "0.65", "--T", "1.3", "--problem", problem,
+                "--paths", paths, "--steps", steps, "--seed", seed, "--no-timestamp"]
+        assert main(argv) == 0
+        constant = capsys.readouterr().out
+        problem_of = cli._sde_problem
+
+        def array_fields(name, x0):
+            vf, f, state0 = problem_of(name, x0)
+            zero = lambda y: np.zeros_like(y)
+            v1 = (lambda y: np.ones_like(y)) if name == "quadratic" else zero
+            return sde.VectorFieldSet(1, (zero, v1)), f, state0
+
+        monkeypatch.setattr(cli, "_sde_problem", array_fields)
+        assert main(argv) == 0
+        assert capsys.readouterr().out == constant
 
     @pytest.mark.parametrize("flag, value", [("--x0", "1e200")])
     def test_overflowing_weak_value_is_usage_error(self, tmp_path, capsys, flag, value):

@@ -74,11 +74,25 @@ class TestOdeAlongPath:
 
 
 def _field_set(name):
-    """(fields, x0): both CLI problems, a nonlinear d = 2 set, and a V_0 that
-    returns its argument."""
+    """(fields, x0): both CLI problems (constant fields) and the same fields
+    returning full-shape arrays, constants at N = 2 (floats and (N,) arrays)
+    and their full-shape form, a nonlinear d = 2 set, and a V_0 that returns
+    its argument."""
     if name in ("quadratic", "zero"):
         vf, _, x0 = _sde_problem(name, 0.3)
         return vf, x0
+    if name == "quadratic-arrays":
+        return VectorFieldSet(1, (ZERO, ONE)), np.array([0.3])
+    if name == "zero-arrays":
+        return VectorFieldSet(1, (ZERO, ZERO)), np.array([0.3])
+    if name.startswith("constant"):
+        values = (0.25, np.array([1.0, -0.5]), 1.0)
+        if name == "constant":
+            fields = tuple(lambda y, c=c: c for c in values)
+        else:
+            fields = tuple(lambda y, c=c: np.broadcast_to(c, y.shape).copy()
+                           for c in values)
+        return VectorFieldSet(2, fields), [0.3, -0.2]
     if name == "nonlinear":
         return VectorFieldSet(2, (lambda y: y, np.sin,
                                   lambda y: np.cos(y[..., ::-1]))), [0.3, -0.2]
@@ -104,7 +118,8 @@ class TestSolveMatchesPerPieceOracle:
     @pytest.mark.parametrize("driver", ["uniform", "cubature"])
     @pytest.mark.parametrize("B", [1, 3, 2000])
     @pytest.mark.parametrize("steps_per_piece", [1, 4, 64])
-    @pytest.mark.parametrize("fields", ["quadratic", "zero", "nonlinear", "identity"])
+    @pytest.mark.parametrize("fields", ["quadratic", "zero", "constant",
+                                        "nonlinear", "identity"])
     def test_bit_identical(self, fields, steps_per_piece, B, driver):
         vf, x0 = _field_set(fields)
         times, spatial = _driver(driver, B, vf.d)
@@ -112,6 +127,22 @@ class TestSolveMatchesPerPieceOracle:
         want = rk4_solve_per_piece(vf, x0, times, spatial, steps_per_piece)
         assert got.shape == (B, vf.dimension)
         assert np.array_equal(got, want)
+
+    # a constant broadcasts against the (B, 1) slope columns, so returning it
+    # instead of a full-shape array changes no bit of the endpoints
+    @pytest.mark.parametrize("driver", ["uniform", "cubature"])
+    @pytest.mark.parametrize("B", [1, 3, 2000])
+    @pytest.mark.parametrize("steps_per_piece", [1, 4, 64])
+    @pytest.mark.parametrize("fields", ["quadratic", "zero", "constant"])
+    def test_constants_equal_full_shape_fields(self, fields, steps_per_piece, B,
+                                               driver):
+        vf, x0 = _field_set(fields)
+        full, _ = _field_set(fields + "-arrays")
+        times, spatial = _driver(driver, B, vf.d)
+        got = _solve(vf, x0, times, spatial, steps_per_piece)
+        assert np.array_equal(got, _solve(full, x0, times, spatial, steps_per_piece))
+        assert np.array_equal(got, rk4_solve_per_piece(full, x0, times, spatial,
+                                                       steps_per_piece))
 
     @pytest.mark.parametrize("steps_per_piece", [1, 4, 64])
     def test_divergence_names_the_same_time(self, steps_per_piece):
