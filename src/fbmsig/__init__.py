@@ -27,8 +27,6 @@ from .gridapprox import (
     BoundReport,
     SlopeFit,
     approx_expected_word,
-    cell_covariance_matrix,
-    cell_pair_integral,
     coefficient_bound_check,
     constant_A,
     constant_Atilde,

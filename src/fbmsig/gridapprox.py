@@ -27,8 +27,6 @@ from .simplexquad import CertifiedValue, QuadConfig
 from .tensor import Word
 
 __all__ = [
-    "cell_pair_integral",
-    "cell_covariance_matrix",
     "approx_expected_word",
     "gap_rows",
     "GapResult",
@@ -45,21 +43,6 @@ _MAX_GRID = 4096
 # approx_expected_word refuses more work than this, counted as (tie pattern,
 # matching) terms times m^2; it admits m = 4096 for every four-letter word
 _WORK_BUDGET = 500_000_000
-
-
-def cell_pair_integral(i: int, j: int, m: int, H: float) -> float:
-    """Integral of |x-y|^(2H-2) over cell_i x cell_j of the uniform m-grid.
-
-    Closed form via the antiderivative u^(2H) / (2H(2H-1)); the diagonal cell
-    gives m^(-2H)/(H(2H-1)), distance r >= 1 gives the second difference
-    ((r+1)^2H - 2 r^2H + (r-1)^2H) m^(-2H) / (2H(2H-1)).
-    """
-    check_hurst(H)
-    if not (0 <= i < m and 0 <= j < m):
-        raise ValueError(f"cell index out of range: ({i}, {j}) for m={m}")
-    two_h = 2.0 * H
-    second_diff = float(_second_differences(H, np.array([abs(i - j)]))[0])
-    return m**-two_h * second_diff / (two_h * (two_h - 1.0))
 
 
 _SERIES_TERMS = 24
@@ -85,7 +68,8 @@ def _series_coefficients(H: float) -> np.ndarray:
 
 def _second_differences(H: float, r: np.ndarray) -> np.ndarray:
     """(r+1)^2H - 2 r^2H + (r-1)^2H for integer cell distances r, with the
-    diagonal value 2 at r = 0: cell_pair_integral up to m^(-2H)/(2H(2H-1)).
+    diagonal value 2 at r = 0: the integral of |x-y|^(2H-2) over two cells of
+    the uniform m-grid r apart, up to the factor m^(-2H)/(2H(2H-1)).
 
     The direct formula cancels to a relative error of about
     eps r^2 / (2H(2H-1)).  Instead r = 1 uses 2 expm1((2H-1) ln 2), and
@@ -99,16 +83,6 @@ def _second_differences(H: float, r: np.ndarray) -> np.ndarray:
     powers = np.vander(1.0 / (rf * rf), _SERIES_TERMS, increasing=True)
     d[far] = rf ** (2.0 * H - 2.0) * (powers @ _series_coefficients(H))
     return d
-
-
-def cell_covariance_matrix(H: float, m: int) -> np.ndarray:
-    """m x m matrix of cell-pair kernel integrals for one (H, m)."""
-    check_hurst(H)
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    r = np.abs(np.arange(m)[:, None] - np.arange(m)[None, :])
-    two_h = 2.0 * H
-    return _second_differences(H, np.arange(m))[r] * (m**-two_h / (two_h * (two_h - 1.0)))
 
 
 def _comb(x: np.ndarray, k: int) -> np.ndarray:

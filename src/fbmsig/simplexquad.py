@@ -13,8 +13,11 @@ power factor is integrated out in closed form, splitting the term in two.
 What survives is a sum of Beta-type closed forms plus low-dimensional
 irreducible cores, which are evaluated on a tensor Gauss-Legendre grid after
 mapping the simplex to the unit cube and absorbing every endpoint singularity
-into per-axis Beta-CDF substitutions.  The error estimate comes from
-re-evaluating the numeric cores at a finer resolution.
+into per-axis Beta-CDF substitutions.  Each factor of a mapped core depends
+on one axis or on two neighbouring axes, so the tensor sum is contracted one
+axis at a time and costs one N x N grid per two-axis factor rather than N**m
+points.  The error estimate comes from re-evaluating the numeric cores at a
+finer resolution.
 """
 from __future__ import annotations
 
@@ -67,8 +70,8 @@ def matching_simplex_integral(n: int, pairs, exponent: float) -> CertifiedValue:
     if len(set(flat)) != len(flat):
         raise ValueError("pairs must be disjoint")
     if len(pairs) > 3:
-        # cores reach dimension len(pairs); POINTS_PER_AXIS**3 is the largest
-        # grid evaluated
+        # cores reach dimension len(pairs); beyond three pairs they can carry
+        # factors over three axes, which the axis-by-axis contraction refuses
         raise ValueError("the deterministic scheme takes at most 3 pairs")
     factors = tuple((a + 1, b + 1, float(exponent)) for a, b in pairs)
     return _reduced_integral(n, factors)
@@ -233,30 +236,43 @@ def _beta_axis(p: int, q: int, N: int):
 # needs 136 entries.
 @functools.lru_cache(maxsize=512)
 def _core_numeric(m: int, factors, N: int) -> float:
-    """Tensor Gauss-Legendre evaluation of an m-dim irreducible core.
+    """Tensor Gauss-Legendre evaluation of an m-dim irreducible core,
+    contracted one axis at a time.
 
     Every axis takes the Beta(p, q)-CDF substitution x = I_u(p, q); the log
     x under each span comes from the complementary CDF, so it stays accurate
-    where x is close to 1.  The log integrand is the sum of the per-axis
-    log-Jacobians (density, x**gam and node weight) plus e * log(1 - prod x)
-    per span.  Every core left by _reduce_terms for up to three pairs has
-    m <= 3, so the N**m grid is evaluated in one piece.
+    where x is close to 1.  The integrand is a product of one length-N weight
+    per axis (density, x**gam, node weight and every one-axis span
+    (1 - x)**e) and one N x N link per two-axis span, (1 - x_i x_{i+1})**e;
+    spans are contiguous, so a link always joins neighbouring axes.  The sum
+    over the N**m grid is then a chain of matrix-vector products.  A span over
+    three or more axes raises ValueError: no core left by _reduce_terms for
+    up to three pairs has one.
     """
     gam, spans, p, q = _axis_rules(m, factors)
     logx = []
-    L = 0.0
+    logw = []
     for i in range(m):
-        shape = [1] * m
-        shape[i] = N
         log_x, log_x_c, ljac = _beta_axis(p[i], q[i], N)
-        logx.append(log_x_c.reshape(shape))
-        L = L + (ljac + gam[i] * log_x).reshape(shape)
+        logx.append(log_x_c)
+        logw.append(ljac + gam[i] * log_x)
+    links = {}
     for axes, e in spans:
-        s = 0.0
-        for ax in axes:
-            s = s + logx[ax]
-        L = L + e * np.log(-np.expm1(s))
-    return float(np.exp(L).sum())
+        if len(axes) == 1:
+            logw[axes[0]] += e * np.log(-np.expm1(logx[axes[0]]))
+        elif len(axes) == 2:
+            i, j = axes
+            s = logx[i][:, None] + logx[j][None, :]
+            links[j] = links.get(j, 0.0) + e * np.log(-np.expm1(s))
+        else:
+            raise ValueError(
+                f"core {factors} of dimension {m} has a span over axes {axes}; "
+                "only spans over one or two axes are contracted"
+            )
+    v = np.exp(logw[0])
+    for i in range(1, m):
+        v = (v @ np.exp(links[i]) if i in links else v.sum()) * np.exp(logw[i])
+    return float(v.sum())
 
 
 def _reduced_integral(n, factors) -> CertifiedValue:

@@ -1,12 +1,17 @@
 """Independent oracles that only the tests use: a nested-quadrature signature
-coefficient, an exhaustive sweep of the refined permutation-count bound, and
-the per-piece RK4 integrator that `fbmsig.sde._solve` must match bit for bit."""
+coefficient, an exhaustive sweep of the refined permutation-count bound, the
+per-piece RK4 integrator that `fbmsig.sde._solve` must match bit for bit, the
+full-grid evaluation of a simplex core that `fbmsig.simplexquad._core_numeric`
+contracts axis by axis, and the closed-form cell-pair kernel integrals."""
 from __future__ import annotations
 
 import itertools
 
 import numpy as np
 
+from fbmsig import simplexquad as sq
+from fbmsig.expected import check_hurst
+from fbmsig.gridapprox import _second_differences
 from fbmsig.matchings import permutation_count, refined_count_bound
 from fbmsig.tensor import PiecewiseLinearPath, Word
 
@@ -86,3 +91,50 @@ def rk4_solve_per_piece(vf, x0, times: np.ndarray, spatial: np.ndarray,
         if not np.all(np.isfinite(y)):
             raise RuntimeError(f"non-finite state at t={times[j + 1]:g}")
     return y
+
+
+def core_numeric_full_grid(m: int, factors, N: int) -> float:
+    """An m-dim simplex core summed in log space over the whole N**m tensor
+    grid: per-axis log-Jacobians (density, x**gam and node weight) plus
+    e * log(1 - prod x) per span, broadcast to the full grid and exponentiated
+    once."""
+    gam, spans, p, q = sq._axis_rules(m, factors)
+    logx = []
+    L = 0.0
+    for i in range(m):
+        shape = [1] * m
+        shape[i] = N
+        log_x, log_x_c, ljac = sq._beta_axis(p[i], q[i], N)
+        logx.append(log_x_c.reshape(shape))
+        L = L + (ljac + gam[i] * log_x).reshape(shape)
+    for axes, e in spans:
+        s = 0.0
+        for ax in axes:
+            s = s + logx[ax]
+        L = L + e * np.log(-np.expm1(s))
+    return float(np.exp(L).sum())
+
+
+def cell_pair_integral(i: int, j: int, m: int, H: float) -> float:
+    """Integral of |x-y|^(2H-2) over cell_i x cell_j of the uniform m-grid.
+
+    Closed form via the antiderivative u^(2H) / (2H(2H-1)); the diagonal cell
+    gives m^(-2H)/(H(2H-1)), distance r >= 1 gives the second difference
+    ((r+1)^2H - 2 r^2H + (r-1)^2H) m^(-2H) / (2H(2H-1)).
+    """
+    check_hurst(H)
+    if not (0 <= i < m and 0 <= j < m):
+        raise ValueError(f"cell index out of range: ({i}, {j}) for m={m}")
+    two_h = 2.0 * H
+    second_diff = float(_second_differences(H, np.array([abs(i - j)]))[0])
+    return m**-two_h * second_diff / (two_h * (two_h - 1.0))
+
+
+def cell_covariance_matrix(H: float, m: int) -> np.ndarray:
+    """m x m matrix of cell-pair kernel integrals for one (H, m)."""
+    check_hurst(H)
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
+    r = np.abs(np.arange(m)[:, None] - np.arange(m)[None, :])
+    two_h = 2.0 * H
+    return _second_differences(H, np.arange(m))[r] * (m**-two_h / (two_h * (two_h - 1.0)))

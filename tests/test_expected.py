@@ -1,3 +1,5 @@
+import csv
+import functools
 import itertools
 import math
 
@@ -23,6 +25,7 @@ from fbmsig.cubature import word_weight
 from fbmsig.matchings import enumerate_matchings
 from fbmsig.simplexquad import QuadConfig, _reduce_terms, matching_simplex_integral
 from fbmsig.tensor import Word, all_words
+from oracles import cell_covariance_matrix, cell_pair_integral, core_numeric_full_grid
 
 H_GRID = (0.6, 0.75, 0.9)
 
@@ -422,6 +425,84 @@ class TestBetaAxis:
         assert len(built) == 2 * info.currsize
 
 
+def _matching_cores(monkeypatch, H, n_max):
+    """Every distinct (m, core) that _reduced_integral hands to _core_numeric
+    for the matchings of <= 3 pairs on n <= n_max positions, the unmatched
+    positions being time letters."""
+    seen = set()
+
+    def recording(m, core, N):
+        seen.add((m, core))
+        return 1.0
+
+    with monkeypatch.context() as mp:
+        mp.setattr(sq, "_core_numeric", recording)
+        for n in range(2, n_max + 1):
+            for size in range(2, min(n, 6) + 1, 2):
+                for subset in itertools.combinations(range(n), size):
+                    for matching in enumerate_matchings(size):
+                        pairs = [(subset[a], subset[b]) for a, b in matching]
+                        sq.matching_simplex_integral(n, pairs, 2.0 * H - 2.0)
+    return seen
+
+
+class TestCoreContraction:
+    def test_matches_full_grid_oracle(self, monkeypatch):
+        cores = set()
+        for H in (0.5001, 0.6, 0.75, 0.98):
+            cores |= _matching_cores(monkeypatch, H, 7)
+        assert {m for m, _ in cores} == {2, 3}
+        worst = 0.0
+        for N in (sq.POINTS_PER_AXIS, sq.POINTS_PER_AXIS + 16):
+            for m, core in cores:
+                got = sq._core_numeric.__wrapped__(m, core, N)
+                want = core_numeric_full_grid(m, core, N)
+                assert math.isfinite(got)
+                worst = max(worst, abs(got / want - 1.0))
+        assert worst <= 1e-13
+
+    def test_spans_cover_at_most_two_axes(self, monkeypatch):
+        # the contraction needs every span on one axis or on two neighbouring
+        # axes; one link per core keeps its cost at one N x N grid
+        cores = _matching_cores(monkeypatch, 0.75, 8)
+        assert cores
+        for m, core in cores:
+            spans = sq._axis_rules(m, core)[1]
+            assert all(len(axes) <= 2 for axes, _ in spans), core
+            assert sum(len(axes) == 2 for axes, _ in spans) <= 1, core
+
+    @pytest.mark.parametrize("H", ("0.7341", "0.5001"))
+    def test_level_table_within_tenth_of_err_bar(self, H, monkeypatch, tmp_path):
+        # the contraction reorders each core's sums, so the printed table moves
+        # by rounding only: far inside every err_bar, and no pass cell flips
+        # (at H = 0.5001 one six-letter row fails its bound, so both exit 1)
+        words = ";".join(_canonical_words(6))
+
+        def table(name):
+            out = tmp_path / name
+            rc = main(["expected-sig", "--H", H, "--words", words, "--tol", "1",
+                       "--no-timestamp", "--out", str(out)])
+            header, *rows = csv.reader(out.read_text().splitlines())
+            return rc, [dict(zip(header, row)) for row in rows]
+
+        sq._core_numeric.cache_clear()
+        rc, new = table("new.csv")
+        monkeypatch.setattr(sq, "_core_numeric", functools.cache(core_numeric_full_grid))
+        rc_old, old = table("oracle.csv")
+        assert rc == rc_old
+        assert len(new) == len(old) == 715
+        for a, b in zip(new, old):
+            assert (a["word"], a["pass"]) == (b["word"], b["pass"])
+            diff = abs(float(a["value"]) - float(b["value"]))
+            assert diff <= 0.1 * float(a["err_bar"]), a["word"]
+
+    def test_three_axis_span_is_refused(self):
+        # (t_4 - t_1) with t_4 the sentinel 1 spans all three axes
+        core = ((1, 4, -0.5),)
+        with pytest.raises(ValueError, match=r"core \(\(1, 4, -0\.5\),\)"):
+            sq._core_numeric(3, core, sq.POINTS_PER_AXIS)
+
+
 def _mc_weak_value(H):
     vf = sde.VectorFieldSet(1, (np.zeros_like, np.ones_like))
     return sde.mc_weak_value(vf, lambda y: y[..., 0], [0.0], H, 1.0, 4, 4, 0)
@@ -431,8 +512,8 @@ HURST_ENTRY_POINTS = {
     "check_hurst": check_hurst,
     "expected_word": lambda H: expected_word(W(1, 1), H),
     "expected_tensor": lambda H: expected_tensor(H, 1, 2),
-    "cell_pair_integral": lambda H: ga.cell_pair_integral(0, 1, 4, H),
-    "cell_covariance_matrix": lambda H: ga.cell_covariance_matrix(H, 4),
+    "cell_pair_integral": lambda H: cell_pair_integral(0, 1, 4, H),
+    "cell_covariance_matrix": lambda H: cell_covariance_matrix(H, 4),
     "approx_expected_word": lambda H: ga.approx_expected_word(W(1, 1), H, 4),
     "constant_A": ga.constant_A,
     "constant_Atilde": ga.constant_Atilde,

@@ -14,8 +14,6 @@ from fbmsig import matchings as mt
 from fbmsig.expected import expected_word
 from fbmsig.gridapprox import (
     approx_expected_word,
-    cell_covariance_matrix,
-    cell_pair_integral,
     coefficient_bound_check,
     constant_A,
     constant_Atilde,
@@ -24,6 +22,7 @@ from fbmsig.gridapprox import (
     sample_fbm_batch,
 )
 from fbmsig.tensor import Word, batch_grid_signatures, word_index
+from oracles import cell_covariance_matrix, cell_pair_integral
 
 
 def W(*letters, d=2):
