@@ -78,7 +78,7 @@ def expected_word(
     config = config or QuadConfig()
     positions = word.nonzero_positions
     if len(positions) > 6:
-        raise ValueError("at most 6 nonzero letters supported")
+        raise ValueError(f"at most 6 nonzero letters supported, got word ({word})")
     if _odd_letter(word):
         return CertifiedValue(0.0, 0.0)
     n = len(word)
@@ -118,21 +118,18 @@ def canonical_relabel(word: Word) -> Word:
 
 def expected_tensor(
     H: float, d: int, depth: int, config: QuadConfig | None = None
-) -> TruncatedTensor:
+) -> tuple[TruncatedTensor, TruncatedTensor]:
     """Expected signature tensor of d-dimensional fBm up to the given depth,
-    deduplicating words that agree after relabeling the nonzero alphabet."""
+    as (values, errors): every coefficient is expected_word's value and every
+    error its bar.  Words that agree after relabelling the nonzero alphabet
+    share their matching integrals through the quadrature memo."""
     check_hurst(H)
     if depth > 6:
         raise ValueError("depth capped at 6")
-    out = TruncatedTensor.identity(d, depth)
-    cache: dict[tuple[int, ...], float] = {}
-    for length in range(1, depth + 1):
-        for w in all_words(d, length):
-            key = canonical_relabel(w).letters
-            if key not in cache:
-                cache[key] = expected_word(Word(key, d), H, config).value
-            out.set_coeff(w, cache[key])
-    return out
+    cells = [np.array([expected_word(w, H, config) for w in all_words(d, length)])
+             for length in range(depth + 1)]
+    return (TruncatedTensor(d, depth, [c[:, 0] for c in cells]),
+            TruncatedTensor(d, depth, [c[:, 1] for c in cells]))
 
 
 # ---------------------------------------------------------------------------

@@ -82,8 +82,8 @@ def all_words(d: int, length: int):
 class TruncatedTensor:
     """Graded coefficients, one float per word of length <= depth.
 
-    Instances are treated as immutable after construction; ``set_coeff`` exists
-    for building values and tests, not for mutating shared tensors.
+    Instances are treated as immutable after construction: the levels are
+    filled once, by whoever builds the tensor.
     """
 
     __slots__ = ("d", "depth", "levels")
@@ -101,21 +101,10 @@ class TruncatedTensor:
             raise ValueError("level count does not match depth")
         self.levels = levels
 
-    @classmethod
-    def identity(cls, d: int, depth: int) -> "TruncatedTensor":
-        t = cls(d, depth)
-        t.levels[0][0] = 1.0
-        return t
-
     def coeff(self, word: Word) -> float:
         if len(word) > self.depth:
             return 0.0
         return float(self.levels[len(word)][word_index(word.letters, self.d)])
-
-    def set_coeff(self, word: Word, value: float) -> None:
-        if len(word) > self.depth:
-            raise ValueError(f"word length {len(word)} exceeds depth {self.depth}")
-        self.levels[len(word)][word_index(word.letters, self.d)] = value
 
     def __repr__(self) -> str:
         return f"TruncatedTensor(d={self.d}, depth={self.depth})"

@@ -63,6 +63,13 @@ class TestExpectedSig:
         assert rc == 2 and text == ""
         assert "tolerance must be > 0" in capsys.readouterr().err
 
+    def test_refused_word_is_named(self, tmp_path, capsys):
+        rc, text = run(tmp_path, "expected-sig", "--words", "1,1;1,1,1,1,1,1,1,1",
+                       "--no-timestamp")
+        assert rc == 2 and text == ""
+        assert "at most 6 nonzero letters supported, got word (1,1,1,1,1,1,1,1)" in \
+            capsys.readouterr().err
+
     def test_bound_columns_match_decay_bound_check(self, tmp_path):
         words = "1,1;1,1,1,1;1,1,2,2;1,2,1,2"
         rc, text = run(tmp_path, "expected-sig", "--H", "0.6,0.9", "--words",

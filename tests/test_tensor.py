@@ -154,16 +154,10 @@ class TestPathSignature:
 
 
 class TestCoeff:
-    def test_identity_empty(self):
-        assert TruncatedTensor.identity(1, 2).coeff(W()) == 1.0
-
     def test_beyond_depth_is_zero(self):
-        assert TruncatedTensor.identity(1, 2).coeff(W(1, 1, 1)) == 0.0
-
-    def test_set_roundtrip(self):
-        t = TruncatedTensor(2, 3)
-        t.set_coeff(W(1, 0, 2, d=2), 0.25)
-        assert t.coeff(W(1, 0, 2, d=2)) == 0.25
+        t = TruncatedTensor(1, 2, [np.ones(2**l) for l in range(3)])
+        assert t.coeff(W(1, 1)) == 1.0
+        assert t.coeff(W(1, 1, 1)) == 0.0
 
     def test_word_index_base(self):
         assert word_index((1, 0, 2), 2) == 1 * 9 + 0 * 3 + 2
