@@ -73,12 +73,19 @@ def _now() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
-def _parse_list(text: str, cast):
-    return [cast(t) for t in str(text).split(",") if t != ""]
+def _parse_list(text: str, cast, flag: str) -> list:
+    # empty items are skipped, but a list with none left is a usage error
+    values = [cast(t) for t in str(text).split(",") if t != ""]
+    if not values:
+        raise ValueError(f"--{flag} lists no values")
+    return values
 
 
 def _parse_words(text: str) -> list[Word]:
-    return [Word.parse(w) for w in str(text).split(";") if w.strip() != ""]
+    words = [Word.parse(w) for w in str(text).split(";") if w.strip() != ""]
+    if not words:
+        raise ValueError("--words lists no words")
+    return words
 
 
 def _read_config(path: str) -> dict[str, str]:
@@ -155,7 +162,7 @@ def _emit(args, table: TableWriter) -> None:
 
 def cmd_expected_sig(args) -> int:
     words = _parse_words(args.words)
-    hs = _parse_list(args.H, float)
+    hs = _parse_list(args.H, float, "H")
     config = _quad_config(args)
     cols = ["word", "H", "value", "err_bar", "bound", "refined_bound", "pass"]
     table = TableWriter(cols)
@@ -180,8 +187,8 @@ def cmd_expected_sig(args) -> int:
 
 def cmd_approx_sig(args) -> int:
     words = _parse_words(args.words)
-    hs = _parse_list(args.H, float)
-    ms = _parse_list(args.m, int)
+    hs = _parse_list(args.H, float, "H")
+    ms = _parse_list(args.m, int, "m")
     table = TableWriter(["word", "H", "m", "approx"])
     for w in words:
         for H in hs:
@@ -194,8 +201,8 @@ def cmd_approx_sig(args) -> int:
 
 def cmd_convergence(args) -> int:
     words = _parse_words(args.words)
-    hs = _parse_list(args.H, float)
-    ms = sorted(set(_parse_list(args.m, int)))
+    hs = _parse_list(args.H, float, "H")
+    ms = sorted(set(_parse_list(args.m, int, "m")))
     if len(ms) < 4:
         print("error: convergence needs at least 4 distinct grid sizes", file=sys.stderr)
         return EXIT_USAGE
@@ -227,7 +234,7 @@ def cmd_convergence(args) -> int:
 
 
 def cmd_cubature(args) -> int:
-    hs = _parse_list(args.H, float)
+    hs = _parse_list(args.H, float, "H")
     if args.action == "solve":
         branches = ("minus", "plus") if args.branch == "both" else (args.branch,)
         table = TableWriter(["H", "branch", "lam1", "lam3", "a", "b1", "b0",
@@ -289,13 +296,16 @@ def cmd_sde(args) -> int:
     n_paths, n_steps, seed = int(args.paths), int(args.steps), int(args.seed)
     if not 1 <= n_steps <= ga._MAX_GRID:
         raise ValueError(f"--steps must lie in [1, {ga._MAX_GRID}], got {n_steps}")
+    ga._covariance_scale(H, n_steps, T)  # the sampler's range check, before any solve
     M, gamma = _finite("M", float(args.M)), _finite("gamma", float(args.gamma))
-    cub = sde.cubature_weak_value(vf, f, state0, formula, T)
-    try:
-        mc, se = sde.mc_weak_value(vf, f, state0, H, T, n_paths, n_steps, seed)
-    except MemoryError:
-        raise ValueError(f"--paths {n_paths} with --steps {n_steps} needs more "
-                         "memory than is available") from None
+    # f may overflow (a huge --x0); the finiteness check below reports that
+    with np.errstate(over="ignore"):
+        cub = sde.cubature_weak_value(vf, f, state0, formula, T)
+        try:
+            mc, se = sde.mc_weak_value(vf, f, state0, H, T, n_paths, n_steps, seed)
+        except MemoryError:
+            raise ValueError(f"--paths {n_paths} with --steps {n_steps} needs more "
+                             "memory than is available") from None
     shape = sde.error_bound_shape(
         sde.ErrorBoundParams(M, gamma, d=vf.d, degree=formula.claimed_degree, H=H), T)
     if not all(map(math.isfinite, (cub, mc, se))):
@@ -313,8 +323,8 @@ def cmd_sde(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    hs = _parse_list(args.H, float)
-    ts = [_finite("T", t) for t in _parse_list(args.T, float)]
+    hs = _parse_list(args.H, float, "H")
+    ts = [_finite("T", t) for t in _parse_list(args.T, float, "T")]
     M, gamma = _finite("M", float(args.M)), _finite("gamma", float(args.gamma))
     table = TableWriter(["H", "A", "A_err", "Atilde", "Atilde_err", "K", "T",
                          "bound_shape", "branch"])

@@ -360,13 +360,27 @@ def sample_fbm_batch(
         raise ValueError(f"m capped at {_MAX_GRID}")
     if m < 1 or n_paths < 1 or d < 1:
         raise ValueError("m, d and n_paths must be positive")
-    if not T > 0:
-        raise ValueError(f"T must be positive, got {T}")
+    _covariance_scale(H, m, T)  # refuse T before drawing any sample
     z = np.random.default_rng(seed).standard_normal((n_paths, d, m))
     increments = (z.reshape(-1, m) @ _fgn_cholesky_t(H, m, T)).reshape(n_paths, d, m)
     paths = np.zeros((n_paths, m + 1, d))
     np.cumsum(increments.transpose(0, 2, 1), axis=1, out=paths[:, 1:])
     return paths
+
+
+def _covariance_scale(H: float, m: int, T: float) -> float:
+    """(T/m)^2H, the scale of the increment covariance of fBm on the
+    m-grid of [0, T]; ValueError unless T > 0 and the scale is a positive
+    double."""
+    if not T > 0:
+        raise ValueError(f"T must be positive, got {T}")
+    try:
+        scale = (T / m) ** (2.0 * H)
+    except OverflowError:
+        scale = math.inf
+    if not 0.0 < scale < math.inf:
+        raise ValueError(f"T = {T} puts the covariance scale (T/m)^2H out of range")
+    return scale
 
 
 def _fgn_cholesky_t(H: float, m: int, T: float) -> np.ndarray:
@@ -379,13 +393,7 @@ def _fgn_cholesky_t(H: float, m: int, T: float) -> np.ndarray:
     hyperbolic rotation by rho = b[k+1] / a[k] zeroes b[k+1].  |rho| < 1 at
     every step exactly when S is positive definite, so anything else raises.
     """
-    try:
-        scale = (T / m) ** (2.0 * H)
-    except OverflowError:
-        scale = math.inf
-    if not 0.0 < scale < math.inf:
-        raise ValueError(f"T = {T} puts the covariance scale (T/m)^2H out of range")
-    gamma = 0.5 * scale * _second_differences(H, np.arange(m))
+    gamma = 0.5 * _covariance_scale(H, m, T) * _second_differences(H, np.arange(m))
     a = gamma / math.sqrt(gamma[0])
     b = a.copy()
     b[0] = 0.0

@@ -134,10 +134,21 @@ def mc_weak_value(
     n_paths: int,
     n_steps: int,
     seed: int,
-    steps_per_piece: int = 4,
+    steps_per_piece: int = 1,
 ) -> tuple[float, float]:
     """Monte-Carlo reference: drive the same integrator along sampled fBm
     paths (piecewise-linear interpolation on the n_steps grid of [0, T]).
+
+    By default the RK4 grid is the sample grid, one step per cell.  With
+    m = n_steps, its local error ~ |d omega|^5 ~ (T/m)^(5H) sums to
+    ~ m^(1-5H), which falls faster than the interpolation's own m^(-2H) for
+    every H > 1/3.  Against closed-form endpoints (V_0 = y/2 with V_1 = y, and V_0 = 0 with
+    V_1 = sin) over H in {0.55, 0.7, 0.9} and T in {0.5, 2}, the worst
+    per-path relative error is 2.2e-2 at n_steps = 32, 3.0e-4 at 128 and
+    4.8e-7 at 1536; the mean bias is at most 6.3e-4 relative, 0.012 of the
+    standard error at 4000 paths.  Coarse grids pay: at n_steps = 4 and
+    T = 2 the bias is 3-4% (0.04% with steps_per_piece = 4), so below 32
+    steps pass steps_per_piece > 1 to sub-step each cell.
 
     Returns (estimate, standard error); deterministic in the seed.  Requires
     H > 1/2 (pathwise Young regime) and n_paths >= 2, since one path gives no

@@ -333,20 +333,43 @@ class TestSde:
 
     @pytest.mark.parametrize("flag, value", [("--x0", "1e200")])
     def test_overflowing_weak_value_is_usage_error(self, tmp_path, capsys, flag, value):
-        # y^2 overflows at x0 = 1e200
-        with pytest.warns(RuntimeWarning, match="overflow"):
-            rc, text = run(tmp_path, "sde", "compare", "--paths", "8", "--steps", "4",
-                           flag, value)
+        # y^2 overflows at x0 = 1e200; warnings are errors under pytest, so
+        # this also checks that numpy's overflow warning stays silent
+        rc, text = run(tmp_path, "sde", "compare", "--paths", "8", "--steps", "4",
+                       flag, value)
         assert rc == 2 and text == ""
-        assert "reduce --x0 or --T" in capsys.readouterr().err
+        assert capsys.readouterr().err == ("error: a weak value or its standard "
+                                           "error overflows a double; reduce --x0 "
+                                           "or --T\n")
 
+    @pytest.mark.parametrize("problem", ["quadratic", "zero"])
     @pytest.mark.parametrize("T", ["1e300", "1e-300"])
-    def test_covariance_scale_outside_float_range_is_usage_error(self, tmp_path,
-                                                                 capsys, T):
-        rc, text = run(tmp_path, "sde", "compare", "--problem", "zero", "--paths", "8",
-                       "--steps", "4", "--T", T)
+    def test_covariance_scale_outside_float_range_is_usage_error(
+            self, tmp_path, capsys, monkeypatch, problem, T):
+        # refused before any solve, so the cubature side cannot overflow first
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before checking (T/steps)^(2H)")
+
+        monkeypatch.setattr(sde, "cubature_weak_value", no_solve)
+        monkeypatch.setattr(sde, "mc_weak_value", no_solve)
+        rc, text = run(tmp_path, "sde", "compare", "--problem", problem, "--paths",
+                       "8", "--steps", "4", "--T", T)
         assert rc == 2 and text == ""
-        assert "covariance scale" in capsys.readouterr().err
+        assert capsys.readouterr().err == (f"error: T = {float(T)} puts the "
+                                           "covariance scale (T/m)^2H out of range\n")
+
+    @pytest.mark.parametrize("T", ["-1", "0"])
+    def test_non_positive_horizon_fails_before_any_solve(self, tmp_path, capsys,
+                                                         monkeypatch, T):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before checking --T")
+
+        monkeypatch.setattr(sde, "cubature_weak_value", no_solve)
+        monkeypatch.setattr(sde, "mc_weak_value", no_solve)
+        rc, text = run(tmp_path, "sde", "compare", "--paths", "8", "--steps", "4",
+                       "--T", T)
+        assert rc == 2 and text == ""
+        assert capsys.readouterr().err == f"error: T must be positive, got {float(T)}\n"
 
     @pytest.mark.parametrize("H, T, problem", [("0.75", "1e150", "zero"),
                                                ("0.75", "1e150", "quadratic"),
@@ -501,6 +524,41 @@ class TestHarness:
             main(argv)
         assert exc.value.code == 2
         assert argv[-2] in capsys.readouterr().err
+
+
+class TestListFlags:
+    @pytest.mark.parametrize("argv, flag", [
+        (["expected-sig", "--words", ";"], "--words"),
+        (["expected-sig", "--words", " ; ;"], "--words"),
+        (["expected-sig", "--H", ","], "--H"),
+        (["approx-sig", "--words", ";"], "--words"),
+        (["approx-sig", "--m", ","], "--m"),
+        (["approx-sig", "--H", ""], "--H"),
+        (["bounds", "--T", ","], "--T"),
+        (["bounds", "--H", ",,"], "--H"),
+        (["convergence", "--H", ","], "--H"),
+        (["convergence", "--m", ","], "--m"),
+        (["cubature", "solve", "--H", ","], "--H"),
+        (["cubature", "verify", "--H", ","], "--H"),
+    ])
+    def test_empty_list_is_usage_error(self, tmp_path, capsys, argv, flag):
+        rc, text = run(tmp_path, *argv, "--no-timestamp")
+        assert rc == 2 and text == ""
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag} lists no ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv, gappy, plain", [
+        (["expected-sig", "--words", "1,1"], ["--H", "0.6,,0.7"], ["--H", "0.6,0.7"]),
+        (["expected-sig", "--H", "0.7"], ["--words", "1,1;;1,2,1,2;"],
+         ["--words", "1,1;1,2,1,2"]),
+        (["approx-sig", "--H", "0.7"], ["--m", "4,,8,"], ["--m", "4,8"]),
+        (["bounds", "--H", "0.7"], ["--T", ",0.5,1"], ["--T", "0.5,1"]),
+        (["cubature", "solve"], ["--H", "0.6,"], ["--H", "0.6"]),
+    ])
+    def test_empty_items_are_skipped(self, tmp_path, argv, gappy, plain):
+        got = run(tmp_path, *argv, *gappy, "--no-timestamp")
+        assert got[0] == 0
+        assert got == run(tmp_path, *argv, *plain, "--no-timestamp")
 
 
 def test_import_leaves_scipy_stats_unloaded():

@@ -275,6 +275,61 @@ class TestMcWeakValue:
             mc_weak_value(vf, lambda y: y[:, 0], [0.0], 0.75, 1.0, n_paths, 4, seed=0)
 
 
+def _closed_form(name):
+    """(fields, x0, exact): two field sets whose endpoint along any
+    piecewise-linear driver omega with omega_0 = 0 is known in closed form."""
+    if name == "linear":  # commuting: y_T = x0 exp(T/2 + omega_T)
+        return (VectorFieldSet(1, (lambda y: 0.5 * y, lambda y: y)), [0.3],
+                lambda T, w: 0.3 * np.exp(0.5 * T + w))
+    # dy = sin(y) d omega: tan(y/2) grows by the factor exp(omega)
+    return (VectorFieldSet(1, (lambda y: 0.0, np.sin)), [1.0],
+            lambda T, w: 2.0 * np.arctan(math.tan(0.5) * np.exp(w)))
+
+
+def _recorded_mc(vf, x0, H, T, n_paths, n_steps, seed, **kwargs):
+    """mc_weak_value of the first coordinate, with the endpoints it averaged."""
+    ends = []
+    est, se = mc_weak_value(vf, lambda y: ends.append(y.copy()) or y[:, 0], x0, H, T,
+                            n_paths, n_steps, seed, **kwargs)
+    spatial = sample_fbm_batch(H, n_steps, vf.d, n_paths, seed, T)
+    times = np.arange(n_steps + 1) * (T / n_steps)
+    return est, se, ends[0], times, spatial
+
+
+class TestMcDefaultGridAccuracy:
+    # the default RK4 grid is the sample grid, one step per cell; measured
+    # worst per-path relative errors over these cases are 2.2e-2 (m = 32),
+    # 3.0e-4 (128) and 4.8e-7 (1536), and the worst bias is 0.012 of the
+    # standard error.  These bounds are never to be loosened.
+    REL_BOUND = {32: 5e-2, 128: 1e-3, 1536: 1.5e-6}
+    PATHS = {32: 4000, 128: 4000, 1536: 400}
+
+    @pytest.mark.parametrize("T", [0.5, 2.0])
+    @pytest.mark.parametrize("H", [0.55, 0.7, 0.9])
+    @pytest.mark.parametrize("n_steps", [32, 128, 1536])
+    @pytest.mark.parametrize("fields", ["linear", "sin"])
+    def test_endpoints_match_closed_form(self, fields, n_steps, H, T):
+        vf, x0, exact = _closed_form(fields)
+        n_paths = self.PATHS[n_steps]
+        est, se, ends, times, spatial = _recorded_mc(vf, x0, H, T, n_paths,
+                                                     n_steps, seed=11)
+        assert np.array_equal(ends, _solve(vf, x0, times, spatial, 1))
+        want = exact(T, spatial[:, -1, 0])
+        rel = np.abs(ends[:, 0] - want) / np.abs(want)
+        assert rel.max() <= self.REL_BOUND[n_steps]
+        assert abs(est - want.mean()) <= 0.1 * se
+
+    def test_default_is_one_step_per_cell(self):
+        assert inspect.signature(mc_weak_value).parameters["steps_per_piece"].default == 1
+
+    @pytest.mark.parametrize("fields", ["linear", "sin"])
+    def test_explicit_sub_steps_match_per_piece_oracle(self, fields):
+        vf, x0, _ = _closed_form(fields)
+        _, _, ends, times, spatial = _recorded_mc(vf, x0, 0.7, 2.0, 300, 16, seed=4,
+                                                  steps_per_piece=4)
+        assert np.array_equal(ends, rk4_solve_per_piece(vf, x0, times, spatial, 4))
+
+
 class TestErrorBoundShape:
     def test_K_value(self):
         p = ErrorBoundParams(M=1.0, gamma=0.0, d=1, degree=5, H=0.75)
