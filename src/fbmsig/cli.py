@@ -73,9 +73,19 @@ def _now() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
+def _number(flag: str, text, cast):
+    """cast(text) for the value of --flag; a malformed number is a usage
+    error that names the flag."""
+    try:
+        return cast(text)
+    except ValueError:
+        kind = "an integer" if cast is int else "a number"
+        raise ValueError(f"--{flag} must be {kind}, got {text!r}") from None
+
+
 def _parse_list(text: str, cast, flag: str) -> list:
     # empty items are skipped, but a list with none left is a usage error
-    values = [cast(t) for t in str(text).split(",") if t != ""]
+    values = [_number(flag, t, cast) for t in str(text).split(",") if t != ""]
     if not values:
         raise ValueError(f"--{flag} lists no values")
     return values
@@ -143,7 +153,9 @@ def _apply_config(args: argparse.Namespace):
 
 
 def _quad_config(args) -> QuadConfig:
-    return QuadConfig(tol=float(args.tol)) if args.tol is not None else QuadConfig()
+    if args.tol is None:
+        return QuadConfig()
+    return QuadConfig(tol=_number("tol", args.tol, float))
 
 
 def _emit(args, table: TableWriter) -> None:
@@ -254,7 +266,8 @@ def cmd_cubature(args) -> int:
     all_ok = True
     for H in hs:
         formula = cb.formula_from_solution(cb.solve_ansatz(H, args.branch))
-        degree = int(args.degree) if args.degree is not None else formula.claimed_degree
+        degree = (_number("degree", args.degree, int) if args.degree is not None
+                  else formula.claimed_degree)
         rep = cb.verify_formula(formula, degree, config)
         all_ok &= rep.passed
         for r in rep.rows:
@@ -280,24 +293,29 @@ def _sde_problem(name: str, x0: float):
     return vf, f, np.array([x0])
 
 
-def _finite(name: str, value: float) -> float:
+def _finite(name: str, text) -> float:
+    value = _number(name, text, float)
     if not math.isfinite(value):
         raise ValueError(f"--{name} must be finite, got {value}")
     return value
 
 
 def cmd_sde(args) -> int:
-    H = float(args.H)
+    H = _number("H", args.H, float)
     ex.check_hurst(H)
-    x0 = _finite("x0", float(args.x0))
+    x0 = _finite("x0", args.x0)
     vf, f, state0 = _sde_problem(args.problem, x0)
     formula = cb.three_path_formula(H)
-    T = _finite("T", float(args.T))
-    n_paths, n_steps, seed = int(args.paths), int(args.steps), int(args.seed)
+    T = _finite("T", args.T)
+    n_paths = _number("paths", args.paths, int)
+    n_steps = _number("steps", args.steps, int)
+    seed = _number("seed", args.seed, int)
+    if seed < 0:
+        raise ValueError(f"--seed must be a non-negative integer, got {args.seed!r}")
     if not 1 <= n_steps <= ga._MAX_GRID:
         raise ValueError(f"--steps must lie in [1, {ga._MAX_GRID}], got {n_steps}")
     ga._covariance_scale(H, n_steps, T)  # the sampler's range check, before any solve
-    M, gamma = _finite("M", float(args.M)), _finite("gamma", float(args.gamma))
+    M, gamma = _finite("M", args.M), _finite("gamma", args.gamma)
     # f may overflow (a huge --x0); the finiteness check below reports that
     with np.errstate(over="ignore"):
         cub = sde.cubature_weak_value(vf, f, state0, formula, T)
@@ -325,13 +343,14 @@ def cmd_sde(args) -> int:
 def cmd_bounds(args) -> int:
     hs = _parse_list(args.H, float, "H")
     ts = [_finite("T", t) for t in _parse_list(args.T, float, "T")]
-    M, gamma = _finite("M", float(args.M)), _finite("gamma", float(args.gamma))
+    M, gamma = _finite("M", args.M), _finite("gamma", args.gamma)
+    degree = _number("degree", args.degree, int)
     table = TableWriter(["H", "A", "A_err", "Atilde", "Atilde_err", "K", "T",
                          "bound_shape", "branch"])
     for H in hs:
         a = ga.constant_A(H)
         at = ga.constant_Atilde(H)
-        params = sde.ErrorBoundParams(M=M, gamma=gamma, d=1, degree=int(args.degree), H=H)
+        params = sde.ErrorBoundParams(M=M, gamma=gamma, d=1, degree=degree, H=H)
         for T in ts:
             shape = sde.error_bound_shape(params, T)
             table.add(H=H, A=a.value, A_err=a.error, Atilde=at.value,

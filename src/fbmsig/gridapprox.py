@@ -351,8 +351,10 @@ def sample_fbm_batch(
     The grid covariance factors as chol(C) = A chol(S), where S is the
     Toeplitz covariance of the increments (fractional Gaussian noise) and A
     the cumulative sum, so the paths are the cumulative sums of chol(S) z.
-    chol(S) comes from the O(m^2) Schur recursion (Hosking's method) and is
-    applied to every (path, coordinate) row of z by one matrix product.
+    chol(S) comes from the O(m^2) Schur recursion (Hosking's method), which
+    streams it through a panel of _PANEL rows (see _apply_fgn_factor), so
+    no m x m array is held and memory is O(_PANEL m + n_paths d m).  The
+    increments are written into the path buffer and summed in place.
     Deterministic in the seed.
     """
     check_hurst(H)
@@ -361,11 +363,13 @@ def sample_fbm_batch(
     if m < 1 or n_paths < 1 or d < 1:
         raise ValueError("m, d and n_paths must be positive")
     _covariance_scale(H, m, T)  # refuse T before drawing any sample
-    z = np.random.default_rng(seed).standard_normal((n_paths, d, m))
-    increments = (z.reshape(-1, m) @ _fgn_cholesky_t(H, m, T)).reshape(n_paths, d, m)
-    paths = np.zeros((n_paths, m + 1, d))
-    np.cumsum(increments.transpose(0, 2, 1), axis=1, out=paths[:, 1:])
-    return paths
+    # one row per (path, coordinate), in the order of a (n_paths, d, m) draw
+    z = np.random.default_rng(seed).standard_normal((n_paths * d, m))
+    paths = np.empty((n_paths * d, m + 1))
+    paths[:, 0] = 0.0
+    _apply_fgn_factor(H, T, z, out=paths[:, 1:])
+    np.cumsum(paths[:, 1:], axis=1, out=paths[:, 1:])
+    return paths.reshape(n_paths, d, m + 1).transpose(0, 2, 1)
 
 
 def _covariance_scale(H: float, m: int, T: float) -> float:
@@ -383,29 +387,51 @@ def _covariance_scale(H: float, m: int, T: float) -> float:
     return scale
 
 
-def _fgn_cholesky_t(H: float, m: int, T: float) -> np.ndarray:
-    """U = L^T, where L L^T = S is the Toeplitz covariance of the m increments
-    of fBm over cells of width T/m, by the Schur recursion in O(m^2).
+# rows of the fGn factor held at once; one matrix product applies them all
+_PANEL = 128
+
+
+def _apply_fgn_factor(H: float, T: float, z: np.ndarray, out: np.ndarray) -> None:
+    """out = z @ U for z of shape (n, m), where U = L^T and L L^T = S is the
+    Toeplitz covariance of the m increments of fBm over cells of width T/m.
 
     S has first column gamma_k = (T/m)^2H (|k+1|^2H - 2|k|^2H + |k-1|^2H) / 2.
-    The generators (a, b) satisfy S - Z S Z^T = a a^T - b b^T (Z the down
-    shift); row k of U is a, after which a is shifted down one place and a
-    hyperbolic rotation by rho = b[k+1] / a[k] zeroes b[k+1].  |rho| < 1 at
-    every step exactly when S is positive definite, so anything else raises.
+    U comes from the Schur recursion in O(m^2): the generators (a, b)
+    satisfy S - Z S Z^T = a a^T - b b^T (Z the down shift); row k of U is a,
+    after which a is shifted down one place and a hyperbolic rotation by
+    rho = b[k+1] / a[k] zeroes b[k+1].  |rho| < 1 at every step exactly when
+    S is positive definite, so anything else raises.
+
+    Each rotation writes the next row of U straight into a panel of _PANEL
+    rows, and each filled panel is applied to z by one matrix product over
+    the columns it touches, so U is never held whole.  For m <= _PANEL the
+    panel is U and the product is the single z @ U.
     """
+    m = z.shape[1]
     gamma = 0.5 * _covariance_scale(H, m, T) * _second_differences(H, np.arange(m))
-    a = gamma / math.sqrt(gamma[0])
-    b = a.copy()
+    rows = min(_PANEL, m)
+    panel = np.zeros((rows, m))
+    np.divide(gamma, math.sqrt(gamma[0]), out=panel[0])
+    b = panel[0].copy()
     b[0] = 0.0
-    U = np.zeros((m, m))
-    for k in range(m - 1):
-        U[k, k:] = a[k:]
-        rho = b[k + 1] / a[k]
-        if not abs(rho) < 1.0:
-            raise RuntimeError(f"fGn covariance is not positive definite at step {k}")
-        c = math.sqrt((1.0 - rho) * (1.0 + rho))
-        shifted = a[k : m - 1]
-        tail = b[k + 1 :]
-        a[k + 1 :], b[k + 1 :] = (shifted - rho * tail) / c, (tail - rho * shifted) / c
-    U[m - 1, m - 1] = a[m - 1]
-    return U
+    scratch = np.empty(m)
+    for k0 in range(0, m, rows):
+        k1 = min(k0 + rows, m)
+        for k in range(max(k0, 1), k1):
+            prev, row = panel[(k - 1) % rows], panel[k - k0]
+            rho = b[k] / prev[k - 1]
+            if not abs(rho) < 1.0:
+                raise RuntimeError(f"fGn covariance is not positive definite at step {k - 1}")
+            c = math.sqrt((1.0 - rho) * (1.0 + rho))
+            shifted, tail, t = prev[k - 1 : m - 1], b[k:], scratch[: m - k]
+            np.multiply(tail, rho, out=t)
+            np.subtract(shifted, t, out=row[k:])
+            np.divide(row[k:], c, out=row[k:])
+            np.multiply(shifted, rho, out=t)
+            np.subtract(tail, t, out=tail)
+            np.divide(tail, c, out=tail)
+            row[k0:k] = 0.0  # clear what the previous panel left below the diagonal
+        if k0 == 0:
+            np.matmul(z[:, :k1], panel[:k1], out=out)
+        else:
+            out[:, k0:] += z[:, k0:k1] @ panel[: k1 - k0, k0:]

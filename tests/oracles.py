@@ -2,16 +2,19 @@
 coefficient, an exhaustive sweep of the refined permutation-count bound, the
 per-piece RK4 integrator that `fbmsig.sde._solve` must match bit for bit, the
 full-grid evaluation of a simplex core that `fbmsig.simplexquad._core_numeric`
-contracts axis by axis, and the closed-form cell-pair kernel integrals."""
+contracts axis by axis, the closed-form cell-pair kernel integrals, and the
+whole fGn Cholesky factor that `fbmsig.gridapprox._apply_fgn_factor` streams
+by panel."""
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
 from fbmsig import simplexquad as sq
 from fbmsig.expected import check_hurst
-from fbmsig.gridapprox import _second_differences
+from fbmsig.gridapprox import _covariance_scale, _second_differences
 from fbmsig.matchings import permutation_count, refined_count_bound
 from fbmsig.tensor import PiecewiseLinearPath, Word
 
@@ -138,3 +141,31 @@ def cell_covariance_matrix(H: float, m: int) -> np.ndarray:
     r = np.abs(np.arange(m)[:, None] - np.arange(m)[None, :])
     two_h = 2.0 * H
     return _second_differences(H, np.arange(m))[r] * (m**-two_h / (two_h * (two_h - 1.0)))
+
+
+def fgn_cholesky_t(H: float, m: int, T: float) -> np.ndarray:
+    """U = L^T, where L L^T = S is the Toeplitz covariance of the m increments
+    of fBm over cells of width T/m, by the Schur recursion in O(m^2).
+
+    S has first column gamma_k = (T/m)^2H (|k+1|^2H - 2|k|^2H + |k-1|^2H) / 2.
+    The generators (a, b) satisfy S - Z S Z^T = a a^T - b b^T (Z the down
+    shift); row k of U is a, after which a is shifted down one place and a
+    hyperbolic rotation by rho = b[k+1] / a[k] zeroes b[k+1].  |rho| < 1 at
+    every step exactly when S is positive definite, so anything else raises.
+    """
+    gamma = 0.5 * _covariance_scale(H, m, T) * _second_differences(H, np.arange(m))
+    a = gamma / math.sqrt(gamma[0])
+    b = a.copy()
+    b[0] = 0.0
+    U = np.zeros((m, m))
+    for k in range(m - 1):
+        U[k, k:] = a[k:]
+        rho = b[k + 1] / a[k]
+        if not abs(rho) < 1.0:
+            raise RuntimeError(f"fGn covariance is not positive definite at step {k}")
+        c = math.sqrt((1.0 - rho) * (1.0 + rho))
+        shifted = a[k : m - 1]
+        tail = b[k + 1 :]
+        a[k + 1 :], b[k + 1 :] = (shifted - rho * tail) / c, (tail - rho * shifted) / c
+    U[m - 1, m - 1] = a[m - 1]
+    return U

@@ -561,6 +561,25 @@ class TestListFlags:
         assert got == run(tmp_path, *argv, *plain, "--no-timestamp")
 
 
+class TestNumberFlags:
+    @pytest.mark.parametrize("argv, message", [
+        (["sde", "compare", "--paths", "1.5"], "--paths must be an integer, got '1.5'"),
+        (["sde", "compare", "--steps", "1e3"], "--steps must be an integer, got '1e3'"),
+        (["sde", "compare", "--seed", "-1"],
+         "--seed must be a non-negative integer, got '-1'"),
+        (["bounds", "--degree", "x"], "--degree must be an integer, got 'x'"),
+        (["approx-sig", "--m", "4,x"], "--m must be an integer, got 'x'"),
+        (["convergence", "--m", "4,8,x"], "--m must be an integer, got 'x'"),
+        (["expected-sig", "--H", "0.7,x"], "--H must be a number, got 'x'"),
+        (["cubature", "verify", "--degree", "2.5"], "--degree must be an integer, got '2.5'"),
+        (["expected-sig", "--tol", "tiny"], "--tol must be a number, got 'tiny'"),
+    ])
+    def test_malformed_number_names_its_flag(self, tmp_path, capsys, argv, message):
+        rc, text = run(tmp_path, *argv, "--no-timestamp")
+        assert rc == 2 and text == ""
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_import_leaves_scipy_stats_unloaded():
     # the runtime needs numpy and the standard library only, so neither
     # importing the CLI nor running any command may load a scipy module

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -22,7 +23,7 @@ from fbmsig.gridapprox import (
     sample_fbm_batch,
 )
 from fbmsig.tensor import Word, batch_grid_signatures, word_index
-from oracles import cell_covariance_matrix, cell_pair_integral
+from oracles import cell_covariance_matrix, cell_pair_integral, fgn_cholesky_t
 
 
 def W(*letters, d=2):
@@ -429,8 +430,39 @@ class TestToeplitzSampler:
                 for j in range(m):
                     S[i, j] = gamma[abs(i - j)]
             want = np.array(mpmath.cholesky(S).tolist(), dtype=float)
-        got = ga._fgn_cholesky_t(H, m, 1.0).T
-        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        # the streamed factor applied to the identity is the factor itself
+        got = np.empty((m, m))
+        ga._apply_fgn_factor(H, 1.0, np.eye(m), out=got)
+        assert np.abs(got.T - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("H", [0.5001, 0.75, 0.999])
+    @pytest.mark.parametrize("m", [1, 127, 128, 129, 256, 257, 1536])
+    def test_streamed_factor_matches_whole_factor(self, H, m):
+        # up to one panel the panel is U, so the increments are z @ U bit for
+        # bit; past it the panels regroup the sums (1.9e-15 at H = 0.999)
+        z = np.random.default_rng(m).standard_normal((3 * 2, m))
+        got = np.empty_like(z)
+        ga._apply_fgn_factor(H, 1.3, z, out=got)
+        want = z @ fgn_cholesky_t(H, m, 1.3)
+        if m <= ga._PANEL:
+            assert np.array_equal(got, want)
+        else:
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+        # the sampler draws the same z and sums the same increments
+        paths = sample_fbm_batch(H, m, 2, 3, seed=m, T=1.3)
+        sums = np.cumsum(got.reshape(3, 2, m), axis=2).transpose(0, 2, 1)
+        assert np.array_equal(paths[:, 1:], sums) and np.all(paths[:, 0] == 0.0)
+
+    @pytest.mark.parametrize("m, n_paths, limit_mb", [(4096, 2, 16), (1536, 50, 8)])
+    def test_factor_is_never_held_whole(self, m, n_paths, limit_mb):
+        # the whole factor alone is 134 MB at m = 4096 and 19 MB at m = 1536
+        tracemalloc.start()
+        try:
+            sample_fbm_batch(0.7, m, 1, n_paths, seed=8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit_mb * 2**20
 
     @pytest.mark.parametrize("T", [0.0, -1.0, float("nan")])
     def test_refuses_non_positive_horizon(self, T):
@@ -443,13 +475,16 @@ class TestToeplitzSampler:
         with pytest.raises(ValueError, match="covariance scale"):
             sample_fbm_batch(0.75, 4, 1, 2, seed=0, T=T)
 
-    def test_indefinite_covariance_raises(self, monkeypatch):
+    @pytest.mark.parametrize("m, lag, value, step", [(4, 1, 2.5, 0), (300, 150, 3.0, 149)])
+    def test_indefinite_covariance_raises(self, monkeypatch, m, lag, value, step):
         # fGn covariances are positive definite, so only a broken kernel can
-        # reach the check; it must raise rather than perturb the matrix
-        kernel = np.array([2.0, 2.5, 0.0, 0.0])
+        # reach the check; it must raise rather than perturb the matrix, in
+        # the second panel as in the first
+        kernel = np.zeros(m)
+        kernel[0], kernel[lag] = 2.0, value
         monkeypatch.setattr(ga, "_second_differences", lambda H, r: kernel[: len(r)])
-        with pytest.raises(RuntimeError, match="not positive definite"):
-            sample_fbm_batch(0.75, 4, 1, 1, seed=0)
+        with pytest.raises(RuntimeError, match=f"not positive definite at step {step}$"):
+            sample_fbm_batch(0.75, m, 1, 1, seed=0)
 
     def test_near_one_at_the_cap_needs_no_jitter(self):
         with warnings.catch_warnings():
