@@ -92,10 +92,11 @@ def _parse_list(text: str, cast, flag: str) -> list:
 
 
 def _parse_words(text: str) -> list[Word]:
-    words = [Word.parse(w) for w in str(text).split(";") if w.strip() != ""]
+    words = [[_number("words", t, int) for t in w.split(",")]
+             for w in str(text).split(";") if w.strip() != ""]
     if not words:
         raise ValueError("--words lists no words")
-    return words
+    return [Word(letters, max(1, *letters)) for letters in words]
 
 
 def _read_config(path: str) -> dict[str, str]:
@@ -150,6 +151,9 @@ def _apply_config(args: argparse.Namespace):
     for attr, value in defaults.items():
         if hasattr(args, attr) and getattr(args, attr) is None:
             setattr(args, attr, value)
+    # a config file bypasses argparse's choices for --format
+    if args.format not in ("csv", "json"):
+        raise ValueError(f"format must be csv or json, got {args.format!r}")
 
 
 def _quad_config(args) -> QuadConfig:

@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .expected import closed_form_value, expected_word
 from .simplexquad import QuadConfig
-from .tensor import PiecewiseLinearPath, Word, path_signature
+from .tensor import Word, batch_grid_signatures, word_index
 
 __all__ = [
     "CubatureFormula",
@@ -49,26 +49,32 @@ def _check_H_cubature(H: float) -> None:
 
 @dataclass(frozen=True)
 class CubatureFormula:
-    """Positive weights summing to one and matching time-augmented paths that
-    share their breakpoints."""
+    """Positive weights summing to one and piecewise-linear paths on the
+    shared breakpoints `times`; `spatial` holds their spatial values, shape
+    (paths, breakpoints, d), and every path starts at the origin.  The time
+    coordinate is implied by `times`."""
 
     H: float
     weights: tuple[float, ...]
-    paths: tuple[PiecewiseLinearPath, ...]
+    times: tuple[float, ...]
+    spatial: np.ndarray
     claimed_degree: int
 
     def __post_init__(self):
-        if len(self.weights) != len(self.paths):
-            raise ValueError("need one weight per path")
-        if any(w <= 0 for w in self.weights):
+        _check_H_cubature(self.H)
+        spatial = np.asarray(self.spatial, dtype=float)
+        if spatial.ndim != 3 or 0 in spatial.shape or spatial.shape[:2] != (
+                len(self.weights), len(self.times)):
+            raise ValueError("spatial must have shape (weights, breakpoints, d >= 1)")
+        if not all(b > a for a, b in zip(self.times, self.times[1:])):
+            raise ValueError("breakpoint times must be strictly increasing")
+        if not np.all(np.abs(spatial[:, 0]) <= 1e-12):
+            raise ValueError("every cubature path must start at the origin")
+        if not all(w > 0 for w in self.weights):
             raise ValueError("weights must be positive")
-        if abs(sum(self.weights) - 1.0) > 1e-12:
+        if not abs(sum(self.weights) - 1.0) <= 1e-12:
             raise ValueError("weights must sum to 1")
-        for p in self.paths:
-            if not np.allclose(p.values[0], 0.0, atol=1e-12):
-                raise ValueError("every cubature path must start at the origin")
-            if p.times != self.paths[0].times:
-                raise ValueError("every cubature path must share the same breakpoints")
+        object.__setattr__(self, "spatial", spatial)
 
 
 def word_weight(word: Word, H: float) -> float:
@@ -191,7 +197,6 @@ def system_residuals(sol: AnsatzSolution) -> tuple[float, ...]:
 
 def formula_from_solution(sol: AnsatzSolution) -> CubatureFormula:
     """Build the three-path formula realized by an ansatz solution."""
-    times = (0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0)
     vals = np.array(
         [
             0.0,
@@ -200,14 +205,12 @@ def formula_from_solution(sol: AnsatzSolution) -> CubatureFormula:
             sol.c1 + sol.c0,
         ]
     )
-    omega1 = PiecewiseLinearPath.time_augmented(times, vals)
-    omega2 = PiecewiseLinearPath.time_augmented(times, -vals)
-    omega3 = PiecewiseLinearPath.time_augmented(times, np.zeros(4))
     degree = 5 if sol.H < 2.0 / 3.0 else 4
     return CubatureFormula(
         H=sol.H,
         weights=(sol.lam1, sol.lam1, sol.lam3),
-        paths=(omega1, omega2, omega3),
+        times=(0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0),
+        spatial=np.stack([vals, -vals, np.zeros(4)])[:, :, None],
         claimed_degree=degree,
     )
 
@@ -215,20 +218,10 @@ def formula_from_solution(sol: AnsatzSolution) -> CubatureFormula:
 def rescale_formula(formula: CubatureFormula, T: float) -> CubatureFormula:
     """Carry a unit-interval formula to [0, T]: time scales by T, spatial
     coordinates by T^H with H = formula.H, weights unchanged."""
-    if T <= 0:
-        raise ValueError(f"T must be positive, got {T}")
-    _check_H_cubature(formula.H)
-    paths = []
-    for p in formula.paths:
-        times = np.asarray(p.times) * T
-        spatial = p.values[:, 1:] * T**formula.H
-        paths.append(PiecewiseLinearPath.time_augmented(times, spatial))
-    return CubatureFormula(
-        H=formula.H,
-        weights=formula.weights,
-        paths=tuple(paths),
-        claimed_degree=formula.claimed_degree,
-    )
+    if not 0 < T < math.inf:
+        raise ValueError(f"T must be positive and finite, got {T}")
+    return replace(formula, times=tuple(t * T for t in formula.times),
+                   spatial=formula.spatial * T**formula.H)
 
 
 # ---------------------------------------------------------------------------
@@ -277,14 +270,16 @@ def verify_formula(
     """
     H = formula.H
     words = words_of_degree(degree, H, d=1)
-    depth = max((len(w) for w in words), default=0)
-    sigs = [path_signature(p, depth) for p in formula.paths]
+    depth = max(len(w) for w in words)  # the empty word is always there
+    n_paths, n_times, d = formula.spatial.shape
+    dt = np.broadcast_to(np.diff(formula.times)[:, None], (n_paths, n_times - 1, 1))
+    increments = np.concatenate([dt, np.diff(formula.spatial, axis=1)], axis=2)
+    levels = batch_grid_signatures(increments, depth)
     rows: list[VerifyRow] = []
-    for w in sorted(words, key=lambda w: (len(w), w.letters)):
+    for w in words:  # by length, then letters
         lhs, lhs_err, source = _expected_side(w, H, config)
-        rhs = sum(
-            lam * sig.coeff(w) for lam, sig in zip(formula.weights, sigs)
-        )
+        coeffs = levels[len(w)][:, word_index(w.letters, d)].tolist()
+        rhs = sum(lam * c for lam, c in zip(formula.weights, coeffs))
         err = abs(lhs - rhs)
         rows.append(
             VerifyRow(
@@ -319,12 +314,10 @@ def empirical_degree(
     """Measure the largest integer degree up to SCAN_CAP at which every
     word still matches, instead of assuming the claimed degree."""
     report = verify_formula(formula, SCAN_CAP, config)
-    failing = sorted(
-        (r for r in report.rows if not r.passed),
-        key=lambda r: (r.weight, len(r.word), r.word.letters),
-    )
-    first_failure = failing[0].word if failing else None
-    fail_weight = failing[0].weight if failing else math.inf
+    # rows come by length, then letters; min keeps that order among equal weights
+    first = min((r for r in report.rows if not r.passed), key=lambda r: r.weight,
+                default=None)
+    fail_weight = first.weight if first else math.inf
     measured = 0
     for m in range(1, SCAN_CAP + 1):
         if m + 1e-9 < fail_weight:
@@ -332,5 +325,5 @@ def empirical_degree(
     return DegreeScan(
         claimed_degree=formula.claimed_degree,
         measured_degree=measured,
-        first_failure=first_failure,
+        first_failure=first.word if first else None,
     )

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -54,7 +54,7 @@ class VectorFieldSet:
         return len(self.fields) - 1
 
 
-def _solve(vf: VectorFieldSet, x0, times: np.ndarray, spatial: np.ndarray,
+def _solve(vf: VectorFieldSet, x0, times: Sequence[float], spatial: np.ndarray,
            steps_per_piece: int) -> np.ndarray:
     """Endpoints (B, N) of dy = V_0(y) dt + sum_i V_i(y) d omega^i along B
     piecewise-linear drivers that share the breakpoints `times`; `spatial`
@@ -116,9 +116,7 @@ def cubature_weak_value(
     """Weighted combination sum_j lambda_j f(endpoint of the ODE along the
     rescaled cubature path omega_j); the paths are solved as one batch."""
     resc = rescale_formula(formula, T)
-    spatial = np.stack([p.values[:, 1:] for p in resc.paths])
-    ends = _solve(vf, x0, np.asarray(resc.paths[0].times), spatial,
-                  CUBATURE_STEPS_PER_PIECE)
+    ends = _solve(vf, x0, resc.times, resc.spatial, CUBATURE_STEPS_PER_PIECE)
     total = 0.0
     for lam, y in zip(resc.weights, ends):
         total += lam * float(f(y))

@@ -184,7 +184,7 @@ def test_criterion_5_cubature():
         worst = max(worst, rep.max_abs_err)
         all_pass &= rep.passed and rep.max_abs_err <= 1e-9
     f = three_path_formula(0.5)
-    slope = f.paths[0].values[1, 1] * 3.0
+    slope = f.spatial[0, 1, 0] * 3.0
     slope_err = abs(slope - math.sqrt(3.0) * (2.0 - math.sqrt(5.5)))
     max_resid = 0.0
     for H in (0.50, 0.55, 0.60, 0.65, 0.70, 0.80, 0.90):

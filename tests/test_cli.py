@@ -501,6 +501,25 @@ class TestHarness:
         assert {float(r[1]) for r in rows[1:]} == {0.9}       # config fills H
         assert {r[2] for r in rows[1:]} == {"1", "2"}         # config fills m
 
+    @pytest.mark.parametrize("fmt", ("xml", "CSV"))
+    def test_config_format_outside_choices_is_usage_error(self, tmp_path, capsys, fmt):
+        # argparse checks the choices of --format, not a config file's value
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"format={fmt}\n")
+        rc = main(["expected-sig", "--config", str(cfg), "--no-timestamp"])
+        out, err = capsys.readouterr()
+        assert rc == 2 and out == ""
+        assert err == f"error: format must be csv or json, got '{fmt}'\n"
+
+    def test_config_format_json(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("format=json\n")
+        assert main(["expected-sig", "--config", str(cfg), "--no-timestamp"]) == 0
+        from_config = capsys.readouterr().out
+        assert main(["expected-sig", "--format", "json", "--no-timestamp"]) == 0
+        assert from_config == capsys.readouterr().out
+        assert json.loads(from_config)["columns"][0] == "word"
+
     def test_unknown_problem_is_usage_error(self, tmp_path):
         rc, _ = run(tmp_path, "sde", "compare", "--problem", "cubic")
         assert rc == 2
@@ -573,6 +592,9 @@ class TestNumberFlags:
         (["expected-sig", "--H", "0.7,x"], "--H must be a number, got 'x'"),
         (["cubature", "verify", "--degree", "2.5"], "--degree must be an integer, got '2.5'"),
         (["expected-sig", "--tol", "tiny"], "--tol must be a number, got 'tiny'"),
+        (["expected-sig", "--words", "1,a"], "--words must be an integer, got 'a'"),
+        (["expected-sig", "--words", "1,,1"], "--words must be an integer, got ''"),
+        (["expected-sig", "--words", "1,1.5"], "--words must be an integer, got '1.5'"),
     ])
     def test_malformed_number_names_its_flag(self, tmp_path, capsys, argv, message):
         rc, text = run(tmp_path, *argv, "--no-timestamp")

@@ -1,10 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from fbmsig.cubature import (
-    CubatureFormula,
     empirical_degree,
     formula_from_solution,
     rescale_formula,
@@ -68,13 +68,13 @@ class TestWordsOfDegree:
 class TestThreePathFormula:
     def test_brownian_first_slope(self):
         f = three_path_formula(0.5)
-        slope = f.paths[0].values[1, 1] / (1.0 / 3.0)
+        slope = f.spatial[0, 1, 0] / (1.0 / 3.0)
         assert slope == pytest.approx(SQRT3 * (2.0 - math.sqrt(5.5)), abs=1e-12)
 
     @pytest.mark.parametrize("H", (0.5, 0.6, 0.75, 0.9))
     def test_endpoint_and_moment(self, H):
         f = three_path_formula(H)
-        ends = [p.values[-1, 1] for p in f.paths]
+        ends = f.spatial[:, -1, 0].tolist()
         assert ends[0] == pytest.approx(SQRT3, abs=1e-12)
         assert ends[1] == pytest.approx(-SQRT3, abs=1e-12)
         assert ends[2] == 0.0
@@ -96,11 +96,30 @@ class TestThreePathFormula:
         with pytest.raises(ValueError):
             three_path_formula(0.4)
 
-    def test_paths_must_share_breakpoints(self):
-        f = three_path_formula(0.7)
-        halves = PiecewiseLinearPath.time_augmented([0.0, 0.5, 1.0], [0.0, 0.0, 0.0])
-        with pytest.raises(ValueError, match="breakpoints"):
-            CubatureFormula(f.H, f.weights, f.paths[:2] + (halves,), f.claimed_degree)
+    @pytest.mark.parametrize("change, message", [
+        ({"times": (0.0, 0.5, 1.0)}, "spatial must have shape"),
+        ({"weights": (0.5, 0.5)}, "spatial must have shape"),
+        ({"spatial": np.zeros((3, 4))}, "spatial must have shape"),
+        ({"spatial": np.zeros((3, 4, 0))}, "spatial must have shape"),
+        ({"times": (), "spatial": np.zeros((3, 0, 1))}, "spatial must have shape"),
+        ({"times": (0.0, 2 / 3, 1 / 3, 1.0)}, "strictly increasing"),
+        ({"times": (0.0, 1 / 3, 1 / 3, 1.0)}, "strictly increasing"),
+        ({"times": (0.0, math.nan, 2 / 3, 1.0)}, "strictly increasing"),
+        ({"spatial": np.ones((3, 4, 1))}, "start at the origin"),
+        ({"spatial": np.full((3, 4, 1), math.nan)}, "start at the origin"),
+        ({"H": 0.4}, "requires H in"),
+        ({"H": 1.0}, "requires H in"),
+        ({"H": math.nan}, "requires H in"),
+        ({"weights": (math.nan, 0.5, 0.5)}, "positive"),
+        ({"weights": (0.0, 0.5, 0.5)}, "positive"),
+        ({"weights": (-0.5, 0.75, 0.75)}, "positive"),
+        ({"weights": (0.2, 0.2, 0.2)}, "sum to 1"),
+        ({"weights": (0.5, 0.5, math.inf)}, "sum to 1"),
+    ])
+    def test_malformed_formula_refused(self, change, message):
+        with pytest.raises(ValueError, match=message):
+            replace(three_path_formula(0.7), **change)
+
 
 
 class TestSolveAnsatz:
@@ -144,10 +163,10 @@ class TestSolveAnsatz:
             paper = [0.0, (2 * SQRT3 - beta) / 3, (SQRT3 + beta) / 3, SQRT3]
             f = formula_from_solution(solve_ansatz(H, "minus"))
             assert f.weights == pytest.approx((1 / 6, 1 / 6, 2 / 3), abs=1e-15)
-            for path, sign in zip(f.paths, (1.0, -1.0, 0.0)):
-                np.testing.assert_allclose(path.times, [0, 1 / 3, 2 / 3, 1], atol=1e-15)
+            np.testing.assert_allclose(f.times, [0, 1 / 3, 2 / 3, 1], atol=1e-15)
+            for values, sign in zip(f.spatial, (1.0, -1.0, 0.0)):
                 np.testing.assert_allclose(
-                    path.values[:, 1], sign * np.array(paper), rtol=0, atol=1e-14
+                    values[:, 0], sign * np.array(paper), rtol=0, atol=1e-14
                 )
 
     def test_bad_branch(self):
@@ -191,11 +210,32 @@ class TestVerify:
 
     def test_chen_side_matches_nested_quadrature(self):
         f = three_path_formula(0.6)
-        sig = path_signature(f.paths[0], 4)
+        path = PiecewiseLinearPath.time_augmented(f.times, f.spatial[0])
+        sig = path_signature(path, 4)
         for letters in [(1, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1, 1)]:
             w = W(*letters)
-            direct = signature_coeff_by_quadrature(f.paths[0], w, 160_000)
+            direct = signature_coeff_by_quadrature(path, w, 160_000)
             assert sig.coeff(w) == pytest.approx(direct, abs=1e-10)
+
+    @pytest.mark.parametrize("H", (0.5, 0.6, 0.8))
+    def test_batched_fold_matches_per_path_signatures(self, H):
+        # all paths are folded in one batch; each rhs must equal, bit for
+        # bit, the in-order weighted sum of one signature per path
+        f = three_path_formula(H)
+        rep = verify_formula(f, 6)
+        depth = max(len(r.word) for r in rep.rows)
+        sigs = [path_signature(PiecewiseLinearPath.time_augmented(f.times, s), depth)
+                for s in f.spatial]
+        for r in rep.rows:
+            want = sum(lam * sig.coeff(r.word) for lam, sig in zip(f.weights, sigs))
+            assert r.rhs == want, str(r.word)
+
+    def test_words_index_the_formula_alphabet(self):
+        # words use the letters {0, 1}; a second spatial coordinate widens the
+        # formula's alphabet but must leave every row as it was
+        f = three_path_formula(0.6)
+        g = replace(f, spatial=np.concatenate([f.spatial, f.spatial[::-1]], axis=2))
+        assert verify_formula(g, 5).rows == verify_formula(f, 5).rows
 
     def test_brownian_failure_beyond_claimed_degree(self):
         # the six-letter single word breaks degree 6 at H = 1/2:
@@ -232,28 +272,27 @@ class TestRescale:
     def test_identity_at_T1(self):
         f = three_path_formula(0.6)
         g = rescale_formula(f, 1.0)
-        for pf, pg in zip(f.paths, g.paths):
-            np.testing.assert_allclose(pf.values, pg.values, atol=0)
+        assert g.times == f.times
+        np.testing.assert_allclose(g.spatial, f.spatial, atol=0)
 
     def test_spatial_scaling(self):
         f = three_path_formula(0.5)
         g = rescale_formula(f, 4.0)
-        np.testing.assert_allclose(
-            g.paths[0].values[:, 1], 2.0 * f.paths[0].values[:, 1], atol=1e-14
-        )
-        np.testing.assert_allclose(
-            g.paths[0].values[:, 0], 4.0 * np.asarray(f.paths[0].times), atol=1e-14
-        )
+        np.testing.assert_allclose(g.spatial, 2.0 * f.spatial, atol=1e-14)
+        np.testing.assert_allclose(g.times, 4.0 * np.asarray(f.times), atol=1e-14)
 
     def test_level2_integral_scales(self):
         T, H = 4.0, 0.5
         g = rescale_formula(three_path_formula(H), T)
         total = sum(
-            lam * path_signature(p, 2).coeff(W(1, 1))
-            for lam, p in zip(g.weights, g.paths)
+            lam * path_signature(PiecewiseLinearPath.time_augmented(g.times, s), 2)
+            .coeff(W(1, 1))
+            for lam, s in zip(g.weights, g.spatial)
         )
         assert total == pytest.approx(T ** (2 * H) * 0.5, abs=1e-12)
 
     def test_positive_T(self):
-        with pytest.raises(ValueError):
-            rescale_formula(three_path_formula(0.6), 0.0)
+        f = three_path_formula(0.6)
+        for T in (math.nan, math.inf, 0.0, -1.0):
+            with pytest.raises(ValueError, match="T must be positive and finite"):
+                rescale_formula(f, T)

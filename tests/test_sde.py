@@ -29,6 +29,11 @@ def time_only_path(T=1.0):
     return PiecewiseLinearPath.time_augmented([0.0, T], [0.0, 0.0])
 
 
+def formula_path(formula, j):
+    """Path j of a cubature formula as a time-augmented path object."""
+    return PiecewiseLinearPath.time_augmented(formula.times, formula.spatial[j])
+
+
 def solve_one(vf, x0, path, steps_per_piece):
     """Endpoint of the ODE along one piecewise-linear driver: `_solve` on a
     batch of one."""
@@ -39,13 +44,13 @@ def solve_one(vf, x0, path, steps_per_piece):
 class TestOdeAlongPath:
     def test_zero_fields_fixed_point(self):
         vf = VectorFieldSet(2, (ZERO, ZERO))
-        p = three_path_formula(0.6).paths[0]
+        p = formula_path(three_path_formula(0.6), 0)
         out = solve_one(vf, [1.5, -2.0], p, steps_per_piece=32)
         np.testing.assert_allclose(out, [1.5, -2.0], atol=0)
 
     def test_constant_field_exact(self):
         vf = VectorFieldSet(1, (ZERO, ONE))
-        p = three_path_formula(0.75).paths[0]
+        p = formula_path(three_path_formula(0.75), 0)
         out = solve_one(vf, [0.25], p, steps_per_piece=1)
         assert out[0] == pytest.approx(0.25 + math.sqrt(3.0), abs=1e-12)
 
@@ -106,10 +111,10 @@ def _driver(kind, B, d):
     if kind == "uniform":
         return np.arange(7) * (1.3 / 6), sample_fbm_batch(0.7, 6, d, B, B, 1.3)
     resc = rescale_formula(three_path_formula(0.65), 1.7)
-    base = np.stack([p.values[:, 1] for p in resc.paths])  # (3, 4)
+    base = resc.spatial[:, :, 0]  # (3, 4)
     spatial = np.stack([np.stack([base[(b + c) % 3] for c in range(d)], axis=1)
                         * (1.0 + 0.5 * b / B) for b in range(B)])
-    return np.asarray(resc.paths[0].times), spatial
+    return np.asarray(resc.times), spatial
 
 
 class TestSolveMatchesPerPieceOracle:
@@ -191,7 +196,8 @@ class TestCubatureWeakValue:
         formula, T, x0 = three_path_formula(H), 1.7, [0.4]
         want = 0.0
         resc = rescale_formula(formula, T)
-        for lam, p in zip(resc.weights, resc.paths):
+        for j, lam in enumerate(resc.weights):
+            p = formula_path(resc, j)
             want += lam * float(f(solve_one(vf, x0, p, steps_per_piece=64)))
         assert cubature_weak_value(vf, f, x0, formula, T) == want
 

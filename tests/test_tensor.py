@@ -110,7 +110,8 @@ class TestPathSignature:
     def test_brownian_cubature_path_level4(self):
         # the first cubature path at H=1/2 ends at sqrt(3); for a 1-d path the
         # level-4 single-letter coefficient is endpoint^4 / 4! = 3/8
-        p = three_path_formula(0.5).paths[0]
+        f = three_path_formula(0.5)
+        p = PiecewiseLinearPath.time_augmented(f.times, f.spatial[0])
         sig = path_signature(p, 4)
         assert sig.coeff(Word((1, 1, 1, 1), 1)) == pytest.approx(3.0 / 8.0, abs=1e-14)
 
