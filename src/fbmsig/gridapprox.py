@@ -9,7 +9,7 @@ kernel by exact cell-pair integrals of |x - y|^(2H-2).  Those sums are
 evaluated by tie pattern (which neighbouring positions share a cell) as
 strictly increasing chain sums over the cell kernel, which depends only on
 the distance between two cells; every chain sum is a prefix-sum expression
-costing O(m) or O(m^2), so the grid can grow to thousands of cells.
+costing O(m), so the grid can grow to 2^18 cells.
 """
 from __future__ import annotations
 
@@ -40,9 +40,9 @@ __all__ = [
 ]
 
 _MAX_GRID = 4096
-# approx_expected_word refuses more work than this, counted as (tie pattern,
-# matching) terms times m^2; it admits m = 4096 for every four-letter word
-_WORK_BUDGET = 500_000_000
+# approx_expected_word refuses grids of more cells than this; at the ceiling
+# 1,1,1,1 takes about 0.2 s and 60 MiB, most of it the kernel's series powers
+_MAX_CELLS = 2**18
 
 
 _SERIES_TERMS = 24
@@ -103,9 +103,8 @@ def _chain_sum(r: int, edges, g: np.ndarray) -> float:
     One edge (i, j) is a sum over its distance t, weighted by the number of
     chains with d_j - d_i = t, C(t-1, j-i-1) C(m-t, r-j+i).  Two edges (each
     with p = 1, on r = 3 or 4 blocks) reduce, through the prefix sums
-    G[n] = g[1] + ... + g[n] and S = cumsum(G), to one-dimensional sums; only
-    the crossing pair (0,2),(1,3) keeps a sum over the middle distance q of
-    sum_b C_q[b] C_q[m-1-q-b], where C_q are the prefix sums of g[q+1:].
+    G[n] = g[1] + ... + g[n] and S = cumsum(G), to one-dimensional sums; the
+    crossing pair (0,2),(1,3) is _crossing_sum.  Each costs O(m).
     """
     m = len(g)
     if not edges:
@@ -128,12 +127,42 @@ def _chain_sum(r: int, edges, g: np.ndarray) -> float:
         dist = np.arange(2, m)
         return float(np.dot((m - dist) * g[2:], np.cumsum(G)[: m - 2]))
     if shape == ((0, 2), (1, 3)):
-        total = 0.0
-        for q in range(1, m - 1):
-            C = np.concatenate(([0.0], np.cumsum(g[q + 1 :])))
-            total += float(np.dot(C, C[::-1]))
-        return total
+        return _crossing_sum(g)
     raise ValueError(f"no chain sum for edges {shape}")
+
+
+def _crossing_sum(g: np.ndarray) -> float:
+    """Sum over cells d_0 < d_1 < d_2 < d_3 of g[d_2 - d_0] g[d_3 - d_1].
+
+    With k = d_2 - d_0 and l = d_3 - d_1, the chains number
+    W(k, l) = sum_{a=1}^{k-1} (m - a - l)_+ for k <= l, and W is symmetric,
+    so the sum is sum_k g[k]^2 W(k, k) + 2 sum_{2<=k<l} g[k] g[l] W(k, l):
+
+    * k < l, k + l <= m: W = (k-1)(m-l) - k(k-1)/2, summed over k for each l
+      by the prefix sums P1, P2 of (k-1) g[k] and k(k-1)/2 g[k];
+    * k < l, k + l > m: W = (m-l-1)(m-l)/2, summed over l for each k by the
+      suffix sums S of (m-l-1)(m-l)/2 g[l];
+    * k = l: W = t(m-k) - t(t+1)/2 with t = max(min(k-1, m-k-1), 0).
+
+    Every term is nonnegative.  The one subtraction, (m-l) P1 - P2, keeps at
+    least half of its first term (k <= m - l), so it loses at most one bit.
+    """
+    m = len(g)
+    if m < 4:
+        return 0.0
+    d = np.arange(2, m)  # the distance k or l; g[0] and g[1] never enter
+    gd = g[2:]
+    rest = (m - d).astype(float)
+    P1 = np.concatenate(([0.0, 0.0], np.cumsum((d - 1.0) * gd)))
+    P2 = np.concatenate(([0.0, 0.0], np.cumsum(0.5 * d * (d - 1.0) * gd)))
+    top = np.minimum(d - 1, m - d)  # for l = d, the largest k of the first bullet
+    near = np.dot(gd, rest * P1[top] - P2[top])
+    # S[i] sums over l >= i + 2; for k = d, l runs from max(k, m - k) + 1
+    S = np.concatenate((np.cumsum((0.5 * (rest - 1.0) * rest * gd)[::-1])[::-1], [0.0]))
+    far = np.dot(gd, S[np.maximum(d, m - d) - 1])
+    t = np.maximum(np.minimum(d - 1, m - d - 1), 0).astype(float)
+    diag = np.dot(gd * gd, t * rest - 0.5 * t * (t + 1.0))
+    return float(diag + 2.0 * (near + far))
 
 
 def approx_expected_word(word: Word, H: float, m: int) -> float:
@@ -145,12 +174,14 @@ def approx_expected_word(word: Word, H: float, m: int) -> float:
     the cell box is prod over tie runs of (1/m)^s / s!.  It is summed by tie
     pattern instead: each of the 2^(2k-1) patterns of runs, weighted by
     m^(-2k) / prod s!, leaves a strictly increasing chain of distinct cells,
-    and each (pattern, matching) chain sum costs at most O(m^2); the total
-    is capped by _WORK_BUDGET.
+    and each (pattern, matching) chain sum costs O(m); m is capped at
+    _MAX_CELLS.
     """
     check_hurst(H)
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
+    if m > _MAX_CELLS:
+        raise ValueError(f"m = {m} exceeds the grid ceiling of {_MAX_CELLS} cells")
     letters = word.letters
     if not letters or any(x == 0 for x in letters):
         raise ValueError(
@@ -161,9 +192,6 @@ def approx_expected_word(word: Word, H: float, m: int) -> float:
     if two_k > 4:
         raise ValueError(f"word length capped at 4 (grid approximation), got word ({word})")
     matchings_ = mt.compatible_matchings(word)
-    work = 2 ** (two_k - 1) * len(matchings_) * m * m
-    if work > _WORK_BUDGET:
-        raise ValueError(f"grid work {work} exceeds budget {_WORK_BUDGET} at m={m}")
     g = 0.5 * m ** (2.0 - 2.0 * H) * _second_differences(H, np.arange(m))
     # (blocks, edges between blocks) -> summed weight; a pair inside one
     # block contributes the diagonal kernel value g[0]
@@ -186,7 +214,25 @@ def approx_expected_word(word: Word, H: float, m: int) -> float:
     return total * float(m) ** -two_k
 
 
+def _rounding_bar(approx: float, m: int) -> float:
+    """Allowance for rounding in approx_expected_word(word, H, m) = approx.
+
+    Every chain sum adds nonnegative terms, so the recursive-summation bound
+    (n - 1) u sum |x_i| = (n - 1) u |value| holds for each sum of n terms,
+    u = 2^-53, and the bounds of nested sums add.  The deepest nestings are
+    two prefix sums and a dot product (cumsum(G) in _chain_sum), 3m, and in
+    _crossing_sum a prefix sum, whose error the one subtraction can triple
+    (P2 <= (m-l) P1 / 2), and a dot product, 3m + m = 4m.  The 64 covers
+    the kernel (within 5u of 30-digit mpmath per factor), the products and
+    the sum over at most 24 (pattern, matching) terms.
+    """
+    return (4.0 * m + 64.0) * 2.0**-53 * abs(approx)
+
+
 class GapResult(NamedTuple):
+    """gap = |exact - approx|; err_bar adds the quadrature bar of the exact
+    value and the rounding bar of approx."""
+
     gap: float
     err_bar: float
     exact: float
@@ -202,7 +248,8 @@ def gap_rows(
     rows = []
     for m in sorted({int(x) for x in m_list}):
         approx = approx_expected_word(word, H, m)
-        rows.append((m, GapResult(abs(exact - approx), err, exact, approx)))
+        rows.append((m, GapResult(abs(exact - approx), err + _rounding_bar(approx, m),
+                                  exact, approx)))
     return tuple(rows)
 
 
@@ -217,9 +264,9 @@ class SlopeFit:
 def convergence_slope(rows) -> SlopeFit:
     """Least-squares slope of log(gap) versus log(m) over gap_rows output.
 
-    Points whose gap sits below 10x the quadrature error bar are refused so
-    that quadrature noise is never fitted as signal; a degenerate fit is
-    reported, not silently returned.
+    Points whose gap sits below 10x the error bar (quadrature plus grid
+    rounding) are refused so that noise is never fitted as signal; a
+    degenerate fit is reported, not silently returned.
     """
     if len({m for m, _ in rows}) < 4:
         raise ValueError("need at least 4 distinct grid sizes to fit a rate")
@@ -228,7 +275,7 @@ def convergence_slope(rows) -> SlopeFit:
         if all(g.gap <= 1e-14 for _, g in rows):
             reason = "gap identically zero"
         else:
-            reason = "gaps at or below the quadrature noise floor"
+            reason = "gaps at or below the error-bar noise floor"
         return SlopeFit(
             ok=False,
             slope=float("nan"),

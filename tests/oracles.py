@@ -2,9 +2,11 @@
 coefficient, an exhaustive sweep of the refined permutation-count bound, the
 per-piece RK4 integrator that `fbmsig.sde._solve` must match bit for bit, the
 full-grid evaluation of a simplex core that `fbmsig.simplexquad._core_numeric`
-contracts axis by axis, the closed-form cell-pair kernel integrals, and the
+contracts axis by axis, the closed-form cell-pair kernel integrals, the
 whole fGn Cholesky factor that `fbmsig.gridapprox._apply_fgn_factor` streams
-by panel."""
+by panel, the O(m^2) loop and the four-fold brute force that
+`fbmsig.gridapprox._crossing_sum` replaces, and the words of one shuffle
+class."""
 from __future__ import annotations
 
 import itertools
@@ -169,3 +171,30 @@ def fgn_cholesky_t(H: float, m: int, T: float) -> np.ndarray:
         a[k + 1 :], b[k + 1 :] = (shifted - rho * tail) / c, (tail - rho * shifted) / c
     U[m - 1, m - 1] = a[m - 1]
     return U
+
+
+def crossing_sum_by_loop(g: np.ndarray) -> float:
+    """Sum over cells d_0 < d_1 < d_2 < d_3 of g[d_2 - d_0] g[d_3 - d_1] in
+    O(m^2): for each middle distance q = d_2 - d_1, the sum over
+    b = d_1 - d_0 of C_q[b] C_q[m-1-q-b], where C_q are the prefix sums of
+    g[q+1:]."""
+    m = len(g)
+    total = 0.0
+    for q in range(1, m - 1):
+        C = np.concatenate(([0.0], np.cumsum(g[q + 1 :])))
+        total += float(np.dot(C, C[::-1]))
+    return total
+
+
+def crossing_sum_brute(g: np.ndarray) -> float:
+    """The same sum over every 4-subset of the m cells, in O(m^4), summed
+    exactly rounded."""
+    return math.fsum(g[d2 - d0] * g[d3 - d1]
+                     for d0, d1, d2, d3 in itertools.combinations(range(len(g)), 4))
+
+
+def shuffle_class(letters, d: int) -> list[Word]:
+    """Every distinct arrangement of the multiset of letters, as words over
+    d letters: the class whose expected signatures sum to
+    E prod_i (X^i)^(n_i) / n_i! for a path with increments X."""
+    return [Word(p, d) for p in sorted(set(itertools.permutations(letters)))]

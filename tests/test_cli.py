@@ -164,9 +164,9 @@ class TestConvergence:
         assert "4 distinct grid sizes" in capsys.readouterr().err
 
     def test_grid_beyond_budget_is_usage_error(self, tmp_path, capsys):
-        rc, _ = run(tmp_path, "convergence", "--m", "4,8,16,8192")
+        rc, _ = run(tmp_path, "convergence", "--m", "4,8,16,262145")
         assert rc == 2
-        assert "budget" in capsys.readouterr().err
+        assert "grid ceiling of 262144 cells" in capsys.readouterr().err
 
     def test_each_value_computed_once(self, tmp_path, monkeypatch):
         calls = Counter()

@@ -23,7 +23,14 @@ from fbmsig.gridapprox import (
     sample_fbm_batch,
 )
 from fbmsig.tensor import Word, batch_grid_signatures, word_index
-from oracles import cell_covariance_matrix, cell_pair_integral, fgn_cholesky_t
+from oracles import (
+    cell_covariance_matrix,
+    cell_pair_integral,
+    crossing_sum_brute,
+    crossing_sum_by_loop,
+    fgn_cholesky_t,
+    shuffle_class,
+)
 
 
 def W(*letters, d=2):
@@ -153,7 +160,8 @@ class TestApproxExpectedWord:
         assert abs(got - want) <= max(1e-13 * abs(want), 1e-15)
 
     def test_large_grid_within_default_budget(self):
-        value = approx_expected_word(W(1, 2, 1, 2), 0.75, 4096)
+        value = approx_expected_word(W(1, 2, 1, 2), 0.75, ga._MAX_CELLS)
+        assert ga._MAX_CELLS == 2**18
         assert 0.0 < value < 1.0 / 8.0
 
     @pytest.mark.parametrize("m", (1, 2, 7, 16))
@@ -174,9 +182,8 @@ class TestApproxExpectedWord:
         assert approx_expected_word(W(1, 1, 2), 0.75, 3) == 0.0
 
     def test_budget_enforced(self):
-        with pytest.raises(ValueError, match="budget"):
-            # one matching, 8 tie patterns: work 8 * 8192^2 = 5.4e8 exceeds 5e8
-            approx_expected_word(W(1, 1, 2, 2), 0.75, 8192)
+        with pytest.raises(ValueError, match=r"m = 262145 exceeds the grid ceiling of 262144"):
+            approx_expected_word(W(1, 1, 2, 2), 0.75, 2**18 + 1)
 
     def test_rejects_time_letters(self):
         with pytest.raises(ValueError, match=r"pure-fBm words, got word \(1,0\)"):
@@ -205,6 +212,46 @@ class TestApproxExpectedWord:
         mean, se = vals.mean(), vals.std(ddof=1) / math.sqrt(n)
         want = approx_expected_word(W(*letters), H, m)
         assert abs(mean - want) <= 4.0 * se
+
+
+def _kernel(H, m):
+    return 0.5 * m ** (2.0 - 2.0 * H) * ga._second_differences(H, np.arange(m))
+
+
+EDGE_H = (0.5001, 0.6, 0.75, 0.9, 0.99)
+
+
+class TestCrossingSum:
+    @pytest.mark.parametrize("H", EDGE_H)
+    @pytest.mark.parametrize("m", (4, 5, 9, 64, 257, 4096))
+    def test_matches_loop(self, H, m):
+        g = _kernel(H, m)
+        got, want = ga._crossing_sum(g), crossing_sum_by_loop(g)
+        assert abs(got - want) <= 1e-13 * want
+        assert abs(got - want) <= ga._rounding_bar(got, m)
+
+    @pytest.mark.parametrize("H", EDGE_H)
+    def test_matches_brute_force(self, H):
+        for m in range(1, 10):
+            g = _kernel(H, m)
+            got, want = ga._crossing_sum(g), crossing_sum_brute(g)
+            assert abs(got - want) <= 1e-15 * want
+            assert (got == 0.0) == (m < 4)
+
+
+class TestShuffleSumRules:
+    # the words of one shuffle class sum to E prod (X^i)^(n_i) / n_i!, which
+    # for the unit-variance endpoint of B^m is 1/4 for {1,1,2,2} and 1/8
+    # for {1,1,1,1} at every grid size
+    @pytest.mark.parametrize("H", EDGE_H)
+    @pytest.mark.parametrize("m", (1, 2, 7, 64, 4096, 65536))
+    def test_class_sums(self, H, m):
+        for letters, want in [((1, 1, 2, 2), 0.25), ((1, 1, 1, 1), 0.125)]:
+            words = shuffle_class(letters, 2)
+            values = [approx_expected_word(w, H, m) for w in words]
+            err = abs(math.fsum(values) - want)
+            assert err <= 1e-14 * len(words)
+            assert err <= sum(ga._rounding_bar(v, m) for v in values)
 
 
 class TestSignatureGap:
@@ -249,6 +296,17 @@ class TestConvergenceSlope:
         assert fit.ok
         assert -1.4 < fit.slope < -0.9
         assert fit.residual < 0.05
+
+    @pytest.mark.parametrize("H", (0.6, 0.75, 0.9))
+    def test_crossing_ladder_reaches_rate(self, H):
+        # the README ladder: local slopes over m = 1024 ... 65536 steepen
+        # toward -2H, and every gap stays above 10 error bars
+        rows = gap_rows(W(1, 2, 1, 2), H, (1024, 4096, 16384, 65536))
+        gaps = [g.gap for _, g in rows]
+        assert all(g.gap > 10.0 * g.err_bar for _, g in rows)
+        local = [math.log(b / a) / math.log(4.0) for a, b in zip(gaps, gaps[1:])]
+        assert local[0] > local[1] > local[2]
+        assert abs(local[-1] + 2.0 * H) <= 0.05
 
     def test_needs_four_points(self):
         with pytest.raises(ValueError):
