@@ -201,10 +201,21 @@ def cmd_expected_sig(args) -> int:
     return EXIT_VERIFICATION if failures else EXIT_OK
 
 
+def _check_grids(hs, ms) -> None:
+    """Refuse an H outside (1/2, 1), then a grid size outside [1,
+    _MAX_CELLS], before any value is computed: the messages a full run would
+    stop at, in the order it checks them."""
+    for H in hs:
+        ex.check_hurst(H)
+    for m in ms:
+        ga._check_cells(m)
+
+
 def cmd_approx_sig(args) -> int:
     words = _parse_words(args.words)
     hs = _parse_list(args.H, float, "H")
     ms = _parse_list(args.m, int, "m")
+    _check_grids(hs, ms)
     table = TableWriter(["word", "H", "m", "approx"])
     for w in words:
         for H in hs:
@@ -223,6 +234,7 @@ def cmd_convergence(args) -> int:
         print("error: convergence needs at least 4 distinct grid sizes", file=sys.stderr)
         return EXIT_USAGE
     config = _quad_config(args)
+    _check_grids(hs, ms)
     cols = ["kind", "word", "H", "m", "exact", "approx", "gap", "m2H_gap",
             "err_bar", "slope", "slope_residual", "coeff_bound",
             "max_m2H_gap", "bound_pass", "note"]

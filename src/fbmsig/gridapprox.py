@@ -165,6 +165,14 @@ def _crossing_sum(g: np.ndarray) -> float:
     return float(diag + 2.0 * (near + far))
 
 
+def _check_cells(m: int) -> None:
+    """Reject a grid of fewer than 1 or more than _MAX_CELLS cells."""
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
+    if m > _MAX_CELLS:
+        raise ValueError(f"m = {m} exceeds the grid ceiling of {_MAX_CELLS} cells")
+
+
 def approx_expected_word(word: Word, H: float, m: int) -> float:
     """Exact expected iterated-integral coefficient of B^m for a pure-fBm word.
 
@@ -178,10 +186,7 @@ def approx_expected_word(word: Word, H: float, m: int) -> float:
     _MAX_CELLS.
     """
     check_hurst(H)
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    if m > _MAX_CELLS:
-        raise ValueError(f"m = {m} exceeds the grid ceiling of {_MAX_CELLS} cells")
+    _check_cells(m)
     letters = word.letters
     if not letters or any(x == 0 for x in letters):
         raise ValueError(

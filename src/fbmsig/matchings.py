@@ -8,6 +8,7 @@ Positions are 0-based throughout.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -47,7 +48,14 @@ def compatible_matchings(word: Word) -> list[Matching]:
     word must have even length and contain no time letter (0); callers strip
     time positions first so this layer stays purely Gaussian.
     """
-    letters = word.letters
+    return list(_compatible_matchings(word.letters))
+
+
+# The matchings depend on the letters only, and every word of a level table
+# enumerates them again, once for its value and once for its permutation
+# count; the bound keeps memory flat (twelve equal letters hold 10395).
+@functools.lru_cache(maxsize=256)
+def _compatible_matchings(letters: tuple[int, ...]) -> tuple[Matching, ...]:
     if any(x == 0 for x in letters):
         raise ValueError("letter 0 is not allowed here; strip time positions first")
     if len(letters) % 2 != 0:
@@ -66,7 +74,7 @@ def compatible_matchings(word: Word) -> list[Matching]:
                 for rest in rec(pos[1:j] + pos[j + 1 :]):
                     yield ((a, b),) + rest
 
-    return list(rec(tuple(range(len(letters)))))
+    return tuple(rec(tuple(range(len(letters)))))
 
 
 def permutation_count(word: Word) -> int:

@@ -203,6 +203,17 @@ class BoundShape(NamedTuple):
     branch: str
 
 
+_LOG2 = math.log(2.0)
+
+
+def _logaddexp(x: float, y: float) -> float:
+    """log(exp(x) + exp(y)) for finite x and y: numpy's logaddexp formula in
+    scalar math, so the result is the same double."""
+    if x == y:
+        return x + _LOG2
+    return max(x, y) + math.log1p(math.exp(-abs(x - y)))
+
+
 def _entire_series(z: float, gamma: float) -> float:
     """sum_k z^k / (k!)^(1/2 - gamma); converges for every z when gamma < 1/2.
 
@@ -218,7 +229,7 @@ def _entire_series(z: float, gamma: float) -> float:
     while True:
         k += 1
         logt = k * logz - power * math.lgamma(k + 1)
-        total_log = np.logaddexp(total_log, logt)
+        total_log = _logaddexp(total_log, logt)
         if total_log >= 709.0:
             return math.inf  # the log-sum never decreases
         if z / k**power < 1.0 and logt < total_log - 40.0:

@@ -10,16 +10,25 @@ unmatched positions carrying unit density (they are the time letters).
 
 The integrand is first reduced exactly: any variable appearing in at most one
 power factor is integrated out in closed form, splitting the term in two.
-What survives is a sum of Beta-type closed forms plus low-dimensional
-irreducible cores, which are evaluated on a tensor Gauss-Legendre grid after
-mapping the simplex to the unit cube and absorbing every endpoint singularity
-into per-axis Beta-CDF substitutions.  Each factor of a mapped core depends
-on one axis or on two neighbouring axes, so the tensor sum is contracted one
-axis at a time and costs one N x N grid per two-axis factor rather than N**m
-points.  The error estimate comes from re-evaluating the numeric cores at a
-finer resolution, plus, when time reversal t -> 1 - t maps M to a different
-matching R(M), the gap |I(M) - I(R(M))|: the two integrals are equal in exact
-arithmetic, and their gap shows error that is the same at every resolution.
+Which variable goes next, and where each term splits, depends on the
+positions only, so the reduction runs once per shape (n, M) and per process.
+It yields a plan: every exponent is a symbol (an input factor's exponent, or
+the 1.0 of a free variable's interval, plus the number of integrations that
+each added 1.0), and every coefficient is the list of (sign, symbol) steps
+that divided it.  Each exponent e replays the plan with the float operations
+a reduction carrying e would do, in its order, so the values do not depend on
+the memo.  What survives is a sum of Beta-type closed forms plus
+low-dimensional irreducible cores, which are evaluated on a tensor
+Gauss-Legendre grid after mapping the simplex to the unit cube and absorbing
+every endpoint singularity into per-axis Beta-CDF substitutions.  Each factor
+of a mapped core depends on one axis or on two neighbouring axes, so the
+tensor sum is contracted one axis at a time and costs one N x N grid per
+two-axis factor rather than N**m points; a core met again at the same
+exponent is read from a memo.  The error estimate comes from re-evaluating
+the numeric cores at a finer resolution, plus, when time reversal t -> 1 - t
+maps M to a different matching R(M), the gap |I(M) - I(R(M))|: the two
+integrals are equal in exact arithmetic, and their gap shows error that is
+the same at every resolution.
 """
 from __future__ import annotations
 
@@ -89,19 +98,40 @@ def matching_simplex_integral(n: int, pairs, exponent: float) -> CertifiedValue:
 # ---------------------------------------------------------------------------
 # exact reduction: integrate out every variable that appears in <= 1 factor
 # ---------------------------------------------------------------------------
-# A term is (coeff, factors, variables): factors are (a, b, e) meaning
-# (t_b - t_a)**e, with the integer sentinels 0 (t=0) and n+1 (t=1) allowed as
-# endpoints; variables is the ordered tuple of surviving positions.
+# While the reduction runs, a term is (steps, factors, variables): factors are
+# (a, b, s) meaning (t_b - t_a)**s, with the integer sentinels 0 (t=0) and
+# n+1 (t=1) allowed as endpoints; variables is the ordered tuple of surviving
+# positions.  An exponent symbol s = (source, j) is the exponent of input
+# factor `source` (or 1.0 for source _TIME) plus j integrations; the
+# coefficient is 1.0 times each step's sign divided by the exponent s that
+# step produced.
+
+_TIME = -1
 
 
-def _reduce_terms(n: int, factors, variables):
+class _Plan(NamedTuple):
+    """The reduced terms of one shape.  symbols lists the (source, j)
+    exponent symbols; a term is (steps, m, core), with steps the (sign,
+    symbol index) divisions of its coefficient and core its factors
+    (a, b, symbol index) relabelled so that its m variables are 1..m and the
+    sentinels 0 and m+1."""
+
+    symbols: tuple[tuple[int, int], ...]
+    terms: tuple[tuple[tuple, int, tuple], ...]
+
+
+# One plan per shape for the whole process; the bound holds every shape of
+# up to three pairs on seven positions (344).
+@functools.lru_cache(maxsize=512)
+def _reduce_terms(n: int, pairs) -> _Plan:
     out = []
-    stack = [(1.0, tuple(factors), tuple(variables))]
+    factors = tuple((a, b, (i, 0)) for i, (a, b) in enumerate(pairs))
+    stack = [((), factors, tuple(range(1, n + 1)))]
     hi_sentinel = n + 1
     while stack:
-        c, fs, vs = stack.pop()
+        steps, fs, vs = stack.pop()
         if not vs:
-            out.append((c, fs, vs))
+            out.append((steps, fs, vs))
             continue
         counts = dict.fromkeys(vs, 0)
         for a, b, _ in fs:
@@ -113,7 +143,7 @@ def _reduce_terms(n: int, factors, variables):
         if pick is None:
             pick = next((v for v in vs if counts[v] == 0), None)
         if pick is None:
-            out.append((c, fs, vs))  # irreducible core
+            out.append((steps, fs, vs))  # irreducible core
             continue
         i = vs.index(pick)
         lo = vs[i - 1] if i > 0 else 0
@@ -121,7 +151,7 @@ def _reduce_terms(n: int, factors, variables):
         nvs = vs[:i] + vs[i + 1 :]
         if counts[pick] == 0:
             # free (time) variable: its integral contributes (t_hi - t_lo)
-            stack.append((c, fs + ((lo, hi, 1.0),), nvs))
+            stack.append((steps, fs + ((lo, hi, (_TIME, 0)),), nvs))
             continue
         rest, target = [], None
         for f in fs:
@@ -129,24 +159,33 @@ def _reduce_terms(n: int, factors, variables):
                 target = f
             else:
                 rest.append(f)
-        a, b, e = target
-        e1 = e + 1.0
+        a, b, (source, j) = target
+        s1 = (source, j + 1)
         if a == pick:
-            splits = ((1.0, (lo, b, e1)), (-1.0, (hi, b, e1)))
+            splits = ((1.0, lo, b), (-1.0, hi, b))
         else:
-            splits = ((1.0, (a, hi, e1)), (-1.0, (a, lo, e1)))
-        for sgn, (aa, bb, ee) in splits:
+            splits = ((1.0, a, hi), (-1.0, a, lo))
+        for sgn, aa, bb in splits:
             if aa == bb:
                 continue  # zero-width difference: the term vanishes
-            stack.append((c * sgn / e1, tuple(rest) + ((aa, bb, ee),), nvs))
-    return out
+            stack.append((steps + ((sgn, s1),), tuple(rest) + ((aa, bb, s1),), nvs))
+    symbols: dict = {}
+    index = lambda s: symbols.setdefault(s, len(symbols))
+    terms = []
+    for steps, fs, vs in out:
+        m = len(vs)
+        idx = {0: 0, n + 1: m + 1} | {x: i + 1 for i, x in enumerate(vs)}
+        terms.append((tuple((sgn, index(s)) for sgn, s in steps), m,
+                      tuple((idx[a], idx[b], index(s)) for a, b, s in fs)))
+    return _Plan(tuple(symbols), tuple(terms))
 
 
-def _beta_core(factors, n: int) -> float:
-    """1-dim core: all factors pin the single variable against 0 or 1."""
+def _beta_core(factors) -> float:
+    """1-dim core: all factors pin the single variable (position 1) against
+    0 or 1 (the sentinel 2)."""
     a_exp = b_exp = 0.0
     for a, b, e in factors:
-        if a == 0 and b == n + 1:
+        if a == 0 and b == 2:
             continue
         if a == 0:
             a_exp += e
@@ -239,6 +278,10 @@ def _beta_axis(p: int, q: int, N: int):
     return axis
 
 
+# A core value is a pure function of (m, core, N), and the matching integrals
+# of one exponent share many cores.  The bound holds the cores of one
+# six-letter level table at both resolutions (272).
+@functools.lru_cache(maxsize=512)
 def _core_numeric(m: int, factors, N: int) -> float:
     """Tensor Gauss-Legendre evaluation of an m-dim irreducible core,
     contracted one axis at a time.
@@ -286,20 +329,33 @@ def _core_numeric(m: int, factors, N: int) -> float:
 @functools.lru_cache(maxsize=512)
 def _reduced_integral(n, factors) -> CertifiedValue:
     """Sum of the reduced terms; the error estimate is the change of every
-    numeric core between POINTS_PER_AXIS and POINTS_PER_AXIS + 16 points."""
+    numeric core between POINTS_PER_AXIS and POINTS_PER_AXIS + 16 points.
+
+    The shape's plan is replayed with the same float operations in the same
+    order as a reduction carrying the exponents would do them: each symbol's
+    value is its source exponent plus 1.0, once per integration, and each
+    coefficient is 1.0 times sign / symbol value, step by step."""
+    plan = _reduce_terms(n, tuple((a, b) for a, b, _ in factors))
+    vals = []
+    for source, j in plan.symbols:
+        e = 1.0 if source == _TIME else factors[source][2]
+        for _ in range(j):
+            e = e + 1.0
+        vals.append(e)
     total = err = scale = 0.0
-    for coeff, fs, vs in _reduce_terms(n, factors, tuple(range(1, n + 1))):
-        m = len(vs)
+    for steps, m, core in plan.terms:
+        coeff = 1.0
+        for sgn, s in steps:
+            coeff = coeff * sgn / vals[s]
         if m == 0:
-            v = coeff  # all factors are (0, n+1, e) -> 1
-        elif m == 1:
-            v = coeff * _beta_core(fs, n)
+            v = coeff  # all factors are (0, 1, e) -> 1
         else:
-            # relabel surviving positions to 1..m, the sentinels to 0 and m+1
-            idx = {0: 0, n + 1: m + 1} | {x: i + 1 for i, x in enumerate(vs)}
-            core = tuple((idx[a], idx[b], e) for a, b, e in fs)
-            v = coeff * _core_numeric(m, core, POINTS_PER_AXIS + 16)
-            err += abs(v - coeff * _core_numeric(m, core, POINTS_PER_AXIS))
+            core = tuple((a, b, vals[s]) for a, b, s in core)
+            if m == 1:
+                v = coeff * _beta_core(core)
+            else:
+                v = coeff * _core_numeric(m, core, POINTS_PER_AXIS + 16)
+                err += abs(v - coeff * _core_numeric(m, core, POINTS_PER_AXIS))
         total += v
         scale += abs(v)
     return CertifiedValue(total, err + 1e-15 * scale)

@@ -1,12 +1,13 @@
 """Independent oracles that only the tests use: a nested-quadrature signature
 coefficient, an exhaustive sweep of the refined permutation-count bound, the
 per-piece RK4 integrator that `fbmsig.sde._solve` must match bit for bit, the
-full-grid evaluation of a simplex core that `fbmsig.simplexquad._core_numeric`
-contracts axis by axis, the closed-form cell-pair kernel integrals, the
-whole fGn Cholesky factor that `fbmsig.gridapprox._apply_fgn_factor` streams
-by panel, the O(m^2) loop and the four-fold brute force that
-`fbmsig.gridapprox._crossing_sum` replaces, and the words of one shuffle
-class."""
+reduction with float exponents that `fbmsig.simplexquad._reduce_terms` plans
+once per shape, the full-grid evaluation of a simplex core that
+`fbmsig.simplexquad._core_numeric` contracts axis by axis, the closed-form
+cell-pair kernel integrals, the whole fGn Cholesky factor that
+`fbmsig.gridapprox._apply_fgn_factor` streams by panel, the O(m^2) loop and
+the four-fold brute force that `fbmsig.gridapprox._crossing_sum` replaces,
+and the words of one shuffle class."""
 from __future__ import annotations
 
 import itertools
@@ -96,6 +97,58 @@ def rk4_solve_per_piece(vf, x0, times: np.ndarray, spatial: np.ndarray,
         if not np.all(np.isfinite(y)):
             raise RuntimeError(f"non-finite state at t={times[j + 1]:g}")
     return y
+
+
+def reduce_terms_numeric(n: int, factors, variables):
+    """Integrate out every variable that appears in at most one factor, with
+    the exponents as floats: a list of (coeff, factors, variables) terms,
+    factors being (a, b, e) for (t_b - t_a)**e with the sentinels 0 (t=0)
+    and n+1 (t=1), variables the ordered surviving positions."""
+    out = []
+    stack = [(1.0, tuple(factors), tuple(variables))]
+    hi_sentinel = n + 1
+    while stack:
+        c, fs, vs = stack.pop()
+        if not vs:
+            out.append((c, fs, vs))
+            continue
+        counts = dict.fromkeys(vs, 0)
+        for a, b, _ in fs:
+            if a in counts:
+                counts[a] += 1
+            if b in counts:
+                counts[b] += 1
+        pick = next((v for v in vs if counts[v] == 1), None)
+        if pick is None:
+            pick = next((v for v in vs if counts[v] == 0), None)
+        if pick is None:
+            out.append((c, fs, vs))  # irreducible core
+            continue
+        i = vs.index(pick)
+        lo = vs[i - 1] if i > 0 else 0
+        hi = vs[i + 1] if i + 1 < len(vs) else hi_sentinel
+        nvs = vs[:i] + vs[i + 1 :]
+        if counts[pick] == 0:
+            # free (time) variable: its integral contributes (t_hi - t_lo)
+            stack.append((c, fs + ((lo, hi, 1.0),), nvs))
+            continue
+        rest, target = [], None
+        for f in fs:
+            if target is None and pick in (f[0], f[1]):
+                target = f
+            else:
+                rest.append(f)
+        a, b, e = target
+        e1 = e + 1.0
+        if a == pick:
+            splits = ((1.0, (lo, b, e1)), (-1.0, (hi, b, e1)))
+        else:
+            splits = ((1.0, (a, hi, e1)), (-1.0, (a, lo, e1)))
+        for sgn, (aa, bb, ee) in splits:
+            if aa == bb:
+                continue  # zero-width difference: the term vanishes
+            stack.append((c * sgn / e1, tuple(rest) + ((aa, bb, ee),), nvs))
+    return out
 
 
 def core_numeric_full_grid(m: int, factors, N: int) -> float:

@@ -23,6 +23,9 @@ def run(tmp_path, *argv):
     return rc, out.read_text() if out.exists() else ""
 
 
+CEILING = "m = 262145 exceeds the grid ceiling of 262144 cells"
+
+
 def read_csv(text):
     lines = [l for l in text.splitlines() if not l.startswith("#")]
     return list(csv.reader(lines))
@@ -167,6 +170,35 @@ class TestConvergence:
         rc, _ = run(tmp_path, "convergence", "--m", "4,8,16,262145")
         assert rc == 2
         assert "grid ceiling of 262144 cells" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["convergence", "--H", "0.6,0.75", "--words", "1,2,1,2",
+          "--m", "16384,65536,262144,262145"], CEILING),
+        (["convergence", "--m", "0,4,8,16"], "m must be >= 1, got 0"),
+        (["convergence", "--H", "0.75,0.4", "--m", "4,8,16,262145"],
+         "H must lie in (1/2, 1), got 0.4"),
+        (["approx-sig", "--m", "262144,262145"], CEILING),
+        (["approx-sig", "--words", "1,1;1,2,1,2", "--m", "4,-3"],
+         "m must be >= 1, got -3"),
+    ])
+    def test_grid_outside_range_refused_before_any_value(self, tmp_path, capsys,
+                                                          monkeypatch, argv, message):
+        calls = Counter()
+
+        def counted(name):
+            fn = getattr(ga, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("expected_word", "approx_expected_word"):
+            monkeypatch.setattr(ga, name, counted(name))
+        rc, text = run(tmp_path, *argv)
+        assert rc == 2 and text == ""
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not calls
 
     def test_each_value_computed_once(self, tmp_path, monkeypatch):
         calls = Counter()

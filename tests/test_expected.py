@@ -2,6 +2,7 @@ import csv
 import functools
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -25,7 +26,13 @@ from fbmsig.cubature import word_weight
 from fbmsig.matchings import enumerate_matchings
 from fbmsig.simplexquad import QuadConfig, _reduce_terms, matching_simplex_integral
 from fbmsig.tensor import Word, all_words
-from oracles import cell_covariance_matrix, cell_pair_integral, core_numeric_full_grid
+from oracles import (
+    cell_covariance_matrix,
+    cell_pair_integral,
+    core_numeric_full_grid,
+    reduce_terms_numeric,
+    shuffle_class,
+)
 
 H_GRID = (0.6, 0.75, 0.9)
 
@@ -354,10 +361,101 @@ class TestReducedCores:
             for k in (1, 2, 3):
                 for positions in itertools.combinations(range(1, n + 1), 2 * k):
                     for matching in _perfect_matchings(positions):
-                        factors = tuple((a, b, -0.5) for a, b in matching)
-                        terms = _reduce_terms(n, factors, tuple(range(1, n + 1)))
-                        dims.update(len(vs) for _, _, vs in terms)
+                        dims.update(m for _, m, _ in _reduce_terms(n, matching).terms)
         assert max(dims) <= 3
+
+
+def _shapes(n_max):
+    """Every (n, pairs) of <= 3 pairs on n <= n_max positions (1-based, pairs
+    sorted by first position), the unmatched positions being time letters."""
+    for n in range(2, n_max + 1):
+        for size in range(2, min(n, 6) + 1, 2):
+            for subset in itertools.combinations(range(1, n + 1), size):
+                for matching in enumerate_matchings(size):
+                    yield n, tuple((subset[a], subset[b]) for a, b in matching)
+
+
+def _sum_of_numeric_terms(n, factors):
+    """The matching integral summed over the terms of the numeric reduction,
+    in its order: each core relabelled to 1..m and evaluated at both
+    resolutions."""
+    total = err = scale = 0.0
+    for coeff, fs, vs in reduce_terms_numeric(n, factors, range(1, n + 1)):
+        m = len(vs)
+        idx = {0: 0, n + 1: m + 1} | {x: i + 1 for i, x in enumerate(vs)}
+        core = tuple((idx[a], idx[b], e) for a, b, e in fs)
+        if m == 0:
+            v = coeff
+        elif m == 1:
+            v = coeff * sq._beta_core(core)
+        else:
+            v = coeff * sq._core_numeric(m, core, sq.POINTS_PER_AXIS + 16)
+            err += abs(v - coeff * sq._core_numeric(m, core, sq.POINTS_PER_AXIS))
+        total += v
+        scale += abs(v)
+    return sq.CertifiedValue(total, err + 1e-15 * scale)
+
+
+class TestShapePlan:
+    def test_replay_equals_numeric_reduction_and_plans_once(self):
+        # the plan replays the numeric reduction's float operations in its
+        # order, so every value and bar is the same double; one plan serves
+        # every H
+        shapes = list(_shapes(7))
+        assert len(set(shapes)) == len(shapes) == 344
+        sq._reduce_terms.cache_clear()
+        sq._reduced_integral.cache_clear()
+        for H in (0.5001, 0.6, 0.75, 0.999):
+            e = 2.0 * H - 2.0
+            for n, pairs in shapes:
+                factors = tuple((a, b, e) for a, b in pairs)
+                assert sq._reduced_integral(n, factors) == _sum_of_numeric_terms(n, factors)
+        sq._reduced_integral.cache_clear()
+        assert sq._reduce_terms.cache_info().misses == len(shapes)
+
+
+def _gaussian_moment(c):
+    """E[G^c] for a standard normal G: (c - 1)!! for even c, else 0."""
+    return 0 if c % 2 else math.prod(range(c - 1, 0, -2))
+
+
+class TestShuffleSumRules:
+    """For any path the words of one class (fixed letter counts c_0, c_1,
+    ...) sum to prod_i S^(i^c_i) = (1/c_0!) prod_i (X^i)^c_i / c_i!, so the
+    expected signatures of the class sum to (1/c_0!) prod_i E[G^c_i] / c_i!
+    at every H."""
+
+    @pytest.mark.parametrize("H", (0.5001, 0.55, 0.75, 0.99))
+    def test_class_sums_within_bars(self, H):
+        for letters in ((1, 1, 2, 2), (1, 1, 2, 2, 0), (1, 1, 1, 1, 0),
+                        (1, 1, 1, 1, 2, 2), (1, 1, 2, 2, 3, 3)):
+            counts = Counter(letters)
+            rule = math.prod(_gaussian_moment(c) / math.factorial(c)
+                             for x, c in counts.items() if x) / math.factorial(counts[0])
+            values = [expected_word(w, H, QuadConfig(tol=1))
+                      for w in shuffle_class(letters, max(letters))]
+            total = math.fsum(v.value for v in values)
+            assert abs(total - rule) <= math.fsum(v.error for v in values), letters
+
+
+class TestHurstOneLimit:
+    @pytest.mark.parametrize("H", (0.99, 0.999, 0.9999, 0.99999))
+    def test_words_approach_the_straight_line(self, H):
+        # at H = 1 fBm is t G, so E S^w = prod_i E[G^n_i] / |w|!, n_i the
+        # count of letter i; near H = 1 every word with at least two nonzero
+        # letters lies within 0.15 (1 - H) of that limit
+        checked = 0
+        for length in (2, 4, 6):
+            for letters in itertools.product(range(3), repeat=length):
+                counts = Counter(letters)
+                if length - counts[0] < 2:
+                    continue
+                limit = (_gaussian_moment(counts[1]) * _gaussian_moment(counts[2])
+                         / math.factorial(length))
+                value = expected_word(Word(letters, 2), H).value
+                assert abs(value - limit) <= 0.15 * (1.0 - H), letters
+                checked += 1
+        assert checked == 792
 
 
 def _canonical_words(length):
@@ -380,6 +478,7 @@ class TestQuadratureReuse:
         monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
         sq._gauss_legendre.cache_clear()
         sq._beta_axis.cache_clear()
+        sq._core_numeric.cache_clear()
         sq._reduced_integral.cache_clear()
         words = ";".join(_canonical_words(5))
         rc = main(["expected-sig", "--H", "0.75", "--words", words,
@@ -446,6 +545,7 @@ class TestBetaAxis:
             return out
 
         monkeypatch.setattr(sq, "_axis_rules", recording)
+        sq._core_numeric.cache_clear()
         sq._reduced_integral.cache_clear()
         for size in (2, 4, 6):
             for subset in itertools.combinations(range(6), size):
@@ -470,6 +570,7 @@ class TestBetaAxis:
 
         monkeypatch.setattr(sq, "_binomial_tail", counting)
         sq._beta_axis.cache_clear()
+        sq._core_numeric.cache_clear()
         sq._reduced_integral.cache_clear()
         words = ";".join(_canonical_words(5))
         rc = main(["expected-sig", "--H", "0.75", "--words", words,

@@ -93,6 +93,14 @@ class TestCompatible:
         with pytest.raises(ValueError, match="at most 12 positions"):
             compatible_matchings(Word(letters, 2))
 
+    def test_each_word_gets_its_own_list(self):
+        # the enumeration is shared by every word with the same letters, and
+        # a caller changing its list must not change the next caller's
+        word = Word((1, 2, 1, 2, 1, 1), 2)
+        first = compatible_matchings(word)
+        first.clear()
+        assert compatible_matchings(word) == filtered_pairings(word.letters) != []
+
     @pytest.mark.parametrize("n", [2, 4, 6, 8])
     def test_equals_filtered_enumeration_in_order(self, n):
         # every word over {1, 2, 3} of length n, against enumerate-then-filter

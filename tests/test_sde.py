@@ -6,7 +6,9 @@ import warnings
 import numpy as np
 import pytest
 
+from fbmsig import sde as sde_module
 from fbmsig.cli import _sde_problem
+from fbmsig.cli import main as cli_main
 from fbmsig.cubature import rescale_formula, three_path_formula
 from fbmsig.gridapprox import sample_fbm_batch
 from fbmsig.sde import (
@@ -16,6 +18,7 @@ from fbmsig.sde import (
     error_bound_shape,
     mc_weak_value,
     _entire_series,
+    _logaddexp,
     _solve,
 )
 from fbmsig.tensor import PiecewiseLinearPath
@@ -334,6 +337,34 @@ class TestMcDefaultGridAccuracy:
         _, _, ends, times, spatial = _recorded_mc(vf, x0, 0.7, 2.0, 300, 16, seed=4,
                                                   steps_per_piece=4)
         assert np.array_equal(ends, rk4_solve_per_piece(vf, x0, times, spatial, 4))
+
+
+class TestSeriesLogSum:
+    def test_logaddexp_is_numpys_double(self):
+        rng = np.random.default_rng(7)
+        x = np.concatenate([rng.normal(0.0, 50.0, 4000), rng.uniform(-700, 700, 4000),
+                            [0.0, 1.0, -1.0, 709.0, -745.0, 1e-300, 5e-324]])
+        for shift in (0.0, 5e-324, 1e-12, 1e-3, 1.0, 36.0, 40.0, 800.0):
+            for y in (x + shift, x - shift, x[::-1]):
+                for a, b in zip(x.tolist(), y.tolist()):
+                    assert _logaddexp(a, b) == np.logaddexp(a, b), (a, b)
+        assert _logaddexp(3.0, 3.0) == np.logaddexp(3.0, 3.0) == 3.0 + math.log(2.0)
+
+    @pytest.mark.parametrize("argv", [
+        ["bounds", "--H", "0.501,0.55,0.75,0.861,0.9999", "--T", "0.5,1,2,7"],
+        ["bounds", "--H", "0.6", "--T", "0.3,3", "--M", "2", "--gamma", "0.2"],
+        ["sde", "compare", "--H", "0.7", "--T", "2", "--paths", "20", "--steps", "8"],
+        ["sde", "compare", "--H", "0.55", "--T", "0.4", "--paths", "20", "--steps", "8",
+         "--M", "3", "--gamma", "0.1"],
+    ])
+    def test_cli_prints_the_numpy_bound_values(self, capsys, monkeypatch, argv):
+        def printed():
+            assert cli_main(argv + ["--no-timestamp"]) == 0
+            return capsys.readouterr().out
+
+        ours = printed()
+        monkeypatch.setattr(sde_module, "_logaddexp", lambda a, b: np.logaddexp(a, b))
+        assert printed() == ours
 
 
 class TestErrorBoundShape:
