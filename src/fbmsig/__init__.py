@@ -49,6 +49,6 @@ from .sde import (
     mc_weak_value,
 )
 from .simplexquad import CertifiedValue, QuadConfig, matching_simplex_integral
-from .tensor import PiecewiseLinearPath, TruncatedTensor, Word, path_signature
+from .tensor import Word
 
 __version__ = "0.1.0"

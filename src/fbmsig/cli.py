@@ -418,14 +418,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("cubature",
                        help="verify the cubature identity or solve the ansatz")
-    formula = argparse.ArgumentParser(add_help=False)
-    formula.add_argument("--H")
-    formula.add_argument("--branch", choices=("minus", "plus", "both"))
     actions = s.add_subparsers(dest="action", required=True)
-    # only verify runs quadrature, so only verify takes --tol and --degree
-    a = actions.add_parser("verify", parents=[common, quad, formula])
+    # only verify runs quadrature, so only verify takes --tol and --degree;
+    # it checks one formula, so only solve tabulates both branches
+    a = actions.add_parser("verify", parents=[common, quad])
+    a.add_argument("--H")
+    a.add_argument("--branch", choices=("minus", "plus"))
     a.add_argument("--degree")
-    actions.add_parser("solve", parents=[common, formula])
+    a = actions.add_parser("solve", parents=[common])
+    a.add_argument("--H")
+    a.add_argument("--branch", choices=("minus", "plus", "both"))
     s.set_defaults(fn=cmd_cubature)
 
     s = sub.add_parser("sde", parents=[common],

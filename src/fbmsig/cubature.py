@@ -271,10 +271,8 @@ def verify_formula(
     H = formula.H
     words = words_of_degree(degree, H, d=1)
     depth = max(len(w) for w in words)  # the empty word is always there
-    n_paths, n_times, d = formula.spatial.shape
-    dt = np.broadcast_to(np.diff(formula.times)[:, None], (n_paths, n_times - 1, 1))
-    increments = np.concatenate([dt, np.diff(formula.spatial, axis=1)], axis=2)
-    levels = batch_grid_signatures(increments, depth)
+    d = formula.spatial.shape[2]
+    levels = batch_grid_signatures(formula.times, formula.spatial, depth)
     rows: list[VerifyRow] = []
     for w in words:  # by length, then letters
         lhs, lhs_err, source = _expected_side(w, H, config)

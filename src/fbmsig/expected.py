@@ -23,8 +23,8 @@ from importlib import resources
 import numpy as np
 
 from . import matchings as mt
-from .simplexquad import CertifiedValue, QuadConfig, matching_simplex_integral
-from .tensor import TruncatedTensor, Word, all_words
+from .simplexquad import MAX_PAIRS, CertifiedValue, QuadConfig, matching_simplex_integral
+from .tensor import Word, all_words
 
 __all__ = [
     "QuadratureToleranceError",
@@ -77,10 +77,11 @@ def expected_word(
     c_H, exponent = H * (2.0 * H - 1.0), 2.0 * H - 2.0
     config = config or QuadConfig()
     positions = word.nonzero_positions
-    if len(positions) > 6:
-        raise ValueError(f"at most 6 nonzero letters supported, got word ({word})")
     if _odd_letter(word):
         return CertifiedValue(0.0, 0.0)
+    if len(positions) > 2 * MAX_PAIRS:
+        raise ValueError(f"at most {2 * MAX_PAIRS} nonzero letters supported, "
+                         f"got word ({word})")
     n = len(word)
     if not positions:
         # pure time word: volume of the ordered simplex
@@ -118,18 +119,18 @@ def canonical_relabel(word: Word) -> Word:
 
 def expected_tensor(
     H: float, d: int, depth: int, config: QuadConfig | None = None
-) -> tuple[TruncatedTensor, TruncatedTensor]:
-    """Expected signature tensor of d-dimensional fBm up to the given depth,
-    as (values, errors): every coefficient is expected_word's value and every
-    error its bar.  Words that agree after relabelling the nonzero alphabet
-    share their matching integrals through the quadrature memo."""
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Expected signature of d-dimensional fBm up to the given depth, as
+    (values, errors): level arrays in the layout of a batch_grid_signatures
+    row, holding expected_word's values and bars.  Words that agree after
+    relabelling the nonzero alphabet share their matching integrals through
+    the quadrature memo."""
     check_hurst(H)
     if depth > 6:
         raise ValueError("depth capped at 6")
     cells = [np.array([expected_word(w, H, config) for w in all_words(d, length)])
              for length in range(depth + 1)]
-    return (TruncatedTensor(d, depth, [c[:, 0] for c in cells]),
-            TruncatedTensor(d, depth, [c[:, 1] for c in cells]))
+    return [c[:, 0] for c in cells], [c[:, 1] for c in cells]
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,11 @@ import numpy as np
 
 __all__ = ["QuadConfig", "CertifiedValue", "matching_simplex_integral"]
 
+# Pairs per matching integral (expected_word's nonzero letters: twice this).
+# Cores reach dimension len(pairs); beyond three pairs they can carry factors
+# over three axes, which the axis-by-axis contraction refuses.
+MAX_PAIRS = 3
+
 # Gauss-Legendre points per core axis (the refinement run behind the error
 # estimate adds 16).  Every axis is mapped through a Beta(p, q) CDF whose
 # exponents are sized so that the mapped integrand has about SMOOTH
@@ -80,10 +85,8 @@ def matching_simplex_integral(n: int, pairs, exponent: float) -> CertifiedValue:
     flat = [p for ab in pairs for p in ab]
     if len(set(flat)) != len(flat):
         raise ValueError("pairs must be disjoint")
-    if len(pairs) > 3:
-        # cores reach dimension len(pairs); beyond three pairs they can carry
-        # factors over three axes, which the axis-by-axis contraction refuses
-        raise ValueError("the deterministic scheme takes at most 3 pairs")
+    if len(pairs) > MAX_PAIRS:
+        raise ValueError(f"the deterministic scheme takes at most {MAX_PAIRS} pairs")
     factors = tuple((a + 1, b + 1, float(exponent)) for a, b in pairs)
     res = _reduced_integral(n, factors)
     # R(M) sorted by first position, the order compatible_matchings gives,

@@ -9,16 +9,12 @@ plain numpy computation (at desk scale (d+1)^depth stays in the low thousands).
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "Word",
-    "TruncatedTensor",
-    "PiecewiseLinearPath",
-    "path_signature",
     "batch_grid_signatures",
     "all_words",
 ]
@@ -79,98 +75,21 @@ def all_words(d: int, length: int):
         yield Word(letters, d)
 
 
-class TruncatedTensor:
-    """Graded coefficients, one float per word of length <= depth.
+def batch_grid_signatures(times, spatial: np.ndarray, depth: int) -> list[np.ndarray]:
+    """Signatures of a batch of time-augmented piecewise-linear paths,
+    vectorized over the batch.
 
-    Instances are treated as immutable after construction: the levels are
-    filled once, by whoever builds the tensor.
-    """
-
-    __slots__ = ("d", "depth", "levels")
-
-    def __init__(self, d: int, depth: int, levels: list[np.ndarray] | None = None):
-        if depth < 0:
-            raise ValueError(f"depth must be >= 0, got {depth}")
-        if d < 1:
-            raise ValueError(f"alphabet width d must be >= 1, got {d}")
-        self.d = d
-        self.depth = depth
-        if levels is None:
-            levels = [np.zeros((d + 1) ** l) for l in range(depth + 1)]
-        if len(levels) != depth + 1:
-            raise ValueError("level count does not match depth")
-        self.levels = levels
-
-    def coeff(self, word: Word) -> float:
-        if len(word) > self.depth:
-            return 0.0
-        return float(self.levels[len(word)][word_index(word.letters, self.d)])
-
-    def __repr__(self) -> str:
-        return f"TruncatedTensor(d={self.d}, depth={self.depth})"
-
-
-@dataclass(frozen=True)
-class PiecewiseLinearPath:
-    """Time-augmented piecewise-linear path.
-
-    ``times`` are strictly increasing breakpoints; ``values`` has one row per
-    breakpoint and d+1 columns, column 0 being the time coordinate itself.
-    """
-
-    times: tuple[float, ...]
-    values: np.ndarray
-
-    def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        values = np.asarray(self.values, dtype=float)
-        if times.ndim != 1 or len(times) < 2:
-            raise ValueError("need at least 2 breakpoints")
-        if np.any(np.diff(times) <= 0):
-            raise ValueError("breakpoint times must be strictly increasing")
-        if values.shape != (len(times), values.shape[1]) or values.shape[1] < 2:
-            raise ValueError("values must be (n_breakpoints, d+1) with d >= 1")
-        if not np.allclose(values[:, 0], times, rtol=0, atol=1e-12):
-            raise ValueError("coordinate 0 must equal the time coordinate")
-        object.__setattr__(self, "times", tuple(float(t) for t in times))
-        object.__setattr__(self, "values", values)
-
-    @classmethod
-    def time_augmented(cls, times, spatial) -> "PiecewiseLinearPath":
-        """Build from spatial values only; prepends the time coordinate."""
-        times = np.asarray(times, dtype=float)
-        spatial = np.asarray(spatial, dtype=float)
-        if spatial.ndim == 1:
-            spatial = spatial[:, None]
-        values = np.concatenate([times[:, None], spatial], axis=1)
-        return cls(tuple(times), values)
-
-    @property
-    def d(self) -> int:
-        return self.values.shape[1] - 1
-
-    @property
-    def increments(self) -> np.ndarray:
-        return np.diff(self.values, axis=0)
-
-
-def path_signature(path: PiecewiseLinearPath, depth: int) -> TruncatedTensor:
-    """Exact signature of a piecewise-linear path: batch_grid_signatures on a
-    batch of one."""
-    levels = batch_grid_signatures(path.increments[None], depth)
-    return TruncatedTensor(path.d, depth, [lv[0] for lv in levels])
-
-
-def batch_grid_signatures(increments: np.ndarray, depth: int) -> list[np.ndarray]:
-    """Signatures of a batch of piecewise-linear paths, vectorized over the batch.
-
-    increments: (n_paths, n_segments, d+1).  Returns one array per level with
-    shape (n_paths, (d+1)**level).  Chen's identity: each segment's
-    exponential (level n holds dx^(x)n / n!) is folded into the running
-    signature by the truncated tensor product.
+    The paths share the breakpoints `times`; `spatial` holds their spatial
+    values, shape (n_paths, len(times), d), and letter 0 is time.  Returns one
+    array per level with shape (n_paths, (d+1)**level), indexed by
+    word_index.  Chen's identity: each segment's exponential (level n holds
+    dx^(x)n / n!) is folded into the running signature by the truncated
+    tensor product.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
+    dt = np.broadcast_to(np.diff(times)[:, None], (len(spatial), len(times) - 1, 1))
+    increments = np.concatenate([dt, np.diff(spatial, axis=1)], axis=2)
     S, r, dim = increments.shape
     lev = [np.zeros((S, dim**l)) for l in range(depth + 1)]
     lev[0][:, 0] = 1.0

@@ -19,23 +19,26 @@ from fbmsig import simplexquad as sq
 from fbmsig.expected import check_hurst
 from fbmsig.gridapprox import _covariance_scale, _second_differences
 from fbmsig.matchings import permutation_count, refined_count_bound
-from fbmsig.tensor import PiecewiseLinearPath, Word
+from fbmsig.tensor import Word
 
 
 def signature_coeff_by_quadrature(
-    path: PiecewiseLinearPath, word: Word, points_per_segment: int = 2000
+    times, spatial: np.ndarray, word: Word, points_per_segment: int = 2000
 ) -> float:
-    """Iterated-integral coefficient by direct nested trapezoid quadrature,
-    independent of the Chen-identity code path."""
-    times = np.asarray(path.times)
+    """Iterated-integral coefficient of the time-augmented piecewise-linear
+    path through (times, spatial), spatial of shape (len(times), d), by direct
+    nested trapezoid quadrature, independent of the Chen-identity code path."""
+    times = np.asarray(times, dtype=float)
     grids = []
     for j in range(len(times) - 1):
         g = np.linspace(times[j], times[j + 1], points_per_segment + 1)
         grids.append(g if j == 0 else g[1:])
     t = np.concatenate(grids)
-    # piecewise-linear interpolation of every coordinate on the fine grid
+    # piecewise-linear interpolation of every coordinate on the fine grid,
+    # coordinate 0 being time itself
     coords = np.stack(
-        [np.interp(t, times, path.values[:, c]) for c in range(path.d + 1)], axis=1
+        [t] + [np.interp(t, times, spatial[:, c]) for c in range(spatial.shape[1])],
+        axis=1,
     )
     F = np.ones_like(t)
     for letter in word.letters:

@@ -326,10 +326,7 @@ def test_criterion_8_cross_oracle_equivalence():
     samples = {w: [] for w in words}
     for i in range(n_total // chunk):
         paths = sample_fbm_batch(H, m, 2, chunk, seed=5000 + i)
-        incs = np.concatenate(
-            [np.full((chunk, m, 1), 1.0 / m), np.diff(paths, axis=1)], axis=2
-        )
-        lev = batch_grid_signatures(incs, 4)
+        lev = batch_grid_signatures(np.arange(m + 1) / m, paths, 4)
         for w in words:
             samples[w].append(lev[len(w)][:, word_index(w, 2)])
     mc_ok = True

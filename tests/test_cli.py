@@ -1,7 +1,9 @@
 import csv
+import importlib
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 from collections import Counter
@@ -72,6 +74,16 @@ class TestExpectedSig:
         assert rc == 2 and text == ""
         assert "at most 6 nonzero letters supported, got word (1,1,1,1,1,1,1,1)" in \
             capsys.readouterr().err
+
+    def test_odd_word_beyond_letter_cap_is_zero(self, tmp_path):
+        # letter 1 occurs seven times, so the value is exactly 0 without
+        # quadrature; eight letters stay refused (test_refused_word_is_named)
+        rc, text = run(tmp_path, "expected-sig", "--H", "0.7", "--words",
+                       "1,1,1,1,1,1,1", "--no-timestamp")
+        assert rc == 0
+        header, row = read_csv(text)
+        assert float(row[header.index("value")]) == 0.0
+        assert float(row[header.index("err_bar")]) == 0.0
 
     def test_bound_columns_match_decay_bound_check(self, tmp_path):
         words = "1,1;1,1,1,1;1,1,2,2;1,2,1,2"
@@ -250,6 +262,13 @@ class TestCubature:
         rows = read_csv(text)
         assert len(rows) == 2
         assert rows[1][rows[0].index("word")] == "" and rows[1][-1] == "True"
+
+    def test_verify_refuses_both_branches(self, tmp_path, capsys):
+        # verify checks one formula; only solve tabulates both roots
+        with pytest.raises(SystemExit) as exc:
+            run(tmp_path, "cubature", "verify", "--H", "0.6", "--branch", "both")
+        assert exc.value.code == 2
+        assert "argument --branch: invalid choice: 'both'" in capsys.readouterr().err
 
     def test_solve_both_branches(self, tmp_path):
         rc, text = run(
@@ -660,3 +679,15 @@ def test_import_leaves_scipy_stats_unloaded():
         "    assert not scipy_modules(), (argv, scipy_modules())\n"
     )
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
+
+
+SUBMODULES = sorted(m.name for m in pkgutil.iter_modules(fbmsig.__path__))
+
+
+@pytest.mark.parametrize("name", SUBMODULES)
+def test_every_exported_name_resolves(name):
+    # the benchmark tracer wraps every name in a module's __all__ by getattr,
+    # so a stale entry would crash every benchmark run
+    module = importlib.import_module(f"fbmsig.{name}")
+    stale = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+    assert stale == []

@@ -15,7 +15,7 @@ from fbmsig.cubature import (
     word_weight,
     words_of_degree,
 )
-from fbmsig.tensor import PiecewiseLinearPath, Word, path_signature
+from fbmsig.tensor import Word, batch_grid_signatures, word_index
 
 from oracles import signature_coeff_by_quadrature
 
@@ -210,24 +210,25 @@ class TestVerify:
 
     def test_chen_side_matches_nested_quadrature(self):
         f = three_path_formula(0.6)
-        path = PiecewiseLinearPath.time_augmented(f.times, f.spatial[0])
-        sig = path_signature(path, 4)
+        levels = batch_grid_signatures(f.times, f.spatial[:1], 4)
         for letters in [(1, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1, 1)]:
             w = W(*letters)
-            direct = signature_coeff_by_quadrature(path, w, 160_000)
-            assert sig.coeff(w) == pytest.approx(direct, abs=1e-10)
+            direct = signature_coeff_by_quadrature(f.times, f.spatial[0], w, 160_000)
+            assert levels[len(w)][0, word_index(w.letters, 1)] == pytest.approx(
+                direct, abs=1e-10)
 
     @pytest.mark.parametrize("H", (0.5, 0.6, 0.8))
-    def test_batched_fold_matches_per_path_signatures(self, H):
+    def test_batched_fold_matches_one_fold_per_path(self, H):
         # all paths are folded in one batch; each rhs must equal, bit for
         # bit, the in-order weighted sum of one signature per path
         f = three_path_formula(H)
         rep = verify_formula(f, 6)
         depth = max(len(r.word) for r in rep.rows)
-        sigs = [path_signature(PiecewiseLinearPath.time_augmented(f.times, s), depth)
-                for s in f.spatial]
+        sigs = [batch_grid_signatures(f.times, s[None], depth) for s in f.spatial]
         for r in rep.rows:
-            want = sum(lam * sig.coeff(r.word) for lam, sig in zip(f.weights, sigs))
+            i = word_index(r.word.letters, 1)
+            want = sum(lam * float(sig[len(r.word)][0, i])
+                       for lam, sig in zip(f.weights, sigs))
             assert r.rhs == want, str(r.word)
 
     def test_words_index_the_formula_alphabet(self):
@@ -284,11 +285,9 @@ class TestRescale:
     def test_level2_integral_scales(self):
         T, H = 4.0, 0.5
         g = rescale_formula(three_path_formula(H), T)
-        total = sum(
-            lam * path_signature(PiecewiseLinearPath.time_augmented(g.times, s), 2)
-            .coeff(W(1, 1))
-            for lam, s in zip(g.weights, g.spatial)
-        )
+        levels = batch_grid_signatures(g.times, g.spatial, 2)
+        total = sum(lam * levels[2][j, word_index((1, 1), 1)]
+                    for j, lam in enumerate(g.weights))
         assert total == pytest.approx(T ** (2 * H) * 0.5, abs=1e-12)
 
     def test_positive_T(self):

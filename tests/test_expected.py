@@ -25,7 +25,7 @@ from fbmsig.cli import main
 from fbmsig.cubature import word_weight
 from fbmsig.matchings import enumerate_matchings
 from fbmsig.simplexquad import QuadConfig, _reduce_terms, matching_simplex_integral
-from fbmsig.tensor import Word, all_words
+from fbmsig.tensor import Word, all_words, word_index
 from oracles import (
     cell_covariance_matrix,
     cell_pair_integral,
@@ -146,7 +146,9 @@ class TestExpectedWord:
         )
 
     def test_odd_letter_vanishes_exactly(self):
-        for letters in [(1,), (1, 2), (1, 1, 2), (1, 2, 2, 2), (1, 0, 2)]:
+        # also beyond the cap on nonzero letters, which applies to even words
+        for letters in [(1,), (1, 2), (1, 1, 2), (1, 2, 2, 2), (1, 0, 2), (1,) * 7,
+                        (1, 2, 1, 2, 1, 2, 1, 0)]:
             res = expected_word(W(*letters), 0.75)
             assert res.value == 0.0 and res.error == 0.0
 
@@ -251,31 +253,39 @@ class TestScalingLaw:
         assert extrap == pytest.approx(want, abs=1e-6)
 
 
+def level_coeff(levels, w):
+    """The cell of word w in a list of level arrays indexed by word_index."""
+    return levels[len(w)][..., word_index(w.letters, w.d)]
+
+
 class TestExpectedTensor:
     def test_depth2_structure(self):
         t, _ = expected_tensor(0.75, 2, depth=2)
-        assert t.coeff(Word((), 2)) == 1.0
+        assert [len(level) for level in t] == [1, 3, 9]
+        assert level_coeff(t, Word((), 2)) == 1.0
         for i in range(3):
-            assert t.coeff(Word((i,), 2)) == (1.0 if i == 0 else 0.0)
+            assert level_coeff(t, Word((i,), 2)) == (1.0 if i == 0 else 0.0)
         for i in (1, 2):
-            assert t.coeff(Word((i, i), 2)) == pytest.approx(0.5, abs=1e-12)
-        assert t.coeff(Word((1, 2), 2)) == 0.0
-        assert t.coeff(Word((2, 1), 2)) == 0.0
-        assert t.coeff(Word((0, 0), 2)) == pytest.approx(0.5, abs=0)
+            assert level_coeff(t, Word((i, i), 2)) == pytest.approx(0.5, abs=1e-12)
+        assert level_coeff(t, Word((1, 2), 2)) == 0.0
+        assert level_coeff(t, Word((2, 1), 2)) == 0.0
+        assert level_coeff(t, Word((0, 0), 2)) == pytest.approx(0.5, abs=0)
 
     @pytest.mark.parametrize("d, depth", ((2, 4), (1, 6)))
     def test_every_cell_is_expected_word(self, d, depth):
         values, errors = expected_tensor(0.8, d, depth)
+        assert len(values) == len(errors) == depth + 1
         for length in range(depth + 1):
             for w in all_words(d, length):
-                assert (values.coeff(w), errors.coeff(w)) == expected_word(w, 0.8), str(w)
-                assert errors.coeff(w) >= 0.0
+                cell = (level_coeff(values, w), level_coeff(errors, w))
+                assert cell == expected_word(w, 0.8), str(w)
+                assert level_coeff(errors, w) >= 0.0
 
     def test_relabelled_words_share_cells(self):
         values, errors = expected_tensor(0.8, 2, depth=4)
         for a, b in (((2, 1, 2, 1), (1, 2, 1, 2)), ((2, 2, 1, 1), (1, 1, 2, 2))):
-            assert values.coeff(W(*a)) == values.coeff(W(*b)) != 0.0
-            assert errors.coeff(W(*a)) == errors.coeff(W(*b))
+            assert level_coeff(values, W(*a)) == level_coeff(values, W(*b)) != 0.0
+            assert level_coeff(errors, W(*a)) == level_coeff(errors, W(*b))
 
     def test_depth_cap(self):
         with pytest.raises(ValueError):

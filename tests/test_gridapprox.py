@@ -203,11 +203,7 @@ class TestApproxExpectedWord:
         # cell-combinatorics value within Monte-Carlo error
         H, m, n = 0.75, 8, 40_000
         paths = sample_fbm_batch(H, m, 2, n, seed=2024)
-        times = np.arange(m + 1) / m
-        incs = np.concatenate(
-            [np.full((n, m, 1), 1.0 / m), np.diff(paths, axis=1)], axis=2
-        )
-        lev = batch_grid_signatures(incs, 4)
+        lev = batch_grid_signatures(np.arange(m + 1) / m, paths, 4)
         vals = lev[4][:, word_index(letters, 2)]
         mean, se = vals.mean(), vals.std(ddof=1) / math.sqrt(n)
         want = approx_expected_word(W(*letters), H, m)

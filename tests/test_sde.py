@@ -21,7 +21,6 @@ from fbmsig.sde import (
     _logaddexp,
     _solve,
 )
-from fbmsig.tensor import PiecewiseLinearPath
 from oracles import rk4_solve_per_piece
 
 ZERO = lambda y: np.zeros_like(y)
@@ -29,19 +28,20 @@ ONE = lambda y: np.ones_like(y)
 
 
 def time_only_path(T=1.0):
-    return PiecewiseLinearPath.time_augmented([0.0, T], [0.0, 0.0])
+    """(times, spatial) of the one-piece driver that stays at zero."""
+    return [0.0, T], np.zeros((1, 2, 1))
 
 
 def formula_path(formula, j):
-    """Path j of a cubature formula as a time-augmented path object."""
-    return PiecewiseLinearPath.time_augmented(formula.times, formula.spatial[j])
+    """(times, spatial) of path j of a cubature formula, a batch of one."""
+    return formula.times, formula.spatial[j:j + 1]
 
 
 def solve_one(vf, x0, path, steps_per_piece):
     """Endpoint of the ODE along one piecewise-linear driver: `_solve` on a
     batch of one."""
-    return _solve(vf, x0, np.asarray(path.times), path.values[None, :, 1:],
-                  steps_per_piece)[0]
+    times, spatial = path
+    return _solve(vf, x0, times, spatial, steps_per_piece)[0]
 
 
 class TestOdeAlongPath:
