@@ -43,7 +43,6 @@ from .matchings import (
 )
 from .sde import (
     ErrorBoundParams,
-    VectorFieldSet,
     cubature_weak_value,
     error_bound_shape,
     mc_weak_value,

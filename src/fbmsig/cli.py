@@ -201,21 +201,23 @@ def cmd_expected_sig(args) -> int:
     return EXIT_VERIFICATION if failures else EXIT_OK
 
 
-def _check_grids(hs, ms) -> None:
-    """Refuse an H outside (1/2, 1), then a grid size outside [1,
-    _MAX_CELLS], before any value is computed: the messages a full run would
-    stop at, in the order it checks them."""
+def _check_grids(hs, ms, words) -> None:
+    """Refuse an H outside (1/2, 1), a grid size outside [1, _MAX_CELLS],
+    then a word the grid engine cannot take, before any value is computed:
+    the messages a full run would stop at, in the order it checks them."""
     for H in hs:
         ex.check_hurst(H)
     for m in ms:
         ga._check_cells(m)
+    for w in words:
+        ga._check_word(w)
 
 
 def cmd_approx_sig(args) -> int:
     words = _parse_words(args.words)
     hs = _parse_list(args.H, float, "H")
     ms = _parse_list(args.m, int, "m")
-    _check_grids(hs, ms)
+    _check_grids(hs, ms, words)
     table = TableWriter(["word", "H", "m", "approx"])
     for w in words:
         for H in hs:
@@ -234,7 +236,7 @@ def cmd_convergence(args) -> int:
         print("error: convergence needs at least 4 distinct grid sizes", file=sys.stderr)
         return EXIT_USAGE
     config = _quad_config(args)
-    _check_grids(hs, ms)
+    _check_grids(hs, ms, words)
     cols = ["kind", "word", "H", "m", "exact", "approx", "gap", "m2H_gap",
             "err_bar", "slope", "slope_residual", "coeff_bound",
             "max_m2H_gap", "bound_pass", "note"]
@@ -299,14 +301,14 @@ def _sde_problem(name: str, x0: float):
     # constant that the solver broadcasts, not a fresh array per stage
     zero = lambda y: 0.0
     if name == "quadratic":
-        vf = sde.VectorFieldSet(1, (zero, lambda y: 1.0))
+        fields = (zero, lambda y: 1.0)
         f = lambda y: y[..., 0] ** 2
     elif name == "zero":
-        vf = sde.VectorFieldSet(1, (zero, zero))
+        fields = (zero, zero)
         f = lambda y: y[..., 0]
     else:
         raise ValueError(f"unknown problem {name!r} (expected quadratic or zero)")
-    return vf, f, np.array([x0])
+    return fields, f, np.array([x0])
 
 
 def _finite(name: str, text) -> float:
@@ -320,7 +322,7 @@ def cmd_sde(args) -> int:
     H = _number("H", args.H, float)
     ex.check_hurst(H)
     x0 = _finite("x0", args.x0)
-    vf, f, state0 = _sde_problem(args.problem, x0)
+    fields, f, state0 = _sde_problem(args.problem, x0)
     formula = cb.three_path_formula(H)
     T = _finite("T", args.T)
     n_paths = _number("paths", args.paths, int)
@@ -334,14 +336,14 @@ def cmd_sde(args) -> int:
     M, gamma = _finite("M", args.M), _finite("gamma", args.gamma)
     # f may overflow (a huge --x0); the finiteness check below reports that
     with np.errstate(over="ignore"):
-        cub = sde.cubature_weak_value(vf, f, state0, formula, T)
+        cub = sde.cubature_weak_value(fields, f, state0, formula, T)
         try:
-            mc, se = sde.mc_weak_value(vf, f, state0, H, T, n_paths, n_steps, seed)
+            mc, se = sde.mc_weak_value(fields, f, state0, H, T, n_paths, n_steps, seed)
         except MemoryError:
             raise ValueError(f"--paths {n_paths} with --steps {n_steps} needs more "
                              "memory than is available") from None
-    shape = sde.error_bound_shape(
-        sde.ErrorBoundParams(M, gamma, d=vf.d, degree=formula.claimed_degree, H=H), T)
+    shape = sde.error_bound_shape(sde.ErrorBoundParams(
+        M, gamma, d=len(fields) - 1, degree=formula.claimed_degree, H=H), T)
     if not all(map(math.isfinite, (cub, mc, se))):
         raise ValueError("a weak value or its standard error overflows a double; "
                          "reduce --x0 or --T")

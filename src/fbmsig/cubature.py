@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .expected import closed_form_value, expected_word
-from .simplexquad import QuadConfig
+from .simplexquad import MAX_PAIRS, QuadConfig
 from .tensor import Word, batch_grid_signatures, word_index
 
 __all__ = [
@@ -37,9 +37,9 @@ __all__ = [
 
 SQRT3 = math.sqrt(3.0)
 # verify_formula accepts a word when |lhs - rhs| <= BASE_TOL plus the error
-# bar of the expected side; empirical_degree scans degrees up to SCAN_CAP.
+# bar of the expected side; degrees are capped at SCAN_CAP, the exact side's reach.
 BASE_TOL = 1e-9
-SCAN_CAP = 6
+SCAN_CAP = 2 * MAX_PAIRS
 
 
 def _check_H_cubature(H: float) -> None:
@@ -90,8 +90,8 @@ def words_of_degree(m: int, H: float, d: int) -> list[Word]:
     _check_H_cubature(H)
     if m < 0:
         raise ValueError(f"cubature degree must be >= 0, got {m}")
-    if m > 6 or d > 2:
-        raise ValueError("degree capped at 6 and d at 2 (enumeration budget)")
+    if m > SCAN_CAP or d > 2:
+        raise ValueError(f"degree capped at {SCAN_CAP} and d at 2 (enumeration budget)")
     out = []
     length = 0
     while 2.0 * H * length <= m + 1e-9:
@@ -261,7 +261,7 @@ def verify_formula(
     config: QuadConfig | None = None,
 ) -> VerifyReport:
     """Check the cubature identity at H = formula.H for every word of weight
-    <= degree (d = 1).
+    <= degree over the formula's d letters.
 
     The expected side prefers a closed form (exact in H, and available for
     every word at H = 1/2); quadrature is the fallback, and its error bar is
@@ -269,9 +269,9 @@ def verify_formula(
     Mismatches are report content, never exceptions.
     """
     H = formula.H
-    words = words_of_degree(degree, H, d=1)
-    depth = max(len(w) for w in words)  # the empty word is always there
     d = formula.spatial.shape[2]
+    words = words_of_degree(degree, H, d)
+    depth = max(len(w) for w in words)  # the empty word is always there
     levels = batch_grid_signatures(formula.times, formula.spatial, depth)
     rows: list[VerifyRow] = []
     for w in words:  # by length, then letters

@@ -126,8 +126,8 @@ def expected_tensor(
     relabelling the nonzero alphabet share their matching integrals through
     the quadrature memo."""
     check_hurst(H)
-    if depth > 6:
-        raise ValueError("depth capped at 6")
+    if depth > 2 * MAX_PAIRS:
+        raise ValueError(f"depth capped at {2 * MAX_PAIRS}")
     cells = [np.array([expected_word(w, H, config) for w in all_words(d, length)])
              for length in range(depth + 1)]
     return [c[:, 0] for c in cells], [c[:, 1] for c in cells]

@@ -173,6 +173,16 @@ def _check_cells(m: int) -> None:
         raise ValueError(f"m = {m} exceeds the grid ceiling of {_MAX_CELLS} cells")
 
 
+def _check_word(word: Word) -> None:
+    """Reject the empty word, a time letter, or an even length above 4."""
+    letters = word.letters
+    if not letters or any(x == 0 for x in letters):
+        raise ValueError(
+            f"approximation values are defined for pure-fBm words, got word ({word})")
+    if len(letters) % 2 == 0 and len(letters) > 4:
+        raise ValueError(f"word length capped at 4 (grid approximation), got word ({word})")
+
+
 def approx_expected_word(word: Word, H: float, m: int) -> float:
     """Exact expected iterated-integral coefficient of B^m for a pure-fBm word.
 
@@ -187,15 +197,10 @@ def approx_expected_word(word: Word, H: float, m: int) -> float:
     """
     check_hurst(H)
     _check_cells(m)
-    letters = word.letters
-    if not letters or any(x == 0 for x in letters):
-        raise ValueError(
-            f"approximation values are defined for pure-fBm words, got word ({word})")
-    if len(letters) % 2 != 0:
+    _check_word(word)
+    two_k = len(word.letters)
+    if two_k % 2 != 0:
         return 0.0
-    two_k = len(letters)
-    if two_k > 4:
-        raise ValueError(f"word length capped at 4 (grid approximation), got word ({word})")
     matchings_ = mt.compatible_matchings(word)
     g = 0.5 * m ** (2.0 - 2.0 * H) * _second_differences(H, np.arange(m))
     # (blocks, edges between blocks) -> summed weight; a pair inside one

@@ -6,6 +6,11 @@ The SDE dxi = sum_i V_i(xi) dB-hat^i (B-hat = time-augmented driver) is
 approximated by sum_j lambda_j f(solution of dy = sum_i V_i(y) d omega-hat_j).
 Both sides run through one batched piecewise-linear-driver integrator, so
 comparisons isolate the choice of measure rather than the discretization.
+
+The fields are the plain tuple (V_0, ..., V_d), V_0 pairing with time, and N
+is len(x0).  A field maps states (B, N) to a value that broadcasts to that
+shape (a state-independent field may return a float or an (N,) array); the
+observable f maps the (B, N) endpoints to B values, once per weak value.
 """
 from __future__ import annotations
 
@@ -20,7 +25,6 @@ from .expected import check_hurst
 from .gridapprox import sample_fbm_batch
 
 __all__ = [
-    "VectorFieldSet",
     "ErrorBoundParams",
     "BoundShape",
     "cubature_weak_value",
@@ -32,29 +36,7 @@ __all__ = [
 CUBATURE_STEPS_PER_PIECE = 64
 
 
-@dataclass(frozen=True)
-class VectorFieldSet:
-    """The driving vector fields V_0, ..., V_d on R^N.
-
-    Each field maps states of shape (..., N) to a value that broadcasts to
-    that shape, so solves can be batched across Monte-Carlo paths; a field
-    that does not depend on the state may return a constant (a float or an
-    (N,) array).  Field 0 multiplies the time coordinate of the driver.
-    """
-
-    dimension: int
-    fields: tuple[Callable[[np.ndarray], np.ndarray], ...]
-
-    def __post_init__(self):
-        if self.dimension < 1 or len(self.fields) < 2:
-            raise ValueError("need dimension >= 1 and at least fields (V_0, V_1)")
-
-    @property
-    def d(self) -> int:
-        return len(self.fields) - 1
-
-
-def _solve(vf: VectorFieldSet, x0, times: Sequence[float], spatial: np.ndarray,
+def _solve(fields: Sequence[Callable], x0, times: Sequence[float], spatial: np.ndarray,
            steps_per_piece: int) -> np.ndarray:
     """Endpoints (B, N) of dy = V_0(y) dt + sum_i V_i(y) d omega^i along B
     piecewise-linear drivers that share the breakpoints `times`; `spatial`
@@ -68,14 +50,19 @@ def _solve(vf: VectorFieldSet, x0, times: Sequence[float], spatial: np.ndarray,
     """
     if steps_per_piece < 1:
         raise ValueError("steps_per_piece must be >= 1")
+    if len(fields) < 2:
+        raise ValueError("need dimension >= 1 and at least fields (V_0, V_1)")
+    x0 = np.asarray(x0, dtype=float)
+    if x0.ndim != 1 or len(x0) < 1:
+        raise ValueError(f"x0 must be a non-empty 1-D vector, got shape {x0.shape}")
     n_paths, _, d = spatial.shape
-    if len(vf.fields) != d + 1:
+    if len(fields) != d + 1:
         raise ValueError(
-            f"path has {d} spatial coordinates but {len(vf.fields) - 1} "
+            f"path has {d} spatial coordinates but {len(fields) - 1} "
             "spatial fields were supplied"
         )
-    v0, *spatial_fields = vf.fields
-    y = np.broadcast_to(np.asarray(x0, dtype=float), (n_paths, vf.dimension)).copy()
+    v0, *spatial_fields = fields
+    y = np.broadcast_to(x0, (n_paths, len(x0))).copy()
     for j in range(len(times) - 1):
         dt = times[j + 1] - times[j]
         slopes = (spatial[:, j + 1, :] - spatial[:, j, :]) / dt
@@ -106,9 +93,14 @@ def _solve(vf: VectorFieldSet, x0, times: Sequence[float], spatial: np.ndarray,
     return y
 
 
+def _values(f: Callable, ends: np.ndarray) -> np.ndarray:
+    """f evaluated once on the (paths, N) endpoints, as a float (paths,) array."""
+    return np.asarray(f(ends), dtype=float).reshape(len(ends))
+
+
 def cubature_weak_value(
-    vf: VectorFieldSet,
-    f: Callable[[np.ndarray], float],
+    fields: Sequence[Callable],
+    f: Callable[[np.ndarray], np.ndarray],
     x0,
     formula: CubatureFormula,
     T: float,
@@ -116,15 +108,15 @@ def cubature_weak_value(
     """Weighted combination sum_j lambda_j f(endpoint of the ODE along the
     rescaled cubature path omega_j); the paths are solved as one batch."""
     resc = rescale_formula(formula, T)
-    ends = _solve(vf, x0, resc.times, resc.spatial, CUBATURE_STEPS_PER_PIECE)
+    ends = _solve(fields, x0, resc.times, resc.spatial, CUBATURE_STEPS_PER_PIECE)
     total = 0.0
-    for lam, y in zip(resc.weights, ends):
-        total += lam * float(f(y))
+    for lam, v in zip(resc.weights, _values(f, ends)):
+        total += lam * float(v)
     return total
 
 
 def mc_weak_value(
-    vf: VectorFieldSet,
+    fields: Sequence[Callable],
     f: Callable[[np.ndarray], np.ndarray],
     x0,
     H: float,
@@ -150,16 +142,15 @@ def mc_weak_value(
 
     Returns (estimate, standard error); deterministic in the seed.  Requires
     H > 1/2 (pathwise Young regime) and n_paths >= 2, since one path gives no
-    standard error.  f must accept batched states (B, N).  The standard
-    error is NaN when f is non-finite on some path.
+    standard error.  The standard error is NaN when f is non-finite on some
+    path.
     """
     check_hurst(H)
     if n_paths < 2:
         raise ValueError(f"n_paths must be >= 2 for a standard error, got {n_paths}")
-    spatial = sample_fbm_batch(H, n_steps, vf.d, n_paths, seed, T)  # (B, m+1, d)
+    spatial = sample_fbm_batch(H, n_steps, len(fields) - 1, n_paths, seed, T)
     times = np.arange(n_steps + 1) * (T / n_steps)
-    y = _solve(vf, x0, times, spatial, steps_per_piece)
-    vals = np.asarray(f(y), dtype=float).reshape(n_paths)
+    vals = _values(f, _solve(fields, x0, times, spatial, steps_per_piece))
     if not np.all(np.isfinite(vals)):
         return float(vals.mean()), math.nan
     # std squares the deviations, which underflow or overflow far inside the

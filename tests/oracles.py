@@ -64,15 +64,15 @@ def bound_violation_sweep(max_two_k: int = 8, d: int = 3) -> list[tuple]:
     return bad
 
 
-def _rk4_piece(vf, y: np.ndarray, slopes: np.ndarray, dt: float,
+def _rk4_piece(fields, y: np.ndarray, slopes: np.ndarray, dt: float,
                steps: int) -> np.ndarray:
     """Classical one-step order-4 integration of dy = sum slopes_i V_i(y) over
     a single linear piece (the driver derivative is constant there)."""
 
     def g(state):
-        acc = slopes[..., 0, None] * vf.fields[0](state)
-        for i in range(1, len(vf.fields)):
-            acc = acc + slopes[..., i, None] * vf.fields[i](state)
+        acc = slopes[..., 0, None] * fields[0](state)
+        for i in range(1, len(fields)):
+            acc = acc + slopes[..., i, None] * fields[i](state)
         return acc
 
     h = dt / steps
@@ -85,18 +85,18 @@ def _rk4_piece(vf, y: np.ndarray, slopes: np.ndarray, dt: float,
     return y
 
 
-def rk4_solve_per_piece(vf, x0, times: np.ndarray, spatial: np.ndarray,
+def rk4_solve_per_piece(fields, x0, times: np.ndarray, spatial: np.ndarray,
                         steps_per_piece: int) -> np.ndarray:
     """The integrator in its per-piece form: a stage function that rebuilds
     the slope-weighted field sum, time slope 1.0 included, at every stage."""
     n_paths, _, d = spatial.shape
-    y = np.broadcast_to(np.asarray(x0, dtype=float), (n_paths, vf.dimension)).copy()
+    y = np.broadcast_to(np.asarray(x0, dtype=float), (n_paths, len(x0))).copy()
     for j in range(len(times) - 1):
         dt = times[j + 1] - times[j]
         slopes = np.empty((n_paths, d + 1))
         slopes[:, 0] = 1.0
         slopes[:, 1:] = (spatial[:, j + 1, :] - spatial[:, j, :]) / dt
-        y = _rk4_piece(vf, y, slopes, dt, steps_per_piece)
+        y = _rk4_piece(fields, y, slopes, dt, steps_per_piece)
         if not np.all(np.isfinite(y)):
             raise RuntimeError(f"non-finite state at t={times[j + 1]:g}")
     return y

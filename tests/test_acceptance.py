@@ -35,7 +35,7 @@ from fbmsig.matchings import (
     enumerate_matchings,
     permutation_count,
 )
-from fbmsig.sde import VectorFieldSet, cubature_weak_value, mc_weak_value
+from fbmsig.sde import cubature_weak_value, mc_weak_value
 from fbmsig.simplexquad import QuadConfig
 from fbmsig.tensor import Word, batch_grid_signatures, word_index
 
@@ -224,11 +224,11 @@ def test_criterion_7_sde_weak_approximation():
     t0 = time.perf_counter()
     zero = lambda y: np.zeros_like(y)
     one = lambda y: np.ones_like(y)
-    vf = VectorFieldSet(1, (zero, one))
+    vf = (zero, one)
     x0 = 0.3
     H = 0.75
     cub = cubature_weak_value(
-        vf, lambda y: y[0] ** 2, [x0], three_path_formula(H), 1.0
+        vf, lambda y: y[..., 0] ** 2, [x0], three_path_formula(H), 1.0
     )
     cub_err = abs(cub - (x0**2 + 1.0))
     mc, se = mc_weak_value(
@@ -236,7 +236,7 @@ def test_criterion_7_sde_weak_approximation():
     )
     mc_ok = abs(mc - (x0**2 + 1.0)) <= 4.0 * se
     cub4 = cubature_weak_value(
-        vf, lambda y: y[0] ** 2, [x0], three_path_formula(0.5), 4.0
+        vf, lambda y: y[..., 0] ** 2, [x0], three_path_formula(0.5), 4.0
     )
     cub4_err = abs(cub4 - (x0**2 + 4.0))
     elapsed = time.perf_counter() - t0

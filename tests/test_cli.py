@@ -26,6 +26,7 @@ def run(tmp_path, *argv):
 
 
 CEILING = "m = 262145 exceeds the grid ceiling of 262144 cells"
+SIX = "word length capped at 4 (grid approximation), got word (1,1,1,1,1,1)"
 
 
 def read_csv(text):
@@ -192,6 +193,17 @@ class TestConvergence:
         (["approx-sig", "--m", "262144,262145"], CEILING),
         (["approx-sig", "--words", "1,1;1,2,1,2", "--m", "4,-3"],
          "m must be >= 1, got -3"),
+        # a word the grid engine cannot take, after the H and m checks
+        (["convergence", "--words", "1,1,1,1,1,1", "--m", "4,8,16,32"], SIX),
+        (["convergence", "--words", "1,2,1,2;1,1,1,1,1,1,1,1", "--m", "4,8,16,32"],
+         "word length capped at 4 (grid approximation), got word (1,1,1,1,1,1,1,1)"),
+        (["convergence", "--words", "1,1;0,1,1", "--m", "4,8,16,32"],
+         "approximation values are defined for pure-fBm words, got word (0,1,1)"),
+        (["convergence", "--H", "0.4", "--words", "1,1,1,1,1,1", "--m", "4,8,16,32"],
+         "H must lie in (1/2, 1), got 0.4"),
+        (["convergence", "--words", "1,1,1,1,1,1", "--m", "0,8,16,32"],
+         "m must be >= 1, got 0"),
+        (["approx-sig", "--words", "1,1;1,1,1,1,1,1", "--m", "4,8"], SIX),
     ])
     def test_grid_outside_range_refused_before_any_value(self, tmp_path, capsys,
                                                           monkeypatch, argv, message):
@@ -356,8 +368,8 @@ class TestSde:
 
     @pytest.mark.parametrize("problem", ["quadratic", "zero"])
     def test_problem_fields_return_constants(self, problem):
-        vf, _, _ = cli._sde_problem(problem, 0.3)
-        for field in vf.fields:
+        fields, _, _ = cli._sde_problem(problem, 0.3)
+        for field in fields:
             assert np.ndim(field(np.zeros((5, 1)))) == 0
 
     @pytest.mark.parametrize("problem", ["quadratic", "zero"])
@@ -373,10 +385,10 @@ class TestSde:
         problem_of = cli._sde_problem
 
         def array_fields(name, x0):
-            vf, f, state0 = problem_of(name, x0)
+            _, f, state0 = problem_of(name, x0)
             zero = lambda y: np.zeros_like(y)
             v1 = (lambda y: np.ones_like(y)) if name == "quadratic" else zero
-            return sde.VectorFieldSet(1, (zero, v1)), f, state0
+            return (zero, v1), f, state0
 
         monkeypatch.setattr(cli, "_sde_problem", array_fields)
         assert main(argv) == 0

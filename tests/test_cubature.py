@@ -232,11 +232,25 @@ class TestVerify:
             assert r.rhs == want, str(r.word)
 
     def test_words_index_the_formula_alphabet(self):
-        # words use the letters {0, 1}; a second spatial coordinate widens the
-        # formula's alphabet but must leave every row as it was
+        # a second spatial coordinate widens the formula's alphabet but must
+        # leave every row over the letters {0, 1} as it was
         f = three_path_formula(0.6)
         g = replace(f, spatial=np.concatenate([f.spatial, f.spatial[::-1]], axis=2))
-        assert verify_formula(g, 5).rows == verify_formula(f, 5).rows
+        rows = [replace(r, word=W(*r.word.letters)) for r in verify_formula(g, 5).rows
+                if 2 not in r.word.letters]
+        assert rows == list(verify_formula(f, 5).rows)
+
+    def test_words_with_the_second_letter_are_checked(self):
+        # both coordinates of each path equal omega, so every word over {0, 1}
+        # matches, but S^(1,2) = omega_T^2 / 2 averages 1/2 against E S^(1,2) = 0
+        f = three_path_formula(0.6)
+        g = replace(f, spatial=np.concatenate([f.spatial, f.spatial], axis=2))
+        rep = verify_formula(g, 5)
+        row = next(r for r in rep.rows if r.word.letters == (1, 2))
+        assert row.lhs == 0.0
+        assert row.rhs == pytest.approx(0.5, abs=1e-14)
+        assert not row.passed and not rep.passed
+        assert all(r.passed for r in rep.rows if 2 not in r.word.letters)
 
     def test_brownian_failure_beyond_claimed_degree(self):
         # the six-letter single word breaks degree 6 at H = 1/2:

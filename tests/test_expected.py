@@ -680,8 +680,8 @@ class TestCoreContraction:
 
 
 def _mc_weak_value(H):
-    vf = sde.VectorFieldSet(1, (np.zeros_like, np.ones_like))
-    return sde.mc_weak_value(vf, lambda y: y[..., 0], [0.0], H, 1.0, 4, 4, 0)
+    fields = (np.zeros_like, np.ones_like)
+    return sde.mc_weak_value(fields, lambda y: y[..., 0], [0.0], H, 1.0, 4, 4, 0)
 
 
 HURST_ENTRY_POINTS = {

@@ -181,6 +181,10 @@ class TestApproxExpectedWord:
     def test_odd_word_zero(self):
         assert approx_expected_word(W(1, 1, 2), 0.75, 3) == 0.0
 
+    @pytest.mark.parametrize("k", [5, 7])
+    def test_odd_word_beyond_length_cap_zero(self, k):
+        assert approx_expected_word(W(*[1] * k), 0.75, 3) == 0.0
+
     def test_budget_enforced(self):
         with pytest.raises(ValueError, match=r"m = 262145 exceeds the grid ceiling of 262144"):
             approx_expected_word(W(1, 1, 2, 2), 0.75, 2**18 + 1)

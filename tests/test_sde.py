@@ -13,7 +13,6 @@ from fbmsig.cubature import rescale_formula, three_path_formula
 from fbmsig.gridapprox import sample_fbm_batch
 from fbmsig.sde import (
     ErrorBoundParams,
-    VectorFieldSet,
     cubature_weak_value,
     error_bound_shape,
     mc_weak_value,
@@ -46,39 +45,49 @@ def solve_one(vf, x0, path, steps_per_piece):
 
 class TestOdeAlongPath:
     def test_zero_fields_fixed_point(self):
-        vf = VectorFieldSet(2, (ZERO, ZERO))
+        vf = (ZERO, ZERO)
         p = formula_path(three_path_formula(0.6), 0)
         out = solve_one(vf, [1.5, -2.0], p, steps_per_piece=32)
         np.testing.assert_allclose(out, [1.5, -2.0], atol=0)
 
     def test_constant_field_exact(self):
-        vf = VectorFieldSet(1, (ZERO, ONE))
+        vf = (ZERO, ONE)
         p = formula_path(three_path_formula(0.75), 0)
         out = solve_one(vf, [0.25], p, steps_per_piece=1)
         assert out[0] == pytest.approx(0.25 + math.sqrt(3.0), abs=1e-12)
 
     def test_linear_drift_exponential(self):
-        vf = VectorFieldSet(1, (lambda y: y, ZERO))
+        vf = (lambda y: y, ZERO)
         out = solve_one(vf, [1.0], time_only_path(), steps_per_piece=256)
         assert out[0] == pytest.approx(math.e, abs=1e-10)
 
     def test_fourth_order(self):
-        vf = VectorFieldSet(1, (lambda y: y * (1.0 - y), ZERO))
+        vf = (lambda y: y * (1.0 - y), ZERO)
         ref = solve_one(vf, [0.1], time_only_path(), steps_per_piece=512)[0]
         e8 = abs(solve_one(vf, [0.1], time_only_path(), steps_per_piece=8)[0] - ref)
         e16 = abs(solve_one(vf, [0.1], time_only_path(), steps_per_piece=16)[0] - ref)
         assert e8 / e16 >= 12.0
 
     def test_nonfinite_aborts(self):
-        vf = VectorFieldSet(1, (lambda y: y * y, ZERO))
+        vf = (lambda y: y * y, ZERO)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(RuntimeError, match="non-finite"):
                 solve_one(vf, [50.0], time_only_path(), steps_per_piece=64)
 
     def test_field_count_checked(self):
-        vf = VectorFieldSet(1, (ZERO, ZERO, ZERO))
+        vf = (ZERO, ZERO, ZERO)
         with pytest.raises(ValueError):
             solve_one(vf, [0.0], time_only_path(), steps_per_piece=32)
+
+    def test_one_field_refused(self):
+        with pytest.raises(ValueError, match=r"at least fields \(V_0, V_1\)"):
+            solve_one((ZERO,), [0.0], time_only_path(), steps_per_piece=1)
+
+    @pytest.mark.parametrize("x0", [0.3, [], [[0.3]], np.zeros((1, 2))],
+                             ids=["scalar", "empty", "nested", "row"])
+    def test_x0_must_be_a_vector(self, x0):
+        with pytest.raises(ValueError, match="x0 must be a non-empty 1-D vector"):
+            solve_one((ZERO, ONE), x0, time_only_path(), steps_per_piece=1)
 
 
 def _field_set(name):
@@ -90,9 +99,9 @@ def _field_set(name):
         vf, _, x0 = _sde_problem(name, 0.3)
         return vf, x0
     if name == "quadratic-arrays":
-        return VectorFieldSet(1, (ZERO, ONE)), np.array([0.3])
+        return (ZERO, ONE), np.array([0.3])
     if name == "zero-arrays":
-        return VectorFieldSet(1, (ZERO, ZERO)), np.array([0.3])
+        return (ZERO, ZERO), np.array([0.3])
     if name.startswith("constant"):
         values = (0.25, np.array([1.0, -0.5]), 1.0)
         if name == "constant":
@@ -100,11 +109,10 @@ def _field_set(name):
         else:
             fields = tuple(lambda y, c=c: np.broadcast_to(c, y.shape).copy()
                            for c in values)
-        return VectorFieldSet(2, fields), [0.3, -0.2]
+        return fields, [0.3, -0.2]
     if name == "nonlinear":
-        return VectorFieldSet(2, (lambda y: y, np.sin,
-                                  lambda y: np.cos(y[..., ::-1]))), [0.3, -0.2]
-    return VectorFieldSet(1, (lambda y: y, lambda y: 0.5 * y)), [0.3]
+        return (lambda y: y, np.sin, lambda y: np.cos(y[..., ::-1])), [0.3, -0.2]
+    return (lambda y: y, lambda y: 0.5 * y), [0.3]
 
 
 def _driver(kind, B, d):
@@ -130,10 +138,10 @@ class TestSolveMatchesPerPieceOracle:
                                         "nonlinear", "identity"])
     def test_bit_identical(self, fields, steps_per_piece, B, driver):
         vf, x0 = _field_set(fields)
-        times, spatial = _driver(driver, B, vf.d)
+        times, spatial = _driver(driver, B, len(vf) - 1)
         got = _solve(vf, x0, times, spatial, steps_per_piece)
         want = rk4_solve_per_piece(vf, x0, times, spatial, steps_per_piece)
-        assert got.shape == (B, vf.dimension)
+        assert got.shape == (B, len(x0))
         assert np.array_equal(got, want)
 
     # a constant broadcasts against the (B, 1) slope columns, so returning it
@@ -146,7 +154,7 @@ class TestSolveMatchesPerPieceOracle:
                                                driver):
         vf, x0 = _field_set(fields)
         full, _ = _field_set(fields + "-arrays")
-        times, spatial = _driver(driver, B, vf.d)
+        times, spatial = _driver(driver, B, len(vf) - 1)
         got = _solve(vf, x0, times, spatial, steps_per_piece)
         assert np.array_equal(got, _solve(full, x0, times, spatial, steps_per_piece))
         assert np.array_equal(got, rk4_solve_per_piece(full, x0, times, spatial,
@@ -154,7 +162,7 @@ class TestSolveMatchesPerPieceOracle:
 
     @pytest.mark.parametrize("steps_per_piece", [1, 4, 64])
     def test_divergence_names_the_same_time(self, steps_per_piece):
-        vf = VectorFieldSet(1, (lambda y: y * y, ONE))  # blows up near t = 0.5
+        vf = (lambda y: y * y, ONE)  # blows up near t = 0.5
         times, spatial = _driver("uniform", 3, 1)
         messages = []
         with np.errstate(over="ignore", invalid="ignore"):
@@ -167,26 +175,26 @@ class TestSolveMatchesPerPieceOracle:
 
 class TestCubatureWeakValue:
     def test_odd_observable_cancels(self):
-        vf = VectorFieldSet(1, (ZERO, ONE))
+        vf = (ZERO, ONE)
         val = cubature_weak_value(
-            vf, lambda y: y[0], [0.7], three_path_formula(0.8), 1.0
+            vf, lambda y: y[..., 0], [0.7], three_path_formula(0.8), 1.0
         )
         assert val == pytest.approx(0.7, abs=1e-13)
 
     @pytest.mark.parametrize("H", (0.5, 0.6, 0.75))
     def test_quadratic_exact(self, H):
-        vf = VectorFieldSet(1, (ZERO, ONE))
+        vf = (ZERO, ONE)
         x0 = 0.3
         val = cubature_weak_value(
-            vf, lambda y: y[0] ** 2, [x0], three_path_formula(H), 1.0
+            vf, lambda y: y[..., 0] ** 2, [x0], three_path_formula(H), 1.0
         )
         assert val == pytest.approx(x0**2 + 1.0, abs=1e-10)
 
     def test_quadratic_rescaled(self):
-        vf = VectorFieldSet(1, (ZERO, ONE))
+        vf = (ZERO, ONE)
         x0 = 0.3
         val = cubature_weak_value(
-            vf, lambda y: y[0] ** 2, [x0], three_path_formula(0.5), 4.0
+            vf, lambda y: y[..., 0] ** 2, [x0], three_path_formula(0.5), 4.0
         )
         assert val == pytest.approx(x0**2 + 4.0, abs=1e-10)
 
@@ -194,8 +202,8 @@ class TestCubatureWeakValue:
     def test_batch_equals_per_path_solves(self, H):
         # the paths are solved as one batch; the value must be bit-identical
         # to the in-order weighted sum of one solve per path
-        vf = VectorFieldSet(1, (lambda y: -0.5 * y, lambda y: 1.0 + 0.2 * y - 0.1 * y * y))
-        f = lambda y: y[0] ** 3 + y[0]
+        vf = (lambda y: -0.5 * y, lambda y: 1.0 + 0.2 * y - 0.1 * y * y)
+        f = lambda y: y[..., 0] ** 3 + y[..., 0]
         formula, T, x0 = three_path_formula(H), 1.7, [0.4]
         want = 0.0
         resc = rescale_formula(formula, T)
@@ -204,10 +212,22 @@ class TestCubatureWeakValue:
             want += lam * float(f(solve_one(vf, x0, p, steps_per_piece=64)))
         assert cubature_weak_value(vf, f, x0, formula, T) == want
 
+    def test_observable_called_once_on_the_batch(self):
+        calls = []
+
+        def f(y):
+            calls.append(y.shape)
+            return y[:, 0] - y[:, 1]
+
+        vf = (ZERO, lambda y: np.array([1.0, -1.0]))
+        val = cubature_weak_value(vf, f, [0.5, 0.25], three_path_formula(0.7), 1.3)
+        assert calls == [(3, 2)]
+        assert val == pytest.approx(0.25, abs=1e-13)
+
 
 class TestMcWeakValue:
     def test_zero_fields(self):
-        vf = VectorFieldSet(1, (ZERO, ZERO))
+        vf = (ZERO, ZERO)
         est, se = mc_weak_value(
             vf, lambda y: y[:, 0], [1.25], 0.75, 1.0, n_paths=64, n_steps=8, seed=3
         )
@@ -215,7 +235,7 @@ class TestMcWeakValue:
         assert se == 0.0
 
     def test_quadratic_within_four_stderr(self):
-        vf = VectorFieldSet(1, (ZERO, ONE))
+        vf = (ZERO, ONE)
         x0, H, T = 0.3, 0.75, 1.0
         est, se = mc_weak_value(
             vf, lambda y: y[:, 0] ** 2, [x0], H, T, n_paths=10_000, n_steps=64, seed=7
@@ -223,10 +243,10 @@ class TestMcWeakValue:
         assert abs(est - (x0**2 + T ** (2 * H))) <= 4.0 * se
 
     def test_agrees_with_cubature(self):
-        vf = VectorFieldSet(1, (ZERO, ONE))
+        vf = (ZERO, ONE)
         H = 0.75
         cub = cubature_weak_value(
-            vf, lambda y: y[0] ** 2, [0.5], three_path_formula(H), 1.0
+            vf, lambda y: y[..., 0] ** 2, [0.5], three_path_formula(H), 1.0
         )
         est, se = mc_weak_value(
             vf, lambda y: y[:, 0] ** 2, [0.5], H, 1.0, n_paths=10_000, n_steps=64, seed=11
@@ -234,20 +254,20 @@ class TestMcWeakValue:
         assert abs(est - cub) <= 4.0 * se
 
     def test_seed_reproducible(self):
-        vf = VectorFieldSet(1, (ZERO, ONE))
+        vf = (ZERO, ONE)
         args = (vf, lambda y: y[:, 0] ** 2, [0.1], 0.8, 1.0)
         a = mc_weak_value(*args, n_paths=500, n_steps=16, seed=42)
         b = mc_weak_value(*args, n_paths=500, n_steps=16, seed=42)
         assert a == b
 
     def test_steps_per_piece_checked(self):
-        vf = VectorFieldSet(1, (ZERO, ONE))
+        vf = (ZERO, ONE)
         with pytest.raises(ValueError, match="steps_per_piece"):
             mc_weak_value(vf, lambda y: y[:, 0], [0.0], 0.75, 1.0, 10, 4, seed=0,
                           steps_per_piece=0)
 
     def test_requires_young_regime(self):
-        vf = VectorFieldSet(1, (ZERO, ONE))
+        vf = (ZERO, ONE)
         with pytest.raises(ValueError):
             mc_weak_value(vf, lambda y: y[:, 0], [0.0], 0.5, 1.0, 10, 4, seed=0)
 
@@ -256,7 +276,7 @@ class TestMcWeakValue:
     def test_standard_error_scales_exactly(self, scale):
         # std squares the deviations, which leave the double range far
         # inside it: at 2^-900 they underflow, at 2^700 they overflow
-        vf = VectorFieldSet(1, (ZERO, ONE))
+        vf = (ZERO, ONE)
         args = (vf, lambda y: y[:, 0] ** 2, [0.3], 0.75, 1.0, 200, 8)
         _, se = mc_weak_value(*args, seed=5)
         scaled = (vf, lambda y: scale * y[:, 0] ** 2) + args[2:]
@@ -264,7 +284,7 @@ class TestMcWeakValue:
         assert se_scaled == scale * se > 0.0
 
     def test_non_finite_values_give_nan_error_without_warning(self):
-        vf = VectorFieldSet(1, (ZERO, ONE))
+        vf = (ZERO, ONE)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             est, se = mc_weak_value(vf, lambda y: np.full(len(y), np.inf), [0.0],
@@ -279,7 +299,7 @@ class TestMcWeakValue:
     @pytest.mark.parametrize("n_paths", [0, 1])
     def test_refuses_fewer_than_two_paths(self, n_paths):
         # one path has no sample variance: a zero error bar would be a lie
-        vf = VectorFieldSet(1, (ZERO, ONE))
+        vf = (ZERO, ONE)
         with pytest.raises(ValueError, match="n_paths"):
             mc_weak_value(vf, lambda y: y[:, 0], [0.0], 0.75, 1.0, n_paths, 4, seed=0)
 
@@ -288,10 +308,10 @@ def _closed_form(name):
     """(fields, x0, exact): two field sets whose endpoint along any
     piecewise-linear driver omega with omega_0 = 0 is known in closed form."""
     if name == "linear":  # commuting: y_T = x0 exp(T/2 + omega_T)
-        return (VectorFieldSet(1, (lambda y: 0.5 * y, lambda y: y)), [0.3],
+        return ((lambda y: 0.5 * y, lambda y: y), [0.3],
                 lambda T, w: 0.3 * np.exp(0.5 * T + w))
     # dy = sin(y) d omega: tan(y/2) grows by the factor exp(omega)
-    return (VectorFieldSet(1, (lambda y: 0.0, np.sin)), [1.0],
+    return ((lambda y: 0.0, np.sin), [1.0],
             lambda T, w: 2.0 * np.arctan(math.tan(0.5) * np.exp(w)))
 
 
@@ -300,7 +320,7 @@ def _recorded_mc(vf, x0, H, T, n_paths, n_steps, seed, **kwargs):
     ends = []
     est, se = mc_weak_value(vf, lambda y: ends.append(y.copy()) or y[:, 0], x0, H, T,
                             n_paths, n_steps, seed, **kwargs)
-    spatial = sample_fbm_batch(H, n_steps, vf.d, n_paths, seed, T)
+    spatial = sample_fbm_batch(H, n_steps, len(vf) - 1, n_paths, seed, T)
     times = np.arange(n_steps + 1) * (T / n_steps)
     return est, se, ends[0], times, spatial
 
