@@ -92,8 +92,16 @@ def _parse_list(text: str, cast, flag: str) -> list:
 
 
 def _parse_words(text: str) -> list[Word]:
-    words = [[_number("words", t, int) for t in w.split(",")]
-             for w in str(text).split(";") if w.strip() != ""]
+    words = []
+    for w in str(text).split(";"):
+        if w.strip() == "":
+            continue
+        try:
+            words.append(tuple(map(int, w.split(","))))
+        except ValueError:
+            for t in w.split(","):
+                _number("words", t, int)  # raises, naming the malformed letter
+            raise
     if not words:
         raise ValueError("--words lists no words")
     return [Word(letters, max(1, *letters)) for letters in words]

@@ -19,11 +19,13 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
+from typing import NamedTuple
 
 import numpy as np
 
 from . import matchings as mt
-from .simplexquad import MAX_PAIRS, CertifiedValue, QuadConfig, matching_simplex_integral
+from . import simplexquad as sq
+from .simplexquad import MAX_PAIRS, CertifiedValue, QuadConfig
 from .tensor import Word, all_words
 
 __all__ = [
@@ -60,9 +62,44 @@ class QuadratureToleranceError(RuntimeError):
         self.tol = tol
 
 
-def _odd_letter(word: Word) -> bool:
-    counts = Counter(x for x in word.letters if x != 0)
+def _odd_letter(letters: tuple[int, ...]) -> bool:
+    counts = Counter(x for x in letters if x != 0)
     return any(c % 2 for c in counts.values())
+
+
+class _WordPlan(NamedTuple):
+    """What expected_word computes for a word before H enters: either a value
+    that holds at every H (an odd letter count, a pure time word), or the
+    word length n, the pair count k and, per compatible matching in
+    enumeration order, its shape from simplexquad._shape."""
+
+    value: CertifiedValue | None
+    n: int
+    k: int
+    shapes: tuple
+
+
+# A level table asks every word again at each fresh H, and only the matching
+# integrals depend on H.  The bound holds without eviction the 961 distinct
+# words of the benchmark's exact workload (the canonical tables over {0..3}
+# of length 4, 5 and 6, the words over {1,2} of length 4, the cubature
+# verify words); 976 plans measured 0.33 MB.
+@functools.lru_cache(maxsize=1024)
+def _word_plan(letters: tuple[int, ...]) -> _WordPlan:
+    n = len(letters)
+    positions = tuple(i for i, x in enumerate(letters) if x != 0)
+    if _odd_letter(letters):
+        return _WordPlan(CertifiedValue(0.0, 0.0), n, 0, ())
+    if len(positions) > 2 * MAX_PAIRS:
+        raise ValueError(f"at most {2 * MAX_PAIRS} nonzero letters supported, "
+                         f"got word ({','.join(map(str, letters))})")
+    if not positions:
+        # pure time word: volume of the ordered simplex
+        return _WordPlan(CertifiedValue(1.0 / math.factorial(n), 0.0), n, 0, ())
+    sub = tuple(letters[i] for i in positions)
+    shapes = tuple(sq._shape(n, tuple((positions[a], positions[b]) for a, b in m))
+                   for m in mt.compatible_matchings(Word(sub, max(sub))))
+    return _WordPlan(None, n, len(positions) // 2, shapes)
 
 
 def expected_word(
@@ -74,29 +111,20 @@ def expected_word(
     config.tol; the failure carries the achieved value and error.
     """
     check_hurst(H)  # before any shortcut
-    c_H, exponent = H * (2.0 * H - 1.0), 2.0 * H - 2.0
     config = config or QuadConfig()
-    positions = word.nonzero_positions
-    if _odd_letter(word):
-        return CertifiedValue(0.0, 0.0)
-    if len(positions) > 2 * MAX_PAIRS:
-        raise ValueError(f"at most {2 * MAX_PAIRS} nonzero letters supported, "
-                         f"got word ({word})")
-    n = len(word)
-    if not positions:
-        # pure time word: volume of the ordered simplex
-        return CertifiedValue(1.0 / math.factorial(n), 0.0)
-    sub = Word(tuple(word.letters[i] for i in positions), word.d)
-    k = len(positions) // 2
+    plan = _word_plan(word.letters)
+    if plan.value is not None:
+        return plan.value
+    exponent = float(2.0 * H - 2.0)
     value = 0.0
     error = 0.0
-    for m in mt.compatible_matchings(sub):
-        pairs = [(positions[a], positions[b]) for a, b in m]
-        res = matching_simplex_integral(n, pairs, exponent)
+    for shape in plan.shapes:
+        res = sq._shape_integral(plan.n, shape, exponent)
         value += res.value
         error += res.error
-    value *= c_H**k
-    error *= c_H**k
+    c_H = H * (2.0 * H - 1.0)
+    value *= c_H**plan.k
+    error *= c_H**plan.k
     if error > config.tol:
         raise QuadratureToleranceError(word, value, error, config.tol)
     return CertifiedValue(value, error)
@@ -122,9 +150,11 @@ def expected_tensor(
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Expected signature of d-dimensional fBm up to the given depth, as
     (values, errors): level arrays in the layout of a batch_grid_signatures
-    row, holding expected_word's values and bars.  Words that agree after
-    relabelling the nonzero alphabet share their matching integrals through
-    the quadrature memo."""
+    row, holding expected_word's values and bars.  Each word's H-independent
+    plan (its odd-letter test and its matching shapes) is built once per
+    process, so a call at a new H computes only the matching integrals, and
+    words that agree after relabelling the nonzero alphabet share those
+    through the quadrature memo."""
     check_hurst(H)
     if depth > 2 * MAX_PAIRS:
         raise ValueError(f"depth capped at {2 * MAX_PAIRS}")
@@ -177,7 +207,7 @@ def closed_form_value(word: Word, H: float) -> float | None:
         num = np.polynomial.polynomial.polyval(H, e["num"])
         den = np.polynomial.polynomial.polyval(H, e["den"])
         return float(num / den)
-    if _odd_letter(word):
+    if _odd_letter(word.letters):
         return 0.0
     letters = word.letters
     if not letters:
@@ -225,7 +255,11 @@ def decay_bound_check(
     bound = 1.0 / norm
     counted = norm * math.factorial(2 * k)
     refined = mt.refined_count_bound(k, len(set(letters))) / counted
-    candidate = mt.permutation_count(word) / counted
+    plan = _word_plan(letters)
+    # an odd letter count leaves no compatible matching; permutation_count
+    # counts none as well, and refuses more than twelve positions
+    count = norm * len(plan.shapes) if plan.value is None else mt.permutation_count(word)
+    candidate = count / counted
     return DecayReport(
         value=val,
         quad_error=err,

@@ -36,6 +36,18 @@ __all__ = [
 CUBATURE_STEPS_PER_PIECE = 64
 
 
+def _checked_x0(fields: Sequence[Callable], x0, steps_per_piece: int) -> np.ndarray:
+    """The checks of _solve that need no driver; returns x0 as a float array."""
+    if steps_per_piece < 1:
+        raise ValueError("steps_per_piece must be >= 1")
+    if len(fields) < 2:
+        raise ValueError("need dimension >= 1 and at least fields (V_0, V_1)")
+    x0 = np.asarray(x0, dtype=float)
+    if x0.ndim != 1 or len(x0) < 1:
+        raise ValueError(f"x0 must be a non-empty 1-D vector, got shape {x0.shape}")
+    return x0
+
+
 def _solve(fields: Sequence[Callable], x0, times: Sequence[float], spatial: np.ndarray,
            steps_per_piece: int) -> np.ndarray:
     """Endpoints (B, N) of dy = V_0(y) dt + sum_i V_i(y) d omega^i along B
@@ -48,13 +60,7 @@ def _solve(fields: Sequence[Callable], x0, times: Sequence[float], spatial: np.n
     steps_per_piece shrinks the error by ~16x (order 4).  Non-finite states
     abort, naming the time reached, rather than propagating silently.
     """
-    if steps_per_piece < 1:
-        raise ValueError("steps_per_piece must be >= 1")
-    if len(fields) < 2:
-        raise ValueError("need dimension >= 1 and at least fields (V_0, V_1)")
-    x0 = np.asarray(x0, dtype=float)
-    if x0.ndim != 1 or len(x0) < 1:
-        raise ValueError(f"x0 must be a non-empty 1-D vector, got shape {x0.shape}")
+    x0 = _checked_x0(fields, x0, steps_per_piece)
     n_paths, _, d = spatial.shape
     if len(fields) != d + 1:
         raise ValueError(
@@ -148,6 +154,7 @@ def mc_weak_value(
     check_hurst(H)
     if n_paths < 2:
         raise ValueError(f"n_paths must be >= 2 for a standard error, got {n_paths}")
+    _checked_x0(fields, x0, steps_per_piece)  # before the sample is drawn
     spatial = sample_fbm_batch(H, n_steps, len(fields) - 1, n_paths, seed, T)
     times = np.arange(n_steps + 1) * (T / n_steps)
     vals = _values(f, _solve(fields, x0, times, spatial, steps_per_piece))

@@ -8,6 +8,11 @@ The object computed here is, for a perfect matching M of a subset of positions
 
 unmatched positions carrying unit density (they are the time letters).
 
+A matching's checks and its time reversal depend on the shape (n, M) only, so
+they run once per shape and per process; callers that sum many matchings
+(expected_word's per-word plans) keep the checked shape and pass it with
+each exponent to the same evaluation matching_simplex_integral uses.
+
 The integrand is first reduced exactly: any variable appearing in at most one
 power factor is integrated out in closed form, splitting the term in two.
 Which variable goes next, and where each term splits, depends on the
@@ -78,7 +83,16 @@ def matching_simplex_integral(n: int, pairs, exponent: float) -> CertifiedValue:
 
     pairs are 0-based disjoint (a, b) position pairs with a < b < n.
     """
-    pairs = [(int(a), int(b)) for a, b in pairs]
+    shape = _shape(n, tuple((int(a), int(b)) for a, b in pairs))
+    return _shape_integral(n, shape, float(exponent))
+
+
+# The checks and the time reversal depend on (n, pairs) only; the bound
+# holds every shape of up to three pairs on seven positions (344).
+@functools.lru_cache(maxsize=512)
+def _shape(n: int, pairs: tuple) -> tuple[tuple, tuple | None]:
+    """The checked matching as 1-based pairs, and its time reversal R(M) as
+    1-based pairs, or None when R(M) = M."""
     for a, b in pairs:
         if not 0 <= a < b < n:
             raise ValueError(f"pair {(a, b)} out of range for n={n}")
@@ -87,14 +101,20 @@ def matching_simplex_integral(n: int, pairs, exponent: float) -> CertifiedValue:
         raise ValueError("pairs must be disjoint")
     if len(pairs) > MAX_PAIRS:
         raise ValueError(f"the deterministic scheme takes at most {MAX_PAIRS} pairs")
-    factors = tuple((a + 1, b + 1, float(exponent)) for a, b in pairs)
-    res = _reduced_integral(n, factors)
+    ones = tuple((a + 1, b + 1) for a, b in pairs)
     # R(M) sorted by first position, the order compatible_matchings gives,
     # so that it shares the memo entry of the matching it equals
-    mirrored = tuple(sorted((n + 1 - b, n + 1 - a, e) for a, b, e in factors))
-    if mirrored == tuple(sorted(factors)):
+    mirrored = tuple(sorted((n + 1 - b, n + 1 - a) for a, b in ones))
+    return ones, None if mirrored == tuple(sorted(ones)) else mirrored
+
+
+def _shape_integral(n: int, shape, exponent: float) -> CertifiedValue:
+    """matching_simplex_integral of a shape from _shape, at a float exponent."""
+    ones, mirrored = shape
+    res = _reduced_integral(n, tuple((a, b, exponent) for a, b in ones))
+    if mirrored is None:
         return res
-    rev = _reduced_integral(n, mirrored)
+    rev = _reduced_integral(n, tuple((a, b, exponent) for a, b in mirrored))
     return CertifiedValue(res.value, res.error + abs(res.value - rev.value))
 
 

@@ -28,12 +28,13 @@ class Word:
     d: int
 
     def __post_init__(self):
-        object.__setattr__(self, "letters", tuple(int(x) for x in self.letters))
+        letters = tuple(map(int, self.letters))
+        object.__setattr__(self, "letters", letters)
         if self.d < 1:
             raise ValueError(f"alphabet width d must be >= 1, got {self.d}")
-        for x in self.letters:
-            if not 0 <= x <= self.d:
-                raise ValueError(f"letter {x} outside alphabet {{0,...,{self.d}}}")
+        if letters and not (min(letters) >= 0 and max(letters) <= self.d):
+            x = next(x for x in letters if not 0 <= x <= self.d)
+            raise ValueError(f"letter {x} outside alphabet {{0,...,{self.d}}}")
 
     @classmethod
     def parse(cls, text: str, d: int | None = None) -> "Word":
@@ -51,7 +52,7 @@ class Word:
         return iter(self.letters)
 
     def __str__(self) -> str:
-        return ",".join(str(x) for x in self.letters)
+        return ",".join(map(str, self.letters))
 
     @property
     def zero_count(self) -> int:

@@ -7,18 +7,20 @@ once per shape, the full-grid evaluation of a simplex core that
 cell-pair kernel integrals, the whole fGn Cholesky factor that
 `fbmsig.gridapprox._apply_fgn_factor` streams by panel, the O(m^2) loop and
 the four-fold brute force that `fbmsig.gridapprox._crossing_sum` replaces,
-and the words of one shuffle class."""
+the words of one shuffle class, and the per-call matching sum that
+`fbmsig.expected._word_plan` builds once per word."""
 from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 
 from fbmsig import simplexquad as sq
-from fbmsig.expected import check_hurst
+from fbmsig.expected import QuadratureToleranceError, check_hurst
 from fbmsig.gridapprox import _covariance_scale, _second_differences
-from fbmsig.matchings import permutation_count, refined_count_bound
+from fbmsig.matchings import compatible_matchings, permutation_count, refined_count_bound
 from fbmsig.tensor import Word
 
 
@@ -254,3 +256,36 @@ def shuffle_class(letters, d: int) -> list[Word]:
     d letters: the class whose expected signatures sum to
     E prod_i (X^i)^(n_i) / n_i! for a path with increments X."""
     return [Word(p, d) for p in sorted(set(itertools.permutations(letters)))]
+
+
+def expected_word_by_matchings(word: Word, H: float, config: sq.QuadConfig | None = None):
+    """expected_word with every H-independent step redone on each call: the
+    odd-letter test, the nonzero positions, the compatible matchings and,
+    through matching_simplex_integral, each matching's checks and time
+    reversal, summed in the same order."""
+    check_hurst(H)
+    c_H, exponent = H * (2.0 * H - 1.0), 2.0 * H - 2.0
+    config = config or sq.QuadConfig()
+    positions = word.nonzero_positions
+    if any(c % 2 for c in Counter(x for x in word.letters if x != 0).values()):
+        return sq.CertifiedValue(0.0, 0.0)
+    if len(positions) > 2 * sq.MAX_PAIRS:
+        raise ValueError(f"at most {2 * sq.MAX_PAIRS} nonzero letters supported, "
+                         f"got word ({word})")
+    n = len(word)
+    if not positions:
+        return sq.CertifiedValue(1.0 / math.factorial(n), 0.0)
+    sub = Word(tuple(word.letters[i] for i in positions), word.d)
+    k = len(positions) // 2
+    value = 0.0
+    error = 0.0
+    for m in compatible_matchings(sub):
+        pairs = [(positions[a], positions[b]) for a, b in m]
+        res = sq.matching_simplex_integral(n, pairs, exponent)
+        value += res.value
+        error += res.error
+    value *= c_H**k
+    error *= c_H**k
+    if error > config.tol:
+        raise QuadratureToleranceError(word, value, error, config.tol)
+    return sq.CertifiedValue(value, error)

@@ -658,6 +658,8 @@ class TestNumberFlags:
         (["expected-sig", "--words", "1,a"], "--words must be an integer, got 'a'"),
         (["expected-sig", "--words", "1,,1"], "--words must be an integer, got ''"),
         (["expected-sig", "--words", "1,1.5"], "--words must be an integer, got '1.5'"),
+        (["expected-sig", "--words", "1,-1;1,x"], "--words must be an integer, got 'x'"),
+        (["expected-sig", "--words", "1,1;2,-1"], "letter -1 outside alphabet {0,...,2}"),
     ])
     def test_malformed_number_names_its_flag(self, tmp_path, capsys, argv, message):
         rc, text = run(tmp_path, *argv, "--no-timestamp")

@@ -7,6 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from fbmsig import expected as ex
 from fbmsig.expected import (
     DecayReport,
     QuadratureToleranceError,
@@ -23,13 +24,14 @@ from fbmsig import sde
 from fbmsig import simplexquad as sq
 from fbmsig.cli import main
 from fbmsig.cubature import word_weight
-from fbmsig.matchings import enumerate_matchings
+from fbmsig.matchings import enumerate_matchings, permutation_count
 from fbmsig.simplexquad import QuadConfig, _reduce_terms, matching_simplex_integral
 from fbmsig.tensor import Word, all_words, word_index
 from oracles import (
     cell_covariance_matrix,
     cell_pair_integral,
     core_numeric_full_grid,
+    expected_word_by_matchings,
     reduce_terms_numeric,
     shuffle_class,
 )
@@ -518,6 +520,87 @@ class TestQuadratureReuse:
                    "--out", str(tmp_path / "out.csv")])
         assert rc == 0
         assert sq._reduced_integral.cache_info().misses == 75
+
+
+def _table_words():
+    """The canonical words over {0,1,2,3} of length 4, 5 and 6."""
+    return [Word.parse(t, 3) for n in (4, 5, 6) for t in _canonical_words(n)]
+
+
+def _bits(fn, word, H):
+    """fn(word, H) as the hex of its value and bar; a tolerance failure as
+    the hex of the value and error it carries."""
+    try:
+        value, error = fn(word, H)
+    except QuadratureToleranceError as err:
+        return "tol", err.value.hex(), err.error.hex()
+    return value.hex(), error.hex()
+
+
+class TestWordPlan:
+    @pytest.mark.parametrize("H", (0.55, 0.7341, 0.95))
+    def test_table_words_match_the_matching_sum(self, H):
+        # bit for bit, with the plan built on the first call and read on
+        # the repeat; each side starts from an empty integral memo
+        words = _table_words()
+        assert len(words) == 51 + 187 + 715
+        sq._reduced_integral.cache_clear()
+        want = [_bits(expected_word_by_matchings, w, H) for w in words]
+        ex._word_plan.cache_clear()
+        sq._reduced_integral.cache_clear()
+        assert [_bits(expected_word, w, H) for w in words] == want
+        assert ex._word_plan.cache_info().misses == len(words)
+        assert [_bits(expected_word, w, H) for w in words] == want
+        assert ex._word_plan.cache_info().misses == len(words)
+        sq._reduced_integral.cache_clear()
+
+    @pytest.mark.parametrize("H", (0.55, 0.7341, 0.95))
+    def test_decay_candidate_counts_the_matchings(self, H):
+        pure = [w for w in _table_words() if 0 not in w.letters and len(w) % 2 == 0]
+        assert len(pure) == 14 + 122
+        for w in pure:
+            rep = decay_bound_check(w, H, QuadConfig(tol=1.0))
+            k = len(w) // 2
+            counted = math.factorial(k) * 2**k * math.factorial(2 * k)
+            assert rep.candidate_difference == rep.value - permutation_count(w) / counted
+
+    def test_decay_check_keeps_the_enumeration_cap(self):
+        # an odd count has no matching, but fourteen positions stay refused
+        with pytest.raises(ValueError, match="at most 12 positions, got 14"):
+            decay_bound_check(Word((1,) * 13 + (2,), 2), 0.7)
+
+    def test_fresh_h_table_builds_nothing_new(self, tmp_path):
+        words = ";".join(_canonical_words(6))
+        out = str(tmp_path / "out.csv")
+        assert main(["expected-sig", "--H", "0.6123", "--words", words, "--out", out]) == 0
+        plans = ex._word_plan.cache_info().misses
+        shapes = sq._reduce_terms.cache_info().misses
+        assert main(["expected-sig", "--H", "0.8321", "--words", words, "--out", out]) == 0
+        assert ex._word_plan.cache_info().misses == plans
+        assert sq._reduce_terms.cache_info().misses == shapes
+
+    def test_each_plan_built_once_across_h(self, tmp_path):
+        ex._word_plan.cache_clear()
+        words = ";".join(_canonical_words(6))
+        rc = main(["expected-sig", "--H", "0.6,0.7,0.8", "--words", words,
+                   "--out", str(tmp_path / "out.csv")])
+        assert rc == 0
+        info = ex._word_plan.cache_info()
+        assert info.misses == info.currsize == 715
+
+    def test_bound_holds_the_exact_workload_words(self):
+        # the benchmark's exact workload asks the canonical tables of length
+        # 4, 5 and 6, the words over {1,2} of length 4 and the cubature
+        # verify words, over {0,1} of length at most 5
+        words = {w.letters for w in _table_words()}
+        words |= set(itertools.product((1, 2), repeat=4))
+        words |= {p for n in range(6) for p in itertools.product((0, 1), repeat=n)}
+        ex._word_plan.cache_clear()
+        for _ in range(2):
+            for letters in sorted(words):
+                ex._word_plan(letters)
+        info = ex._word_plan.cache_info()
+        assert info.misses == info.currsize == len(words) <= info.maxsize
 
 
 class TestBetaAxis:

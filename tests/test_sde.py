@@ -253,6 +253,22 @@ class TestMcWeakValue:
         )
         assert abs(est - cub) <= 4.0 * se
 
+    @pytest.mark.parametrize("fields, x0, steps_per_piece, message", [
+        ((ZERO,), [0.0], 1, r"at least fields \(V_0, V_1\)"),
+        ((ZERO, ONE), [[0.0]], 1, "x0 must be a non-empty 1-D vector"),
+        ((ZERO, ONE), [], 1, "x0 must be a non-empty 1-D vector"),
+        ((ZERO, ONE), [0.0], 0, "steps_per_piece must be >= 1"),
+    ], ids=["one-field", "nested-x0", "empty-x0", "no-steps"])
+    def test_inputs_refused_before_sampling(self, monkeypatch, fields, x0,
+                                            steps_per_piece, message):
+        def sampler(*args):
+            raise AssertionError("sampled before the inputs were checked")
+
+        monkeypatch.setattr(sde_module, "sample_fbm_batch", sampler)
+        with pytest.raises(ValueError, match=message):
+            mc_weak_value(fields, lambda y: y[:, 0], x0, 0.7, 1.0, n_paths=20000,
+                          n_steps=1024, seed=0, steps_per_piece=steps_per_piece)
+
     def test_seed_reproducible(self):
         vf = (ZERO, ONE)
         args = (vf, lambda y: y[:, 0] ** 2, [0.1], 0.8, 1.0)

@@ -43,6 +43,17 @@ class TestWord:
         with pytest.raises(ValueError):
             Word((1,), d=0)
 
+    @pytest.mark.parametrize("letters, d, message", [
+        ((1, 5), 3, "letter 5 outside alphabet {0,...,3}"),
+        ((1, -1), 1, "letter -1 outside alphabet {0,...,1}"),
+        ((4, 0, -2), 3, "letter 4 outside alphabet {0,...,3}"),
+        ((0, -2, 4), 3, "letter -2 outside alphabet {0,...,3}"),
+    ])
+    def test_first_letter_outside_the_alphabet_is_named(self, letters, d, message):
+        with pytest.raises(ValueError) as err:
+            Word(letters, d)
+        assert str(err.value) == message
+
 
 def segment(increment, depth):
     """Signature of one linear segment with the increment (dt, dx_1, ...);
