@@ -83,8 +83,9 @@ class _WordPlan(NamedTuple):
 # integrals depend on H.  The bound holds without eviction the 961 distinct
 # words of the benchmark's exact workload (the canonical tables over {0..3}
 # of length 4, 5 and 6, the words over {1,2} of length 4, the cubature
-# verify words); 976 plans measured 0.33 MB.
-@functools.lru_cache(maxsize=1024)
+# verify words) and the 1093 words of expected_tensor(H, 2, 6); the 1518
+# plans of both together measured 0.64 MB.
+@functools.lru_cache(maxsize=2048)
 def _word_plan(letters: tuple[int, ...]) -> _WordPlan:
     n = len(letters)
     positions = tuple(i for i, x in enumerate(letters) if x != 0)
@@ -151,10 +152,11 @@ def expected_tensor(
     """Expected signature of d-dimensional fBm up to the given depth, as
     (values, errors): level arrays in the layout of a batch_grid_signatures
     row, holding expected_word's values and bars.  Each word's H-independent
-    plan (its odd-letter test and its matching shapes) is built once per
-    process, so a call at a new H computes only the matching integrals, and
-    words that agree after relabelling the nonzero alphabet share those
-    through the quadrature memo."""
+    plan (its odd-letter test and its matching shapes) is kept in a memo of
+    2048 words, so while the words fit it (d = 2 at depth 6 asks 1093) a
+    call at a new H computes only the matching integrals, and words that
+    agree after relabelling the nonzero alphabet share those through the
+    quadrature memo."""
     check_hurst(H)
     if depth > 2 * MAX_PAIRS:
         raise ValueError(f"depth capped at {2 * MAX_PAIRS}")
@@ -255,11 +257,7 @@ def decay_bound_check(
     bound = 1.0 / norm
     counted = norm * math.factorial(2 * k)
     refined = mt.refined_count_bound(k, len(set(letters))) / counted
-    plan = _word_plan(letters)
-    # an odd letter count leaves no compatible matching; permutation_count
-    # counts none as well, and refuses more than twelve positions
-    count = norm * len(plan.shapes) if plan.value is None else mt.permutation_count(word)
-    candidate = count / counted
+    candidate = mt.permutation_count(word) / counted
     return DecayReport(
         value=val,
         quad_error=err,

@@ -8,10 +8,10 @@ The object computed here is, for a perfect matching M of a subset of positions
 
 unmatched positions carrying unit density (they are the time letters).
 
-A matching's checks and its time reversal depend on the shape (n, M) only, so
-they run once per shape and per process; callers that sum many matchings
-(expected_word's per-word plans) keep the checked shape and pass it with
-each exponent to the same evaluation matching_simplex_integral uses.
+A matching's checks and its time reversal depend on the shape (n, M) only:
+_shape builds the checked shape, and _shape_integral evaluates it at an
+exponent.  matching_simplex_integral runs both on each call; expected_word
+keeps each word's shapes in its per-word plan and calls only the second.
 
 The integrand is first reduced exactly: any variable appearing in at most one
 power factor is integrated out in closed form, splitting the term in two.
@@ -87,9 +87,6 @@ def matching_simplex_integral(n: int, pairs, exponent: float) -> CertifiedValue:
     return _shape_integral(n, shape, float(exponent))
 
 
-# The checks and the time reversal depend on (n, pairs) only; the bound
-# holds every shape of up to three pairs on seven positions (344).
-@functools.lru_cache(maxsize=512)
 def _shape(n: int, pairs: tuple) -> tuple[tuple, tuple | None]:
     """The checked matching as 1-based pairs, and its time reversal R(M) as
     1-based pairs, or None when R(M) = M."""

@@ -602,6 +602,15 @@ class TestWordPlan:
         info = ex._word_plan.cache_info()
         assert info.misses == info.currsize == len(words) <= info.maxsize
 
+    def test_bound_holds_a_two_letter_depth_six_tensor(self):
+        # expected_tensor(H, 2, 6) walks 1093 words in the same order on
+        # every call; a repeat at a fresh H builds no plan
+        ex._word_plan.cache_clear()
+        expected_tensor(0.6123, 2, 6)
+        assert ex._word_plan.cache_info().misses == 1093
+        expected_tensor(0.8321, 2, 6)
+        assert ex._word_plan.cache_info().misses == 1093
+
 
 class TestBetaAxis:
     def test_closed_form_cdf_against_mpmath(self):
