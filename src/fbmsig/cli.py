@@ -1,10 +1,13 @@
 """Batch command-line front end.
 
 Every experiment is a subcommand writing a machine-readable table (CSV or
-JSON).  Options can come from a flat key=value config file; explicit flags
-win.  Words are exchanged as comma-separated letter strings ("1,0,1", letter
-0 being the time coordinate); lists of words are separated by semicolons,
-other lists by commas.
+JSON).  Each cell is formatted once, when its row is added, and both
+encodings carry those strings.  Options can come from a flat key=value
+config file; explicit flags win, and a key that no command takes is a usage
+error.  Words are exchanged as comma-separated letter strings ("1,0,1",
+letter 0 being the time coordinate); lists of words are separated by
+semicolons, other lists by commas.  A row is labelled with its word's
+canonical letter text ("1,1" for the input " 1,+1").
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 quadrature
 tolerance failure.
@@ -48,7 +51,7 @@ class TableWriter:
         self.rows = []
 
     def add(self, **kw):
-        self.rows.append([kw.get(c) for c in self.columns])
+        self.rows.append([_fmt(kw.get(c)) for c in self.columns])
 
     def write(self, stream, fmt: str, timestamp: bool):
         if fmt == "csv":
@@ -56,13 +59,9 @@ class TableWriter:
                 stream.write(f"# generated {_now()}\n")
             writer = csv.writer(stream, lineterminator="\n")
             writer.writerow(self.columns)
-            for row in self.rows:
-                writer.writerow([_fmt(v) for v in row])
+            writer.writerows(self.rows)
         else:
-            payload = {
-                "columns": self.columns,
-                "rows": [[_fmt(v) for v in row] for row in self.rows],
-            }
+            payload = {"columns": self.columns, "rows": self.rows}
             if timestamp:
                 payload["generated"] = _now()
             json.dump(payload, stream, indent=1)
@@ -147,11 +146,19 @@ _COMMAND_DEFAULTS = {
 }
 
 
+# A config key outside this set would be dropped silently (a misspelling such
+# as "word" for "words"), so it is refused; a key of another command is
+# ignored, so that one file can serve several commands.
+_CONFIG_KEYS = frozenset(_DEFAULTS) | {"out", "tol"}
+
+
 def _apply_config(args: argparse.Namespace):
     """Resolve each option as: explicit flag, else config value, else default."""
     cfg = _read_config(args.config) if getattr(args, "config", None) else {}
     for key, raw in cfg.items():
         attr = key.replace("-", "_")
+        if attr not in _CONFIG_KEYS:
+            raise ValueError(f"config key {key!r} is not an option of any command")
         if hasattr(args, attr) and getattr(args, attr) is None:
             setattr(args, attr, raw)
     defaults = dict(_DEFAULTS)
@@ -192,19 +199,20 @@ def cmd_expected_sig(args) -> int:
     table = TableWriter(cols)
     failures = 0
     for w in words:
+        label = str(w)
         # pure-fBm even words get the decay-bound report (one quadrature
         # each), every other word just its value
-        bounded = w.letters and all(x != 0 for x in w.letters) and len(w) % 2 == 0
+        bounded = ex.decay_bound_applies(w)
         for H in hs:
             if bounded:
                 rep = ex.decay_bound_check(w, H, config)
                 failures += not rep.passed
-                table.add(word=str(w), H=H, value=rep.value, err_bar=rep.quad_error,
+                table.add(word=label, H=H, value=rep.value, err_bar=rep.quad_error,
                           bound=rep.bound, refined_bound=rep.refined_bound,
                           **{"pass": rep.passed})
             else:
                 res = ex.expected_word(w, H, config)
-                table.add(word=str(w), H=H, value=res.value, err_bar=res.error)
+                table.add(word=label, H=H, value=res.value, err_bar=res.error)
     _emit(args, table)
     return EXIT_VERIFICATION if failures else EXIT_OK
 
@@ -228,9 +236,10 @@ def cmd_approx_sig(args) -> int:
     _check_grids(hs, ms, words)
     table = TableWriter(["word", "H", "m", "approx"])
     for w in words:
+        label = str(w)
         for H in hs:
             for m in ms:
-                table.add(word=str(w), H=H, m=m,
+                table.add(word=label, H=H, m=m,
                           approx=ga.approx_expected_word(w, H, m))
     _emit(args, table)
     return EXIT_OK
@@ -251,16 +260,17 @@ def cmd_convergence(args) -> int:
     table = TableWriter(cols)
     any_fail = False
     for w in words:
+        label = str(w)
         for H in hs:
             rows = ga.gap_rows(w, H, ms, config)
             bound = ga.coefficient_bound_check(w, H, rows)
             for (m, g), (_, _, m2H_gap) in zip(rows, bound.rows):
-                table.add(kind="row", word=str(w), H=H, m=m, exact=g.exact,
+                table.add(kind="row", word=label, H=H, m=m, exact=g.exact,
                           approx=g.approx, gap=g.gap, m2H_gap=m2H_gap,
                           err_bar=g.err_bar)
             fit = ga.convergence_slope(rows)
             any_fail |= not bound.passed
-            table.add(kind="summary", word=str(w), H=H,
+            table.add(kind="summary", word=label, H=H,
                       slope=fit.slope if fit.ok else None,
                       slope_residual=fit.residual if fit.ok else None,
                       coeff_bound=bound.bound,

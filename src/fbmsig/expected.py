@@ -36,6 +36,7 @@ __all__ = [
     "closed_form_value",
     "closed_form_table",
     "decay_bound_check",
+    "decay_bound_applies",
     "DecayReport",
     "canonical_relabel",
 ]
@@ -238,6 +239,12 @@ class DecayReport:
     passed: bool
 
 
+def decay_bound_applies(word: Word) -> bool:
+    """Whether the decay bound covers the word: non-empty, of even length,
+    and without the time letter 0."""
+    return bool(word.letters) and len(word) % 2 == 0 and 0 not in word.letters
+
+
 def decay_bound_check(
     word: Word, H: float, config: QuadConfig | None = None
 ) -> DecayReport:
@@ -248,9 +255,9 @@ def decay_bound_check(
     (k! 2^k (2k)!); whether the candidate equals the true value for mixed
     words is not assumed, only measured.
     """
-    letters = word.letters
-    if any(x == 0 for x in letters) or len(letters) % 2 != 0 or not letters:
+    if not decay_bound_applies(word):
         raise ValueError("decay bound applies to even-length words with nonzero letters")
+    letters = word.letters
     k = len(letters) // 2
     val, err = expected_word(word, H, config)
     norm = math.factorial(k) * 2**k

@@ -36,15 +36,6 @@ class Word:
             x = next(x for x in letters if not 0 <= x <= self.d)
             raise ValueError(f"letter {x} outside alphabet {{0,...,{self.d}}}")
 
-    @classmethod
-    def parse(cls, text: str, d: int | None = None) -> "Word":
-        """Parse a comma-separated letter string such as "1,0,1"."""
-        text = text.strip()
-        letters = tuple(int(t) for t in text.split(",")) if text else ()
-        if d is None:
-            d = max(1, max(letters, default=1))
-        return cls(letters, d)
-
     def __len__(self) -> int:
         return len(self.letters)
 

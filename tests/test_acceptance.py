@@ -8,6 +8,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
+from fbmsig.cli import _parse_words
 from fbmsig.cubature import (
     formula_from_solution,
     solve_ansatz,
@@ -56,8 +57,7 @@ def test_criterion_1_closed_form_table():
     t0 = time.perf_counter()
     table = closed_form_table()
     worst = 0.0
-    for text in table:
-        w = Word.parse(text)
+    for w in _parse_words(";".join(table)):
         for H in H_TABLE:
             want = closed_form_value(w, H)
             got, _ = expected_word(w, H, QuadConfig(tol=1e-6))

@@ -16,7 +16,6 @@ from fbmsig import cli, cubature, sde
 from fbmsig import gridapprox as ga
 from fbmsig.cli import main
 from fbmsig.expected import decay_bound_check
-from fbmsig.tensor import Word
 
 
 def run(tmp_path, *argv):
@@ -96,12 +95,24 @@ class TestExpectedSig:
         assert len(rows) == 1 + 4 * 2
         for row in rows[1:]:
             col = dict(zip(header, row))
-            rep = decay_bound_check(Word.parse(col["word"]), float(col["H"]))
+            rep = decay_bound_check(cli._parse_words(col["word"])[0], float(col["H"]))
             assert float(col["value"]) == rep.value
             assert float(col["err_bar"]) == rep.quad_error
             assert float(col["bound"]) == rep.bound
             assert float(col["refined_bound"]) == rep.refined_bound
             assert col["pass"] == str(rep.passed)
+
+
+    def test_labels_are_canonical(self, tmp_path):
+        # a row is labelled with its word's letters, not the text as typed
+        args = ("expected-sig", "--H", "0.7", "--words", "1, 1;+1,0,1",
+                "--no-timestamp")
+        rc, text = run(tmp_path, *args)
+        assert rc == 0
+        rows = read_csv(text)
+        assert [r[0] for r in rows[1:]] == ["1,1", "1,0,1"]
+        _, text_json = run(tmp_path, *args, "--format", "json")
+        assert json.loads(text_json)["rows"] == rows[1:]
 
 
 class TestApproxSig:
@@ -539,13 +550,17 @@ class TestHarness:
         assert a == b
 
     def test_csv_json_encode_identical_values(self, tmp_path):
-        args = ("expected-sig", "--H", "0.75", "--words", "1,0,1", "--no-timestamp")
-        _, text_csv = run(tmp_path, *args)
-        _, text_json = run(tmp_path, *args, "--format", "json")
-        csv_rows = read_csv(text_csv)
-        payload = json.loads(text_json)
-        assert payload["columns"] == csv_rows[0]
-        assert payload["rows"] == csv_rows[1:]
+        # convergence summaries carry empty cells, booleans and a refused
+        # fit's note
+        for args in (("expected-sig", "--H", "0.75", "--words", "1,0,1"),
+                     ("convergence", "--H", "0.75", "--words", "1,1;1,2,1,2",
+                      "--m", "4,8,16,32")):
+            _, text_csv = run(tmp_path, *args, "--no-timestamp")
+            _, text_json = run(tmp_path, *args, "--no-timestamp", "--format", "json")
+            csv_rows = read_csv(text_csv)
+            payload = json.loads(text_json)
+            assert payload["columns"] == csv_rows[0]
+            assert payload["rows"] == csv_rows[1:]
 
     def test_timestamp_header_present_by_default(self, tmp_path):
         _, text = run(tmp_path, "expected-sig", "--H", "0.75", "--words", "1")
@@ -563,6 +578,23 @@ class TestHarness:
         assert {r[0] for r in rows[1:]} == {"1,1"}            # flag wins
         assert {float(r[1]) for r in rows[1:]} == {0.9}       # config fills H
         assert {r[2] for r in rows[1:]} == {"1", "2"}         # config fills m
+
+    def test_config_key_of_no_command_is_usage_error(self, tmp_path, capsys):
+        # a misspelled key ("word" for "words") must not leave the default word
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("word=1,2,1,2\nH=0.7\n")
+        rc, text = run(tmp_path, "expected-sig", "--config", str(cfg), "--no-timestamp")
+        assert rc == 2 and text == ""
+        assert capsys.readouterr().err == \
+            "error: config key 'word' is not an option of any command\n"
+
+    def test_config_key_of_another_command_is_ignored(self, tmp_path):
+        # one file can serve several commands: expected-sig takes no m or paths
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("words=1,2,1,2\nH=0.7\nm=4,8\npaths=5\n")
+        rc, text = run(tmp_path, "expected-sig", "--config", str(cfg), "--no-timestamp")
+        assert rc == 0
+        assert [(r[0], float(r[1])) for r in read_csv(text)[1:]] == [("1,2,1,2", 0.7)]
 
     @pytest.mark.parametrize("fmt", ("xml", "CSV"))
     def test_config_format_outside_choices_is_usage_error(self, tmp_path, capsys, fmt):

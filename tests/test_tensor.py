@@ -28,14 +28,17 @@ def coeff(levels, w):
 
 class TestWord:
     def test_parse_roundtrip(self):
-        w = Word.parse("1,0,1")
+        w = Word((1, 0, 1), 1)
         assert w.letters == (1, 0, 1)
         assert str(w) == "1,0,1"
         assert w.zero_count == 1
         assert w.nonzero_positions == (0, 2)
 
     def test_empty(self):
-        assert Word.parse("").letters == ()
+        w = Word((), 1)
+        assert w.letters == () and len(w) == 0
+        assert str(w) == ""
+        assert w.zero_count == 0 and w.nonzero_positions == ()
 
     def test_letter_range_enforced(self):
         with pytest.raises(ValueError):
