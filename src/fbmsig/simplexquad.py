@@ -25,15 +25,20 @@ a reduction carrying e would do, in its order, so the values do not depend on
 the memo.  What survives is a sum of Beta-type closed forms plus
 low-dimensional irreducible cores, which are evaluated on a tensor
 Gauss-Legendre grid after mapping the simplex to the unit cube and absorbing
-every endpoint singularity into per-axis Beta-CDF substitutions.  Each factor
-of a mapped core depends on one axis or on two neighbouring axes, so the
-tensor sum is contracted one axis at a time and costs one N x N grid per
-two-axis factor rather than N**m points; a core met again at the same
-exponent is read from a memo.  The error estimate comes from re-evaluating
-the numeric cores at a finer resolution, plus, when time reversal t -> 1 - t
-maps M to a different matching R(M), the gap |I(M) - I(R(M))|: the two
-integrals are equal in exact arithmetic, and their gap shows error that is
-the same at every resolution.
+every endpoint singularity into per-axis Beta-CDF substitutions.  Which
+factors set each axis exponent, and which axes each factor spans, depend on
+the core's positions only: those rules are built once per core shape and
+process, and each exponent adds its numbers to them once per core, a pass
+that both resolutions read.  Each factor of a mapped core depends on one
+axis or on two neighbouring axes, so the tensor sum is contracted one axis
+at a time and costs one N x N grid per two-axis factor rather than N**m
+points; a one-axis factor reads log(1 - x) from the axis map, which is built
+once per (p, q, N), and a core met again at the same exponent is read from
+a memo.  The error estimate comes from re-evaluating the numeric cores at a
+finer resolution, plus, when time reversal t -> 1 - t maps M to a different
+matching R(M), the gap |I(M) - I(R(M))|: the two integrals are equal in
+exact arithmetic, and their gap shows error that is the same at every
+resolution.
 """
 from __future__ import annotations
 
@@ -216,27 +221,62 @@ def _beta_core(factors) -> float:
     )
 
 
-def _axis_rules(m: int, factors):
-    """Per-axis exponents and Beta-map parameters for an m-dim core.
+# Which factors add to each axis exponent, and which axes each span covers,
+# depend on the core's positions only, so the rules are built once per core
+# shape and process.  The bound holds the 93 shapes of every core of up to
+# three pairs on seven positions (a six-letter level table has 26).
+@functools.lru_cache(maxsize=256)
+def _core_rules(m: int, ends) -> tuple[tuple, tuple]:
+    """For an m-dim core whose factors join the positions `ends`: per axis,
+    the indices of the factors whose exponents its x**gam collects, in factor
+    order, and per span, its axes and factor index.
 
     Positions are 1..m with sentinels 0 and m+1.  Under t_j = prod_{i>=j} x_i:
       (t_b - t_a)**e = prod_{i>=b} x_i**e * (1 - prod_{a<=i<b} x_i)**e  (a>=1)
       (t_b - 0)**e   = prod_{i>=b} x_i**e
     plus the Jacobian prod x_i**(i-1).
     """
-    gam = np.array([float(i) for i in range(m)])  # Jacobian exponents, 0-based
-    spans: list[tuple[tuple[int, ...], float]] = []
-    for a, b, e in factors:
+    adds = [[] for _ in range(m)]
+    spans = []
+    for k, (a, b) in enumerate(ends):
         if a == 0 and b == m + 1:
             continue
-        start = max(b, 1)
-        if b <= m:
-            for i in range(start, m + 1):
-                gam[i - 1] += e
+        for i in range(max(b, 1), m + 1):
+            adds[i - 1].append(k)
         if a >= 1:
-            spans.append((tuple(range(a - 1, min(b - 1, m))), e))
-    neg = np.zeros(m)
-    crease = np.full(m, np.inf)
+            spans.append((tuple(range(a - 1, min(b - 1, m))), k))
+    return tuple(map(tuple, adds)), tuple(spans)
+
+
+def _q_for(e: float) -> int:
+    """The Beta-map q that smooths an axis end carrying (1 - x)**e; e = inf
+    stands for no such factor."""
+    if e == math.inf:
+        return 1
+    if e <= -1.0:
+        return QCAP
+    return min(QCAP, max(1, math.ceil(SMOOTH / (e + 1.0))))
+
+
+# Both resolutions of a core ask for its rules in turn, so they share one
+# pass; the entries are per exponent, and a fresh H needs none of them again.
+@functools.lru_cache(maxsize=8)
+def _axis_rules(m: int, factors):
+    """Per-axis exponents gam, the (axes, exponent) spans, and the Beta-map
+    parameters p and q of an m-dim core, from its shape's _core_rules: each
+    axis exponent is its Jacobian exponent plus its factors' exponents in
+    factor order."""
+    adds, span_rules = _core_rules(m, tuple((a, b) for a, b, _ in factors))
+    es = [e for _, _, e in factors]
+    gam = []
+    for i, ks in enumerate(adds):
+        g = float(i)
+        for k in ks:
+            g += es[k]
+        gam.append(g)
+    spans = tuple((axes, es[k]) for axes, k in span_rules)
+    neg = [0.0] * m
+    crease = [math.inf] * m
     for axes, e in spans:
         if e < 0:
             for ax in axes:
@@ -244,17 +284,10 @@ def _axis_rules(m: int, factors):
         elif e != int(e):
             for ax in axes:
                 crease[ax] = min(crease[ax], e)
-
-    def q_for(e: float) -> int:
-        if e == np.inf:
-            return 1
-        if e <= -1.0:
-            return QCAP
-        return min(QCAP, max(1, math.ceil(SMOOTH / (e + 1.0))))
-
-    p = [max(1, math.ceil(SMOOTH / (g + 1.0))) for g in gam]
-    q = [max(q_for(neg[i] if neg[i] < 0 else np.inf), q_for(crease[i])) for i in range(m)]
-    return gam, spans, p, q
+    p = tuple(max(1, math.ceil(SMOOTH / (g + 1.0))) for g in gam)
+    q = tuple(max(_q_for(n if n < 0 else math.inf), _q_for(c))
+              for n, c in zip(neg, crease))
+    return tuple(gam), spans, p, q
 
 
 @functools.cache
@@ -278,8 +311,8 @@ def _binomial_tail(k: int, n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
 @functools.cache
 def _beta_axis(p: int, q: int, N: int):
     """The Beta(p, q)-CDF axis map x = I_u(p, q) on the N-point rule, as (log
-    x, log x from the complementary CDF, log-Jacobian); read-only, since every
-    core with these exponents shares it.
+    x, log x from the complementary CDF, log-Jacobian, log(1 - x) from that
+    log x); read-only, since every core with these exponents shares it.
 
     For integer p and q, x = I_u(p, q) is the binomial tail of q terms and
     1 - x = I_{1-u}(q, p) the one of p terms.  The log-Jacobian is the Beta
@@ -292,15 +325,16 @@ def _beta_axis(p: int, q: int, N: int):
     cx = np.clip(_binomial_tail(q, n, v, u), 1e-300, 1.0 - 1e-16)
     ljac = ((p - 1) * np.log(u) + (q - 1) * np.log1p(-u)
             + math.log(q * math.comb(n, q)) + log_w)
-    axis = (np.log(x), np.log1p(-cx), ljac)
+    log_x_c = np.log1p(-cx)
+    axis = (np.log(x), log_x_c, ljac, np.log(-np.expm1(log_x_c)))
     for a in axis:
         a.flags.writeable = False
     return axis
 
 
 # A core value is a pure function of (m, core, N), and the matching integrals
-# of one exponent share many cores.  The bound holds the cores of one
-# six-letter level table at both resolutions (272).
+# of one exponent share many cores.  One six-letter level table at a fresh H
+# adds 136 entries (68 cores at both resolutions); the bound holds three.
 @functools.lru_cache(maxsize=512)
 def _core_numeric(m: int, factors, N: int) -> float:
     """Tensor Gauss-Legendre evaluation of an m-dim irreducible core,
@@ -317,16 +351,13 @@ def _core_numeric(m: int, factors, N: int) -> float:
     up to three pairs has one.
     """
     gam, spans, p, q = _axis_rules(m, factors)
-    logx = []
-    logw = []
-    for i in range(m):
-        log_x, log_x_c, ljac = _beta_axis(p[i], q[i], N)
-        logx.append(log_x_c)
-        logw.append(ljac + gam[i] * log_x)
+    maps = [_beta_axis(p[i], q[i], N) for i in range(m)]
+    logx = [log_x_c for _, log_x_c, _, _ in maps]
+    logw = [ljac + g * log_x for (log_x, _, ljac, _), g in zip(maps, gam)]
     links = {}
     for axes, e in spans:
         if len(axes) == 1:
-            logw[axes[0]] += e * np.log(-np.expm1(logx[axes[0]]))
+            logw[axes[0]] += e * maps[axes[0]][3]  # log(1 - x)
         elif len(axes) == 2:
             i, j = axes
             s = logx[i][:, None] + logx[j][None, :]

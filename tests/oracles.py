@@ -2,7 +2,9 @@
 coefficient, an exhaustive sweep of the refined permutation-count bound, the
 per-piece RK4 integrator that `fbmsig.sde._solve` must match bit for bit, the
 reduction with float exponents that `fbmsig.simplexquad._reduce_terms` plans
-once per shape, the full-grid evaluation of a simplex core that
+once per shape, the per-axis rules of a core rebuilt from its factors on
+every call, which `fbmsig.simplexquad._axis_rules` reads from a memo per core
+shape, the full-grid evaluation of a simplex core that
 `fbmsig.simplexquad._core_numeric` contracts axis by axis, the closed-form
 cell-pair kernel integrals, the whole fGn Cholesky factor that
 `fbmsig.gridapprox._apply_fgn_factor` streams by panel, the O(m^2) loop and
@@ -156,18 +158,61 @@ def reduce_terms_numeric(n: int, factors, variables):
     return out
 
 
+def axis_rules_direct(m: int, factors):
+    """Per-axis exponents and Beta-map parameters for an m-dim core, rebuilt
+    from the factors on every call; `fbmsig.simplexquad._axis_rules` reads
+    which factors add where from a memo per core shape.
+
+    Positions are 1..m with sentinels 0 and m+1.  Under t_j = prod_{i>=j} x_i:
+      (t_b - t_a)**e = prod_{i>=b} x_i**e * (1 - prod_{a<=i<b} x_i)**e  (a>=1)
+      (t_b - 0)**e   = prod_{i>=b} x_i**e
+    plus the Jacobian prod x_i**(i-1).
+    """
+    gam = np.array([float(i) for i in range(m)])  # Jacobian exponents, 0-based
+    spans: list[tuple[tuple[int, ...], float]] = []
+    for a, b, e in factors:
+        if a == 0 and b == m + 1:
+            continue
+        start = max(b, 1)
+        if b <= m:
+            for i in range(start, m + 1):
+                gam[i - 1] += e
+        if a >= 1:
+            spans.append((tuple(range(a - 1, min(b - 1, m))), e))
+    neg = np.zeros(m)
+    crease = np.full(m, np.inf)
+    for axes, e in spans:
+        if e < 0:
+            for ax in axes:
+                neg[ax] += e
+        elif e != int(e):
+            for ax in axes:
+                crease[ax] = min(crease[ax], e)
+
+    def q_for(e: float) -> int:
+        if e == np.inf:
+            return 1
+        if e <= -1.0:
+            return sq.QCAP
+        return min(sq.QCAP, max(1, math.ceil(sq.SMOOTH / (e + 1.0))))
+
+    p = [max(1, math.ceil(sq.SMOOTH / (g + 1.0))) for g in gam]
+    q = [max(q_for(neg[i] if neg[i] < 0 else np.inf), q_for(crease[i])) for i in range(m)]
+    return gam, spans, p, q
+
+
 def core_numeric_full_grid(m: int, factors, N: int) -> float:
     """An m-dim simplex core summed in log space over the whole N**m tensor
     grid: per-axis log-Jacobians (density, x**gam and node weight) plus
     e * log(1 - prod x) per span, broadcast to the full grid and exponentiated
     once."""
-    gam, spans, p, q = sq._axis_rules(m, factors)
+    gam, spans, p, q = axis_rules_direct(m, factors)
     logx = []
     L = 0.0
     for i in range(m):
         shape = [1] * m
         shape[i] = N
-        log_x, log_x_c, ljac = sq._beta_axis(p[i], q[i], N)
+        log_x, log_x_c, ljac = sq._beta_axis(p[i], q[i], N)[:3]
         logx.append(log_x_c.reshape(shape))
         L = L + (ljac + gam[i] * log_x).reshape(shape)
     for axes, e in spans:

@@ -1,5 +1,6 @@
 import csv
 import importlib
+import io
 import json
 import math
 import os
@@ -15,7 +16,8 @@ import fbmsig
 from fbmsig import cli, cubature, sde
 from fbmsig import gridapprox as ga
 from fbmsig.cli import main
-from fbmsig.expected import decay_bound_check
+from fbmsig.expected import decay_bound_check, expected_word
+from fbmsig.tensor import Word
 
 
 def run(tmp_path, *argv):
@@ -113,6 +115,40 @@ class TestExpectedSig:
         assert [r[0] for r in rows[1:]] == ["1,1", "1,0,1"]
         _, text_json = run(tmp_path, *args, "--format", "json")
         assert json.loads(text_json)["rows"] == rows[1:]
+
+    @pytest.mark.parametrize("fmt", ("csv", "json"))
+    def test_bytes_match_a_reference_written_through_fmt(self, tmp_path, fmt):
+        # odd words (value 0), a pure time word, time-letter words, decay-bound
+        # words with their pass cell, and a word typed non-canonically
+        texts = [" 1, +1", "1,2,1", "1,1,1", "0,0,0", "1,0,1", "0,1,1,0",
+                 "1,1,2,2", "1,2,1,2", "1,2,2,1,3,3", "1,1,1,1,1,1"]
+        hs = (0.6, 0.7341)
+        columns = ["word", "H", "value", "err_bar", "bound", "refined_bound", "pass"]
+        rows, passed = [], True
+        for text in texts:
+            letters = tuple(int(t) for t in text.split(","))
+            word = Word(letters, max(1, *letters))
+            for H in hs:
+                if len(letters) % 2 == 0 and 0 not in letters:
+                    rep = decay_bound_check(word, H)
+                    cells = [rep.value, rep.quad_error, rep.bound, rep.refined_bound,
+                             rep.passed]
+                    passed &= rep.passed
+                else:
+                    cells = [*expected_word(word, H), None, None, None]
+                label = ",".join(str(x) for x in letters)
+                rows.append([cli._fmt(x) for x in [label, H, *cells]])
+        if fmt == "csv":
+            buf = io.StringIO()
+            csv.writer(buf, lineterminator="\n").writerows([columns, *rows])
+            want = buf.getvalue()
+        else:
+            want = json.dumps({"columns": columns, "rows": rows}, indent=1) + "\n"
+        out = tmp_path / f"out.{fmt}"
+        rc = main(["expected-sig", "--H", "0.6,0.7341", "--words", ";".join(texts),
+                   "--no-timestamp", "--format", fmt, "--out", str(out)])
+        assert rc == (0 if passed else 1)
+        assert out.read_bytes() == want.encode()
 
 
 class TestApproxSig:

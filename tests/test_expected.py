@@ -28,6 +28,7 @@ from fbmsig.matchings import enumerate_matchings, permutation_count
 from fbmsig.simplexquad import QuadConfig, _reduce_terms, matching_simplex_integral
 from fbmsig.tensor import Word, all_words, word_index
 from oracles import (
+    axis_rules_direct,
     cell_covariance_matrix,
     cell_pair_integral,
     core_numeric_full_grid,
@@ -521,6 +522,23 @@ class TestQuadratureReuse:
         assert rc == 0
         assert sq._reduced_integral.cache_info().misses == 75
 
+    def test_six_letter_table_fits_the_core_memo(self, tmp_path):
+        # one fresh-H table evaluates 68 distinct cores at both resolutions:
+        # 136 core entries, one rules pass per core and one set of rules per
+        # core shape; the bound holds three such tables
+        for memo in (sq._reduced_integral, sq._core_numeric, sq._axis_rules,
+                     sq._core_rules):
+            memo.cache_clear()
+        words = ";".join(_canonical_words(6))
+        rc = main(["expected-sig", "--H", "0.7341", "--words", words, "--tol", "1",
+                   "--out", str(tmp_path / "out.csv")])
+        assert rc == 0
+        info = sq._core_numeric.cache_info()
+        assert info.misses == info.currsize == 136
+        assert 3 * info.misses <= info.maxsize
+        assert sq._axis_rules.cache_info().misses == 68
+        assert sq._core_rules.cache_info().misses == 26
+
 
 def _table_words():
     """The canonical words over {0,1,2,3} of length 4, 5 and 6."""
@@ -725,6 +743,27 @@ class TestCoreContraction:
                 assert math.isfinite(got)
                 worst = max(worst, abs(got / want - 1.0))
         assert worst <= 1e-13
+
+    def test_planned_rules_equal_direct_rules(self, monkeypatch):
+        # the rules built once per core shape give, at each exponent, the
+        # very floats, spans, p and q that building them from the factors
+        # gives
+        sq._core_rules.cache_clear()
+        shapes = set()
+        for H in (0.5001, 0.6, 0.75, 0.98):
+            cores = _matching_cores(monkeypatch, H, 7)
+            assert cores
+            sq._axis_rules.cache_clear()
+            for m, core in cores:
+                shapes.add((m, tuple((a, b) for a, b, _ in core)))
+                gam, spans, p, q = sq._axis_rules(m, core)
+                want_gam, want_spans, want_p, want_q = axis_rules_direct(m, core)
+                assert all(type(g) is float for g in gam)
+                assert list(gam) == [float(g) for g in want_gam], core
+                assert list(spans) == want_spans, core
+                assert (list(p), list(q)) == (want_p, want_q), core
+        info = sq._core_rules.cache_info()
+        assert info.misses == info.currsize == len(shapes) <= info.maxsize
 
     def test_spans_cover_at_most_two_axes(self, monkeypatch):
         # the contraction needs every span on one axis or on two neighbouring
