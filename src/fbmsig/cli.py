@@ -7,9 +7,9 @@ strings.  Options can come from a flat key=value config file; explicit flags
 win, and a key that no command takes is a usage error.  Words are exchanged
 as comma-separated letter strings ("1,0,1", letter 0 being the time
 coordinate); lists of words are separated by semicolons, other lists by
-commas; a word text met again is read from a memo of parsed words.  A row
-is labelled with its word's canonical letter text ("1,1" for the input
-" 1,+1").
+commas.  A row is labelled with its word's canonical letter text ("1,1"
+for the input " 1,+1"); a word text met again is read, label included, from
+a memo of parsed words.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 quadrature
 tolerance failure.
@@ -92,16 +92,18 @@ def _parse_list(text: str, cast, flag: str) -> list:
     return values
 
 
-# A word's text parses to the same Word at every H, and a level table is
-# asked again at each fresh H.  The bound holds the 961 word texts of the
-# benchmark's exact workload.
+# A word's text parses to the same Word and canonical label at every H, and a
+# level table is asked again at each fresh H.  The bound holds the 961 word
+# texts of the benchmark's exact workload.
 @functools.lru_cache(maxsize=2048)
-def _word(text: str) -> Word:
+def _word(text: str) -> tuple[Word, str]:
     letters = tuple(map(int, text.split(",")))
-    return Word(letters, max(1, *letters))
+    w = Word(letters, max(1, *letters))
+    return w, str(w)
 
 
-def _parse_words(text: str) -> list[Word]:
+def _parse_words(text: str) -> list[tuple[Word, str]]:
+    """(word, canonical label) for each item of a --words list."""
     items = [w for w in str(text).split(";") if w.strip() != ""]
     if not items:
         raise ValueError("--words lists no words")
@@ -209,8 +211,7 @@ def cmd_expected_sig(args) -> int:
     table = TableWriter(cols)
     h_cells = [_fmt(H) for H in hs]  # every word's row shares its H cell
     failures = 0
-    for w in words:
-        label = str(w)
+    for w, label in words:
         # pure-fBm even words get the decay-bound report (one quadrature
         # each), every other word just its value
         bounded = ex.decay_bound_applies(w)
@@ -236,7 +237,7 @@ def _check_grids(hs, ms, words) -> None:
         ex.check_hurst(H)
     for m in ms:
         ga._check_cells(m)
-    for w in words:
+    for w, _ in words:
         ga._check_word(w)
 
 
@@ -246,8 +247,7 @@ def cmd_approx_sig(args) -> int:
     ms = _parse_list(args.m, int, "m")
     _check_grids(hs, ms, words)
     table = TableWriter(["word", "H", "m", "approx"])
-    for w in words:
-        label = str(w)
+    for w, label in words:
         for H in hs:
             for m in ms:
                 table.add(word=label, H=H, m=m,
@@ -270,8 +270,7 @@ def cmd_convergence(args) -> int:
             "max_m2H_gap", "bound_pass", "note"]
     table = TableWriter(cols)
     any_fail = False
-    for w in words:
-        label = str(w)
+    for w, label in words:
         for H in hs:
             rows = ga.gap_rows(w, H, ms, config)
             bound = ga.coefficient_bound_check(w, H, rows)

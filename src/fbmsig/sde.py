@@ -141,7 +141,7 @@ def mc_weak_value(
     every H > 1/3.  Against closed-form endpoints (V_0 = y/2 with V_1 = y, and V_0 = 0 with
     V_1 = sin) over H in {0.55, 0.7, 0.9} and T in {0.5, 2}, the worst
     per-path relative error is 2.2e-2 at n_steps = 32, 3.0e-4 at 128 and
-    4.8e-7 at 1536; the mean bias is at most 6.3e-4 relative, 0.012 of the
+    4.2e-7 at 1536; the mean bias is at most 6.3e-4 relative, 0.012 of the
     standard error at 4000 paths.  Coarse grids pay: at n_steps = 4 and
     T = 2 the bias is 3-4% (0.04% with steps_per_piece = 4), so below 32
     steps pass steps_per_piece > 1 to sub-step each cell.

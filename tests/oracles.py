@@ -6,9 +6,10 @@ once per shape, the per-axis rules of a core rebuilt from its factors on
 every call, which `fbmsig.simplexquad._axis_rules` reads from a memo per core
 shape, the full-grid evaluation of a simplex core that
 `fbmsig.simplexquad._core_numeric` contracts axis by axis, the closed-form
-cell-pair kernel integrals, the whole fGn Cholesky factor that
-`fbmsig.gridapprox._apply_fgn_factor` streams by panel, the O(m^2) loop and
-the four-fold brute force that `fbmsig.gridapprox._crossing_sum` replaces,
+cell-pair kernel integrals, the Schur recursion for the fGn Cholesky factor
+that `fbmsig.gridapprox._fgn_factor` takes from LAPACK (it locates where a
+broken kernel stops being positive definite), the O(m^2) loop and the
+four-fold brute force that `fbmsig.gridapprox._crossing_sum` replaces,
 the words of one shuffle class, and the per-call matching sum that
 `fbmsig.expected._word_plan` builds once per word."""
 from __future__ import annotations

@@ -57,7 +57,7 @@ def test_criterion_1_closed_form_table():
     t0 = time.perf_counter()
     table = closed_form_table()
     worst = 0.0
-    for w in _parse_words(";".join(table)):
+    for w, _ in _parse_words(";".join(table)):
         for H in H_TABLE:
             want = closed_form_value(w, H)
             got, _ = expected_word(w, H, QuadConfig(tol=1e-6))

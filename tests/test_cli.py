@@ -97,7 +97,7 @@ class TestExpectedSig:
         assert len(rows) == 1 + 4 * 2
         for row in rows[1:]:
             col = dict(zip(header, row))
-            rep = decay_bound_check(cli._parse_words(col["word"])[0], float(col["H"]))
+            rep = decay_bound_check(cli._parse_words(col["word"])[0][0], float(col["H"]))
             assert float(col["value"]) == rep.value
             assert float(col["err_bar"]) == rep.quad_error
             assert float(col["bound"]) == rep.bound

@@ -92,7 +92,7 @@ class TestClosedFormTable:
         polyval = np.polynomial.polynomial.polyval
         for key, e in closed_form_table().items():
             want = float(polyval(0.5, e["num"]) / polyval(0.5, e["den"]))
-            assert closed_form_value(_parse_words(key)[0], 0.5) == want, key
+            assert closed_form_value(_parse_words(key)[0][0], 0.5) == want, key
 
     def test_brownian_rule_every_word_at_half(self):
         # exp(e_0 + 1/2 sum_i e_i e_i): z time letters and p pairs i,i give
@@ -120,7 +120,7 @@ class TestExpectedWord:
     def test_matches_closed_forms(self, H):
         for text in ("1", "1,1", "1,0", "0,1", "1,1,1", "1,1,0", "1,0,1",
                      "0,1,1", "1,1,1,1", "1,1,1,0", "1,1,1,1,1"):
-            w, = _parse_words(text)
+            (w, _), = _parse_words(text)
             want = closed_form_value(w, H)
             got, err = expected_word(w, H)
             assert got == pytest.approx(want, abs=1e-10), text
@@ -504,7 +504,7 @@ class TestQuadratureReuse:
         texts = ("1,1,1,1,1,1", "1,2,3,1,2,3", "1,2,1,3,3,2",  # six letters
                  "1,0,1", "0,1,1,0", "1,1,0,0,1,1",            # time letters
                  "1,0,2,1,0,2", "0,1,2,0,0,2,1")              # mixed
-        words = _parse_words(";".join(texts))
+        words = [w for w, _ in _parse_words(";".join(texts))]
         sq._reduced_integral.cache_clear()
         memo = [expected_word(w, H) for w in words]
         assert sq._reduced_integral.cache_info().hits > 0

@@ -23,6 +23,7 @@ from fbmsig.gridapprox import (
     sample_fbm_batch,
 )
 from fbmsig.tensor import Word, batch_grid_signatures, word_index
+import oracles
 from oracles import (
     cell_covariance_matrix,
     cell_pair_integral,
@@ -413,32 +414,47 @@ class TestCoefficientBound:
 
 
 class TestSampleFbm:
+    # m = 256 draws through the circulant embedding, the other grids through
+    # the Cholesky factor
     def test_seed_determinism(self):
-        a = sample_fbm_batch(0.7, 16, 2, 1, seed=99)[0]
-        b = sample_fbm_batch(0.7, 16, 2, 1, seed=99)[0]
-        assert np.array_equal(a, b)
-        assert not np.array_equal(a, sample_fbm_batch(0.7, 16, 2, 1, seed=100)[0])
+        for m in (16, 256):
+            a = sample_fbm_batch(0.7, m, 2, 1, seed=99)[0]
+            b = sample_fbm_batch(0.7, m, 2, 1, seed=99)[0]
+            assert np.array_equal(a, b)
+            assert not np.array_equal(a, sample_fbm_batch(0.7, m, 2, 1, seed=100)[0])
 
     def test_starts_at_zero(self):
         assert np.all(sample_fbm_batch(0.6, 8, 3, 1, seed=1)[0, 0] == 0.0)
 
     def test_single_equals_batch_head(self):
         # a one-path batch is the first path of a larger batch on the same seed
-        a = sample_fbm_batch(0.8, 8, 1, 1, seed=5)[0]
-        b = sample_fbm_batch(0.8, 8, 1, 4, seed=5)[0]
-        assert np.array_equal(a, b)
+        for m in (8, 256):
+            a = sample_fbm_batch(0.8, m, 1, 1, seed=5)[0]
+            b = sample_fbm_batch(0.8, m, 1, 4, seed=5)[0]
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("n_paths, d", [(1, 1), (3, 1), (1, 3)])
+    def test_odd_row_count_is_the_head_of_the_next_even_one(self, n_paths, d):
+        # an odd number of rows leaves the last imaginary part of the
+        # embedding unused, so the rows are those of one more row's batch
+        a = sample_fbm_batch(0.7, 256, d, n_paths, seed=3)
+        b = sample_fbm_batch(0.7, 256, 1, n_paths * d + 1, seed=3)
+        assert a.shape == (n_paths, 257, d) and np.all(a[:, 0] == 0.0)
+        rows = a.transpose(0, 2, 1).reshape(n_paths * d, 257)
+        assert np.array_equal(rows, b[:-1, :, 0])
 
     def test_variance_and_covariance(self):
         H, n = 0.75, 20_000
-        paths = sample_fbm_batch(H, 2, 1, n, seed=7)  # grid {0, 1/2, 1}
-        b_half, b_one = paths[:, 1, 0], paths[:, 2, 0]
-        var1 = b_one.var(ddof=1)
-        se_var = np.sqrt(2.0 / (n - 1))  # stderr of the variance of N(0,1)
-        assert abs(var1 - 1.0) <= 4 * se_var
-        cov = np.mean(b_half * b_one)
-        want = 0.5 * (0.5 ** (2 * H) + 1 - 0.5 ** (2 * H))
-        se_cov = np.std(b_half * b_one, ddof=1) / math.sqrt(n)
-        assert abs(cov - want) <= 4 * se_cov
+        for m in (2, 256):  # B(1/2) and B(1) on the grid {0, 1/2, 1} and on 256 steps
+            paths = sample_fbm_batch(H, m, 1, n, seed=7)
+            b_half, b_one = paths[:, m // 2, 0], paths[:, m, 0]
+            var1 = b_one.var(ddof=1)
+            se_var = np.sqrt(2.0 / (n - 1))  # stderr of the variance of N(0,1)
+            assert abs(var1 - 1.0) <= 4 * se_var
+            cov = np.mean(b_half * b_one)
+            want = 0.5 * (0.5 ** (2 * H) + 1 - 0.5 ** (2 * H))
+            se_cov = np.std(b_half * b_one, ddof=1) / math.sqrt(n)
+            assert abs(cov - want) <= 4 * se_cov
 
     def test_grid_cap(self):
         with pytest.raises(ValueError):
@@ -458,14 +474,51 @@ def dense_fbm_batch(H, m, d, n_paths, seed, T=1.0):
     return np.concatenate([np.zeros((n_paths, 1, d)), paths], axis=1)
 
 
+def fgn_gamma(H, m, T=1.0):
+    """gamma_0..gamma_m, the increment covariances the sampler factors."""
+    return 0.5 * ga._covariance_scale(H, m, T) * ga._second_differences(H, np.arange(m + 1))
+
+
+def sampler_map_gram(H, m, T=1.0):
+    """A A^T for the sampler's linear map A from the normals behind one draw
+    to the increments it gives, built by applying the map to every unit
+    vector: m normals -> one row of m increments up to _CHOLESKY_STEPS
+    steps, 4m normals (2m complex) -> two rows above.  The law of those
+    increments is N(0, A A^T)."""
+    gamma = fgn_gamma(H, m, T)
+    if m <= ga._CHOLESKY_STEPS:
+        rows = ga._fgn_factor(gamma[:m]).T  # z @ L^T for z the identity
+        return rows.T @ rows
+    n = 4 * m
+    gram = np.zeros((2 * m, 2 * m))
+    for j0 in range(0, n, 1024):  # the unit vectors j0, j0 + 1, ... in chunks
+        c = min(1024, n - j0)
+        z = np.zeros((c, n))
+        z[np.arange(c), np.arange(j0, j0 + c)] = 1.0
+        out = np.empty((2 * c, m))
+        ga._circulant_fgn(gamma, z.view(complex), out)
+        pair = out.reshape(c, 2 * m)  # [real row | imaginary row] per unit vector
+        gram += pair.T @ pair
+    return gram
+
+
 class TestToeplitzSampler:
     @pytest.mark.parametrize("H", [0.5001, 0.55, 0.75, 0.95, 0.999])
     @pytest.mark.parametrize("m", [1, 2, 3, 17, 256])
     def test_matches_dense_cholesky(self, H, m):
-        # chol(C) = A chol(S), A the cumulative sum, so the paths agree up to
-        # rounding.  The dense factor is the less accurate one (7e-12 of its
-        # largest entry against mpmath at H = 0.999, m = 120); the two differ
-        # by 1.2e-10 of the largest path value at H = 0.999, m = 256.
+        # chol(C) = A chol(S), A the cumulative sum, so up to _CHOLESKY_STEPS
+        # steps the paths agree up to rounding (the dense factor is the less
+        # accurate one: 7e-12 of its largest entry against mpmath at
+        # H = 0.999, m = 120).  The circulant embedding draws other paths, so
+        # at m = 256 its law is checked instead: the cumulative sums of its
+        # increments have the covariance C the dense factor factors.
+        if m > ga._CHOLESKY_STEPS:
+            t = np.arange(1, m + 1) * (1.3 / m)
+            C = 0.5 * (t[:, None] ** (2 * H) + t ** (2 * H) - np.abs(t[:, None] - t) ** (2 * H))
+            A = np.tril(np.ones((m, m)))
+            got = A @ sampler_map_gram(H, m, 1.3)[:m, :m] @ A.T
+            assert np.abs(got - C).max() <= 1e-14 * np.abs(C).max()
+            return
         new = sample_fbm_batch(H, m, 2, 5, seed=11, T=1.3)
         old = dense_fbm_batch(H, m, 2, 5, seed=11, T=1.3)
         assert new.shape == old.shape == (5, m + 1, 2)
@@ -488,27 +541,31 @@ class TestToeplitzSampler:
                 for j in range(m):
                     S[i, j] = gamma[abs(i - j)]
             want = np.array(mpmath.cholesky(S).tolist(), dtype=float)
-        # the streamed factor applied to the identity is the factor itself
-        got = np.empty((m, m))
-        ga._apply_fgn_factor(H, 1.0, np.eye(m), out=got)
-        assert np.abs(got.T - want).max() <= 1e-12 * np.abs(want).max()
+        got = ga._fgn_factor(fgn_gamma(H, m)[:m])
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
-    @pytest.mark.parametrize("H", [0.5001, 0.75, 0.999])
-    @pytest.mark.parametrize("m", [1, 127, 128, 129, 256, 257, 1536])
-    def test_streamed_factor_matches_whole_factor(self, H, m):
-        # up to one panel the panel is U, so the increments are z @ U bit for
-        # bit; past it the panels regroup the sums (1.9e-15 at H = 0.999)
-        z = np.random.default_rng(m).standard_normal((3 * 2, m))
-        got = np.empty_like(z)
-        ga._apply_fgn_factor(H, 1.3, z, out=got)
-        want = z @ fgn_cholesky_t(H, m, 1.3)
-        if m <= ga._PANEL:
-            assert np.array_equal(got, want)
+    @pytest.mark.parametrize("H", [0.5001, 0.7, 0.999])
+    @pytest.mark.parametrize("m", [1, 2, 17, 128, 129, 256, 1536])
+    def test_map_has_the_increment_law(self, H, m):
+        # A A^T = S on both sides of the switch, and above it the real and
+        # imaginary rows of one draw are independent: a zero cross block
+        gamma = fgn_gamma(H, m, 1.3)
+        k = np.arange(m)
+        S = gamma[:m][abs(k[:, None] - k)]
+        gram = sampler_map_gram(H, m, 1.3)
+        zero = np.zeros_like(S)
+        want = S if m <= ga._CHOLESKY_STEPS else np.block([[S, zero], [zero, S]])
+        assert gram.shape == want.shape
+        assert np.abs(gram - want).max() <= 1e-14 * gamma[0]
+        # the sampler applies this map to its draws and sums the increments
+        rng = np.random.default_rng(m)
+        if m <= ga._CHOLESKY_STEPS:
+            inc = rng.standard_normal((6, m)) @ ga._fgn_factor(gamma[:m]).T
         else:
-            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
-        # the sampler draws the same z and sums the same increments
+            inc = np.empty((6, m))
+            ga._circulant_fgn(gamma, rng.standard_normal((3, 4 * m)).view(complex), inc)
         paths = sample_fbm_batch(H, m, 2, 3, seed=m, T=1.3)
-        sums = np.cumsum(got.reshape(3, 2, m), axis=2).transpose(0, 2, 1)
+        sums = np.cumsum(inc.reshape(3, 2, m), axis=2).transpose(0, 2, 1)
         assert np.array_equal(paths[:, 1:], sums) and np.all(paths[:, 0] == 0.0)
 
     @pytest.mark.parametrize("m, n_paths, limit_mb", [(4096, 2, 16), (1536, 50, 8)])
@@ -536,13 +593,29 @@ class TestToeplitzSampler:
     @pytest.mark.parametrize("m, lag, value, step", [(4, 1, 2.5, 0), (300, 150, 3.0, 149)])
     def test_indefinite_covariance_raises(self, monkeypatch, m, lag, value, step):
         # fGn covariances are positive definite, so only a broken kernel can
-        # reach the check; it must raise rather than perturb the matrix, in
-        # the second panel as in the first
-        kernel = np.zeros(m)
+        # reach the check; it must raise rather than perturb the matrix, on
+        # the Cholesky branch (m = 4) and the circulant one (m = 300).  The
+        # Schur recursion finds where S stops being positive definite.
+        kernel = np.zeros(m + 1)
         kernel[0], kernel[lag] = 2.0, value
-        monkeypatch.setattr(ga, "_second_differences", lambda H, r: kernel[: len(r)])
+        def broken(H, r):
+            return kernel[: len(r)]
+
+        monkeypatch.setattr(ga, "_second_differences", broken)
+        monkeypatch.setattr(oracles, "_second_differences", broken)
         with pytest.raises(RuntimeError, match=f"not positive definite at step {step}$"):
+            fgn_cholesky_t(0.75, m, 1.0)
+        message = ("fGn covariance is not positive definite$" if m <= ga._CHOLESKY_STEPS
+                   else "circulant embedding of the fGn covariance has an eigenvalue below 0")
+        with pytest.raises(RuntimeError, match=message):
             sample_fbm_batch(0.75, m, 1, 1, seed=0)
+
+    def test_nan_eigenvalue_raises(self, monkeypatch):
+        kernel = np.zeros(301)
+        kernel[0], kernel[7] = 2.0, math.nan
+        monkeypatch.setattr(ga, "_second_differences", lambda H, r: kernel[: len(r)])
+        with pytest.raises(RuntimeError, match="eigenvalue below 0 or NaN$"):
+            sample_fbm_batch(0.75, 300, 1, 1, seed=0)
 
     def test_near_one_at_the_cap_needs_no_jitter(self):
         with warnings.catch_warnings():

@@ -344,7 +344,7 @@ def _recorded_mc(vf, x0, H, T, n_paths, n_steps, seed, **kwargs):
 class TestMcDefaultGridAccuracy:
     # the default RK4 grid is the sample grid, one step per cell; measured
     # worst per-path relative errors over these cases are 2.2e-2 (m = 32),
-    # 3.0e-4 (128) and 4.8e-7 (1536), and the worst bias is 0.012 of the
+    # 3.0e-4 (128) and 4.2e-7 (1536), and the worst bias is 0.012 of the
     # standard error.  These bounds are never to be loosened.
     REL_BOUND = {32: 5e-2, 128: 1e-3, 1536: 1.5e-6}
     PATHS = {32: 4000, 128: 4000, 1536: 400}
