@@ -544,8 +544,8 @@ class TestToeplitzSampler:
         got = ga._fgn_factor(fgn_gamma(H, m)[:m])
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
-    @pytest.mark.parametrize("H", [0.5001, 0.7, 0.999])
-    @pytest.mark.parametrize("m", [1, 2, 17, 128, 129, 256, 1536])
+    @pytest.mark.parametrize("H", [0.5001, 0.7, 0.75, 0.999])
+    @pytest.mark.parametrize("m", [1, 2, 17, 127, 128, 129, 256, 257, 1536])
     def test_map_has_the_increment_law(self, H, m):
         # A A^T = S on both sides of the switch, and above it the real and
         # imaginary rows of one draw are independent: a zero cross block
