@@ -68,31 +68,27 @@ def _solve(fields: Sequence[Callable], x0, times: Sequence[float], spatial: np.n
             "spatial fields were supplied"
         )
     v0, *spatial_fields = fields
+
+    def slope(z):
+        # the time slope is 1, and 1.0 * V_0(z) == V_0(z) bit for bit; fields'
+        # return values are never updated in place (V_0 may return z itself)
+        k = v0(z)
+        for s, v in terms:
+            k = k + s * v(z)
+        return k
+
     y = np.broadcast_to(x0, (n_paths, len(x0))).copy()
     for j in range(len(times) - 1):
         dt = times[j + 1] - times[j]
         slopes = (spatial[:, j + 1, :] - spatial[:, j, :]) / dt
-        # the time slope is 1, and 1.0 * V_0(y) == V_0(y) bit for bit; fields'
-        # return values are never updated in place (V_0 may return y itself)
         terms = [(slopes[:, i, None], v) for i, v in enumerate(spatial_fields)]
         h = dt / steps_per_piece
         half, sixth = 0.5 * h, h / 6.0
         for _ in range(steps_per_piece):
-            k1 = v0(y)
-            for s, v in terms:
-                k1 = k1 + s * v(y)
-            y2 = y + half * k1
-            k2 = v0(y2)
-            for s, v in terms:
-                k2 = k2 + s * v(y2)
-            y3 = y + half * k2
-            k3 = v0(y3)
-            for s, v in terms:
-                k3 = k3 + s * v(y3)
-            y4 = y + h * k3
-            k4 = v0(y4)
-            for s, v in terms:
-                k4 = k4 + s * v(y4)
+            k1 = slope(y)
+            k2 = slope(y + half * k1)
+            k3 = slope(y + half * k2)
+            k4 = slope(y + h * k3)
             y = y + sixth * (k1 + (k2 + k2) + (k3 + k3) + k4)
         if not np.isfinite(y).all():
             raise RuntimeError(f"non-finite state at t={times[j + 1]:g}")

@@ -17,28 +17,29 @@ The integrand is first reduced exactly: any variable appearing in at most one
 power factor is integrated out in closed form, splitting the term in two.
 Which variable goes next, and where each term splits, depends on the
 positions only, so the reduction runs once per shape (n, M) and per process.
-It yields a plan: every exponent is a symbol (an input factor's exponent, or
-the 1.0 of a free variable's interval, plus the number of integrations that
-each added 1.0), and every coefficient is the list of (sign, symbol) steps
-that divided it.  Each exponent e replays the plan with the float operations
-a reduction carrying e would do, in its order, so the values do not depend on
-the memo.  What survives is a sum of Beta-type closed forms plus
+It yields a plan: every exponent is a symbol (the kernel exponent, or the
+1.0 of a free variable's interval, plus the number of integrations that each
+added 1.0), and every coefficient is the list of (sign, symbol) steps that
+divided it.  What survives is a sum of Beta-type closed forms plus
 low-dimensional irreducible cores, which are evaluated on a tensor
 Gauss-Legendre grid after mapping the simplex to the unit cube and absorbing
 every endpoint singularity into per-axis Beta-CDF substitutions.  Which
-factors set each axis exponent, and which axes each factor spans, depend on
-the core's positions only: those rules are built once per core shape and
-process, and each exponent adds its numbers to them once per core, a pass
-that both resolutions read.  Each factor of a mapped core depends on one
-axis or on two neighbouring axes, so the tensor sum is contracted one axis
-at a time and costs one N x N grid per two-axis factor rather than N**m
-points; a one-axis factor reads log(1 - x) from the axis map, which is built
-once per (p, q, N), and a core met again at the same exponent is read from
-a memo.  The error estimate comes from re-evaluating the numeric cores at a
-finer resolution, plus, when time reversal t -> 1 - t maps M to a different
-matching R(M), the gap |I(M) - I(R(M))|: the two integrals are equal in
-exact arithmetic, and their gap shows error that is the same at every
-resolution.
+symbols set each axis exponent, and which axes each factor spans, depend on
+the core's positions only, so the plan carries them too, and a shape whose
+core has a span over three or more axes is refused when its plan is built.
+Each exponent e replays the plan with the float operations a reduction
+carrying e would do, in its order, so the values do not depend on the memos.
+Each factor of a mapped core depends on one axis or on two neighbouring
+axes, so the tensor sum is contracted one axis at a time and costs one
+N x N grid per two-axis factor rather than N**m points; a one-axis factor
+reads log(1 - x) from the axis map, which is built once per (p, q, N).  A
+core's values at both resolutions depend on its integrand only (its axis
+and span exponents), so they are read from one memo keyed by it, which
+cores at different positions share.  The error estimate comes from
+re-evaluating the numeric cores at a finer resolution, plus, when time
+reversal t -> 1 - t maps M to a different matching R(M), the gap
+|I(M) - I(R(M))|: the two integrals are equal in exact arithmetic, and their
+gap shows error that is the same at every resolution.
 """
 from __future__ import annotations
 
@@ -52,8 +53,8 @@ import numpy as np
 __all__ = ["QuadConfig", "CertifiedValue", "matching_simplex_integral"]
 
 # Pairs per matching integral (expected_word's nonzero letters: twice this).
-# Cores reach dimension len(pairs); beyond three pairs they can carry factors
-# over three axes, which the axis-by-axis contraction refuses.
+# Cores reach dimension len(pairs); beyond three pairs they can carry a span
+# over three axes, which _reduce_terms refuses when it plans the shape.
 MAX_PAIRS = 3
 
 # Gauss-Legendre points per core axis (the refinement run behind the error
@@ -113,10 +114,10 @@ def _shape(n: int, pairs: tuple) -> tuple[tuple, tuple | None]:
 def _shape_integral(n: int, shape, exponent: float) -> CertifiedValue:
     """matching_simplex_integral of a shape from _shape, at a float exponent."""
     ones, mirrored = shape
-    res = _reduced_integral(n, tuple((a, b, exponent) for a, b in ones))
+    res = _reduced_integral(n, ones, exponent)
     if mirrored is None:
         return res
-    rev = _reduced_integral(n, tuple((a, b, exponent) for a, b in mirrored))
+    rev = _reduced_integral(n, mirrored, exponent)
     return CertifiedValue(res.value, res.error + abs(res.value - rev.value))
 
 
@@ -126,31 +127,38 @@ def _shape_integral(n: int, shape, exponent: float) -> CertifiedValue:
 # While the reduction runs, a term is (steps, factors, variables): factors are
 # (a, b, s) meaning (t_b - t_a)**s, with the integer sentinels 0 (t=0) and
 # n+1 (t=1) allowed as endpoints; variables is the ordered tuple of surviving
-# positions.  An exponent symbol s = (source, j) is the exponent of input
-# factor `source` (or 1.0 for source _TIME) plus j integrations; the
-# coefficient is 1.0 times each step's sign divided by the exponent s that
-# step produced.
+# positions.  An exponent symbol s = (source, j) is the kernel exponent (source
+# _KERNEL) or the 1.0 of a free variable's interval (source _TIME), plus j
+# integrations; the coefficient is 1.0 times each step's sign divided by the
+# exponent s that step produced.
 
-_TIME = -1
+_KERNEL, _TIME = 0, 1
 
 
 class _Plan(NamedTuple):
     """The reduced terms of one shape.  symbols lists the (source, j)
-    exponent symbols; a term is (steps, m, core), with steps the (sign,
-    symbol index) divisions of its coefficient and core its factors
-    (a, b, symbol index) relabelled so that its m variables are 1..m and the
-    sentinels 0 and m+1."""
+    exponent symbols; a term is (steps, axes, spans), with steps the (sign,
+    symbol index) divisions of its coefficient.  Its core has m = len(axes)
+    variables: axes holds, per axis, the indices of the symbols that its
+    exponent collects, in factor order, and spans the (axes, symbol index)
+    of each factor (1 - prod x_i)**s."""
 
     symbols: tuple[tuple[int, int], ...]
-    terms: tuple[tuple[tuple, int, tuple], ...]
+    terms: tuple[tuple[tuple, tuple, tuple], ...]
 
 
 # One plan per shape for the whole process; the bound holds every shape of
 # up to three pairs on seven positions (344).
 @functools.lru_cache(maxsize=512)
 def _reduce_terms(n: int, pairs) -> _Plan:
+    """The plan of the 1-based shape (n, pairs).  Each core's positions are
+    relabelled 1..m with sentinels 0 and m+1, and under t_j = prod_{i>=j} x_i
+      (t_b - t_a)**e = prod_{i>=b} x_i**e * (1 - prod_{a<=i<b} x_i)**e  (a>=1)
+      (t_b - 0)**e   = prod_{i>=b} x_i**e
+    plus the Jacobian prod x_i**(i-1).  A span over three or more axes
+    raises ValueError: no shape of up to three pairs leaves one."""
     out = []
-    factors = tuple((a, b, (i, 0)) for i, (a, b) in enumerate(pairs))
+    factors = tuple((a, b, (_KERNEL, 0)) for a, b in pairs)
     stack = [((), factors, tuple(range(1, n + 1)))]
     hi_sentinel = n + 1
     while stack:
@@ -200,52 +208,23 @@ def _reduce_terms(n: int, pairs) -> _Plan:
     for steps, fs, vs in out:
         m = len(vs)
         idx = {0: 0, n + 1: m + 1} | {x: i + 1 for i, x in enumerate(vs)}
-        terms.append((tuple((sgn, index(s)) for sgn, s in steps), m,
-                      tuple((idx[a], idx[b], index(s)) for a, b, s in fs)))
+        axes, spans = [[] for _ in range(m)], []
+        for a, b, s in fs:
+            a, b = idx[a], idx[b]
+            for i in range(b, m + 1):
+                axes[i - 1].append(index(s))
+            if a >= 1:
+                span = tuple(range(a - 1, b - 1))
+                if len(span) > 2:
+                    raise ValueError(
+                        f"shape {pairs} on {n} positions leaves a core with a span "
+                        f"over axes {span}; only spans over one or two axes are "
+                        "contracted"
+                    )
+                spans.append((span, index(s)))
+        terms.append((tuple((sgn, index(s)) for sgn, s in steps),
+                      tuple(map(tuple, axes)), tuple(spans)))
     return _Plan(tuple(symbols), tuple(terms))
-
-
-def _beta_core(factors) -> float:
-    """1-dim core: all factors pin the single variable (position 1) against
-    0 or 1 (the sentinel 2)."""
-    a_exp = b_exp = 0.0
-    for a, b, e in factors:
-        if a == 0 and b == 2:
-            continue
-        if a == 0:
-            a_exp += e
-        else:
-            b_exp += e
-    return math.exp(
-        math.lgamma(a_exp + 1) + math.lgamma(b_exp + 1) - math.lgamma(a_exp + b_exp + 2)
-    )
-
-
-# Which factors add to each axis exponent, and which axes each span covers,
-# depend on the core's positions only, so the rules are built once per core
-# shape and process.  The bound holds the 93 shapes of every core of up to
-# three pairs on seven positions (a six-letter level table has 26).
-@functools.lru_cache(maxsize=256)
-def _core_rules(m: int, ends) -> tuple[tuple, tuple]:
-    """For an m-dim core whose factors join the positions `ends`: per axis,
-    the indices of the factors whose exponents its x**gam collects, in factor
-    order, and per span, its axes and factor index.
-
-    Positions are 1..m with sentinels 0 and m+1.  Under t_j = prod_{i>=j} x_i:
-      (t_b - t_a)**e = prod_{i>=b} x_i**e * (1 - prod_{a<=i<b} x_i)**e  (a>=1)
-      (t_b - 0)**e   = prod_{i>=b} x_i**e
-    plus the Jacobian prod x_i**(i-1).
-    """
-    adds = [[] for _ in range(m)]
-    spans = []
-    for k, (a, b) in enumerate(ends):
-        if a == 0 and b == m + 1:
-            continue
-        for i in range(max(b, 1), m + 1):
-            adds[i - 1].append(k)
-        if a >= 1:
-            spans.append((tuple(range(a - 1, min(b - 1, m))), k))
-    return tuple(map(tuple, adds)), tuple(spans)
 
 
 def _q_for(e: float) -> int:
@@ -256,38 +235,6 @@ def _q_for(e: float) -> int:
     if e <= -1.0:
         return QCAP
     return min(QCAP, max(1, math.ceil(SMOOTH / (e + 1.0))))
-
-
-# Both resolutions of a core ask for its rules in turn, so they share one
-# pass; the entries are per exponent, and a fresh H needs none of them again.
-@functools.lru_cache(maxsize=8)
-def _axis_rules(m: int, factors):
-    """Per-axis exponents gam, the (axes, exponent) spans, and the Beta-map
-    parameters p and q of an m-dim core, from its shape's _core_rules: each
-    axis exponent is its Jacobian exponent plus its factors' exponents in
-    factor order."""
-    adds, span_rules = _core_rules(m, tuple((a, b) for a, b, _ in factors))
-    es = [e for _, _, e in factors]
-    gam = []
-    for i, ks in enumerate(adds):
-        g = float(i)
-        for k in ks:
-            g += es[k]
-        gam.append(g)
-    spans = tuple((axes, es[k]) for axes, k in span_rules)
-    neg = [0.0] * m
-    crease = [math.inf] * m
-    for axes, e in spans:
-        if e < 0:
-            for ax in axes:
-                neg[ax] += e
-        elif e != int(e):
-            for ax in axes:
-                crease[ax] = min(crease[ax], e)
-    p = tuple(max(1, math.ceil(SMOOTH / (g + 1.0))) for g in gam)
-    q = tuple(max(_q_for(n if n < 0 else math.inf), _q_for(c))
-              for n, c in zip(neg, crease))
-    return tuple(gam), spans, p, q
 
 
 @functools.cache
@@ -332,81 +279,104 @@ def _beta_axis(p: int, q: int, N: int):
     return axis
 
 
-# A core value is a pure function of (m, core, N), and the matching integrals
-# of one exponent share many cores.  One six-letter level table at a fresh H
-# adds 136 entries (68 cores at both resolutions); the bound holds three.
+# A core value is a pure function of its integrand, and the matching
+# integrals of one exponent share many cores, at different positions too.  One
+# six-letter level table at a fresh H adds 65 entries (64 where two integrands
+# round alike); the bound holds three.
 @functools.lru_cache(maxsize=512)
-def _core_numeric(m: int, factors, N: int) -> float:
-    """Tensor Gauss-Legendre evaluation of an m-dim irreducible core,
-    contracted one axis at a time.
+def _core_numeric(gam, spans) -> tuple[float, float]:
+    """Tensor Gauss-Legendre evaluation of the irreducible core prod_i
+    x_i**gam[i] * prod over spans (1 - prod_{i in axes} x_i)**e on the unit
+    cube, contracted one axis at a time: its values at POINTS_PER_AXIS + 16
+    and at POINTS_PER_AXIS points per axis.
 
-    Every axis takes the Beta(p, q)-CDF substitution x = I_u(p, q); the log
-    x under each span comes from the complementary CDF, so it stays accurate
-    where x is close to 1.  The integrand is a product of one length-N weight
-    per axis (density, x**gam, node weight and every one-axis span
-    (1 - x)**e) and one N x N link per two-axis span, (1 - x_i x_{i+1})**e;
-    spans are contiguous, so a link always joins neighbouring axes.  The sum
-    over the N**m grid is then a chain of matrix-vector products.  A span over
-    three or more axes raises ValueError: no core left by _reduce_terms for
-    up to three pairs has one.
+    Every axis takes the Beta(p, q)-CDF substitution x = I_u(p, q), p sized
+    by its exponent and q by its negative and non-integer span exponents; the
+    log x under each span comes from the complementary CDF, so it stays
+    accurate where x is close to 1.  The integrand is a product of one
+    length-N weight per axis (density, x**gam, node weight and every one-axis
+    span (1 - x)**e) and one N x N link per two-axis span,
+    (1 - x_i x_{i+1})**e; spans are contiguous and _reduce_terms refuses
+    longer ones, so a link always joins neighbouring axes.  The sum over the
+    N**m grid is then a chain of matrix-vector products.
     """
-    gam, spans, p, q = _axis_rules(m, factors)
-    maps = [_beta_axis(p[i], q[i], N) for i in range(m)]
-    logx = [log_x_c for _, log_x_c, _, _ in maps]
-    logw = [ljac + g * log_x for (log_x, _, ljac, _), g in zip(maps, gam)]
-    links = {}
+    neg = [0.0] * len(gam)
+    crease = [math.inf] * len(gam)
     for axes, e in spans:
-        if len(axes) == 1:
-            logw[axes[0]] += e * maps[axes[0]][3]  # log(1 - x)
-        elif len(axes) == 2:
-            i, j = axes
-            s = logx[i][:, None] + logx[j][None, :]
-            links[j] = links.get(j, 0.0) + e * np.log(-np.expm1(s))
-        else:
-            raise ValueError(
-                f"core {factors} of dimension {m} has a span over axes {axes}; "
-                "only spans over one or two axes are contracted"
-            )
-    v = np.exp(logw[0])
-    for i in range(1, m):
-        v = (v @ np.exp(links[i]) if i in links else v.sum()) * np.exp(logw[i])
-    return float(v.sum())
+        if e < 0:
+            for ax in axes:
+                neg[ax] += e
+        elif e != int(e):
+            for ax in axes:
+                crease[ax] = min(crease[ax], e)
+    p = [max(1, math.ceil(SMOOTH / (g + 1.0))) for g in gam]
+    q = [max(_q_for(n if n < 0 else math.inf), _q_for(c)) for n, c in zip(neg, crease)]
+    values = []
+    for N in (POINTS_PER_AXIS + 16, POINTS_PER_AXIS):
+        maps = [_beta_axis(pi, qi, N) for pi, qi in zip(p, q)]
+        logx = [log_x_c for _, log_x_c, _, _ in maps]
+        logw = [ljac + g * log_x for (log_x, _, ljac, _), g in zip(maps, gam)]
+        links = {}
+        for axes, e in spans:
+            if len(axes) == 1:
+                logw[axes[0]] += e * maps[axes[0]][3]  # log(1 - x)
+            else:
+                i, j = axes
+                s = logx[i][:, None] + logx[j][None, :]
+                links[j] = links.get(j, 0.0) + e * np.log(-np.expm1(s))
+        v = np.exp(logw[0])
+        for i in range(1, len(gam)):
+            v = (v @ np.exp(links[i]) if i in links else v.sum()) * np.exp(logw[i])
+        values.append(float(v.sum()))
+    return tuple(values)
 
 
-# A matching integral is a pure function of its hashable key (factors are
-# (int, int, float) tuples), so a repeat returns the identical value.  The
-# bound keeps memory flat across requests that each draw a fresh H; one
-# six-letter level table needs 75 entries.
+# A matching integral is a pure function of its hashable key (n, 1-based
+# pairs, exponent), so a repeat returns the identical value.  The bound keeps
+# memory flat across requests that each draw a fresh H; one six-letter level
+# table needs 75 entries.
 @functools.lru_cache(maxsize=512)
-def _reduced_integral(n, factors) -> CertifiedValue:
+def _reduced_integral(n: int, pairs, exponent: float) -> CertifiedValue:
     """Sum of the reduced terms; the error estimate is the change of every
     numeric core between POINTS_PER_AXIS and POINTS_PER_AXIS + 16 points.
 
     The shape's plan is replayed with the same float operations in the same
-    order as a reduction carrying the exponents would do them: each symbol's
-    value is its source exponent plus 1.0, once per integration, and each
-    coefficient is 1.0 times sign / symbol value, step by step."""
-    plan = _reduce_terms(n, tuple((a, b) for a, b, _ in factors))
+    order as a reduction carrying the exponent would do them: each symbol's
+    value is its source exponent plus 1.0, once per integration, each
+    coefficient is 1.0 times sign / symbol value, step by step, and each axis
+    exponent is its Jacobian exponent plus its symbols' values in factor
+    order.  A one-axis core x**a (1 - x)**b is the Beta function B(a+1, b+1)."""
+    plan = _reduce_terms(n, pairs)
     vals = []
     for source, j in plan.symbols:
-        e = 1.0 if source == _TIME else factors[source][2]
+        e = exponent if source == _KERNEL else 1.0
         for _ in range(j):
             e = e + 1.0
         vals.append(e)
     total = err = scale = 0.0
-    for steps, m, core in plan.terms:
+    for steps, axes, spans in plan.terms:
         coeff = 1.0
         for sgn, s in steps:
             coeff = coeff * sgn / vals[s]
-        if m == 0:
-            v = coeff  # all factors are (0, 1, e) -> 1
+        gam = []
+        for i, symbols in enumerate(axes):
+            g = float(i)
+            for s in symbols:
+                g += vals[s]
+            gam.append(g)
+        spans = tuple((ax, vals[s]) for ax, s in spans)
+        if not gam:
+            v = coeff  # every factor is (t_1 - t_0)**e = 1
+        elif len(gam) == 1:
+            b = 0.0
+            for _, e in spans:
+                b += e
+            v = coeff * math.exp(math.lgamma(gam[0] + 1) + math.lgamma(b + 1)
+                                 - math.lgamma(gam[0] + b + 2))
         else:
-            core = tuple((a, b, vals[s]) for a, b, s in core)
-            if m == 1:
-                v = coeff * _beta_core(core)
-            else:
-                v = coeff * _core_numeric(m, core, POINTS_PER_AXIS + 16)
-                err += abs(v - coeff * _core_numeric(m, core, POINTS_PER_AXIS))
+            hi, lo = _core_numeric(tuple(gam), spans)
+            v = coeff * hi
+            err += abs(v - coeff * lo)
         total += v
         scale += abs(v)
     return CertifiedValue(total, err + 1e-15 * scale)

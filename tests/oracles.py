@@ -2,14 +2,14 @@
 coefficient, an exhaustive sweep of the refined permutation-count bound, the
 per-piece RK4 integrator that `fbmsig.sde._solve` must match bit for bit, the
 reduction with float exponents that `fbmsig.simplexquad._reduce_terms` plans
-once per shape, the per-axis rules of a core rebuilt from its factors on
-every call, which `fbmsig.simplexquad._axis_rules` reads from a memo per core
-shape, the full-grid evaluation of a simplex core that
-`fbmsig.simplexquad._core_numeric` contracts axis by axis, the closed-form
-cell-pair kernel integrals, the Schur recursion for the fGn Cholesky factor
-that `fbmsig.gridapprox._fgn_factor` takes from LAPACK (it locates where a
-broken kernel stops being positive definite), the O(m^2) loop and the
-four-fold brute force that `fbmsig.gridapprox._crossing_sum` replaces,
+once per shape, the integrand of a core (per-axis exponents and spans) rebuilt
+from its factors on every call, which `_reduce_terms` plans once per shape,
+the Beta-map parameters of an integrand, the full-grid evaluation of a simplex
+core that `fbmsig.simplexquad._core_numeric` contracts axis by axis, the
+closed-form cell-pair kernel integrals, the Schur recursion for the fGn
+Cholesky factor that `fbmsig.gridapprox._fgn_factor` takes from LAPACK (it
+locates where a broken kernel stops being positive definite), the O(m^2) loop
+and the four-fold brute force that `fbmsig.gridapprox._crossing_sum` replaces,
 the words of one shuffle class, and the per-call matching sum that
 `fbmsig.expected._word_plan` builds once per word."""
 from __future__ import annotations
@@ -160,9 +160,10 @@ def reduce_terms_numeric(n: int, factors, variables):
 
 
 def axis_rules_direct(m: int, factors):
-    """Per-axis exponents and Beta-map parameters for an m-dim core, rebuilt
-    from the factors on every call; `fbmsig.simplexquad._axis_rules` reads
-    which factors add where from a memo per core shape.
+    """The integrand of an m-dim core, rebuilt from its factors on every call:
+    the per-axis exponents gam and the (axes, exponent) spans, as tuples of
+    floats; `fbmsig.simplexquad._reduce_terms` plans which exponents add where
+    once per shape, and `_reduced_integral` adds them at each exponent.
 
     Positions are 1..m with sentinels 0 and m+1.  Under t_j = prod_{i>=j} x_i:
       (t_b - t_a)**e = prod_{i>=b} x_i**e * (1 - prod_{a<=i<b} x_i)**e  (a>=1)
@@ -180,6 +181,14 @@ def axis_rules_direct(m: int, factors):
                 gam[i - 1] += e
         if a >= 1:
             spans.append((tuple(range(a - 1, min(b - 1, m))), e))
+    return tuple(float(g) for g in gam), tuple(spans)
+
+
+def beta_map_direct(gam, spans):
+    """Per-axis Beta-map parameters (p, q) of a core integrand: p smooths the
+    axis exponent, q every negative span exponent on the axis (summed) and the
+    smallest non-integer positive one."""
+    m = len(gam)
     neg = np.zeros(m)
     crease = np.full(m, np.inf)
     for axes, e in spans:
@@ -199,15 +208,16 @@ def axis_rules_direct(m: int, factors):
 
     p = [max(1, math.ceil(sq.SMOOTH / (g + 1.0))) for g in gam]
     q = [max(q_for(neg[i] if neg[i] < 0 else np.inf), q_for(crease[i])) for i in range(m)]
-    return gam, spans, p, q
+    return p, q
 
 
-def core_numeric_full_grid(m: int, factors, N: int) -> float:
-    """An m-dim simplex core summed in log space over the whole N**m tensor
-    grid: per-axis log-Jacobians (density, x**gam and node weight) plus
+def core_numeric_full_grid(gam, spans, N: int) -> float:
+    """A core integrand summed in log space over the whole N**m tensor grid:
+    per-axis log-Jacobians (density, x**gam and node weight) plus
     e * log(1 - prod x) per span, broadcast to the full grid and exponentiated
     once."""
-    gam, spans, p, q = axis_rules_direct(m, factors)
+    m = len(gam)
+    p, q = beta_map_direct(gam, spans)
     logx = []
     L = 0.0
     for i in range(m):

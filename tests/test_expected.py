@@ -29,6 +29,7 @@ from fbmsig.simplexquad import QuadConfig, _reduce_terms, matching_simplex_integ
 from fbmsig.tensor import Word, all_words, word_index
 from oracles import (
     axis_rules_direct,
+    beta_map_direct,
     cell_covariance_matrix,
     cell_pair_integral,
     core_numeric_full_grid,
@@ -210,10 +211,10 @@ class TestReversalBar:
         for subset in itertools.combinations(range(7), 6):
             for matching in enumerate_matchings(6):
                 pairs = [(subset[a], subset[b]) for a, b in matching]
-                factors = tuple((a + 1, b + 1, e) for a, b in pairs)
+                ones = tuple((a + 1, b + 1) for a, b in pairs)
                 mirrored = sorted((6 - b, 6 - a) for a, b in pairs)
                 got = matching_simplex_integral(7, pairs, e)
-                own = sq._reduced_integral(7, factors)
+                own = sq._reduced_integral(7, ones, e)
                 assert got.value == own.value
                 if mirrored == sorted(pairs):
                     assert got.error == own.error
@@ -374,7 +375,8 @@ class TestReducedCores:
             for k in (1, 2, 3):
                 for positions in itertools.combinations(range(1, n + 1), 2 * k):
                     for matching in _perfect_matchings(positions):
-                        dims.update(m for _, m, _ in _reduce_terms(n, matching).terms)
+                        dims.update(len(axes) for _, axes, _ in
+                                    _reduce_terms(n, matching).terms)
         assert max(dims) <= 3
 
 
@@ -388,22 +390,35 @@ def _shapes(n_max):
                     yield n, tuple((subset[a], subset[b]) for a, b in matching)
 
 
-def _sum_of_numeric_terms(n, factors):
-    """The matching integral summed over the terms of the numeric reduction,
-    in its order: each core relabelled to 1..m and evaluated at both
-    resolutions."""
-    total = err = scale = 0.0
+def _numeric_cores(n, factors):
+    """The terms of the numeric reduction, in its order, as (coeff, m,
+    core): each core relabelled so that its variables are 1..m and the
+    sentinels 0 and m+1."""
     for coeff, fs, vs in reduce_terms_numeric(n, factors, range(1, n + 1)):
         m = len(vs)
         idx = {0: 0, n + 1: m + 1} | {x: i + 1 for i, x in enumerate(vs)}
-        core = tuple((idx[a], idx[b], e) for a, b, e in fs)
+        yield coeff, m, tuple((idx[a], idx[b], e) for a, b, e in fs)
+
+
+def _sum_of_numeric_terms(n, factors):
+    """The matching integral summed over the terms of the numeric reduction,
+    in its order: each core's integrand built from its factors, a one-axis
+    core x**a (1 - x)**b as B(a+1, b+1) and the others at both resolutions."""
+    total = err = scale = 0.0
+    for coeff, m, core in _numeric_cores(n, factors):
+        gam, spans = axis_rules_direct(m, core)
         if m == 0:
             v = coeff
         elif m == 1:
-            v = coeff * sq._beta_core(core)
+            b = 0.0
+            for _, e in spans:
+                b += e
+            v = coeff * math.exp(math.lgamma(gam[0] + 1) + math.lgamma(b + 1)
+                                 - math.lgamma(gam[0] + b + 2))
         else:
-            v = coeff * sq._core_numeric(m, core, sq.POINTS_PER_AXIS + 16)
-            err += abs(v - coeff * sq._core_numeric(m, core, sq.POINTS_PER_AXIS))
+            hi, lo = sq._core_numeric(gam, spans)
+            v = coeff * hi
+            err += abs(v - coeff * lo)
         total += v
         scale += abs(v)
     return sq.CertifiedValue(total, err + 1e-15 * scale)
@@ -422,7 +437,7 @@ class TestShapePlan:
             e = 2.0 * H - 2.0
             for n, pairs in shapes:
                 factors = tuple((a, b, e) for a, b in pairs)
-                assert sq._reduced_integral(n, factors) == _sum_of_numeric_terms(n, factors)
+                assert sq._reduced_integral(n, pairs, e) == _sum_of_numeric_terms(n, factors)
         sq._reduced_integral.cache_clear()
         assert sq._reduce_terms.cache_info().misses == len(shapes)
 
@@ -523,21 +538,26 @@ class TestQuadratureReuse:
         assert sq._reduced_integral.cache_info().misses == 75
 
     def test_six_letter_table_fits_the_core_memo(self, tmp_path):
-        # one fresh-H table evaluates 68 distinct cores at both resolutions:
-        # 136 core entries, one rules pass per core and one set of rules per
-        # core shape; the bound holds three such tables
-        for memo in (sq._reduced_integral, sq._core_numeric, sq._axis_rules,
-                     sq._core_rules):
-            memo.cache_clear()
+        # one fresh-H table looks its 116 numeric cores up once each, both
+        # resolutions in one entry.  Cores at different positions can share
+        # an integrand: the 68 cores have 65 distinct ones, and at H = 0.7341
+        # two of those round to the same floats (gam 1.2246, 2.6738), so they
+        # share an entry too.  Three such tables fit the bound
+        sq._core_numeric.cache_clear()
         words = ";".join(_canonical_words(6))
-        rc = main(["expected-sig", "--H", "0.7341", "--words", words, "--tol", "1",
-                   "--out", str(tmp_path / "out.csv")])
-        assert rc == 0
-        info = sq._core_numeric.cache_info()
-        assert info.misses == info.currsize == 136
-        assert 3 * info.misses <= info.maxsize
-        assert sq._axis_rules.cache_info().misses == 68
-        assert sq._core_rules.cache_info().misses == 26
+        added = 0
+        for H, fresh in (("0.7341", 64), ("0.6123", 65), ("0.8321", 65)):
+            sq._reduced_integral.cache_clear()
+            before = sq._core_numeric.cache_info()
+            rc = main(["expected-sig", "--H", H, "--words", words, "--tol", "1",
+                       "--out", str(tmp_path / "out.csv")])
+            assert rc == 0
+            info = sq._core_numeric.cache_info()
+            assert info.misses - before.misses == fresh, H
+            assert info.hits + info.misses - before.hits - before.misses == 116, H
+            added += fresh
+        assert info.currsize == added <= info.maxsize
+        sq._reduced_integral.cache_clear()
 
 
 def _table_words():
@@ -658,14 +678,13 @@ class TestBetaAxis:
         # matching on six positions (time letters included) stays within
         # p <= 6 and q <= QCAP
         seen = []
-        axis_rules = sq._axis_rules
+        beta_axis = sq._beta_axis
 
-        def recording(m, factors):
-            out = axis_rules(m, factors)
-            seen.extend(zip(out[2], out[3]))
-            return out
+        def recording(p, q, N):
+            seen.append((p, q))
+            return beta_axis(p, q, N)
 
-        monkeypatch.setattr(sq, "_axis_rules", recording)
+        monkeypatch.setattr(sq, "_beta_axis", recording)
         sq._core_numeric.cache_clear()
         sq._reduced_integral.cache_clear()
         for size in (2, 4, 6):
@@ -705,14 +724,14 @@ class TestBetaAxis:
 
 
 def _matching_cores(monkeypatch, H, n_max):
-    """Every distinct (m, core) that _reduced_integral hands to _core_numeric
-    for the matchings of <= 3 pairs on n <= n_max positions, the unmatched
-    positions being time letters."""
+    """Every distinct (gam, spans) integrand that _reduced_integral hands to
+    _core_numeric for the matchings of <= 3 pairs on n <= n_max positions, the
+    unmatched positions being time letters."""
     seen = set()
 
-    def recording(m, core, N):
-        seen.add((m, core))
-        return 1.0
+    def recording(gam, spans):
+        seen.add((gam, spans))
+        return 1.0, 1.0
 
     # a warm memo would skip the recorder, and the recorder's values must not
     # outlive it
@@ -729,51 +748,63 @@ def _matching_cores(monkeypatch, H, n_max):
     return seen
 
 
+def _core_values_full_grid(gam, spans):
+    """core_numeric_full_grid at the two resolutions _core_numeric returns."""
+    return tuple(core_numeric_full_grid(gam, spans, N)
+                 for N in (sq.POINTS_PER_AXIS + 16, sq.POINTS_PER_AXIS))
+
+
 class TestCoreContraction:
     def test_matches_full_grid_oracle(self, monkeypatch):
         cores = set()
         for H in (0.5001, 0.6, 0.75, 0.98):
             cores |= _matching_cores(monkeypatch, H, 7)
-        assert {m for m, _ in cores} == {2, 3}
+        assert {len(gam) for gam, _ in cores} == {2, 3}
         worst = 0.0
-        for N in (sq.POINTS_PER_AXIS, sq.POINTS_PER_AXIS + 16):
-            for m, core in cores:
-                got = sq._core_numeric(m, core, N)
-                want = core_numeric_full_grid(m, core, N)
-                assert math.isfinite(got)
-                worst = max(worst, abs(got / want - 1.0))
+        for gam, spans in cores:
+            got = sq._core_numeric(gam, spans)
+            for g, want in zip(got, _core_values_full_grid(gam, spans), strict=True):
+                assert math.isfinite(g)
+                worst = max(worst, abs(g / want - 1.0))
         assert worst <= 1e-13
 
     def test_planned_rules_equal_direct_rules(self, monkeypatch):
-        # the rules built once per core shape give, at each exponent, the
-        # very floats, spans, p and q that building them from the factors
-        # gives
-        sq._core_rules.cache_clear()
-        shapes = set()
+        # the rules planned once per shape give, at each exponent, the very
+        # floats and spans that building each core's integrand from its
+        # factors gives, and _core_numeric maps its axes with the p and q
+        # that the integrand asks for
+        beta_axis = sq._beta_axis
         for H in (0.5001, 0.6, 0.75, 0.98):
-            cores = _matching_cores(monkeypatch, H, 7)
-            assert cores
-            sq._axis_rules.cache_clear()
-            for m, core in cores:
-                shapes.add((m, tuple((a, b) for a, b, _ in core)))
-                gam, spans, p, q = sq._axis_rules(m, core)
-                want_gam, want_spans, want_p, want_q = axis_rules_direct(m, core)
+            e = 2.0 * H - 2.0
+            planned = _matching_cores(monkeypatch, H, 7)
+            direct = {axis_rules_direct(m, core)
+                      for n, pairs in _shapes(7)
+                      for _, m, core in _numeric_cores(n, tuple((a, b, e) for a, b in pairs))
+                      if m >= 2}
+            assert planned == direct
+            for gam, spans in planned:
                 assert all(type(g) is float for g in gam)
-                assert list(gam) == [float(g) for g in want_gam], core
-                assert list(spans) == want_spans, core
-                assert (list(p), list(q)) == (want_p, want_q), core
-        info = sq._core_rules.cache_info()
-        assert info.misses == info.currsize == len(shapes) <= info.maxsize
+                assert all(type(x) is float for _, x in spans)
+                calls = []
+                with monkeypatch.context() as mp:
+                    mp.setattr(sq, "_beta_axis",
+                               lambda p, q, N: calls.append((p, q, N)) or beta_axis(p, q, N))
+                    sq._core_numeric.__wrapped__(gam, spans)
+                p, q = beta_map_direct(gam, spans)
+                assert calls == [(pi, qi, N)
+                                 for N in (sq.POINTS_PER_AXIS + 16, sq.POINTS_PER_AXIS)
+                                 for pi, qi in zip(p, q)], (gam, spans)
 
-    def test_spans_cover_at_most_two_axes(self, monkeypatch):
+    def test_spans_cover_at_most_two_axes(self):
         # the contraction needs every span on one axis or on two neighbouring
-        # axes; one link per core keeps its cost at one N x N grid
-        cores = _matching_cores(monkeypatch, 0.75, 8)
-        assert cores
-        for m, core in cores:
-            spans = sq._axis_rules(m, core)[1]
-            assert all(len(axes) <= 2 for axes, _ in spans), core
-            assert sum(len(axes) == 2 for axes, _ in spans) <= 1, core
+        # axes; one link per core keeps its cost at one N x N grid.  No shape
+        # of up to three pairs on eight positions is refused
+        for n, pairs in _shapes(8):
+            for _, axes, spans in sq._reduce_terms(n, pairs).terms:
+                for ax, _ in spans:
+                    assert len(ax) <= 2 and ax == tuple(range(ax[0], ax[0] + len(ax)))
+                    assert ax[-1] < len(axes), (n, pairs)
+                assert sum(len(ax) == 2 for ax, _ in spans) <= 1, (n, pairs)
 
     @pytest.mark.parametrize("H", ("0.7341", "0.5001"))
     def test_level_table_within_tenth_of_err_bar(self, H, monkeypatch, tmp_path):
@@ -793,7 +824,7 @@ class TestCoreContraction:
         sq._reduced_integral.cache_clear()
         rc, new = table("new.csv")
         with monkeypatch.context() as mp:
-            mp.setattr(sq, "_core_numeric", functools.cache(core_numeric_full_grid))
+            mp.setattr(sq, "_core_numeric", functools.cache(_core_values_full_grid))
             sq._reduced_integral.cache_clear()
             rc_old, old = table("oracle.csv")
         sq._reduced_integral.cache_clear()
@@ -805,10 +836,23 @@ class TestCoreContraction:
             assert diff <= 0.1 * float(a["err_bar"]), a["word"]
 
     def test_three_axis_span_is_refused(self):
-        # (t_4 - t_1) with t_4 the sentinel 1 spans all three axes
-        core = ((1, 4, -0.5),)
-        with pytest.raises(ValueError, match=r"core \(\(1, 4, -0\.5\),\)"):
-            sq._core_numeric(3, core, sq.POINTS_PER_AXIS)
+        # (t_8 - t_3) leaves a core whose span covers three axes; the plan
+        # names the shape and refuses it before any exponent is replayed
+        with pytest.raises(ValueError, match=r"shape \(\(1, 2\), \(3, 8\), \(4, 6\), "
+                                             r"\(5, 7\)\) on 8 positions .* axes \(0, 1, 2\)"):
+            sq._reduce_terms(8, ((1, 2), (3, 8), (4, 6), (5, 7)))
+
+    def test_four_pair_refusals_are_counted(self):
+        # half the four-pair matchings on eight positions leave a three-axis
+        # span; the other half plan, so the refusal is per shape, not per size
+        refused = 0
+        for matching in enumerate_matchings(8):
+            try:
+                sq._reduce_terms(8, tuple((a + 1, b + 1) for a, b in matching))
+            except ValueError as err:
+                assert "axes (" in str(err)
+                refused += 1
+        assert (refused, len(list(enumerate_matchings(8)))) == (52, 105)
 
 
 def _mc_weak_value(H):
