@@ -157,7 +157,9 @@ def expected_tensor(
     2048 words, so while the words fit it (d = 2 at depth 6 asks 1093) a
     call at a new H computes only the matching integrals, and words that
     agree after relabelling the nonzero alphabet share those through the
-    quadrature memo."""
+    quadrature memo.  Depth reaches 2 * MAX_PAIRS = 8: d = 1 at depth 8 asks
+    511 words over all 1107 shapes of up to four pairs, about 1 s at a new H
+    and 0.8 s at a second one."""
     check_hurst(H)
     if depth > 2 * MAX_PAIRS:
         raise ValueError(f"depth capped at {2 * MAX_PAIRS}")

@@ -25,14 +25,15 @@ low-dimensional irreducible cores, which are evaluated on a tensor
 Gauss-Legendre grid after mapping the simplex to the unit cube and absorbing
 every endpoint singularity into per-axis Beta-CDF substitutions.  Which
 symbols set each axis exponent, and which axes each factor spans, depend on
-the core's positions only, so the plan carries them too, and a shape whose
-core has a span over three or more axes is refused when its plan is built.
-Each exponent e replays the plan with the float operations a reduction
-carrying e would do, in its order, so the values do not depend on the memos.
-Each factor of a mapped core depends on one axis or on two neighbouring
-axes, so the tensor sum is contracted one axis at a time and costs one
-N x N grid per two-axis factor rather than N**m points; a one-axis factor
-reads log(1 - x) from the axis map, which is built once per (p, q, N).  A
+the core's positions only, so the plan carries them too.  Each exponent e
+replays the plan with the float operations a reduction carrying e would do,
+in its order, so the values do not depend on the memos.  Each factor of a
+mapped core depends on a run of neighbouring axes, so the tensor sum is
+contracted one axis at a time: a factor over L >= 2 axes is one N**L link,
+and an axis is summed out once no later factor reaches back to it, so a core
+costs its links' grids (N x N, or N**3 for four pairs) rather than N**m
+points; a one-axis factor reads log(1 - x) from the axis map, which is built
+once per (p, q, N).  A
 core's values at both resolutions depend on its integrand only (its axis
 and span exponents), so they are read from one memo keyed by it, which
 cores at different positions share.  The error estimate comes from
@@ -53,9 +54,10 @@ import numpy as np
 __all__ = ["QuadConfig", "CertifiedValue", "matching_simplex_integral"]
 
 # Pairs per matching integral (expected_word's nonzero letters: twice this).
-# Cores reach dimension len(pairs); beyond three pairs they can carry a span
-# over three axes, which _reduce_terms refuses when it plans the shape.
-MAX_PAIRS = 3
+# Cores reach dimension len(pairs); four pairs leave spans over up to three
+# axes (52 of the 105 matchings on eight positions), which _core_numeric
+# contracts as N**3 links.
+MAX_PAIRS = 4
 
 # Gauss-Legendre points per core axis (the refinement run behind the error
 # estimate adds 16).  Every axis is mapped through a Beta(p, q) CDF whose
@@ -147,16 +149,18 @@ class _Plan(NamedTuple):
     terms: tuple[tuple[tuple, tuple, tuple], ...]
 
 
-# One plan per shape for the whole process; the bound holds every shape of
-# up to three pairs on seven positions (344).
-@functools.lru_cache(maxsize=512)
+# One plan per shape for the whole process.  The bound holds every shape of
+# up to four pairs on eight positions (1107, which expected_tensor(H, 1, 8)
+# asks; their plans measured 10.9 MB, against 344 shapes of up to three pairs
+# on seven positions).
+@functools.lru_cache(maxsize=2048)
 def _reduce_terms(n: int, pairs) -> _Plan:
     """The plan of the 1-based shape (n, pairs).  Each core's positions are
     relabelled 1..m with sentinels 0 and m+1, and under t_j = prod_{i>=j} x_i
       (t_b - t_a)**e = prod_{i>=b} x_i**e * (1 - prod_{a<=i<b} x_i)**e  (a>=1)
       (t_b - 0)**e   = prod_{i>=b} x_i**e
-    plus the Jacobian prod x_i**(i-1).  A span over three or more axes
-    raises ValueError: no shape of up to three pairs leaves one."""
+    plus the Jacobian prod x_i**(i-1), so every span is a run of
+    neighbouring axes (up to three for four pairs)."""
     out = []
     factors = tuple((a, b, (_KERNEL, 0)) for a, b in pairs)
     stack = [((), factors, tuple(range(1, n + 1)))]
@@ -214,14 +218,7 @@ def _reduce_terms(n: int, pairs) -> _Plan:
             for i in range(b, m + 1):
                 axes[i - 1].append(index(s))
             if a >= 1:
-                span = tuple(range(a - 1, b - 1))
-                if len(span) > 2:
-                    raise ValueError(
-                        f"shape {pairs} on {n} positions leaves a core with a span "
-                        f"over axes {span}; only spans over one or two axes are "
-                        "contracted"
-                    )
-                spans.append((span, index(s)))
+                spans.append((tuple(range(a - 1, b - 1)), index(s)))
         terms.append((tuple((sgn, index(s)) for sgn, s in steps),
                       tuple(map(tuple, axes)), tuple(spans)))
     return _Plan(tuple(symbols), tuple(terms))
@@ -280,10 +277,12 @@ def _beta_axis(p: int, q: int, N: int):
 
 
 # A core value is a pure function of its integrand, and the matching
-# integrals of one exponent share many cores, at different positions too.  One
-# six-letter level table at a fresh H adds 65 entries (64 where two integrands
-# round alike); the bound holds three.
-@functools.lru_cache(maxsize=512)
+# integrals of one exponent share many cores, at different positions too.  At
+# a fresh H, one six-letter level table adds 65 entries (64 where two
+# integrands round alike), the 379 pure eight-letter words over {1, ..., 4}
+# add 562 to 576, and expected_tensor(H, 1, 8) adds 1532.  An entry measured
+# about 650 bytes, so a full memo holds some 1.3 MB.
+@functools.lru_cache(maxsize=2048)
 def _core_numeric(gam, spans) -> tuple[float, float]:
     """Tensor Gauss-Legendre evaluation of the irreducible core prod_i
     x_i**gam[i] * prod over spans (1 - prod_{i in axes} x_i)**e on the unit
@@ -295,10 +294,13 @@ def _core_numeric(gam, spans) -> tuple[float, float]:
     log x under each span comes from the complementary CDF, so it stays
     accurate where x is close to 1.  The integrand is a product of one
     length-N weight per axis (density, x**gam, node weight and every one-axis
-    span (1 - x)**e) and one N x N link per two-axis span,
-    (1 - x_i x_{i+1})**e; spans are contiguous and _reduce_terms refuses
-    longer ones, so a link always joins neighbouring axes.  The sum over the
-    N**m grid is then a chain of matrix-vector products.
+    span (1 - x)**e) and one link per longer span, (1 - x_a ... x_b)**e on
+    the N**(b-a+1) grid of its axes; links that end on the same axis add by
+    broadcasting their trailing axes.  The sum over the N**m grid is a chain
+    over the axes: the state holds the axes that a link still reaches back
+    to, step b multiplies in the link ending on axis b and sums out the axes
+    that no later span reaches, and for spans of at most two axes each step
+    is one vector-matrix product or a sum.
     """
     neg = [0.0] * len(gam)
     crease = [math.inf] * len(gam)
@@ -311,6 +313,10 @@ def _core_numeric(gam, spans) -> tuple[float, float]:
                 crease[ax] = min(crease[ax], e)
     p = [max(1, math.ceil(SMOOTH / (g + 1.0))) for g in gam]
     q = [max(_q_for(n if n < 0 else math.inf), _q_for(c)) for n, c in zip(neg, crease)]
+    # the state after step i spans axis i and every earlier axis that a span
+    # ending after i reaches back to; keep[i] counts those earlier axes
+    keep = [i - min([i] + [ax[0] for ax, _ in spans if ax[-1] > i])
+            for i in range(len(gam))]
     values = []
     for N in (POINTS_PER_AXIS + 16, POINTS_PER_AXIS):
         maps = [_beta_axis(pi, qi, N) for pi, qi in zip(p, q)]
@@ -320,13 +326,20 @@ def _core_numeric(gam, spans) -> tuple[float, float]:
         for axes, e in spans:
             if len(axes) == 1:
                 logw[axes[0]] += e * maps[axes[0]][3]  # log(1 - x)
-            else:
-                i, j = axes
-                s = logx[i][:, None] + logx[j][None, :]
-                links[j] = links.get(j, 0.0) + e * np.log(-np.expm1(s))
+                continue
+            s = logx[axes[0]]
+            for ax in axes[1:]:
+                s = s[..., None] + logx[ax]
+            links[axes[-1]] = links.get(axes[-1], 0.0) + e * np.log(-np.expm1(s))
         v = np.exp(logw[0])
         for i in range(1, len(gam)):
-            v = (v @ np.exp(links[i]) if i in links else v.sum()) * np.exp(logw[i])
+            if not keep[i]:  # every open axis closes
+                v = v.reshape(-1) @ np.exp(links[i]).reshape(-1, N) if i in links else v.sum()
+            else:  # the leading axes that no later span reaches close
+                closed = v.ndim - keep[i]
+                v = v[..., None] * np.exp(links[i]) if i in links else v[..., None]
+                v = v.reshape(N**closed, -1).sum(0).reshape(v.shape[closed:])
+            v = v * np.exp(logw[i])
         values.append(float(v.sum()))
     return tuple(values)
 
@@ -334,8 +347,9 @@ def _core_numeric(gam, spans) -> tuple[float, float]:
 # A matching integral is a pure function of its hashable key (n, 1-based
 # pairs, exponent), so a repeat returns the identical value.  The bound keeps
 # memory flat across requests that each draw a fresh H; one six-letter level
-# table needs 75 entries.
-@functools.lru_cache(maxsize=512)
+# table needs 75 entries, the eight-letter words 105 and expected_tensor(H, 1,
+# 8) 1107, at about 270 bytes each.
+@functools.lru_cache(maxsize=2048)
 def _reduced_integral(n: int, pairs, exponent: float) -> CertifiedValue:
     """Sum of the reduced terms; the error estimate is the change of every
     numeric core between POINTS_PER_AXIS and POINTS_PER_AXIS + 16 points.

@@ -71,17 +71,34 @@ class TestExpectedSig:
         assert "tolerance must be > 0" in capsys.readouterr().err
 
     def test_refused_word_is_named(self, tmp_path, capsys):
-        rc, text = run(tmp_path, "expected-sig", "--words", "1,1;1,1,1,1,1,1,1,1",
+        rc, text = run(tmp_path, "expected-sig", "--words", "1,1;1,1,1,1,1,1,1,1,1,1",
                        "--no-timestamp")
         assert rc == 2 and text == ""
-        assert "at most 6 nonzero letters supported, got word (1,1,1,1,1,1,1,1)" in \
+        assert "at most 8 nonzero letters supported, got word (1,1,1,1,1,1,1,1,1,1)" in \
             capsys.readouterr().err
 
-    def test_odd_word_beyond_letter_cap_is_zero(self, tmp_path):
-        # letter 1 occurs seven times, so the value is exactly 0 without
-        # quadrature; eight letters stay refused (test_refused_word_is_named)
+    def test_eight_letter_word_meets_its_bound(self, tmp_path):
+        # E[B_1^8] / 8! = 105 / 40320 = 1 / 384, the k = 4 decay bound itself
         rc, text = run(tmp_path, "expected-sig", "--H", "0.7", "--words",
-                       "1,1,1,1,1,1,1", "--no-timestamp")
+                       "1,1,1,1,1,1,1,1", "--no-timestamp")
+        assert rc == 0
+        header, row = read_csv(text)
+        assert float(row[header.index("bound")]) == 1.0 / 384.0
+        assert row[header.index("pass")] == "True"
+
+    def test_eight_letters_near_half_miss_the_tolerance(self, tmp_path, capsys):
+        # the reversal gap of 1^8 at H = 0.5001 is far above the default tol
+        rc, text = run(tmp_path, "expected-sig", "--H", "0.5001", "--words",
+                       "1,1,1,1,1,1,1,1", "--no-timestamp")
+        assert rc == 3 and text == ""
+        assert capsys.readouterr().err.startswith(
+            "error: quadrature for word (1,1,1,1,1,1,1,1)")
+
+    def test_odd_word_beyond_letter_cap_is_zero(self, tmp_path):
+        # letter 1 occurs nine times, so the value is exactly 0 without
+        # quadrature; ten letters stay refused (test_refused_word_is_named)
+        rc, text = run(tmp_path, "expected-sig", "--H", "0.7", "--words",
+                       "1,1,1,1,1,1,1,1,1", "--no-timestamp")
         assert rc == 0
         header, row = read_csv(text)
         assert float(row[header.index("value")]) == 0.0

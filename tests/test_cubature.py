@@ -57,7 +57,7 @@ class TestWordsOfDegree:
 
     def test_caps(self):
         with pytest.raises(ValueError):
-            words_of_degree(7, 0.6, 1)
+            words_of_degree(9, 0.6, 1)
 
     @pytest.mark.parametrize("m", (-1, -3))
     def test_negative_degree_refused(self, m):

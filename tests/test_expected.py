@@ -293,7 +293,7 @@ class TestExpectedTensor:
 
     def test_depth_cap(self):
         with pytest.raises(ValueError):
-            expected_tensor(0.75, 1, depth=7)
+            expected_tensor(0.75, 1, depth=9)
 
     def test_rejects_bad_params(self):
         with pytest.raises(ValueError, match="H must lie in"):
@@ -343,8 +343,8 @@ class TestMatchingIntegralValidation:
             matching_simplex_integral(3, [(0, 3)], -0.5)
         with pytest.raises(ValueError):
             matching_simplex_integral(4, [(0, 1), (1, 2)], -0.5)
-        with pytest.raises(ValueError, match="at most 3 pairs"):
-            matching_simplex_integral(8, [(0, 4), (1, 5), (2, 6), (3, 7)], -0.5)
+        with pytest.raises(ValueError, match="at most 4 pairs"):
+            matching_simplex_integral(10, [(0, 5), (1, 6), (2, 7), (3, 8), (4, 9)], -0.5)
 
     def test_scheme_validation(self):
         with pytest.raises(ValueError):
@@ -457,13 +457,62 @@ class TestShuffleSumRules:
     def test_class_sums_within_bars(self, H):
         for letters in ((1, 1, 2, 2), (1, 1, 2, 2, 0), (1, 1, 1, 1, 0),
                         (1, 1, 1, 1, 2, 2), (1, 1, 2, 2, 3, 3)):
-            counts = Counter(letters)
-            rule = math.prod(_gaussian_moment(c) / math.factorial(c)
-                             for x, c in counts.items() if x) / math.factorial(counts[0])
-            values = [expected_word(w, H, QuadConfig(tol=1))
-                      for w in shuffle_class(letters, max(letters))]
-            total = math.fsum(v.value for v in values)
-            assert abs(total - rule) <= math.fsum(v.error for v in values), letters
+            assert _class_sum_within_bars(letters, H), letters
+
+
+def _class_sum_within_bars(letters, H):
+    """Whether the expected words of the shuffle class of letters sum to the
+    class rule within the sum of their bars."""
+    counts = Counter(letters)
+    rule = math.prod(_gaussian_moment(c) / math.factorial(c)
+                     for x, c in counts.items() if x) / math.factorial(counts[0])
+    values = [expected_word(w, H, QuadConfig(tol=1))
+              for w in shuffle_class(letters, max(letters))]
+    total = math.fsum(v.value for v in values)
+    return abs(total - rule) <= math.fsum(v.error for v in values)
+
+
+# The eight-letter guards share these H, so each table's cores are computed
+# once for the whole module (the core memo holds about three such tables).
+EIGHT_H = (0.55, 0.7, 0.9)
+
+
+def _eight_letter_words():
+    """The 379 canonical pure eight-letter words over {1, ..., 4} in which
+    every letter occurs an even number of times."""
+    words = []
+    for letters in itertools.product(range(1, 5), repeat=8):
+        seen = [x for i, x in enumerate(letters) if x not in letters[:i]]
+        if (seen == list(range(1, len(seen) + 1))
+                and all(letters.count(x) % 2 == 0 for x in seen)):
+            words.append(Word(letters, 4))
+    return words
+
+
+class TestEightLetters:
+    """The exact side at k = 4: the paper bounds every eight-letter term by
+    1/(4! 2^4) = 1/384, and 1^8 attains it (E[B_1^8] / 8! = 105 / 40320)."""
+
+    @pytest.mark.parametrize("H", EIGHT_H)
+    def test_single_letter_attains_the_bound(self, H):
+        value, error = expected_word(Word((1,) * 8, 1), H)
+        assert abs(value - 1.0 / 384.0) <= 1e-13
+        assert error <= 1e-10
+
+    @pytest.mark.parametrize("H", EIGHT_H)
+    def test_decay_bound_at_k4(self, H):
+        words = _eight_letter_words()
+        assert len(words) == 379
+        for w in words:
+            rep = decay_bound_check(w, H)
+            assert rep.bound == 1.0 / 384.0
+            assert rep.passed, str(w)
+
+    @pytest.mark.parametrize("H", EIGHT_H)
+    def test_class_sums_within_bars(self, H):
+        for letters in ((1, 1, 1, 1, 2, 2, 2, 2), (1, 1, 1, 1, 1, 1, 2, 2),
+                        (1, 1, 2, 2, 3, 3, 4, 4)):
+            assert _class_sum_within_bars(letters, H), letters
 
 
 class TestHurstOneLimit:
@@ -723,10 +772,10 @@ class TestBetaAxis:
         assert len(built) == 2 * info.currsize
 
 
-def _matching_cores(monkeypatch, H, n_max):
+def _matching_cores(monkeypatch, H, shapes):
     """Every distinct (gam, spans) integrand that _reduced_integral hands to
-    _core_numeric for the matchings of <= 3 pairs on n <= n_max positions, the
-    unmatched positions being time letters."""
+    _core_numeric for the 1-based shapes (n, pairs), the unmatched positions
+    being time letters."""
     seen = set()
 
     def recording(gam, spans):
@@ -738,12 +787,9 @@ def _matching_cores(monkeypatch, H, n_max):
     sq._reduced_integral.cache_clear()
     with monkeypatch.context() as mp:
         mp.setattr(sq, "_core_numeric", recording)
-        for n in range(2, n_max + 1):
-            for size in range(2, min(n, 6) + 1, 2):
-                for subset in itertools.combinations(range(n), size):
-                    for matching in enumerate_matchings(size):
-                        pairs = [(subset[a], subset[b]) for a, b in matching]
-                        sq.matching_simplex_integral(n, pairs, 2.0 * H - 2.0)
+        for n, pairs in shapes:
+            sq.matching_simplex_integral(n, [(a - 1, b - 1) for a, b in pairs],
+                                         2.0 * H - 2.0)
     sq._reduced_integral.cache_clear()
     return seen
 
@@ -758,7 +804,7 @@ class TestCoreContraction:
     def test_matches_full_grid_oracle(self, monkeypatch):
         cores = set()
         for H in (0.5001, 0.6, 0.75, 0.98):
-            cores |= _matching_cores(monkeypatch, H, 7)
+            cores |= _matching_cores(monkeypatch, H, _shapes(7))
         assert {len(gam) for gam, _ in cores} == {2, 3}
         worst = 0.0
         for gam, spans in cores:
@@ -776,7 +822,7 @@ class TestCoreContraction:
         beta_axis = sq._beta_axis
         for H in (0.5001, 0.6, 0.75, 0.98):
             e = 2.0 * H - 2.0
-            planned = _matching_cores(monkeypatch, H, 7)
+            planned = _matching_cores(monkeypatch, H, _shapes(7))
             direct = {axis_rules_direct(m, core)
                       for n, pairs in _shapes(7)
                       for _, m, core in _numeric_cores(n, tuple((a, b, e) for a, b in pairs))
@@ -796,9 +842,9 @@ class TestCoreContraction:
                                  for pi, qi in zip(p, q)], (gam, spans)
 
     def test_spans_cover_at_most_two_axes(self):
-        # the contraction needs every span on one axis or on two neighbouring
-        # axes; one link per core keeps its cost at one N x N grid.  No shape
-        # of up to three pairs on eight positions is refused
+        # up to three pairs on eight positions, every span covers one axis or
+        # two neighbouring ones and a core has at most one N x N link, so
+        # each contraction step is a sum or one vector-matrix product
         for n, pairs in _shapes(8):
             for _, axes, spans in sq._reduce_terms(n, pairs).terms:
                 for ax, _ in spans:
@@ -835,24 +881,50 @@ class TestCoreContraction:
             diff = abs(float(a["value"]) - float(b["value"]))
             assert diff <= 0.1 * float(a["err_bar"]), a["word"]
 
-    def test_three_axis_span_is_refused(self):
-        # (t_8 - t_3) leaves a core whose span covers three axes; the plan
-        # names the shape and refuses it before any exponent is replayed
-        with pytest.raises(ValueError, match=r"shape \(\(1, 2\), \(3, 8\), \(4, 6\), "
-                                             r"\(5, 7\)\) on 8 positions .* axes \(0, 1, 2\)"):
-            sq._reduce_terms(8, ((1, 2), (3, 8), (4, 6), (5, 7)))
+    def test_three_axis_span_plans(self):
+        # (t_8 - t_3) leaves a core whose span covers three axes, and the
+        # shape plans like any other
+        plan = sq._reduce_terms(8, ((1, 2), (3, 8), (4, 6), (5, 7)))
+        assert (0, 1, 2) in {ax for _, _, spans in plan.terms for ax, _ in spans}
 
-    def test_four_pair_refusals_are_counted(self):
-        # half the four-pair matchings on eight positions leave a three-axis
-        # span; the other half plan, so the refusal is per shape, not per size
-        refused = 0
+    def test_four_pair_three_axis_spans_are_counted(self):
+        # every four-pair matching on eight positions plans; 52 of the 105
+        # leave a span over three axes, and none a longer one
+        carried = 0
         for matching in enumerate_matchings(8):
-            try:
-                sq._reduce_terms(8, tuple((a + 1, b + 1) for a, b in matching))
-            except ValueError as err:
-                assert "axes (" in str(err)
-                refused += 1
-        assert (refused, len(list(enumerate_matchings(8)))) == (52, 105)
+            plan = sq._reduce_terms(8, tuple((a + 1, b + 1) for a, b in matching))
+            lengths = {len(ax) for _, _, spans in plan.terms for ax, _ in spans}
+            assert max(lengths) <= 3
+            carried += 3 in lengths
+        assert (carried, len(list(enumerate_matchings(8)))) == (52, 105)
+
+    def test_three_axis_cores_match_full_grid_oracle(self, monkeypatch):
+        # every 3-D core with a three-axis span that the eight-letter
+        # matchings leave, at both resolutions; 4-D cores only at the
+        # coarse one, where the full grid has 48**4 points (about 120 MB)
+        shapes = [(8, tuple((a + 1, b + 1) for a, b in m)) for m in enumerate_matchings(8)]
+        cores = _matching_cores(monkeypatch, EIGHT_H[1], shapes)
+        three = [c for c in cores if len(c[0]) == 3 and any(len(ax) == 3 for ax, _ in c[1])]
+        assert len(three) == 53
+        worst = 0.0
+        for gam, spans in three:
+            got = sq._core_numeric(gam, spans)
+            for g, want in zip(got, _core_values_full_grid(gam, spans), strict=True):
+                worst = max(worst, abs(g / want - 1.0))
+        # the planned core of ((1, 5), (2, 8), (3, 6), (4, 7)) keeps axis 0
+        # open under the link (0, 1), then closes axes 0 and 1 under (0, 1, 2)
+        # and (1, 2) together; the synthetic spans (0, 1, 2) and (1, 2, 3)
+        # close axis 0 and keep axes 1 and 2 in one step, which no plan does
+        e = 2.0 * EIGHT_H[1] - 2.0
+        planned = next(c for c in _matching_cores(monkeypatch, EIGHT_H[1],
+                                                  [(8, ((1, 5), (2, 8), (3, 6), (4, 7)))])
+                       if len(c[0]) == 4)
+        assert sorted(ax for ax, _ in planned[1] if len(ax) > 1) == [(0, 1), (0, 1, 2), (1, 2)]
+        mixed = ((0.0, 1.0, 2.0 + e, 3.0 + e), (((0, 1, 2), e), ((1, 2, 3), e)))
+        for gam, spans in (planned, mixed):
+            want = core_numeric_full_grid(gam, spans, sq.POINTS_PER_AXIS)
+            worst = max(worst, abs(sq._core_numeric(gam, spans)[1] / want - 1.0))
+        assert worst <= 1e-13
 
 
 def _mc_weak_value(H):
