@@ -325,14 +325,13 @@ def cmd_cubature(args) -> int:
 
 
 def _sde_problem(name: str, x0: float):
-    # additive noise: every field is state-independent, so each returns a
-    # constant that the solver broadcasts, not a fresh array per stage
-    zero = lambda y: 0.0
+    # additive noise: every field is a constant, so the solver sums the
+    # increments instead of running RK4's stages
     if name == "quadratic":
-        fields = (zero, lambda y: 1.0)
+        fields = (0.0, 1.0)
         f = lambda y: y[..., 0] ** 2
     elif name == "zero":
-        fields = (zero, zero)
+        fields = (0.0, 0.0)
         f = lambda y: y[..., 0]
     else:
         raise ValueError(f"unknown problem {name!r} (expected quadratic or zero)")

@@ -431,10 +431,11 @@ class TestSde:
         assert "--paths 1000000000000 with --steps 4096" in err
 
     @pytest.mark.parametrize("problem", ["quadratic", "zero"])
-    def test_problem_fields_return_constants(self, problem):
+    def test_problem_fields_are_constants(self, problem):
+        # no field is callable, so the solver sums increments without stages
         fields, _, _ = cli._sde_problem(problem, 0.3)
         for field in fields:
-            assert np.ndim(field(np.zeros((5, 1)))) == 0
+            assert not callable(field) and np.ndim(field) == 0
 
     @pytest.mark.parametrize("problem", ["quadratic", "zero"])
     @pytest.mark.parametrize("seed, paths, steps", [("3", "50", "16"),
@@ -468,6 +469,17 @@ class TestSde:
         assert capsys.readouterr().err == ("error: a weak value or its standard "
                                            "error overflows a double; reduce --x0 "
                                            "or --T\n")
+
+    def test_mean_of_values_near_the_top_of_the_range(self, tmp_path):
+        # every path value is 1e308: their sum overflows, their mean does not
+        rc, text = run(tmp_path, "sde", "compare", "--H", "0.7", "--T", "2",
+                       "--paths", "5", "--steps", "8", "--seed", "1", "--x0", "1e308",
+                       "--problem", "zero")
+        assert rc == 0
+        header, values = read_csv(text)
+        row = dict(zip(header, values))
+        assert abs(float(row["mc_value"]) - 1e308) <= math.ulp(1e308)
+        assert float(row["mc_stderr"]) == 0.0
 
     @pytest.mark.parametrize("problem", ["quadratic", "zero"])
     @pytest.mark.parametrize("T", ["1e300", "1e-300"])

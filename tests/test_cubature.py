@@ -282,6 +282,15 @@ class TestEmpiricalDegree:
         scan = empirical_degree(three_path_formula(0.8))
         assert scan.measured_degree >= scan.claimed_degree
 
+    # measured: 0,0,1,1 fails first at every H, and its weight 4 + 4H caps
+    # the degree at the largest integer below it
+    @pytest.mark.parametrize("H, degree", [(0.5, 5), (0.55, 6), (0.6, 6), (0.7, 6),
+                                           (0.75, 6), (0.8, 7), (0.9, 7)])
+    def test_measured_degree_and_first_failure(self, H, degree):
+        scan = empirical_degree(three_path_formula(H))
+        assert scan.measured_degree == degree
+        assert scan.first_failure.letters == (0, 0, 1, 1)
+
 
 class TestRescale:
     def test_identity_at_T1(self):

@@ -105,7 +105,7 @@ def _field_set(name):
     if name.startswith("constant"):
         values = (0.25, np.array([1.0, -0.5]), 1.0)
         if name == "constant":
-            fields = tuple(lambda y, c=c: c for c in values)
+            fields = values
         else:
             fields = tuple(lambda y, c=c: np.broadcast_to(c, y.shape).copy()
                            for c in values)
@@ -128,9 +128,16 @@ def _driver(kind, B, d):
     return np.asarray(resc.times), spatial
 
 
+def _callables(fields):
+    """The fields with each constant c wrapped as a callable returning c."""
+    return tuple(v if callable(v) else (lambda z, c=v: c) for v in fields)
+
+
 class TestSolveMatchesPerPieceOracle:
     # the flat loop hoists the piece invariants out of the stages and drops
-    # the multiply by the time slope 1.0; nothing else may change a bit
+    # the multiply by the time slope 1.0; nothing else may change a bit.  The
+    # constant sets (quadratic, zero, constant) skip the stages and sum the
+    # increments, and must match the oracle on the wrapped constants
     @pytest.mark.parametrize("driver", ["uniform", "cubature"])
     @pytest.mark.parametrize("B", [1, 3, 2000])
     @pytest.mark.parametrize("steps_per_piece", [1, 4, 64])
@@ -140,12 +147,39 @@ class TestSolveMatchesPerPieceOracle:
         vf, x0 = _field_set(fields)
         times, spatial = _driver(driver, B, len(vf) - 1)
         got = _solve(vf, x0, times, spatial, steps_per_piece)
-        want = rk4_solve_per_piece(vf, x0, times, spatial, steps_per_piece)
+        want = rk4_solve_per_piece(_callables(vf), x0, times, spatial,
+                                   steps_per_piece)
         assert got.shape == (B, len(x0))
         assert np.array_equal(got, want)
 
-    # a constant broadcasts against the (B, 1) slope columns, so returning it
-    # instead of a full-shape array changes no bit of the endpoints
+    # blocks of one piece of one path (a piece longer than the block), of a
+    # few paths and pieces, and of whole batches; B = 2000 leaves the last
+    # block of paths part-filled at every size, and 600 pieces of 64 steps
+    # span five blocks of pieces at the shipped size
+    @pytest.mark.parametrize("block", [1, 100, sde_module._SUM_BLOCK])
+    @pytest.mark.parametrize("B, pieces, steps_per_piece",
+                             [(2000, 6, 1), (2000, 6, 4), (3, 600, 64)])
+    def test_summed_blocks_bit_identical(self, monkeypatch, block, B, pieces,
+                                         steps_per_piece):
+        monkeypatch.setattr(sde_module, "_SUM_BLOCK", block)
+        vf, x0 = _field_set("constant")
+        times = np.arange(pieces + 1) * (1.1 / pieces)
+        spatial = sample_fbm_batch(0.8, pieces, 2, B, 17, 1.1)
+        got = _solve(vf, x0, times, spatial, steps_per_piece)
+        want = rk4_solve_per_piece(_callables(vf), x0, times, spatial,
+                                   steps_per_piece)
+        assert np.array_equal(got, want)
+
+    def test_mixed_set_runs_the_stages(self):
+        vf = (0.5, np.sin, np.array([1.0, -2.0]))
+        x0 = [0.3, -0.2]
+        times, spatial = _driver("cubature", 5, 2)
+        got = _solve(vf, x0, times, spatial, 4)
+        assert np.array_equal(got, rk4_solve_per_piece(_callables(vf), x0, times,
+                                                       spatial, 4))
+
+    # constant fields (summed) and fields that build a full-shape array at
+    # every stage (RK4) give the same endpoints bit for bit
     @pytest.mark.parametrize("driver", ["uniform", "cubature"])
     @pytest.mark.parametrize("B", [1, 3, 2000])
     @pytest.mark.parametrize("steps_per_piece", [1, 4, 64])
@@ -160,17 +194,29 @@ class TestSolveMatchesPerPieceOracle:
         assert np.array_equal(got, rk4_solve_per_piece(full, x0, times, spatial,
                                                        steps_per_piece))
 
+    # y^2 blows up near t = 0.5; the constants overflow in the first piece
+    # (x0 = V_0 = 1e308), or on three hot paths at t = 1.3, 0.217 and 1.3,
+    # with blocks of one path, so the middle block of paths overflows first
     @pytest.mark.parametrize("steps_per_piece", [1, 4, 64])
-    def test_divergence_names_the_same_time(self, steps_per_piece):
-        vf = (lambda y: y * y, ONE)  # blows up near t = 0.5
+    def test_divergence_names_the_same_time(self, monkeypatch, steps_per_piece):
         times, spatial = _driver("uniform", 3, 1)
-        messages = []
-        with np.errstate(over="ignore", invalid="ignore"):
-            for solve in (_solve, rk4_solve_per_piece):
-                with pytest.raises(RuntimeError, match="non-finite state at t=") as err:
-                    solve(vf, [2.0], times, spatial, steps_per_piece)
-                messages.append(str(err.value))
-        assert messages[0] == messages[1]
+        hot_times, hot = _driver("uniform", 60, 1)
+        hot = hot.copy()
+        hot[[5, 27, 32]] *= 1e307
+        cases = [((lambda y: y * y, ONE), [2.0], times, spatial),
+                 ((1e308, 1.0), [1e308], times, spatial),
+                 ((0.0, 1.0), [1.7e308], hot_times, hot)]
+        monkeypatch.setattr(sde_module, "_SUM_BLOCK", 8)
+        for vf, x0, case_times, case_spatial in cases:
+            messages = []
+            with np.errstate(over="ignore", invalid="ignore"):
+                for solve, fields in ((_solve, vf),
+                                      (rk4_solve_per_piece, _callables(vf))):
+                    with pytest.raises(RuntimeError,
+                                       match="non-finite state at t=") as err:
+                        solve(fields, x0, case_times, case_spatial, steps_per_piece)
+                    messages.append(str(err.value))
+            assert messages[0] == messages[1]
 
 
 class TestCubatureWeakValue:
@@ -306,6 +352,13 @@ class TestMcWeakValue:
             est, se = mc_weak_value(vf, lambda y: np.full(len(y), np.inf), [0.0],
                                     0.75, 1.0, 8, 4, seed=0)
         assert est == math.inf and math.isnan(se)
+
+    def test_mean_of_values_near_the_top_of_the_range(self):
+        # the sum of five values of 1e308 overflows, their mean does not
+        est, se = mc_weak_value((0.0, 0.0), lambda y: y[:, 0], [1e308], 0.7, 2.0,
+                                n_paths=5, n_steps=8, seed=1)
+        assert abs(est - 1e308) <= math.ulp(1e308)
+        assert se == 0.0
 
     def test_tracer_binds_parameters_by_name(self):
         # the benchmark tracer's field-evaluation count reads these by name
