@@ -201,12 +201,29 @@ def approx_expected_word(word: Word, H: float, m: int) -> float:
     two_k = len(word.letters)
     if two_k % 2 != 0:
         return 0.0
-    matchings_ = mt.compatible_matchings(word)
     g = 0.5 * m ** (2.0 - 2.0 * H) * _second_differences(H, np.arange(m))
     # (blocks, edges between blocks) -> summed weight; a pair inside one
     # block contributes the diagonal kernel value g[0]
     weights: dict = {}
-    for cuts in itertools.product((0, 1), repeat=two_k - 1):
+    for key, run_weight, loops in _tie_table(word.letters):
+        weights[key] = weights.get(key, 0.0) + run_weight * g[0] ** loops
+    total = sum(w * _chain_sum(r, edges, g) for (r, edges), w in weights.items())
+    return total * float(m) ** -two_k
+
+
+# Only g[0] ** loops in a word's sum depends on H and m; the tie patterns and
+# matchings behind it are enumerated once per word.  Only words of two or
+# four letters reach the table (at most 24 rows each), so the bound holds
+# every such word over three letters (9 + 81).
+@functools.lru_cache(maxsize=256)
+def _tie_table(letters: tuple[int, ...]) -> tuple:
+    """(key, run_weight, loops) for each (tie pattern, compatible matching)
+    of an even pure-fBm word, in enumeration order: key = (number of blocks,
+    sorted (block pair, pair count) edges), run_weight = 1 / prod s! over
+    the block sizes, loops = the pairs inside one block."""
+    matchings_ = mt.compatible_matchings(Word(letters, max(letters)))
+    table = []
+    for cuts in itertools.product((0, 1), repeat=len(letters) - 1):
         # a tie pattern: position i lies in block (number of cuts before i)
         block = list(itertools.accumulate(cuts, initial=0))
         sizes = [block.count(b) for b in range(block[-1] + 1)]
@@ -218,10 +235,8 @@ def approx_expected_word(word: Word, H: float, m: int) -> float:
                     loops += 1
                 else:
                     edges[block[a], block[b]] = edges.get((block[a], block[b]), 0) + 1
-            key = (len(sizes), tuple(sorted(edges.items())))
-            weights[key] = weights.get(key, 0.0) + run_weight * g[0] ** loops
-    total = sum(w * _chain_sum(r, edges, g) for (r, edges), w in weights.items())
-    return total * float(m) ** -two_k
+            table.append(((len(sizes), tuple(sorted(edges.items()))), run_weight, loops))
+    return tuple(table)
 
 
 def _rounding_bar(approx: float, m: int) -> float:
@@ -403,15 +418,29 @@ def sample_fbm_batch(
     H: float, m: int, d: int, n_paths: int, seed: int, T: float = 1.0
 ) -> np.ndarray:
     """n_paths independent d-dimensional fBm paths on the uniform m-grid of
-    [0, T], shape (n_paths, m+1, d), row 0 identically zero.
+    [0, T], shape (n_paths, m+1, d), row 0 identically zero: the cumulative
+    sums of the increments _fgn_increments draws for the same arguments.
+    Deterministic in the seed.
+    """
+    paths = np.zeros((n_paths, m + 1, d))
+    np.cumsum(_fgn_increments(H, m, d, n_paths, seed, T), axis=1, out=paths[:, 1:])
+    return paths
 
-    The paths are the cumulative sums of m increments (fractional Gaussian
-    noise) with Toeplitz covariance S, first column gamma_0..gamma_{m-1}.
+
+def _fgn_increments(
+    H: float, m: int, d: int, n_paths: int, seed: int, T: float = 1.0
+) -> np.ndarray:
+    """The increments (fractional Gaussian noise) of n_paths independent
+    d-dimensional fBm paths on the uniform m-grid of [0, T], shape
+    (n_paths, m, d): rows of law N(0, S), S the Toeplitz covariance with
+    first column gamma_0..gamma_{m-1}.
+
     Up to _CHOLESKY_STEPS steps a row of increments is z @ L^T, with L the
-    LAPACK Cholesky factor of S and z m standard normals; longer grids use
+    LAPACK Cholesky factor of S and z m standard normals, drawn _DRAW_BLOCK
+    doubles at a time into one reused buffer; a Generator fills sequentially,
+    so the blocks hold the normals of one (rows, m) draw.  Longer grids use
     the circulant embedding (_circulant_fgn), O(m log m) per row.  Memory is
-    O(n_paths d m): the increments are written into the path buffer and
-    summed in place.  Deterministic in the seed.
+    O(n_paths d m).  Deterministic in the seed.
     """
     check_hurst(H)
     if m > _MAX_GRID:
@@ -423,16 +452,18 @@ def sample_fbm_batch(
     rng = np.random.default_rng(seed)
     # one row per (path, coordinate), in the order of a (n_paths, d, m) draw
     rows = n_paths * d
-    paths = np.empty((rows, m + 1))
-    paths[:, 0] = 0.0
+    out = np.empty((rows, m))
     if m <= _CHOLESKY_STEPS:
-        z = rng.standard_normal((rows, m))
-        np.matmul(z, _fgn_factor(gamma[:m]).T, out=paths[:, 1:])
+        factor_t = _fgn_factor(gamma[:m]).T
+        block = np.empty((min(rows, max(1, _DRAW_BLOCK // m)), m))
+        for r in range(0, rows, len(block)):
+            z = block[:rows - r]
+            rng.standard_normal(out=z)
+            np.matmul(z, factor_t, out=out[r:r + len(z)])
     else:
         w = rng.standard_normal((rows - rows // 2, 4 * m)).view(complex)
-        _circulant_fgn(gamma, w, out=paths[:, 1:])
-    np.cumsum(paths[:, 1:], axis=1, out=paths[:, 1:])
-    return paths.reshape(n_paths, d, m + 1).transpose(0, 2, 1)
+        _circulant_fgn(gamma, w, out=out)
+    return out.reshape(n_paths, d, m).transpose(0, 2, 1)
 
 
 def _covariance_scale(H: float, m: int, T: float) -> float:
@@ -456,6 +487,13 @@ def _covariance_scale(H: float, m: int, T: float) -> float:
 # On a 2-vCPU x86 VM the embedding takes 13.3 ms for 4096 paths x 64 steps,
 # the factor 7.4 ms.
 _CHOLESKY_STEPS = 128
+
+# Normals drawn per block on the Cholesky branch (256 KB), one buffer reused
+# for every block.  On a 2-vCPU x86 VM (interleaved medians of 40 calls) one
+# (rows, m) draw took 6.3-6.5 ms at 4096 x 64 and 8192 x 32 and 7.4 ms at
+# 2048 x 128, blocks of 2^15 doubles 4.6-4.8 and 5.6 ms; 2^13, 2^14 and 2^16
+# were 0.2-1.0 ms slower than 2^15, and 2500 x 36 was within noise.
+_DRAW_BLOCK = 2**15
 
 
 def _fgn_factor(gamma: np.ndarray) -> np.ndarray:

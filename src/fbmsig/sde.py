@@ -26,7 +26,9 @@ import numpy as np
 
 from .cubature import CubatureFormula, rescale_formula
 from .expected import check_hurst
-from .gridapprox import sample_fbm_batch
+# sample_fbm_batch is bound here only for perfbench's tracer test, which
+# expects the sampler in this namespace; the solves use the increments
+from .gridapprox import _fgn_increments, sample_fbm_batch  # noqa: F401
 
 __all__ = [
     "ErrorBoundParams",
@@ -39,12 +41,12 @@ __all__ = [
 # RK4 steps per linear piece of the three cubature paths (three pieces each)
 CUBATURE_STEPS_PER_PIECE = 64
 
-# Doubles in one block of the summed solve (128 KB).  Measured on a 2-vCPU VM:
-# one unblocked pass over 4096 paths x 64 steps took 8-9 ms, slower than
-# RK4's 3.5-4.8 ms, as its 2 MB temporaries fall out of cache; blocks of
-# 2^13 to 2^16 doubles took 3.0-4.0 ms.  Against 2^15, 2^14 was as fast or
-# faster (20 paths x 1536 steps: 0.3-0.5 against 0.7-1.3 ms) and raised the
-# peak RSS of 520 in-process sde requests by 0.3 MB instead of 2.5 MB.
+# Doubles in one block of the summed solve (128 KB).  Measured on a 2-vCPU VM
+# (medians of 41 in-process solves), 2^14 was the fastest of 2^13 to 2^16,
+# or within 0.05 ms of it, at 4096 x 64 (2.0 ms), 8192 x 32, 2048 x 128,
+# 7000 x 40, 20 x 1536 and 50 x 512 paths x steps; 2^16 took 4.1 ms at
+# 4096 x 64, as its temporaries fall out of cache.  Over 520 in-process sde
+# requests, 2^14 raised the peak RSS by 0.3 MB and 2^15 by 2.5 MB.
 _SUM_BLOCK = 2**14
 
 # a field: a callable of the (B, N) states, or a float or (N,) array
@@ -64,22 +66,27 @@ def _checked_x0(fields: Sequence[Field], x0, steps_per_piece: int) -> np.ndarray
 
 
 def _summed_solve(fields: Sequence[Field], x0: np.ndarray, times: np.ndarray,
-                  spatial: np.ndarray, steps_per_piece: int) -> np.ndarray:
+                  increments: np.ndarray, steps_per_piece: int) -> np.ndarray:
     """_solve for fields that are all constants.  On piece j every RK4 stage
     has the slope k_j = V_0 + sum_i s_ij V_i, so each of its steps adds the
     same increment sixth_j (((k_j + (k_j + k_j)) + (k_j + k_j)) + k_j), and
-    the endpoint is x0 plus those increments added in time order: a cumsum
-    along time does the loop's float additions in the loop's order.
+    the endpoint is x0 plus those increments added in time order.
 
-    Blocks of whole pieces hold at most _SUM_BLOCK doubles (more only when
-    one piece of one path is longer).  A non-finite state stays non-finite,
-    so only a block whose last states are not all finite is searched for the
-    first piece end that is not, and the earliest over the blocks is raised.
+    Blocks of whole pieces of a block of paths hold at most _SUM_BLOCK
+    doubles (more only when one piece of one path is longer), time-major:
+    row 0 the carried state, then one row per step.  np.add.reduce along
+    that leading axis of a C-contiguous array adds the rows one after
+    another, so it does the loop's float additions in the loop's order.
+    numpy sums pairwise along the fast axis, which time becomes in a block
+    of one lane (one path with N = 1); such a block is accumulated instead.
+    A non-finite state stays non-finite, so only a block whose end is not
+    all finite is cumsummed to find its first piece end that is not, and
+    the earliest over the blocks is raised.
     """
     v0, *spatial_fields = fields
-    n_paths, n = len(spatial), len(x0)
+    n_paths, n = len(increments), len(x0)
     dt = times[1:] - times[:-1]
-    sixth = (dt / steps_per_piece / 6.0)[:, None, None]
+    sixth = (dt / steps_per_piece / 6.0)[:, None, None, None]
     piece = steps_per_piece * n  # doubles per piece of one path
     width = max(1, min(len(dt), _SUM_BLOCK // piece))  # pieces per block
     rows = max(1, _SUM_BLOCK // (width * piece))  # paths per block
@@ -88,20 +95,23 @@ def _summed_solve(fields: Sequence[Field], x0: np.ndarray, times: np.ndarray,
     for p in range(0, n_paths, rows):
         y = x0
         for j0 in range(0, min(len(dt), bad), width):
-            w = spatial[p:p + rows, j0:j0 + width + 1]
-            slopes = (w[:, 1:] - w[:, :-1]) / dt[j0:j0 + width, None]
+            w = increments[p:p + rows, j0:j0 + width].transpose(1, 0, 2)
+            n_w, n_b = w.shape[:2]  # pieces and paths in this block
+            slopes = w / dt[j0:j0 + width, None, None]
             k = v0
             for i, v in enumerate(spatial_fields):
                 k = k + slopes[:, :, i, None] * v
-            block = np.empty((len(w), len(slopes[0]), steps_per_piece, n))
-            np.multiply(sixth[j0:j0 + width], (k + (k + k) + (k + k) + k)[:, :, None],
-                        out=block)
-            block[:, 0, 0] += y
-            states = block.reshape(len(w), -1, n)
-            np.cumsum(states, axis=1, out=states)
-            y = states[:, -1]
+            block = np.empty((1 + n_w * steps_per_piece, n_b, n))
+            block[0] = y
+            np.multiply(sixth[j0:j0 + width], (k + (k + k) + (k + k) + k)[:, None],
+                        out=block[1:].reshape(n_w, steps_per_piece, n_b, n))
+            if n_b * n > 1:
+                y = np.add.reduce(block, axis=0)
+            else:
+                y = np.add.accumulate(block, axis=0)[-1]
             if not np.isfinite(y).all():
-                finite = np.isfinite(block[:, :, -1]).all(axis=(0, 2))
+                np.cumsum(block, axis=0, out=block)
+                finite = np.isfinite(block[steps_per_piece::steps_per_piece]).all(axis=(1, 2))
                 bad = min(bad, j0 + int(np.argmin(finite)))
                 break
         ends[p:p + rows] = y
@@ -110,29 +120,31 @@ def _summed_solve(fields: Sequence[Field], x0: np.ndarray, times: np.ndarray,
     return ends
 
 
-def _solve(fields: Sequence[Field], x0, times: Sequence[float], spatial: np.ndarray,
+def _solve(fields: Sequence[Field], x0, times: Sequence[float], increments: np.ndarray,
            steps_per_piece: int) -> np.ndarray:
     """Endpoints (B, N) of dy = V_0(y) dt + sum_i V_i(y) d omega^i along B
-    piecewise-linear drivers that share the breakpoints `times`; `spatial`
-    holds their spatial values, shape (B, len(times), d).
+    piecewise-linear drivers that share the breakpoints `times`;
+    `increments` holds their spatial increments over each piece, shape
+    (B, len(times) - 1, d).
 
     Classical RK4 with steps_per_piece steps on each linear piece, where the
-    driver derivative is constant: the slope columns, the step fractions and
-    the field pairing are set up once per piece, not once per stage.  Doubling
-    steps_per_piece shrinks the error by ~16x (order 4).  Non-finite states
-    abort, naming the time reached, rather than propagating silently.  When
-    no field is callable the stages are skipped (_summed_solve), with the
-    same endpoints bit for bit; constants among callables are wrapped.
+    driver derivative increments[:, j] / dt_j is constant: the slope columns,
+    the step fractions and the field pairing are set up once per piece, not
+    once per stage.  Doubling steps_per_piece shrinks the error by ~16x
+    (order 4).  Non-finite states abort, naming the time reached, rather
+    than propagating silently.  When no field is callable the stages are
+    skipped (_summed_solve), with the same endpoints bit for bit; constants
+    among callables are wrapped.
     """
     x0 = _checked_x0(fields, x0, steps_per_piece)
-    n_paths, _, d = spatial.shape
+    n_paths, _, d = increments.shape
     if len(fields) != d + 1:
         raise ValueError(
             f"path has {d} spatial coordinates but {len(fields) - 1} "
             "spatial fields were supplied"
         )
     if not any(map(callable, fields)):
-        return _summed_solve(fields, x0, np.asarray(times, dtype=float), spatial,
+        return _summed_solve(fields, x0, np.asarray(times, dtype=float), increments,
                              steps_per_piece)
     v0, *spatial_fields = (v if callable(v) else (lambda z, c=v: c) for v in fields)
 
@@ -147,7 +159,7 @@ def _solve(fields: Sequence[Field], x0, times: Sequence[float], spatial: np.ndar
     y = np.broadcast_to(x0, (n_paths, len(x0))).copy()
     for j in range(len(times) - 1):
         dt = times[j + 1] - times[j]
-        slopes = (spatial[:, j + 1, :] - spatial[:, j, :]) / dt
+        slopes = increments[:, j, :] / dt
         terms = [(slopes[:, i, None], v) for i, v in enumerate(spatial_fields)]
         h = dt / steps_per_piece
         half, sixth = 0.5 * h, h / 6.0
@@ -177,7 +189,8 @@ def cubature_weak_value(
     """Weighted combination sum_j lambda_j f(endpoint of the ODE along the
     rescaled cubature path omega_j); the paths are solved as one batch."""
     resc = rescale_formula(formula, T)
-    ends = _solve(fields, x0, resc.times, resc.spatial, CUBATURE_STEPS_PER_PIECE)
+    ends = _solve(fields, x0, resc.times, np.diff(resc.spatial, axis=1),
+                  CUBATURE_STEPS_PER_PIECE)
     total = 0.0
     for lam, v in zip(resc.weights, _values(f, ends)):
         total += lam * float(v)
@@ -196,14 +209,15 @@ def mc_weak_value(
     steps_per_piece: int = 1,
 ) -> tuple[float, float]:
     """Monte-Carlo reference: drive the same integrator along sampled fBm
-    paths (piecewise-linear interpolation on the n_steps grid of [0, T]).
+    paths (piecewise-linear interpolation on the n_steps grid of [0, T]),
+    given to it as the sampler's increments; no path positions are built.
 
     By default the RK4 grid is the sample grid, one step per cell.  With
     m = n_steps, its local error ~ |d omega|^5 ~ (T/m)^(5H) sums to
     ~ m^(1-5H), which falls faster than the interpolation's own m^(-2H) for
     every H > 1/3.  Against closed-form endpoints (V_0 = y/2 with V_1 = y, and V_0 = 0 with
     V_1 = sin) over H in {0.55, 0.7, 0.9} and T in {0.5, 2}, the worst
-    per-path relative error is 2.2e-2 at n_steps = 32, 3.0e-4 at 128 and
+    per-path relative error is 2.1e-2 at n_steps = 32, 3.0e-4 at 128 and
     4.2e-7 at 1536; the mean bias is at most 6.3e-4 relative, 0.012 of the
     standard error at 4000 paths.  Coarse grids pay: at n_steps = 4 and
     T = 2 the bias is 3-4% (0.04% with steps_per_piece = 4), so below 32
@@ -218,9 +232,9 @@ def mc_weak_value(
     if n_paths < 2:
         raise ValueError(f"n_paths must be >= 2 for a standard error, got {n_paths}")
     _checked_x0(fields, x0, steps_per_piece)  # before the sample is drawn
-    spatial = sample_fbm_batch(H, n_steps, len(fields) - 1, n_paths, seed, T)
+    increments = _fgn_increments(H, n_steps, len(fields) - 1, n_paths, seed, T)
     times = np.arange(n_steps + 1) * (T / n_steps)
-    vals = _values(f, _solve(fields, x0, times, spatial, steps_per_piece))
+    vals = _values(f, _solve(fields, x0, times, increments, steps_per_piece))
     if not np.all(np.isfinite(vals)):
         return float(vals.mean()), math.nan
     # std squares the deviations, which underflow or overflow far inside the

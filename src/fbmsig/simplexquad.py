@@ -281,7 +281,10 @@ def _beta_axis(p: int, q: int, N: int):
 # a fresh H, one six-letter level table adds 65 entries (64 where two
 # integrands round alike), the 379 pure eight-letter words over {1, ..., 4}
 # add 562 to 576, and expected_tensor(H, 1, 8) adds 1532.  An entry measured
-# about 650 bytes, so a full memo holds some 1.3 MB.
+# about 650 bytes, so a full memo holds some 1.3 MB.  One word can outgrow
+# it: 1,1,1,1,0,1,1,0,1,1 asks for 2831 distinct cores, so it evicts every
+# cached six-letter core, and a table at the same H afterwards recomputes
+# them.  The bound stays: it is sized for tables, not for such a word.
 @functools.lru_cache(maxsize=2048)
 def _core_numeric(gam, spans) -> tuple[float, float]:
     """Tensor Gauss-Legendre evaluation of the irreducible core prod_i

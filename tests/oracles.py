@@ -90,17 +90,18 @@ def _rk4_piece(fields, y: np.ndarray, slopes: np.ndarray, dt: float,
     return y
 
 
-def rk4_solve_per_piece(fields, x0, times: np.ndarray, spatial: np.ndarray,
+def rk4_solve_per_piece(fields, x0, times: np.ndarray, increments: np.ndarray,
                         steps_per_piece: int) -> np.ndarray:
     """The integrator in its per-piece form: a stage function that rebuilds
-    the slope-weighted field sum, time slope 1.0 included, at every stage."""
-    n_paths, _, d = spatial.shape
+    the slope-weighted field sum, time slope 1.0 included, at every stage.
+    increments[:, j] is each driver's spatial increment over piece j."""
+    n_paths, _, d = increments.shape
     y = np.broadcast_to(np.asarray(x0, dtype=float), (n_paths, len(x0))).copy()
     for j in range(len(times) - 1):
         dt = times[j + 1] - times[j]
         slopes = np.empty((n_paths, d + 1))
         slopes[:, 0] = 1.0
-        slopes[:, 1:] = (spatial[:, j + 1, :] - spatial[:, j, :]) / dt
+        slopes[:, 1:] = increments[:, j, :] / dt
         y = _rk4_piece(fields, y, slopes, dt, steps_per_piece)
         if not np.all(np.isfinite(y)):
             raise RuntimeError(f"non-finite state at t={times[j + 1]:g}")

@@ -568,6 +568,38 @@ class TestToeplitzSampler:
         sums = np.cumsum(inc.reshape(3, 2, m), axis=2).transpose(0, 2, 1)
         assert np.array_equal(paths[:, 1:], sums) and np.all(paths[:, 0] == 0.0)
 
+    # (n_paths, d, m, rows per block): the shipped block, and blocks of 256,
+    # 13 and 2 rows that leave a part-filled last block
+    @pytest.mark.parametrize("n_paths, d, m, block_rows", [
+        (4096, 1, 64, None), (4096, 2, 32, None), (1024, 2, 128, None),
+        (2500, 1, 36, None), (4096, 1, 64, 256), (1001, 1, 7, 13), (5, 1, 128, 2)])
+    @pytest.mark.parametrize("H", [0.5001, 0.55, 0.7, 0.93, 0.999])
+    def test_blocked_draw_is_one_draw(self, monkeypatch, H, n_paths, d, m,
+                                      block_rows):
+        # the blocks take the normals of one (rows, m) draw in order; the
+        # first block's product is the one-shot product bit for bit, and a
+        # later block may go through another BLAS kernel, within 4 ulps of
+        # each row's largest entry
+        if block_rows is not None:
+            monkeypatch.setattr(ga, "_DRAW_BLOCK", block_rows * m)
+        rows = n_paths * d
+        z = np.random.default_rng(21).standard_normal((rows, m))
+        want = z @ ga._fgn_factor(fgn_gamma(H, m, 1.3)[:m]).T
+        inc = ga._fgn_increments(H, m, d, n_paths, 21, 1.3)
+        assert inc.shape == (n_paths, m, d)
+        got = inc.transpose(0, 2, 1).reshape(rows, m)
+        head = min(rows, ga._DRAW_BLOCK // m)
+        assert np.array_equal(got[:head], want[:head])
+        ulp = np.spacing(np.abs(want).max(axis=1))
+        assert np.all(np.abs(got - want).max(axis=1) <= 4 * ulp)
+
+    @pytest.mark.parametrize("m", [5, 300])
+    def test_paths_are_running_sums_of_the_increments(self, m):
+        inc = ga._fgn_increments(0.7, m, 3, 7, 4, 1.3)
+        paths = sample_fbm_batch(0.7, m, 3, 7, 4, 1.3)
+        assert paths.shape == (7, m + 1, 3) and np.all(paths[:, 0] == 0.0)
+        assert np.array_equal(paths[:, 1:], np.cumsum(inc, axis=1))
+
     @pytest.mark.parametrize("m, n_paths, limit_mb", [(4096, 2, 16), (1536, 50, 8)])
     def test_factor_is_never_held_whole(self, m, n_paths, limit_mb):
         # the whole factor alone is 134 MB at m = 4096 and 19 MB at m = 1536

@@ -10,7 +10,7 @@ from fbmsig import sde as sde_module
 from fbmsig.cli import _sde_problem
 from fbmsig.cli import main as cli_main
 from fbmsig.cubature import rescale_formula, three_path_formula
-from fbmsig.gridapprox import sample_fbm_batch
+from fbmsig.gridapprox import _fgn_increments, sample_fbm_batch
 from fbmsig.sde import (
     ErrorBoundParams,
     cubature_weak_value,
@@ -40,7 +40,7 @@ def solve_one(vf, x0, path, steps_per_piece):
     """Endpoint of the ODE along one piecewise-linear driver: `_solve` on a
     batch of one."""
     times, spatial = path
-    return _solve(vf, x0, times, spatial, steps_per_piece)[0]
+    return _solve(vf, x0, times, np.diff(spatial, axis=1), steps_per_piece)[0]
 
 
 class TestOdeAlongPath:
@@ -133,6 +133,19 @@ def _callables(fields):
     return tuple(v if callable(v) else (lambda z, c=v: c) for v in fields)
 
 
+# _summed_solve rests on this: numpy reduces the leading axis of a
+# C-contiguous array of more than one lane row by row (it sums pairwise only
+# along the fast axis), so the sum adds in the RK4 loop's order
+@pytest.mark.parametrize("shape", [(65, 4096), (1537, 20), (129, 40, 3), (9, 2)])
+def test_add_reduce_adds_leading_rows_in_order(shape):
+    rng = np.random.default_rng(shape[0])
+    a = np.exp(rng.uniform(-15.0, 15.0, shape)) * rng.choice([-1.0, 1.0], shape)
+    want = a[0].copy()
+    for row in a[1:]:
+        want = want + row
+    assert np.array_equal(np.add.reduce(a, axis=0), want)
+
+
 class TestSolveMatchesPerPieceOracle:
     # the flat loop hoists the piece invariants out of the stages and drops
     # the multiply by the time slope 1.0; nothing else may change a bit.  The
@@ -146,9 +159,9 @@ class TestSolveMatchesPerPieceOracle:
     def test_bit_identical(self, fields, steps_per_piece, B, driver):
         vf, x0 = _field_set(fields)
         times, spatial = _driver(driver, B, len(vf) - 1)
-        got = _solve(vf, x0, times, spatial, steps_per_piece)
-        want = rk4_solve_per_piece(_callables(vf), x0, times, spatial,
-                                   steps_per_piece)
+        inc = np.diff(spatial, axis=1)
+        got = _solve(vf, x0, times, inc, steps_per_piece)
+        want = rk4_solve_per_piece(_callables(vf), x0, times, inc, steps_per_piece)
         assert got.shape == (B, len(x0))
         assert np.array_equal(got, want)
 
@@ -164,19 +177,19 @@ class TestSolveMatchesPerPieceOracle:
         monkeypatch.setattr(sde_module, "_SUM_BLOCK", block)
         vf, x0 = _field_set("constant")
         times = np.arange(pieces + 1) * (1.1 / pieces)
-        spatial = sample_fbm_batch(0.8, pieces, 2, B, 17, 1.1)
-        got = _solve(vf, x0, times, spatial, steps_per_piece)
-        want = rk4_solve_per_piece(_callables(vf), x0, times, spatial,
-                                   steps_per_piece)
+        inc = np.diff(sample_fbm_batch(0.8, pieces, 2, B, 17, 1.1), axis=1)
+        got = _solve(vf, x0, times, inc, steps_per_piece)
+        want = rk4_solve_per_piece(_callables(vf), x0, times, inc, steps_per_piece)
         assert np.array_equal(got, want)
 
     def test_mixed_set_runs_the_stages(self):
         vf = (0.5, np.sin, np.array([1.0, -2.0]))
         x0 = [0.3, -0.2]
         times, spatial = _driver("cubature", 5, 2)
-        got = _solve(vf, x0, times, spatial, 4)
+        inc = np.diff(spatial, axis=1)
+        got = _solve(vf, x0, times, inc, 4)
         assert np.array_equal(got, rk4_solve_per_piece(_callables(vf), x0, times,
-                                                       spatial, 4))
+                                                       inc, 4))
 
     # constant fields (summed) and fields that build a full-shape array at
     # every stage (RK4) give the same endpoints bit for bit
@@ -189,9 +202,10 @@ class TestSolveMatchesPerPieceOracle:
         vf, x0 = _field_set(fields)
         full, _ = _field_set(fields + "-arrays")
         times, spatial = _driver(driver, B, len(vf) - 1)
-        got = _solve(vf, x0, times, spatial, steps_per_piece)
-        assert np.array_equal(got, _solve(full, x0, times, spatial, steps_per_piece))
-        assert np.array_equal(got, rk4_solve_per_piece(full, x0, times, spatial,
+        inc = np.diff(spatial, axis=1)
+        got = _solve(vf, x0, times, inc, steps_per_piece)
+        assert np.array_equal(got, _solve(full, x0, times, inc, steps_per_piece))
+        assert np.array_equal(got, rk4_solve_per_piece(full, x0, times, inc,
                                                        steps_per_piece))
 
     # y^2 blows up near t = 0.5; the constants overflow in the first piece
@@ -214,7 +228,8 @@ class TestSolveMatchesPerPieceOracle:
                                       (rk4_solve_per_piece, _callables(vf))):
                     with pytest.raises(RuntimeError,
                                        match="non-finite state at t=") as err:
-                        solve(fields, x0, case_times, case_spatial, steps_per_piece)
+                        solve(fields, x0, case_times, np.diff(case_spatial, axis=1),
+                              steps_per_piece)
                     messages.append(str(err.value))
             assert messages[0] == messages[1]
 
@@ -310,7 +325,7 @@ class TestMcWeakValue:
         def sampler(*args):
             raise AssertionError("sampled before the inputs were checked")
 
-        monkeypatch.setattr(sde_module, "sample_fbm_batch", sampler)
+        monkeypatch.setattr(sde_module, "_fgn_increments", sampler)
         with pytest.raises(ValueError, match=message):
             mc_weak_value(fields, lambda y: y[:, 0], x0, 0.7, 1.0, n_paths=20000,
                           n_steps=1024, seed=0, steps_per_piece=steps_per_piece)
@@ -385,18 +400,19 @@ def _closed_form(name):
 
 
 def _recorded_mc(vf, x0, H, T, n_paths, n_steps, seed, **kwargs):
-    """mc_weak_value of the first coordinate, with the endpoints it averaged."""
+    """mc_weak_value of the first coordinate, with the endpoints it averaged
+    and the sampler's increments that drove them."""
     ends = []
     est, se = mc_weak_value(vf, lambda y: ends.append(y.copy()) or y[:, 0], x0, H, T,
                             n_paths, n_steps, seed, **kwargs)
-    spatial = sample_fbm_batch(H, n_steps, len(vf) - 1, n_paths, seed, T)
+    increments = _fgn_increments(H, n_steps, len(vf) - 1, n_paths, seed, T)
     times = np.arange(n_steps + 1) * (T / n_steps)
-    return est, se, ends[0], times, spatial
+    return est, se, ends[0], times, increments
 
 
 class TestMcDefaultGridAccuracy:
     # the default RK4 grid is the sample grid, one step per cell; measured
-    # worst per-path relative errors over these cases are 2.2e-2 (m = 32),
+    # worst per-path relative errors over these cases are 2.1e-2 (m = 32),
     # 3.0e-4 (128) and 4.2e-7 (1536), and the worst bias is 0.012 of the
     # standard error.  These bounds are never to be loosened.
     REL_BOUND = {32: 5e-2, 128: 1e-3, 1536: 1.5e-6}
@@ -409,10 +425,10 @@ class TestMcDefaultGridAccuracy:
     def test_endpoints_match_closed_form(self, fields, n_steps, H, T):
         vf, x0, exact = _closed_form(fields)
         n_paths = self.PATHS[n_steps]
-        est, se, ends, times, spatial = _recorded_mc(vf, x0, H, T, n_paths,
-                                                     n_steps, seed=11)
-        assert np.array_equal(ends, _solve(vf, x0, times, spatial, 1))
-        want = exact(T, spatial[:, -1, 0])
+        est, se, ends, times, inc = _recorded_mc(vf, x0, H, T, n_paths, n_steps,
+                                                 seed=11)
+        assert np.array_equal(ends, _solve(vf, x0, times, inc, 1))
+        want = exact(T, np.cumsum(inc[:, :, 0], axis=1)[:, -1])
         rel = np.abs(ends[:, 0] - want) / np.abs(want)
         assert rel.max() <= self.REL_BOUND[n_steps]
         assert abs(est - want.mean()) <= 0.1 * se
@@ -423,9 +439,9 @@ class TestMcDefaultGridAccuracy:
     @pytest.mark.parametrize("fields", ["linear", "sin"])
     def test_explicit_sub_steps_match_per_piece_oracle(self, fields):
         vf, x0, _ = _closed_form(fields)
-        _, _, ends, times, spatial = _recorded_mc(vf, x0, 0.7, 2.0, 300, 16, seed=4,
-                                                  steps_per_piece=4)
-        assert np.array_equal(ends, rk4_solve_per_piece(vf, x0, times, spatial, 4))
+        _, _, ends, times, inc = _recorded_mc(vf, x0, 0.7, 2.0, 300, 16, seed=4,
+                                              steps_per_piece=4)
+        assert np.array_equal(ends, rk4_solve_per_piece(vf, x0, times, inc, 4))
 
 
 class TestSeriesLogSum:
