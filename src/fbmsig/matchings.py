@@ -51,9 +51,11 @@ def compatible_matchings(word: Word) -> list[Matching]:
     return list(_compatible_matchings(word.letters))
 
 
-# The matchings depend on the letters only, and every word of a level table
-# enumerates them again, once for its value and once for its permutation
-# count; the bound keeps memory flat (twelve equal letters hold 10395).
+# The matchings depend on the letters only.  A word's plan (for its value) and
+# its decay constants (for its permutation count) are each built once per
+# process and each enumerate them, so the memo serves the second of the two
+# and direct callers; the bound keeps memory flat (twelve equal letters hold
+# 10395).
 @functools.lru_cache(maxsize=256)
 def _compatible_matchings(letters: tuple[int, ...]) -> tuple[Matching, ...]:
     if any(x == 0 for x in letters):

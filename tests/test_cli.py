@@ -1,6 +1,7 @@
 import csv
 import importlib
 import io
+import itertools
 import json
 import math
 import os
@@ -139,33 +140,99 @@ class TestExpectedSig:
         # words with their pass cell, and a word typed non-canonically
         texts = [" 1, +1", "1,2,1", "1,1,1", "0,0,0", "1,0,1", "0,1,1,0",
                  "1,1,2,2", "1,2,1,2", "1,2,2,1,3,3", "1,1,1,1,1,1"]
-        hs = (0.6, 0.7341)
-        columns = ["word", "H", "value", "err_bar", "bound", "refined_bound", "pass"]
-        rows, passed = [], True
-        for text in texts:
-            letters = tuple(int(t) for t in text.split(","))
-            word = Word(letters, max(1, *letters))
-            for H in hs:
-                if len(letters) % 2 == 0 and 0 not in letters:
-                    rep = decay_bound_check(word, H)
-                    cells = [rep.value, rep.quad_error, rep.bound, rep.refined_bound,
-                             rep.passed]
-                    passed &= rep.passed
-                else:
-                    cells = [*expected_word(word, H), None, None, None]
-                label = ",".join(str(x) for x in letters)
-                rows.append([cli._fmt(x) for x in [label, H, *cells]])
-        if fmt == "csv":
-            buf = io.StringIO()
-            csv.writer(buf, lineterminator="\n").writerows([columns, *rows])
-            want = buf.getvalue()
-        else:
-            want = json.dumps({"columns": columns, "rows": rows}, indent=1) + "\n"
+        want, passed = _reference_table(texts, (0.6, 0.7341), fmt)
         out = tmp_path / f"out.{fmt}"
         rc = main(["expected-sig", "--H", "0.6,0.7341", "--words", ";".join(texts),
                    "--no-timestamp", "--format", fmt, "--out", str(out)])
         assert rc == (0 if passed else 1)
-        assert out.read_bytes() == want.encode()
+        assert out.read_bytes() == want
+
+    @pytest.mark.parametrize("table", ("pairs", 4, 5, 6))
+    def test_benchmark_tables_match_the_reference_after_warming(self, tmp_path, table):
+        # the exact workload's 16-, 51-, 187- and 715-word tables: each word's
+        # cells are kept from a table at another H, and the rows at a fresh
+        # H must still be those built word by word
+        if table == "pairs":
+            words = [",".join(map(str, w)) for w in itertools.product((1, 2), repeat=4)]
+        else:
+            words = _canonical_words(table)
+        assert len(words) == {"pairs": 16, 4: 51, 5: 187, 6: 715}[table]
+        out = tmp_path / "out"
+        assert main(["expected-sig", "--H", "0.7341", "--words", ";".join(words),
+                     "--out", str(out)]) == 0
+        for H in ("0.55", "0.6123", "0.9999"):
+            for fmt in ("csv", "json"):
+                want, passed = _reference_table(words, (float(H),), fmt)
+                rc = main(["expected-sig", "--H", H, "--words", ";".join(words),
+                           "--no-timestamp", "--format", fmt, "--out", str(out)])
+                assert rc == (0 if passed else 1)
+                assert out.read_bytes() == want, (H, fmt)
+
+    @pytest.mark.parametrize("H, words, code, message", (
+        ("0.5001,1.5", "1,1,1,1,1,1,1,1", 3, "error: quadrature for word (1,1,1,1,1,1,1,1)"),
+        ("0.7,1.5", "1,2;1,1,1,1,1,1,1,1,1,1", 2, "error: H must lie in (1/2, 1), got 1.5"),
+        ("1.5", "1,1,1,1,1,1,1,1,1,1", 2, "error: H must lie in (1/2, 1), got 1.5"),
+        ("0.7", "1,2;1,1,1,1,1,1,1,1,1,1", 2, "error: at most 8 nonzero letters"),
+    ))
+    def test_first_error_is_kept(self, tmp_path, capsys, H, words, code, message):
+        # the H of each (word, H) is checked before the word's plan is read,
+        # whether or not the word's cells are kept from an earlier table
+        for _ in range(2):
+            rc, text = run(tmp_path, "expected-sig", "--H", H, "--words", words)
+            assert rc == code and text == ""
+            assert capsys.readouterr().err.startswith(message)
+
+    @pytest.mark.parametrize("n", (14, 36))
+    def test_long_odd_word_is_zero(self, tmp_path, capsys, n):
+        # letter 1 occurs n - 1 times and letter 2 once: the value and its
+        # candidate are 0 without enumerating the n positions
+        text = ",".join(["1"] * (n - 1) + ["2"])
+        rc, out = run(tmp_path, "expected-sig", "--H", "0.7", "--words", text,
+                      "--no-timestamp")
+        assert rc == 0
+        header, row = read_csv(out)
+        col = dict(zip(header, row))
+        assert (col["value"], col["err_bar"], col["pass"]) == ("0", "0", "True")
+        assert main(["expected-sig", "--H", "0.7", "--words", ",".join(["1"] * n),
+                     "--out", str(tmp_path / "refused.csv")]) == 2
+        assert not (tmp_path / "refused.csv").exists()
+        assert "at most 8 nonzero letters" in capsys.readouterr().err
+
+
+def _canonical_words(length):
+    """Words over {0,1,2,3} whose nonzero letters first appear as 1, 2, 3."""
+    out = []
+    for word in itertools.product(range(4), repeat=length):
+        seen = [x for i, x in enumerate(word) if x and x not in word[:i]]
+        if seen == list(range(1, len(seen) + 1)):
+            out.append(",".join(map(str, word)))
+    return out
+
+
+def _reference_table(texts, hs, fmt):
+    """The --no-timestamp bytes of an expected-sig table built word by word
+    through expected_word / decay_bound_check and _fmt, and whether every
+    decay check passes."""
+    columns = ["word", "H", "value", "err_bar", "bound", "refined_bound", "pass"]
+    rows, passed = [], True
+    for text in texts:
+        letters = tuple(int(t) for t in text.split(","))
+        word = Word(letters, max(1, *letters))
+        for H in hs:
+            if len(letters) % 2 == 0 and 0 not in letters:
+                rep = decay_bound_check(word, H)
+                cells = [rep.value, rep.quad_error, rep.bound, rep.refined_bound,
+                         rep.passed]
+                passed &= rep.passed
+            else:
+                cells = [*expected_word(word, H), None, None, None]
+            label = ",".join(str(x) for x in letters)
+            rows.append([cli._fmt(x) for x in [label, H, *cells]])
+    if fmt == "csv":
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows([columns, *rows])
+        return buf.getvalue().encode(), passed
+    return (json.dumps({"columns": columns, "rows": rows}, indent=1) + "\n").encode(), passed
 
 
 class TestApproxSig:

@@ -7,7 +7,9 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from fbmsig import cli
 from fbmsig import expected as ex
+from fbmsig import matchings as mt
 from fbmsig.expected import (
     DecayReport,
     QuadratureToleranceError,
@@ -678,10 +680,21 @@ class TestWordPlan:
             counted = math.factorial(k) * 2**k * math.factorial(2 * k)
             assert rep.candidate_difference == rep.value - permutation_count(w) / counted
 
-    def test_decay_check_keeps_the_enumeration_cap(self):
-        # an odd count has no matching, but fourteen positions stay refused
-        with pytest.raises(ValueError, match="at most 12 positions, got 14"):
-            decay_bound_check(Word((1,) * 13 + (2,), 2), 0.7)
+    @pytest.mark.parametrize("n", (14, 36))
+    def test_decay_check_answers_long_odd_words(self, n):
+        # an odd count has no compatible matching, so its permutation count
+        # is 0 without the enumeration, which refuses more than 12 positions
+        letters = (1,) * (n - 1) + (2,)
+        ex._decay_constants.cache_clear()
+        misses = mt._compatible_matchings.cache_info().misses
+        rep = decay_bound_check(Word(letters, 2), 0.7)
+        k = len(letters) // 2
+        assert (rep.value, rep.quad_error, rep.candidate_difference, rep.passed) == \
+            (0.0, 0.0, 0.0, True)
+        assert rep.bound == 1.0 / (math.factorial(k) * 2**k)
+        assert mt._compatible_matchings.cache_info().misses == misses
+        with pytest.raises(ValueError, match="at most 8 nonzero letters"):
+            decay_bound_check(Word((1,) * len(letters), 1), 0.7)
 
     def test_fresh_h_table_builds_nothing_new(self, tmp_path):
         words = ";".join(_canonical_words(6))
@@ -694,7 +707,10 @@ class TestWordPlan:
         assert sq._reduce_terms.cache_info().misses == shapes
 
     def test_each_plan_built_once_across_h(self, tmp_path):
+        # a word whose level-table cells are kept reads no plan, so the
+        # cells are cleared too
         ex._word_plan.cache_clear()
+        cli._level_cells.cache_clear()
         words = ";".join(_canonical_words(6))
         rc = main(["expected-sig", "--H", "0.6,0.7,0.8", "--words", words,
                    "--out", str(tmp_path / "out.csv")])
@@ -715,6 +731,23 @@ class TestWordPlan:
                 ex._word_plan(letters)
         info = ex._word_plan.cache_info()
         assert info.misses == info.currsize == len(words) <= info.maxsize
+
+    def test_level_cells_hold_the_exact_workload_words(self):
+        # the exact workload's level tables and spot queries ask the
+        # canonical words of length 4, 5 and 6 and the words over {1,2} of
+        # length 4: 961 texts, 144 of them under the decay bound
+        words = {w.letters for w in _table_words()}
+        words |= set(itertools.product((1, 2), repeat=4))
+        labels = sorted(",".join(map(str, w)) for w in words)
+        cli._level_cells.cache_clear()
+        ex._decay_constants.cache_clear()
+        for _ in range(2):
+            for label in labels:
+                cli._level_cells(label)
+        info = cli._level_cells.cache_info()
+        assert info.misses == info.currsize == len(labels) == 961 <= info.maxsize
+        info = ex._decay_constants.cache_info()
+        assert info.misses == info.currsize == 144 <= info.maxsize
 
     def test_bound_holds_a_two_letter_depth_six_tensor(self):
         # expected_tensor(H, 2, 6) walks 1093 words in the same order on
