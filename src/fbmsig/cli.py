@@ -214,21 +214,21 @@ class _LevelCells(NamedTuple):
 # A level table asks every word again at each fresh H, and 609 of the 715
 # six-letter words have a value that holds at every H (an odd letter count, a
 # pure time word), so their rows are formatted once per process; the others
-# keep their bound cells.  Such a value under the decay bound is 0 and passes.
-# Keyed by the label (a str caches its hash, a Word does not); the bound holds
-# the 961 word texts of the benchmark's exact workload.
+# keep their bound cells.  Both come from the word's plan, which holds its
+# value and decay constants.  Such a value under the decay bound is 0 and
+# passes.  Keyed by the label (a str caches its hash, a Word does not); the
+# bound holds the 961 word texts of the benchmark's exact workload.
 @functools.lru_cache(maxsize=2048)
 def _level_cells(label: str) -> _LevelCells:
-    w = _word(label)[0]
-    value = ex._word_plan(w.letters).value
-    if not ex.decay_bound_applies(w):
+    plan = ex._word_plan(_word(label)[0].letters)
+    value = plan.value
+    if plan.decay is None:
         fixed = None if value is None else (_fmt(value.value), _fmt(value.error), "", "", "")
         return _LevelCells(fixed, None)
-    c = ex._decay_constants(w.letters)
-    bounds = (_fmt(c.bound), _fmt(c.refined_bound))
+    bounds = (_fmt(plan.decay[0]), _fmt(plan.decay[1]))
     if value is None:
         return _LevelCells(None, bounds)
-    rep = ex._decay_report(w.letters, value)
+    rep = ex._decay_report(plan, value)
     return _LevelCells((_fmt(rep.value), _fmt(rep.quad_error), *bounds, _fmt(rep.passed)),
                        bounds)
 

@@ -69,15 +69,18 @@ def _odd_letter(letters: tuple[int, ...]) -> bool:
 
 
 class _WordPlan(NamedTuple):
-    """What expected_word computes for a word before H enters: either a value
-    that holds at every H (an odd letter count, a pure time word), or the
-    word length n, the pair count k and, per compatible matching in
-    enumeration order, its shape from simplexquad._shape."""
+    """Everything about a word that does not depend on H: either a value that
+    holds at every H (an odd letter count, a pure time word), or the word
+    length n, the pair count k and, per compatible matching in enumeration
+    order, its shape from simplexquad._shape; and, when decay_bound_applies,
+    the decay triple (bound 1/(k! 2^k), refined bound, candidate
+    permutation_count / (k! 2^k (2k)!)), else None."""
 
     value: CertifiedValue | None
     n: int
     k: int
     shapes: tuple
+    decay: tuple[float, float, float] | None
 
 
 # A level table asks every word again at each fresh H, and only the matching
@@ -90,18 +93,29 @@ class _WordPlan(NamedTuple):
 def _word_plan(letters: tuple[int, ...]) -> _WordPlan:
     n = len(letters)
     positions = tuple(i for i, x in enumerate(letters) if x != 0)
-    if _odd_letter(letters):
-        return _WordPlan(CertifiedValue(0.0, 0.0), n, 0, ())
-    if len(positions) > 2 * MAX_PAIRS:
-        raise ValueError(f"at most {2 * MAX_PAIRS} nonzero letters supported, "
-                         f"got word ({','.join(map(str, letters))})")
     if not positions:
         # pure time word: volume of the ordered simplex
-        return _WordPlan(CertifiedValue(1.0 / math.factorial(n), 0.0), n, 0, ())
-    sub = tuple(letters[i] for i in positions)
-    shapes = tuple(sq._shape(n, tuple((positions[a], positions[b]) for a, b in m))
-                   for m in mt.compatible_matchings(Word(sub, max(sub))))
-    return _WordPlan(None, n, len(positions) // 2, shapes)
+        return _WordPlan(CertifiedValue(1 / math.factorial(n), 0.0), n, 0, (), None)
+    if _odd_letter(letters):
+        value, k, shapes = CertifiedValue(0.0, 0.0), 0, ()
+    elif len(positions) > 2 * MAX_PAIRS:
+        raise ValueError(f"at most {2 * MAX_PAIRS} nonzero letters supported, "
+                         f"got word ({','.join(map(str, letters))})")
+    else:
+        sub = tuple(letters[i] for i in positions)
+        shapes = tuple(sq._shape(n, tuple((positions[a], positions[b]) for a, b in m))
+                       for m in mt.compatible_matchings(Word(sub, max(sub))))
+        value, k = None, len(positions) // 2
+    decay = None
+    if len(positions) == n and n % 2 == 0:  # decay_bound_applies
+        # an odd letter count has no matching, so its candidate is 0 at any
+        # length; integer true division underflows instead of overflowing
+        half = n // 2
+        norm = math.factorial(half) * 2**half
+        counted = norm * math.factorial(n)
+        decay = (1 / norm, mt.refined_count_bound(half, len(set(letters))) / counted,
+                 norm * len(shapes) / counted)
+    return _WordPlan(value, n, k, shapes, decay)
 
 
 def expected_word(
@@ -153,13 +167,13 @@ def expected_tensor(
     """Expected signature of d-dimensional fBm up to the given depth, as
     (values, errors): level arrays in the layout of a batch_grid_signatures
     row, holding expected_word's values and bars.  Each word's H-independent
-    plan (its odd-letter test and its matching shapes) is kept in a memo of
-    2048 words, so while the words fit it (d = 2 at depth 6 asks 1093) a
-    call at a new H computes only the matching integrals, and words that
-    agree after relabelling the nonzero alphabet share those through the
-    quadrature memo.  Depth reaches 2 * MAX_PAIRS = 8: d = 1 at depth 8 asks
-    511 words over all 1107 shapes of up to four pairs, about 1 s at a new H
-    and 0.8 s at a second one."""
+    plan (its value when that holds at every H, its matching shapes and its
+    decay constants) is kept in a memo of 2048 words, so while the words fit
+    it (d = 2 at depth 6 asks 1093) a call at a new H computes only the
+    matching integrals, and words that agree after relabelling the nonzero
+    alphabet share those through the quadrature memo.  Depth reaches
+    2 * MAX_PAIRS = 8: d = 1 at depth 8 asks 511 words over all 1107 shapes
+    of up to four pairs, about 1 s at a new H and 0.8 s at a second one."""
     check_hurst(H)
     if depth > 2 * MAX_PAIRS:
         raise ValueError(f"depth capped at {2 * MAX_PAIRS}")
@@ -194,7 +208,7 @@ def _brownian_value(letters: tuple[int, ...]) -> float:
             p, j = p + 1, j + 2
         else:
             return 0.0
-    return 2.0**-p / math.factorial(z + p)
+    return 1 / (2**p * math.factorial(z + p))
 
 
 def closed_form_value(word: Word, H: float) -> float | None:
@@ -218,11 +232,11 @@ def closed_form_value(word: Word, H: float) -> float | None:
     if not letters:
         return 1.0
     if all(x == 0 for x in letters):
-        return 1.0 / math.factorial(len(letters))
+        return 1 / math.factorial(len(letters))
     nz = [x for x in letters if x != 0]
     if len(nz) == len(letters) and len(set(nz)) == 1:
         k = len(nz) // 2
-        return 1.0 / (math.factorial(k) * 2**k)
+        return 1 / (math.factorial(k) * 2**k)
     return None
 
 
@@ -247,38 +261,17 @@ def decay_bound_applies(word: Word) -> bool:
     return bool(word.letters) and len(word) % 2 == 0 and 0 not in word.letters
 
 
-class _DecayConstants(NamedTuple):
-    bound: float
-    refined_bound: float
-    candidate: float
-
-
-# The constants depend on the letters only, and a level table asks every word
-# again at each fresh H; the bound holds the 144 pure-fBm even words of the
-# benchmark's exact workload.  A word with an odd letter count has no
-# compatible matching, so its permutation count is 0 without enumeration (the
-# enumeration refuses more than 12 positions).
-@functools.lru_cache(maxsize=2048)
-def _decay_constants(letters: tuple[int, ...]) -> _DecayConstants:
-    k = len(letters) // 2
-    norm = math.factorial(k) * 2**k
-    counted = norm * math.factorial(2 * k)
-    refined = mt.refined_count_bound(k, len(set(letters))) / counted
-    count = 0 if _odd_letter(letters) else mt.permutation_count(Word(letters, max(letters)))
-    return _DecayConstants(1.0 / norm, refined, count / counted)
-
-
-def _decay_report(letters: tuple[int, ...], value: CertifiedValue) -> DecayReport:
-    """The decay report of a pure-fBm word whose expected value is `value`."""
-    c = _decay_constants(letters)
+def _decay_report(plan: _WordPlan, value: CertifiedValue) -> DecayReport:
+    """The decay report of a pure-fBm word with this plan and expected value."""
+    bound, refined, candidate = plan.decay
     val, err = value
     return DecayReport(
         value=val,
         quad_error=err,
-        bound=c.bound,
-        refined_bound=c.refined_bound,
-        candidate_difference=val - c.candidate,
-        passed=val <= c.bound + err,
+        bound=bound,
+        refined_bound=refined,
+        candidate_difference=val - candidate,
+        passed=val <= bound + err,
     )
 
 
@@ -294,4 +287,5 @@ def decay_bound_check(
     """
     if not decay_bound_applies(word):
         raise ValueError("decay bound applies to even-length words with nonzero letters")
-    return _decay_report(word.letters, expected_word(word, H, config))
+    value = expected_word(word, H, config)
+    return _decay_report(_word_plan(word.letters), value)

@@ -8,7 +8,6 @@ Positions are 0-based throughout.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 
@@ -46,18 +45,11 @@ def compatible_matchings(word: Word) -> list[Matching]:
     Recursion pairs the smallest unmatched position with each larger position
     holding the same letter, so the output order is stable across runs.  The
     word must have even length and contain no time letter (0); callers strip
-    time positions first so this layer stays purely Gaussian.
+    time positions first so this layer stays purely Gaussian.  Nothing is
+    kept: each caller that asks a word again (the expected-value word plan,
+    the grid tie table) keeps what it builds from the matchings.
     """
-    return list(_compatible_matchings(word.letters))
-
-
-# The matchings depend on the letters only.  A word's plan (for its value) and
-# its decay constants (for its permutation count) are each built once per
-# process and each enumerate them, so the memo serves the second of the two
-# and direct callers; the bound keeps memory flat (twelve equal letters hold
-# 10395).
-@functools.lru_cache(maxsize=256)
-def _compatible_matchings(letters: tuple[int, ...]) -> tuple[Matching, ...]:
+    letters = word.letters
     if any(x == 0 for x in letters):
         raise ValueError("letter 0 is not allowed here; strip time positions first")
     if len(letters) % 2 != 0:
@@ -76,13 +68,18 @@ def _compatible_matchings(letters: tuple[int, ...]) -> tuple[Matching, ...]:
                 for rest in rec(pos[1:j] + pos[j + 1 :]):
                     yield ((a, b),) + rest
 
-    return tuple(rec(tuple(range(len(letters)))))
+    return list(rec(tuple(range(len(letters)))))
 
 
 def permutation_count(word: Word) -> int:
     """Number of permutations of the positions whose consecutive pairs all join
-    equal letters: k! 2^k times the number of compatible matchings."""
-    k = len(word.letters) // 2
+    equal letters: k! 2^k times the number of compatible matchings.  A word in
+    which some letter occurs an odd number of times has none, whatever its
+    length."""
+    letters = word.letters
+    if 0 not in letters and any(letters.count(x) % 2 for x in set(letters)):
+        return 0
+    k = len(letters) // 2
     return math.factorial(k) * 2**k * len(compatible_matchings(word))
 
 

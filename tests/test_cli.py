@@ -182,10 +182,11 @@ class TestExpectedSig:
             assert rc == code and text == ""
             assert capsys.readouterr().err.startswith(message)
 
-    @pytest.mark.parametrize("n", (14, 36))
+    @pytest.mark.parametrize("n", (14, 36, 302))
     def test_long_odd_word_is_zero(self, tmp_path, capsys, n):
         # letter 1 occurs n - 1 times and letter 2 once: the value and its
-        # candidate are 0 without enumerating the n positions
+        # candidate are 0 without enumerating the n positions; from n = 302
+        # the bound 1/(k! 2^k) is subnormal
         text = ",".join(["1"] * (n - 1) + ["2"])
         rc, out = run(tmp_path, "expected-sig", "--H", "0.7", "--words", text,
                       "--no-timestamp")
@@ -193,10 +194,25 @@ class TestExpectedSig:
         header, row = read_csv(out)
         col = dict(zip(header, row))
         assert (col["value"], col["err_bar"], col["pass"]) == ("0", "0", "True")
+        k = n // 2
+        assert 0 < float(col["bound"]) == 1 / (math.factorial(k) * 2**k)
         assert main(["expected-sig", "--H", "0.7", "--words", ",".join(["1"] * n),
                      "--out", str(tmp_path / "refused.csv")]) == 2
         assert not (tmp_path / "refused.csv").exists()
         assert "at most 8 nonzero letters" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n", (171, 200))
+    def test_long_time_word_underflows(self, tmp_path, n):
+        # 1/n! is below the smallest normal double from n = 171 on: it
+        # rounds to a subnormal, then to 0, instead of overflowing
+        rc, out = run(tmp_path, "expected-sig", "--H", "0.7", "--words",
+                      ",".join(["0"] * n), "--no-timestamp")
+        assert rc == 0
+        header, row = read_csv(out)
+        col = dict(zip(header, row))
+        assert float(col["value"]) == 1 / math.factorial(n)
+        assert (n == 171) == (float(col["value"]) > 0)
+        assert (col["err_bar"], col["pass"]) == ("0", "")
 
 
 def _canonical_words(length):
@@ -869,3 +885,25 @@ def test_every_exported_name_resolves(name):
     module = importlib.import_module(f"fbmsig.{name}")
     stale = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert stale == []
+
+
+# Every process-global memo of the package.  A new memo is added here on
+# purpose, so whatever reads cache_info() has a fixed list of sources.
+MEMOS = {
+    "cli._level_cells", "cli._word", "cli.build_parser",
+    "expected._word_plan", "expected.closed_form_table",
+    "gridapprox._series_coefficients", "gridapprox._tie_table",
+    "simplexquad._beta_axis", "simplexquad._core_numeric",
+    "simplexquad._gauss_legendre", "simplexquad._reduce_terms",
+    "simplexquad._reduced_integral",
+}
+
+
+def test_memo_inventory():
+    found = set()
+    for name in SUBMODULES:
+        module = importlib.import_module(f"fbmsig.{name}")
+        found |= {f"{name}.{attr}" for attr, obj in vars(module).items()
+                  if hasattr(obj, "cache_info")
+                  and getattr(obj, "__module__", None) == module.__name__}
+    assert found == MEMOS

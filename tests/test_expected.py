@@ -91,6 +91,15 @@ class TestClosedFormTable:
         assert closed_form_value(Word((1, 2), 2), 0.7) == 0.0
         assert closed_form_value(Word((1, 2, 1, 2), 2), 0.7) is None
 
+    @pytest.mark.parametrize("H", (0.5, 0.7))
+    def test_long_words_underflow(self, H):
+        # 1/171! is subnormal and 1/(200! 2^200) is 0: both round once from
+        # the exact integers instead of overflowing on the conversion
+        assert closed_form_value(Word((0,) * 171, 1), H) == 1 / math.factorial(171) > 0
+        assert closed_form_value(Word((1,) * 400, 1), H) == 0.0
+        assert closed_form_value(Word((1,) * 302, 1), H) == \
+            1 / (math.factorial(151) * 2**151) > 0
+
     def test_brownian_rule_equals_table_at_half(self):
         polyval = np.polynomial.polynomial.polyval
         for key, e in closed_form_table().items():
@@ -672,6 +681,9 @@ class TestWordPlan:
 
     @pytest.mark.parametrize("H", (0.55, 0.7341, 0.95))
     def test_decay_candidate_counts_the_matchings(self, H):
+        # the report subtracts the candidate from the value, and the plan's
+        # triple is the bound and the refined and plain permutation counts
+        # over k! 2^k (2k)!; the eight-letter words (k = 4) need no quadrature
         pure = [w for w in _table_words() if 0 not in w.letters and len(w) % 2 == 0]
         assert len(pure) == 14 + 122
         for w in pure:
@@ -679,20 +691,29 @@ class TestWordPlan:
             k = len(w) // 2
             counted = math.factorial(k) * 2**k * math.factorial(2 * k)
             assert rep.candidate_difference == rep.value - permutation_count(w) / counted
+        for w in pure + _eight_letter_words():
+            k = len(w) // 2
+            norm = math.factorial(k) * 2**k
+            counted = norm * math.factorial(2 * k)
+            refined = mt.refined_count_bound(k, len(set(w.letters)))
+            assert ex._word_plan(w.letters).decay == \
+                (1 / norm, refined / counted, permutation_count(w) / counted)
 
-    @pytest.mark.parametrize("n", (14, 36))
-    def test_decay_check_answers_long_odd_words(self, n):
+    @pytest.mark.parametrize("n", (14, 36, 302))
+    def test_decay_check_answers_long_odd_words(self, n, monkeypatch):
         # an odd count has no compatible matching, so its permutation count
         # is 0 without the enumeration, which refuses more than 12 positions
+        def no_enumeration(word):
+            raise AssertionError(f"enumerated ({word})")
+
+        monkeypatch.setattr(mt, "compatible_matchings", no_enumeration)
+        ex._word_plan.cache_clear()
         letters = (1,) * (n - 1) + (2,)
-        ex._decay_constants.cache_clear()
-        misses = mt._compatible_matchings.cache_info().misses
         rep = decay_bound_check(Word(letters, 2), 0.7)
         k = len(letters) // 2
         assert (rep.value, rep.quad_error, rep.candidate_difference, rep.passed) == \
             (0.0, 0.0, 0.0, True)
-        assert rep.bound == 1.0 / (math.factorial(k) * 2**k)
-        assert mt._compatible_matchings.cache_info().misses == misses
+        assert rep.bound == 1 / (math.factorial(k) * 2**k)
         with pytest.raises(ValueError, match="at most 8 nonzero letters"):
             decay_bound_check(Word((1,) * len(letters), 1), 0.7)
 
@@ -740,14 +761,15 @@ class TestWordPlan:
         words |= set(itertools.product((1, 2), repeat=4))
         labels = sorted(",".join(map(str, w)) for w in words)
         cli._level_cells.cache_clear()
-        ex._decay_constants.cache_clear()
+        ex._word_plan.cache_clear()
         for _ in range(2):
             for label in labels:
                 cli._level_cells(label)
         info = cli._level_cells.cache_info()
         assert info.misses == info.currsize == len(labels) == 961 <= info.maxsize
-        info = ex._decay_constants.cache_info()
-        assert info.misses == info.currsize == 144 <= info.maxsize
+        info = ex._word_plan.cache_info()
+        assert info.misses == info.currsize == 961 <= info.maxsize
+        assert sum(ex._word_plan(w).decay is not None for w in words) == 144
 
     def test_bound_holds_a_two_letter_depth_six_tensor(self):
         # expected_tensor(H, 2, 6) walks 1093 words in the same order on

@@ -94,7 +94,6 @@ class TestCompatible:
             compatible_matchings(Word(letters, 2))
 
     def test_each_word_gets_its_own_list(self):
-        # the enumeration is shared by every word with the same letters, and
         # a caller changing its list must not change the next caller's
         word = Word((1, 2, 1, 2, 1, 1), 2)
         first = compatible_matchings(word)
@@ -112,6 +111,16 @@ class TestPermutationCount:
     def test_all_equal_gives_factorial(self):
         assert permutation_count(Word((1, 1, 1, 1), 1)) == 24
         assert permutation_count(Word((1,) * 6, 1)) == math.factorial(6)
+
+    @pytest.mark.parametrize("n", [14, 36])
+    def test_odd_count_is_zero_at_any_length(self, n):
+        # no compatible matching, so nothing is enumerated and the cap on
+        # positions does not apply; it still applies to an even count
+        assert permutation_count(Word((1,) * (n - 1) + (2,), 2)) == 0
+        with pytest.raises(ValueError, match=f"at most 12 positions, got {n}"):
+            permutation_count(Word((1,) * n, 1))
+        with pytest.raises(ValueError, match="letter 0 is not allowed"):
+            permutation_count(Word((0,) + (1,) * (n - 1), 1))
 
     def test_twelve_positions_six_letters(self):
         w = Word((1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6), 6)
