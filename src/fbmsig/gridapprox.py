@@ -13,11 +13,13 @@ costing O(m), so the grid can grow to 2^18 cells.
 """
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import math
+import threading
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -428,19 +430,28 @@ def sample_fbm_batch(
 
 
 def _fgn_increments(
-    H: float, m: int, d: int, n_paths: int, seed: int, T: float = 1.0
-) -> np.ndarray:
+    H: float, m: int, d: int, n_paths: int, seed: int, T: float = 1.0,
+    on_paths: Callable[[int, np.ndarray], None] | None = None,
+) -> np.ndarray | None:
     """The increments (fractional Gaussian noise) of n_paths independent
     d-dimensional fBm paths on the uniform m-grid of [0, T], shape
     (n_paths, m, d): rows of law N(0, S), S the Toeplitz covariance with
     first column gamma_0..gamma_{m-1}.
 
     Up to _CHOLESKY_STEPS steps a row of increments is z @ L^T, with L the
-    LAPACK Cholesky factor of S and z m standard normals, drawn _DRAW_BLOCK
-    doubles at a time into one reused buffer; a Generator fills sequentially,
-    so the blocks hold the normals of one (rows, m) draw.  Longer grids use
-    the circulant embedding (_circulant_fgn), O(m log m) per row.  Memory is
+    LAPACK Cholesky factor of S and z m standard normals, taken block by
+    block from one (rows, m) draw (_drawn_ahead) and multiplied as each
+    block arrives.  The blocks never move: a product over another number of
+    rows may differ in the last bit.  Longer grids use the circulant
+    embedding (_circulant_fgn), O(m log m) per row.  Memory is
     O(n_paths d m).  Deterministic in the seed.
+
+    With on_paths nothing is returned: on_paths(first, increments) is
+    called with the increments of paths first, first + 1, ..., in path
+    order.  On the Cholesky branch that is after each block that completes
+    a path, so the caller's work on them overlaps the draw of the next
+    block and memory is one block; on the circulant branch it is once, with
+    every path.  The array is valid during the call only.
     """
     check_hurst(H)
     if m > _MAX_GRID:
@@ -452,18 +463,87 @@ def _fgn_increments(
     rng = np.random.default_rng(seed)
     # one row per (path, coordinate), in the order of a (n_paths, d, m) draw
     rows = n_paths * d
-    out = np.empty((rows, m))
+    done = 0  # paths handed to on_paths, whose rows have left out
     if m <= _CHOLESKY_STEPS:
         factor_t = _fgn_factor(gamma[:m]).T
-        block = np.empty((min(rows, max(1, _DRAW_BLOCK // m)), m))
-        for r in range(0, rows, len(block)):
-            z = block[:rows - r]
-            rng.standard_normal(out=z)
-            np.matmul(z, factor_t, out=out[r:r + len(z)])
+        step = max(1, _DRAW_BLOCK // m)
+        # for on_paths, one block and the rows it holds of a path it splits
+        out = np.empty((rows if on_paths is None else min(rows, step + d - 1), m))
+        with contextlib.closing(_drawn_ahead(rng, rows, m, step)) as blocks:
+            for r, z in blocks:
+                top = r + len(z) - done * d  # rows of out filled
+                np.matmul(z, factor_t, out=out[r - done * d:top])
+                if on_paths is not None and top >= d:
+                    whole = top - top % d
+                    on_paths(done, _as_paths(out[:whole], d))
+                    out[:top - whole] = out[whole:top]
+                    done += whole // d
     else:
+        out = np.empty((rows, m))
         w = rng.standard_normal((rows - rows // 2, 4 * m)).view(complex)
         _circulant_fgn(gamma, w, out=out)
-    return out.reshape(n_paths, d, m).transpose(0, 2, 1)
+    if on_paths is None:
+        return _as_paths(out, d)
+    if done < n_paths:
+        on_paths(done, _as_paths(out, d))
+    return None
+
+
+def _as_paths(rows: np.ndarray, d: int) -> np.ndarray:
+    """The (paths, m, d) view of rows ordered by (path, coordinate)."""
+    return rows.reshape(-1, d, rows.shape[1]).transpose(0, 2, 1)
+
+
+def _drawn_ahead(rng: np.random.Generator, rows: int, m: int, step: int):
+    """Yield (r, z) for each block of `step` rows of one (rows, m) standard
+    normal draw from rng: z holds rows r, r + 1, ..., and the last block may
+    be part-filled.  A Generator fills sequentially, so the blocks hold the
+    normals of that one draw.
+
+    From _AHEAD_BLOCKS blocks up, a background thread draws each block into
+    one of two buffers while the caller uses the other (the fill releases
+    the interpreter lock); fewer are drawn in turn into one buffer.  Either
+    way z is valid until the next block is asked for.  An exception in the
+    thread is raised in the caller; closing the generator stops the thread
+    and joins it.
+    """
+    starts = range(0, rows, step)
+    if len(starts) < _AHEAD_BLOCKS:
+        block = np.empty((min(rows, step), m))
+        for r in starts:
+            rng.standard_normal(out=block[:rows - r])
+            yield r, block[:rows - r]
+        return
+    buffers = np.empty((step, m)), np.empty((step, m))
+    free, filled = threading.Semaphore(2), threading.Semaphore(0)
+    failed = []
+    stop = False
+
+    def draw():
+        try:
+            for i, r in enumerate(starts):
+                free.acquire()
+                if stop:
+                    return
+                rng.standard_normal(out=buffers[i % 2][:rows - r])
+                filled.release()
+        except BaseException as exc:  # re-raised by the caller
+            failed.append(exc)
+            filled.release()
+
+    drawer = threading.Thread(target=draw, name="fgn-draw", daemon=True)
+    drawer.start()
+    try:
+        for i, r in enumerate(starts):
+            filled.acquire()
+            if failed:
+                raise failed[0]
+            yield r, buffers[i % 2][:rows - r]
+            free.release()
+    finally:
+        stop = True
+        free.release()
+        drawer.join()
 
 
 def _covariance_scale(H: float, m: int, T: float) -> float:
@@ -485,15 +565,29 @@ def _covariance_scale(H: float, m: int, T: float) -> float:
 # multiply-adds per normal at most, half of them on its zero triangle, cost
 # less than drawing the second normal per step the circulant embedding needs.
 # On a 2-vCPU x86 VM the embedding takes 13.3 ms for 4096 paths x 64 steps,
-# the factor 7.4 ms.
+# the factor 7.4 ms; drawing its normals ahead (_drawn_ahead) took 8% more
+# off the factor in a later interleaved comparison (6.7 against 6.1 ms).
 _CHOLESKY_STEPS = 128
 
-# Normals drawn per block on the Cholesky branch (256 KB), one buffer reused
-# for every block.  On a 2-vCPU x86 VM (interleaved medians of 40 calls) one
-# (rows, m) draw took 6.3-6.5 ms at 4096 x 64 and 8192 x 32 and 7.4 ms at
-# 2048 x 128, blocks of 2^15 doubles 4.6-4.8 and 5.6 ms; 2^13, 2^14 and 2^16
-# were 0.2-1.0 ms slower than 2^15, and 2500 x 36 was within noise.
+# Normals drawn per block on the Cholesky branch (256 KB), into one buffer,
+# or two when drawn ahead.  On a 2-vCPU x86 VM (interleaved medians of 40
+# calls, drawn in turn) one (rows, m) draw took 6.3-6.5 ms at 4096 x 64 and
+# 8192 x 32 and 7.4 ms at 2048 x 128, blocks of 2^15 doubles 4.6-4.8 and
+# 5.6 ms; 2^13, 2^14 and 2^16 were 0.2-1.0 ms slower than 2^15, and
+# 2500 x 36 was within noise.
 _DRAW_BLOCK = 2**15
+
+# Blocks from which _drawn_ahead draws on a background thread.  Starting a
+# thread that fills one block and joining it took 0.33 ms more than the
+# fill alone on a 2-vCPU x86 VM.  Against the same blocks drawn in turn (in-process mc_weak_value, 61
+# interleaved calls per shape), two blocks (2048 x 32) were faster ahead in
+# 15 of 61 calls; three (five shapes of 32 and 40 steps) in 26-56 of 61, a
+# coin flip with the host's load; four to eight (2500-4900 x 40 and
+# 2048 x 128) in 40-58 of 61, by 3-22% in the median.  All with one BLAS
+# thread: with OpenBLAS at two, its idle workers spin beside the drawer,
+# and a many-path mc_weak_value took 14-26% longer drawn ahead than drawn
+# in turn.
+_AHEAD_BLOCKS = 4
 
 
 def _fgn_factor(gamma: np.ndarray) -> np.ndarray:

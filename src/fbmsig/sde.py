@@ -65,12 +65,17 @@ def _checked_x0(fields: Sequence[Field], x0, steps_per_piece: int) -> np.ndarray
     return x0
 
 
-def _summed_solve(fields: Sequence[Field], x0: np.ndarray, times: np.ndarray,
-                  increments: np.ndarray, steps_per_piece: int) -> np.ndarray:
-    """_solve for fields that are all constants.  On piece j every RK4 stage
-    has the slope k_j = V_0 + sum_i s_ij V_i, so each of its steps adds the
-    same increment sixth_j (((k_j + (k_j + k_j)) + (k_j + k_j)) + k_j), and
-    the endpoint is x0 plus those increments added in time order.
+def _summed_ends(fields: Sequence[Field], x0: np.ndarray, times: np.ndarray,
+                 increments: np.ndarray, steps_per_piece: int, ends: np.ndarray,
+                 bad: int) -> int:
+    """_solve's endpoints, written into ends, for fields that are all
+    constants; returns the first piece whose end is not finite on some path,
+    or bad if none before it is (pieces from bad on are not summed).
+
+    On piece j every RK4 stage has the slope k_j = V_0 + sum_i s_ij V_i, so
+    each of its steps adds the same increment
+    sixth_j (((k_j + (k_j + k_j)) + (k_j + k_j)) + k_j), and the endpoint is
+    x0 plus those increments added in time order.
 
     Blocks of whole pieces of a block of paths hold at most _SUM_BLOCK
     doubles (more only when one piece of one path is longer), time-major:
@@ -81,7 +86,8 @@ def _summed_solve(fields: Sequence[Field], x0: np.ndarray, times: np.ndarray,
     of one lane (one path with N = 1); such a block is accumulated instead.
     A non-finite state stays non-finite, so only a block whose end is not
     all finite is cumsummed to find its first piece end that is not, and
-    the earliest over the blocks is raised.
+    the earliest over the blocks is returned.  The endpoints of a path do
+    not depend on the blocks, so a batch may come in parts of paths.
     """
     v0, *spatial_fields = fields
     n_paths, n = len(increments), len(x0)
@@ -90,8 +96,6 @@ def _summed_solve(fields: Sequence[Field], x0: np.ndarray, times: np.ndarray,
     piece = steps_per_piece * n  # doubles per piece of one path
     width = max(1, min(len(dt), _SUM_BLOCK // piece))  # pieces per block
     rows = max(1, _SUM_BLOCK // (width * piece))  # paths per block
-    ends = np.empty((n_paths, n))
-    bad = len(dt)  # the first piece whose end is not finite
     for p in range(0, n_paths, rows):
         y = x0
         for j0 in range(0, min(len(dt), bad), width):
@@ -115,7 +119,27 @@ def _summed_solve(fields: Sequence[Field], x0: np.ndarray, times: np.ndarray,
                 bad = min(bad, j0 + int(np.argmin(finite)))
                 break
         ends[p:p + rows] = y
-    if bad < len(dt):
+    return bad
+
+
+def _summed_solve(fields: Sequence[Field], x0: np.ndarray, times: np.ndarray,
+                  n_paths: int, steps_per_piece: int, feed) -> np.ndarray:
+    """Endpoints (n_paths, N) for fields that are all constants.  feed(solve)
+    calls solve(first, increments) with the increments of paths first,
+    first + 1, ..., part after part, until every path has been handed over;
+    _summed_ends gives the same endpoints however the paths are split, and
+    the first non-finite time over all paths is raised after the last part.
+    """
+    ends = np.empty((n_paths, len(x0)))
+    bad = len(times) - 1
+
+    def solve(first, increments):
+        nonlocal bad
+        bad = _summed_ends(fields, x0, times, increments, steps_per_piece,
+                           ends[first:first + len(increments)], bad)
+
+    feed(solve)
+    if bad < len(times) - 1:
         raise RuntimeError(f"non-finite state at t={times[bad + 1]:g}")
     return ends
 
@@ -144,8 +168,8 @@ def _solve(fields: Sequence[Field], x0, times: Sequence[float], increments: np.n
             "spatial fields were supplied"
         )
     if not any(map(callable, fields)):
-        return _summed_solve(fields, x0, np.asarray(times, dtype=float), increments,
-                             steps_per_piece)
+        return _summed_solve(fields, x0, np.asarray(times, dtype=float), n_paths,
+                             steps_per_piece, lambda solve: solve(0, increments))
     v0, *spatial_fields = (v if callable(v) else (lambda z, c=v: c) for v in fields)
 
     def slope(z):
@@ -211,6 +235,9 @@ def mc_weak_value(
     """Monte-Carlo reference: drive the same integrator along sampled fBm
     paths (piecewise-linear interpolation on the n_steps grid of [0, T]),
     given to it as the sampler's increments; no path positions are built.
+    When no field is callable, each block of whole paths is summed as the
+    sampler hands it over, while the sampler draws the next block, and the
+    first non-finite time over all blocks is raised after the last one.
 
     By default the RK4 grid is the sample grid, one step per cell.  With
     m = n_steps, its local error ~ |d omega|^5 ~ (T/m)^(5H) sums to
@@ -231,10 +258,15 @@ def mc_weak_value(
     check_hurst(H)
     if n_paths < 2:
         raise ValueError(f"n_paths must be >= 2 for a standard error, got {n_paths}")
-    _checked_x0(fields, x0, steps_per_piece)  # before the sample is drawn
-    increments = _fgn_increments(H, n_steps, len(fields) - 1, n_paths, seed, T)
+    x0 = _checked_x0(fields, x0, steps_per_piece)  # before the sample is drawn
     times = np.arange(n_steps + 1) * (T / n_steps)
-    vals = _values(f, _solve(fields, x0, times, increments, steps_per_piece))
+    sample = (H, n_steps, len(fields) - 1, n_paths, seed, T)
+    if any(map(callable, fields)):
+        ends = _solve(fields, x0, times, _fgn_increments(*sample), steps_per_piece)
+    else:
+        ends = _summed_solve(fields, x0, times, n_paths, steps_per_piece,
+                             lambda solve: _fgn_increments(*sample, on_paths=solve))
+    vals = _values(f, ends)
     if not np.all(np.isfinite(vals)):
         return float(vals.mean()), math.nan
     # std squares the deviations, which underflow or overflow far inside the

@@ -505,8 +505,9 @@ class TestSde:
         assert rc == 0 and seen == [ga._MAX_GRID]
 
     def test_unallocatable_paths_is_usage_error(self, tmp_path, capsys):
-        # 10^12 paths of 4096 steps need 29 PiB, more than any address space,
-        # so the sampler's first allocation fails at once
+        # 10^12 paths need 8 TB for their endpoints and 29 PiB of increments
+        # at 4096 steps, more than any address space, so the first
+        # allocation fails at once
         rc, text = run(tmp_path, "sde", "compare", "--paths", "1000000000000",
                        "--steps", "4096")
         assert rc == 2 and text == ""

@@ -1,11 +1,16 @@
 import inspect
 import math
+import os
+import subprocess
+import sys
+import threading
 import time
 import warnings
 
 import numpy as np
 import pytest
 
+from fbmsig import gridapprox as ga
 from fbmsig import sde as sde_module
 from fbmsig.cli import _sde_problem
 from fbmsig.cli import main as cli_main
@@ -442,6 +447,191 @@ class TestMcDefaultGridAccuracy:
         _, _, ends, times, inc = _recorded_mc(vf, x0, 0.7, 2.0, 300, 16, seed=4,
                                               steps_per_piece=4)
         assert np.array_equal(ends, rk4_solve_per_piece(vf, x0, times, inc, 4))
+
+
+def _constant_fields(d):
+    """Constant fields (V_0, ..., V_d) at N = 2, floats and (N,) arrays."""
+    values = (0.25, np.array([1.0, -0.5]), 1.0, np.array([-0.75, 2.0]))
+    return values[:d + 1], [0.3, -0.2]
+
+
+class _CountedThread(threading.Thread):
+    """A Thread that records itself in `started` when it starts."""
+
+    started = []
+
+    def start(self):
+        self.started.append(self)
+        super().start()
+
+
+@pytest.fixture
+def threads(monkeypatch):
+    """The threads started during the test, which must all be joined by its
+    end, with the thread count back where it began."""
+    before = threading.active_count()
+    started = []
+    monkeypatch.setattr(_CountedThread, "started", started)
+    monkeypatch.setattr(threading, "Thread", _CountedThread)
+    yield started
+    assert not any(t.is_alive() for t in started)
+    assert threading.active_count() == before
+
+
+def _fail_on_call(fn, n, exc):
+    """fn, except that its n-th call raises exc."""
+    calls = []
+
+    def wrapped(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == n:
+            raise exc
+        return fn(*args, **kwargs)
+
+    return wrapped
+
+
+class TestPipelinedReference:
+    # mc_weak_value sums each block's whole paths while the sampler draws the
+    # next block on a background thread.  Its value, standard error and
+    # endpoints must be those of one solve of the whole increment array:
+    # _solve on it, and RK4 on the callables, which take the whole array.
+    # 3000 x 40 x 2 and 2000 x 50 x 3 draw blocks of 819 and 655 rows, so a
+    # block ends inside a path; 1001 x 7 in blocks of 13 rows leaves the last
+    # block part-filled; 5 x 8 is one block, 2048 x 32 two, drawn in turn,
+    # and 100 x 300 the circulant
+    @pytest.mark.parametrize("n_paths, n_steps, d, block_rows, steps_per_piece", [
+        (4096, 64, 1, None, 1), (8020, 33, 1, None, 1), (2048, 128, 1, None, 1),
+        (2500, 36, 1, None, 1), (1001, 7, 1, 13, 1), (1001, 7, 1, 13, 4),
+        (3000, 40, 2, None, 1), (2000, 50, 3, None, 1), (2000, 50, 3, 7, 4),
+        (5, 8, 2, None, 1), (2048, 32, 1, None, 1), (100, 300, 1, None, 1)])
+    def test_bit_identical_to_one_solve(self, monkeypatch, threads, n_paths, n_steps,
+                                        d, block_rows, steps_per_piece):
+        if block_rows is not None:
+            monkeypatch.setattr(ga, "_DRAW_BLOCK", block_rows * n_steps)
+        vf, x0 = _constant_fields(d)
+        args = (x0, 0.7, 1.3, n_paths, n_steps, 9)
+        est, se, ends, times, inc = _recorded_mc(vf, *args,
+                                                 steps_per_piece=steps_per_piece)
+        assert np.array_equal(ends, _solve(vf, x0, times, inc, steps_per_piece))
+        rk4 = _recorded_mc(_callables(vf), *args, steps_per_piece=steps_per_piece)
+        assert (est, se) == rk4[:2]
+        assert np.array_equal(ends, rk4[2])
+        blocks = -(-n_paths * d // max(1, ga._DRAW_BLOCK // n_steps))
+        drawn_ahead = n_steps <= ga._CHOLESKY_STEPS and blocks >= ga._AHEAD_BLOCKS
+        # one drawer per sampler call of _AHEAD_BLOCKS blocks or more: each
+        # _recorded_mc samples in mc_weak_value and again for the increments
+        assert len(threads) == (4 if drawn_ahead else 0)
+
+    # y = 1.7e308 + 1e307 omega overflows once omega passes 0.976.  In blocks
+    # of two paths the first block to overflow does so later than a block
+    # after it; the error must name the earliest time over all paths
+    @pytest.mark.parametrize("seed", [0, 36])
+    def test_divergence_names_the_earliest_time(self, monkeypatch, seed):
+        vf, x0, m, T = (0.0, 1e307), [1.7e308], 8, 1.3
+        monkeypatch.setattr(ga, "_DRAW_BLOCK", 2 * m)
+        times = np.arange(m + 1) * (T / m)
+        inc = _fgn_increments(0.7, m, 1, 12, seed, T)
+
+        def message(increments):
+            try:
+                _solve(vf, x0, times, increments, 1)
+            except RuntimeError as err:
+                return str(err)
+            return None
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            per_block = [message(inc[p:p + 2]) for p in range(0, 12, 2)]
+            want = message(inc)
+            with pytest.raises(RuntimeError) as err:
+                mc_weak_value(vf, lambda y: y[:, 0], x0, 0.7, T, 12, m, seed)
+        first = next(msg for msg in per_block if msg is not None)
+        assert want in per_block and first != want
+        assert str(err.value) == want
+
+    def test_drawer_exception_reaches_the_caller(self, monkeypatch, threads):
+        # a draw that fails on the background thread (the third block) raises
+        # in the caller; pytest turns an unhandled thread exception into an
+        # error, so the thread must not leak it either
+        default_rng = np.random.default_rng
+
+        class FailingDraws:
+            def __init__(self, seed):
+                self.rng = default_rng(seed)
+                self.standard_normal = _fail_on_call(
+                    self.rng.standard_normal, 3, FloatingPointError("draw failed"))
+
+        vf, x0 = _constant_fields(1)
+        args = (vf, lambda y: y[:, 0], x0, 0.7, 1.3, 4096, 64, 5)
+        monkeypatch.setattr(np.random, "default_rng", FailingDraws)
+        before = threading.active_count()
+        with pytest.raises(FloatingPointError, match="draw failed"):
+            mc_weak_value(*args)
+        assert len(threads) == 1 and not threads[0].is_alive()
+        assert threading.active_count() == before
+        monkeypatch.setattr(np.random, "default_rng", default_rng)
+        assert mc_weak_value(*args) == mc_weak_value(_callables(vf), *args[1:])
+        assert len(threads) == 3
+
+    def test_solve_exception_stops_the_drawer(self, monkeypatch, threads):
+        vf, x0 = _constant_fields(1)
+        args = (vf, lambda y: y[:, 0], x0, 0.7, 1.3, 4096, 64, 5)
+        summed = sde_module._summed_ends
+        monkeypatch.setattr(sde_module, "_summed_ends",
+                            _fail_on_call(summed, 2, KeyError("solve failed")))
+        before = threading.active_count()
+        with pytest.raises(KeyError, match="solve failed"):
+            mc_weak_value(*args)
+        assert len(threads) == 1 and not threads[0].is_alive()
+        assert threading.active_count() == before
+        monkeypatch.setattr(sde_module, "_summed_ends", summed)
+        assert mc_weak_value(*args) == mc_weak_value(_callables(vf), *args[1:])
+
+    def test_memory_error_in_a_block_is_a_usage_error(self, monkeypatch, threads,
+                                                      capsys):
+        # the first call is the cubature solve, the next two the first two
+        # blocks of the Monte-Carlo reference
+        monkeypatch.setattr(sde_module, "_summed_ends",
+                            _fail_on_call(sde_module._summed_ends, 3, MemoryError()))
+        argv = ["sde", "compare", "--paths", "4096", "--steps", "64", "--no-timestamp"]
+        assert cli_main(argv) == 2
+        assert "--paths 4096 with --steps 64 needs more memory" in capsys.readouterr().err
+        assert len(threads) == 1
+
+    def test_import_starts_no_thread(self):
+        code = ("import threading, fbmsig.cli; "
+                "print(threading.active_count(), threading.enumerate())")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.startswith("1 ")
+
+    def test_concurrent_calls_under_fast_switching(self, monkeypatch):
+        # four calls at once, each with its drawer, on small blocks that hand
+        # the buffers back and forth often; a block read while it is redrawn
+        # would change an endpoint
+        monkeypatch.setattr(ga, "_DRAW_BLOCK", 3 * 16)
+        vf, x0 = _constant_fields(2)
+        calls = [(vf, lambda y: y[:, 0], x0, 0.7, 1.3, 600, 16, seed)
+                 for seed in range(4)]
+        want = [mc_weak_value(_callables(vf), *args[1:]) for args in calls]
+        got = [None] * len(calls)
+
+        def run(i):
+            got[i] = mc_weak_value(*calls[i])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=run, args=(i,)) for i in range(len(calls))]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers)
+        assert got == want
 
 
 class TestSeriesLogSum:
