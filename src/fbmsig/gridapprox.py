@@ -422,7 +422,8 @@ def sample_fbm_batch(
     """n_paths independent d-dimensional fBm paths on the uniform m-grid of
     [0, T], shape (n_paths, m+1, d), row 0 identically zero: the cumulative
     sums of the increments _fgn_increments draws for the same arguments.
-    Deterministic in the seed.
+    Deterministic in the seed for a fixed BLAS thread count (see
+    _fgn_increments).
     """
     paths = np.zeros((n_paths, m + 1, d))
     np.cumsum(_fgn_increments(H, m, d, n_paths, seed, T), axis=1, out=paths[:, 1:])
@@ -444,7 +445,9 @@ def _fgn_increments(
     block arrives.  The blocks never move: a product over another number of
     rows may differ in the last bit.  Longer grids use the circulant
     embedding (_circulant_fgn), O(m log m) per row.  Memory is
-    O(n_paths d m).  Deterministic in the seed.
+    O(n_paths d m).  Deterministic in the seed for a fixed BLAS thread
+    count: the product with L^T goes through BLAS, and how many threads
+    split its sums moves the last bits of the Cholesky-branch increments.
 
     With on_paths nothing is returned: on_paths(first, increments) is
     called with the increments of paths first, first + 1, ..., in path

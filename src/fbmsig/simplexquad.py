@@ -20,24 +20,29 @@ positions only, so the reduction runs once per shape (n, M) and per process.
 It yields a plan: every exponent is a symbol (the kernel exponent, or the
 1.0 of a free variable's interval, plus the number of integrations that each
 added 1.0), and every coefficient is the list of (sign, symbol) steps that
-divided it.  What survives is a sum of Beta-type closed forms plus
-low-dimensional irreducible cores, which are evaluated on a tensor
-Gauss-Legendre grid after mapping the simplex to the unit cube and absorbing
-every endpoint singularity into per-axis Beta-CDF substitutions.  Which
-symbols set each axis exponent, and which axes each factor spans, depend on
-the core's positions only, so the plan carries them too.  Each exponent e
-replays the plan with the float operations a reduction carrying e would do,
-in its order, so the values do not depend on the memos.  Each factor of a
-mapped core depends on a run of neighbouring axes, so the tensor sum is
-contracted one axis at a time: a factor over L >= 2 axes is one N**L link,
-and an axis is summed out once no later factor reaches back to it, so a core
-costs its links' grids (N x N, or N**3 for four pairs) rather than N**m
-points; a one-axis factor reads log(1 - x) from the axis map, which is built
-once per (p, q, N).  A
-core's values at both resolutions depend on its integrand only (its axis
-and span exponents), so they are read from one memo keyed by it, which
-cores at different positions share.  The error estimate comes from
-re-evaluating the numeric cores at a finer resolution, plus, when time
+divided it.  What survives is a sum of low-dimensional irreducible cores on
+the unit cube, the simplex mapped to it.  Which symbols set each axis
+exponent (an integer plus a multiple of e), and which axes each factor
+spans, depend on the core's positions only, so the plan carries them too.
+Each exponent e replays the plan with the float operations a reduction
+carrying e would do, in its order, and forms each axis exponent as the
+correctly rounded c + k e, so one integrand gets the same floats wherever its
+core sits and the values do not depend on the memos.
+
+A separable core, whose every factor spans one axis, is a product of Beta
+functions, closed in lgamma with a derived rounding bar.  A core with a link,
+a factor over two or more axes, is evaluated on a tensor Gauss-Legendre grid
+after absorbing every endpoint singularity into per-axis Beta-CDF
+substitutions.  Each factor of a mapped core depends on a run of neighbouring
+axes, so the tensor sum is contracted one axis at a time: a factor over
+L >= 2 axes is one N**L link, and an axis is summed out once no later factor
+reaches back to it, so a core costs its links' grids (N x N, or N**3 for four
+pairs) rather than N**m points; a one-axis factor reads log(1 - x) from the
+axis map, which is built once per (p, q, N).  A core's values at both
+resolutions depend on its integrand only (its axis and span exponents), so
+they are read from one memo keyed by it, which cores at different positions
+share.  The error estimate comes from re-evaluating the linked cores at a
+finer resolution and the rounding bars of the closed ones, plus, when time
 reversal t -> 1 - t maps M to a different matching R(M), the gap
 |I(M) - I(R(M))|: the two integrals are equal in exact arithmetic, and their
 gap shows error that is the same at every resolution.
@@ -141,18 +146,30 @@ class _Plan(NamedTuple):
     """The reduced terms of one shape.  symbols lists the (source, j)
     exponent symbols; a term is (steps, axes, spans), with steps the (sign,
     symbol index) divisions of its coefficient.  Its core has m = len(axes)
-    variables: axes holds, per axis, the indices of the symbols that its
-    exponent collects, in factor order, and spans the (axes, symbol index)
-    of each factor (1 - prod x_i)**s."""
+    variables: axes holds, per axis, its exponent as (k, c), standing for
+    c + k e (the Jacobian exponent and the symbols it collects), and spans
+    the (axes, symbol index) of each factor (1 - prod x_i)**s.  closed holds,
+    per term, None for a core with a link (a span over two or more axes).  A
+    separable core, whose every span covers one axis, is prod_i B(gam_i + 1,
+    b_i + 1), b_i the sum of axis i's span exponents, and closed holds its
+    (kg, cg, kb, cb) per axis: gam_i = cg + kg e and b_i = cb + kb e."""
 
     symbols: tuple[tuple[int, int], ...]
     terms: tuple[tuple[tuple, tuple, tuple], ...]
+    closed: tuple[tuple | None, ...]
+
+
+def _parts(base: int, symbols) -> tuple[int, int]:
+    """base plus the sum of the exponent symbols, as (k, c) standing for
+    c + k e: (_KERNEL, j) is e + j and (_TIME, j) is 1 + j."""
+    return (sum(source == _KERNEL for source, _ in symbols),
+            base + sum(j + source for source, j in symbols))
 
 
 # One plan per shape for the whole process.  The bound holds every shape of
 # up to four pairs on eight positions (1107, which expected_tensor(H, 1, 8)
-# asks; their plans measured 10.9 MB, against 344 shapes of up to three pairs
-# on seven positions).
+# asks; their plans measured 12.9 MB, and the 344 shapes of up to three pairs
+# on seven positions 2.3 MB).
 @functools.lru_cache(maxsize=2048)
 def _reduce_terms(n: int, pairs) -> _Plan:
     """The plan of the 1-based shape (n, pairs).  Each core's positions are
@@ -208,7 +225,7 @@ def _reduce_terms(n: int, pairs) -> _Plan:
             stack.append((steps + ((sgn, s1),), tuple(rest) + ((aa, bb, s1),), nvs))
     symbols: dict = {}
     index = lambda s: symbols.setdefault(s, len(symbols))
-    terms = []
+    terms, closed = [], []
     for steps, fs, vs in out:
         m = len(vs)
         idx = {0: 0, n + 1: m + 1} | {x: i + 1 for i, x in enumerate(vs)}
@@ -216,12 +233,16 @@ def _reduce_terms(n: int, pairs) -> _Plan:
         for a, b, s in fs:
             a, b = idx[a], idx[b]
             for i in range(b, m + 1):
-                axes[i - 1].append(index(s))
+                axes[i - 1].append(s)
             if a >= 1:
-                spans.append((tuple(range(a - 1, b - 1)), index(s)))
-        terms.append((tuple((sgn, index(s)) for sgn, s in steps),
-                      tuple(map(tuple, axes)), tuple(spans)))
-    return _Plan(tuple(symbols), tuple(terms))
+                spans.append((tuple(range(a - 1, b - 1)), s))
+        axes = tuple(_parts(i, ax) for i, ax in enumerate(axes))
+        terms.append((tuple((sgn, index(s)) for sgn, s in steps), axes,
+                      tuple((ax, index(s)) for ax, s in spans)))
+        closed.append(None if any(len(ax) > 1 for ax, _ in spans) else
+                      tuple(gam + _parts(0, [s for ax, s in spans if ax == (i,)])
+                            for i, gam in enumerate(axes)))
+    return _Plan(tuple(symbols), tuple(terms), tuple(closed))
 
 
 def _q_for(e: float) -> int:
@@ -276,21 +297,22 @@ def _beta_axis(p: int, q: int, N: int):
     return axis
 
 
-# A core value is a pure function of its integrand, and the matching
-# integrals of one exponent share many cores, at different positions too.  At
-# a fresh H, one six-letter level table adds 65 entries (64 where two
-# integrands round alike), the 379 pure eight-letter words over {1, ..., 4}
-# add 562 to 576, and expected_tensor(H, 1, 8) adds 1532.  An entry measured
-# about 650 bytes, so a full memo holds some 1.3 MB.  One word can outgrow
-# it: 1,1,1,1,0,1,1,0,1,1 asks for 2831 distinct cores, so it evicts every
-# cached six-letter core, and a table at the same H afterwards recomputes
-# them.  The bound stays: it is sized for tables, not for such a word.
+# A linked core's value is a pure function of its integrand, and the
+# matching integrals of one exponent share many cores, at different positions
+# too.  At a fresh H, one six-letter level table looks 18 linked cores up and
+# adds 15 entries, the 379 pure eight-letter words over {1, ..., 4} add 414,
+# and expected_tensor(H, 1, 8) adds 787.  An entry measured about 650 bytes,
+# so a full memo holds some 1.3 MB.  One word nearly fills it:
+# 1,1,1,1,0,1,1,0,1,1 asks for 2038 distinct cores, so it keeps only the 10
+# most recent earlier entries, and a table at the same H afterwards
+# recomputes its cores.  The bound stays: it is sized for tables.
 @functools.lru_cache(maxsize=2048)
 def _core_numeric(gam, spans) -> tuple[float, float]:
     """Tensor Gauss-Legendre evaluation of the irreducible core prod_i
     x_i**gam[i] * prod over spans (1 - prod_{i in axes} x_i)**e on the unit
     cube, contracted one axis at a time: its values at POINTS_PER_AXIS + 16
-    and at POINTS_PER_AXIS points per axis.
+    and at POINTS_PER_AXIS points per axis.  Only cores with a link reach
+    it, a span over two or more axes; _beta_product closes the rest.
 
     Every axis takes the Beta(p, q)-CDF substitution x = I_u(p, q), p sized
     by its exponent and q by its negative and non-integer span exponents; the
@@ -347,6 +369,31 @@ def _core_numeric(gam, spans) -> tuple[float, float]:
     return tuple(values)
 
 
+def _beta_product(e: float, axes) -> tuple[float, float]:
+    """The separable core prod_i x_i**gam_i * (1 - x_i)**b_i on the unit
+    cube at the kernel exponent e, each axis given as (kg, cg, kb, cb) for
+    gam_i = cg + kg e and b_i = cb + kb e: prod_i B(gam_i + 1, b_i + 1), and
+    a bound on its relative rounding error.
+
+    Each lgamma argument x is the correctly rounded c + k e, so it is off by
+    at most half an ulp u of itself and moves lgamma(x) by at most
+    x |psi(x)| u / 2 <= (|lgamma(x)| + x + 1) u / 2 (for x < 40);
+    math.lgamma adds at most 4 ulp of max(|lgamma(x)|, 1) (measured against
+    mpmath: 2.9 ulp, and 2.8e-16 absolute near its zeros at 1 and 2).  So
+    the log is off by at most 4.5 size u, size the sum of |lgamma(x)| + x +
+    1, plus the half ulp of its own sum; exp and the product with a
+    coefficient round twice more."""
+    logs, size = [], 0.0
+    for kg, cg, kb, cb in axes:
+        for k, c, sign in ((kg, cg + 1, 1.0), (kb, cb + 1, 1.0), (kg + kb, cg + cb + 2, -1.0)):
+            # k e is exact for k <= 2, so one addition rounds correctly
+            x = c + k * e if k <= 2 else math.fsum([c] + [e] * k)
+            lg = math.lgamma(x)
+            logs.append(sign * lg)
+            size += abs(lg) + x + 1.0
+    return math.exp(math.fsum(logs)), (5.0 * size + 2.0) * 2.3e-16
+
+
 # A matching integral is a pure function of its hashable key (n, 1-based
 # pairs, exponent), so a repeat returns the identical value.  The bound keeps
 # memory flat across requests that each draw a fresh H; one six-letter level
@@ -355,14 +402,16 @@ def _core_numeric(gam, spans) -> tuple[float, float]:
 @functools.lru_cache(maxsize=2048)
 def _reduced_integral(n: int, pairs, exponent: float) -> CertifiedValue:
     """Sum of the reduced terms; the error estimate is the change of every
-    numeric core between POINTS_PER_AXIS and POINTS_PER_AXIS + 16 points.
+    linked core between POINTS_PER_AXIS and POINTS_PER_AXIS + 16 points plus
+    the rounding bar of every closed one.
 
     The shape's plan is replayed with the same float operations in the same
     order as a reduction carrying the exponent would do them: each symbol's
-    value is its source exponent plus 1.0, once per integration, each
-    coefficient is 1.0 times sign / symbol value, step by step, and each axis
-    exponent is its Jacobian exponent plus its symbols' values in factor
-    order.  A one-axis core x**a (1 - x)**b is the Beta function B(a+1, b+1)."""
+    value is its source exponent plus 1.0, once per integration, and each
+    coefficient is 1.0 times sign / symbol value, step by step.  Each axis
+    exponent is the correctly rounded c + k e of its plan.  A separable core
+    is a product of Beta functions (_beta_product); a core with a link goes
+    to _core_numeric."""
     plan = _reduce_terms(n, pairs)
     vals = []
     for source, j in plan.symbols:
@@ -371,27 +420,17 @@ def _reduced_integral(n: int, pairs, exponent: float) -> CertifiedValue:
             e = e + 1.0
         vals.append(e)
     total = err = scale = 0.0
-    for steps, axes, spans in plan.terms:
+    for (steps, axes, spans), closed in zip(plan.terms, plan.closed):
         coeff = 1.0
         for sgn, s in steps:
             coeff = coeff * sgn / vals[s]
-        gam = []
-        for i, symbols in enumerate(axes):
-            g = float(i)
-            for s in symbols:
-                g += vals[s]
-            gam.append(g)
-        spans = tuple((ax, vals[s]) for ax, s in spans)
-        if not gam:
-            v = coeff  # every factor is (t_1 - t_0)**e = 1
-        elif len(gam) == 1:
-            b = 0.0
-            for _, e in spans:
-                b += e
-            v = coeff * math.exp(math.lgamma(gam[0] + 1) + math.lgamma(b + 1)
-                                 - math.lgamma(gam[0] + b + 2))
+        if closed is not None:
+            w, rel = _beta_product(exponent, closed)
+            v = coeff * w
+            err += rel * abs(v)
         else:
-            hi, lo = _core_numeric(tuple(gam), spans)
+            hi, lo = _core_numeric(tuple(math.fsum([c] + [exponent] * k) for k, c in axes),
+                                   tuple((ax, vals[s]) for ax, s in spans))
             v = coeff * hi
             err += abs(v - coeff * lo)
         total += v

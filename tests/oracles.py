@@ -160,29 +160,47 @@ def reduce_terms_numeric(n: int, factors, variables):
     return out
 
 
-def axis_rules_direct(m: int, factors):
+def exponent_parts(f: float, e: float) -> tuple[int, int]:
+    """(k, c) with c + k e = f, for a factor exponent f of the numeric
+    reduction at the kernel exponent e: after j integrations a kernel
+    exponent is e + j, and a time letter's is the whole number 1 + j."""
+    return (0, int(f)) if f == int(f) else (1, round(f - e))
+
+
+def axis_parts_direct(m: int, factors, e: float):
     """The integrand of an m-dim core, rebuilt from its factors on every call:
-    the per-axis exponents gam and the (axes, exponent) spans, as tuples of
-    floats; `fbmsig.simplexquad._reduce_terms` plans which exponents add where
-    once per shape, and `_reduced_integral` adds them at each exponent.
+    per axis its exponent as (k, c) for c + k e (its Jacobian exponent plus
+    its factors' exponents), and the (axes, exponent) spans as floats;
+    `fbmsig.simplexquad._reduce_terms` plans which exponents add where once
+    per shape.
 
     Positions are 1..m with sentinels 0 and m+1.  Under t_j = prod_{i>=j} x_i:
       (t_b - t_a)**e = prod_{i>=b} x_i**e * (1 - prod_{a<=i<b} x_i)**e  (a>=1)
       (t_b - 0)**e   = prod_{i>=b} x_i**e
     plus the Jacobian prod x_i**(i-1).
     """
-    gam = np.array([float(i) for i in range(m)])  # Jacobian exponents, 0-based
+    parts = [[0, i] for i in range(m)]  # Jacobian exponents, 0-based
     spans: list[tuple[tuple[int, ...], float]] = []
-    for a, b, e in factors:
+    for a, b, f in factors:
         if a == 0 and b == m + 1:
             continue
         start = max(b, 1)
         if b <= m:
+            k, c = exponent_parts(f, e)
             for i in range(start, m + 1):
-                gam[i - 1] += e
+                parts[i - 1][0] += k
+                parts[i - 1][1] += c
         if a >= 1:
-            spans.append((tuple(range(a - 1, min(b - 1, m))), e))
-    return tuple(float(g) for g in gam), tuple(spans)
+            spans.append((tuple(range(a - 1, min(b - 1, m))), f))
+    return [tuple(p) for p in parts], tuple(spans)
+
+
+def axis_rules_direct(m: int, factors, e: float):
+    """The per-axis exponents gam and the spans of axis_parts_direct, each
+    exponent the correctly rounded c + k e, as `_reduced_integral` forms it:
+    one integrand gives the same floats at any position."""
+    parts, spans = axis_parts_direct(m, factors, e)
+    return tuple(math.fsum([c] + [e] * k) for k, c in parts), spans
 
 
 def beta_map_direct(gam, spans):

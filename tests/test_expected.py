@@ -30,11 +30,13 @@ from fbmsig.matchings import enumerate_matchings, permutation_count
 from fbmsig.simplexquad import QuadConfig, _reduce_terms, matching_simplex_integral
 from fbmsig.tensor import Word, all_words, word_index
 from oracles import (
+    axis_parts_direct,
     axis_rules_direct,
     beta_map_direct,
     cell_covariance_matrix,
     cell_pair_integral,
     core_numeric_full_grid,
+    exponent_parts,
     expected_word_by_matchings,
     reduce_terms_numeric,
     shuffle_class,
@@ -443,11 +445,12 @@ class TestReducedCores:
         assert max(dims) <= 3
 
 
-def _shapes(n_max):
-    """Every (n, pairs) of <= 3 pairs on n <= n_max positions (1-based, pairs
-    sorted by first position), the unmatched positions being time letters."""
+def _shapes(n_max, max_pairs=3):
+    """Every (n, pairs) of <= max_pairs pairs on n <= n_max positions
+    (1-based, pairs sorted by first position), the unmatched positions being
+    time letters."""
     for n in range(2, n_max + 1):
-        for size in range(2, min(n, 6) + 1, 2):
+        for size in range(2, min(n, 2 * max_pairs) + 1, 2):
             for subset in itertools.combinations(range(1, n + 1), size):
                 for matching in enumerate_matchings(size):
                     yield n, tuple((subset[a], subset[b]) for a, b in matching)
@@ -463,23 +466,25 @@ def _numeric_cores(n, factors):
         yield coeff, m, tuple((idx[a], idx[b], e) for a, b, e in fs)
 
 
-def _sum_of_numeric_terms(n, factors):
+def _sum_of_numeric_terms(n, pairs, e):
     """The matching integral summed over the terms of the numeric reduction,
-    in its order: each core's integrand built from its factors, a one-axis
-    core x**a (1 - x)**b as B(a+1, b+1) and the others at both resolutions."""
+    in its order: each core's integrand built from its factors, a separable
+    core (every span over one axis) as its product of Beta functions and the
+    others at both resolutions."""
     total = err = scale = 0.0
-    for coeff, m, core in _numeric_cores(n, factors):
-        gam, spans = axis_rules_direct(m, core)
-        if m == 0:
-            v = coeff
-        elif m == 1:
-            b = 0.0
-            for _, e in spans:
-                b += e
-            v = coeff * math.exp(math.lgamma(gam[0] + 1) + math.lgamma(b + 1)
-                                 - math.lgamma(gam[0] + b + 2))
+    for coeff, m, core in _numeric_cores(n, tuple((a, b, e) for a, b in pairs)):
+        parts, spans = axis_parts_direct(m, core, e)
+        if all(len(ax) == 1 for ax, _ in spans):
+            # prod_i B(gam_i + 1, b_i + 1), b_i the sum of axis i's spans
+            closed = []
+            for i, gam in enumerate(parts):
+                tail = [exponent_parts(f, e) for ax, f in spans if ax == (i,)]
+                closed.append(gam + (sum(k for k, _ in tail), sum(c for _, c in tail)))
+            w, rel = sq._beta_product(e, tuple(closed))
+            v = coeff * w
+            err += rel * abs(v)
         else:
-            hi, lo = sq._core_numeric(gam, spans)
+            hi, lo = sq._core_numeric(axis_rules_direct(m, core, e)[0], spans)
             v = coeff * hi
             err += abs(v - coeff * lo)
         total += v
@@ -499,10 +504,61 @@ class TestShapePlan:
         for H in (0.5001, 0.6, 0.75, 0.999):
             e = 2.0 * H - 2.0
             for n, pairs in shapes:
-                factors = tuple((a, b, e) for a, b in pairs)
-                assert sq._reduced_integral(n, pairs, e) == _sum_of_numeric_terms(n, factors)
+                assert sq._reduced_integral(n, pairs, e) == _sum_of_numeric_terms(n, pairs, e)
         sq._reduced_integral.cache_clear()
         assert sq._reduce_terms.cache_info().misses == len(shapes)
+
+
+class TestSeparableCores:
+    @pytest.mark.parametrize("H", (0.5001, 0.53, 0.6, 0.75, 0.9, 0.99))
+    def test_beta_products_within_rounding_bar(self, H, monkeypatch):
+        # every separable term of the 344 shapes against the 40-digit product
+        # of Beta functions at the exact exponents c + k e; the bar is
+        # derived, and the misses measured at most 0.15 of it
+        mpmath = pytest.importorskip("mpmath")
+        closed = {}
+        beta_product = sq._beta_product
+
+        def recording(e, axes):
+            closed[axes] = beta_product(e, axes)
+            return closed[axes]
+
+        monkeypatch.setattr(sq, "_beta_product", recording)
+        monkeypatch.setattr(sq, "_core_numeric", lambda gam, spans: (1.0, 1.0))
+        e = 2.0 * H - 2.0
+        for n, pairs in _shapes(7):
+            sq._reduced_integral.__wrapped__(n, pairs, e)
+        assert {len(axes) for axes in closed} == {0, 1, 2}
+        worst = 0.0
+        with mpmath.workdps(40):
+            x = lambda k, c: c + k * mpmath.mpf(e)
+            for axes, (got, rel) in closed.items():
+                want = mpmath.fprod(mpmath.beta(x(kg, cg) + 1, x(kb, cb) + 1)
+                                    for kg, cg, kb, cb in axes)
+                miss = float(abs(got - want) / want)
+                assert miss <= rel, axes
+                worst = max(worst, miss / rel)
+        assert worst > 0.0
+
+    def test_only_linked_cores_reach_the_quadrature(self, monkeypatch):
+        # over every shape of up to four pairs on up to eight positions, a
+        # term of the numeric reduction reaches _core_numeric exactly when one
+        # of its spans covers two or more axes, and is closed otherwise
+        shapes = list(_shapes(8, max_pairs=4))
+        assert len(shapes) == 1107
+        routes = []
+        monkeypatch.setattr(sq, "_core_numeric",
+                            lambda gam, spans: routes.append("quadrature") or (1.0, 1.0))
+        monkeypatch.setattr(sq, "_beta_product",
+                            lambda *core: routes.append("closed") or (1.0, 0.0))
+        e = 2.0 * 0.7 - 2.0
+        for n, pairs in shapes:
+            routes.clear()
+            sq._reduced_integral.__wrapped__(n, pairs, e)
+            factors = tuple((a, b, e) for a, b in pairs)
+            assert routes == [
+                "quadrature" if any(len(ax) > 1 for ax, _ in axis_parts_direct(m, core, e)[1])
+                else "closed" for _, m, core in _numeric_cores(n, factors)], (n, pairs)
 
 
 def _gaussian_moment(c):
@@ -646,7 +702,8 @@ class TestQuadratureReuse:
         sq._beta_axis.cache_clear()
         sq._core_numeric.cache_clear()
         sq._reduced_integral.cache_clear()
-        words = ";".join(_canonical_words(5))
+        # length 6: a length-5 table has only separable cores and builds no rule
+        words = ";".join(_canonical_words(6))
         rc = main(["expected-sig", "--H", "0.75", "--words", words,
                    "--out", str(tmp_path / "out.csv")])
         assert rc == 0
@@ -676,15 +733,15 @@ class TestQuadratureReuse:
         assert sq._reduced_integral.cache_info().misses == 75
 
     def test_six_letter_table_fits_the_core_memo(self, tmp_path):
-        # one fresh-H table looks its 116 numeric cores up once each, both
-        # resolutions in one entry.  Cores at different positions can share
-        # an integrand: the 68 cores have 65 distinct ones, and at H = 0.7341
-        # two of those round to the same floats (gam 1.2246, 2.6738), so they
-        # share an entry too.  Three such tables fit the bound
+        # one fresh-H table looks its 18 linked cores up once each, both
+        # resolutions in one entry (separable cores close as Beta products
+        # and skip the memo).  Cores at different positions can share an
+        # integrand, which sums to the same floats at every position: the 18
+        # have 15 distinct ones at every H.  Three such tables fit the bound
         sq._core_numeric.cache_clear()
         words = ";".join(_canonical_words(6))
         added = 0
-        for H, fresh in (("0.7341", 64), ("0.6123", 65), ("0.8321", 65)):
+        for H, fresh in (("0.7341", 15), ("0.6123", 15), ("0.8321", 15)):
             sq._reduced_integral.cache_clear()
             before = sq._core_numeric.cache_info()
             rc = main(["expected-sig", "--H", H, "--words", words, "--tol", "1",
@@ -692,7 +749,7 @@ class TestQuadratureReuse:
             assert rc == 0
             info = sq._core_numeric.cache_info()
             assert info.misses - before.misses == fresh, H
-            assert info.hits + info.misses - before.hits - before.misses == 116, H
+            assert info.hits + info.misses - before.hits - before.misses == 18, H
             added += fresh
         assert info.currsize == added <= info.maxsize
         sq._reduced_integral.cache_clear()
@@ -881,8 +938,9 @@ class TestBetaAxis:
             assert 1 <= p <= 6 and 1 <= q <= sq.QCAP
 
     def test_axis_built_once_per_key(self, monkeypatch, tmp_path):
-        # one length-5 table evaluates each (p, q, N) closed form exactly
-        # once, and reuses it across cores
+        # one length-6 table evaluates each (p, q, N) closed form exactly
+        # once, and reuses it across its linked cores (a length-5 table has
+        # none)
         built = []
         tail = sq._binomial_tail
 
@@ -894,7 +952,7 @@ class TestBetaAxis:
         sq._beta_axis.cache_clear()
         sq._core_numeric.cache_clear()
         sq._reduced_integral.cache_clear()
-        words = ";".join(_canonical_words(5))
+        words = ";".join(_canonical_words(6))
         rc = main(["expected-sig", "--H", "0.75", "--words", words,
                    "--out", str(tmp_path / "out.csv")])
         assert rc == 0
@@ -949,17 +1007,19 @@ class TestCoreContraction:
 
     def test_planned_rules_equal_direct_rules(self, monkeypatch):
         # the rules planned once per shape give, at each exponent, the very
-        # floats and spans that building each core's integrand from its
-        # factors gives, and _core_numeric maps its axes with the p and q
-        # that the integrand asks for
+        # floats and spans that building each linked core's integrand (one
+        # span covers two or more axes; separable cores close as Beta
+        # products) from its factors gives, and _core_numeric maps its axes
+        # with the p and q that the integrand asks for
         beta_axis = sq._beta_axis
         for H in (0.5001, 0.6, 0.75, 0.98):
             e = 2.0 * H - 2.0
             planned = _matching_cores(monkeypatch, H, _shapes(7))
-            direct = {axis_rules_direct(m, core)
+            direct = {rules
                       for n, pairs in _shapes(7)
                       for _, m, core in _numeric_cores(n, tuple((a, b, e) for a, b in pairs))
-                      if m >= 2}
+                      for rules in [axis_rules_direct(m, core, e)]
+                      if any(len(ax) > 1 for ax, _ in rules[1])}
             assert planned == direct
             for gam, spans in planned:
                 assert all(type(g) is float for g in gam)
