@@ -3,13 +3,15 @@
 Every experiment is a subcommand writing a machine-readable table (CSV or
 JSON).  Each cell is formatted once, when its row is added (expected-sig
 formats each H once for all its words, and a word's cells that hold at every
-H once per process), and both encodings carry those strings.  Options can
-come from a flat key=value config file; explicit flags win, and a key that no
-command takes is a usage error.  Words are exchanged as comma-separated
-letter strings ("1,0,1", letter 0 being the time coordinate); lists of words
-are separated by semicolons, other lists by commas.  A row is labelled with
-its word's canonical letter text ("1,1" for the input " 1,+1"); a word text
-met again is read, label included, from a memo of parsed words.
+H once per process, with their CSV text), and both encodings carry those
+strings.  Options can come from a flat key=value config file; explicit flags
+win, and a key that no command takes is a usage error.  Words are exchanged
+as comma-separated letter strings ("1,0,1", letter 0 being the time
+coordinate); lists of words are separated by semicolons, other lists by
+commas.  A row is labelled with its word's canonical letter text ("1,1" for
+the input " 1,+1"); a word text met again is read, label included, from a
+memo of parsed words.  An --H value outside its range is refused with the
+text typed for it when that reads as another number.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 quadrature
 tolerance failure.
@@ -20,6 +22,7 @@ import argparse
 import csv
 import datetime
 import functools
+import io
 import json
 import math
 import sys
@@ -46,8 +49,32 @@ def _fmt(x) -> str:
     return "" if x is None else str(x)
 
 
+def _csv_line(cells) -> str:
+    """The CSV text of one row of cells, line end included."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(cells)
+    return buf.getvalue()
+
+
+class _Around(NamedTuple):
+    """The cells of a row on either side of its one varying cell, and their
+    CSV text, encoded once for every row that shares them.  Within a row of
+    two or more cells each cell's text does not depend on its neighbours."""
+
+    head: tuple[str, ...]
+    tail: tuple[str, ...]
+    csv_head: str  # the head's text and the delimiter after it
+    csv_tail: str  # the delimiter before the tail, its text and the line end
+
+    @classmethod
+    def of(cls, head: tuple[str, ...], tail: tuple[str, ...]) -> _Around:
+        return cls(head, tail, _csv_line([*head, ""])[:-1], _csv_line(["", *tail]))
+
+
 class TableWriter:
-    """Collects rows of one fixed column set and writes CSV or JSON."""
+    """Collects rows of one fixed column set and writes CSV or JSON.  A row
+    is a list of cells, or a tuple (around, cell) of an _Around and the cell
+    between its sides, whose CSV text is joined, not encoded again."""
 
     def __init__(self, columns):
         self.columns = list(columns)
@@ -62,9 +89,19 @@ class TableWriter:
                 stream.write(f"# generated {_now()}\n")
             writer = csv.writer(stream, lineterminator="\n")
             writer.writerow(self.columns)
-            writer.writerows(self.rows)
+            middle = {}  # each varying cell's text between two delimiters
+            for row in self.rows:
+                if type(row) is list:
+                    writer.writerow(row)
+                    continue
+                around, cell = row
+                if cell not in middle:
+                    middle[cell] = _csv_line([cell, ""])[:-2]
+                stream.write(around.csv_head + middle[cell] + around.csv_tail)
         else:
-            payload = {"columns": self.columns, "rows": self.rows}
+            rows = [r if type(r) is list else [*r[0].head, r[1], *r[0].tail]
+                    for r in self.rows]
+            payload = {"columns": self.columns, "rows": rows}
             if timestamp:
                 payload["generated"] = _now()
             json.dump(payload, stream, indent=1)
@@ -91,6 +128,23 @@ def _parse_list(text: str, cast, flag: str) -> list:
     if not values:
         raise ValueError(f"--{flag} lists no values")
     return values
+
+
+def _hurst_list(text: str) -> list[tuple[float, str]]:
+    """(H, its typed text) for each item of an --H list."""
+    items = [t for t in str(text).split(",") if t != ""]
+    return list(zip(_parse_list(text, float, "H"), items))
+
+
+def _check_hurst(H: float, typed: str, check=ex.check_hurst) -> None:
+    """check(H); a refusal also quotes the typed text when it reads as
+    another number, as 0.50000000000000001 does, which parses to 0.5."""
+    try:
+        check(H)
+    except ValueError as err:
+        if typed.strip() == str(H):
+            raise
+        raise ValueError(f"{err} (parsed from --H {typed.strip()!r})") from None
 
 
 # A word's text parses to the same Word and canonical label at every H, and a
@@ -207,46 +261,49 @@ def _emit(args, table: TableWriter) -> None:
 class _LevelCells(NamedTuple):
     """A word's level-table cells that hold at every H."""
 
-    fixed: tuple[str, ...] | None  # value, err_bar, bound, refined_bound, pass
+    fixed: _Around | None  # word | H | value, err_bar, bound, refined_bound, pass
     bounds: tuple[str, str] | None  # bound, refined_bound under the decay bound
 
 
 # A level table asks every word again at each fresh H, and 609 of the 715
 # six-letter words have a value that holds at every H (an odd letter count, a
-# pure time word), so their rows are formatted once per process; the others
-# keep their bound cells.  Both come from the word's plan, which holds its
-# value and decay constants.  Such a value under the decay bound is 0 and
-# passes.  Keyed by the label (a str caches its hash, a Word does not); the
-# bound holds the 961 word texts of the benchmark's exact workload.
+# pure time word), so their rows are formatted and CSV-encoded once per
+# process, all but the H cell; the others keep their bound cells.  Both come
+# from the word's plan, which holds its value and decay constants.  Such a
+# value under the decay bound is 0 and passes.  Keyed by the label (a str
+# caches its hash, a Word does not); the bound holds the 961 word texts of
+# the benchmark's exact workload.
 @functools.lru_cache(maxsize=2048)
 def _level_cells(label: str) -> _LevelCells:
     plan = ex._word_plan(_word(label)[0].letters)
     value = plan.value
     if plan.decay is None:
-        fixed = None if value is None else (_fmt(value.value), _fmt(value.error), "", "", "")
+        fixed = (None if value is None else
+                 _Around.of((label,), (_fmt(value.value), _fmt(value.error), "", "", "")))
         return _LevelCells(fixed, None)
     bounds = (_fmt(plan.decay[0]), _fmt(plan.decay[1]))
     if value is None:
         return _LevelCells(None, bounds)
     rep = ex._decay_report(plan, value)
-    return _LevelCells((_fmt(rep.value), _fmt(rep.quad_error), *bounds, _fmt(rep.passed)),
-                       bounds)
+    fixed = (_fmt(rep.value), _fmt(rep.quad_error), *bounds, _fmt(rep.passed))
+    return _LevelCells(_Around.of((label,), fixed), bounds)
 
 
 def cmd_expected_sig(args) -> int:
     words = _parse_words(args.words)
-    hs = _parse_list(args.H, float, "H")
+    hs = _hurst_list(args.H)
     config = _quad_config(args)
     cols = ["word", "H", "value", "err_bar", "bound", "refined_bound", "pass"]
     table = TableWriter(cols)
-    h_cells = [_fmt(H) for H in hs]  # every word's row shares its H cell
+    h_cells = [_fmt(H) for H, _ in hs]  # every word's row shares its H cell
     failures = 0
-    for w, label in words:
-        for H, h_cell in zip(hs, h_cells):
-            ex.check_hurst(H)  # before the word's plan is read
+    for n, (w, label) in enumerate(words):
+        for (H, typed), h_cell in zip(hs, h_cells):
+            if not n:  # the first word meets each H first, before a plan is read
+                _check_hurst(H, typed)
             cells = _level_cells(label)
             if cells.fixed is not None:
-                table.rows.append([label, h_cell, *cells.fixed])
+                table.rows.append((cells.fixed, h_cell))
             elif cells.bounds is not None:
                 # pure-fBm even words get the decay-bound report (one
                 # quadrature each), every other word just its value
@@ -266,8 +323,8 @@ def _check_grids(hs, ms, words) -> None:
     """Refuse an H outside (1/2, 1), a grid size outside [1, _MAX_CELLS],
     then a word the grid engine cannot take, before any value is computed:
     the messages a full run would stop at, in the order it checks them."""
-    for H in hs:
-        ex.check_hurst(H)
+    for H, typed in hs:
+        _check_hurst(H, typed)
     for m in ms:
         ga._check_cells(m)
     for w, _ in words:
@@ -276,12 +333,12 @@ def _check_grids(hs, ms, words) -> None:
 
 def cmd_approx_sig(args) -> int:
     words = _parse_words(args.words)
-    hs = _parse_list(args.H, float, "H")
+    hs = _hurst_list(args.H)
     ms = _parse_list(args.m, int, "m")
     _check_grids(hs, ms, words)
     table = TableWriter(["word", "H", "m", "approx"])
     for w, label in words:
-        for H in hs:
+        for H, _ in hs:
             for m in ms:
                 table.add(word=label, H=H, m=m,
                           approx=ga.approx_expected_word(w, H, m))
@@ -291,7 +348,7 @@ def cmd_approx_sig(args) -> int:
 
 def cmd_convergence(args) -> int:
     words = _parse_words(args.words)
-    hs = _parse_list(args.H, float, "H")
+    hs = _hurst_list(args.H)
     ms = sorted(set(_parse_list(args.m, int, "m")))
     if len(ms) < 4:
         print("error: convergence needs at least 4 distinct grid sizes", file=sys.stderr)
@@ -304,7 +361,7 @@ def cmd_convergence(args) -> int:
     table = TableWriter(cols)
     any_fail = False
     for w, label in words:
-        for H in hs:
+        for H, _ in hs:
             rows = ga.gap_rows(w, H, ms, config)
             bound = ga.coefficient_bound_check(w, H, rows)
             for (m, g), (_, _, m2H_gap) in zip(rows, bound.rows):
@@ -325,12 +382,13 @@ def cmd_convergence(args) -> int:
 
 
 def cmd_cubature(args) -> int:
-    hs = _parse_list(args.H, float, "H")
+    hs = _hurst_list(args.H)
     if args.action == "solve":
         branches = ("minus", "plus") if args.branch == "both" else (args.branch,)
         table = TableWriter(["H", "branch", "lam1", "lam3", "a", "b1", "b0",
                              "c1", "c0", "max_residual"])
-        for H in hs:
+        for H, typed in hs:
+            _check_hurst(H, typed, cb._check_H_cubature)
             for br in branches:
                 s = cb.solve_ansatz(H, br)
                 table.add(H=H, branch=br, lam1=s.lam1, lam3=s.lam3, a=s.a,
@@ -343,7 +401,8 @@ def cmd_cubature(args) -> int:
     table = TableWriter(["H", "degree", "word", "weight", "lhs", "rhs",
                          "abs_err", "lhs_source", "passed"])
     all_ok = True
-    for H in hs:
+    for H, typed in hs:
+        _check_hurst(H, typed, cb._check_H_cubature)
         formula = cb.formula_from_solution(cb.solve_ansatz(H, args.branch))
         degree = (_number("degree", args.degree, int) if args.degree is not None
                   else formula.claimed_degree)
@@ -380,7 +439,7 @@ def _finite(name: str, text) -> float:
 
 def cmd_sde(args) -> int:
     H = _number("H", args.H, float)
-    ex.check_hurst(H)
+    _check_hurst(H, args.H)
     x0 = _finite("x0", args.x0)
     fields, f, state0 = _sde_problem(args.problem, x0)
     formula = cb.three_path_formula(H)
@@ -419,13 +478,14 @@ def cmd_sde(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    hs = _parse_list(args.H, float, "H")
+    hs = _hurst_list(args.H)
     ts = [_finite("T", t) for t in _parse_list(args.T, float, "T")]
     M, gamma = _finite("M", args.M), _finite("gamma", args.gamma)
     degree = _number("degree", args.degree, int)
     table = TableWriter(["H", "A", "A_err", "Atilde", "Atilde_err", "K", "T",
                          "bound_shape", "branch"])
-    for H in hs:
+    for H, typed in hs:
+        _check_hurst(H, typed)
         a = ga.constant_A(H)
         at = ga.constant_Atilde(H)
         params = sde.ErrorBoundParams(M=M, gamma=gamma, d=1, degree=degree, H=H)

@@ -38,14 +38,16 @@ axes, so the tensor sum is contracted one axis at a time: a factor over
 L >= 2 axes is one N**L link, and an axis is summed out once no later factor
 reaches back to it, so a core costs its links' grids (N x N, or N**3 for four
 pairs) rather than N**m points; a one-axis factor reads log(1 - x) from the
-axis map, which is built once per (p, q, N).  A core's values at both
-resolutions depend on its integrand only (its axis and span exponents), so
-they are read from one memo keyed by it, which cores at different positions
-share.  The error estimate comes from re-evaluating the linked cores at a
-finer resolution and the rounding bars of the closed ones, plus, when time
-reversal t -> 1 - t maps M to a different matching R(M), the gap
-|I(M) - I(R(M))|: the two integrals are equal in exact arithmetic, and their
-gap shows error that is the same at every resolution.
+axis map, which is built once per (p, q, N), and a two-axis link's
+log(1 - x_a x_b), which does not depend on the exponent, is built once per
+pair of maps.  A core's value, closed or at both resolutions, depends on its
+integrand only (its axis and span exponents), so it is read from a memo keyed
+by it, which cores at different positions share.  The error estimate comes
+from re-evaluating the linked cores at a finer resolution and the rounding
+bars of the closed ones, plus, when time reversal t -> 1 - t maps M to a
+different matching R(M), the gap |I(M) - I(R(M))|: the two integrals are
+equal in exact arithmetic, and their gap shows error that is the same at
+every resolution.
 """
 from __future__ import annotations
 
@@ -297,6 +299,28 @@ def _beta_axis(p: int, q: int, N: int):
     return axis
 
 
+# A two-axis link depends on its two axis maps and N, not on the exponent, so
+# cores at every H share it.  A fresh-H six-letter table looks 30 up over 9 map
+# pairs (18 grids at the two resolutions).  The maps change with H, so a
+# stream of requests at fresh H keeps meeting new pairs: 120 over 320
+# requests of the benchmark's exact workload.  A grid is 32 KB at N = 64 and
+# 18 KB at N = 48.  Over that stream, in one process, 51% of lookups hit and
+# peak RSS rose 1.2 MB with 32 grids (a six-letter table then builds 14 of
+# its 30, and 18 from an empty memo), against 61% and 1.7 MB with 48, 65% and
+# 2.1 MB with 64, 73% and 4.1 MB with 128, and 81% and 7.5 MB unbounded; a
+# miss costs about 20 us.  Three-axis links (2 MB at N = 64) are built per
+# core.
+@functools.lru_cache(maxsize=32)
+def _link_grid(pa: int, qa: int, pb: int, qb: int, N: int) -> np.ndarray:
+    """log(1 - x_a x_b) on the N x N grid of two neighbouring axes with the
+    Beta(pa, qa) and Beta(pb, qb) maps, each log x from the complementary
+    CDF; read-only, since every two-axis link over these maps shares it."""
+    s = _beta_axis(pa, qa, N)[1][:, None] + _beta_axis(pb, qb, N)[1]
+    grid = np.log(-np.expm1(s))
+    grid.flags.writeable = False
+    return grid
+
+
 # A linked core's value is a pure function of its integrand, and the
 # matching integrals of one exponent share many cores, at different positions
 # too.  At a fresh H, one six-letter level table looks 18 linked cores up and
@@ -352,10 +376,15 @@ def _core_numeric(gam, spans) -> tuple[float, float]:
             if len(axes) == 1:
                 logw[axes[0]] += e * maps[axes[0]][3]  # log(1 - x)
                 continue
-            s = logx[axes[0]]
-            for ax in axes[1:]:
-                s = s[..., None] + logx[ax]
-            links[axes[-1]] = links.get(axes[-1], 0.0) + e * np.log(-np.expm1(s))
+            if len(axes) == 2:
+                a, b = axes
+                link = _link_grid(p[a], q[a], p[b], q[b], N)
+            else:
+                s = logx[axes[0]]
+                for ax in axes[1:]:
+                    s = s[..., None] + logx[ax]
+                link = np.log(-np.expm1(s))
+            links[axes[-1]] = links.get(axes[-1], 0.0) + e * link
         v = np.exp(logw[0])
         for i in range(1, len(gam)):
             if not keep[i]:  # every open axis closes
@@ -369,6 +398,13 @@ def _core_numeric(gam, spans) -> tuple[float, float]:
     return tuple(values)
 
 
+# A closed core's value is a pure function of its integrand too, and the
+# matching integrals of one exponent share it as they share linked cores.  At
+# a fresh H, one six-letter level table makes 401 closures of 34 integrands,
+# the 379 pure eight-letter words over {1, ..., 4} 592 of 91, and
+# expected_tensor(H, 1, 8) 10409 of 300.  An entry is about 300 bytes; the
+# bound holds the largest of these requests.
+@functools.lru_cache(maxsize=512)
 def _beta_product(e: float, axes) -> tuple[float, float]:
     """The separable core prod_i x_i**gam_i * (1 - x_i)**b_i on the unit
     cube at the kernel exponent e, each axis given as (kg, cg, kb, cb) for

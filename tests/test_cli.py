@@ -16,6 +16,7 @@ import pytest
 import fbmsig
 from fbmsig import cli, cubature, sde
 from fbmsig import gridapprox as ga
+from fbmsig import simplexquad as sq
 from fbmsig.cli import main
 from fbmsig.expected import decay_bound_check, expected_word
 from fbmsig.tensor import Word
@@ -848,6 +849,31 @@ class TestNumberFlags:
         assert capsys.readouterr().err == f"error: {message}\n"
 
 
+HALF, ONE = "0.50000000000000001", "0.99999999999999999"
+TYPED = "H must lie in (1/2, 1), got {} (parsed from --H '{}')"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["expected-sig", "--H", HALF], TYPED.format(0.5, HALF)),
+    (["expected-sig", "--H", f"0.7,{ONE}"], TYPED.format(1.0, ONE)),
+    (["approx-sig", "--H", ONE], TYPED.format(1.0, ONE)),
+    (["convergence", "--H", HALF], TYPED.format(0.5, HALF)),
+    (["bounds", "--H", ONE], TYPED.format(1.0, ONE)),
+    (["sde", "compare", "--H", HALF, "--paths", "8", "--steps", "4"], TYPED.format(0.5, HALF)),
+    (["cubature", "solve", "--H", ONE],
+     f"cubature requires H in [1/2, 1), got 1.0 (parsed from --H '{ONE}')"),
+    (["expected-sig", "--H", "1"], TYPED.format(1.0, 1)),
+    (["expected-sig", "--H", "0.4"], "H must lie in (1/2, 1), got 0.4"),
+])
+def test_hurst_refusal_quotes_the_typed_text(tmp_path, capsys, argv, message):
+    # the decimals typed above lie in (1/2, 1), but the double nearest to each
+    # is an end point; the refusal shows both, and the text only when it
+    # reads as another number than the one parsed
+    rc, text = run(tmp_path, *argv, "--no-timestamp")
+    assert rc == 2 and text == ""
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_import_leaves_scipy_stats_unloaded():
     # the runtime needs numpy and the standard library only, so neither
     # importing the CLI nor running any command may load a scipy module
@@ -894,8 +920,9 @@ MEMOS = {
     "cli._level_cells", "cli._word", "cli.build_parser",
     "expected._word_plan", "expected.closed_form_table",
     "gridapprox._series_coefficients", "gridapprox._tie_table",
-    "simplexquad._beta_axis", "simplexquad._core_numeric",
-    "simplexquad._gauss_legendre", "simplexquad._reduce_terms",
+    "simplexquad._beta_axis", "simplexquad._beta_product",
+    "simplexquad._core_numeric", "simplexquad._gauss_legendre",
+    "simplexquad._link_grid", "simplexquad._reduce_terms",
     "simplexquad._reduced_integral",
 }
 
@@ -908,3 +935,59 @@ def test_memo_inventory():
                   if hasattr(obj, "cache_info")
                   and getattr(obj, "__module__", None) == module.__name__}
     assert found == MEMOS
+
+
+def _clear_memos():
+    for name in MEMOS:
+        module, attr = name.split(".")
+        getattr(importlib.import_module(f"fbmsig.{module}"), attr).cache_clear()
+
+
+def test_level_table_bytes_do_not_depend_on_memo_state(tmp_path):
+    # the 715-word table at three fresh H, once with every memo warm from
+    # other H and other tables and once with every memo cleared first; the
+    # first cold table makes one Beta closure per distinct separable integrand
+    words = ";".join(_canonical_words(6))
+    out = tmp_path / "out"
+
+    def table(H, fmt):
+        rc = main(["expected-sig", "--H", H, "--words", words, "--no-timestamp",
+                   "--format", fmt, "--out", str(out)])
+        return rc, out.read_bytes()
+
+    for H, table_words in (("0.7341", words), ("0.8123", ";".join(_canonical_words(5)))):
+        assert main(["expected-sig", "--H", H, "--words", table_words,
+                     "--out", str(out)]) == 0
+    hs = ("0.5513", "0.6711", "0.9423")
+    warm = {(H, fmt): table(H, fmt) for H in hs for fmt in ("csv", "json")}
+    for H in hs:
+        for fmt in ("csv", "json"):
+            _clear_memos()
+            assert table(H, fmt) == warm[H, fmt], (H, fmt)
+            if (H, fmt) == (hs[0], "csv"):
+                assert sq._beta_product.cache_info().misses == 34
+
+
+def test_link_grid_memo_keeps_only_two_axis_grids_within_its_bound(monkeypatch):
+    # the 274 canonical pure eight-letter words over {1, 2, 3} reach links
+    # over three axes too, and more two-axis grids than the memo keeps
+    words = [w for w in itertools.product((1, 2, 3), repeat=8)
+             if [x for i, x in enumerate(w) if x not in w[:i]] == list(range(1, max(w) + 1))
+             and all(w.count(x) % 2 == 0 for x in set(w))]
+    assert len(words) == 274
+    memo, grids = sq._link_grid, {}
+
+    def spy(*key):
+        grids[key] = memo(*key)
+        return grids[key]
+
+    for name in ("_reduced_integral", "_core_numeric", "_link_grid"):
+        getattr(sq, name).cache_clear()
+    monkeypatch.setattr(sq, "_link_grid", spy)
+    for w in words:
+        expected_word(Word(w, 3), 0.6789, sq.QuadConfig(tol=1))
+    info = memo.cache_info()
+    assert info.misses >= len(grids) > info.maxsize == info.currsize
+    assert {N for *_, N in grids} == {sq.POINTS_PER_AXIS, sq.POINTS_PER_AXIS + 16}
+    for (*_, N), grid in grids.items():
+        assert grid.shape == (N, N) and not grid.flags.writeable

@@ -578,6 +578,21 @@ class TestShuffleSumRules:
                         (1, 1, 1, 1, 2, 2), (1, 1, 2, 2, 3, 3)):
             assert _class_sum_within_bars(letters, H), letters
 
+    @pytest.mark.parametrize("H", (0.6, 0.75, 0.9))
+    def test_insertion_rule_within_bars(self, H):
+        # S^0 = 1 on [0, 1], and S^0 S^w is the sum of the shuffles 0 ш w,
+        # the words with 0 inserted at each of the len(w) + 1 places: one
+        # identity per word, summed over its insertions
+        words = _even_words(4) + _even_words(6)
+        assert len(words) == 35
+        for w in words:
+            base = expected_word(w, H, QuadConfig(tol=1))
+            values = [expected_word(Word(w.letters[:i] + (0,) + w.letters[i:], w.d), H,
+                                    QuadConfig(tol=1))
+                      for i in range(len(w) + 1)]
+            gap = abs(math.fsum(v.value for v in values) - base.value)
+            assert gap <= math.fsum(v.error for v in values) + base.error, w
+
 
 def _class_sum_within_bars(letters, H):
     """Whether the expected words of the shuffle class of letters sum to the
@@ -1010,8 +1025,10 @@ class TestCoreContraction:
         # floats and spans that building each linked core's integrand (one
         # span covers two or more axes; separable cores close as Beta
         # products) from its factors gives, and _core_numeric maps its axes
-        # with the p and q that the integrand asks for
-        beta_axis = sq._beta_axis
+        # with the p and q that the integrand asks for and reads each
+        # two-axis link over those maps; a first evaluation builds the link
+        # grids, so the counted one calls _beta_axis once per axis and N
+        beta_axis, link_grid = sq._beta_axis, sq._link_grid
         for H in (0.5001, 0.6, 0.75, 0.98):
             e = 2.0 * H - 2.0
             planned = _matching_cores(monkeypatch, H, _shapes(7))
@@ -1024,15 +1041,21 @@ class TestCoreContraction:
             for gam, spans in planned:
                 assert all(type(g) is float for g in gam)
                 assert all(type(x) is float for _, x in spans)
-                calls = []
+                sq._core_numeric.__wrapped__(gam, spans)
+                calls, links = [], []
                 with monkeypatch.context() as mp:
                     mp.setattr(sq, "_beta_axis",
                                lambda p, q, N: calls.append((p, q, N)) or beta_axis(p, q, N))
+                    mp.setattr(sq, "_link_grid",
+                               lambda *key: links.append(key) or link_grid(*key))
                     sq._core_numeric.__wrapped__(gam, spans)
                 p, q = beta_map_direct(gam, spans)
-                assert calls == [(pi, qi, N)
-                                 for N in (sq.POINTS_PER_AXIS + 16, sq.POINTS_PER_AXIS)
+                sizes = (sq.POINTS_PER_AXIS + 16, sq.POINTS_PER_AXIS)
+                assert calls == [(pi, qi, N) for N in sizes
                                  for pi, qi in zip(p, q)], (gam, spans)
+                two = [ax for ax, _ in spans if len(ax) == 2]
+                assert links == [(p[a], q[a], p[b], q[b], N)
+                                 for N in sizes for a, b in two], (gam, spans)
 
     def test_spans_cover_at_most_two_axes(self):
         # up to three pairs on eight positions, every span covers one axis or
