@@ -177,6 +177,8 @@ def expected_tensor(
     products at each H.  On a 2-vCPU VM that takes 1.4-1.5 s in a fresh
     process, which also builds the plans, and 0.8-1.0 s at each further H."""
     check_hurst(H)
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
     if depth > 2 * MAX_PAIRS:
         raise ValueError(f"depth capped at {2 * MAX_PAIRS}")
     cells = [np.array([expected_word(w, H, config) for w in all_words(d, length)])

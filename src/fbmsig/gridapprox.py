@@ -19,7 +19,7 @@ import itertools
 import math
 import threading
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -421,40 +421,47 @@ def sample_fbm_batch(
 ) -> np.ndarray:
     """n_paths independent d-dimensional fBm paths on the uniform m-grid of
     [0, T], shape (n_paths, m+1, d), row 0 identically zero: the cumulative
-    sums of the increments _fgn_increments draws for the same arguments.
-    Deterministic in the seed for a fixed BLAS thread count (see
-    _fgn_increments).
+    sums of the blocks of increments _fgn_blocks yields for the same
+    arguments, which it checks before the paths are allocated; one block is
+    held at a time.  Deterministic in the seed for a fixed BLAS thread count.
     """
-    paths = np.zeros((n_paths, m + 1, d))
-    np.cumsum(_fgn_increments(H, m, d, n_paths, seed, T), axis=1, out=paths[:, 1:])
+    with contextlib.closing(_fgn_blocks(H, m, d, n_paths, seed, T)) as blocks:
+        paths = np.zeros((n_paths, m + 1, d))
+        for first, increments in blocks:
+            np.cumsum(increments, axis=1, out=paths[first:first + len(increments), 1:])
     return paths
 
 
-def _fgn_increments(
-    H: float, m: int, d: int, n_paths: int, seed: int, T: float = 1.0,
-    on_paths: Callable[[int, np.ndarray], None] | None = None,
-) -> np.ndarray | None:
-    """The increments (fractional Gaussian noise) of n_paths independent
-    d-dimensional fBm paths on the uniform m-grid of [0, T], shape
-    (n_paths, m, d): rows of law N(0, S), S the Toeplitz covariance with
-    first column gamma_0..gamma_{m-1}.
+def _fgn_increments(H: float, m: int, d: int, n_paths: int, seed: int,
+                    T: float = 1.0) -> np.ndarray:
+    """_fgn_blocks' increments gathered into one array, shape (n_paths, m, d)."""
+    with contextlib.closing(_fgn_blocks(H, m, d, n_paths, seed, T)) as blocks:
+        out = np.empty((n_paths, d, m))
+        for first, increments in blocks:
+            out[first:first + len(increments)] = increments.transpose(0, 2, 1)
+    return out.transpose(0, 2, 1)
+
+
+def _fgn_blocks(H: float, m: int, d: int, n_paths: int, seed: int, T: float = 1.0):
+    """Check the arguments, then return a generator of the increments
+    (fractional Gaussian noise) of n_paths independent d-dimensional fBm
+    paths on the uniform m-grid of [0, T]: (first, increments) for runs of
+    whole paths in path order, increments of shape (paths, m, d) holding
+    paths first, first + 1, ... and valid until the next block is asked
+    for.  Each row is of law N(0, S), S the Toeplitz covariance with first
+    column gamma_0..gamma_{m-1}.
 
     Up to _CHOLESKY_STEPS steps a row of increments is z @ L^T, with L the
-    LAPACK Cholesky factor of S and z m standard normals, taken block by
-    block from one (rows, m) draw (_drawn_ahead) and multiplied as each
-    block arrives.  The blocks never move: a product over another number of
-    rows may differ in the last bit.  Longer grids use the circulant
-    embedding (_circulant_fgn), O(m log m) per row.  Memory is
-    O(n_paths d m).  Deterministic in the seed for a fixed BLAS thread
-    count: the product with L^T goes through BLAS, and how many threads
-    split its sums moves the last bits of the Cholesky-branch increments.
-
-    With on_paths nothing is returned: on_paths(first, increments) is
-    called with the increments of paths first, first + 1, ..., in path
-    order.  On the Cholesky branch that is after each block that completes
-    a path, so the caller's work on them overlaps the draw of the next
-    block and memory is one block; on the circulant branch it is once, with
-    every path.  The array is valid during the call only.
+    LAPACK Cholesky factor of S and z m standard normals, taken from one
+    (n_paths d, m) draw (_drawn_ahead) in blocks of whole paths,
+    d * max(1, _DRAW_BLOCK // (m d)) rows, each multiplied as it arrives
+    while the next is drawn.  The blocks never move: a product over another
+    number of rows may differ in the last bit.  Longer grids use the
+    circulant embedding (_circulant_fgn), O(m log m) per row, in one block.
+    Deterministic in the seed for a fixed BLAS thread count: the product
+    with L^T goes through BLAS, and how many threads split its sums moves
+    the last bits of the Cholesky-branch increments.  Closing the generator
+    joins the drawer thread.
     """
     check_hurst(H)
     if m > _MAX_GRID:
@@ -463,33 +470,26 @@ def _fgn_increments(
         raise ValueError("m, d and n_paths must be positive")
     # gamma_0..gamma_m; the scale refuses T before any sample is drawn
     gamma = 0.5 * _covariance_scale(H, m, T) * _second_differences(H, np.arange(m + 1))
-    rng = np.random.default_rng(seed)
-    # one row per (path, coordinate), in the order of a (n_paths, d, m) draw
-    rows = n_paths * d
-    done = 0  # paths handed to on_paths, whose rows have left out
-    if m <= _CHOLESKY_STEPS:
+
+    def blocks():
+        rng = np.random.default_rng(seed)
+        # one row per (path, coordinate), in the order of a (n_paths, d, m) draw
+        rows = n_paths * d
+        if m > _CHOLESKY_STEPS:
+            out = np.empty((rows, m))
+            w = rng.standard_normal((rows - rows // 2, 4 * m)).view(complex)
+            _circulant_fgn(gamma, w, out=out)
+            yield 0, _as_paths(out, d)
+            return
         factor_t = _fgn_factor(gamma[:m]).T
-        step = max(1, _DRAW_BLOCK // m)
-        # for on_paths, one block and the rows it holds of a path it splits
-        out = np.empty((rows if on_paths is None else min(rows, step + d - 1), m))
-        with contextlib.closing(_drawn_ahead(rng, rows, m, step)) as blocks:
-            for r, z in blocks:
-                top = r + len(z) - done * d  # rows of out filled
-                np.matmul(z, factor_t, out=out[r - done * d:top])
-                if on_paths is not None and top >= d:
-                    whole = top - top % d
-                    on_paths(done, _as_paths(out[:whole], d))
-                    out[:top - whole] = out[whole:top]
-                    done += whole // d
-    else:
-        out = np.empty((rows, m))
-        w = rng.standard_normal((rows - rows // 2, 4 * m)).view(complex)
-        _circulant_fgn(gamma, w, out=out)
-    if on_paths is None:
-        return _as_paths(out, d)
-    if done < n_paths:
-        on_paths(done, _as_paths(out, d))
-    return None
+        step = d * max(1, _DRAW_BLOCK // (m * d))
+        out = np.empty((min(rows, step), m))
+        with contextlib.closing(_drawn_ahead(rng, rows, m, step)) as draws:
+            for r, z in draws:
+                np.matmul(z, factor_t, out=out[:len(z)])
+                yield r // d, _as_paths(out[:len(z)], d)
+
+    return blocks()
 
 
 def _as_paths(rows: np.ndarray, d: int) -> np.ndarray:

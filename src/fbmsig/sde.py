@@ -18,6 +18,7 @@ observable f maps the (B, N) endpoints to B values, once per weak value.
 """
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
@@ -28,7 +29,7 @@ from .cubature import CubatureFormula, rescale_formula
 from .expected import check_hurst
 # sample_fbm_batch is bound here only for perfbench's tracer test, which
 # expects the sampler in this namespace; the solves use the increments
-from .gridapprox import _fgn_increments, sample_fbm_batch  # noqa: F401
+from .gridapprox import _fgn_blocks, _fgn_increments, sample_fbm_batch  # noqa: F401
 
 __all__ = [
     "ErrorBoundParams",
@@ -65,19 +66,19 @@ def _checked_x0(fields: Sequence[Field], x0, steps_per_piece: int) -> np.ndarray
     return x0
 
 
-def _summed_ends(fields: Sequence[Field], x0: np.ndarray, times: np.ndarray,
-                 increments: np.ndarray, steps_per_piece: int, ends: np.ndarray,
-                 bad: int) -> int:
-    """_solve's endpoints, written into ends, for fields that are all
-    constants; returns the first piece whose end is not finite on some path,
-    or bad if none before it is (pieces from bad on are not summed).
+def _summed_solve(fields: Sequence[Field], x0: np.ndarray, times: np.ndarray,
+                  n_paths: int, steps_per_piece: int, blocks) -> np.ndarray:
+    """_solve's endpoints (n_paths, N) for fields that are all constants,
+    summed as blocks yields (first, increments) for runs of whole paths
+    first, first + 1, ... in path order; an endpoint does not depend on the
+    blocks.
 
     On piece j every RK4 stage has the slope k_j = V_0 + sum_i s_ij V_i, so
     each of its steps adds the same increment
     sixth_j (((k_j + (k_j + k_j)) + (k_j + k_j)) + k_j), and the endpoint is
     x0 plus those increments added in time order.
 
-    Blocks of whole pieces of a block of paths hold at most _SUM_BLOCK
+    Blocks of whole pieces of a run of paths hold at most _SUM_BLOCK
     doubles (more only when one piece of one path is longer), time-major:
     row 0 the carried state, then one row per step.  np.add.reduce along
     that leading axis of a C-contiguous array adds the rows one after
@@ -85,61 +86,46 @@ def _summed_ends(fields: Sequence[Field], x0: np.ndarray, times: np.ndarray,
     numpy sums pairwise along the fast axis, which time becomes in a block
     of one lane (one path with N = 1); such a block is accumulated instead.
     A non-finite state stays non-finite, so only a block whose end is not
-    all finite is cumsummed to find its first piece end that is not, and
-    the earliest over the blocks is returned.  The endpoints of a path do
-    not depend on the blocks, so a batch may come in parts of paths.
+    all finite is cumsummed to find its first piece end that is not; no
+    piece after the earliest such end is summed, and its time is raised
+    after the last block.
     """
     v0, *spatial_fields = fields
-    n_paths, n = len(increments), len(x0)
+    n = len(x0)
     dt = times[1:] - times[:-1]
     sixth = (dt / steps_per_piece / 6.0)[:, None, None, None]
     piece = steps_per_piece * n  # doubles per piece of one path
     width = max(1, min(len(dt), _SUM_BLOCK // piece))  # pieces per block
     rows = max(1, _SUM_BLOCK // (width * piece))  # paths per block
-    for p in range(0, n_paths, rows):
-        y = x0
-        for j0 in range(0, min(len(dt), bad), width):
-            w = increments[p:p + rows, j0:j0 + width].transpose(1, 0, 2)
-            n_w, n_b = w.shape[:2]  # pieces and paths in this block
-            slopes = w / dt[j0:j0 + width, None, None]
-            k = v0
-            for i, v in enumerate(spatial_fields):
-                k = k + slopes[:, :, i, None] * v
-            block = np.empty((1 + n_w * steps_per_piece, n_b, n))
-            block[0] = y
-            np.multiply(sixth[j0:j0 + width], (k + (k + k) + (k + k) + k)[:, None],
-                        out=block[1:].reshape(n_w, steps_per_piece, n_b, n))
-            if n_b * n > 1:
-                y = np.add.reduce(block, axis=0)
-            else:
-                y = np.add.accumulate(block, axis=0)[-1]
-            if not np.isfinite(y).all():
-                np.cumsum(block, axis=0, out=block)
-                finite = np.isfinite(block[steps_per_piece::steps_per_piece]).all(axis=(1, 2))
-                bad = min(bad, j0 + int(np.argmin(finite)))
-                break
-        ends[p:p + rows] = y
-    return bad
-
-
-def _summed_solve(fields: Sequence[Field], x0: np.ndarray, times: np.ndarray,
-                  n_paths: int, steps_per_piece: int, feed) -> np.ndarray:
-    """Endpoints (n_paths, N) for fields that are all constants.  feed(solve)
-    calls solve(first, increments) with the increments of paths first,
-    first + 1, ..., part after part, until every path has been handed over;
-    _summed_ends gives the same endpoints however the paths are split, and
-    the first non-finite time over all paths is raised after the last part.
-    """
-    ends = np.empty((n_paths, len(x0)))
-    bad = len(times) - 1
-
-    def solve(first, increments):
-        nonlocal bad
-        bad = _summed_ends(fields, x0, times, increments, steps_per_piece,
-                           ends[first:first + len(increments)], bad)
-
-    feed(solve)
-    if bad < len(times) - 1:
+    ends = np.empty((n_paths, n))
+    bad = len(dt)
+    for first, increments in blocks:
+        for p in range(0, len(increments), rows):
+            run = increments[p:p + rows]
+            y = x0
+            for j0 in range(0, bad, width):
+                w = run[:, j0:j0 + width].transpose(1, 0, 2)
+                n_w, n_b = w.shape[:2]  # pieces and paths in this block
+                slopes = w / dt[j0:j0 + width, None, None]
+                k = v0
+                for i, v in enumerate(spatial_fields):
+                    k = k + slopes[:, :, i, None] * v
+                block = np.empty((1 + n_w * steps_per_piece, n_b, n))
+                block[0] = y
+                np.multiply(sixth[j0:j0 + width], (k + (k + k) + (k + k) + k)[:, None],
+                            out=block[1:].reshape(n_w, steps_per_piece, n_b, n))
+                if n_b * n > 1:
+                    y = np.add.reduce(block, axis=0)
+                else:
+                    y = np.add.accumulate(block, axis=0)[-1]
+                if not np.isfinite(y).all():
+                    np.cumsum(block, axis=0, out=block)
+                    piece_ends = block[steps_per_piece::steps_per_piece]
+                    finite = np.isfinite(piece_ends).all(axis=(1, 2))
+                    bad = min(bad, j0 + int(np.argmin(finite)))
+                    break
+            ends[first + p:first + p + len(run)] = y
+    if bad < len(dt):
         raise RuntimeError(f"non-finite state at t={times[bad + 1]:g}")
     return ends
 
@@ -169,7 +155,7 @@ def _solve(fields: Sequence[Field], x0, times: Sequence[float], increments: np.n
         )
     if not any(map(callable, fields)):
         return _summed_solve(fields, x0, np.asarray(times, dtype=float), n_paths,
-                             steps_per_piece, lambda solve: solve(0, increments))
+                             steps_per_piece, [(0, increments)])
     v0, *spatial_fields = (v if callable(v) else (lambda z, c=v: c) for v in fields)
 
     def slope(z):
@@ -235,9 +221,10 @@ def mc_weak_value(
     """Monte-Carlo reference: drive the same integrator along sampled fBm
     paths (piecewise-linear interpolation on the n_steps grid of [0, T]),
     given to it as the sampler's increments; no path positions are built.
-    When no field is callable, each block of whole paths is summed as the
-    sampler hands it over, while the sampler draws the next block, and the
-    first non-finite time over all blocks is raised after the last one.
+    The sampler checks its arguments before the time grid is built.  When
+    no field is callable, each block of whole paths is summed while the
+    sampler draws the next, whose drawer is joined however the call ends;
+    callable fields run RK4 on the whole increment array.
 
     By default the RK4 grid is the sample grid, one step per cell.  With
     m = n_steps, its local error ~ |d omega|^5 ~ (T/m)^(5H) sums to
@@ -259,13 +246,14 @@ def mc_weak_value(
     if n_paths < 2:
         raise ValueError(f"n_paths must be >= 2 for a standard error, got {n_paths}")
     x0 = _checked_x0(fields, x0, steps_per_piece)  # before the sample is drawn
-    times = np.arange(n_steps + 1) * (T / n_steps)
     sample = (H, n_steps, len(fields) - 1, n_paths, seed, T)
-    if any(map(callable, fields)):
-        ends = _solve(fields, x0, times, _fgn_increments(*sample), steps_per_piece)
-    else:
-        ends = _summed_solve(fields, x0, times, n_paths, steps_per_piece,
-                             lambda solve: _fgn_increments(*sample, on_paths=solve))
+    # the sampler checks its arguments here, before the grid is built from them
+    with contextlib.closing(_fgn_blocks(*sample)) as blocks:
+        times = np.arange(n_steps + 1) * (T / n_steps)
+        if any(map(callable, fields)):
+            ends = _solve(fields, x0, times, _fgn_increments(*sample), steps_per_piece)
+        else:
+            ends = _summed_solve(fields, x0, times, n_paths, steps_per_piece, blocks)
     vals = _values(f, ends)
     if not np.all(np.isfinite(vals)):
         return float(vals.mean()), math.nan

@@ -28,7 +28,7 @@ from fbmsig.cli import _parse_words, main
 from fbmsig.cubature import word_weight
 from fbmsig.matchings import enumerate_matchings, permutation_count
 from fbmsig.simplexquad import QuadConfig, _reduce_terms, matching_simplex_integral
-from fbmsig.tensor import Word, all_words, word_index
+from fbmsig.tensor import Word, all_words, batch_grid_signatures, word_index
 from oracles import (
     axis_parts_direct,
     axis_rules_direct,
@@ -359,6 +359,12 @@ class TestExpectedTensor:
     def test_depth_cap(self):
         with pytest.raises(ValueError):
             expected_tensor(0.75, 1, depth=9)
+
+    def test_negative_depth_refused_as_for_signatures(self):
+        with pytest.raises(ValueError, match="depth must be >= 0"):
+            expected_tensor(0.75, 2, depth=-1)
+        with pytest.raises(ValueError, match="depth must be >= 0"):
+            batch_grid_signatures([0.0, 1.0], np.zeros((1, 2, 2)), -1)
 
     def test_rejects_bad_params(self):
         with pytest.raises(ValueError, match="H must lie in"):

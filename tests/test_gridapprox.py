@@ -568,11 +568,14 @@ class TestToeplitzSampler:
         sums = np.cumsum(inc.reshape(3, 2, m), axis=2).transpose(0, 2, 1)
         assert np.array_equal(paths[:, 1:], sums) and np.all(paths[:, 0] == 0.0)
 
-    # (n_paths, d, m, rows per block): the shipped block, and blocks of 256,
-    # 13 and 2 rows that leave a part-filled last block
+    # (n_paths, d, m, rows per block): the shipped block, where at d = 3 and
+    # m = 64 a block holds 510 rows, 170 whole paths, not 512, and the last
+    # block 60; and blocks of 256 and 13 rows that divide the rows, and of 2
+    # that leave a part-filled last block
     @pytest.mark.parametrize("n_paths, d, m, block_rows", [
         (4096, 1, 64, None), (4096, 2, 32, None), (1024, 2, 128, None),
-        (2500, 1, 36, None), (4096, 1, 64, 256), (1001, 1, 7, 13), (5, 1, 128, 2)])
+        (2500, 1, 36, None), (700, 3, 64, None), (4096, 1, 64, 256), (1001, 1, 7, 13),
+        (5, 1, 128, 2)])
     @pytest.mark.parametrize("H", [0.5001, 0.55, 0.7, 0.93, 0.999])
     def test_blocked_draw_is_one_draw(self, monkeypatch, H, n_paths, d, m,
                                       block_rows):
@@ -588,7 +591,7 @@ class TestToeplitzSampler:
         inc = ga._fgn_increments(H, m, d, n_paths, 21, 1.3)
         assert inc.shape == (n_paths, m, d)
         got = inc.transpose(0, 2, 1).reshape(rows, m)
-        head = min(rows, ga._DRAW_BLOCK // m)
+        head = min(rows, d * max(1, ga._DRAW_BLOCK // (m * d)))
         assert np.array_equal(got[:head], want[:head])
         ulp = np.spacing(np.abs(want).max(axis=1))
         assert np.all(np.abs(got - want).max(axis=1) <= 4 * ulp)
@@ -599,6 +602,50 @@ class TestToeplitzSampler:
         paths = sample_fbm_batch(0.7, m, 3, 7, 4, 1.3)
         assert paths.shape == (7, m + 1, 3) and np.all(paths[:, 0] == 0.0)
         assert np.array_equal(paths[:, 1:], np.cumsum(inc, axis=1))
+
+    # (n_paths, d, m, rows per block): blocks of 13, 6 and 4 paths at d = 1, 2
+    # and 3, and of 170 at the shipped size, each with a part-filled last
+    # block; and the circulant branch, one block of every path
+    @pytest.mark.parametrize("n_paths, d, m, block_rows", [
+        (1000, 1, 7, 13), (500, 2, 7, 13), (334, 3, 7, 13), (700, 3, 64, None),
+        (9, 2, 300, None)])
+    def test_blocks_are_runs_of_whole_paths(self, monkeypatch, n_paths, d, m,
+                                            block_rows):
+        if block_rows is not None:
+            monkeypatch.setattr(ga, "_DRAW_BLOCK", block_rows * m)
+        inc = ga._fgn_increments(0.7, m, d, n_paths, 3, 1.3)
+        want = 0 if m > ga._CHOLESKY_STEPS else max(1, ga._DRAW_BLOCK // (m * d))
+        sizes, first = [], 0
+        for start, block in ga._fgn_blocks(0.7, m, d, n_paths, 3, 1.3):
+            assert start == first and block.shape[1:] == (m, d)
+            assert np.array_equal(block, inc[first:first + len(block)])
+            sizes.append(len(block))
+            first += len(block)
+        assert first == n_paths
+        if want:
+            assert sizes[:-1] == [want] * (len(sizes) - 1) and 0 < sizes[-1] < want
+        else:
+            assert sizes == [n_paths]
+
+    @pytest.mark.parametrize("args, message", [
+        ((0.7, 10**7, 1, 1000), "m capped at 4096"),
+        ((0.7, 64, 1, -3), "m, d and n_paths must be positive")])
+    def test_arguments_checked_before_allocation(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            sample_fbm_batch(*args, seed=0)
+        with pytest.raises(ValueError, match=message):
+            ga._fgn_increments(*args, seed=0)
+
+    def test_holds_one_block_of_increments(self):
+        # besides the paths, the drawer's two buffers and one block of
+        # increments, with room for the factor and the block's temporaries
+        tracemalloc.start()
+        try:
+            paths = sample_fbm_batch(0.7, 64, 1, 4096, seed=8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < paths.nbytes + 4 * ga._DRAW_BLOCK * 8
 
     @pytest.mark.parametrize("m, n_paths, limit_mb", [(4096, 2, 16), (1536, 50, 8)])
     def test_factor_is_never_held_whole(self, m, n_paths, limit_mb):

@@ -1,3 +1,4 @@
+import contextlib
 import inspect
 import math
 import os
@@ -319,21 +320,43 @@ class TestMcWeakValue:
         )
         assert abs(est - cub) <= 4.0 * se
 
+    # callable fields take the whole increment array, constant ones the blocks
     @pytest.mark.parametrize("fields, x0, steps_per_piece, message", [
         ((ZERO,), [0.0], 1, r"at least fields \(V_0, V_1\)"),
         ((ZERO, ONE), [[0.0]], 1, "x0 must be a non-empty 1-D vector"),
         ((ZERO, ONE), [], 1, "x0 must be a non-empty 1-D vector"),
         ((ZERO, ONE), [0.0], 0, "steps_per_piece must be >= 1"),
-    ], ids=["one-field", "nested-x0", "empty-x0", "no-steps"])
+        ((0.0,), [0.0], 1, r"at least fields \(V_0, V_1\)"),
+        ((0.0, 1.0), [[0.0]], 1, "x0 must be a non-empty 1-D vector"),
+        ((0.0, 1.0), [], 1, "x0 must be a non-empty 1-D vector"),
+        ((0.0, 1.0), [0.0], 0, "steps_per_piece must be >= 1"),
+    ], ids=["one-field", "nested-x0", "empty-x0", "no-steps", "constant-one-field",
+            "constant-nested-x0", "constant-empty-x0", "constant-no-steps"])
     def test_inputs_refused_before_sampling(self, monkeypatch, fields, x0,
                                             steps_per_piece, message):
         def sampler(*args):
             raise AssertionError("sampled before the inputs were checked")
 
         monkeypatch.setattr(sde_module, "_fgn_increments", sampler)
+        monkeypatch.setattr(sde_module, "_fgn_blocks", sampler)
         with pytest.raises(ValueError, match=message):
             mc_weak_value(fields, lambda y: y[:, 0], x0, 0.7, 1.0, n_paths=20000,
                           n_steps=1024, seed=0, steps_per_piece=steps_per_piece)
+
+    # the sampler refuses these before the time grid is built from them,
+    # which would divide by zero or warn of inf * 0
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("fields", [(ZERO, ONE), (0.0, 1.0)],
+                             ids=["callable", "constant"])
+    @pytest.mark.parametrize("n_steps, T, message", [
+        (0, 1.0, "m, d and n_paths must be positive"),
+        (16, math.inf, r"T = inf puts the covariance scale \(T/m\)\^2H out of range"),
+    ], ids=["no-steps", "infinite-T"])
+    def test_sampler_arguments_checked_before_the_grid(self, fields, n_steps, T,
+                                                       message):
+        with pytest.raises(ValueError, match=message):
+            mc_weak_value(fields, lambda y: y[:, 0], [0.0], 0.7, T, n_paths=100,
+                          n_steps=n_steps, seed=0)
 
     def test_seed_reproducible(self):
         vf = (ZERO, ONE)
@@ -491,20 +514,53 @@ def _fail_on_call(fn, n, exc):
     return wrapped
 
 
+class _Unreadable:
+    """Stands in for a block's increments: it has their length, and reading
+    any of them raises exc."""
+
+    def __init__(self, increments, exc):
+        self.length, self.exc = len(increments), exc
+
+    def __len__(self):
+        return self.length
+
+    def __getitem__(self, key):
+        raise self.exc
+
+
+def _unreadable_block(fgn_blocks, n, exc):
+    """fgn_blocks, except that reading the increments of the n-th block
+    raises exc; closing the blocks closes the sampler's."""
+
+    def wrapped(*args):
+        blocks = fgn_blocks(*args)
+
+        def relayed():
+            with contextlib.closing(blocks):
+                for i, (first, increments) in enumerate(blocks, start=1):
+                    yield first, _Unreadable(increments, exc) if i == n else increments
+
+        return relayed()
+
+    return wrapped
+
+
 class TestPipelinedReference:
     # mc_weak_value sums each block's whole paths while the sampler draws the
     # next block on a background thread.  Its value, standard error and
     # endpoints must be those of one solve of the whole increment array:
     # _solve on it, and RK4 on the callables, which take the whole array.
-    # 3000 x 40 x 2 and 2000 x 50 x 3 draw blocks of 819 and 655 rows, so a
-    # block ends inside a path; 1001 x 7 in blocks of 13 rows leaves the last
-    # block part-filled; 5 x 8 is one block, 2048 x 32 two, drawn in turn,
-    # and 100 x 300 the circulant
+    # 3000 x 40 x 2 and 2000 x 50 x 3 draw blocks of 818 and 654 rows, 409
+    # and 218 whole paths, where a block of _DRAW_BLOCK // m rows would end
+    # inside a path; 1001 x 7 in blocks of 13 rows divides into 77 blocks,
+    # and 1000 x 7 leaves the last block part-filled; 5 x 8 is one block,
+    # 2048 x 32 two, drawn in turn, and 100 x 300 the circulant
     @pytest.mark.parametrize("n_paths, n_steps, d, block_rows, steps_per_piece", [
         (4096, 64, 1, None, 1), (8020, 33, 1, None, 1), (2048, 128, 1, None, 1),
         (2500, 36, 1, None, 1), (1001, 7, 1, 13, 1), (1001, 7, 1, 13, 4),
-        (3000, 40, 2, None, 1), (2000, 50, 3, None, 1), (2000, 50, 3, 7, 4),
-        (5, 8, 2, None, 1), (2048, 32, 1, None, 1), (100, 300, 1, None, 1)])
+        (1000, 7, 1, 13, 1), (3000, 40, 2, None, 1), (2000, 50, 3, None, 1),
+        (2000, 50, 3, 7, 4), (5, 8, 2, None, 1), (2048, 32, 1, None, 1),
+        (100, 300, 1, None, 1)])
     def test_bit_identical_to_one_solve(self, monkeypatch, threads, n_paths, n_steps,
                                         d, block_rows, steps_per_piece):
         if block_rows is not None:
@@ -517,7 +573,7 @@ class TestPipelinedReference:
         rk4 = _recorded_mc(_callables(vf), *args, steps_per_piece=steps_per_piece)
         assert (est, se) == rk4[:2]
         assert np.array_equal(ends, rk4[2])
-        blocks = -(-n_paths * d // max(1, ga._DRAW_BLOCK // n_steps))
+        blocks = -(-n_paths // max(1, ga._DRAW_BLOCK // (n_steps * d)))
         drawn_ahead = n_steps <= ga._CHOLESKY_STEPS and blocks >= ga._AHEAD_BLOCKS
         # one drawer per sampler call of _AHEAD_BLOCKS blocks or more: each
         # _recorded_mc samples in mc_weak_value and again for the increments
@@ -574,25 +630,27 @@ class TestPipelinedReference:
         assert len(threads) == 3
 
     def test_solve_exception_stops_the_drawer(self, monkeypatch, threads):
+        # the summed solve fails on reading the second of eight blocks, with
+        # the drawer still running
         vf, x0 = _constant_fields(1)
         args = (vf, lambda y: y[:, 0], x0, 0.7, 1.3, 4096, 64, 5)
-        summed = sde_module._summed_ends
-        monkeypatch.setattr(sde_module, "_summed_ends",
-                            _fail_on_call(summed, 2, KeyError("solve failed")))
+        fgn_blocks = sde_module._fgn_blocks
+        monkeypatch.setattr(sde_module, "_fgn_blocks",
+                            _unreadable_block(fgn_blocks, 2, KeyError("solve failed")))
         before = threading.active_count()
         with pytest.raises(KeyError, match="solve failed"):
             mc_weak_value(*args)
         assert len(threads) == 1 and not threads[0].is_alive()
         assert threading.active_count() == before
-        monkeypatch.setattr(sde_module, "_summed_ends", summed)
+        monkeypatch.setattr(sde_module, "_fgn_blocks", fgn_blocks)
         assert mc_weak_value(*args) == mc_weak_value(_callables(vf), *args[1:])
 
     def test_memory_error_in_a_block_is_a_usage_error(self, monkeypatch, threads,
                                                       capsys):
-        # the first call is the cubature solve, the next two the first two
-        # blocks of the Monte-Carlo reference
-        monkeypatch.setattr(sde_module, "_summed_ends",
-                            _fail_on_call(sde_module._summed_ends, 3, MemoryError()))
+        # the Monte-Carlo reference runs out of memory on reading its second
+        # block
+        monkeypatch.setattr(sde_module, "_fgn_blocks",
+                            _unreadable_block(sde_module._fgn_blocks, 2, MemoryError()))
         argv = ["sde", "compare", "--paths", "4096", "--steps", "64", "--no-timestamp"]
         assert cli_main(argv) == 2
         assert "--paths 4096 with --steps 64 needs more memory" in capsys.readouterr().err
