@@ -13,13 +13,12 @@ costing O(m), so the grid can grow to 2^18 cells.
 """
 from __future__ import annotations
 
-import contextlib
 import functools
 import itertools
 import math
 import threading
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -420,133 +419,161 @@ def sample_fbm_batch(
     H: float, m: int, d: int, n_paths: int, seed: int, T: float = 1.0
 ) -> np.ndarray:
     """n_paths independent d-dimensional fBm paths on the uniform m-grid of
-    [0, T], shape (n_paths, m+1, d), row 0 identically zero: the cumulative
-    sums of the blocks of increments _fgn_blocks yields for the same
-    arguments, which it checks before the paths are allocated; one block is
-    held at a time.  Deterministic in the seed for a fixed BLAS thread count.
+    [0, T], shape (n_paths, m+1, d), row 0 identically zero: the running
+    sums of the increments _fgn_increments draws for the same arguments,
+    which are checked before the paths are allocated.  The increments are
+    written into the paths and summed there, so no other array of them is
+    held; the paths are a view of an (n_paths, d, m+1) array.
+    Deterministic in the seed for a fixed BLAS thread count (see
+    _fgn_increments).
     """
-    with contextlib.closing(_fgn_blocks(H, m, d, n_paths, seed, T)) as blocks:
-        paths = np.zeros((n_paths, m + 1, d))
-        for first, increments in blocks:
-            np.cumsum(increments, axis=1, out=paths[first:first + len(increments), 1:])
-    return paths
+    gamma = _fgn_gamma(H, m, d, n_paths, T)
+    paths = np.zeros((n_paths * d, m + 1))  # one row per (path, coordinate)
+    _fgn_into(gamma, d, seed, paths[:, 1:])
+    np.cumsum(paths[:, 1:], axis=1, out=paths[:, 1:])
+    return _as_paths(paths, d)
 
 
 def _fgn_increments(H: float, m: int, d: int, n_paths: int, seed: int,
                     T: float = 1.0) -> np.ndarray:
-    """_fgn_blocks' increments gathered into one array, shape (n_paths, m, d)."""
-    with contextlib.closing(_fgn_blocks(H, m, d, n_paths, seed, T)) as blocks:
-        out = np.empty((n_paths, d, m))
-        for first, increments in blocks:
-            out[first:first + len(increments)] = increments.transpose(0, 2, 1)
-    return out.transpose(0, 2, 1)
+    """The increments (fractional Gaussian noise) of n_paths independent
+    d-dimensional fBm paths on the uniform m-grid of [0, T], shape
+    (n_paths, m, d), after the checks of _fgn_gamma (see _fgn_into)."""
+    gamma = _fgn_gamma(H, m, d, n_paths, T)
+    out = np.empty((n_paths * d, m))
+    _fgn_into(gamma, d, seed, out)
+    return _as_paths(out, d)
 
 
-def _fgn_blocks(H: float, m: int, d: int, n_paths: int, seed: int, T: float = 1.0):
-    """Check the arguments, then return a generator of the increments
-    (fractional Gaussian noise) of n_paths independent d-dimensional fBm
-    paths on the uniform m-grid of [0, T]: (first, increments) for runs of
-    whole paths in path order, increments of shape (paths, m, d) holding
-    paths first, first + 1, ... and valid until the next block is asked
-    for.  Each row is of law N(0, S), S the Toeplitz covariance with first
-    column gamma_0..gamma_{m-1}.
+def _fgn_into(gamma: np.ndarray, d: int, seed: int, out: np.ndarray) -> None:
+    """Fill out, shape (n_paths d, m), with the increments of n_paths
+    d-dimensional fBm paths, one row per (path, coordinate) in path order.
+    Each row is of law N(0, S), S the Toeplitz covariance with first column
+    gamma_0..gamma_{m-1}.
 
     Up to _CHOLESKY_STEPS steps a row of increments is z @ L^T, with L the
-    LAPACK Cholesky factor of S and z m standard normals, taken from one
-    (n_paths d, m) draw (_drawn_ahead) in blocks of whole paths,
-    d * max(1, _DRAW_BLOCK // (m d)) rows, each multiplied as it arrives
-    while the next is drawn.  The blocks never move: a product over another
-    number of rows may differ in the last bit.  Longer grids use the
-    circulant embedding (_circulant_fgn), O(m log m) per row, in one block.
-    Deterministic in the seed for a fixed BLAS thread count: the product
-    with L^T goes through BLAS, and how many threads split its sums moves
-    the last bits of the Cholesky-branch increments.  Closing the generator
-    joins the drawer thread.
+    LAPACK Cholesky factor of S and z m standard normals, taken from the
+    blocks of _draw_plan (_drawn_in_halves); each block's product is
+    written into its rows of out.  The blocks never move: a product over
+    another number of rows may differ in the last bit.  Longer grids use
+    the circulant embedding (_circulant_fgn), O(m log m) per row, on one
+    draw of default_rng(seed).  Deterministic in the seed for a fixed BLAS
+    thread count: the Cholesky factorization and the product with L^T both
+    go through BLAS, and how many threads split their sums moves the last
+    bits of the factor and of the Cholesky-branch increments.
     """
+    rows, m = out.shape
+    if m > _CHOLESKY_STEPS:
+        w = np.random.default_rng(seed).standard_normal((rows - rows // 2, 4 * m))
+        _circulant_fgn(gamma, w.view(complex), out=out)
+        return
+    factor_t = _fgn_factor(gamma[:m]).T
+    _drawn_in_halves(_draw_plan(rows // d, m, d, seed), m,
+                     lambda r, z: np.matmul(z, factor_t, out=out[r:r + len(z)]))
+
+
+def _fbm_endpoints(H: float, m: int, d: int, n_paths: int, seed: int,
+                   T: float = 1.0) -> np.ndarray:
+    """B_T of n_paths independent d-dimensional fBm paths, shape
+    (n_paths, d): each path's summed increments from the normals that
+    _fgn_increments takes for the same arguments (so
+    sample_fbm_batch(...)[:, -1] up to rounding).  Up to _CHOLESKY_STEPS
+    steps a row z @ L^T sums to z @ (L^T 1), one matrix-vector product per
+    block of normals, and the increments are never formed; longer grids
+    sum the circulant embedding's rows.
+    """
+    if m > _CHOLESKY_STEPS:
+        return _fgn_increments(H, m, d, n_paths, seed, T).sum(axis=1)
+    gamma = _fgn_gamma(H, m, d, n_paths, T)
+    lt1 = _fgn_factor(gamma[:m]).sum(axis=0)  # L^T 1, the column sums of L
+    ends = np.empty(n_paths * d)
+    _drawn_in_halves(_draw_plan(n_paths, m, d, seed), m,
+                     lambda r, z: np.matmul(z, lt1, out=ends[r:r + len(z)]))
+    return ends.reshape(n_paths, d)
+
+
+def _fgn_gamma(H: float, m: int, d: int, n_paths: int, T: float) -> np.ndarray:
+    """The sampler's checks of its arguments, then gamma_0..gamma_m, the
+    covariances of the increments on the uniform m-grid of [0, T]."""
     check_hurst(H)
     if m > _MAX_GRID:
         raise ValueError(f"m capped at {_MAX_GRID}")
     if m < 1 or n_paths < 1 or d < 1:
         raise ValueError("m, d and n_paths must be positive")
-    # gamma_0..gamma_m; the scale refuses T before any sample is drawn
-    gamma = 0.5 * _covariance_scale(H, m, T) * _second_differences(H, np.arange(m + 1))
-
-    def blocks():
-        rng = np.random.default_rng(seed)
-        # one row per (path, coordinate), in the order of a (n_paths, d, m) draw
-        rows = n_paths * d
-        if m > _CHOLESKY_STEPS:
-            out = np.empty((rows, m))
-            w = rng.standard_normal((rows - rows // 2, 4 * m)).view(complex)
-            _circulant_fgn(gamma, w, out=out)
-            yield 0, _as_paths(out, d)
-            return
-        factor_t = _fgn_factor(gamma[:m]).T
-        step = d * max(1, _DRAW_BLOCK // (m * d))
-        out = np.empty((min(rows, step), m))
-        with contextlib.closing(_drawn_ahead(rng, rows, m, step)) as draws:
-            for r, z in draws:
-                np.matmul(z, factor_t, out=out[:len(z)])
-                yield r // d, _as_paths(out[:len(z)], d)
-
-    return blocks()
+    # the scale refuses T before any sample is drawn
+    return 0.5 * _covariance_scale(H, m, T) * _second_differences(H, np.arange(m + 1))
 
 
 def _as_paths(rows: np.ndarray, d: int) -> np.ndarray:
-    """The (paths, m, d) view of rows ordered by (path, coordinate)."""
+    """The (paths, columns, d) view of rows ordered by (path, coordinate)."""
     return rows.reshape(-1, d, rows.shape[1]).transpose(0, 2, 1)
 
 
-def _drawn_ahead(rng: np.random.Generator, rows: int, m: int, step: int):
-    """Yield (r, z) for each block of `step` rows of one (rows, m) standard
-    normal draw from rng: z holds rows r, r + 1, ..., and the last block may
-    be part-filled.  A Generator fills sequentially, so the blocks hold the
-    normals of that one draw.
+def _draw_plan(n_paths: int, m: int, d: int, seed: int) -> list[list[tuple]]:
+    """The blocks of the Cholesky branch's draw of m standard normals for
+    each of n_paths d rows, one per (path, coordinate) in path order: for
+    each of two streams, a list of (generator, first row, end row).
 
-    From _AHEAD_BLOCKS blocks up, a background thread draws each block into
-    one of two buffers while the caller uses the other (the fill releases
-    the interpreter lock); fewer are drawn in turn into one buffer.  Either
-    way z is valid until the next block is asked for.  An exception in the
-    thread is raised in the caller; closing the generator stops the thread
-    and joins it.
+    The rows of the first n_paths // 2 paths come from
+    default_rng(SeedSequence(seed).spawn(2)[0]), the others from
+    spawn(2)[1], so that two threads can draw them at once.  Each stream's
+    rows are drawn in blocks of whole paths, d max(1, _DRAW_BLOCK // (m d))
+    rows, and its last block may be part-filled.
     """
-    starts = range(0, rows, step)
-    if len(starts) < _AHEAD_BLOCKS:
-        block = np.empty((min(rows, step), m))
-        for r in starts:
-            rng.standard_normal(out=block[:rows - r])
-            yield r, block[:rows - r]
-        return
-    buffers = np.empty((step, m)), np.empty((step, m))
-    free, filled = threading.Semaphore(2), threading.Semaphore(0)
-    failed = []
-    stop = False
+    step = d * max(1, _DRAW_BLOCK // (m * d))
+    split, rows = n_paths // 2 * d, n_paths * d
+    streams = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2)]
+    return [[(rng, r, min(r + step, end)) for r in range(start, end, step)]
+            for rng, (start, end) in zip(streams, ((0, split), (split, rows)))]
 
-    def draw():
+
+def _drawn_in_halves(plan: list[list[tuple]], m: int,
+                     use: Callable[[int, np.ndarray], object]) -> None:
+    """Call use(r, z) for each block of a _draw_plan, z holding its
+    standard normals, rows r, r + 1, ..., valid during the call.  A
+    Generator fills sequentially, so each stream's blocks hold the normals
+    of one draw.
+
+    From _AHEAD_BLOCKS blocks up, the calling thread draws and uses the
+    first stream's blocks while a worker thread does the second's (the
+    fill and BLAS release the interpreter lock), so `use` must be safe to
+    run on both at once; fewer blocks are done in turn into one buffer.
+    Either way the normals are the same.  An exception in either thread
+    stops the other at its next block; the worker is joined however the
+    call ends, and its exception is raised in the caller.
+    """
+    failed = []
+
+    def run(blocks):
+        z = np.empty((max((hi - lo for _, lo, hi in blocks), default=0), m))
+        for rng, lo, hi in blocks:
+            if failed:
+                return
+            rng.standard_normal(out=z[:hi - lo])
+            use(lo, z[:hi - lo])
+
+    first, second = plan
+    if len(first) + len(second) < _AHEAD_BLOCKS:
+        run(first + second)
+        return
+
+    def work():
         try:
-            for i, r in enumerate(starts):
-                free.acquire()
-                if stop:
-                    return
-                rng.standard_normal(out=buffers[i % 2][:rows - r])
-                filled.release()
+            run(second)
         except BaseException as exc:  # re-raised by the caller
             failed.append(exc)
-            filled.release()
 
-    drawer = threading.Thread(target=draw, name="fgn-draw", daemon=True)
-    drawer.start()
+    worker = threading.Thread(target=work, name="fgn-half", daemon=True)
+    worker.start()
     try:
-        for i, r in enumerate(starts):
-            filled.acquire()
-            if failed:
-                raise failed[0]
-            yield r, buffers[i % 2][:rows - r]
-            free.release()
+        run(first)
+    except BaseException as exc:
+        failed.append(exc)  # stops the worker at its next block
+        raise
     finally:
-        stop = True
-        free.release()
-        drawer.join()
+        worker.join()
+    if failed:
+        raise failed[0]
 
 
 def _covariance_scale(H: float, m: int, T: float) -> float:
@@ -568,28 +595,26 @@ def _covariance_scale(H: float, m: int, T: float) -> float:
 # multiply-adds per normal at most, half of them on its zero triangle, cost
 # less than drawing the second normal per step the circulant embedding needs.
 # On a 2-vCPU x86 VM the embedding takes 13.3 ms for 4096 paths x 64 steps,
-# the factor 7.4 ms; drawing its normals ahead (_drawn_ahead) took 8% more
-# off the factor in a later interleaved comparison (6.7 against 6.1 ms).
+# the factor 7.4 ms (both drawn on one thread).
 _CHOLESKY_STEPS = 128
 
-# Normals drawn per block on the Cholesky branch (256 KB), into one buffer,
-# or two when drawn ahead.  On a 2-vCPU x86 VM (interleaved medians of 40
-# calls, drawn in turn) one (rows, m) draw took 6.3-6.5 ms at 4096 x 64 and
+# Normals drawn per block on the Cholesky branch (256 KB), into one buffer
+# per drawing thread.  On a 2-vCPU x86 VM (interleaved medians of 40 calls,
+# one thread) one (rows, m) draw took 6.3-6.5 ms at 4096 x 64 and
 # 8192 x 32 and 7.4 ms at 2048 x 128, blocks of 2^15 doubles 4.6-4.8 and
 # 5.6 ms; 2^13, 2^14 and 2^16 were 0.2-1.0 ms slower than 2^15, and
 # 2500 x 36 was within noise.
 _DRAW_BLOCK = 2**15
 
-# Blocks from which _drawn_ahead draws on a background thread.  Starting a
-# thread that fills one block and joining it took 0.33 ms more than the
-# fill alone on a 2-vCPU x86 VM.  Against the same blocks drawn in turn (in-process mc_weak_value, 61
-# interleaved calls per shape), two blocks (2048 x 32) were faster ahead in
-# 15 of 61 calls; three (five shapes of 32 and 40 steps) in 26-56 of 61, a
-# coin flip with the host's load; four to eight (2500-4900 x 40 and
-# 2048 x 128) in 40-58 of 61, by 3-22% in the median.  All with one BLAS
-# thread: with OpenBLAS at two, its idle workers spin beside the drawer,
-# and a many-path mc_weak_value took 14-26% longer drawn ahead than drawn
-# in turn.
+# Blocks from which _drawn_in_halves draws the second stream on a worker
+# thread.  Starting a thread that fills one block and joining it took
+# 0.33 ms more than the fill alone on a 2-vCPU x86 VM.  A drawer that drew
+# one block ahead of the caller, which the worker replaced, gained from
+# four blocks up (3-22% in the median at 2500-4900 x 40 and 2048 x 128,
+# 61 interleaved calls) and was a coin flip at three.  For the endpoint
+# sums a worker was 0.2-0.5 ms faster already at two blocks (2048 x 32,
+# medians of 31, three repeats) and even at three (1536 x 64).  All with
+# one BLAS thread.
 _AHEAD_BLOCKS = 4
 
 

@@ -1,24 +1,26 @@
 """Weak approximation of fBm-driven SDEs: ODE solves along cubature paths,
-a Monte-Carlo reference driven through the same integrator, and the shape of
-the theoretical error bound.
+a Monte-Carlo reference along sampled fBm paths, and the shape of the
+theoretical error bound.
 
 The SDE dxi = sum_i V_i(xi) dB-hat^i (B-hat = time-augmented driver) is
 approximated by sum_j lambda_j f(solution of dy = sum_i V_i(y) d omega-hat_j).
-Both sides run through one batched piecewise-linear-driver integrator, so
-comparisons isolate the choice of measure rather than the discretization.
+With a callable field both sides run through one batched
+piecewise-linear-driver integrator (RK4), so comparisons isolate the choice
+of measure rather than the discretization.
 
 The fields are the plain tuple (V_0, ..., V_d), V_0 pairing with time, and N
 is len(x0).  A field is either a callable that maps states (B, N) to a value
 that broadcasts to that shape, or, when it does not depend on the state, the
 constant itself (a float or an (N,) array).  When no field is callable the
-integrator skips RK4's stages and sums each piece's increments in closed
-form, with endpoints bit-identical to RK4 on the same constants; a set that
-mixes constants and callables runs RK4 with each constant wrapped.  The
-observable f maps the (B, N) endpoints to B values, once per weak value.
+Chen series stops at level 1 and both sides take the exact endpoint
+x0 + V_0 T + sum_i V_i B^i_T (_closed_form): the cubature paths from their
+summed increments, the reference from the sampler's endpoint sums, with no
+path formed; a set that mixes constants and callables runs RK4 with each
+constant wrapped.  The observable f maps the (B, N) endpoints to B values,
+once per weak value.
 """
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
@@ -28,8 +30,9 @@ import numpy as np
 from .cubature import CubatureFormula, rescale_formula
 from .expected import check_hurst
 # sample_fbm_batch is bound here only for perfbench's tracer test, which
-# expects the sampler in this namespace; the solves use the increments
-from .gridapprox import _fgn_blocks, _fgn_increments, sample_fbm_batch  # noqa: F401
+# expects the sampler in this namespace; the solves use the increments or
+# the endpoint sums
+from .gridapprox import _fbm_endpoints, _fgn_increments, sample_fbm_batch  # noqa: F401
 
 __all__ = [
     "ErrorBoundParams",
@@ -41,14 +44,6 @@ __all__ = [
 
 # RK4 steps per linear piece of the three cubature paths (three pieces each)
 CUBATURE_STEPS_PER_PIECE = 64
-
-# Doubles in one block of the summed solve (128 KB).  Measured on a 2-vCPU VM
-# (medians of 41 in-process solves), 2^14 was the fastest of 2^13 to 2^16,
-# or within 0.05 ms of it, at 4096 x 64 (2.0 ms), 8192 x 32, 2048 x 128,
-# 7000 x 40, 20 x 1536 and 50 x 512 paths x steps; 2^16 took 4.1 ms at
-# 4096 x 64, as its temporaries fall out of cache.  Over 520 in-process sde
-# requests, 2^14 raised the peak RSS by 0.3 MB and 2^15 by 2.5 MB.
-_SUM_BLOCK = 2**14
 
 # a field: a callable of the (B, N) states, or a float or (N,) array
 Field = Callable[[np.ndarray], object] | float | np.ndarray
@@ -66,68 +61,21 @@ def _checked_x0(fields: Sequence[Field], x0, steps_per_piece: int) -> np.ndarray
     return x0
 
 
-def _summed_solve(fields: Sequence[Field], x0: np.ndarray, times: np.ndarray,
-                  n_paths: int, steps_per_piece: int, blocks) -> np.ndarray:
-    """_solve's endpoints (n_paths, N) for fields that are all constants,
-    summed as blocks yields (first, increments) for runs of whole paths
-    first, first + 1, ... in path order; an endpoint does not depend on the
-    blocks.
-
-    On piece j every RK4 stage has the slope k_j = V_0 + sum_i s_ij V_i, so
-    each of its steps adds the same increment
-    sixth_j (((k_j + (k_j + k_j)) + (k_j + k_j)) + k_j), and the endpoint is
-    x0 plus those increments added in time order.
-
-    Blocks of whole pieces of a run of paths hold at most _SUM_BLOCK
-    doubles (more only when one piece of one path is longer), time-major:
-    row 0 the carried state, then one row per step.  np.add.reduce along
-    that leading axis of a C-contiguous array adds the rows one after
-    another, so it does the loop's float additions in the loop's order.
-    numpy sums pairwise along the fast axis, which time becomes in a block
-    of one lane (one path with N = 1); such a block is accumulated instead.
-    A non-finite state stays non-finite, so only a block whose end is not
-    all finite is cumsummed to find its first piece end that is not; no
-    piece after the earliest such end is summed, and its time is raised
-    after the last block.
-    """
+def _closed_form(fields: Sequence[Field], x0: np.ndarray, T: float,
+                 ends: np.ndarray) -> np.ndarray:
+    """Endpoints (B, N) of dy = V_0 dt + sum_i V_i d omega^i for fields that
+    are all constants, each driver's B_T = omega_T - omega_0 in the rows of
+    ends (B, d): the Chen series stops at level 1, so the endpoint is
+    x0 + V_0 T + sum_i V_i B^i_T, added in that order.  Only the endpoint is
+    formed, so a non-finite one raises naming T, where RK4 names the first
+    piece whose end is not finite."""
     v0, *spatial_fields = fields
-    n = len(x0)
-    dt = times[1:] - times[:-1]
-    sixth = (dt / steps_per_piece / 6.0)[:, None, None, None]
-    piece = steps_per_piece * n  # doubles per piece of one path
-    width = max(1, min(len(dt), _SUM_BLOCK // piece))  # pieces per block
-    rows = max(1, _SUM_BLOCK // (width * piece))  # paths per block
-    ends = np.empty((n_paths, n))
-    bad = len(dt)
-    for first, increments in blocks:
-        for p in range(0, len(increments), rows):
-            run = increments[p:p + rows]
-            y = x0
-            for j0 in range(0, bad, width):
-                w = run[:, j0:j0 + width].transpose(1, 0, 2)
-                n_w, n_b = w.shape[:2]  # pieces and paths in this block
-                slopes = w / dt[j0:j0 + width, None, None]
-                k = v0
-                for i, v in enumerate(spatial_fields):
-                    k = k + slopes[:, :, i, None] * v
-                block = np.empty((1 + n_w * steps_per_piece, n_b, n))
-                block[0] = y
-                np.multiply(sixth[j0:j0 + width], (k + (k + k) + (k + k) + k)[:, None],
-                            out=block[1:].reshape(n_w, steps_per_piece, n_b, n))
-                if n_b * n > 1:
-                    y = np.add.reduce(block, axis=0)
-                else:
-                    y = np.add.accumulate(block, axis=0)[-1]
-                if not np.isfinite(y).all():
-                    np.cumsum(block, axis=0, out=block)
-                    piece_ends = block[steps_per_piece::steps_per_piece]
-                    finite = np.isfinite(piece_ends).all(axis=(1, 2))
-                    bad = min(bad, j0 + int(np.argmin(finite)))
-                    break
-            ends[first + p:first + p + len(run)] = y
-    if bad < len(dt):
-        raise RuntimeError(f"non-finite state at t={times[bad + 1]:g}")
-    return ends
+    y = x0 + v0 * T
+    for i, v in enumerate(spatial_fields):
+        y = y + ends[:, i, None] * v
+    if not np.isfinite(y).all():
+        raise RuntimeError(f"non-finite state at t={T:g}")
+    return y
 
 
 def _solve(fields: Sequence[Field], x0, times: Sequence[float], increments: np.ndarray,
@@ -142,9 +90,9 @@ def _solve(fields: Sequence[Field], x0, times: Sequence[float], increments: np.n
     the step fractions and the field pairing are set up once per piece, not
     once per stage.  Doubling steps_per_piece shrinks the error by ~16x
     (order 4).  Non-finite states abort, naming the time reached, rather
-    than propagating silently.  When no field is callable the stages are
-    skipped (_summed_solve), with the same endpoints bit for bit; constants
-    among callables are wrapped.
+    than propagating silently.  When no field is callable the endpoints
+    are _closed_form's, with B_T each driver's summed increments and
+    T = times[-1] - times[0]; constants among callables are wrapped.
     """
     x0 = _checked_x0(fields, x0, steps_per_piece)
     n_paths, _, d = increments.shape
@@ -154,8 +102,7 @@ def _solve(fields: Sequence[Field], x0, times: Sequence[float], increments: np.n
             "spatial fields were supplied"
         )
     if not any(map(callable, fields)):
-        return _summed_solve(fields, x0, np.asarray(times, dtype=float), n_paths,
-                             steps_per_piece, [(0, increments)])
+        return _closed_form(fields, x0, times[-1] - times[0], increments.sum(axis=1))
     v0, *spatial_fields = (v if callable(v) else (lambda z, c=v: c) for v in fields)
 
     def slope(z):
@@ -218,24 +165,25 @@ def mc_weak_value(
     seed: int,
     steps_per_piece: int = 1,
 ) -> tuple[float, float]:
-    """Monte-Carlo reference: drive the same integrator along sampled fBm
-    paths (piecewise-linear interpolation on the n_steps grid of [0, T]),
-    given to it as the sampler's increments; no path positions are built.
-    The sampler checks its arguments before the time grid is built.  When
-    no field is callable, each block of whole paths is summed while the
-    sampler draws the next, whose drawer is joined however the call ends;
-    callable fields run RK4 on the whole increment array.
+    """Monte-Carlo reference along sampled fBm paths (piecewise-linear
+    interpolation on the n_steps grid of [0, T]).  When no field is
+    callable each path's endpoint is _closed_form's, from the sampler's
+    endpoint sums B_T (_fbm_endpoints), and neither increments nor paths are
+    formed.  Otherwise RK4 runs on the whole increment array
+    (_fgn_increments), whose normals are the same; the sampler checks its
+    arguments before the time grid is built.
 
     By default the RK4 grid is the sample grid, one step per cell.  With
     m = n_steps, its local error ~ |d omega|^5 ~ (T/m)^(5H) sums to
     ~ m^(1-5H), which falls faster than the interpolation's own m^(-2H) for
-    every H > 1/3.  Against closed-form endpoints (V_0 = y/2 with V_1 = y, and V_0 = 0 with
-    V_1 = sin) over H in {0.55, 0.7, 0.9} and T in {0.5, 2}, the worst
-    per-path relative error is 2.1e-2 at n_steps = 32, 3.0e-4 at 128 and
-    4.2e-7 at 1536; the mean bias is at most 6.3e-4 relative, 0.012 of the
-    standard error at 4000 paths.  Coarse grids pay: at n_steps = 4 and
-    T = 2 the bias is 3-4% (0.04% with steps_per_piece = 4), so below 32
-    steps pass steps_per_piece > 1 to sub-step each cell.
+    every H > 1/3.  Against closed-form endpoints (V_0 = y/2 with V_1 = y,
+    and V_0 = 0 with V_1 = sin) over H in {0.55, 0.7, 0.9} and T in
+    {0.5, 2}, the worst per-path relative error is 1.1e-2 at n_steps = 32,
+    4.3e-4 at 128 and 4.2e-7 at 1536; the mean bias is at most 4.4e-4
+    relative, 0.012 of the standard error at 4000 paths.  Coarse grids
+    pay: at n_steps = 4 and T = 2 the bias is 3-5% (0.04-0.05% with
+    steps_per_piece = 4), so below 32 steps pass steps_per_piece > 1 to
+    sub-step each cell.
 
     Returns (estimate, standard error); deterministic in the seed.  Requires
     H > 1/2 (pathwise Young regime) and n_paths >= 2, since one path gives no
@@ -247,13 +195,13 @@ def mc_weak_value(
         raise ValueError(f"n_paths must be >= 2 for a standard error, got {n_paths}")
     x0 = _checked_x0(fields, x0, steps_per_piece)  # before the sample is drawn
     sample = (H, n_steps, len(fields) - 1, n_paths, seed, T)
-    # the sampler checks its arguments here, before the grid is built from them
-    with contextlib.closing(_fgn_blocks(*sample)) as blocks:
+    if any(map(callable, fields)):
+        # the sampler checks its arguments here, before the grid is built from them
+        increments = _fgn_increments(*sample)
         times = np.arange(n_steps + 1) * (T / n_steps)
-        if any(map(callable, fields)):
-            ends = _solve(fields, x0, times, _fgn_increments(*sample), steps_per_piece)
-        else:
-            ends = _summed_solve(fields, x0, times, n_paths, steps_per_piece, blocks)
+        ends = _solve(fields, x0, times, increments, steps_per_piece)
+    else:
+        ends = _closed_form(fields, x0, T, _fbm_endpoints(*sample))
     vals = _values(f, ends)
     if not np.all(np.isfinite(vals)):
         return float(vals.mean()), math.nan

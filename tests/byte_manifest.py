@@ -6,16 +6,22 @@ every output bit as it was.
 
 Each command runs in a fresh interpreter (python -m fbmsig.cli) with
 OPENBLAS_NUM_THREADS=1, once with --format csv and once with --format json:
-every `fbmsig ...` line of the README, and the level table of the 715
-canonical six-letter words over {0..3} at three H.  A line of the manifest is
-"md5 exit format command", the table's word list shortened to its name.  With
-two source trees the script prints the lines that differ and exits 1 if any
-do.  Standard library only; pytest does not collect it.
+every `fbmsig ...` line of the README, four `sde compare` runs (many paths
+on 64 and 128 steps, a long grid, and the zero problem), and the level table
+of the 715 canonical six-letter words over {0..3} at three H.  A line of the
+manifest is "md5 exit format command", the table's word list shortened to its
+name.  With two source trees the script prints the lines that differ, each
+with the largest relative change of every numeric column that moved, and
+exits 1 if any do.  Standard library only; pytest does not collect it.
 """
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import itertools
+import json
+import math
 import os
 import re
 import shlex
@@ -25,6 +31,13 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 TABLE_H = ("0.5513", "0.6711", "0.9423")
+SDE_RUNS = (
+    "sde compare --H 0.75 --T 1 --paths 4096 --steps 64 --seed 7 --x0 0.3",
+    "sde compare --H 0.6 --T 1.7 --paths 2048 --steps 128 --seed 8 --x0 -0.4",
+    "sde compare --H 0.9 --T 0.5 --paths 20 --steps 1536 --seed 9 --x0 0.7",
+    "sde compare --H 0.55 --T 2 --paths 4096 --steps 64 --seed 10 --x0 0.25 "
+    "--problem zero",
+)
 
 
 def canonical_words(length: int) -> list[str]:
@@ -38,13 +51,15 @@ def canonical_words(length: int) -> list[str]:
 
 
 def commands() -> list[tuple[str, list[str]]]:
-    """(name, argv) of every README command and of the six-letter table."""
+    """(name, argv) of every README command, the sde runs and the
+    six-letter table."""
     out = []
     for line in (ROOT / "README.md").read_text().splitlines():
         match = re.match(r"\s*fbmsig\s+(.*)$", line)
         if match:
             argv = shlex.split(match.group(1))
             out.append((" ".join(argv), argv))
+    out += [(run, shlex.split(run)) for run in SDE_RUNS]
     words = ";".join(canonical_words(6))
     for H in TABLE_H:
         out.append((f"expected-sig --H {H} --words <715 six-letter words>",
@@ -52,31 +67,66 @@ def commands() -> list[tuple[str, list[str]]]:
     return out
 
 
-def manifest(src: Path) -> list[str]:
+def manifest(src: Path) -> list[tuple[str, bytes]]:
+    """(manifest line, stdout) of every command in both formats."""
     env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
-    lines = []
+    out = []
     for name, argv in commands():
         for fmt in ("csv", "json"):
             run = subprocess.run(
                 [sys.executable, "-m", "fbmsig.cli", *argv, "--format", fmt,
                  "--no-timestamp"], env=env, capture_output=True, check=False)
             digest = hashlib.md5(run.stdout).hexdigest()
-            lines.append(f"{digest} {run.returncode} {fmt} {name}")
-    return lines
+            out.append((f"{digest} {run.returncode} {fmt} {name}", run.stdout))
+    return out
+
+
+def table(fmt: str, stdout: bytes) -> tuple[list[str], list[list[str]]]:
+    """(columns, rows) of one output, or ([], []) when it is not a table."""
+    text = stdout.decode()
+    try:
+        if fmt == "json":
+            data = json.loads(text)
+            return data["columns"], data["rows"]
+        rows = [row for row in csv.reader(io.StringIO(text))
+                if row and not row[0].startswith("#")]
+        return rows[0], rows[1:]
+    except (ValueError, KeyError, IndexError):
+        return [], []
+
+
+def largest_changes(fmt: str, a: bytes, b: bytes) -> dict[str, float]:
+    """The largest relative change |b - a| / |a| of each numeric column
+    that moved between two outputs of one command, inf where a is 0."""
+    (columns, rows_a), (_, rows_b) = table(fmt, a), table(fmt, b)
+    changes: dict[str, float] = {}
+    for row_a, row_b in zip(rows_a, rows_b):
+        for name, x, y in zip(columns, row_a, row_b):
+            try:
+                x, y = float(x), float(y)
+            except ValueError:
+                continue
+            if x != y and not (math.isnan(x) and math.isnan(y)):
+                change = abs(y - x) / abs(x) if x else math.inf
+                changes[name] = max(changes.get(name, 0.0), change)
+    return changes
 
 
 def main(argv: list[str]) -> int:
     sources = [Path(a).resolve() for a in argv] or [ROOT / "src"]
     if len(sources) == 1:
-        print("\n".join(manifest(sources[0])))
+        print("\n".join(line for line, _ in manifest(sources[0])))
         return 0
     if len(sources) != 2:
         print("usage: byte_manifest.py [SRC_A SRC_B]", file=sys.stderr)
         return 2
     a, b = (manifest(s) for s in sources)
-    differ = [(x, y) for x, y in zip(a, b) if x != y]
-    for x, y in differ:
-        print(f"- {x}\n+ {y}")
+    differ = [(x, y) for x, y in zip(a, b) if x[0] != y[0]]
+    for (line_a, out_a), (line_b, out_b) in differ:
+        print(f"- {line_a}\n+ {line_b}")
+        fmt = line_a.split()[2]
+        for name, change in largest_changes(fmt, out_a, out_b).items():
+            print(f"    {name}: largest relative change {change:.3g}")
     print(f"{len(a) - len(differ)} of {len(a)} outputs identical")
     return 1 if differ else 0
 

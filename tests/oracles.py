@@ -1,7 +1,9 @@
 """Independent oracles that only the tests use: a nested-quadrature signature
 coefficient, an exhaustive sweep of the refined permutation-count bound, the
 per-piece RK4 integrator that `fbmsig.sde._solve` must match bit for bit, the
-reduction with float exponents that `fbmsig.simplexquad._reduce_terms` plans
+closed-form endpoint of constant fields that it must match for those, the
+normals behind a seed's draw on the sampler's Cholesky branch and the rounding
+bar between its endpoint sums and its paths' ends, the reduction with float exponents that `fbmsig.simplexquad._reduce_terms` plans
 once per shape, the integrand of a core (per-axis exponents and spans) rebuilt
 from its factors on every call, which `_reduce_terms` plans once per shape,
 the Beta-map parameters of an integrand, the full-grid evaluation of a simplex
@@ -22,6 +24,7 @@ import numpy as np
 
 from fbmsig import simplexquad as sq
 from fbmsig.expected import QuadratureToleranceError, check_hurst
+from fbmsig import gridapprox as ga
 from fbmsig.gridapprox import _covariance_scale, _second_differences
 from fbmsig.matchings import compatible_matchings, permutation_count, refined_count_bound
 from fbmsig.tensor import Word
@@ -106,6 +109,48 @@ def rk4_solve_per_piece(fields, x0, times: np.ndarray, increments: np.ndarray,
         if not np.all(np.isfinite(y)):
             raise RuntimeError(f"non-finite state at t={times[j + 1]:g}")
     return y
+
+
+def closed_form_solve(fields, x0, times: np.ndarray, increments: np.ndarray) -> np.ndarray:
+    """The endpoint x0 + V_0 T + sum_i V_i B^i_T of constant fields along
+    each driver, T = times[-1] - times[0] and B_T the driver's summed
+    increments, added one term after another in that order."""
+    ends = increments.sum(axis=1)
+    y = np.asarray(x0, dtype=float) + fields[0] * (times[-1] - times[0])
+    for i in range(1, len(fields)):
+        y = y + fields[i] * ends[:, i - 1, None]
+    return y
+
+
+def split_normals(seed: int, n_paths: int, d: int, m: int) -> np.ndarray:
+    """The standard normals, shape (n_paths, d, m), that the sampler's
+    Cholesky branch draws for a seed: the first n_paths // 2 paths from the
+    first child of SeedSequence(seed), the others from the second."""
+    half = n_paths // 2
+    first, second = (np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2))
+    return np.concatenate([first.standard_normal((half, d, m)),
+                           second.standard_normal((n_paths - half, d, m))])
+
+
+def endpoint_sum_bar(H: float, m: int, d: int, n_paths: int, seed: int,
+                     T: float = 1.0) -> np.ndarray:
+    """A bound, shape (n_paths, d), on |_fbm_endpoints - sample_fbm_batch[:, -1]|
+    (or the increments summed in any order) for the same arguments.
+
+    Up to 128 steps a row's end is fl(z @ fl(L^T 1)) on one side and a sum
+    of fl(z @ L^T) on the other.  Each side takes two sums of at most m
+    terms, each off by at most gamma_m = m u / (1 - m u) times the sum of
+    its terms' magnitudes, and every one of those magnitude sums is at most
+    sum_k |z_k| sum_j |L_jk|: so the sides differ by at most 4 gamma_m of
+    it, below 4.01 m u of it for m <= 4096.  Above 128 steps both sides sum
+    the same increments, each off by gamma_m sum_j |inc_j|."""
+    u = 2.0**-53
+    if m > ga._CHOLESKY_STEPS:
+        inc = ga._fgn_increments(H, m, d, n_paths, seed, T)
+        return 2.01 * m * u * np.abs(inc).sum(axis=1)
+    gamma = 0.5 * _covariance_scale(H, m, T) * _second_differences(H, np.arange(m))
+    column_sums = np.abs(ga._fgn_factor(gamma)).sum(axis=0)
+    return 4.01 * m * u * (np.abs(split_normals(seed, n_paths, d, m)) @ column_sums)
 
 
 def reduce_terms_numeric(n: int, factors, variables):

@@ -28,9 +28,11 @@ from oracles import (
     cell_covariance_matrix,
     cell_pair_integral,
     crossing_sum_brute,
+    endpoint_sum_bar,
     crossing_sum_by_loop,
     fgn_cholesky_t,
     shuffle_class,
+    split_normals,
 )
 
 
@@ -427,11 +429,17 @@ class TestSampleFbm:
         assert np.all(sample_fbm_batch(0.6, 8, 3, 1, seed=1)[0, 0] == 0.0)
 
     def test_single_equals_batch_head(self):
-        # a one-path batch is the first path of a larger batch on the same seed
-        for m in (8, 256):
-            a = sample_fbm_batch(0.8, m, 1, 1, seed=5)[0]
-            b = sample_fbm_batch(0.8, m, 1, 4, seed=5)[0]
-            assert np.array_equal(a, b)
+        # a small batch is the head of each stream of a larger batch on the
+        # same seed: on the Cholesky branch a four-path batch is paths 0, 1
+        # and n // 2, n // 2 + 1 of n (a one-row block could take another
+        # BLAS kernel than a longer one), and on the circulant branch a
+        # one-path batch is path 0
+        a = sample_fbm_batch(0.8, 8, 1, 4, seed=5)
+        b = sample_fbm_batch(0.8, 8, 1, 9, seed=5)
+        assert np.array_equal(a, b[[0, 1, 4, 5]])
+        a = sample_fbm_batch(0.8, 256, 1, 1, seed=5)[0]
+        b = sample_fbm_batch(0.8, 256, 1, 4, seed=5)[0]
+        assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("n_paths, d", [(1, 1), (3, 1), (1, 3)])
     def test_odd_row_count_is_the_head_of_the_next_even_one(self, n_paths, d):
@@ -463,13 +471,14 @@ class TestSampleFbm:
 
 def dense_fbm_batch(H, m, d, n_paths, seed, T=1.0):
     """Oracle: the dense Cholesky factor of the m x m covariance of the grid
-    points, applied to the same normal draws as sample_fbm_batch."""
+    points, applied to the same normal draws as sample_fbm_batch on its
+    Cholesky branch."""
     t = np.arange(1, m + 1) * (T / m)
     two_h = 2.0 * H
     C = 0.5 * (
         t[:, None] ** two_h + t[None, :] ** two_h - np.abs(t[:, None] - t[None, :]) ** two_h
     )
-    z = np.random.default_rng(seed).standard_normal((n_paths, d, m))
+    z = split_normals(seed, n_paths, d, m)
     paths = np.einsum("ij,sdj->sid", np.linalg.cholesky(C), z)
     return np.concatenate([np.zeros((n_paths, 1, d)), paths], axis=1)
 
@@ -558,12 +567,12 @@ class TestToeplitzSampler:
         assert gram.shape == want.shape
         assert np.abs(gram - want).max() <= 1e-14 * gamma[0]
         # the sampler applies this map to its draws and sums the increments
-        rng = np.random.default_rng(m)
         if m <= ga._CHOLESKY_STEPS:
-            inc = rng.standard_normal((6, m)) @ ga._fgn_factor(gamma[:m]).T
+            inc = split_normals(m, 3, 2, m).reshape(6, m) @ ga._fgn_factor(gamma[:m]).T
         else:
             inc = np.empty((6, m))
-            ga._circulant_fgn(gamma, rng.standard_normal((3, 4 * m)).view(complex), inc)
+            w = np.random.default_rng(m).standard_normal((3, 4 * m))
+            ga._circulant_fgn(gamma, w.view(complex), inc)
         paths = sample_fbm_batch(H, m, 2, 3, seed=m, T=1.3)
         sums = np.cumsum(inc.reshape(3, 2, m), axis=2).transpose(0, 2, 1)
         assert np.array_equal(paths[:, 1:], sums) and np.all(paths[:, 0] == 0.0)
@@ -579,14 +588,14 @@ class TestToeplitzSampler:
     @pytest.mark.parametrize("H", [0.5001, 0.55, 0.7, 0.93, 0.999])
     def test_blocked_draw_is_one_draw(self, monkeypatch, H, n_paths, d, m,
                                       block_rows):
-        # the blocks take the normals of one (rows, m) draw in order; the
-        # first block's product is the one-shot product bit for bit, and a
-        # later block may go through another BLAS kernel, within 4 ulps of
-        # each row's largest entry
+        # the blocks take the normals of one two-stream (rows, m) draw in
+        # order; the first block's product is the one-shot product bit for
+        # bit, and a later block may go through another BLAS kernel, within
+        # 4 ulps of each row's largest entry
         if block_rows is not None:
             monkeypatch.setattr(ga, "_DRAW_BLOCK", block_rows * m)
         rows = n_paths * d
-        z = np.random.default_rng(21).standard_normal((rows, m))
+        z = split_normals(21, n_paths, d, m).reshape(rows, m)
         want = z @ ga._fgn_factor(fgn_gamma(H, m, 1.3)[:m]).T
         inc = ga._fgn_increments(H, m, d, n_paths, 21, 1.3)
         assert inc.shape == (n_paths, m, d)
@@ -604,28 +613,41 @@ class TestToeplitzSampler:
         assert np.array_equal(paths[:, 1:], np.cumsum(inc, axis=1))
 
     # (n_paths, d, m, rows per block): blocks of 13, 6 and 4 paths at d = 1, 2
-    # and 3, and of 170 at the shipped size, each with a part-filled last
-    # block; and the circulant branch, one block of every path
+    # and 3, and of 170 at the shipped size, for each stream's half of the
+    # paths, each half with a part-filled last block; and the circulant
+    # branch, one draw of every path
     @pytest.mark.parametrize("n_paths, d, m, block_rows", [
         (1000, 1, 7, 13), (500, 2, 7, 13), (334, 3, 7, 13), (700, 3, 64, None),
         (9, 2, 300, None)])
     def test_blocks_are_runs_of_whole_paths(self, monkeypatch, n_paths, d, m,
                                             block_rows):
+        # each block's increments are the product of its own normals, bit
+        # for bit: a block never moves
         if block_rows is not None:
             monkeypatch.setattr(ga, "_DRAW_BLOCK", block_rows * m)
         inc = ga._fgn_increments(0.7, m, d, n_paths, 3, 1.3)
-        want = 0 if m > ga._CHOLESKY_STEPS else max(1, ga._DRAW_BLOCK // (m * d))
-        sizes, first = [], 0
-        for start, block in ga._fgn_blocks(0.7, m, d, n_paths, 3, 1.3):
-            assert start == first and block.shape[1:] == (m, d)
-            assert np.array_equal(block, inc[first:first + len(block)])
-            sizes.append(len(block))
-            first += len(block)
-        assert first == n_paths
-        if want:
-            assert sizes[:-1] == [want] * (len(sizes) - 1) and 0 < sizes[-1] < want
-        else:
-            assert sizes == [n_paths]
+        rows = inc.transpose(0, 2, 1).reshape(n_paths * d, m)
+        gamma = fgn_gamma(0.7, m, 1.3)
+        if m > ga._CHOLESKY_STEPS:
+            want = np.empty_like(rows)
+            w = np.random.default_rng(3).standard_normal((len(rows) - len(rows) // 2, 4 * m))
+            ga._circulant_fgn(gamma, w.view(complex), want)
+            assert np.array_equal(rows, want)
+            return
+        z = split_normals(3, n_paths, d, m).reshape(n_paths * d, m)
+        factor_t = ga._fgn_factor(gamma[:m]).T
+        want = max(1, ga._DRAW_BLOCK // (m * d))  # paths per block
+        half = n_paths // 2
+        assert half % want and (n_paths - half) % want
+        plan = ga._draw_plan(n_paths, m, d, 3)
+        ends = [0]
+        for blocks, n in zip(plan, (half, n_paths - half)):
+            assert [(hi - lo) // d for _, lo, hi in blocks] == [want] * (n // want) + [n % want]
+            for _, lo, hi in blocks:
+                assert lo == ends[-1]
+                assert np.array_equal(rows[lo:hi], z[lo:hi] @ factor_t)
+                ends.append(hi)
+        assert ends[-1] == n_paths * d
 
     @pytest.mark.parametrize("args, message", [
         ((0.7, 10**7, 1, 1000), "m capped at 4096"),
@@ -637,8 +659,8 @@ class TestToeplitzSampler:
             ga._fgn_increments(*args, seed=0)
 
     def test_holds_one_block_of_increments(self):
-        # besides the paths, the drawer's two buffers and one block of
-        # increments, with room for the factor and the block's temporaries
+        # besides the paths, one block of normals per drawing thread, with
+        # room for the factor
         tracemalloc.start()
         try:
             paths = sample_fbm_batch(0.7, 64, 1, 4096, seed=8)
@@ -646,6 +668,48 @@ class TestToeplitzSampler:
         finally:
             tracemalloc.stop()
         assert peak < paths.nbytes + 4 * ga._DRAW_BLOCK * 8
+
+    @pytest.mark.parametrize("n_paths, m, limit_mib", [(50, 1536, 1.96), (4096, 64, 2.54)])
+    def test_increments_allocated_once_the_factor_is_built(self, n_paths, m, limit_mib):
+        # the circulant rows are returned as they are, and up to 128 steps
+        # the products go straight into the array: besides it, two blocks of
+        # normals and the factor
+        ga._fgn_increments(0.7, m, 1, n_paths, seed=8)
+        tracemalloc.start()
+        try:
+            ga._fgn_increments(0.7, m, 1, n_paths, seed=8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= limit_mib * 2**20
+
+    # (n_paths, d, m, rows per block): odd path counts, each stream's last
+    # block part-filled, the worker thread from four blocks (4097 x 64,
+    # 3001 x 32 x 2, 701 x 64 x 3 and blocks of 12 rows) and not below
+    # (1001 x 64), and the circulant branch
+    @pytest.mark.parametrize("n_paths, d, m, block_rows", [
+        (4097, 1, 64, None), (1001, 1, 64, None), (3001, 2, 32, None),
+        (701, 3, 64, None), (333, 3, 7, 13), (7, 1, 1536, None), (9, 2, 300, None),
+        (5, 3, 200, None)])
+    @pytest.mark.parametrize("H", [0.55, 0.9])
+    def test_endpoint_sums_are_the_paths_ends(self, monkeypatch, H, n_paths, d, m,
+                                             block_rows):
+        # within the rounding bar that endpoint_sum_bar derives
+        if block_rows is not None:
+            monkeypatch.setattr(ga, "_DRAW_BLOCK", block_rows * m)
+        ends = ga._fbm_endpoints(H, m, d, n_paths, 6, 1.3)
+        paths = sample_fbm_batch(H, m, d, n_paths, 6, 1.3)
+        bar = endpoint_sum_bar(H, m, d, n_paths, 6, 1.3)
+        assert ends.shape == (n_paths, d)
+        assert np.all(np.abs(ends - paths[:, -1]) <= bar)
+
+    @pytest.mark.parametrize("T", [0.5, 1.3])
+    @pytest.mark.parametrize("m", [1, 2, 17, 64, 128])
+    @pytest.mark.parametrize("H", [0.5001, 0.7, 0.999])
+    def test_endpoint_map_has_the_endpoint_variance(self, H, m, T):
+        # |L^T 1|^2 = 1^T S 1 = Var B_T = T^2H
+        lt1 = ga._fgn_factor(fgn_gamma(H, m, T)[:m]).sum(axis=0)
+        assert lt1 @ lt1 == pytest.approx(T ** (2.0 * H), rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("m, n_paths, limit_mb", [(4096, 2, 16), (1536, 50, 8)])
     def test_factor_is_never_held_whole(self, m, n_paths, limit_mb):

@@ -1,4 +1,3 @@
-import contextlib
 import inspect
 import math
 import os
@@ -26,7 +25,7 @@ from fbmsig.sde import (
     _logaddexp,
     _solve,
 )
-from oracles import rk4_solve_per_piece
+from oracles import closed_form_solve, endpoint_sum_bar, rk4_solve_per_piece
 
 ZERO = lambda y: np.zeros_like(y)
 ONE = lambda y: np.ones_like(y)
@@ -139,24 +138,41 @@ def _callables(fields):
     return tuple(v if callable(v) else (lambda z, c=v: c) for v in fields)
 
 
-# _summed_solve rests on this: numpy reduces the leading axis of a
-# C-contiguous array of more than one lane row by row (it sums pairwise only
-# along the fast axis), so the sum adds in the RK4 loop's order
-@pytest.mark.parametrize("shape", [(65, 4096), (1537, 20), (129, 40, 3), (9, 2)])
-def test_add_reduce_adds_leading_rows_in_order(shape):
-    rng = np.random.default_rng(shape[0])
-    a = np.exp(rng.uniform(-15.0, 15.0, shape)) * rng.choice([-1.0, 1.0], shape)
-    want = a[0].copy()
-    for row in a[1:]:
-        want = want + row
-    assert np.array_equal(np.add.reduce(a, axis=0), want)
+def _magnitude(fields, x0, times, increments):
+    """|x0| + T |V_0| + sum_i |V_i| sum_j |increments_ij|, shape (B, N), for
+    constant fields: a bound on every partial sum of the endpoint."""
+    fields = [np.abs(np.asarray(v, dtype=float)) for v in fields]
+    magnitude = np.abs(np.asarray(x0, dtype=float)) + (times[-1] - times[0]) * fields[0]
+    abs_sums = np.abs(increments).sum(axis=1)
+    for i, v in enumerate(fields[1:]):
+        magnitude = magnitude + abs_sums[:, i, None] * v
+    return magnitude
+
+
+def _closed_form_bar(fields, x0, times, increments, steps_per_piece):
+    """A bound, shape (B, N), on |closed form - RK4| for constant fields.
+
+    With u = 2^-53, P pieces and n = P steps_per_piece steps, let M be
+    _magnitude per path and state coordinate.  Every RK4 stage of piece j has the slope
+    k = V_0 + sum_i (inc_ij / dt_j) V_i, formed within gamma_{2d+2} of its
+    magnitude; each step adds (h / 6) (k + 2k + 2k + k), three more
+    additions and three roundings of h / 6 and the product, and the n
+    increments and x0 are summed in turn, within gamma_n of M.  The closed
+    form sums P increments and adds d + 1 products, within gamma_{P+d+3}
+    of M.  So the two differ by at most (n + P + 3d + 11) u M, to first
+    order; the 1.01 covers the second.
+    """
+    n_pieces, d = increments.shape[1:]
+    return (1.01 * (n_pieces * (steps_per_piece + 1) + 3 * d + 11) * 2.0**-53
+            * _magnitude(fields, x0, times, increments))
 
 
 class TestSolveMatchesPerPieceOracle:
     # the flat loop hoists the piece invariants out of the stages and drops
     # the multiply by the time slope 1.0; nothing else may change a bit.  The
-    # constant sets (quadratic, zero, constant) skip the stages and sum the
-    # increments, and must match the oracle on the wrapped constants
+    # constant sets (quadratic, zero, constant) take the closed form
+    # x0 + V_0 T + sum_i V_i B^i_T instead, and must match its oracle bit for
+    # bit
     @pytest.mark.parametrize("driver", ["uniform", "cubature"])
     @pytest.mark.parametrize("B", [1, 3, 2000])
     @pytest.mark.parametrize("steps_per_piece", [1, 4, 64])
@@ -167,25 +183,11 @@ class TestSolveMatchesPerPieceOracle:
         times, spatial = _driver(driver, B, len(vf) - 1)
         inc = np.diff(spatial, axis=1)
         got = _solve(vf, x0, times, inc, steps_per_piece)
-        want = rk4_solve_per_piece(_callables(vf), x0, times, inc, steps_per_piece)
+        if any(map(callable, vf)):
+            want = rk4_solve_per_piece(vf, x0, times, inc, steps_per_piece)
+        else:
+            want = closed_form_solve(vf, x0, times, inc)
         assert got.shape == (B, len(x0))
-        assert np.array_equal(got, want)
-
-    # blocks of one piece of one path (a piece longer than the block), of a
-    # few paths and pieces, and of whole batches; B = 2000 leaves the last
-    # block of paths part-filled at every size, and 600 pieces of 64 steps
-    # span five blocks of pieces at the shipped size
-    @pytest.mark.parametrize("block", [1, 100, sde_module._SUM_BLOCK])
-    @pytest.mark.parametrize("B, pieces, steps_per_piece",
-                             [(2000, 6, 1), (2000, 6, 4), (3, 600, 64)])
-    def test_summed_blocks_bit_identical(self, monkeypatch, block, B, pieces,
-                                         steps_per_piece):
-        monkeypatch.setattr(sde_module, "_SUM_BLOCK", block)
-        vf, x0 = _field_set("constant")
-        times = np.arange(pieces + 1) * (1.1 / pieces)
-        inc = np.diff(sample_fbm_batch(0.8, pieces, 2, B, 17, 1.1), axis=1)
-        got = _solve(vf, x0, times, inc, steps_per_piece)
-        want = rk4_solve_per_piece(_callables(vf), x0, times, inc, steps_per_piece)
         assert np.array_equal(got, want)
 
     def test_mixed_set_runs_the_stages(self):
@@ -197,8 +199,10 @@ class TestSolveMatchesPerPieceOracle:
         assert np.array_equal(got, rk4_solve_per_piece(_callables(vf), x0, times,
                                                        inc, 4))
 
-    # constant fields (summed) and fields that build a full-shape array at
-    # every stage (RK4) give the same endpoints bit for bit
+    # constant fields (closed form) and fields that build a full-shape array
+    # at every stage (RK4) give the same endpoints up to the rounding that
+    # _closed_form_bar derives; RK4 on the full-shape fields is its oracle's
+    # bit for bit
     @pytest.mark.parametrize("driver", ["uniform", "cubature"])
     @pytest.mark.parametrize("B", [1, 3, 2000])
     @pytest.mark.parametrize("steps_per_piece", [1, 4, 64])
@@ -210,15 +214,20 @@ class TestSolveMatchesPerPieceOracle:
         times, spatial = _driver(driver, B, len(vf) - 1)
         inc = np.diff(spatial, axis=1)
         got = _solve(vf, x0, times, inc, steps_per_piece)
-        assert np.array_equal(got, _solve(full, x0, times, inc, steps_per_piece))
-        assert np.array_equal(got, rk4_solve_per_piece(full, x0, times, inc,
+        rk4 = _solve(full, x0, times, inc, steps_per_piece)
+        assert np.array_equal(rk4, rk4_solve_per_piece(full, x0, times, inc,
                                                        steps_per_piece))
+        bar = _closed_form_bar(vf, x0, times, inc, steps_per_piece)
+        assert np.all(np.abs(got - rk4) <= bar)
 
-    # y^2 blows up near t = 0.5; the constants overflow in the first piece
-    # (x0 = V_0 = 1e308), or on three hot paths at t = 1.3, 0.217 and 1.3,
-    # with blocks of one path, so the middle block of paths overflows first
+    # y^2 blows up near t = 0.5, and RK4 names the same time as its oracle.
+    # The constants overflow in the first piece (x0 = V_0 = 1e308): the
+    # closed form forms only the endpoints, so it names the end, t = 1.3.
+    # On three hot paths RK4 overflows inside the path (at t = 1.3, 0.217
+    # and 1.3), but every exact endpoint is finite, and the closed form
+    # returns them
     @pytest.mark.parametrize("steps_per_piece", [1, 4, 64])
-    def test_divergence_names_the_same_time(self, monkeypatch, steps_per_piece):
+    def test_divergence_names_the_same_time(self, steps_per_piece):
         times, spatial = _driver("uniform", 3, 1)
         hot_times, hot = _driver("uniform", 60, 1)
         hot = hot.copy()
@@ -226,18 +235,23 @@ class TestSolveMatchesPerPieceOracle:
         cases = [((lambda y: y * y, ONE), [2.0], times, spatial),
                  ((1e308, 1.0), [1e308], times, spatial),
                  ((0.0, 1.0), [1.7e308], hot_times, hot)]
-        monkeypatch.setattr(sde_module, "_SUM_BLOCK", 8)
         for vf, x0, case_times, case_spatial in cases:
-            messages = []
+            inc = np.diff(case_spatial, axis=1)
             with np.errstate(over="ignore", invalid="ignore"):
-                for solve, fields in ((_solve, vf),
-                                      (rk4_solve_per_piece, _callables(vf))):
+                with pytest.raises(RuntimeError, match="non-finite state at t=") as rk4:
+                    rk4_solve_per_piece(_callables(vf), x0, case_times, inc,
+                                        steps_per_piece)
+                if callable(vf[0]):
+                    with pytest.raises(RuntimeError) as err:
+                        _solve(vf, x0, case_times, inc, steps_per_piece)
+                    assert str(err.value) == str(rk4.value)
+                elif np.isfinite(closed_form_solve(vf, x0, case_times, inc)).all():
+                    assert np.array_equal(_solve(vf, x0, case_times, inc, steps_per_piece),
+                                          closed_form_solve(vf, x0, case_times, inc))
+                else:
                     with pytest.raises(RuntimeError,
-                                       match="non-finite state at t=") as err:
-                        solve(fields, x0, case_times, np.diff(case_spatial, axis=1),
-                              steps_per_piece)
-                    messages.append(str(err.value))
-            assert messages[0] == messages[1]
+                                       match=r"^non-finite state at t=1\.3$"):
+                        _solve(vf, x0, case_times, inc, steps_per_piece)
 
 
 class TestCubatureWeakValue:
@@ -320,7 +334,8 @@ class TestMcWeakValue:
         )
         assert abs(est - cub) <= 4.0 * se
 
-    # callable fields take the whole increment array, constant ones the blocks
+    # callable fields take the whole increment array, constant ones the
+    # endpoint sums
     @pytest.mark.parametrize("fields, x0, steps_per_piece, message", [
         ((ZERO,), [0.0], 1, r"at least fields \(V_0, V_1\)"),
         ((ZERO, ONE), [[0.0]], 1, "x0 must be a non-empty 1-D vector"),
@@ -338,7 +353,7 @@ class TestMcWeakValue:
             raise AssertionError("sampled before the inputs were checked")
 
         monkeypatch.setattr(sde_module, "_fgn_increments", sampler)
-        monkeypatch.setattr(sde_module, "_fgn_blocks", sampler)
+        monkeypatch.setattr(sde_module, "_fbm_endpoints", sampler)
         with pytest.raises(ValueError, match=message):
             mc_weak_value(fields, lambda y: y[:, 0], x0, 0.7, 1.0, n_paths=20000,
                           n_steps=1024, seed=0, steps_per_piece=steps_per_piece)
@@ -357,6 +372,20 @@ class TestMcWeakValue:
         with pytest.raises(ValueError, match=message):
             mc_weak_value(fields, lambda y: y[:, 0], [0.0], 0.7, T, n_paths=100,
                           n_steps=n_steps, seed=0)
+
+    def test_z_scores_follow_the_standard_normal_law(self):
+        # (mc - exact) / se over 199 seeds of the quadratic problem: for
+        # standard normal z-scores the mean has sd 0.071 and the sd about
+        # 0.05, so the bars are 3.5 and 3 of those
+        fields, f, x0 = _sde_problem("quadratic", 0.3)
+        H, T = 0.75, 1.0
+        exact = 0.3**2 + T ** (2.0 * H)
+        z = []
+        for seed in range(199):
+            est, se = mc_weak_value(fields, f, x0, H, T, 4096, 64, seed)
+            z.append((est - exact) / se)
+        assert abs(np.mean(z)) <= 0.25
+        assert 0.85 <= np.std(z, ddof=1) <= 1.15
 
     def test_seed_reproducible(self):
         vf = (ZERO, ONE)
@@ -440,8 +469,8 @@ def _recorded_mc(vf, x0, H, T, n_paths, n_steps, seed, **kwargs):
 
 class TestMcDefaultGridAccuracy:
     # the default RK4 grid is the sample grid, one step per cell; measured
-    # worst per-path relative errors over these cases are 2.1e-2 (m = 32),
-    # 3.0e-4 (128) and 4.2e-7 (1536), and the worst bias is 0.012 of the
+    # worst per-path relative errors over these cases are 1.1e-2 (m = 32),
+    # 4.3e-4 (128) and 4.2e-7 (1536), and the worst bias is 0.012 of the
     # standard error.  These bounds are never to be loosened.
     REL_BOUND = {32: 5e-2, 128: 1e-3, 1536: 1.5e-6}
     PATHS = {32: 4000, 128: 4000, 1536: 400}
@@ -501,60 +530,87 @@ def threads(monkeypatch):
     assert threading.active_count() == before
 
 
-def _fail_on_call(fn, n, exc):
-    """fn, except that its n-th call raises exc."""
-    calls = []
+def _failing_stream(monkeypatch, stream, n, exc):
+    """Make the n-th draw from the given stream of every Cholesky-branch
+    draw (the child of the seed's SeedSequence with that spawn key) raise
+    exc, and every draw from the other stream wait for that failure and
+    20 ms more, so that it comes while the other thread still has blocks
+    to draw.  Returns the default_rng it replaces and a list with one entry
+    per draw from the other stream."""
+    default_rng = np.random.default_rng
+    failed, others = threading.Event(), []
 
-    def wrapped(*args, **kwargs):
-        calls.append(1)
-        if len(calls) == n:
-            raise exc
-        return fn(*args, **kwargs)
+    class FailingDraws:
+        def __init__(self, seed):
+            self.rng, self.calls = default_rng(seed), 0
+            self.key = getattr(seed, "spawn_key", None)
 
-    return wrapped
+        def standard_normal(self, *args, **kwargs):
+            if self.key == (stream,):
+                self.calls += 1
+                if self.calls == n:
+                    failed.set()
+                    raise exc
+            elif self.key == (1 - stream,):
+                others.append(1)
+                failed.wait(timeout=30)
+                time.sleep(0.02)
+            return self.rng.standard_normal(*args, **kwargs)
 
-
-class _Unreadable:
-    """Stands in for a block's increments: it has their length, and reading
-    any of them raises exc."""
-
-    def __init__(self, increments, exc):
-        self.length, self.exc = len(increments), exc
-
-    def __len__(self):
-        return self.length
-
-    def __getitem__(self, key):
-        raise self.exc
+    monkeypatch.setattr(np.random, "default_rng", FailingDraws)
+    return default_rng, others
 
 
-def _unreadable_block(fgn_blocks, n, exc):
-    """fgn_blocks, except that reading the increments of the n-th block
-    raises exc; closing the blocks closes the sampler's."""
+def _run_at_once(calls, fn):
+    """fn(*args) for each of calls, all on their own threads at once with a
+    1 us switch interval; the results in order."""
+    got = [None] * len(calls)
 
-    def wrapped(*args):
-        blocks = fgn_blocks(*args)
+    def run(i):
+        got[i] = fn(*calls[i])
 
-        def relayed():
-            with contextlib.closing(blocks):
-                for i, (first, increments) in enumerate(blocks, start=1):
-                    yield first, _Unreadable(increments, exc) if i == n else increments
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=run, args=(i,)) for i in range(len(calls))]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    return got
 
-        return relayed()
 
-    return wrapped
+def _mc_of(fields):
+    x0 = _constant_fields(1)[1]
+    return lambda: mc_weak_value(fields, lambda y: y[:, 0], x0, 0.7, 1.3, 4096, 64, 5)
+
+
+# the three consumers of a Cholesky-branch draw, each of eight blocks
+_CONSUMERS = {
+    "paths": lambda: sample_fbm_batch(0.7, 64, 1, 4096, 5, 1.3),
+    "endpoint sums": _mc_of(_constant_fields(1)[0]),
+    "increments": _mc_of(_callables(_constant_fields(1)[0])),
+}
+
+
+def _same(a, b):
+    """Whether two results of a consumer are equal: arrays bit for bit."""
+    return np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
 
 
 class TestPipelinedReference:
-    # mc_weak_value sums each block's whole paths while the sampler draws the
-    # next block on a background thread.  Its value, standard error and
-    # endpoints must be those of one solve of the whole increment array:
-    # _solve on it, and RK4 on the callables, which take the whole array.
-    # 3000 x 40 x 2 and 2000 x 50 x 3 draw blocks of 818 and 654 rows, 409
-    # and 218 whole paths, where a block of _DRAW_BLOCK // m rows would end
-    # inside a path; 1001 x 7 in blocks of 13 rows divides into 77 blocks,
-    # and 1000 x 7 leaves the last block part-filled; 5 x 8 is one block,
-    # 2048 x 32 two, drawn in turn, and 100 x 300 the circulant
+    # With constant fields mc_weak_value takes the closed form of the
+    # sampler's endpoint sums, and with callable fields RK4 on its gathered
+    # increments; both from the same draws, whose two streams are drawn on
+    # two threads from _AHEAD_BLOCKS blocks up.  3000 x 40 x 2 and
+    # 2000 x 50 x 3 draw blocks of 409 and 218 whole paths, where a block of
+    # _DRAW_BLOCK // m rows would end inside a path; 1001 x 7 in blocks of 13
+    # rows leaves each stream's last block part-filled, as does 1000 x 7;
+    # 5 x 8 is two blocks, 2048 x 32 two, done in turn, and 100 x 300 the
+    # circulant
     @pytest.mark.parametrize("n_paths, n_steps, d, block_rows, steps_per_piece", [
         (4096, 64, 1, None, 1), (8020, 33, 1, None, 1), (2048, 128, 1, None, 1),
         (2500, 36, 1, None, 1), (1001, 7, 1, 13, 1), (1001, 7, 1, 13, 4),
@@ -566,95 +622,91 @@ class TestPipelinedReference:
         if block_rows is not None:
             monkeypatch.setattr(ga, "_DRAW_BLOCK", block_rows * n_steps)
         vf, x0 = _constant_fields(d)
-        args = (x0, 0.7, 1.3, n_paths, n_steps, 9)
+        H, T, seed = 0.7, 1.3, 9
+        args = (x0, H, T, n_paths, n_steps, seed)
         est, se, ends, times, inc = _recorded_mc(vf, *args,
                                                  steps_per_piece=steps_per_piece)
-        assert np.array_equal(ends, _solve(vf, x0, times, inc, steps_per_piece))
-        rk4 = _recorded_mc(_callables(vf), *args, steps_per_piece=steps_per_piece)
-        assert (est, se) == rk4[:2]
-        assert np.array_equal(ends, rk4[2])
-        blocks = -(-n_paths // max(1, ga._DRAW_BLOCK // (n_steps * d)))
-        drawn_ahead = n_steps <= ga._CHOLESKY_STEPS and blocks >= ga._AHEAD_BLOCKS
-        # one drawer per sampler call of _AHEAD_BLOCKS blocks or more: each
-        # _recorded_mc samples in mc_weak_value and again for the increments
-        assert len(threads) == (4 if drawn_ahead else 0)
+        sums = ga._fbm_endpoints(H, n_steps, d, n_paths, seed, T)
+        assert np.array_equal(ends, closed_form_solve(vf, x0, [0.0, T], sums[:, None]))
+        # one sample: the endpoint sums are the increments' sums, and the
+        # callable fields' RK4 endpoints are the closed form's of those, both
+        # up to rounding.  So the endpoints differ by at most the two bars,
+        # sum_i |V_i| times the sums' bar, and the rounding of the second
+        # closed form, (d + 3) u of the magnitude
+        sums_bar = endpoint_sum_bar(H, n_steps, d, n_paths, seed, T)
+        assert np.all(np.abs(sums - inc.sum(axis=1)) <= sums_bar)
+        rk4_est, _, rk4_ends, _, _ = _recorded_mc(_callables(vf), *args,
+                                                  steps_per_piece=steps_per_piece)
+        bar = (_closed_form_bar(vf, x0, times, inc, steps_per_piece)
+               + 1.01 * (d + 3) * 2.0**-53 * _magnitude(vf, x0, times, inc))
+        for i, v in enumerate(vf[1:]):
+            bar = bar + sums_bar[:, i, None] * np.abs(v)
+        assert np.all(np.abs(ends - rk4_ends) <= bar)
+        # each mean of n values is off by at most gamma_n of its magnitude
+        means = np.abs(ends[:, 0]).mean() + np.abs(rk4_ends[:, 0]).mean()
+        assert abs(est - rk4_est) <= bar[:, 0].mean() + 1.01 * n_paths * 2.0**-53 * means
+        want = max(1, ga._DRAW_BLOCK // (n_steps * d))  # paths per block
+        blocks = -(-(n_paths // 2) // want) + -(-(n_paths - n_paths // 2) // want)
+        two_threads = n_steps <= ga._CHOLESKY_STEPS and blocks >= ga._AHEAD_BLOCKS
+        # one worker per endpoint sum or gather of _AHEAD_BLOCKS blocks or
+        # more: each _recorded_mc samples in mc_weak_value and again for the
+        # increments, and the sums above are drawn once more
+        assert len(threads) == (5 if two_threads else 0)
 
-    # y = 1.7e308 + 1e307 omega overflows once omega passes 0.976.  In blocks
-    # of two paths the first block to overflow does so later than a block
-    # after it; the error must name the earliest time over all paths
-    @pytest.mark.parametrize("seed", [0, 36])
-    def test_divergence_names_the_earliest_time(self, monkeypatch, seed):
-        vf, x0, m, T = (0.0, 1e307), [1.7e308], 8, 1.3
-        monkeypatch.setattr(ga, "_DRAW_BLOCK", 2 * m)
-        times = np.arange(m + 1) * (T / m)
-        inc = _fgn_increments(0.7, m, 1, 12, seed, T)
-
-        def message(increments):
-            try:
-                _solve(vf, x0, times, increments, 1)
-            except RuntimeError as err:
-                return str(err)
-            return None
-
-        with np.errstate(over="ignore", invalid="ignore"):
-            per_block = [message(inc[p:p + 2]) for p in range(0, 12, 2)]
-            want = message(inc)
-            with pytest.raises(RuntimeError) as err:
-                mc_weak_value(vf, lambda y: y[:, 0], x0, 0.7, T, 12, m, seed)
-        first = next(msg for msg in per_block if msg is not None)
-        assert want in per_block and first != want
-        assert str(err.value) == want
+    def test_non_finite_endpoint_names_the_end(self):
+        # y = 1.7e308 + 1e307 B_T overflows where B_T passes 0.976; the
+        # reference never forms the paths, so it names t = T
+        with np.errstate(over="ignore"):
+            with pytest.raises(RuntimeError, match=r"^non-finite state at t=1\.3$"):
+                mc_weak_value((0.0, 1e307), lambda y: y[:, 0], [1.7e308], 0.7, 1.3,
+                              12, 8, seed=0)
 
     def test_drawer_exception_reaches_the_caller(self, monkeypatch, threads):
-        # a draw that fails on the background thread (the third block) raises
-        # in the caller; pytest turns an unhandled thread exception into an
-        # error, so the thread must not leak it either
-        default_rng = np.random.default_rng
-
-        class FailingDraws:
-            def __init__(self, seed):
-                self.rng = default_rng(seed)
-                self.standard_normal = _fail_on_call(
-                    self.rng.standard_normal, 3, FloatingPointError("draw failed"))
-
-        vf, x0 = _constant_fields(1)
-        args = (vf, lambda y: y[:, 0], x0, 0.7, 1.3, 4096, 64, 5)
-        monkeypatch.setattr(np.random, "default_rng", FailingDraws)
-        before = threading.active_count()
-        with pytest.raises(FloatingPointError, match="draw failed"):
-            mc_weak_value(*args)
-        assert len(threads) == 1 and not threads[0].is_alive()
-        assert threading.active_count() == before
-        monkeypatch.setattr(np.random, "default_rng", default_rng)
-        assert mc_weak_value(*args) == mc_weak_value(_callables(vf), *args[1:])
-        assert len(threads) == 3
+        # a draw that fails on the worker thread (the third block of the
+        # second stream) raises in the caller, for each consumer of the
+        # draw; pytest turns an unhandled thread exception into an error, so
+        # the thread must not leak it either
+        for name, consume in _CONSUMERS.items():
+            want = consume()
+            default_rng, others = _failing_stream(monkeypatch, 1, 3,
+                                                  FloatingPointError(name))
+            before, started = threading.active_count(), len(threads)
+            with pytest.raises(FloatingPointError, match=name):
+                consume()
+            # the caller stopped before its fourth and last block
+            assert len(others) < 4
+            assert len(threads) == started + 1 and not threads[-1].is_alive()
+            assert threading.active_count() == before
+            monkeypatch.setattr(np.random, "default_rng", default_rng)
+            assert _same(consume(), want), name
 
     def test_solve_exception_stops_the_drawer(self, monkeypatch, threads):
-        # the summed solve fails on reading the second of eight blocks, with
-        # the drawer still running
-        vf, x0 = _constant_fields(1)
-        args = (vf, lambda y: y[:, 0], x0, 0.7, 1.3, 4096, 64, 5)
-        fgn_blocks = sde_module._fgn_blocks
-        monkeypatch.setattr(sde_module, "_fgn_blocks",
-                            _unreadable_block(fgn_blocks, 2, KeyError("solve failed")))
-        before = threading.active_count()
-        with pytest.raises(KeyError, match="solve failed"):
-            mc_weak_value(*args)
-        assert len(threads) == 1 and not threads[0].is_alive()
-        assert threading.active_count() == before
-        monkeypatch.setattr(sde_module, "_fgn_blocks", fgn_blocks)
-        assert mc_weak_value(*args) == mc_weak_value(_callables(vf), *args[1:])
+        # the calling thread fails on its second block, with the worker
+        # still drawing the second stream
+        for name, consume in _CONSUMERS.items():
+            default_rng, others = _failing_stream(monkeypatch, 0, 2, KeyError(name))
+            before, started = threading.active_count(), len(threads)
+            with pytest.raises(KeyError, match=name):
+                consume()
+            # the worker stopped before its fourth and last block
+            assert len(others) < 4
+            assert len(threads) == started + 1 and not threads[-1].is_alive()
+            assert threading.active_count() == before
+            monkeypatch.setattr(np.random, "default_rng", default_rng)
 
     def test_memory_error_in_a_block_is_a_usage_error(self, monkeypatch, threads,
                                                       capsys):
-        # the Monte-Carlo reference runs out of memory on reading its second
-        # block
-        monkeypatch.setattr(sde_module, "_fgn_blocks",
-                            _unreadable_block(sde_module._fgn_blocks, 2, MemoryError()))
+        # the Monte-Carlo reference runs out of memory drawing the second
+        # block of either stream, on the calling thread or the worker
         argv = ["sde", "compare", "--paths", "4096", "--steps", "64", "--no-timestamp"]
-        assert cli_main(argv) == 2
-        assert "--paths 4096 with --steps 64 needs more memory" in capsys.readouterr().err
-        assert len(threads) == 1
+        default_rng = np.random.default_rng
+        for stream in (0, 1):
+            _failing_stream(monkeypatch, stream, 2, MemoryError())
+            assert cli_main(argv) == 2
+            assert ("--paths 4096 with --steps 64 needs more memory"
+                    in capsys.readouterr().err)
+            assert len(threads) == stream + 1 and not threads[-1].is_alive()
+            monkeypatch.setattr(np.random, "default_rng", default_rng)
 
     def test_import_starts_no_thread(self):
         code = ("import threading, fbmsig.cli; "
@@ -665,31 +717,20 @@ class TestPipelinedReference:
         assert out.startswith("1 ")
 
     def test_concurrent_calls_under_fast_switching(self, monkeypatch):
-        # four calls at once, each with its drawer, on small blocks that hand
-        # the buffers back and forth often; a block read while it is redrawn
-        # would change an endpoint
+        # four calls of each consumer at once, each with its worker, on
+        # blocks of one path; a block read while it is redrawn would change
+        # a path or an endpoint
         monkeypatch.setattr(ga, "_DRAW_BLOCK", 3 * 16)
         vf, x0 = _constant_fields(2)
-        calls = [(vf, lambda y: y[:, 0], x0, 0.7, 1.3, 600, 16, seed)
-                 for seed in range(4)]
-        want = [mc_weak_value(_callables(vf), *args[1:]) for args in calls]
-        got = [None] * len(calls)
-
-        def run(i):
-            got[i] = mc_weak_value(*calls[i])
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            workers = [threading.Thread(target=run, args=(i,)) for i in range(len(calls))]
-            for w in workers:
-                w.start()
-            for w in workers:
-                w.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(w.is_alive() for w in workers)
-        assert got == want
+        for fields in (vf, _callables(vf)):
+            calls = [(fields, lambda y: y[:, 0], x0, 0.7, 1.3, 600, 16, seed)
+                     for seed in range(4)]
+            want = [mc_weak_value(*args) for args in calls]
+            assert _run_at_once(calls, mc_weak_value) == want
+        calls = [(0.7, 16, 2, 600, seed, 1.3) for seed in range(4)]
+        want = [sample_fbm_batch(*args) for args in calls]
+        got = _run_at_once(calls, sample_fbm_batch)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 class TestSeriesLogSum:
