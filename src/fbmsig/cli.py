@@ -99,13 +99,28 @@ class TableWriter:
                     middle[cell] = _csv_line([cell, ""])[:-2]
                 stream.write(around.csv_head + middle[cell] + around.csv_tail)
         else:
-            rows = [r if type(r) is list else [*r[0].head, r[1], *r[0].tail]
+            # json.dump(..., indent=1) of {"columns", "rows"[, "generated"]}:
+            # every cell is a string, encoded by the json module's C string
+            # encoder, where json.dump with an indent runs its Python encoder
+            text = json.encoder.encode_basestring_ascii
+            rows = [_json_array(map(text, r if type(r) is list
+                                    else [*r[0].head, r[1], *r[0].tail]), 2)
                     for r in self.rows]
-            payload = {"columns": self.columns, "rows": rows}
+            stream.write('{\n "columns": ' + _json_array(map(text, self.columns), 1)
+                         + ',\n "rows": ' + _json_array(rows, 1))
             if timestamp:
-                payload["generated"] = _now()
-            json.dump(payload, stream, indent=1)
-            stream.write("\n")
+                stream.write(',\n "generated": ' + text(_now()))
+            stream.write("\n}\n")
+
+
+def _json_array(items, depth: int) -> str:
+    """A JSON array of encoded items as json.dump(..., indent=1) lays it out
+    at the given nesting depth: one item a line, "[]" when empty."""
+    items = list(items)
+    if not items:
+        return "[]"
+    gap = "\n" + " " * (depth + 1)
+    return "[" + gap + ("," + gap).join(items) + "\n" + " " * depth + "]"
 
 
 def _now() -> str:

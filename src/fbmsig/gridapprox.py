@@ -451,25 +451,30 @@ def _fgn_into(gamma: np.ndarray, d: int, seed: int, out: np.ndarray) -> None:
     Each row is of law N(0, S), S the Toeplitz covariance with first column
     gamma_0..gamma_{m-1}.
 
-    Up to _CHOLESKY_STEPS steps a row of increments is z @ L^T, with L the
-    LAPACK Cholesky factor of S and z m standard normals, taken from the
-    blocks of _draw_plan (_drawn_in_halves); each block's product is
-    written into its rows of out.  The blocks never move: a product over
-    another number of rows may differ in the last bit.  Longer grids use
-    the circulant embedding (_circulant_fgn), O(m log m) per row, on one
-    draw of default_rng(seed).  Deterministic in the seed for a fixed BLAS
-    thread count: the Cholesky factorization and the product with L^T both
-    go through BLAS, and how many threads split their sums moves the last
-    bits of the factor and of the Cholesky-branch increments.
+    The normals come in the blocks of _draw_plan (_drawn_in_halves), and
+    each block is turned into its rows of out.  Up to _CHOLESKY_STEPS steps
+    a row of increments is z @ L^T, with L the LAPACK Cholesky factor of S
+    and z m standard normals.  Longer grids use the circulant embedding
+    (_circulant_fgn), O(m log m) per row: each block's complex rows are
+    scaled and FFTed in place, and each gives a pair of rows.  The blocks
+    never move: a product over another number of rows may differ in the
+    last bit.  Deterministic in the seed for a fixed BLAS thread count: the
+    Cholesky factorization and the product with L^T both go through BLAS,
+    and how many threads split their sums moves the last bits of the
+    factor and of the Cholesky-branch increments.
     """
     rows, m = out.shape
     if m > _CHOLESKY_STEPS:
-        w = np.random.default_rng(seed).standard_normal((rows - rows // 2, 4 * m))
-        _circulant_fgn(gamma, w.view(complex), out=out)
-        return
-    factor_t = _fgn_factor(gamma[:m]).T
-    _drawn_in_halves(_draw_plan(rows // d, m, d, seed), m,
-                     lambda r, z: np.matmul(z, factor_t, out=out[r:r + len(z)]))
+        scale = np.repeat(_circulant_scale(gamma), 2)
+
+        def use(r, z):
+            _circulant_fgn(scale, z.view(complex), out[2 * r:2 * (r + len(z))])
+    else:
+        factor_t = _fgn_factor(gamma[:m]).T
+
+        def use(r, z):
+            np.matmul(z, factor_t, out=out[r:r + len(z)])
+    _drawn_in_halves(_draw_plan(rows // d, m, d, seed), use)
 
 
 def _fbm_endpoints(H: float, m: int, d: int, n_paths: int, seed: int,
@@ -477,18 +482,26 @@ def _fbm_endpoints(H: float, m: int, d: int, n_paths: int, seed: int,
     """B_T of n_paths independent d-dimensional fBm paths, shape
     (n_paths, d): each path's summed increments from the normals that
     _fgn_increments takes for the same arguments (so
-    sample_fbm_batch(...)[:, -1] up to rounding).  Up to _CHOLESKY_STEPS
-    steps a row z @ L^T sums to z @ (L^T 1), one matrix-vector product per
-    block of normals, and the increments are never formed; longer grids
-    sum the circulant embedding's rows.
+    sample_fbm_batch(...)[:, -1] up to rounding), one product per block of
+    normals, and the increments are never formed.  Up to _CHOLESKY_STEPS
+    steps a row z @ L^T sums to z @ (L^T 1).  Above, a pair of rows is the
+    real and imaginary parts of the first m entries of FFT(s w), s the
+    scale of _circulant_scale, and their sums are those parts of w @ c
+    (_circulant_end_weights).
     """
-    if m > _CHOLESKY_STEPS:
-        return _fgn_increments(H, m, d, n_paths, seed, T).sum(axis=1)
     gamma = _fgn_gamma(H, m, d, n_paths, T)
-    lt1 = _fgn_factor(gamma[:m]).sum(axis=0)  # L^T 1, the column sums of L
     ends = np.empty(n_paths * d)
-    _drawn_in_halves(_draw_plan(n_paths, m, d, seed), m,
-                     lambda r, z: np.matmul(z, lt1, out=ends[r:r + len(z)]))
+    if m > _CHOLESKY_STEPS:
+        c = _circulant_end_weights(gamma)
+
+        def use(r, z):
+            _into_pairs(z.view(complex) @ c, ends[2 * r:2 * (r + len(z))])
+    else:
+        lt1 = _fgn_factor(gamma[:m]).sum(axis=0)  # L^T 1, the column sums of L
+
+        def use(r, z):
+            np.matmul(z, lt1, out=ends[r:r + len(z)])
+    _drawn_in_halves(_draw_plan(n_paths, m, d, seed), use)
     return ends.reshape(n_paths, d)
 
 
@@ -509,50 +522,62 @@ def _as_paths(rows: np.ndarray, d: int) -> np.ndarray:
     return rows.reshape(-1, d, rows.shape[1]).transpose(0, 2, 1)
 
 
-def _draw_plan(n_paths: int, m: int, d: int, seed: int) -> list[list[tuple]]:
-    """The blocks of the Cholesky branch's draw of m standard normals for
-    each of n_paths d rows, one per (path, coordinate) in path order: for
-    each of two streams, a list of (generator, first row, end row).
+def _draw_plan(n_paths: int, m: int, d: int, seed: int) -> tuple[int, list[list[tuple]]]:
+    """The blocks of the sampler's draw for n_paths d rows of m steps, one
+    row per (path, coordinate) in path order: the width of a draw row and,
+    for each of two streams, a list of (generator, first draw row, end draw
+    row).
 
-    The rows of the first n_paths // 2 paths come from
-    default_rng(SeedSequence(seed).spawn(2)[0]), the others from
-    spawn(2)[1], so that two threads can draw them at once.  Each stream's
-    rows are drawn in blocks of whole paths, d max(1, _DRAW_BLOCK // (m d))
-    rows, and its last block may be part-filled.
+    Up to _CHOLESKY_STEPS steps a draw row is one row's m standard normals;
+    above, the 2m complex standard normals (4m doubles) of a pair of rows,
+    for an odd row count the last one alone (_circulant_fgn).  Both streams
+    are Generator(SFC64(child)) for the children of
+    SeedSequence(seed).spawn(2), and the first draws the first half of the
+    draw rows, so that two threads can draw them at once: the rows of the
+    first n_paths // 2 paths up to _CHOLESKY_STEPS steps, and the first
+    P // 2 of P pairs above.  Each stream's draw rows are drawn in blocks of
+    about _DRAW_BLOCK normals, whole paths up to _CHOLESKY_STEPS steps
+    (d max(1, _DRAW_BLOCK // (m d)) rows) and max(1, _DRAW_BLOCK // 4m)
+    pairs above, and its last block may be part-filled.
     """
-    step = d * max(1, _DRAW_BLOCK // (m * d))
-    split, rows = n_paths // 2 * d, n_paths * d
-    streams = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2)]
-    return [[(rng, r, min(r + step, end)) for r in range(start, end, step)]
-            for rng, (start, end) in zip(streams, ((0, split), (split, rows)))]
+    if m > _CHOLESKY_STEPS:
+        rows, width, unit = -(-n_paths * d // 2), 4 * m, 1
+    else:
+        rows, width, unit = n_paths * d, m, d
+    step = unit * max(1, _DRAW_BLOCK // (width * unit))
+    split = rows // (2 * unit) * unit
+    streams = [np.random.Generator(np.random.SFC64(s))
+               for s in np.random.SeedSequence(seed).spawn(2)]
+    return width, [[(rng, r, min(r + step, end)) for r in range(start, end, step)]
+                   for rng, (start, end) in zip(streams, ((0, split), (split, rows)))]
 
 
-def _drawn_in_halves(plan: list[list[tuple]], m: int,
+def _drawn_in_halves(plan: tuple[int, list[list[tuple]]],
                      use: Callable[[int, np.ndarray], object]) -> None:
-    """Call use(r, z) for each block of a _draw_plan, z holding its
-    standard normals, rows r, r + 1, ..., valid during the call.  A
-    Generator fills sequentially, so each stream's blocks hold the normals
-    of one draw.
+    """Call use(r, z) for each block of a _draw_plan, z holding the
+    standard normals of its draw rows r, r + 1, ..., valid during the call.
+    A Generator fills sequentially, so each stream's blocks hold the
+    normals of one draw.
 
     From _AHEAD_BLOCKS blocks up, the calling thread draws and uses the
     first stream's blocks while a worker thread does the second's (the
-    fill and BLAS release the interpreter lock), so `use` must be safe to
-    run on both at once; fewer blocks are done in turn into one buffer.
-    Either way the normals are the same.  An exception in either thread
-    stops the other at its next block; the worker is joined however the
-    call ends, and its exception is raised in the caller.
+    fill, BLAS and the FFT release the interpreter lock), so `use` must be
+    safe to run on both at once; fewer blocks are done in turn into one
+    buffer.  Either way the normals are the same.  An exception in either
+    thread stops the other at its next block; the worker is joined however
+    the call ends, and its exception is raised in the caller.
     """
     failed = []
+    width, (first, second) = plan
 
     def run(blocks):
-        z = np.empty((max((hi - lo for _, lo, hi in blocks), default=0), m))
+        z = np.empty((max((hi - lo for _, lo, hi in blocks), default=0), width))
         for rng, lo, hi in blocks:
             if failed:
                 return
             rng.standard_normal(out=z[:hi - lo])
             use(lo, z[:hi - lo])
 
-    first, second = plan
     if len(first) + len(second) < _AHEAD_BLOCKS:
         run(first + second)
         return
@@ -598,24 +623,30 @@ def _covariance_scale(H: float, m: int, T: float) -> float:
 # the factor 7.4 ms (both drawn on one thread).
 _CHOLESKY_STEPS = 128
 
-# Normals drawn per block on the Cholesky branch (256 KB), into one buffer
-# per drawing thread.  On a 2-vCPU x86 VM (interleaved medians of 40 calls,
-# one thread) one (rows, m) draw took 6.3-6.5 ms at 4096 x 64 and
-# 8192 x 32 and 7.4 ms at 2048 x 128, blocks of 2^15 doubles 4.6-4.8 and
-# 5.6 ms; 2^13, 2^14 and 2^16 were 0.2-1.0 ms slower than 2^15, and
-# 2500 x 36 was within noise.
+# Normals drawn per block (256 KB), into one buffer per drawing thread; on
+# the circulant branch a block is whole pairs of rows, 4m normals each.  On
+# a 2-vCPU x86 VM (interleaved medians of 40 calls, one thread) one
+# (rows, m) draw took 6.3-6.5 ms at 4096 x 64 and 8192 x 32 and 7.4 ms at
+# 2048 x 128, blocks of 2^15 doubles 4.6-4.8 and 5.6 ms; 2^13, 2^14 and
+# 2^16 were 0.2-1.0 ms slower than 2^15, and 2500 x 36 was within noise.
+# With SFC64 streams and both threads drawing, blocks of 2^14 were 1-5%
+# slower than 2^15 in the median for the endpoints, the increments and the
+# paths at 4096 x 64, 2048 x 128, 8192 x 32, 40-50 x 1000-1536 (medians of
+# 31 calls, four interleaved repeats).
 _DRAW_BLOCK = 2**15
 
 # Blocks from which _drawn_in_halves draws the second stream on a worker
-# thread.  Starting a thread that fills one block and joining it took
-# 0.33 ms more than the fill alone on a 2-vCPU x86 VM.  A drawer that drew
-# one block ahead of the caller, which the worker replaced, gained from
-# four blocks up (3-22% in the median at 2500-4900 x 40 and 2048 x 128,
-# 61 interleaved calls) and was a coin flip at three.  For the endpoint
-# sums a worker was 0.2-0.5 ms faster already at two blocks (2048 x 32,
-# medians of 31, three repeats) and even at three (1536 x 64).  All with
-# one BLAS thread.
-_AHEAD_BLOCKS = 4
+# thread.  On a 2-vCPU x86 VM with SFC64 streams (medians of 31 calls in ms,
+# three interleaved repeats, one BLAS thread, worker against in turn), at
+# three blocks, where one stream has a full first block, the worker gained:
+# _fbm_endpoints 1.08-1.17 against 1.43-1.50 at 2049 x 32 and 2.40-2.60
+# against 2.93-2.95 at 10 x 4096, _fgn_increments 1.21-1.31 against
+# 1.62-1.69 at 2049 x 32 and 2.22-2.25 against 2.43-2.54 at 22 x 1536.  At
+# two it gained on full blocks (_fbm_endpoints 1.07-1.15 against 1.23-1.49
+# at 2048 x 32) and lost on the small long-grid draws of the sde benchmark
+# (0.83-0.89 against 0.56-0.57 at 4 x 896, 1.06-1.09 against 0.88-0.89 at
+# 12 x 1536), since starting a thread costs about 0.3 ms.
+_AHEAD_BLOCKS = 3
 
 
 def _fgn_factor(gamma: np.ndarray) -> np.ndarray:
@@ -627,25 +658,59 @@ def _fgn_factor(gamma: np.ndarray) -> np.ndarray:
         raise RuntimeError("fGn covariance is not positive definite") from None
 
 
-def _circulant_fgn(gamma: np.ndarray, w: np.ndarray, out: np.ndarray) -> None:
-    """Fill out, shape (rows, m), with rows of law N(0, S), S the Toeplitz
-    matrix with first column gamma[:m], from complex standard normals w of
-    shape (ceil(rows / 2), 2m), which are overwritten.
-
-    S is the leading block of the circulant matrix C with first row
-    gamma_0..gamma_m, gamma_{m-1}..gamma_1 (Wood and Chan 1994; Dietrich and
-    Newsam 1997), whose eigenvalues lambda are one FFT of that row.  Then
-    y = FFT(sqrt(lambda / 2m) w) has E[y y^H] = 2C and E[y y^T] = 0, so the
-    real and imaginary parts of each row of w give two independent rows of
-    out (for an odd row count the last imaginary part is dropped).  A
-    negative or NaN lambda raises.
-    """
-    m = out.shape[1]
+def _circulant_scale(gamma: np.ndarray) -> np.ndarray:
+    """sqrt(lambda / 2m) for the eigenvalues lambda of the circulant matrix C
+    with first row gamma_0..gamma_m, gamma_{m-1}..gamma_1 (Wood and Chan
+    1994; Dietrich and Newsam 1997), one FFT of that row, which holds the
+    Toeplitz matrix S with first column gamma[:m] as its leading block.  A
+    negative or NaN lambda raises."""
+    m = len(gamma) - 1
     lam = np.fft.hfft(gamma, 2 * m)  # real, since the row is symmetric
     if not np.all(lam >= 0.0):
         raise RuntimeError("circulant embedding of the fGn covariance has an eigenvalue "
                            "below 0 or NaN")
-    w *= np.sqrt(lam / (2 * m))
+    return np.sqrt(lam / (2 * m))
+
+
+def _circulant_fgn(scale: np.ndarray, w: np.ndarray, out: np.ndarray) -> None:
+    """Fill out, shape (rows, m), with rows of law N(0, S), S the Toeplitz
+    matrix of the embedding, from complex standard normals w of shape
+    (ceil(rows / 2), 2m), which are overwritten.  scale holds each s_k of
+    _circulant_scale twice, for the real and the imaginary part of w_k, so
+    that scaling is one product over w's doubles (a complex-by-real product
+    would take a casting buffer on every call).
+
+    y = FFT(s w) has E[y y^H] = 2C and E[y y^T] = 0, so the real and
+    imaginary parts of the first m entries of each row of y are two
+    independent rows of out (_into_pairs).
+    """
+    doubles = w.view(float)
+    doubles *= scale
     np.fft.fft(w, out=w)
-    out[0::2] = w[:, :m].real
-    out[1::2] = w[: len(out) // 2, :m].imag
+    _into_pairs(w[:, :out.shape[1]], out)
+
+
+def _circulant_end_weights(gamma: np.ndarray) -> np.ndarray:
+    """c with w @ c = sum_{j<m} FFT(s w)_j for every w, s = _circulant_scale
+    (gamma): c_k = s_k h_k, h_k = sum_{j<m} e^(-2 pi i j k / 2m), which is
+    m at k = 0, 0 at the other even k, and 1 - i cot(pi k / 2m) at odd k.
+    Since E[y y^H] = 2C, sum_k |c_k|^2 = 1^T S 1 = Var B_T.
+
+    Above k = m the cotangent is taken as -cot(pi (2m - k) / 2m): near
+    k = 2m the argument pi k / 2m is within pi / 2m of pi, and the rounding
+    of pi alone would move that distance by up to 1e-13 relative."""
+    m = len(gamma) - 1
+    k = np.arange(1, 2 * m, 2)
+    heads = np.zeros(2 * m, dtype=complex)
+    heads[0] = m
+    heads[1::2] = 1.0 + np.sign(k - m) * 1j / np.tan(np.minimum(k, 2 * m - k)
+                                                      * (np.pi / (2 * m)))
+    return _circulant_scale(gamma) * heads
+
+
+def _into_pairs(w: np.ndarray, out: np.ndarray) -> None:
+    """Write the real parts of w's rows into out's even rows and their
+    imaginary parts into its odd rows; for an odd row count of out the last
+    imaginary part is dropped."""
+    out[0::2] = w.real
+    out[1::2] = w[:len(out) // 2].imag

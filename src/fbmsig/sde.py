@@ -15,9 +15,9 @@ constant itself (a float or an (N,) array).  When no field is callable the
 Chen series stops at level 1 and both sides take the exact endpoint
 x0 + V_0 T + sum_i V_i B^i_T (_closed_form): the cubature paths from their
 summed increments, the reference from the sampler's endpoint sums, with no
-path formed; a set that mixes constants and callables runs RK4 with each
-constant wrapped.  The observable f maps the (B, N) endpoints to B values,
-once per weak value.
+path formed (and nothing drawn when every V_i, i >= 1, is zero); a set that
+mixes constants and callables runs RK4 with each constant wrapped.  The
+observable f maps the (B, N) endpoints to B values, once per weak value.
 """
 from __future__ import annotations
 
@@ -32,7 +32,8 @@ from .expected import check_hurst
 # sample_fbm_batch is bound here only for perfbench's tracer test, which
 # expects the sampler in this namespace; the solves use the increments or
 # the endpoint sums
-from .gridapprox import _fbm_endpoints, _fgn_increments, sample_fbm_batch  # noqa: F401
+from .gridapprox import (  # noqa: F401
+    _fbm_endpoints, _fgn_gamma, _fgn_increments, sample_fbm_batch)
 
 __all__ = [
     "ErrorBoundParams",
@@ -169,19 +170,21 @@ def mc_weak_value(
     interpolation on the n_steps grid of [0, T]).  When no field is
     callable each path's endpoint is _closed_form's, from the sampler's
     endpoint sums B_T (_fbm_endpoints), and neither increments nor paths are
-    formed.  Otherwise RK4 runs on the whole increment array
-    (_fgn_increments), whose normals are the same; the sampler checks its
-    arguments before the time grid is built.
+    formed; when moreover every V_i, i >= 1, is zero, B_T is an array of
+    zeros and nothing is drawn, after the sampler's checks of its
+    arguments (_fgn_gamma).  Otherwise RK4 runs on the whole increment
+    array (_fgn_increments), whose normals are the same; the sampler
+    checks its arguments before the time grid is built.
 
     By default the RK4 grid is the sample grid, one step per cell.  With
     m = n_steps, its local error ~ |d omega|^5 ~ (T/m)^(5H) sums to
     ~ m^(1-5H), which falls faster than the interpolation's own m^(-2H) for
     every H > 1/3.  Against closed-form endpoints (V_0 = y/2 with V_1 = y,
     and V_0 = 0 with V_1 = sin) over H in {0.55, 0.7, 0.9} and T in
-    {0.5, 2}, the worst per-path relative error is 1.1e-2 at n_steps = 32,
-    4.3e-4 at 128 and 4.2e-7 at 1536; the mean bias is at most 4.4e-4
-    relative, 0.012 of the standard error at 4000 paths.  Coarse grids
-    pay: at n_steps = 4 and T = 2 the bias is 3-5% (0.04-0.05% with
+    {0.5, 2}, the worst per-path relative error is 6.4e-3 at n_steps = 32,
+    3.4e-4 at 128 and 3.9e-7 at 1536; the mean bias is at most 5.4e-4
+    relative, 0.014 of the standard error at 4000 paths.  Coarse grids
+    pay: at n_steps = 4 and T = 2 the bias is up to 4% (0.06% with
     steps_per_piece = 4), so below 32 steps pass steps_per_piece > 1 to
     sub-step each cell.
 
@@ -200,8 +203,11 @@ def mc_weak_value(
         increments = _fgn_increments(*sample)
         times = np.arange(n_steps + 1) * (T / n_steps)
         ends = _solve(fields, x0, times, increments, steps_per_piece)
-    else:
+    elif any(np.any(v != 0.0) for v in fields[1:]):
         ends = _closed_form(fields, x0, T, _fbm_endpoints(*sample))
+    else:  # no noise field acts, so B_T is never drawn: only the checks run
+        _fgn_gamma(H, n_steps, len(fields) - 1, n_paths, T)
+        ends = _closed_form(fields, x0, T, np.zeros((n_paths, len(fields) - 1)))
     vals = _values(f, ends)
     if not np.all(np.isfinite(vals)):
         return float(vals.mean()), math.nan

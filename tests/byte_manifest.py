@@ -6,8 +6,9 @@ every output bit as it was.
 
 Each command runs in a fresh interpreter (python -m fbmsig.cli) with
 OPENBLAS_NUM_THREADS=1, once with --format csv and once with --format json:
-every `fbmsig ...` line of the README, four `sde compare` runs (many paths
-on 64 and 128 steps, a long grid, and the zero problem), and the level table
+every `fbmsig ...` line of the README, five `sde compare` runs (many paths
+on 64 and 128 steps, a long grid, and the zero problem on 64 steps and on a
+long grid), and the level table
 of the 715 canonical six-letter words over {0..3} at three H.  A line of the
 manifest is "md5 exit format command", the table's word list shortened to its
 name.  With two source trees the script prints the lines that differ, each
@@ -36,6 +37,8 @@ SDE_RUNS = (
     "sde compare --H 0.6 --T 1.7 --paths 2048 --steps 128 --seed 8 --x0 -0.4",
     "sde compare --H 0.9 --T 0.5 --paths 20 --steps 1536 --seed 9 --x0 0.7",
     "sde compare --H 0.55 --T 2 --paths 4096 --steps 64 --seed 10 --x0 0.25 "
+    "--problem zero",
+    "sde compare --H 0.8 --T 1.3 --paths 20 --steps 1536 --seed 11 --x0 -0.6 "
     "--problem zero",
 )
 

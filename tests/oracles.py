@@ -2,7 +2,7 @@
 coefficient, an exhaustive sweep of the refined permutation-count bound, the
 per-piece RK4 integrator that `fbmsig.sde._solve` must match bit for bit, the
 closed-form endpoint of constant fields that it must match for those, the
-normals behind a seed's draw on the sampler's Cholesky branch and the rounding
+normals behind a seed's draw on either branch of the sampler and the rounding
 bar between its endpoint sums and its paths' ends, the reduction with float exponents that `fbmsig.simplexquad._reduce_terms` plans
 once per shape, the integrand of a core (per-axis exponents and spans) rebuilt
 from its factors on every call, which `_reduce_terms` plans once per shape,
@@ -123,11 +123,21 @@ def closed_form_solve(fields, x0, times: np.ndarray, increments: np.ndarray) -> 
 
 
 def split_normals(seed: int, n_paths: int, d: int, m: int) -> np.ndarray:
-    """The standard normals, shape (n_paths, d, m), that the sampler's
-    Cholesky branch draws for a seed: the first n_paths // 2 paths from the
-    first child of SeedSequence(seed), the others from the second."""
+    """The standard normals behind the sampler's draw for a seed, from
+    Generator(SFC64(child)) for the two children of SeedSequence(seed).
+    Up to 128 steps, shape (n_paths, d, m), m per row: the first
+    n_paths // 2 paths from the first child, the others from the second.
+    Above, the complex rows of the circulant embedding, shape (P, 2m), one
+    per pair of rows, P = ceil(n_paths d / 2): the first P // 2 from the
+    first child, the others from the second."""
+    first, second = (np.random.Generator(np.random.SFC64(s))
+                     for s in np.random.SeedSequence(seed).spawn(2))
+    if m > ga._CHOLESKY_STEPS:
+        pairs = -(-n_paths * d // 2)
+        return np.concatenate([first.standard_normal((pairs // 2, 4 * m)),
+                               second.standard_normal((pairs - pairs // 2, 4 * m))]
+                              ).view(complex)
     half = n_paths // 2
-    first, second = (np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2))
     return np.concatenate([first.standard_normal((half, d, m)),
                            second.standard_normal((n_paths - half, d, m))])
 
@@ -135,19 +145,52 @@ def split_normals(seed: int, n_paths: int, d: int, m: int) -> np.ndarray:
 def endpoint_sum_bar(H: float, m: int, d: int, n_paths: int, seed: int,
                      T: float = 1.0) -> np.ndarray:
     """A bound, shape (n_paths, d), on |_fbm_endpoints - sample_fbm_batch[:, -1]|
-    (or the increments summed in any order) for the same arguments.
+    (or the increments summed in any order) for the same arguments; u = 2^-53
+    and gamma_n = n u / (1 - n u).
 
     Up to 128 steps a row's end is fl(z @ fl(L^T 1)) on one side and a sum
     of fl(z @ L^T) on the other.  Each side takes two sums of at most m
-    terms, each off by at most gamma_m = m u / (1 - m u) times the sum of
-    its terms' magnitudes, and every one of those magnitude sums is at most
+    terms, each off by at most gamma_m times the sum of its terms'
+    magnitudes, and every one of those magnitude sums is at most
     sum_k |z_k| sum_j |L_jk|: so the sides differ by at most 4 gamma_m of
-    it, below 4.01 m u of it for m <= 4096.  Above 128 steps both sides sum
-    the same increments, each off by gamma_m sum_j |inc_j|."""
+    it, below 4.01 m u of it for m <= 4096.
+
+    Above, both sides take one complex row w of n = 2m normals per pair of
+    rows and the same computed scale s, and each pair's exact ends are the
+    real and imaginary parts of E = sum_k s_k w_k h_k, h_k = sum_{j<m}
+    e^(-2 pi i j k / n) (_circulant_end_weights); each bound below holds for
+    the complex error, so for both parts.
+    * The endpoint is fl(w @ c), c = fl(s h) from the closed form of h:
+      with the argument of tan off by 2.1 u relative, tan and the division
+      by 1 ulp each and |Re h_k| = 1 where h_k is not 0 or m, each c_k is
+      within 8 u |c_k| of s_k h_k.  Each part of w @ c is a real sum of
+      2n products a_k p_k and b_k q_k (w = a + ib, c = p + iq), off by
+      gamma_2n sum (|a_k p_k| + |b_k q_k|) <= gamma_2n sum |w_k||c_k|.
+    * The path end sums the first m entries of y = fl(FFT(fl(s w))).  The
+      scaling moves each s_k w_k by u, so E by u sum |w_k||c_k|: with the
+      endpoint's, (4m + 9) 1.01 u sum_k |w_k| |c_k| in all.  The FFT
+      is off by e_F ||FFT(x)||_2 = e_F sqrt(n) ||x||_2 in the 2-norm, x the
+      scaled row, and a sum of m entries of that error by sqrt(m) times its
+      norm: sqrt(2) m e_F ||x||_2.  For e_F this takes 8 u log2(n):
+      Higham's bound for the radix-2 FFT (Accuracy and Stability of
+      Numerical Algorithms, 2002, Theorem 24.2) is log2(n) eta /
+      (1 - log2(n) eta) with eta = mu + gamma_4 (sqrt(2) + mu) < 6.7 u for
+      twiddle factors good to mu <= u, and the 8 leaves room for pocketfft's
+      radix-3, 4 and 5 passes.  The sum of m entries adds gamma_m times
+      their magnitudes, 2.01 m u sum_j |inc_j| with room for both sides'
+      order.
+    The measured differences stay below 0.5% of this bar."""
     u = 2.0**-53
     if m > ga._CHOLESKY_STEPS:
         inc = ga._fgn_increments(H, m, d, n_paths, seed, T)
-        return 2.01 * m * u * np.abs(inc).sum(axis=1)
+        gamma = 0.5 * _covariance_scale(H, m, T) * _second_differences(H, np.arange(m + 1))
+        scale = ga._circulant_scale(gamma)
+        w = np.abs(split_normals(seed, n_paths, d, m))
+        pair = ((4.0 * m + 9.0) * 1.01 * u * (w @ np.abs(ga._circulant_end_weights(gamma)))
+                + math.sqrt(2.0) * m * 8.0 * math.log2(2 * m) * 1.01 * u
+                * np.sqrt((w * w) @ (scale * scale)))
+        rows = np.repeat(pair, 2)[:n_paths * d].reshape(n_paths, d)
+        return rows + 2.01 * m * u * np.abs(inc).sum(axis=1)
     gamma = 0.5 * _covariance_scale(H, m, T) * _second_differences(H, np.arange(m))
     column_sums = np.abs(ga._fgn_factor(gamma)).sum(axis=0)
     return 4.01 * m * u * (np.abs(split_normals(seed, n_paths, d, m)) @ column_sums)

@@ -506,14 +506,15 @@ class TestSde:
         assert rc == 0 and seen == [ga._MAX_GRID]
 
     def test_unallocatable_paths_is_usage_error(self, tmp_path, capsys):
-        # 10^12 paths need 8 TB for their endpoints and 29 PiB of increments
-        # at 4096 steps, more than any address space, so the first
-        # allocation fails at once
-        rc, text = run(tmp_path, "sde", "compare", "--paths", "1000000000000",
-                       "--steps", "4096")
-        assert rc == 2 and text == ""
-        err = capsys.readouterr().err
-        assert "--paths 1000000000000 with --steps 4096" in err
+        # 10^17 paths need 800 PB for their endpoints alone, more than any
+        # address space, so the first allocation fails at once, also for the
+        # zero problem, which draws nothing
+        for problem in ("quadratic", "zero"):
+            rc, text = run(tmp_path, "sde", "compare", "--paths", "100000000000000000",
+                           "--steps", "4096", "--problem", problem)
+            assert rc == 2 and text == ""
+            err = capsys.readouterr().err
+            assert "--paths 100000000000000000 with --steps 4096" in err
 
     @pytest.mark.parametrize("problem", ["quadratic", "zero"])
     def test_problem_fields_are_constants(self, problem):
@@ -724,6 +725,28 @@ class TestHarness:
             payload = json.loads(text_json)
             assert payload["columns"] == csv_rows[0]
             assert payload["rows"] == csv_rows[1:]
+
+    @pytest.mark.parametrize("timestamp", [False, True])
+    def test_json_is_json_dump_with_indent_one(self, monkeypatch, timestamp):
+        # the writer lays the table out itself; json.dump(..., indent=1) of
+        # the same payload, escapes, non-ASCII cells, shared-cell rows and
+        # an empty table included
+        monkeypatch.setattr(cli, "_now", lambda: "2026-01-01T00:00:00+00:00")
+        around = cli._Around.of(("h\u00e9",), ('t"1', "\\"))
+        full = [["1.5", "x\ny", "", "0"], (around, "\u2603"), ["", "\t", "0", ""]]
+        for rows in (full, []):
+            table = cli.TableWriter(["a", "b\u00e9", 'q"x', "d"])
+            table.rows = rows
+            got = io.StringIO()
+            table.write(got, "json", timestamp)
+            payload = {"columns": table.columns,
+                       "rows": [r if type(r) is list else [*r[0].head, r[1], *r[0].tail]
+                                for r in table.rows]}
+            if timestamp:
+                payload["generated"] = "2026-01-01T00:00:00+00:00"
+            want = io.StringIO()
+            json.dump(payload, want, indent=1)
+            assert got.getvalue() == want.getvalue() + "\n"
 
     def test_timestamp_header_present_by_default(self, tmp_path):
         _, text = run(tmp_path, "expected-sig", "--H", "0.75", "--words", "1")

@@ -430,15 +430,17 @@ class TestSampleFbm:
 
     def test_single_equals_batch_head(self):
         # a small batch is the head of each stream of a larger batch on the
-        # same seed: on the Cholesky branch a four-path batch is paths 0, 1
-        # and n // 2, n // 2 + 1 of n (a one-row block could take another
-        # BLAS kernel than a longer one), and on the circulant branch a
-        # one-path batch is path 0
-        a = sample_fbm_batch(0.8, 8, 1, 4, seed=5)
-        b = sample_fbm_batch(0.8, 8, 1, 9, seed=5)
-        assert np.array_equal(a, b[[0, 1, 4, 5]])
+        # same seed: on both branches a four-path batch is paths 0, 1 and
+        # n // 2, n // 2 + 1 of n (on the Cholesky branch a one-row block
+        # could take another BLAS kernel than a longer one), and on the
+        # circulant branch a one-path batch, one pair of rows, is the head
+        # of the second stream
+        for m in (8, 256):
+            a = sample_fbm_batch(0.8, m, 1, 4, seed=5)
+            b = sample_fbm_batch(0.8, m, 1, 9, seed=5)
+            assert np.array_equal(a, b[[0, 1, 4, 5]])
         a = sample_fbm_batch(0.8, 256, 1, 1, seed=5)[0]
-        b = sample_fbm_batch(0.8, 256, 1, 4, seed=5)[0]
+        b = sample_fbm_batch(0.8, 256, 1, 4, seed=5)[2]
         assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("n_paths, d", [(1, 1), (3, 1), (1, 3)])
@@ -505,7 +507,7 @@ def sampler_map_gram(H, m, T=1.0):
         z = np.zeros((c, n))
         z[np.arange(c), np.arange(j0, j0 + c)] = 1.0
         out = np.empty((2 * c, m))
-        ga._circulant_fgn(gamma, z.view(complex), out)
+        ga._circulant_fgn(np.repeat(ga._circulant_scale(gamma), 2), z.view(complex), out)
         pair = out.reshape(c, 2 * m)  # [real row | imaginary row] per unit vector
         gram += pair.T @ pair
     return gram
@@ -566,13 +568,18 @@ class TestToeplitzSampler:
         want = S if m <= ga._CHOLESKY_STEPS else np.block([[S, zero], [zero, S]])
         assert gram.shape == want.shape
         assert np.abs(gram - want).max() <= 1e-14 * gamma[0]
-        # the sampler applies this map to its draws and sums the increments
+        # the sampler applies this map to its draws and sums the increments;
+        # up to 128 steps in one product per stream, of one path and of two
+        # (a product over another number of rows may differ in the last
+        # bit), and above the real part of each complex row's transform
+        # gives an even row and its imaginary part the next
         if m <= ga._CHOLESKY_STEPS:
-            inc = split_normals(m, 3, 2, m).reshape(6, m) @ ga._fgn_factor(gamma[:m]).T
+            z, factor_t = split_normals(m, 3, 2, m).reshape(6, m), ga._fgn_factor(gamma[:m]).T
+            inc = np.concatenate([z[:2] @ factor_t, z[2:] @ factor_t])
         else:
+            y = np.fft.fft(split_normals(m, 3, 2, m) * ga._circulant_scale(gamma))[:, :m]
             inc = np.empty((6, m))
-            w = np.random.default_rng(m).standard_normal((3, 4 * m))
-            ga._circulant_fgn(gamma, w.view(complex), inc)
+            inc[0::2], inc[1::2] = y.real, y.imag
         paths = sample_fbm_batch(H, m, 2, 3, seed=m, T=1.3)
         sums = np.cumsum(inc.reshape(3, 2, m), axis=2).transpose(0, 2, 1)
         assert np.array_equal(paths[:, 1:], sums) and np.all(paths[:, 0] == 0.0)
@@ -612,42 +619,53 @@ class TestToeplitzSampler:
         assert paths.shape == (7, m + 1, 3) and np.all(paths[:, 0] == 0.0)
         assert np.array_equal(paths[:, 1:], np.cumsum(inc, axis=1))
 
-    # (n_paths, d, m, rows per block): blocks of 13, 6 and 4 paths at d = 1, 2
-    # and 3, and of 170 at the shipped size, for each stream's half of the
-    # paths, each half with a part-filled last block; and the circulant
-    # branch, one draw of every path
+    # (n_paths, d, m, draw rows per block): blocks of 13, 6 and 4 paths at
+    # d = 1, 2 and 3, and of 170 at the shipped size, for each stream's half
+    # of the paths, each half with a part-filled last block; and on the
+    # circulant branch blocks of 5 pairs of rows for 69 rows, whose last
+    # pair is one row, and the shipped 27 pairs, one block for each half
     @pytest.mark.parametrize("n_paths, d, m, block_rows", [
         (1000, 1, 7, 13), (500, 2, 7, 13), (334, 3, 7, 13), (700, 3, 64, None),
-        (9, 2, 300, None)])
+        (23, 3, 300, 5), (9, 2, 300, None)])
     def test_blocks_are_runs_of_whole_paths(self, monkeypatch, n_paths, d, m,
                                             block_rows):
-        # each block's increments are the product of its own normals, bit
-        # for bit: a block never moves
+        # each block's increments are the product (or the embedding) of its
+        # own normals, bit for bit: a block never moves
+        circulant = m > ga._CHOLESKY_STEPS
+        width = 4 * m if circulant else m  # normals per draw row
         if block_rows is not None:
-            monkeypatch.setattr(ga, "_DRAW_BLOCK", block_rows * m)
+            monkeypatch.setattr(ga, "_DRAW_BLOCK", block_rows * width)
         inc = ga._fgn_increments(0.7, m, d, n_paths, 3, 1.3)
         rows = inc.transpose(0, 2, 1).reshape(n_paths * d, m)
         gamma = fgn_gamma(0.7, m, 1.3)
-        if m > ga._CHOLESKY_STEPS:
-            want = np.empty_like(rows)
-            w = np.random.default_rng(3).standard_normal((len(rows) - len(rows) // 2, 4 * m))
-            ga._circulant_fgn(gamma, w.view(complex), want)
-            assert np.array_equal(rows, want)
-            return
-        z = split_normals(3, n_paths, d, m).reshape(n_paths * d, m)
-        factor_t = ga._fgn_factor(gamma[:m]).T
-        want = max(1, ga._DRAW_BLOCK // (m * d))  # paths per block
-        half = n_paths // 2
-        assert half % want and (n_paths - half) % want
-        plan = ga._draw_plan(n_paths, m, d, 3)
+        z = split_normals(3, n_paths, d, m)
+        if circulant:  # a draw row is a pair of rows
+            per_draw, step, half = 2, max(1, ga._DRAW_BLOCK // width), len(z) // 2
+            halves = (half, len(z) - half)
+            scale = np.repeat(ga._circulant_scale(gamma), 2)
+
+            def block(lo, hi):
+                out = np.empty((min(2 * hi, len(rows)) - 2 * lo, m))
+                ga._circulant_fgn(scale, z[lo:hi].copy(), out)
+                return out
+        else:  # a draw row is a row, and a block is whole paths
+            per_draw, step, half = 1, d * max(1, ga._DRAW_BLOCK // (m * d)), n_paths // 2 * d
+            halves = (half, len(rows) - half)
+            z, factor_t = z.reshape(-1, m), ga._fgn_factor(gamma[:m]).T
+
+            def block(lo, hi):
+                return z[lo:hi] @ factor_t
+        assert all(n % step for n in halves)
+        got_width, plan = ga._draw_plan(n_paths, m, d, 3)
+        assert got_width == width
         ends = [0]
-        for blocks, n in zip(plan, (half, n_paths - half)):
-            assert [(hi - lo) // d for _, lo, hi in blocks] == [want] * (n // want) + [n % want]
+        for blocks, n in zip(plan, halves):
+            assert [hi - lo for _, lo, hi in blocks] == [step] * (n // step) + [n % step]
             for _, lo, hi in blocks:
                 assert lo == ends[-1]
-                assert np.array_equal(rows[lo:hi], z[lo:hi] @ factor_t)
+                assert np.array_equal(rows[per_draw * lo:per_draw * hi], block(lo, hi))
                 ends.append(hi)
-        assert ends[-1] == n_paths * d
+        assert ends[-1] == sum(halves)
 
     @pytest.mark.parametrize("args, message", [
         ((0.7, 10**7, 1, 1000), "m capped at 4096"),
@@ -669,11 +687,23 @@ class TestToeplitzSampler:
             tracemalloc.stop()
         assert peak < paths.nbytes + 4 * ga._DRAW_BLOCK * 8
 
-    @pytest.mark.parametrize("n_paths, m, limit_mib", [(50, 1536, 1.96), (4096, 64, 2.54)])
-    def test_increments_allocated_once_the_factor_is_built(self, n_paths, m, limit_mib):
-        # the circulant rows are returned as they are, and up to 128 steps
-        # the products go straight into the array: besides it, two blocks of
-        # normals and the factor
+    @pytest.mark.parametrize("n_paths, m, former_mib", [(50, 1536, 1.96), (4096, 64, 2.54)])
+    def test_increments_allocated_once_the_factor_is_built(self, n_paths, m, former_mib):
+        # besides the increments the sampler holds gamma, the factor (up to
+        # 128 steps) or the 4m scale factors of the embedding, and one block
+        # of normals for each of its two drawing threads; the allowance for
+        # objects is 8.4 KiB for the worker thread, the two generators, the
+        # plan and the closures (8.0-8.2 KB measured at 4096 x 64, where the
+        # arrays leave 8.45 KiB under the former bar of 2.54 MiB) and 1.4 KiB
+        # for each FFT in flight (1416 bytes measured).  At 50 x 1536 the bar
+        # is 1.124 MiB, where the former embedding held 1.96 MiB
+        width, plan = ga._draw_plan(n_paths, m, 1, 8)
+        assert sum(map(len, plan)) >= ga._AHEAD_BLOCKS  # two drawing threads
+        block = max(hi - lo for blocks in plan for _, lo, hi in blocks) * width * 8
+        held = (m + 1) * 8 + (m * m if m <= ga._CHOLESKY_STEPS else 4 * m) * 8
+        objects = 8.4 * 2**10 + (2 * 1.4 * 2**10 if m > ga._CHOLESKY_STEPS else 0)
+        bar = n_paths * m * 8 + 2 * block + held + objects
+        assert bar <= former_mib * 2**20
         ga._fgn_increments(0.7, m, 1, n_paths, seed=8)
         tracemalloc.start()
         try:
@@ -681,16 +711,18 @@ class TestToeplitzSampler:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= limit_mib * 2**20
+        assert peak <= bar
 
     # (n_paths, d, m, rows per block): odd path counts, each stream's last
-    # block part-filled, the worker thread from four blocks (4097 x 64,
+    # block part-filled, the worker thread from three blocks (4097 x 64,
     # 3001 x 32 x 2, 701 x 64 x 3 and blocks of 12 rows) and not below
-    # (1001 x 64), and the circulant branch
+    # (1001 x 64), and the circulant branch in turn (two blocks) and with
+    # the worker (40 x 1536, and 23 x 300 x 3 in blocks of 5 pairs of rows,
+    # whose last pair is one row)
     @pytest.mark.parametrize("n_paths, d, m, block_rows", [
         (4097, 1, 64, None), (1001, 1, 64, None), (3001, 2, 32, None),
         (701, 3, 64, None), (333, 3, 7, 13), (7, 1, 1536, None), (9, 2, 300, None),
-        (5, 3, 200, None)])
+        (5, 3, 200, None), (40, 1, 1536, None), (23, 3, 300, 20)])
     @pytest.mark.parametrize("H", [0.55, 0.9])
     def test_endpoint_sums_are_the_paths_ends(self, monkeypatch, H, n_paths, d, m,
                                              block_rows):
@@ -710,6 +742,20 @@ class TestToeplitzSampler:
         # |L^T 1|^2 = 1^T S 1 = Var B_T = T^2H
         lt1 = ga._fgn_factor(fgn_gamma(H, m, T)[:m]).sum(axis=0)
         assert lt1 @ lt1 == pytest.approx(T ** (2.0 * H), rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("T", [0.5, 1.3])
+    @pytest.mark.parametrize("m", [129, 130, 700, 1536, 4095, 4096])
+    @pytest.mark.parametrize("H", [0.5001, 0.7, 0.999])
+    def test_circulant_end_weights_have_the_endpoint_variance(self, H, m, T):
+        # each part of w @ c has variance sum |c_k|^2 = 1^T S 1 = Var B_T =
+        # T^2H; and c_(2m-k) = conj(c_k), the head sums of a real row scaled
+        # by a symmetric spectrum, so sum Re c_k Im c_k = Im(sum c_k^2) / 2
+        # is 0 up to rounding
+        c = ga._circulant_end_weights(fgn_gamma(H, m, T))
+        assert c.shape == (2 * m,)
+        assert (np.abs(c) ** 2).sum() == pytest.approx(T ** (2.0 * H), rel=1e-13, abs=0.0)
+        cross = c.real * c.imag
+        assert abs(cross.sum()) <= 1e-13 * np.abs(cross).sum()
 
     @pytest.mark.parametrize("m, n_paths, limit_mb", [(4096, 2, 16), (1536, 50, 8)])
     def test_factor_is_never_held_whole(self, m, n_paths, limit_mb):

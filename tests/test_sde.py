@@ -306,6 +306,21 @@ class TestCubatureWeakValue:
         assert val == pytest.approx(0.25, abs=1e-13)
 
 
+def _check_z_scores(n_paths, n_steps):
+    """(mc - exact) / se over 199 seeds of the quadratic problem: for
+    standard normal z-scores the mean has sd 0.071 and the sd about 0.05,
+    so the bars are 3.5 and 3 of those."""
+    fields, f, x0 = _sde_problem("quadratic", 0.3)
+    H, T = 0.75, 1.0
+    exact = 0.3**2 + T ** (2.0 * H)
+    z = []
+    for seed in range(199):
+        est, se = mc_weak_value(fields, f, x0, H, T, n_paths, n_steps, seed)
+        z.append((est - exact) / se)
+    assert abs(np.mean(z)) <= 0.25
+    assert 0.85 <= np.std(z, ddof=1) <= 1.15
+
+
 class TestMcWeakValue:
     def test_zero_fields(self):
         vf = (ZERO, ZERO)
@@ -373,19 +388,47 @@ class TestMcWeakValue:
             mc_weak_value(fields, lambda y: y[:, 0], [0.0], 0.7, T, n_paths=100,
                           n_steps=n_steps, seed=0)
 
+    # a reference without noise draws nothing, but refuses what the sampler
+    # refuses with the same messages
+    @pytest.mark.parametrize("H, T, n_paths, n_steps", [
+        (0.7, 1.3, 20, 5000), (0.7, math.inf, 20, 16), (0.7, 0.0, 20, 16),
+        (0.7, 1.3, 1, 16), (0.7, 1.3, 20, 0), (0.5, 1.3, 20, 16)],
+        ids=["long-grid", "infinite-T", "zero-T", "one-path", "no-steps", "H-half"])
+    def test_zero_noise_refuses_what_noise_refuses(self, monkeypatch, H, T, n_paths,
+                                                   n_steps):
+        def messages(fields):
+            with pytest.raises(ValueError) as refused:
+                mc_weak_value(fields, lambda y: y[:, 0], [0.3], H, T, n_paths, n_steps, 3)
+            return str(refused.value)
+
+        noise = messages((0.0, 1.0))
+        monkeypatch.setattr(np.random, "SFC64", _no_bit_generator)
+        assert messages((0.0, 0.0)) == noise
+
+    @pytest.mark.parametrize("fields, x0", [
+        ((0.0, 0.0), [0.3]), ((0.25, np.array([0.0, -0.0]), 0.0), [0.3, -0.2])])
+    @pytest.mark.parametrize("n_steps", [64, 1536])
+    def test_zero_noise_draws_nothing(self, monkeypatch, fields, x0, n_steps):
+        # no V_i with i >= 1 acts, so every endpoint is x0 + V_0 T and no
+        # generator is built; at x0 = 0.3 the mean of 4096 of them is
+        # 0.29999999999999993, as when B_T was drawn and multiplied by 0,
+        # and the standard error is the rounding of that mean
+        monkeypatch.setattr(np.random, "SFC64", _no_bit_generator)
+        ends = []
+        est, se = mc_weak_value(fields, lambda y: ends.append(y) or y[:, 0], x0, 0.7,
+                                1.3, 4096, n_steps, 3)
+        want = np.asarray(x0) + fields[0] * 1.3
+        assert np.array_equal(ends[0], np.broadcast_to(want, (4096, len(x0))))
+        assert est == np.full(4096, want[0]).mean() and 0.0 <= se < 1e-17
+        if x0 == [0.3]:
+            assert est == 0.29999999999999993
+
     def test_z_scores_follow_the_standard_normal_law(self):
-        # (mc - exact) / se over 199 seeds of the quadratic problem: for
-        # standard normal z-scores the mean has sd 0.071 and the sd about
-        # 0.05, so the bars are 3.5 and 3 of those
-        fields, f, x0 = _sde_problem("quadratic", 0.3)
-        H, T = 0.75, 1.0
-        exact = 0.3**2 + T ** (2.0 * H)
-        z = []
-        for seed in range(199):
-            est, se = mc_weak_value(fields, f, x0, H, T, 4096, 64, seed)
-            z.append((est - exact) / se)
-        assert abs(np.mean(z)) <= 0.25
-        assert 0.85 <= np.std(z, ddof=1) <= 1.15
+        _check_z_scores(4096, 64)
+
+    def test_z_scores_follow_the_standard_normal_law_on_a_long_grid(self):
+        # the circulant branch's endpoints
+        _check_z_scores(512, 1536)
 
     def test_seed_reproducible(self):
         vf = (ZERO, ONE)
@@ -445,6 +488,10 @@ class TestMcWeakValue:
             mc_weak_value(vf, lambda y: y[:, 0], [0.0], 0.75, 1.0, n_paths, 4, seed=0)
 
 
+def _no_bit_generator(*args):
+    raise AssertionError("a bit generator was built")
+
+
 def _closed_form(name):
     """(fields, x0, exact): two field sets whose endpoint along any
     piecewise-linear driver omega with omega_0 = 0 is known in closed form."""
@@ -469,8 +516,8 @@ def _recorded_mc(vf, x0, H, T, n_paths, n_steps, seed, **kwargs):
 
 class TestMcDefaultGridAccuracy:
     # the default RK4 grid is the sample grid, one step per cell; measured
-    # worst per-path relative errors over these cases are 1.1e-2 (m = 32),
-    # 4.3e-4 (128) and 4.2e-7 (1536), and the worst bias is 0.012 of the
+    # worst per-path relative errors over these cases are 6.4e-3 (m = 32),
+    # 3.4e-4 (128) and 3.9e-7 (1536), and the worst bias is 0.014 of the
     # standard error.  These bounds are never to be loosened.
     REL_BOUND = {32: 5e-2, 128: 1e-3, 1536: 1.5e-6}
     PATHS = {32: 4000, 128: 4000, 1536: 400}
@@ -531,19 +578,19 @@ def threads(monkeypatch):
 
 
 def _failing_stream(monkeypatch, stream, n, exc):
-    """Make the n-th draw from the given stream of every Cholesky-branch
-    draw (the child of the seed's SeedSequence with that spawn key) raise
-    exc, and every draw from the other stream wait for that failure and
-    20 ms more, so that it comes while the other thread still has blocks
-    to draw.  Returns the default_rng it replaces and a list with one entry
-    per draw from the other stream."""
-    default_rng = np.random.default_rng
+    """Make the n-th draw from the given stream of every sampler draw (the
+    generator on the child of the seed's SeedSequence with that spawn key)
+    raise exc, and every draw from the other stream wait for that failure
+    and 20 ms more, so that it comes while the other thread still has
+    blocks to draw.  Returns the Generator class it replaces and a list
+    with one entry per draw from the other stream."""
+    generator = np.random.Generator
     failed, others = threading.Event(), []
 
     class FailingDraws:
-        def __init__(self, seed):
-            self.rng, self.calls = default_rng(seed), 0
-            self.key = getattr(seed, "spawn_key", None)
+        def __init__(self, bit_generator):
+            self.rng, self.calls = generator(bit_generator), 0
+            self.key = bit_generator.seed_seq.spawn_key
 
         def standard_normal(self, *args, **kwargs):
             if self.key == (stream,):
@@ -557,8 +604,8 @@ def _failing_stream(monkeypatch, stream, n, exc):
                 time.sleep(0.02)
             return self.rng.standard_normal(*args, **kwargs)
 
-    monkeypatch.setattr(np.random, "default_rng", FailingDraws)
-    return default_rng, others
+    monkeypatch.setattr(np.random, "Generator", FailingDraws)
+    return generator, others
 
 
 def _run_at_once(calls, fn):
@@ -583,16 +630,22 @@ def _run_at_once(calls, fn):
     return got
 
 
-def _mc_of(fields):
+def _mc_of(fields, n_paths, n_steps):
     x0 = _constant_fields(1)[1]
-    return lambda: mc_weak_value(fields, lambda y: y[:, 0], x0, 0.7, 1.3, 4096, 64, 5)
+    return lambda: mc_weak_value(fields, lambda y: y[:, 0], x0, 0.7, 1.3, n_paths,
+                                 n_steps, 5)
 
 
-# the three consumers of a Cholesky-branch draw, each of eight blocks
+# the three consumers of a draw on each branch, each of four blocks per
+# stream: 4096 paths x 64 steps in blocks of 512 rows, and 512 x 256 in
+# blocks of 32 pairs of rows
 _CONSUMERS = {
-    "paths": lambda: sample_fbm_batch(0.7, 64, 1, 4096, 5, 1.3),
-    "endpoint sums": _mc_of(_constant_fields(1)[0]),
-    "increments": _mc_of(_callables(_constant_fields(1)[0])),
+    f"{name} {n_steps}": consume
+    for n_paths, n_steps in ((4096, 64), (512, 256))
+    for name, consume in (
+        ("paths", lambda n=n_paths, m=n_steps: sample_fbm_batch(0.7, m, 1, n, 5, 1.3)),
+        ("endpoint sums", _mc_of(_constant_fields(1)[0], n_paths, n_steps)),
+        ("increments", _mc_of(_callables(_constant_fields(1)[0]), n_paths, n_steps)))
 }
 
 
@@ -609,14 +662,15 @@ class TestPipelinedReference:
     # 2000 x 50 x 3 draw blocks of 409 and 218 whole paths, where a block of
     # _DRAW_BLOCK // m rows would end inside a path; 1001 x 7 in blocks of 13
     # rows leaves each stream's last block part-filled, as does 1000 x 7;
-    # 5 x 8 is two blocks, 2048 x 32 two, done in turn, and 100 x 300 the
-    # circulant
+    # 5 x 8 is two blocks, 2048 x 32 two, done in turn, and on the
+    # circulant branch 100 x 300 is two blocks of pairs of rows and
+    # 400 x 300 eight
     @pytest.mark.parametrize("n_paths, n_steps, d, block_rows, steps_per_piece", [
         (4096, 64, 1, None, 1), (8020, 33, 1, None, 1), (2048, 128, 1, None, 1),
         (2500, 36, 1, None, 1), (1001, 7, 1, 13, 1), (1001, 7, 1, 13, 4),
         (1000, 7, 1, 13, 1), (3000, 40, 2, None, 1), (2000, 50, 3, None, 1),
         (2000, 50, 3, 7, 4), (5, 8, 2, None, 1), (2048, 32, 1, None, 1),
-        (100, 300, 1, None, 1)])
+        (100, 300, 1, None, 1), (400, 300, 1, None, 1)])
     def test_bit_identical_to_one_solve(self, monkeypatch, threads, n_paths, n_steps,
                                         d, block_rows, steps_per_piece):
         if block_rows is not None:
@@ -645,13 +699,14 @@ class TestPipelinedReference:
         # each mean of n values is off by at most gamma_n of its magnitude
         means = np.abs(ends[:, 0]).mean() + np.abs(rk4_ends[:, 0]).mean()
         assert abs(est - rk4_est) <= bar[:, 0].mean() + 1.01 * n_paths * 2.0**-53 * means
-        want = max(1, ga._DRAW_BLOCK // (n_steps * d))  # paths per block
-        blocks = -(-(n_paths // 2) // want) + -(-(n_paths - n_paths // 2) // want)
-        two_threads = n_steps <= ga._CHOLESKY_STEPS and blocks >= ga._AHEAD_BLOCKS
+        blocks = sum(map(len, ga._draw_plan(n_paths, n_steps, d, seed)[1]))
+        two_threads = blocks >= ga._AHEAD_BLOCKS
         # one worker per endpoint sum or gather of _AHEAD_BLOCKS blocks or
         # more: each _recorded_mc samples in mc_weak_value and again for the
-        # increments, and the sums above are drawn once more
-        assert len(threads) == (5 if two_threads else 0)
+        # increments, the sums above are drawn once more, and above 128
+        # steps endpoint_sum_bar gathers the increments too
+        draws = 5 + (n_steps > ga._CHOLESKY_STEPS)
+        assert len(threads) == (draws if two_threads else 0)
 
     def test_non_finite_endpoint_names_the_end(self):
         # y = 1.7e308 + 1e307 B_T overflows where B_T passes 0.976; the
@@ -668,8 +723,8 @@ class TestPipelinedReference:
         # the thread must not leak it either
         for name, consume in _CONSUMERS.items():
             want = consume()
-            default_rng, others = _failing_stream(monkeypatch, 1, 3,
-                                                  FloatingPointError(name))
+            generator, others = _failing_stream(monkeypatch, 1, 3,
+                                                FloatingPointError(name))
             before, started = threading.active_count(), len(threads)
             with pytest.raises(FloatingPointError, match=name):
                 consume()
@@ -677,14 +732,14 @@ class TestPipelinedReference:
             assert len(others) < 4
             assert len(threads) == started + 1 and not threads[-1].is_alive()
             assert threading.active_count() == before
-            monkeypatch.setattr(np.random, "default_rng", default_rng)
+            monkeypatch.setattr(np.random, "Generator", generator)
             assert _same(consume(), want), name
 
     def test_solve_exception_stops_the_drawer(self, monkeypatch, threads):
         # the calling thread fails on its second block, with the worker
         # still drawing the second stream
         for name, consume in _CONSUMERS.items():
-            default_rng, others = _failing_stream(monkeypatch, 0, 2, KeyError(name))
+            generator, others = _failing_stream(monkeypatch, 0, 2, KeyError(name))
             before, started = threading.active_count(), len(threads)
             with pytest.raises(KeyError, match=name):
                 consume()
@@ -692,21 +747,24 @@ class TestPipelinedReference:
             assert len(others) < 4
             assert len(threads) == started + 1 and not threads[-1].is_alive()
             assert threading.active_count() == before
-            monkeypatch.setattr(np.random, "default_rng", default_rng)
+            monkeypatch.setattr(np.random, "Generator", generator)
 
     def test_memory_error_in_a_block_is_a_usage_error(self, monkeypatch, threads,
                                                       capsys):
         # the Monte-Carlo reference runs out of memory drawing the second
-        # block of either stream, on the calling thread or the worker
-        argv = ["sde", "compare", "--paths", "4096", "--steps", "64", "--no-timestamp"]
-        default_rng = np.random.default_rng
-        for stream in (0, 1):
-            _failing_stream(monkeypatch, stream, 2, MemoryError())
-            assert cli_main(argv) == 2
-            assert ("--paths 4096 with --steps 64 needs more memory"
-                    in capsys.readouterr().err)
-            assert len(threads) == stream + 1 and not threads[-1].is_alive()
-            monkeypatch.setattr(np.random, "default_rng", default_rng)
+        # block of either stream, on the calling thread or the worker, on
+        # either branch
+        generator = np.random.Generator
+        for paths, steps in (("4096", "64"), ("512", "256")):
+            argv = ["sde", "compare", "--paths", paths, "--steps", steps, "--no-timestamp"]
+            for stream in (0, 1):
+                started = len(threads)
+                _failing_stream(monkeypatch, stream, 2, MemoryError())
+                assert cli_main(argv) == 2
+                assert (f"--paths {paths} with --steps {steps} needs more memory"
+                        in capsys.readouterr().err)
+                assert len(threads) == started + 1 and not threads[-1].is_alive()
+                monkeypatch.setattr(np.random, "Generator", generator)
 
     def test_import_starts_no_thread(self):
         code = ("import threading, fbmsig.cli; "
@@ -718,19 +776,21 @@ class TestPipelinedReference:
 
     def test_concurrent_calls_under_fast_switching(self, monkeypatch):
         # four calls of each consumer at once, each with its worker, on
-        # blocks of one path; a block read while it is redrawn would change
-        # a path or an endpoint
+        # blocks of one path (16 steps) or of one pair of rows (300 steps);
+        # a block read while it is redrawn would change a path or an
+        # endpoint
         monkeypatch.setattr(ga, "_DRAW_BLOCK", 3 * 16)
         vf, x0 = _constant_fields(2)
-        for fields in (vf, _callables(vf)):
-            calls = [(fields, lambda y: y[:, 0], x0, 0.7, 1.3, 600, 16, seed)
-                     for seed in range(4)]
-            want = [mc_weak_value(*args) for args in calls]
-            assert _run_at_once(calls, mc_weak_value) == want
-        calls = [(0.7, 16, 2, 600, seed, 1.3) for seed in range(4)]
-        want = [sample_fbm_batch(*args) for args in calls]
-        got = _run_at_once(calls, sample_fbm_batch)
-        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        for n_paths, n_steps in ((600, 16), (60, 300)):
+            for fields in (vf, _callables(vf)):
+                calls = [(fields, lambda y: y[:, 0], x0, 0.7, 1.3, n_paths, n_steps, seed)
+                         for seed in range(4)]
+                want = [mc_weak_value(*args) for args in calls]
+                assert _run_at_once(calls, mc_weak_value) == want
+            calls = [(0.7, n_steps, 2, n_paths, seed, 1.3) for seed in range(4)]
+            want = [sample_fbm_batch(*args) for args in calls]
+            got = _run_at_once(calls, sample_fbm_batch)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 class TestSeriesLogSum:
