@@ -202,51 +202,40 @@ def _read_config(path: str) -> dict[str, str]:
     return out
 
 
-# Option defaults live here rather than in argparse so that the precedence
-# "explicit flag > config file > default" is decidable (argparse cannot tell
-# an explicit flag equal to its default from an omitted one).
-_DEFAULTS = {
-    "format": "csv",
-    "H": "0.75",
-    "words": "1,1",
-    "m": "4,8,16,32,64",
-    "degree": None,
-    "branch": "minus",
-    "T": "1.0",
-    "paths": "10000",
-    "steps": "64",
-    "seed": "12345",
-    "x0": "0.0",
-    "problem": "quadratic",
-    "M": "1.0",
-    "gamma": "0.0",
+# Each command's flags, and each cubature action's, in --help order, with
+# their defaults.  A default fills its flag after the config file, not in
+# argparse, which cannot tell an explicit flag equal to its default from an
+# omitted one; a None default is left to the command (cubature verify checks
+# its formula's claimed degree).
+_FLAGS = {
+    "expected-sig": {"H": "0.75", "words": "1,1"},
+    "approx-sig": {"H": "0.75", "words": "1,1", "m": "4,8,16,32,64"},
+    "convergence": {"H": "0.75", "words": "1,2,1,2;1,1,2,2", "m": "4,8,16,32,64"},
+    "cubature verify": {"H": "0.5", "branch": "minus", "degree": None},
+    "cubature solve": {"H": "0.5", "branch": "minus"},
+    "sde": {"H": "0.75", "T": "1.0", "paths": "10000", "steps": "64",
+            "seed": "12345", "x0": "0.0", "problem": "quadratic", "M": "1.0",
+            "gamma": "0.0"},
+    "bounds": {"H": "0.6,0.75,0.9", "T": "0.5,1,2", "M": "1.0", "gamma": "0.0",
+               "degree": "5"},
 }
-_COMMAND_DEFAULTS = {
-    "convergence": {"words": "1,2,1,2;1,1,2,2"},
-    "cubature": {"H": "0.5"},
-    "bounds": {"H": "0.6,0.75,0.9", "T": "0.5,1,2", "degree": "5"},
-}
-
-
-# A config key outside this set would be dropped silently (a misspelling such
-# as "word" for "words"), so it is refused; a key of another command is
-# ignored, so that one file can serve several commands.
-_CONFIG_KEYS = frozenset(_DEFAULTS) | {"out", "tol"}
+# A config file may set these flags and format, out and tol.  Another key
+# (a misspelling such as "word" for "words") is refused, not dropped; a key
+# of another command is ignored, so that one file serves several commands.
+_CONFIG_KEYS = frozenset({"format", "out", "tol"}).union(*_FLAGS.values())
 
 
 def _apply_config(args: argparse.Namespace):
     """Resolve each option as: explicit flag, else config value, else default."""
-    cfg = _read_config(args.config) if getattr(args, "config", None) else {}
+    cfg = _read_config(args.config) if args.config else {}
     for key, raw in cfg.items():
         attr = key.replace("-", "_")
         if attr not in _CONFIG_KEYS:
             raise ValueError(f"config key {key!r} is not an option of any command")
         if hasattr(args, attr) and getattr(args, attr) is None:
             setattr(args, attr, raw)
-    defaults = dict(_DEFAULTS)
-    defaults.update(_COMMAND_DEFAULTS.get(args.command, {}))
-    for attr, value in defaults.items():
-        if hasattr(args, attr) and getattr(args, attr) is None:
+    for attr, value in {"format": "csv", **args.flags}.items():
+        if getattr(args, attr) is None:
             setattr(args, attr, value)
     # a config file bypasses argparse's choices for --format
     if args.format not in ("csv", "json"):
@@ -530,65 +519,35 @@ def build_parser() -> argparse.ArgumentParser:
     quad = argparse.ArgumentParser(add_help=False)
     quad.add_argument("--tol", help="quadrature tolerance")
 
+    def add(parser, fn, **choices):
+        """Add _FLAGS[key] to parser, that of `fbmsig <key>`, which runs fn."""
+        flags = _FLAGS[parser.prog.removeprefix("fbmsig ")]
+        for flag in flags:
+            parser.add_argument(f"--{flag}", choices=choices.get(flag))
+        parser.set_defaults(fn=fn, flags=flags)
+
     p = argparse.ArgumentParser(prog="fbmsig", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
-
-    s = sub.add_parser("expected-sig", parents=[common, quad],
-                       help="exact expected signature coefficients")
-    s.add_argument("--H")
-    s.add_argument("--words")
-    s.set_defaults(fn=cmd_expected_sig)
-
-    s = sub.add_parser("approx-sig", parents=[common],
-                       help="grid-approximation expected coefficients")
-    s.add_argument("--H")
-    s.add_argument("--words")
-    s.add_argument("--m")
-    s.set_defaults(fn=cmd_approx_sig)
-
-    s = sub.add_parser("convergence", parents=[common, quad],
-                       help="gap table, fitted rate and coefficient bound")
-    s.add_argument("--H")
-    s.add_argument("--words")
-    s.add_argument("--m")
-    s.set_defaults(fn=cmd_convergence)
-
-    s = sub.add_parser("cubature",
-                       help="verify the cubature identity or solve the ansatz")
+    add(sub.add_parser("expected-sig", help="exact expected signature coefficients",
+                       parents=[common, quad]), cmd_expected_sig)
+    add(sub.add_parser("approx-sig", help="grid-approximation expected coefficients",
+                       parents=[common]), cmd_approx_sig)
+    add(sub.add_parser("convergence", help="gap table, fitted rate and coefficient bound",
+                       parents=[common, quad]), cmd_convergence)
+    s = sub.add_parser("cubature", help="verify the cubature identity or solve the ansatz")
     actions = s.add_subparsers(dest="action", required=True)
     # only verify runs quadrature, so only verify takes --tol and --degree;
     # it checks one formula, so only solve tabulates both branches
-    a = actions.add_parser("verify", parents=[common, quad])
-    a.add_argument("--H")
-    a.add_argument("--branch", choices=("minus", "plus"))
-    a.add_argument("--degree")
-    a = actions.add_parser("solve", parents=[common])
-    a.add_argument("--H")
-    a.add_argument("--branch", choices=("minus", "plus", "both"))
-    s.set_defaults(fn=cmd_cubature)
-
-    s = sub.add_parser("sde", parents=[common],
-                       help="weak approximation vs Monte-Carlo reference")
+    add(actions.add_parser("verify", parents=[common, quad]), cmd_cubature,
+        branch=("minus", "plus"))
+    add(actions.add_parser("solve", parents=[common]), cmd_cubature,
+        branch=("minus", "plus", "both"))
+    s = sub.add_parser("sde", help="weak approximation vs Monte-Carlo reference",
+                       parents=[common])
     s.add_argument("action", choices=("compare",))
-    s.add_argument("--H")
-    s.add_argument("--T")
-    s.add_argument("--paths")
-    s.add_argument("--steps")
-    s.add_argument("--seed")
-    s.add_argument("--x0")
-    s.add_argument("--problem")
-    s.add_argument("--M")
-    s.add_argument("--gamma")
-    s.set_defaults(fn=cmd_sde)
-
-    s = sub.add_parser("bounds", parents=[common],
-                       help="explicit constants and error-bound shapes")
-    s.add_argument("--H")
-    s.add_argument("--T")
-    s.add_argument("--M")
-    s.add_argument("--gamma")
-    s.add_argument("--degree")
-    s.set_defaults(fn=cmd_bounds)
+    add(s, cmd_sde)
+    add(sub.add_parser("bounds", help="explicit constants and error-bound shapes",
+                       parents=[common]), cmd_bounds)
     return p
 
 

@@ -506,15 +506,21 @@ def _fbm_endpoints(H: float, m: int, d: int, n_paths: int, seed: int,
 
 
 def _fgn_gamma(H: float, m: int, d: int, n_paths: int, T: float) -> np.ndarray:
-    """The sampler's checks of its arguments, then gamma_0..gamma_m, the
-    covariances of the increments on the uniform m-grid of [0, T]."""
+    """gamma_0..gamma_m, the covariances of the increments on the uniform
+    m-grid of [0, T], after the sampler's checks (_sample_scale)."""
+    scale = _sample_scale(H, m, d, n_paths, T)
+    return 0.5 * scale * _second_differences(H, np.arange(m + 1))
+
+
+def _sample_scale(H: float, m: int, d: int, n_paths: int, T: float) -> float:
+    """The sampler's checks of its arguments, the last of them computing the
+    covariance scale (T/m)^2H, which refuses T and is returned."""
     check_hurst(H)
     if m > _MAX_GRID:
         raise ValueError(f"m capped at {_MAX_GRID}")
     if m < 1 or n_paths < 1 or d < 1:
         raise ValueError("m, d and n_paths must be positive")
-    # the scale refuses T before any sample is drawn
-    return 0.5 * _covariance_scale(H, m, T) * _second_differences(H, np.arange(m + 1))
+    return _covariance_scale(H, m, T)
 
 
 def _as_paths(rows: np.ndarray, d: int) -> np.ndarray:

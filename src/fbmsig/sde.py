@@ -33,7 +33,7 @@ from .expected import check_hurst
 # expects the sampler in this namespace; the solves use the increments or
 # the endpoint sums
 from .gridapprox import (  # noqa: F401
-    _fbm_endpoints, _fgn_gamma, _fgn_increments, sample_fbm_batch)
+    _fbm_endpoints, _fgn_increments, _sample_scale, sample_fbm_batch)
 
 __all__ = [
     "ErrorBoundParams",
@@ -172,7 +172,7 @@ def mc_weak_value(
     endpoint sums B_T (_fbm_endpoints), and neither increments nor paths are
     formed; when moreover every V_i, i >= 1, is zero, B_T is an array of
     zeros and nothing is drawn, after the sampler's checks of its
-    arguments (_fgn_gamma).  Otherwise RK4 runs on the whole increment
+    arguments (_sample_scale).  Otherwise RK4 runs on the whole increment
     array (_fgn_increments), whose normals are the same; the sampler
     checks its arguments before the time grid is built.
 
@@ -206,7 +206,7 @@ def mc_weak_value(
     elif any(np.any(v != 0.0) for v in fields[1:]):
         ends = _closed_form(fields, x0, T, _fbm_endpoints(*sample))
     else:  # no noise field acts, so B_T is never drawn: only the checks run
-        _fgn_gamma(H, n_steps, len(fields) - 1, n_paths, T)
+        _sample_scale(H, n_steps, len(fields) - 1, n_paths, T)
         ends = _closed_form(fields, x0, T, np.zeros((n_paths, len(fields) - 1)))
     vals = _values(f, ends)
     if not np.all(np.isfinite(vals)):

@@ -8,12 +8,13 @@ Each command runs in a fresh interpreter (python -m fbmsig.cli) with
 OPENBLAS_NUM_THREADS=1, once with --format csv and once with --format json:
 every `fbmsig ...` line of the README, five `sde compare` runs (many paths
 on 64 and 128 steps, a long grid, and the zero problem on 64 steps and on a
-long grid), and the level table
-of the 715 canonical six-letter words over {0..3} at three H.  A line of the
-manifest is "md5 exit format command", the table's word list shortened to its
-name.  With two source trees the script prints the lines that differ, each
-with the largest relative change of every numeric column that moved, and
-exits 1 if any do.  Standard library only; pytest does not collect it.
+long grid), each command and cubature action on every default (no flag but
+--format and --no-timestamp), and the level table of the 715 canonical
+six-letter words over {0..3} at three H.  A line of the manifest is
+"md5 exit format command", the table's word list shortened to its name.
+With two source trees the script prints the lines that differ, each with
+the largest relative change of every numeric column that moved, and exits
+1 if any do.  Standard library only; pytest does not collect it.
 """
 from __future__ import annotations
 
@@ -41,6 +42,8 @@ SDE_RUNS = (
     "sde compare --H 0.8 --T 1.3 --paths 20 --steps 1536 --seed 11 --x0 -0.6 "
     "--problem zero",
 )
+DEFAULT_RUNS = ("expected-sig", "approx-sig", "convergence", "cubature verify",
+                "cubature solve", "sde compare", "bounds")
 
 
 def canonical_words(length: int) -> list[str]:
@@ -54,15 +57,15 @@ def canonical_words(length: int) -> list[str]:
 
 
 def commands() -> list[tuple[str, list[str]]]:
-    """(name, argv) of every README command, the sde runs and the
-    six-letter table."""
+    """(name, argv) of every README command, the sde runs, the runs on
+    every default and the six-letter table."""
     out = []
     for line in (ROOT / "README.md").read_text().splitlines():
         match = re.match(r"\s*fbmsig\s+(.*)$", line)
         if match:
             argv = shlex.split(match.group(1))
             out.append((" ".join(argv), argv))
-    out += [(run, shlex.split(run)) for run in SDE_RUNS]
+    out += [(run, shlex.split(run)) for run in SDE_RUNS + DEFAULT_RUNS]
     words = ";".join(canonical_words(6))
     for H in TABLE_H:
         out.append((f"expected-sig --H {H} --words <715 six-letter words>",

@@ -705,6 +705,35 @@ class TestBounds:
         assert all(math.isfinite(float(r[rows[0].index("bound_shape")])) for r in rows[1:])
 
 
+# every command's flags with their defaults typed out (cubature verify's
+# --degree, left to the formula's claimed degree, has none to type)
+DEFAULTS = {
+    "expected-sig": {"H": "0.75", "words": "1,1"},
+    "approx-sig": {"H": "0.75", "words": "1,1", "m": "4,8,16,32,64"},
+    "convergence": {"H": "0.75", "words": "1,2,1,2;1,1,2,2", "m": "4,8,16,32,64"},
+    "cubature verify": {"H": "0.5", "branch": "minus"},
+    "cubature solve": {"H": "0.5", "branch": "minus"},
+    "sde compare": {"H": "0.75", "T": "1.0", "paths": "10000", "steps": "64",
+                    "seed": "12345", "x0": "0.0", "problem": "quadratic",
+                    "M": "1.0", "gamma": "0.0"},
+    "bounds": {"H": "0.6,0.75,0.9", "T": "0.5,1,2", "M": "1.0", "gamma": "0.0",
+               "degree": "5"},
+}
+# for each flag a value other than its default, for a config file to set
+OTHER = {"H": "0.9", "words": "1,2", "m": "2,4,8,16", "branch": "plus",
+         "degree": "3", "T": "2.0", "paths": "100", "steps": "8", "seed": "1",
+         "x0": "0.5", "problem": "zero", "M": "2.0", "gamma": "0.5",
+         "format": "json", "tol": "1e-3"}
+# (command, flag, default, a value to type: the default where there is
+# one): the flags above, cubature verify's --degree, --format for every
+# command and --tol for the three that run quadrature
+PRECEDENCE = ([(c, f, d, d) for c, flags in DEFAULTS.items() for f, d in flags.items()]
+              + [("cubature verify", "degree", None, "5")]
+              + [(c, "format", "csv", "csv") for c in DEFAULTS]
+              + [(c, "tol", None, "1e-6")
+                 for c in ("expected-sig", "convergence", "cubature verify")])
+
+
 class TestHarness:
     def test_byte_identical_reruns(self, tmp_path):
         args = ("expected-sig", "--H", "0.6,0.9", "--words", "1,1;1,0,1",
@@ -800,6 +829,43 @@ class TestHarness:
         assert main(["expected-sig", "--format", "json", "--no-timestamp"]) == 0
         assert from_config == capsys.readouterr().out
         assert json.loads(from_config)["columns"][0] == "word"
+
+    @pytest.mark.parametrize("command, flag, default, typed", PRECEDENCE,
+                             ids=[f"{c}-{f}" for c, f, _, _ in PRECEDENCE])
+    def test_config_fills_each_flag_and_a_typed_flag_wins(self, tmp_path, command,
+                                                          flag, default, typed):
+        # a typed default, which argparse cannot tell from an omitted flag,
+        # beats the config file too
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{flag}={OTHER[flag]}\n")
+
+        def resolved(*argv):
+            args = cli.build_parser().parse_args([*command.split(), *argv])
+            cli._apply_config(args)
+            return getattr(args, flag)
+
+        assert resolved("--config", str(cfg)) == OTHER[flag]
+        assert resolved("--config", str(cfg), f"--{flag}", typed) == typed
+        assert resolved() == default
+
+    @pytest.mark.parametrize("key", ("no-timestamp", "config"))
+    def test_config_key_that_is_a_flag_only_is_usage_error(self, tmp_path, capsys,
+                                                           key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key}=1\n")
+        rc = main(["expected-sig", "--config", str(cfg)])
+        out, err = capsys.readouterr()
+        assert rc == 2 and out == ""
+        assert err == f"error: config key {key!r} is not an option of any command\n"
+
+    @pytest.mark.parametrize("command", DEFAULTS)
+    def test_defaults_are_the_typed_values(self, capsys, command):
+        typed = [a for flag, value in DEFAULTS[command].items()
+                 for a in (f"--{flag}", value)]
+        rc = main([*command.split(), "--no-timestamp"])
+        default_out = capsys.readouterr().out
+        assert main([*command.split(), *typed, "--no-timestamp"]) == rc
+        assert capsys.readouterr().out == default_out
 
     def test_unknown_problem_is_usage_error(self, tmp_path):
         rc, _ = run(tmp_path, "sde", "compare", "--problem", "cubic")

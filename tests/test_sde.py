@@ -423,6 +423,20 @@ class TestMcWeakValue:
         if x0 == [0.3]:
             assert est == 0.29999999999999993
 
+    @pytest.mark.parametrize("n_steps", [64, 1536])
+    def test_zero_noise_builds_no_covariance(self, monkeypatch, n_steps):
+        # only the sampler's checks run: the covariance column, a Vandermonde
+        # over n_steps + 1 lags, is never formed, where a noise field needs it
+        def refuse(*args):
+            raise AssertionError("the covariance was built")
+
+        monkeypatch.setattr(ga, "_second_differences", refuse)
+        args = (lambda y: y[:, 0], [0.3], 0.7, 1.3, 64, n_steps, 3)
+        est, _ = mc_weak_value((0.0, 0.0), *args)
+        assert est == np.full(64, 0.3).mean()
+        with pytest.raises(AssertionError, match="the covariance was built"):
+            mc_weak_value((0.0, 1.0), *args)
+
     def test_z_scores_follow_the_standard_normal_law(self):
         _check_z_scores(4096, 64)
 
