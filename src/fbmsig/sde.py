@@ -11,7 +11,9 @@ of measure rather than the discretization.
 The fields are the plain tuple (V_0, ..., V_d), V_0 pairing with time, and N
 is len(x0).  A field is either a callable that maps states (B, N) to a value
 that broadcasts to that shape, or, when it does not depend on the state, the
-constant itself (a float or an (N,) array).  When no field is callable the
+constant itself (a float or an (N,) array).  A constant of another shape is
+refused before anything is drawn, and a callable whose value does not
+broadcast to (B, N) at the first RK4 stage.  When no field is callable the
 Chen series stops at level 1 and both sides take the exact endpoint
 x0 + V_0 T + sum_i V_i B^i_T (_closed_form): the cubature paths from their
 summed increments, the reference from the sampler's endpoint sums, with no
@@ -59,6 +61,10 @@ def _checked_x0(fields: Sequence[Field], x0, steps_per_piece: int) -> np.ndarray
     x0 = np.asarray(x0, dtype=float)
     if x0.ndim != 1 or len(x0) < 1:
         raise ValueError(f"x0 must be a non-empty 1-D vector, got shape {x0.shape}")
+    for i, v in enumerate(fields):
+        if not callable(v) and np.shape(v) not in ((), x0.shape):
+            raise ValueError(f"constant field V_{i} must be a float or of shape "
+                             f"{x0.shape}, got shape {np.shape(v)}")
     return x0
 
 
@@ -123,6 +129,10 @@ def _solve(fields: Sequence[Field], x0, times: Sequence[float], increments: np.n
         half, sixth = 0.5 * h, h / 6.0
         for _ in range(steps_per_piece):
             k1 = slope(y)
+            if k1.shape != y.shape and not (k1.ndim <= 2 and all(
+                    a in (1, b) for a, b in zip(k1.shape[::-1], y.shape[::-1]))):
+                raise ValueError(f"field values of shape {k1.shape} do not broadcast "
+                                 f"to the states' shape {y.shape}")
             k2 = slope(y + half * k1)
             k3 = slope(y + half * k2)
             k4 = slope(y + h * k3)

@@ -17,17 +17,17 @@ The integrand is first reduced exactly: any variable appearing in at most one
 power factor is integrated out in closed form, splitting the term in two.
 Which variable goes next, and where each term splits, depends on the
 positions only, so the reduction runs once per shape (n, M) and per process.
-It yields a plan: every exponent is a symbol (the kernel exponent, or the
-1.0 of a free variable's interval, plus the number of integrations that each
-added 1.0), and every coefficient is the list of (sign, symbol) steps that
-divided it.  What survives is a sum of low-dimensional irreducible cores on
-the unit cube, the simplex mapped to it.  Which symbols set each axis
-exponent (an integer plus a multiple of e), and which axes each factor
-spans, depend on the core's positions only, so the plan carries them too.
-Each exponent e replays the plan with the float operations a reduction
-carrying e would do, in its order, and forms each axis exponent as the
-correctly rounded c + k e, so one integrand gets the same floats wherever its
-core sits and the values do not depend on the memos.
+It yields a plan in which every exponent is a pair (k, c) standing for
+c + k e: a kernel factor starts at (1, 0), a free variable's interval at
+(0, 1), and each integration adds 1 to c.  Every coefficient is the list of
+(sign, exponent) steps that divided it.  What survives is a sum of
+low-dimensional irreducible cores on the unit cube, the simplex mapped to it.
+Each axis exponent sums the pairs of its Jacobian and of the factors it
+collects, and which axes each factor spans depends on the core's positions
+only, so the plan carries them too.  At an exponent e, every float that a
+term reads is the correctly rounded c + k e of its pair (_exponent), so one
+integrand gets the same floats wherever its core sits and the values do not
+depend on the memos.
 
 A separable core, whose every factor spans one axis, is a product of Beta
 functions, closed in lgamma with a derived rounding bar.  A core with a link,
@@ -96,10 +96,14 @@ class CertifiedValue(NamedTuple):
 def matching_simplex_integral(n: int, pairs, exponent: float) -> CertifiedValue:
     """Integral of prod (t_b - t_a)**exponent over the ordered n-simplex.
 
-    pairs are 0-based disjoint (a, b) position pairs with a < b < n.
+    pairs are 0-based disjoint (a, b) position pairs with a < b < n, and
+    the exponent is a finite number above -1, where the integral converges.
     """
+    exponent = float(exponent)
+    if not -1.0 < exponent < math.inf:
+        raise ValueError(f"exponent must be a finite number > -1, got {exponent}")
     shape = _shape(n, tuple((int(a), int(b)) for a, b in pairs))
-    return _shape_integral(n, shape, float(exponent))
+    return _shape_integral(n, shape, exponent)
 
 
 def _shape(n: int, pairs: tuple) -> tuple[tuple, tuple | None]:
@@ -136,42 +140,43 @@ def _shape_integral(n: int, shape, exponent: float) -> CertifiedValue:
 # While the reduction runs, a term is (steps, factors, variables): factors are
 # (a, b, s) meaning (t_b - t_a)**s, with the integer sentinels 0 (t=0) and
 # n+1 (t=1) allowed as endpoints; variables is the ordered tuple of surviving
-# positions.  An exponent symbol s = (source, j) is the kernel exponent (source
-# _KERNEL) or the 1.0 of a free variable's interval (source _TIME), plus j
-# integrations; the coefficient is 1.0 times each step's sign divided by the
-# exponent s that step produced.
-
-_KERNEL, _TIME = 0, 1
+# positions.  An exponent s is a pair (k, c) standing for c + k e, the kernel
+# exponent e: a kernel factor starts at (1, 0), a free variable's interval at
+# (0, 1), and each integration adds 1 to c.  The coefficient is 1.0 times
+# each step's sign divided by the exponent that step produced.
 
 
 class _Plan(NamedTuple):
-    """The reduced terms of one shape.  symbols lists the (source, j)
-    exponent symbols; a term is (steps, axes, spans), with steps the (sign,
-    symbol index) divisions of its coefficient.  Its core has m = len(axes)
-    variables: axes holds, per axis, its exponent as (k, c), standing for
-    c + k e (the Jacobian exponent and the symbols it collects), and spans
-    the (axes, symbol index) of each factor (1 - prod x_i)**s.  closed holds,
-    per term, None for a core with a link (a span over two or more axes).  A
-    separable core, whose every span covers one axis, is prod_i B(gam_i + 1,
-    b_i + 1), b_i the sum of axis i's span exponents, and closed holds its
-    (kg, cg, kb, cb) per axis: gam_i = cg + kg e and b_i = cb + kb e."""
+    """The reduced terms of one shape, every exponent a pair (k, c) standing
+    for c + k e.  A term is (steps, axes, spans), with steps the (sign,
+    exponent) divisions of its coefficient.  Its core has m = len(axes)
+    variables: axes holds, per axis, its exponent (the Jacobian exponent plus
+    the exponents of the factors it collects), and spans the (axes, exponent)
+    of each factor (1 - prod x_i)**s.  closed holds, per term, None for a
+    core with a link (a span over two or more axes).  A separable core, whose
+    every span covers one axis, is prod_i B(gam_i + 1, b_i + 1), b_i the sum
+    of axis i's span exponents, and closed holds its (kg, cg, kb, cb) per
+    axis: gam_i = cg + kg e and b_i = cb + kb e."""
 
-    symbols: tuple[tuple[int, int], ...]
     terms: tuple[tuple[tuple, tuple, tuple], ...]
     closed: tuple[tuple | None, ...]
 
 
-def _parts(base: int, symbols) -> tuple[int, int]:
-    """base plus the sum of the exponent symbols, as (k, c) standing for
-    c + k e: (_KERNEL, j) is e + j and (_TIME, j) is 1 + j."""
-    return (sum(source == _KERNEL for source, _ in symbols),
-            base + sum(j + source for source, j in symbols))
+def _parts(base: int, exponents) -> tuple[int, int]:
+    """base plus the sum of the (k, c) exponents, as (k, c)."""
+    return sum(k for k, _ in exponents), base + sum(c for _, c in exponents)
+
+
+def _exponent(k: int, c: int, e: float) -> float:
+    """c + k e, correctly rounded: k e is exact for k <= 2, so one addition
+    rounds correctly, and fsum rounds a longer sum once."""
+    return c + k * e if k <= 2 else math.fsum([c] + [e] * k)
 
 
 # One plan per shape for the whole process.  The bound holds every shape of
 # up to four pairs on eight positions (1107, which expected_tensor(H, 1, 8)
-# asks; their plans measured 12.9 MB, and the 344 shapes of up to three pairs
-# on seven positions 2.3 MB).
+# asks; their plans hold 11.7 MB in tracemalloc, and those of the 344 shapes
+# of up to three pairs on seven positions 2.2 MB).
 @functools.lru_cache(maxsize=2048)
 def _reduce_terms(n: int, pairs) -> _Plan:
     """The plan of the 1-based shape (n, pairs).  Each core's positions are
@@ -181,7 +186,7 @@ def _reduce_terms(n: int, pairs) -> _Plan:
     plus the Jacobian prod x_i**(i-1), so every span is a run of
     neighbouring axes (up to three for four pairs)."""
     out = []
-    factors = tuple((a, b, (_KERNEL, 0)) for a, b in pairs)
+    factors = tuple((a, b, (1, 0)) for a, b in pairs)
     stack = [((), factors, tuple(range(1, n + 1)))]
     hi_sentinel = n + 1
     while stack:
@@ -207,7 +212,7 @@ def _reduce_terms(n: int, pairs) -> _Plan:
         nvs = vs[:i] + vs[i + 1 :]
         if counts[pick] == 0:
             # free (time) variable: its integral contributes (t_hi - t_lo)
-            stack.append((steps, fs + ((lo, hi, (_TIME, 0)),), nvs))
+            stack.append((steps, fs + ((lo, hi, (0, 1)),), nvs))
             continue
         rest, target = [], None
         for f in fs:
@@ -215,8 +220,8 @@ def _reduce_terms(n: int, pairs) -> _Plan:
                 target = f
             else:
                 rest.append(f)
-        a, b, (source, j) = target
-        s1 = (source, j + 1)
+        a, b, (k, c) = target
+        s1 = (k, c + 1)
         if a == pick:
             splits = ((1.0, lo, b), (-1.0, hi, b))
         else:
@@ -225,8 +230,6 @@ def _reduce_terms(n: int, pairs) -> _Plan:
             if aa == bb:
                 continue  # zero-width difference: the term vanishes
             stack.append((steps + ((sgn, s1),), tuple(rest) + ((aa, bb, s1),), nvs))
-    symbols: dict = {}
-    index = lambda s: symbols.setdefault(s, len(symbols))
     terms, closed = [], []
     for steps, fs, vs in out:
         m = len(vs)
@@ -239,12 +242,11 @@ def _reduce_terms(n: int, pairs) -> _Plan:
             if a >= 1:
                 spans.append((tuple(range(a - 1, b - 1)), s))
         axes = tuple(_parts(i, ax) for i, ax in enumerate(axes))
-        terms.append((tuple((sgn, index(s)) for sgn, s in steps), axes,
-                      tuple((ax, index(s)) for ax, s in spans)))
+        terms.append((steps, axes, tuple(spans)))
         closed.append(None if any(len(ax) > 1 for ax, _ in spans) else
                       tuple(gam + _parts(0, [s for ax, s in spans if ax == (i,)])
                             for i, gam in enumerate(axes)))
-    return _Plan(tuple(symbols), tuple(terms), tuple(closed))
+    return _Plan(tuple(terms), tuple(closed))
 
 
 def _q_for(e: float) -> int:
@@ -422,8 +424,7 @@ def _beta_product(e: float, axes) -> tuple[float, float]:
     logs, size = [], 0.0
     for kg, cg, kb, cb in axes:
         for k, c, sign in ((kg, cg + 1, 1.0), (kb, cb + 1, 1.0), (kg + kb, cg + cb + 2, -1.0)):
-            # k e is exact for k <= 2, so one addition rounds correctly
-            x = c + k * e if k <= 2 else math.fsum([c] + [e] * k)
+            x = _exponent(k, c, e)
             lg = math.lgamma(x)
             logs.append(sign * lg)
             size += abs(lg) + x + 1.0
@@ -441,32 +442,24 @@ def _reduced_integral(n: int, pairs, exponent: float) -> CertifiedValue:
     linked core between POINTS_PER_AXIS and POINTS_PER_AXIS + 16 points plus
     the rounding bar of every closed one.
 
-    The shape's plan is replayed with the same float operations in the same
-    order as a reduction carrying the exponent would do them: each symbol's
-    value is its source exponent plus 1.0, once per integration, and each
-    coefficient is 1.0 times sign / symbol value, step by step.  Each axis
-    exponent is the correctly rounded c + k e of its plan.  A separable core
-    is a product of Beta functions (_beta_product); a core with a link goes
-    to _core_numeric."""
+    Every float that a term reads is the correctly rounded c + k e of its
+    plan's pair (_exponent), and each coefficient is 1.0 times sign /
+    exponent, step by step.  A separable core is a product of Beta functions
+    (_beta_product); a core with a link goes to _core_numeric."""
     plan = _reduce_terms(n, pairs)
-    vals = []
-    for source, j in plan.symbols:
-        e = exponent if source == _KERNEL else 1.0
-        for _ in range(j):
-            e = e + 1.0
-        vals.append(e)
     total = err = scale = 0.0
     for (steps, axes, spans), closed in zip(plan.terms, plan.closed):
         coeff = 1.0
-        for sgn, s in steps:
-            coeff = coeff * sgn / vals[s]
+        for sgn, (k, c) in steps:
+            coeff = coeff * sgn / _exponent(k, c, exponent)
         if closed is not None:
             w, rel = _beta_product(exponent, closed)
             v = coeff * w
             err += rel * abs(v)
         else:
-            hi, lo = _core_numeric(tuple(math.fsum([c] + [exponent] * k) for k, c in axes),
-                                   tuple((ax, vals[s]) for ax, s in spans))
+            hi, lo = _core_numeric(tuple(_exponent(k, c, exponent) for k, c in axes),
+                                   tuple((ax, _exponent(k, c, exponent))
+                                         for ax, (k, c) in spans))
             v = coeff * hi
             err += abs(v - coeff * lo)
         total += v

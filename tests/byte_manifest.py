@@ -9,9 +9,12 @@ OPENBLAS_NUM_THREADS=1, once with --format csv and once with --format json:
 every `fbmsig ...` line of the README, five `sde compare` runs (many paths
 on 64 and 128 steps, a long grid, and the zero problem on 64 steps and on a
 long grid), each command and cubature action on every default (no flag but
---format and --no-timestamp), and the level table of the 715 canonical
-six-letter words over {0..3} at three H.  A line of the manifest is
-"md5 exit format command", the table's word list shortened to its name.
+--format and --no-timestamp), the level table of the 715 canonical
+six-letter words over {0..3} at three H, and the 379 canonical pure
+eight-letter words over {1..4} with every letter an even number of times at
+one H (the only line that reaches four-pair cores and three-axis links).  A
+line of the manifest is "md5 exit format command", each table's word list
+shortened to its name.
 With two source trees the script prints the lines that differ, each with
 the largest relative change of every numeric column that moved, and exits
 1 if any do.  Standard library only; pytest does not collect it.
@@ -33,6 +36,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 TABLE_H = ("0.5513", "0.6711", "0.9423")
+EIGHT_LETTER_H = "0.6711"
 SDE_RUNS = (
     "sde compare --H 0.75 --T 1 --paths 4096 --steps 64 --seed 7 --x0 0.3",
     "sde compare --H 0.6 --T 1.7 --paths 2048 --steps 128 --seed 8 --x0 -0.4",
@@ -56,9 +60,21 @@ def canonical_words(length: int) -> list[str]:
     return out
 
 
+def even_words(length: int) -> list[str]:
+    """Canonical pure words over {1,2,3,4}, letters first appearing as 1, 2,
+    3, 4, in which every letter occurs an even number of times."""
+    out = []
+    for word in itertools.product(range(1, 5), repeat=length):
+        seen = [x for i, x in enumerate(word) if x not in word[:i]]
+        if (seen == list(range(1, len(seen) + 1))
+                and all(word.count(x) % 2 == 0 for x in seen)):
+            out.append(",".join(map(str, word)))
+    return out
+
+
 def commands() -> list[tuple[str, list[str]]]:
     """(name, argv) of every README command, the sde runs, the runs on
-    every default and the six-letter table."""
+    every default, the six-letter tables and the eight-letter one."""
     out = []
     for line in (ROOT / "README.md").read_text().splitlines():
         match = re.match(r"\s*fbmsig\s+(.*)$", line)
@@ -70,6 +86,9 @@ def commands() -> list[tuple[str, list[str]]]:
     for H in TABLE_H:
         out.append((f"expected-sig --H {H} --words <715 six-letter words>",
                     ["expected-sig", "--H", H, "--words", words]))
+    out.append((f"expected-sig --H {EIGHT_LETTER_H} --words <379 eight-letter words>",
+                ["expected-sig", "--H", EIGHT_LETTER_H, "--words",
+                 ";".join(even_words(8))]))
     return out
 
 

@@ -3,6 +3,7 @@ import functools
 import itertools
 import math
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -426,6 +427,17 @@ class TestMatchingIntegralValidation:
         with pytest.raises(ValueError, match="tolerance must be > 0"):
             QuadConfig(tol=float("nan"))
 
+    @pytest.mark.parametrize("exponent", [-1.5, -1.0, -math.inf, math.inf, math.nan])
+    def test_divergent_exponent_refused(self, exponent):
+        # the integral of (t_2 - t_1)**e diverges for e <= -1: -1.5 gave
+        # -4.0, B(e + 1, 2) continued past its pole, and -1.0 divided by zero
+        with pytest.raises(ValueError, match="finite number > -1"):
+            matching_simplex_integral(2, [(0, 1)], exponent)
+
+    def test_positive_exponent_accepted(self):
+        # B(3/2, 2) = 4/15 for the one pair on two positions
+        assert matching_simplex_integral(2, [(0, 1)], 0.5).value == 4.0 / 15.0
+
 
 def _perfect_matchings(points):
     if not points:
@@ -500,9 +512,15 @@ def _sum_of_numeric_terms(n, pairs, e):
 
 class TestShapePlan:
     def test_replay_equals_numeric_reduction_and_plans_once(self):
-        # the plan replays the numeric reduction's float operations in its
-        # order, so every value and bar is the same double; one plan serves
-        # every H
+        # the plan forms each exponent as the correctly rounded c + k e, the
+        # numeric reduction a divisor e + j as e + 1.0 + ... + 1.0.  e =
+        # 2H - 2 is a multiple of 2^-52 in (-1, 0), and e + j < 8 for
+        # j <= 8, where doubles are spaced at most 2^-50: the partial sums
+        # round to 2^-51 and then to 2^-50, ties to even, which gives the
+        # double nearest e + j (e + 9 rounds three times and can miss it by
+        # an ulp).  A shape on n positions divides by e + j for j <= n, so
+        # on these shapes every value and bar is the same double.  One plan
+        # serves every H
         shapes = list(_shapes(7))
         assert len(set(shapes)) == len(shapes) == 344
         sq._reduce_terms.cache_clear()
@@ -513,6 +531,33 @@ class TestShapePlan:
                 assert sq._reduced_integral(n, pairs, e) == _sum_of_numeric_terms(n, pairs, e)
         sq._reduced_integral.cache_clear()
         assert sq._reduce_terms.cache_info().misses == len(shapes)
+
+    @pytest.mark.parametrize("H", (0.5001, 0.999))
+    def test_replay_equals_numeric_reduction_on_eight_positions(self, H):
+        # the 105 pure four-pair shapes, whose cores reach four axes and
+        # whose spans three; their divisors stop at e + 8
+        e = 2.0 * H - 2.0
+        shapes = [(8, tuple((a + 1, b + 1) for a, b in matching))
+                  for matching in enumerate_matchings(8)]
+        assert len(shapes) == 105
+        sq._reduced_integral.cache_clear()
+        for n, pairs in shapes:
+            assert sq._reduced_integral(n, pairs, e) == _sum_of_numeric_terms(n, pairs, e)
+        sq._reduced_integral.cache_clear()
+
+    def test_exponent_is_correctly_rounded(self):
+        # c + k e as the double nearest the exact value, for kernel exponents
+        # 2H - 2 and for other e, negative and positive, of every magnitude
+        rng = np.random.default_rng(43)
+        es = ([2.0 * H - 2.0 for H in rng.uniform(0.5, 1.0, 40)]
+              + list(rng.uniform(-1.0, 0.0, 40)) + list(rng.uniform(0.0, 4.0, 40))
+              + list(rng.uniform(-1.0, 1.0, 40) * 2.0 ** rng.integers(-40, 40, 40))
+              + [-0.3, 0.37, 2.0 * 0.5001 - 2.0, 2.0 * 0.999 - 2.0])
+        for e in map(float, es):
+            for k in range(9):
+                for c in range(-3, 13):
+                    want = float(Fraction(c) + k * Fraction(e))
+                    assert sq._exponent(k, c, e) == want, (k, c, e)
 
 
 class TestSeparableCores:

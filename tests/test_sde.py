@@ -360,8 +360,17 @@ class TestMcWeakValue:
         ((0.0, 1.0), [[0.0]], 1, "x0 must be a non-empty 1-D vector"),
         ((0.0, 1.0), [], 1, "x0 must be a non-empty 1-D vector"),
         ((0.0, 1.0), [0.0], 0, "steps_per_piece must be >= 1"),
+        # a constant is a float or an (N,) array: these gave states of
+        # shape (B, 2) and (B, 3) for N = 1, and a number back
+        ((0.0, np.array([1.0, 2.0])), [0.0], 1,
+         r"constant field V_1 must be a float or of shape \(1,\), got shape \(2,\)"),
+        ((np.zeros(3), 1.0), [0.0], 1,
+         r"constant field V_0 must be a float or of shape \(1,\), got shape \(3,\)"),
+        ((ZERO, np.ones((1, 2))), [0.0, 0.0], 1,
+         r"constant field V_1 must be a float or of shape \(2,\), got shape \(1, 2\)"),
     ], ids=["one-field", "nested-x0", "empty-x0", "no-steps", "constant-one-field",
-            "constant-nested-x0", "constant-empty-x0", "constant-no-steps"])
+            "constant-nested-x0", "constant-empty-x0", "constant-no-steps",
+            "constant-V1-too-long", "constant-V0-too-long", "constant-2d-among-callables"])
     def test_inputs_refused_before_sampling(self, monkeypatch, fields, x0,
                                             steps_per_piece, message):
         def sampler(*args):
@@ -372,6 +381,21 @@ class TestMcWeakValue:
         with pytest.raises(ValueError, match=message):
             mc_weak_value(fields, lambda y: y[:, 0], x0, 0.7, 1.0, n_paths=20000,
                           n_steps=1024, seed=0, steps_per_piece=steps_per_piece)
+
+    # a callable's value must broadcast to the (B, N) states: these gave
+    # states of shape (B, 2), or (B, B, 1), for N = 1
+    @pytest.mark.parametrize("field", [lambda y: np.array([1.0, 2.0]),
+                                       lambda y: np.ones((len(y), 2)),
+                                       lambda y: y[:, :, None]],
+                             ids=["vector", "two-columns", "three-dims"])
+    def test_field_values_that_do_not_broadcast_are_refused(self, field):
+        for fields in ((ZERO, field), (field, ONE)):
+            with pytest.raises(ValueError, match="do not broadcast to the states' shape"):
+                mc_weak_value(fields, lambda y: y[:, 0], [0.0], 0.7, 1.0, n_paths=20,
+                              n_steps=8, seed=0)
+            with pytest.raises(ValueError, match=r"shape \(3, 1\)"):
+                cubature_weak_value(fields, lambda y: y[:, 0], [0.0],
+                                    three_path_formula(0.7), 1.0)
 
     # the sampler refuses these before the time grid is built from them,
     # which would divide by zero or warn of inf * 0
