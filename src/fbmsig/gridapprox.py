@@ -9,7 +9,11 @@ kernel by exact cell-pair integrals of |x - y|^(2H-2).  Those sums are
 evaluated by tie pattern (which neighbouring positions share a cell) as
 strictly increasing chain sums over the cell kernel, which depends only on
 the distance between two cells; every chain sum is a prefix-sum expression
-costing O(m), so the grid can grow to 2^18 cells.
+costing O(m), so the grid can grow to 2^18 cells.  What does not depend on
+H is built once per grid size and kept for grids of up to 1024 cells (at
+most 5 MiB): the chain weights and the crossing sum's weights and indices.
+The kernel's series powers are rows of one table of 256 rows (48 KiB),
+which the sampler's covariances share.
 """
 from __future__ import annotations
 
@@ -67,23 +71,51 @@ def _series_coefficients(H: float) -> np.ndarray:
     return c
 
 
-def _second_differences(H: float, r: np.ndarray) -> np.ndarray:
-    """(r+1)^2H - 2 r^2H + (r-1)^2H for integer cell distances r, with the
-    diagonal value 2 at r = 0: the integral of |x-y|^(2H-2) over two cells of
-    the uniform m-grid r apart, up to the factor m^(-2H)/(2H(2H-1)).
+def _second_differences(H: float, n: int) -> np.ndarray:
+    """(r+1)^2H - 2 r^2H + (r-1)^2H for the integer cell distances
+    r = 0..n-1, with the diagonal value 2 at r = 0: the integral of
+    |x-y|^(2H-2) over two cells of the uniform m-grid r apart, up to the
+    factor m^(-2H)/(2H(2H-1)).
 
     The direct formula cancels to a relative error of about
     eps r^2 / (2H(2H-1)).  Instead r = 1 uses 2 expm1((2H-1) ln 2), and
     r >= 2 the series r^(2H-2) sum_j c_j r^(2-2j) in 1/r^2, truncated after
-    24 terms (4^-24 at r = 2) and evaluated as one matrix-vector product.
+    24 terms (4^-24 at r = 2) and evaluated as one matrix-vector product
+    with the rows of _series_powers.
     """
-    r = np.asarray(r, dtype=float)
-    d = np.where(r == 0, 2.0, 2.0 * math.expm1((2.0 * H - 1.0) * math.log(2.0)))
-    far = r >= 2
-    rf = r[far]
-    powers = np.vander(1.0 / (rf * rf), _SERIES_TERMS, increasing=True)
-    d[far] = rf ** (2.0 * H - 2.0) * (powers @ _series_coefficients(H))
+    d = np.full(n, 2.0 * math.expm1((2.0 * H - 1.0) * math.log(2.0)))
+    d[:1] = 2.0
+    rf = np.arange(2.0, n)
+    d[2:] = rf ** (2.0 * H - 2.0) * (_series_powers(len(rf)) @ _series_coefficients(H))
     return d
+
+
+# The powers depend on the distance only, so the kernels of up to
+# _POWER_ROWS + 2 distances slice their rows from one table of _POWER_ROWS
+# rows (48 KiB).  Longer kernels build their rows afresh: a kept table of
+# 2048 rows (384 KiB) raised the peak RSS of the sde benchmark, whose long
+# grids reach it, by about 0.4 MB.
+_POWER_ROWS = 256
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@functools.lru_cache(maxsize=1)
+def _power_table(rows: int) -> np.ndarray:
+    """(1/r^2)^j for r = 2..rows+1, one row each, and j = 0..23;
+    read-only."""
+    r = np.arange(2.0, rows + 2)
+    return _read_only(np.vander(1.0 / (r * r), _SERIES_TERMS, increasing=True))
+
+
+def _series_powers(rows: int) -> np.ndarray:
+    """The rows of the power table for r = 2..rows+1."""
+    if rows > _POWER_ROWS:
+        return _power_table.__wrapped__(rows)
+    return _power_table(_POWER_ROWS)[:rows]
 
 
 def _comb(x: np.ndarray, k: int) -> np.ndarray:
@@ -97,43 +129,115 @@ def _comb(x: np.ndarray, k: int) -> np.ndarray:
     return num / math.factorial(k)
 
 
-def _chain_sum(r: int, edges, g: np.ndarray) -> float:
-    """Sum over cells d_0 < ... < d_{r-1} of prod g[d_j - d_i]^p over the
-    edges ((i, j), p), i < j, for a kernel g indexed by cell distance.
+class _Cells:
+    """The arrays of the uniform m-cell grid that the chain sums read and
+    that do not depend on H, each built on first use and read-only."""
 
-    One edge (i, j) is a sum over its distance t, weighted by the number of
-    chains with d_j - d_i = t, C(t-1, j-i-1) C(m-t, r-j+i).  Two edges (each
-    with p = 1, on r = 3 or 4 blocks) reduce, through the prefix sums
-    G[n] = g[1] + ... + g[n] and S = cumsum(G), to one-dimensional sums; the
-    crossing pair (0,2),(1,3) is _crossing_sum.  Each costs O(m).
-    """
-    m = len(g)
-    if not edges:
-        return float(math.comb(m, r))
-    if len(edges) == 1:
-        ((i, j), p), = edges
-        dist = np.arange(1, m, dtype=float)
-        weight = _comb(dist - 1.0, j - i - 1) * _comb(m - dist, r - (j - i))
-        return float(np.dot(g[1:] ** p, weight))
-    G = np.concatenate(([0.0], np.cumsum(g[1:])))
-    shape = tuple(e for e, _ in edges)
-    if shape == ((0, 1), (1, 2)):
-        return float(np.dot(G, G[::-1]))
-    if shape in (((0, 1), (0, 2)), ((0, 2), (1, 2))):
-        dist = np.arange(1, m)
-        return float(np.dot((m - dist) * g[1:], G[:-1]))
-    if shape == ((0, 1), (2, 3)):
-        return float(np.dot(np.cumsum(G)[:-1], G[-2::-1]))
-    if shape == ((0, 3), (1, 2)):
-        dist = np.arange(2, m)
-        return float(np.dot((m - dist) * g[2:], np.cumsum(G)[: m - 2]))
-    if shape == ((0, 2), (1, 3)):
-        return _crossing_sum(g)
-    raise ValueError(f"no chain sum for edges {shape}")
+    def __init__(self, m: int):
+        self.m = m
+        self._chain_weights: dict = {}
+
+    def chain_weights(self, r: int, span: int) -> np.ndarray:
+        """C(t-1, span-1) C(m-t, r-span) for t = 1..m-1: the number of
+        chains of r cells whose cells i and i + span lie t apart."""
+        key = (r, span)
+        if key not in self._chain_weights:
+            dist = np.arange(1.0, self.m)
+            self._chain_weights[key] = _read_only(
+                _comb(dist - 1.0, span - 1) * _comb(self.m - dist, r - span))
+        return self._chain_weights[key]
+
+    @functools.cached_property
+    def rest(self) -> np.ndarray:
+        """m - t for t = 1..m-1."""
+        return _read_only(self.m - np.arange(1.0, self.m))
+
+    @functools.cached_property
+    def crossing(self) -> tuple[np.ndarray, ...]:
+        """The arrays of _crossing_sum over d = 2..m-1: the weights d - 1,
+        d(d-1)/2 and (m-d-1)(m-d)/2; the indices min(d-1, m-d) and
+        max(d, m-d) - 1; and t(m-d) - t(t+1)/2, t = max(min(d-1, m-d-1), 0)."""
+        m = self.m
+        d = np.arange(2, m)
+        rest = self.rest[1:]  # m - d
+        t = np.maximum(np.minimum(d - 1, m - d - 1), 0).astype(float)
+        return tuple(map(_read_only, (
+            d - 1.0, 0.5 * d * (d - 1.0), np.minimum(d - 1, m - d),
+            0.5 * (rest - 1.0) * rest, np.maximum(d, m - d) - 1,
+            t * rest - 0.5 * t * (t + 1.0))))
 
 
-def _crossing_sum(g: np.ndarray) -> float:
-    """Sum over cells d_0 < d_1 < d_2 < d_3 of g[d_2 - d_0] g[d_3 - d_1].
+# One _Cells per grid size of up to _MEMO_CELLS cells, for the 64 most recent
+# sizes; larger grids build theirs per call.  An entry holds at most 10
+# arrays of fewer than m doubles or indices: the chain weights of the three
+# one-edge shapes that words of up to four letters reach ((r, span) = (2, 1),
+# (3, 1), (3, 2)), m - t, and the six of the crossing sum.  So the memo
+# retains at most 64 x 10 x 8 x 1024 bytes (5 MiB) of arrays; the sizes
+# 4..64 of the benchmark's grid workload take about 0.3 MB.
+_MEMO_CELLS = 1024
+
+
+@functools.lru_cache(maxsize=64)
+def _grid_cells(m: int) -> _Cells:
+    return _Cells(m)
+
+
+def _cells(m: int) -> _Cells:
+    """The H-independent arrays of the m-cell grid: from the memo up to
+    _MEMO_CELLS cells, built afresh above."""
+    return _grid_cells(m) if m <= _MEMO_CELLS else _Cells(m)
+
+
+class _ChainSums:
+    """The chain sums of one kernel g indexed by cell distance, on the
+    m-cell grid, m = len(g): each reads the grid's H-independent arrays
+    (_cells) and the prefix sums G[n] = g[1] + ... + g[n] and S = cumsum(G),
+    which are formed once."""
+
+    def __init__(self, g: np.ndarray):
+        self.g, self.cells = g, _cells(len(g))
+
+    @functools.cached_property
+    def G(self) -> np.ndarray:
+        return np.concatenate(([0.0], np.cumsum(self.g[1:])))
+
+    @functools.cached_property
+    def S(self) -> np.ndarray:
+        return np.cumsum(self.G)
+
+    def __call__(self, r: int, edges) -> float:
+        """Sum over cells d_0 < ... < d_{r-1} of prod g[d_j - d_i]^p over
+        the edges ((i, j), p), i < j.
+
+        One edge (i, j) is a sum over its distance t, weighted by the number
+        of chains with d_j - d_i = t (_Cells.chain_weights).  Two edges (each
+        with p = 1, on r = 3 or 4 blocks) reduce, through G and S, to
+        one-dimensional sums; the crossing pair (0,2),(1,3) is
+        _crossing_sum.  Each costs O(m).
+        """
+        g, m = self.g, len(self.g)
+        if not edges:
+            return float(math.comb(m, r))
+        if len(edges) == 1:
+            ((i, j), p), = edges
+            return float(np.dot(g[1:] ** p, self.cells.chain_weights(r, j - i)))
+        shape = tuple(e for e, _ in edges)
+        if shape == ((0, 1), (1, 2)):
+            return float(np.dot(self.G, self.G[::-1]))
+        if shape in (((0, 1), (0, 2)), ((0, 2), (1, 2))):
+            return float(np.dot(self.cells.rest * g[1:], self.G[:-1]))
+        if shape == ((0, 1), (2, 3)):
+            return float(np.dot(self.S[:-1], self.G[-2::-1]))
+        if shape == ((0, 3), (1, 2)):
+            return float(np.dot(self.cells.rest[1:] * g[2:], self.S[: m - 2]))
+        if shape == ((0, 2), (1, 3)):
+            return _crossing_sum(g, self.cells)
+        raise ValueError(f"no chain sum for edges {shape}")
+
+
+def _crossing_sum(g: np.ndarray, cells: _Cells) -> float:
+    """Sum over cells d_0 < d_1 < d_2 < d_3 of g[d_2 - d_0] g[d_3 - d_1],
+    cells those of the m-grid, m = len(g).
 
     With k = d_2 - d_0 and l = d_3 - d_1, the chains number
     W(k, l) = sum_{a=1}^{k-1} (m - a - l)_+ for k <= l, and W is symmetric,
@@ -147,22 +251,20 @@ def _crossing_sum(g: np.ndarray) -> float:
 
     Every term is nonnegative.  The one subtraction, (m-l) P1 - P2, keeps at
     least half of its first term (k <= m - l), so it loses at most one bit.
+    The weights and indices come from _Cells.crossing.
     """
-    m = len(g)
-    if m < 4:
+    if len(g) < 4:
         return 0.0
-    d = np.arange(2, m)  # the distance k or l; g[0] and g[1] never enter
-    gd = g[2:]
-    rest = (m - d).astype(float)
-    P1 = np.concatenate(([0.0, 0.0], np.cumsum((d - 1.0) * gd)))
-    P2 = np.concatenate(([0.0, 0.0], np.cumsum(0.5 * d * (d - 1.0) * gd)))
-    top = np.minimum(d - 1, m - d)  # for l = d, the largest k of the first bullet
+    w1, w2, top, w_suffix, far_index, w_diag = cells.crossing
+    rest = cells.rest[1:]  # m - d
+    gd = g[2:]  # at the distance k or l = 2..m-1; g[0] and g[1] never enter
+    P1 = np.concatenate(([0.0, 0.0], np.cumsum(w1 * gd)))
+    P2 = np.concatenate(([0.0, 0.0], np.cumsum(w2 * gd)))
     near = np.dot(gd, rest * P1[top] - P2[top])
     # S[i] sums over l >= i + 2; for k = d, l runs from max(k, m - k) + 1
-    S = np.concatenate((np.cumsum((0.5 * (rest - 1.0) * rest * gd)[::-1])[::-1], [0.0]))
-    far = np.dot(gd, S[np.maximum(d, m - d) - 1])
-    t = np.maximum(np.minimum(d - 1, m - d - 1), 0).astype(float)
-    diag = np.dot(gd * gd, t * rest - 0.5 * t * (t + 1.0))
+    S = np.concatenate((np.cumsum((w_suffix * gd)[::-1])[::-1], [0.0]))
+    far = np.dot(gd, S[far_index])
+    diag = np.dot(gd * gd, w_diag)
     return float(diag + 2.0 * (near + far))
 
 
@@ -194,7 +296,12 @@ def approx_expected_word(word: Word, H: float, m: int) -> float:
     pattern instead: each of the 2^(2k-1) patterns of runs, weighted by
     m^(-2k) / prod s!, leaves a strictly increasing chain of distinct cells,
     and each (pattern, matching) chain sum costs O(m); m is capped at
-    _MAX_CELLS.
+    _MAX_CELLS.  The chain sums read the prefix sums of the kernel, formed
+    once per call (_ChainSums), and the arrays that depend on m only, built
+    once per grid size (_cells): the chain weights, m - t and the crossing
+    sum's weights and indices, kept for up to 64 grids of up to _MEMO_CELLS
+    cells (at most 5 MiB).  The kernel's series powers are rows of one
+    table of _POWER_ROWS rows (48 KiB, _series_powers).
     """
     check_hurst(H)
     _check_cells(m)
@@ -202,13 +309,14 @@ def approx_expected_word(word: Word, H: float, m: int) -> float:
     two_k = len(word.letters)
     if two_k % 2 != 0:
         return 0.0
-    g = 0.5 * m ** (2.0 - 2.0 * H) * _second_differences(H, np.arange(m))
+    g = 0.5 * m ** (2.0 - 2.0 * H) * _second_differences(H, m)
     # (blocks, edges between blocks) -> summed weight; a pair inside one
     # block contributes the diagonal kernel value g[0]
     weights: dict = {}
     for key, run_weight, loops in _tie_table(word.letters):
         weights[key] = weights.get(key, 0.0) + run_weight * g[0] ** loops
-    total = sum(w * _chain_sum(r, edges, g) for (r, edges), w in weights.items())
+    chain_sum = _ChainSums(g)
+    total = sum(w * chain_sum(r, edges) for (r, edges), w in weights.items())
     return total * float(m) ** -two_k
 
 
@@ -246,9 +354,9 @@ def _rounding_bar(approx: float, m: int) -> float:
     Every chain sum adds nonnegative terms, so the recursive-summation bound
     (n - 1) u sum |x_i| = (n - 1) u |value| holds for each sum of n terms,
     u = 2^-53, and the bounds of nested sums add.  The deepest nestings are
-    two prefix sums and a dot product (cumsum(G) in _chain_sum), 3m, and in
-    _crossing_sum a prefix sum, whose error the one subtraction can triple
-    (P2 <= (m-l) P1 / 2), and a dot product, 3m + m = 4m.  The 64 covers
+    two prefix sums and a dot product (S = cumsum(G) in _ChainSums), 3m,
+    and in _crossing_sum a prefix sum, whose error the one subtraction can
+    triple (P2 <= (m-l) P1 / 2), and a dot product, 3m + m = 4m.  The 64 covers
     the kernel (within 5u of 30-digit mpmath per factor), the products and
     the sum over at most 24 (pattern, matching) terms.
     """
@@ -509,7 +617,7 @@ def _fgn_gamma(H: float, m: int, d: int, n_paths: int, T: float) -> np.ndarray:
     """gamma_0..gamma_m, the covariances of the increments on the uniform
     m-grid of [0, T], after the sampler's checks (_sample_scale)."""
     scale = _sample_scale(H, m, d, n_paths, T)
-    return 0.5 * scale * _second_differences(H, np.arange(m + 1))
+    return 0.5 * scale * _second_differences(H, m + 1)
 
 
 def _sample_scale(H: float, m: int, d: int, n_paths: int, T: float) -> float:

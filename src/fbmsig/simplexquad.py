@@ -19,9 +19,10 @@ Which variable goes next, and where each term splits, depends on the
 positions only, so the reduction runs once per shape (n, M) and per process.
 It yields a plan in which every exponent is a pair (k, c) standing for
 c + k e: a kernel factor starts at (1, 0), a free variable's interval at
-(0, 1), and each integration adds 1 to c.  Every coefficient is the list of
-(sign, exponent) steps that divided it.  What survives is a sum of
-low-dimensional irreducible cores on the unit cube, the simplex mapped to it.
+(0, 1), and each integration adds 1 to c.  Every coefficient is a chain of
+(sign, exponent) divisions, and terms that share a prefix of the chain share
+its coefficient.  What survives is a sum of low-dimensional irreducible
+cores on the unit cube, the simplex mapped to it.
 Each axis exponent sums the pairs of its Jacobian and of the factors it
 collects, and which axes each factor spans depends on the core's positions
 only, so the plan carries them too.  At an exponent e, every float that a
@@ -148,17 +149,23 @@ def _shape_integral(n: int, shape, exponent: float) -> CertifiedValue:
 
 class _Plan(NamedTuple):
     """The reduced terms of one shape, every exponent a pair (k, c) standing
-    for c + k e.  A term is (steps, axes, spans), with steps the (sign,
-    exponent) divisions of its coefficient.  Its core has m = len(axes)
-    variables: axes holds, per axis, its exponent (the Jacobian exponent plus
-    the exponents of the factors it collects), and spans the (axes, exponent)
-    of each factor (1 - prod x_i)**s.  closed holds, per term, None for a
-    core with a link (a span over two or more axes).  A separable core, whose
-    every span covers one axis, is prod_i B(gam_i + 1, b_i + 1), b_i the sum
-    of axis i's span exponents, and closed holds its (kg, cg, kb, cb) per
-    axis: gam_i = cg + kg e and b_i = cb + kb e."""
+    for c + k e, held once in exponents and named by its index there.
+    divisions builds the coefficients: each entry (parent, sign, i) makes
+    the next coefficient, the parent's (0 is 1.0) times sign divided by
+    exponent i, so terms that share a prefix of divisions share its
+    coefficients.  A term is (coefficient, axes, spans).  Its core has
+    m = len(axes) variables: axes holds, per axis, its exponent (the
+    Jacobian exponent plus the exponents of the factors it collects), and
+    spans the (axes, exponent) of each factor (1 - prod x_i)**s.  closed
+    holds, per term, None for a core with a link (a span over two or more
+    axes).  A separable core, whose every span covers one axis, is
+    prod_i B(gam_i + 1, b_i + 1), b_i the sum of axis i's span exponents,
+    and closed holds its (kg, cg, kb, cb) per axis: gam_i = cg + kg e and
+    b_i = cb + kb e."""
 
-    terms: tuple[tuple[tuple, tuple, tuple], ...]
+    exponents: tuple[tuple[int, int], ...]
+    divisions: tuple[tuple[int, float, int], ...]
+    terms: tuple[tuple[int, tuple, tuple], ...]
     closed: tuple[tuple | None, ...]
 
 
@@ -230,7 +237,17 @@ def _reduce_terms(n: int, pairs) -> _Plan:
             if aa == bb:
                 continue  # zero-width difference: the term vanishes
             stack.append((steps + ((sgn, s1),), tuple(rest) + ((aa, bb, s1),), nvs))
-    terms, closed = [], []
+    index: dict = {}  # exponent pair -> its index in exponents
+    nodes: dict = {(): 0}  # prefix of steps -> its coefficient
+    divisions, terms, closed = [], [], []
+
+    def node(steps):
+        if steps not in nodes:
+            sgn, s = steps[-1]
+            divisions.append((node(steps[:-1]), sgn, index.setdefault(s, len(index))))
+            nodes[steps] = len(divisions)
+        return nodes[steps]
+
     for steps, fs, vs in out:
         m = len(vs)
         idx = {0: 0, n + 1: m + 1} | {x: i + 1 for i, x in enumerate(vs)}
@@ -241,12 +258,16 @@ def _reduce_terms(n: int, pairs) -> _Plan:
                 axes[i - 1].append(s)
             if a >= 1:
                 spans.append((tuple(range(a - 1, b - 1)), s))
-        axes = tuple(_parts(i, ax) for i, ax in enumerate(axes))
-        terms.append((steps, axes, tuple(spans)))
-        closed.append(None if any(len(ax) > 1 for ax, _ in spans) else
-                      tuple(gam + _parts(0, [s for ax, s in spans if ax == (i,)])
-                            for i, gam in enumerate(axes)))
-    return _Plan(tuple(terms), tuple(closed))
+        axes = [_parts(i, ax) for i, ax in enumerate(axes)]
+        if any(len(ax) > 1 for ax, _ in spans):
+            closed.append(None)
+        else:
+            closed.append(tuple(gam + _parts(0, [s for ax, s in spans if ax == (i,)])
+                                for i, gam in enumerate(axes)))
+        coeff = node(steps)
+        terms.append((coeff, tuple(index.setdefault(s, len(index)) for s in axes),
+                      tuple((ax, index.setdefault(s, len(index))) for ax, s in spans)))
+    return _Plan(tuple(index), tuple(divisions), tuple(terms), tuple(closed))
 
 
 def _q_for(e: float) -> int:
@@ -443,23 +464,25 @@ def _reduced_integral(n: int, pairs, exponent: float) -> CertifiedValue:
     the rounding bar of every closed one.
 
     Every float that a term reads is the correctly rounded c + k e of its
-    plan's pair (_exponent), and each coefficient is 1.0 times sign /
-    exponent, step by step.  A separable core is a product of Beta functions
-    (_beta_product); a core with a link goes to _core_numeric."""
+    plan's pair (_exponent), formed once per distinct pair, and each
+    coefficient is 1.0 times sign / exponent, division by division, each
+    shared prefix divided once.  A separable core is a product of Beta
+    functions (_beta_product); a core with a link goes to _core_numeric."""
     plan = _reduce_terms(n, pairs)
+    x = [_exponent(k, c, exponent) for k, c in plan.exponents]
+    coeffs = [1.0]
+    for parent, sgn, i in plan.divisions:
+        coeffs.append(coeffs[parent] * sgn / x[i])
     total = err = scale = 0.0
-    for (steps, axes, spans), closed in zip(plan.terms, plan.closed):
-        coeff = 1.0
-        for sgn, (k, c) in steps:
-            coeff = coeff * sgn / _exponent(k, c, exponent)
+    for (coeff, axes, spans), closed in zip(plan.terms, plan.closed):
+        coeff = coeffs[coeff]
         if closed is not None:
             w, rel = _beta_product(exponent, closed)
             v = coeff * w
             err += rel * abs(v)
         else:
-            hi, lo = _core_numeric(tuple(_exponent(k, c, exponent) for k, c in axes),
-                                   tuple((ax, _exponent(k, c, exponent))
-                                         for ax, (k, c) in spans))
+            hi, lo = _core_numeric(tuple(x[i] for i in axes),
+                                   tuple((ax, x[i]) for ax, i in spans))
             v = coeff * hi
             err += abs(v - coeff * lo)
         total += v

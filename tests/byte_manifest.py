@@ -8,13 +8,15 @@ Each command runs in a fresh interpreter (python -m fbmsig.cli) with
 OPENBLAS_NUM_THREADS=1, once with --format csv and once with --format json:
 every `fbmsig ...` line of the README, five `sde compare` runs (many paths
 on 64 and 128 steps, a long grid, and the zero problem on 64 steps and on a
-long grid), each command and cubature action on every default (no flag but
---format and --no-timestamp), the level table of the 715 canonical
-six-letter words over {0..3} at three H, and the 379 canonical pure
-eight-letter words over {1..4} with every letter an even number of times at
-one H (the only line that reaches four-pair cores and three-axis links).  A
-line of the manifest is "md5 exit format command", each table's word list
-shortened to its name.
+long grid), `approx-sig` over the five grid words at three H on grids of 1
+to 2^18 cells, a `convergence` ladder to 65536 for each four-letter grid
+word at H = 0.5001 and 0.9, each command and cubature action on every
+default (no flag but --format and --no-timestamp), the level table of the
+715 canonical six-letter words over {0..3} at three H, and the 379
+canonical pure eight-letter words over {1..4} with every letter an even
+number of times at one H (the only line that reaches four-pair cores and
+three-axis links).  A line of the manifest is "md5 exit format command",
+each table's word list shortened to its name.
 With two source trees the script prints the lines that differ, each with
 the largest relative change of every numeric column that moved, and exits
 1 if any do.  Standard library only; pytest does not collect it.
@@ -46,6 +48,13 @@ SDE_RUNS = (
     "sde compare --H 0.8 --T 1.3 --paths 20 --steps 1536 --seed 11 --x0 -0.6 "
     "--problem zero",
 )
+GRID_WORDS = ("1,1", "1,1,1,1", "1,1,2,2", "1,2,1,2", "1,2,2,1")
+GRID_RUNS = (
+    f"approx-sig --H 0.5001,0.6711,0.9423 --words {';'.join(GRID_WORDS)} "
+    "--m 1,2,3,4,32,4096,262144",
+    *(f"convergence --H {H} --words {word} --m 4,16,64,256,1024,4096,16384,65536"
+      for word in GRID_WORDS[1:] for H in ("0.5001", "0.9")),
+)
 DEFAULT_RUNS = ("expected-sig", "approx-sig", "convergence", "cubature verify",
                 "cubature solve", "sde compare", "bounds")
 
@@ -73,15 +82,15 @@ def even_words(length: int) -> list[str]:
 
 
 def commands() -> list[tuple[str, list[str]]]:
-    """(name, argv) of every README command, the sde runs, the runs on
-    every default, the six-letter tables and the eight-letter one."""
+    """(name, argv) of every README command, the sde and grid runs, the
+    runs on every default, the six-letter tables and the eight-letter one."""
     out = []
     for line in (ROOT / "README.md").read_text().splitlines():
         match = re.match(r"\s*fbmsig\s+(.*)$", line)
         if match:
             argv = shlex.split(match.group(1))
             out.append((" ".join(argv), argv))
-    out += [(run, shlex.split(run)) for run in SDE_RUNS + DEFAULT_RUNS]
+    out += [(run, shlex.split(run)) for run in SDE_RUNS + GRID_RUNS + DEFAULT_RUNS]
     words = ";".join(canonical_words(6))
     for H in TABLE_H:
         out.append((f"expected-sig --H {H} --words <715 six-letter words>",

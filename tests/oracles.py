@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 
@@ -183,7 +184,7 @@ def endpoint_sum_bar(H: float, m: int, d: int, n_paths: int, seed: int,
     u = 2.0**-53
     if m > ga._CHOLESKY_STEPS:
         inc = ga._fgn_increments(H, m, d, n_paths, seed, T)
-        gamma = 0.5 * _covariance_scale(H, m, T) * _second_differences(H, np.arange(m + 1))
+        gamma = 0.5 * _covariance_scale(H, m, T) * _second_differences(H, m + 1)
         scale = ga._circulant_scale(gamma)
         w = np.abs(split_normals(seed, n_paths, d, m))
         pair = ((4.0 * m + 9.0) * 1.01 * u * (w @ np.abs(ga._circulant_end_weights(gamma)))
@@ -191,7 +192,7 @@ def endpoint_sum_bar(H: float, m: int, d: int, n_paths: int, seed: int,
                 * np.sqrt((w * w) @ (scale * scale)))
         rows = np.repeat(pair, 2)[:n_paths * d].reshape(n_paths, d)
         return rows + 2.01 * m * u * np.abs(inc).sum(axis=1)
-    gamma = 0.5 * _covariance_scale(H, m, T) * _second_differences(H, np.arange(m))
+    gamma = 0.5 * _covariance_scale(H, m, T) * _second_differences(H, m)
     column_sums = np.abs(ga._fgn_factor(gamma)).sum(axis=0)
     return 4.01 * m * u * (np.abs(split_normals(seed, n_paths, d, m)) @ column_sums)
 
@@ -200,15 +201,15 @@ def reduce_terms_numeric(n: int, factors, variables):
     """Integrate out every variable that appears in at most one factor, with
     the exponents as floats: a list of (coeff, factors, variables) terms,
     factors being (a, b, e) for (t_b - t_a)**e with the sentinels 0 (t=0)
-    and n+1 (t=1), variables the ordered surviving positions."""
+    and n+1 (t=1), variables the ordered surviving positions.  Exponents
+    are carried exactly, as Fractions, so a factor's exponent after j
+    integrations is float(Fraction(e) + j), the double nearest e + j, and
+    each coefficient is 1.0 times sign / that double, step by step."""
     out = []
-    stack = [(1.0, tuple(factors), tuple(variables))]
+    stack = [(1.0, tuple((a, b, Fraction(e)) for a, b, e in factors), tuple(variables))]
     hi_sentinel = n + 1
     while stack:
         c, fs, vs = stack.pop()
-        if not vs:
-            out.append((c, fs, vs))
-            continue
         counts = dict.fromkeys(vs, 0)
         for a, b, _ in fs:
             if a in counts:
@@ -219,7 +220,8 @@ def reduce_terms_numeric(n: int, factors, variables):
         if pick is None:
             pick = next((v for v in vs if counts[v] == 0), None)
         if pick is None:
-            out.append((c, fs, vs))  # irreducible core
+            # every variable integrated out, or an irreducible core
+            out.append((c, tuple((a, b, float(e)) for a, b, e in fs), vs))
             continue
         i = vs.index(pick)
         lo = vs[i - 1] if i > 0 else 0
@@ -227,7 +229,7 @@ def reduce_terms_numeric(n: int, factors, variables):
         nvs = vs[:i] + vs[i + 1 :]
         if counts[pick] == 0:
             # free (time) variable: its integral contributes (t_hi - t_lo)
-            stack.append((c, fs + ((lo, hi, 1.0),), nvs))
+            stack.append((c, fs + ((lo, hi, Fraction(1)),), nvs))
             continue
         rest, target = [], None
         for f in fs:
@@ -236,7 +238,7 @@ def reduce_terms_numeric(n: int, factors, variables):
             else:
                 rest.append(f)
         a, b, e = target
-        e1 = e + 1.0
+        e1 = e + 1
         if a == pick:
             splits = ((1.0, (lo, b, e1)), (-1.0, (hi, b, e1)))
         else:
@@ -244,7 +246,7 @@ def reduce_terms_numeric(n: int, factors, variables):
         for sgn, (aa, bb, ee) in splits:
             if aa == bb:
                 continue  # zero-width difference: the term vanishes
-            stack.append((c * sgn / e1, tuple(rest) + ((aa, bb, ee),), nvs))
+            stack.append((c * sgn / float(e1), tuple(rest) + ((aa, bb, ee),), nvs))
     return out
 
 
@@ -352,7 +354,7 @@ def cell_pair_integral(i: int, j: int, m: int, H: float) -> float:
     if not (0 <= i < m and 0 <= j < m):
         raise ValueError(f"cell index out of range: ({i}, {j}) for m={m}")
     two_h = 2.0 * H
-    second_diff = float(_second_differences(H, np.array([abs(i - j)]))[0])
+    second_diff = float(_second_differences(H, abs(i - j) + 1)[-1])
     return m**-two_h * second_diff / (two_h * (two_h - 1.0))
 
 
@@ -363,7 +365,7 @@ def cell_covariance_matrix(H: float, m: int) -> np.ndarray:
         raise ValueError(f"m must be >= 1, got {m}")
     r = np.abs(np.arange(m)[:, None] - np.arange(m)[None, :])
     two_h = 2.0 * H
-    return _second_differences(H, np.arange(m))[r] * (m**-two_h / (two_h * (two_h - 1.0)))
+    return _second_differences(H, m)[r] * (m**-two_h / (two_h * (two_h - 1.0)))
 
 
 def fgn_cholesky_t(H: float, m: int, T: float) -> np.ndarray:
@@ -376,7 +378,7 @@ def fgn_cholesky_t(H: float, m: int, T: float) -> np.ndarray:
     hyperbolic rotation by rho = b[k+1] / a[k] zeroes b[k+1].  |rho| < 1 at
     every step exactly when S is positive definite, so anything else raises.
     """
-    gamma = 0.5 * _covariance_scale(H, m, T) * _second_differences(H, np.arange(m))
+    gamma = 0.5 * _covariance_scale(H, m, T) * _second_differences(H, m)
     a = gamma / math.sqrt(gamma[0])
     b = a.copy()
     b[0] = 0.0

@@ -1021,6 +1021,7 @@ def test_every_exported_name_resolves(name):
 MEMOS = {
     "cli._level_cells", "cli._word", "cli.build_parser",
     "expected._word_plan", "expected.closed_form_table",
+    "gridapprox._grid_cells", "gridapprox._power_table",
     "gridapprox._series_coefficients", "gridapprox._tie_table",
     "simplexquad._beta_axis", "simplexquad._beta_product",
     "simplexquad._core_numeric", "simplexquad._gauss_legendre",
@@ -1093,3 +1094,66 @@ def test_link_grid_memo_keeps_only_two_axis_grids_within_its_bound(monkeypatch):
     assert {N for *_, N in grids} == {sq.POINTS_PER_AXIS, sq.POINTS_PER_AXIS + 16}
     for (*_, N), grid in grids.items():
         assert grid.shape == (N, N) and not grid.flags.writeable
+
+
+GRID_WORDS = "1,1;1,1,1,1;1,1,2,2;1,2,1,2;1,2,2,1"
+
+
+def test_grid_bytes_do_not_depend_on_memo_state(tmp_path):
+    # approx-sig over the five grid words at the smallest grids and m = 64,
+    # and a convergence ladder to 65536 over the four-letter words, at three
+    # fresh H: once with every memo warm from other H and once with every
+    # memo cleared first
+    out = tmp_path / "out"
+    runs = (["approx-sig", "--words", GRID_WORDS, "--m", "1,2,3,4,64"],
+            ["convergence", "--words", GRID_WORDS[4:], "--m", "4,64,1024,4096,65536"])
+
+    def output(argv, H, fmt):
+        rc = main(argv + ["--H", H, "--no-timestamp", "--format", fmt, "--out", str(out)])
+        return rc, out.read_bytes()
+
+    for H in ("0.7341", "0.8123"):
+        for argv in runs:
+            main(argv + ["--H", H, "--out", str(out)])
+    hs = ("0.5513", "0.6711", "0.9423")
+    warm = {(i, H, fmt): output(argv, H, fmt)
+            for i, argv in enumerate(runs) for H in hs for fmt in ("csv", "json")}
+    for (i, H, fmt), want in warm.items():
+        _clear_memos()
+        assert output(runs[i], H, fmt) == want, (runs[i][0], H, fmt)
+
+
+def test_grid_memos_hold_read_only_arrays_within_their_bound():
+    # the bound the memos state: 64 grids of up to 1024 cells, each at most
+    # 10 arrays of fewer than m 8-byte numbers, and one table of 256 rows of
+    # series powers; larger grids are not kept
+    import tracemalloc
+
+    words = [Word(tuple(map(int, w.split(","))), 2) for w in GRID_WORDS.split(";")]
+    ga._grid_cells.cache_clear()
+    ga._power_table.cache_clear()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        for m in range(1024 - 63, 1024 + 1):
+            for w in words:
+                ga.approx_expected_word(w, 0.6, m)
+        full = tracemalloc.get_traced_memory()[0] - base
+        for w in words:
+            ga.approx_expected_word(w, 0.6, 2**18)
+        after = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    info = ga._grid_cells.cache_info()
+    assert info.currsize == info.maxsize == 64
+    cells = ga._grid_cells(1024)
+    held = [*cells._chain_weights.values(), cells.rest, *cells.crossing]
+    assert sorted(cells._chain_weights) == [(2, 1), (3, 1), (3, 2)] and len(held) == 10
+    assert all(not a.flags.writeable and a.nbytes < 8 * 1024 for a in held)
+    rows = ga._series_powers(62)
+    assert not rows.flags.writeable and rows.base.shape == (256, 24)
+    bound = 64 * 10 * 8 * 1024 + 256 * 24 * 8
+    # the arrays' headers, the entries and the word tables take the rest
+    assert full <= bound + 2**18, full
+    # nothing of the 2^18-cell grid stays: one of its kernels is 2 MiB
+    assert after - full < 2**16, after - full

@@ -512,15 +512,9 @@ def _sum_of_numeric_terms(n, pairs, e):
 
 class TestShapePlan:
     def test_replay_equals_numeric_reduction_and_plans_once(self):
-        # the plan forms each exponent as the correctly rounded c + k e, the
-        # numeric reduction a divisor e + j as e + 1.0 + ... + 1.0.  e =
-        # 2H - 2 is a multiple of 2^-52 in (-1, 0), and e + j < 8 for
-        # j <= 8, where doubles are spaced at most 2^-50: the partial sums
-        # round to 2^-51 and then to 2^-50, ties to even, which gives the
-        # double nearest e + j (e + 9 rounds three times and can miss it by
-        # an ulp).  A shape on n positions divides by e + j for j <= n, so
-        # on these shapes every value and bar is the same double.  One plan
-        # serves every H
+        # the plan forms each exponent as the correctly rounded c + k e, and
+        # the numeric reduction each divisor e + j as float(Fraction(e) + j),
+        # so every value and bar is the same double.  One plan serves every H
         shapes = list(_shapes(7))
         assert len(set(shapes)) == len(shapes) == 344
         sq._reduce_terms.cache_clear()
@@ -540,6 +534,20 @@ class TestShapePlan:
         shapes = [(8, tuple((a + 1, b + 1) for a, b in matching))
                   for matching in enumerate_matchings(8)]
         assert len(shapes) == 105
+        sq._reduced_integral.cache_clear()
+        for n, pairs in shapes:
+            assert sq._reduced_integral(n, pairs, e) == _sum_of_numeric_terms(n, pairs, e)
+        sq._reduced_integral.cache_clear()
+
+    @pytest.mark.parametrize("H", (0.5513, 0.9423))
+    def test_replay_equals_numeric_reduction_on_nine_and_ten_positions(self, H):
+        # one and two pairs among 9 and 10 positions, the others time
+        # letters: divisors reach e + 10, where adding 1.0 ten times to e
+        # misses the double nearest e + 10 for about one e in eight (at
+        # these H, 70 and 68 of the values would differ)
+        shapes = [shape for shape in _shapes(10, max_pairs=2) if shape[0] >= 9]
+        assert len(shapes) == 36 + 378 + 45 + 630
+        e = 2.0 * H - 2.0
         sq._reduced_integral.cache_clear()
         for n, pairs in shapes:
             assert sq._reduced_integral(n, pairs, e) == _sum_of_numeric_terms(n, pairs, e)

@@ -98,7 +98,7 @@ class TestCellPairIntegral:
 
         mpmath = pytest.importorskip("mpmath")
         m = 4096
-        got = _second_differences(H, np.arange(1, m))
+        got = _second_differences(H, m)[1:]
         with mpmath.workdps(40):
             a = 2 * mpmath.mpf(H)
             want = [(k + 1) ** a - 2 * mpmath.mpf(k) ** a + (k - 1) ** a
@@ -218,7 +218,7 @@ class TestApproxExpectedWord:
 
 
 def _kernel(H, m):
-    return 0.5 * m ** (2.0 - 2.0 * H) * ga._second_differences(H, np.arange(m))
+    return 0.5 * m ** (2.0 - 2.0 * H) * ga._second_differences(H, m)
 
 
 EDGE_H = (0.5001, 0.6, 0.75, 0.9, 0.99)
@@ -229,7 +229,7 @@ class TestCrossingSum:
     @pytest.mark.parametrize("m", (4, 5, 9, 64, 257, 4096))
     def test_matches_loop(self, H, m):
         g = _kernel(H, m)
-        got, want = ga._crossing_sum(g), crossing_sum_by_loop(g)
+        got, want = ga._crossing_sum(g, ga._cells(len(g))), crossing_sum_by_loop(g)
         assert abs(got - want) <= 1e-13 * want
         assert abs(got - want) <= ga._rounding_bar(got, m)
 
@@ -237,7 +237,7 @@ class TestCrossingSum:
     def test_matches_brute_force(self, H):
         for m in range(1, 10):
             g = _kernel(H, m)
-            got, want = ga._crossing_sum(g), crossing_sum_brute(g)
+            got, want = ga._crossing_sum(g, ga._cells(len(g))), crossing_sum_brute(g)
             assert abs(got - want) <= 1e-15 * want
             assert (got == 0.0) == (m < 4)
 
@@ -487,7 +487,7 @@ def dense_fbm_batch(H, m, d, n_paths, seed, T=1.0):
 
 def fgn_gamma(H, m, T=1.0):
     """gamma_0..gamma_m, the increment covariances the sampler factors."""
-    return 0.5 * ga._covariance_scale(H, m, T) * ga._second_differences(H, np.arange(m + 1))
+    return 0.5 * ga._covariance_scale(H, m, T) * ga._second_differences(H, m + 1)
 
 
 def sampler_map_gram(H, m, T=1.0):
@@ -787,8 +787,8 @@ class TestToeplitzSampler:
         # Schur recursion finds where S stops being positive definite.
         kernel = np.zeros(m + 1)
         kernel[0], kernel[lag] = 2.0, value
-        def broken(H, r):
-            return kernel[: len(r)]
+        def broken(H, n):
+            return kernel[:n]
 
         monkeypatch.setattr(ga, "_second_differences", broken)
         monkeypatch.setattr(oracles, "_second_differences", broken)
@@ -802,7 +802,7 @@ class TestToeplitzSampler:
     def test_nan_eigenvalue_raises(self, monkeypatch):
         kernel = np.zeros(301)
         kernel[0], kernel[7] = 2.0, math.nan
-        monkeypatch.setattr(ga, "_second_differences", lambda H, r: kernel[: len(r)])
+        monkeypatch.setattr(ga, "_second_differences", lambda H, n: kernel[:n])
         with pytest.raises(RuntimeError, match="eigenvalue below 0 or NaN$"):
             sample_fbm_batch(0.75, 300, 1, 1, seed=0)
 
