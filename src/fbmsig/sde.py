@@ -23,6 +23,7 @@ observable f maps the (B, N) endpoints to B values, once per weak value.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
@@ -269,15 +270,30 @@ class BoundShape(NamedTuple):
     branch: str
 
 
-_LOG2 = math.log(2.0)
+# log k! = lgamma(k + 1) for the k < _LOG_FACTORIALS that most series reach,
+# one read-only table of 8 KiB built on first use (never at import); the
+# terms of a longer series compute theirs per chunk, uncached.
+_LOG_FACTORIALS = 1024
+# the series' terms are summed in chunks of at most this many (512 KiB an
+# array), where the chunks of a refused series would double to 32 MiB
+_MAX_CHUNK = 1 << 16
+# a series still unfinished after this many terms is refused
+_MAX_TERMS = 5_000_000
 
 
-def _logaddexp(x: float, y: float) -> float:
-    """log(exp(x) + exp(y)) for finite x and y: numpy's logaddexp formula in
-    scalar math, so the result is the same double."""
-    if x == y:
-        return x + _LOG2
-    return max(x, y) + math.log1p(math.exp(-abs(x - y)))
+@functools.lru_cache(maxsize=1)
+def _log_factorial_table(n: int) -> np.ndarray:
+    """log k! for k = 0..n-1; read-only."""
+    table = np.fromiter(map(math.lgamma, range(1, n + 1)), float, n)
+    table.flags.writeable = False
+    return table
+
+
+def _log_factorials(lo: int, hi: int) -> np.ndarray:
+    """log k! for k = lo..hi-1."""
+    if hi <= _LOG_FACTORIALS:
+        return _log_factorial_table(_LOG_FACTORIALS)[lo:hi]
+    return np.fromiter(map(math.lgamma, range(lo + 1, hi + 1)), float, hi - lo)
 
 
 def _entire_series(z: float, gamma: float) -> float:
@@ -285,24 +301,37 @@ def _entire_series(z: float, gamma: float) -> float:
 
     Summed in log space (terms peak near k = z^(1/(1/2-gamma)) and can dwarf
     the float range); a value beyond double precision comes back as inf.
+    The terms k = 1, 2, ... are taken in chunks, the first sized from the
+    peak (at most 1023 terms) and each later one twice the last (at most
+    _MAX_CHUNK): per chunk the log terms k log z - (1/2-gamma) log k! and
+    their running log-sum (np.logaddexp.accumulate, seeded with the sum so
+    far).  The sum stops at the first k where the log-sum reaches 709 (inf)
+    or where z / k^(1/2-gamma) < 1 and the term lies 40 below the log-sum,
+    the rule checked in scalar arithmetic at each k where the second part
+    holds; so the value is the same double as a term-by-term loop's.  A
+    series unfinished after _MAX_TERMS terms (gamma within about 1e-7 of 1/2)
+    is refused with a ValueError.
     """
     if z <= 0.0:
         return 1.0
     power = 0.5 - gamma
     logz = math.log(z)
     total_log = 0.0  # log of the k = 0 term
-    k = 0
-    while True:
-        k += 1
-        logt = k * logz - power * math.lgamma(k + 1)
-        total_log = _logaddexp(total_log, logt)
-        if total_log >= 709.0:
-            return math.inf  # the log-sum never decreases
-        if z / k**power < 1.0 and logt < total_log - 40.0:
-            break
-        if k > 5_000_000:
-            raise RuntimeError("series failed to converge (gamma too close to 1/2?)")
-    return math.exp(total_log)
+    lo, size = 1, int(min(_LOG_FACTORIALS - 1, 2.0 * math.exp(min(logz / power, 7.0)) + 64))
+    while lo <= _MAX_TERMS + 1:
+        hi = min(lo + size, _MAX_TERMS + 2)
+        logt = np.arange(lo, hi, dtype=float) * logz - power * _log_factorials(lo, hi)
+        acc = np.logaddexp.accumulate(np.concatenate(([total_log], logt)))[1:]
+        over = acc >= 709.0  # the log-sum never decreases
+        end = int(over.argmax()) if over[-1] else len(acc)
+        for i in np.flatnonzero(logt[:end] < acc[:end] - 40.0).tolist():
+            if z / (lo + i) ** power < 1.0:
+                return math.exp(acc[i])
+        if end < len(acc):
+            return math.inf
+        total_log, lo, size = acc[-1], hi, min(2 * size, _MAX_CHUNK)
+    raise ValueError(f"the error bound's series at z = {z!r} does not converge within "
+                     f"{_MAX_TERMS} terms: --gamma {gamma!r} lies too close to 1/2")
 
 
 def error_bound_shape(params: ErrorBoundParams, T: float) -> BoundShape:

@@ -12,8 +12,10 @@ closed-form cell-pair kernel integrals, the Schur recursion for the fGn
 Cholesky factor that `fbmsig.gridapprox._fgn_factor` takes from LAPACK (it
 locates where a broken kernel stops being positive definite), the O(m^2) loop
 and the four-fold brute force that `fbmsig.gridapprox._crossing_sum` replaces,
-the words of one shuffle class, and the per-call matching sum that
-`fbmsig.expected._word_plan` builds once per word."""
+the words of one shuffle class, the per-call matching sum that
+`fbmsig.expected._word_plan` builds once per word, and the term-by-term sum
+of the error bound's series that `fbmsig.sde._entire_series` takes in
+numpy chunks."""
 from __future__ import annotations
 
 import itertools
@@ -454,3 +456,38 @@ def expected_word_by_matchings(word: Word, H: float, config: sq.QuadConfig | Non
     if error > config.tol:
         raise QuadratureToleranceError(word, value, error, config.tol)
     return sq.CertifiedValue(value, error)
+
+
+_LOG2 = math.log(2.0)
+
+
+def logaddexp(x: float, y: float) -> float:
+    """log(exp(x) + exp(y)) for finite x and y: numpy's logaddexp formula in
+    scalar math, so the result is the same double."""
+    if x == y:
+        return x + _LOG2
+    return max(x, y) + math.log1p(math.exp(-abs(x - y)))
+
+
+def entire_series_by_terms(z: float, gamma: float) -> float:
+    """sum_k z^k / (k!)^(1/2 - gamma) summed one term at a time in log space,
+    with the stop rules of `fbmsig.sde._entire_series`: inf once the log-sum
+    reaches 709, a stop at the first k where z / k^(1/2-gamma) < 1 and the
+    term lies 40 below the log-sum, and a refusal after 5000000 terms."""
+    if z <= 0.0:
+        return 1.0
+    power = 0.5 - gamma
+    logz = math.log(z)
+    total_log = 0.0  # log of the k = 0 term
+    k = 0
+    while True:
+        k += 1
+        logt = k * logz - power * math.lgamma(k + 1)
+        total_log = logaddexp(total_log, logt)
+        if total_log >= 709.0:
+            return math.inf  # the log-sum never decreases
+        if z / k**power < 1.0 and logt < total_log - 40.0:
+            break
+        if k > 5_000_000:
+            raise ValueError("series failed to converge")
+    return math.exp(total_log)

@@ -1,5 +1,6 @@
 import csv
 import importlib
+import importlib.util
 import io
 import itertools
 import json
@@ -9,6 +10,7 @@ import pkgutil
 import subprocess
 import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -892,6 +894,61 @@ class TestHarness:
         assert argv[-2] in capsys.readouterr().err
 
 
+def _benchmark_requests(rounds: int) -> list[list[str]]:
+    """Every request of the first rounds of each benchmark workload, as the
+    benchmark's worker passes it to main."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [argv + ["--no-timestamp"] for name in workloads.WORKLOADS
+            for r in workloads.generate(name, 3, rounds) for argv in r]
+
+
+class TestDispatch:
+    def test_each_request_parses_to_the_root_parsers_namespace(self):
+        requests = _benchmark_requests(4)
+        assert len(requests) == 4 * (8 + 21 + 13)
+        for argv in requests:
+            assert cli._parse(argv) == cli.build_parser().parse_args(argv), argv
+
+    USAGE = ("usage: fbmsig [-h]\n"
+             "              {expected-sig,approx-sig,convergence,cubature,sde,bounds} ...\n")
+
+    @pytest.mark.parametrize("argv, err", [
+        (["approx-sig", "--bogus", "1"],
+         USAGE + "fbmsig: error: unrecognized arguments: --bogus 1\n"),
+        (["cubature", "verify", "--bogus"],
+         USAGE + "fbmsig: error: unrecognized arguments: --bogus\n"),
+        (["sde", "compare", "extra"],
+         USAGE + "fbmsig: error: unrecognized arguments: extra\n"),
+        ([], USAGE + "fbmsig: error: the following arguments are required: command\n"),
+        (["bogus"],
+         USAGE + "fbmsig: error: argument command: invalid choice: 'bogus' (choose from "
+         "'expected-sig', 'approx-sig', 'convergence', 'cubature', 'sde', 'bounds')\n"),
+        (["cubature"],
+         "usage: fbmsig cubature [-h] {verify,solve} ...\n"
+         "fbmsig cubature: error: the following arguments are required: action\n"),
+        (["cubature", "verify", "--branch", "both"],
+         "usage: fbmsig cubature verify [-h] [--config CONFIG] [--out OUT]\n"
+         "                              [--format {csv,json}] [--no-timestamp]\n"
+         "                              [--tol TOL] [--H H] [--branch {minus,plus}]\n"
+         "                              [--degree DEGREE]\n"
+         "fbmsig cubature verify: error: argument --branch: invalid choice: 'both' "
+         "(choose from 'minus', 'plus')\n"),
+    ], ids=["leftover-flag", "leftover-action-flag", "leftover-positional", "no-command",
+            "unknown-command", "no-action", "action-choice"])
+    def test_usage_errors_keep_their_text(self, capsys, monkeypatch, argv, err):
+        # leftovers are reported by the root parser, as parse_args reports
+        # them, the rest by the parser that meets them; the width of the
+        # usage lines follows COLUMNS
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr() == ("", err)
+
+
 class TestListFlags:
     @pytest.mark.parametrize("argv, flag", [
         (["expected-sig", "--words", ";"], "--words"),
@@ -1027,6 +1084,7 @@ MEMOS = {
     "simplexquad._core_numeric", "simplexquad._gauss_legendre",
     "simplexquad._link_grid", "simplexquad._reduce_terms",
     "simplexquad._reduced_integral",
+    "sde._log_factorial_table",  # one table of 1024 doubles (8 KiB)
 }
 
 

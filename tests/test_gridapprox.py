@@ -89,6 +89,16 @@ class TestCellPairIntegral:
         with pytest.raises(ValueError):
             cell_pair_integral(0, 5, 5, 0.75)
 
+    @pytest.mark.parametrize("rows", (0, 1, 2, 256, 300, 4094, 65534, 262142))
+    def test_power_table_is_vanders_bit_for_bit(self, rows):
+        # the kept 256-row table, the sampler's long grids and the grid
+        # engine's largest kernel
+        r = np.arange(2.0, rows + 2)
+        want = np.vander(1.0 / (r * r), 24, increasing=True)
+        got = ga._power_table.__wrapped__(rows)
+        assert np.array_equal(got, want) and got.flags.c_contiguous
+        assert not got.flags.writeable
+
     @pytest.mark.parametrize("H", (0.501, 0.6, 0.75, 0.9, 0.999))
     def test_second_differences_against_high_precision(self, H):
         # (r+1)^2H - 2 r^2H + (r-1)^2H cancels to about 2H(2H-1) r^(2H-2);

@@ -22,10 +22,15 @@ from fbmsig.sde import (
     error_bound_shape,
     mc_weak_value,
     _entire_series,
-    _logaddexp,
     _solve,
 )
-from oracles import closed_form_solve, endpoint_sum_bar, rk4_solve_per_piece
+from oracles import (
+    closed_form_solve,
+    endpoint_sum_bar,
+    entire_series_by_terms,
+    logaddexp,
+    rk4_solve_per_piece,
+)
 
 ZERO = lambda y: np.zeros_like(y)
 ONE = lambda y: np.ones_like(y)
@@ -832,15 +837,42 @@ class TestPipelinedReference:
 
 
 class TestSeriesLogSum:
-    def test_logaddexp_is_numpys_double(self):
+    def test_oracle_logaddexp_is_numpys_double(self):
         rng = np.random.default_rng(7)
         x = np.concatenate([rng.normal(0.0, 50.0, 4000), rng.uniform(-700, 700, 4000),
                             [0.0, 1.0, -1.0, 709.0, -745.0, 1e-300, 5e-324]])
         for shift in (0.0, 5e-324, 1e-12, 1e-3, 1.0, 36.0, 40.0, 800.0):
             for y in (x + shift, x - shift, x[::-1]):
                 for a, b in zip(x.tolist(), y.tolist()):
-                    assert _logaddexp(a, b) == np.logaddexp(a, b), (a, b)
-        assert _logaddexp(3.0, 3.0) == np.logaddexp(3.0, 3.0) == 3.0 + math.log(2.0)
+                    assert logaddexp(a, b) == np.logaddexp(a, b), (a, b)
+        assert logaddexp(3.0, 3.0) == np.logaddexp(3.0, 3.0) == 3.0 + math.log(2.0)
+
+    def test_chunks_sum_to_the_term_loops_double(self):
+        # z <= 0, tiny z, the k = 1 stop, stops past the 1024-entry log k!
+        # table (gamma 0.2 at z = 8, 0.45 at z = 1.5) and the inf of the
+        # running log-sum up to z = 300, over gamma in [0, 0.45]
+        rng = np.random.default_rng(11)
+        gammas = np.concatenate([[0.0, 0.1, 0.2, 0.3, 0.45], rng.uniform(0.0, 0.45, 95)])
+        zs = np.concatenate([[-1.0, 0.0, 5e-324, 1e-300, 1e-12, 0.5, 1.0, 1.5, 4.0, 8.0,
+                              12.0, 30.0, 268.0, 282.0, 300.0],
+                             rng.uniform(0.0, 15.0, 10), 10.0 ** rng.uniform(-8.0, 2.5, 5)])
+        values = []
+        for gamma in gammas.tolist():
+            for z in zs.tolist():
+                got = _entire_series(z, gamma)
+                assert got == entire_series_by_terms(z, gamma), (z, gamma)
+                values.append(got)
+        assert values.count(math.inf) > 500 and len(set(values)) > 1000
+
+    def test_series_unfinished_after_its_term_cap_is_a_usage_error(self, capsys):
+        # z = d M K T = 1 at gamma 1/2 - 1e-7: the terms shrink by a factor
+        # of (k+1)^-1e-7, so no stop comes within 5000000 terms
+        argv = ["bounds", "--H", "0.75", "--T", "1", "--M", "0.43301270189221935",
+                "--gamma", "0.4999999"]
+        assert cli_main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: the error bound's series at z = 1.0 does not converge"
+            " within 5000000 terms: --gamma 0.4999999 lies too close to 1/2\n")
 
     @pytest.mark.parametrize("argv", [
         ["bounds", "--H", "0.501,0.55,0.75,0.861,0.9999", "--T", "0.5,1,2,7"],
@@ -849,13 +881,13 @@ class TestSeriesLogSum:
         ["sde", "compare", "--H", "0.55", "--T", "0.4", "--paths", "20", "--steps", "8",
          "--M", "3", "--gamma", "0.1"],
     ])
-    def test_cli_prints_the_numpy_bound_values(self, capsys, monkeypatch, argv):
+    def test_cli_prints_the_term_loops_bound_values(self, capsys, monkeypatch, argv):
         def printed():
             assert cli_main(argv + ["--no-timestamp"]) == 0
             return capsys.readouterr().out
 
         ours = printed()
-        monkeypatch.setattr(sde_module, "_logaddexp", lambda a, b: np.logaddexp(a, b))
+        monkeypatch.setattr(sde_module, "_entire_series", entire_series_by_terms)
         assert printed() == ours
 
 
