@@ -93,8 +93,8 @@ def _second_differences(H: float, n: int) -> np.ndarray:
 # The powers depend on the distance only, so the kernels of up to
 # _POWER_ROWS + 2 distances slice their rows from one table of _POWER_ROWS
 # rows (48 KiB).  Longer kernels build their rows afresh: a kept table of
-# 2048 rows (384 KiB) raised the peak RSS of the sde benchmark, whose long
-# grids reach it, by about 0.4 MB.
+# 2048 rows (384 KiB) raised the peak RSS of a benchmark stream of
+# long-grid sde requests by about 0.4 MB.
 _POWER_ROWS = 256
 _POWER_BLOCK = 4096
 
@@ -598,34 +598,6 @@ def _fgn_into(gamma: np.ndarray, d: int, seed: int, out: np.ndarray) -> None:
     _drawn_in_halves(_draw_plan(rows // d, m, d, seed), use)
 
 
-def _fbm_endpoints(H: float, m: int, d: int, n_paths: int, seed: int,
-                   T: float = 1.0) -> np.ndarray:
-    """B_T of n_paths independent d-dimensional fBm paths, shape
-    (n_paths, d): each path's summed increments from the normals that
-    _fgn_increments takes for the same arguments (so
-    sample_fbm_batch(...)[:, -1] up to rounding), one product per block of
-    normals, and the increments are never formed.  Up to _CHOLESKY_STEPS
-    steps a row z @ L^T sums to z @ (L^T 1).  Above, a pair of rows is the
-    real and imaginary parts of the first m entries of FFT(s w), s the
-    scale of _circulant_scale, and their sums are those parts of w @ c
-    (_circulant_end_weights).
-    """
-    gamma = _fgn_gamma(H, m, d, n_paths, T)
-    ends = np.empty(n_paths * d)
-    if m > _CHOLESKY_STEPS:
-        c = _circulant_end_weights(gamma)
-
-        def use(r, z):
-            _into_pairs(z.view(complex) @ c, ends[2 * r:2 * (r + len(z))])
-    else:
-        lt1 = _fgn_factor(gamma[:m]).sum(axis=0)  # L^T 1, the column sums of L
-
-        def use(r, z):
-            np.matmul(z, lt1, out=ends[r:r + len(z)])
-    _drawn_in_halves(_draw_plan(n_paths, m, d, seed), use)
-    return ends.reshape(n_paths, d)
-
-
 def _fgn_gamma(H: float, m: int, d: int, n_paths: int, T: float) -> np.ndarray:
     """gamma_0..gamma_m, the covariances of the increments on the uniform
     m-grid of [0, T], after the sampler's checks (_sample_scale)."""
@@ -757,8 +729,7 @@ _CHOLESKY_STEPS = 128
 # 2048 x 128, blocks of 2^15 doubles 4.6-4.8 and 5.6 ms; 2^13, 2^14 and
 # 2^16 were 0.2-1.0 ms slower than 2^15, and 2500 x 36 was within noise.
 # With SFC64 streams and both threads drawing, blocks of 2^14 were 1-5%
-# slower than 2^15 in the median for the endpoints, the increments and the
-# paths at 4096 x 64, 2048 x 128, 8192 x 32, 40-50 x 1000-1536 (medians of
+# slower than 2^15 in the median for the increments and the paths at 4096 x 64, 2048 x 128, 8192 x 32, 40-50 x 1000-1536 (medians of
 # 31 calls, four interleaved repeats).
 _DRAW_BLOCK = 2**15
 
@@ -766,13 +737,12 @@ _DRAW_BLOCK = 2**15
 # thread.  On a 2-vCPU x86 VM with SFC64 streams (medians of 31 calls in ms,
 # three interleaved repeats, one BLAS thread, worker against in turn), at
 # three blocks, where one stream has a full first block, the worker gained:
-# _fbm_endpoints 1.08-1.17 against 1.43-1.50 at 2049 x 32 and 2.40-2.60
-# against 2.93-2.95 at 10 x 4096, _fgn_increments 1.21-1.31 against
-# 1.62-1.69 at 2049 x 32 and 2.22-2.25 against 2.43-2.54 at 22 x 1536.  At
-# two it gained on full blocks (_fbm_endpoints 1.07-1.15 against 1.23-1.49
-# at 2048 x 32) and lost on the small long-grid draws of the sde benchmark
-# (0.83-0.89 against 0.56-0.57 at 4 x 896, 1.06-1.09 against 0.88-0.89 at
-# 12 x 1536), since starting a thread costs about 0.3 ms.
+# _fgn_increments 1.21-1.31 against 1.62-1.69 at 2049 x 32 and 2.22-2.25
+# against 2.43-2.54 at 22 x 1536.  At two it gained on full blocks of a
+# matrix-vector product (1.07-1.15 against 1.23-1.49 at 2048 x 32) and lost
+# on small long-grid draws (0.83-0.89 against 0.56-0.57 at 4 x 896,
+# 1.06-1.09 against 0.88-0.89 at 12 x 1536), since starting a thread costs
+# about 0.3 ms.
 _AHEAD_BLOCKS = 3
 
 
@@ -815,24 +785,6 @@ def _circulant_fgn(scale: np.ndarray, w: np.ndarray, out: np.ndarray) -> None:
     doubles *= scale
     np.fft.fft(w, out=w)
     _into_pairs(w[:, :out.shape[1]], out)
-
-
-def _circulant_end_weights(gamma: np.ndarray) -> np.ndarray:
-    """c with w @ c = sum_{j<m} FFT(s w)_j for every w, s = _circulant_scale
-    (gamma): c_k = s_k h_k, h_k = sum_{j<m} e^(-2 pi i j k / 2m), which is
-    m at k = 0, 0 at the other even k, and 1 - i cot(pi k / 2m) at odd k.
-    Since E[y y^H] = 2C, sum_k |c_k|^2 = 1^T S 1 = Var B_T.
-
-    Above k = m the cotangent is taken as -cot(pi (2m - k) / 2m): near
-    k = 2m the argument pi k / 2m is within pi / 2m of pi, and the rounding
-    of pi alone would move that distance by up to 1e-13 relative."""
-    m = len(gamma) - 1
-    k = np.arange(1, 2 * m, 2)
-    heads = np.zeros(2 * m, dtype=complex)
-    heads[0] = m
-    heads[1::2] = 1.0 + np.sign(k - m) * 1j / np.tan(np.minimum(k, 2 * m - k)
-                                                      * (np.pi / (2 * m)))
-    return _circulant_scale(gamma) * heads
 
 
 def _into_pairs(w: np.ndarray, out: np.ndarray) -> None:

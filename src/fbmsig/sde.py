@@ -16,10 +16,10 @@ refused before anything is drawn, and a callable whose value does not
 broadcast to (B, N) at the first RK4 stage.  When no field is callable the
 Chen series stops at level 1 and both sides take the exact endpoint
 x0 + V_0 T + sum_i V_i B^i_T (_closed_form): the cubature paths from their
-summed increments, the reference from the sampler's endpoint sums, with no
-path formed (and nothing drawn when every V_i, i >= 1, is zero); a set that
-mixes constants and callables runs RK4 with each constant wrapped.  The
-observable f maps the (B, N) endpoints to B values, once per weak value.
+summed increments, the reference from B_T drawn from its law
+N(0, T^2H I_d), with no path formed; a set that mixes constants and
+callables runs RK4 with each constant wrapped.  The observable f maps the
+(B, N) endpoints to B values, once per weak value.
 """
 from __future__ import annotations
 
@@ -33,10 +33,8 @@ import numpy as np
 from .cubature import CubatureFormula, rescale_formula
 from .expected import check_hurst
 # sample_fbm_batch is bound here only for perfbench's tracer test, which
-# expects the sampler in this namespace; the solves use the increments or
-# the endpoint sums
-from .gridapprox import (  # noqa: F401
-    _fbm_endpoints, _fgn_increments, _sample_scale, sample_fbm_batch)
+# expects the sampler in this namespace; the solves use the increments
+from .gridapprox import _fgn_increments, _sample_scale, sample_fbm_batch  # noqa: F401
 
 __all__ = [
     "ErrorBoundParams",
@@ -179,13 +177,13 @@ def mc_weak_value(
 ) -> tuple[float, float]:
     """Monte-Carlo reference along sampled fBm paths (piecewise-linear
     interpolation on the n_steps grid of [0, T]).  When no field is
-    callable each path's endpoint is _closed_form's, from the sampler's
-    endpoint sums B_T (_fbm_endpoints), and neither increments nor paths are
-    formed; when moreover every V_i, i >= 1, is zero, B_T is an array of
-    zeros and nothing is drawn, after the sampler's checks of its
-    arguments (_sample_scale).  Otherwise RK4 runs on the whole increment
-    array (_fgn_increments), whose normals are the same; the sampler
-    checks its arguments before the time grid is built.
+    callable each path's endpoint is _closed_form's, which depends on the
+    path through B_T only, so B_T is drawn from its law N(0, T^2H I_d) as
+    T^H times n_paths x d standard normals of Generator(SFC64(seed)), after
+    the sampler's checks of its arguments (_sample_scale); the sample does
+    not depend on n_steps, and no path is formed.  Otherwise RK4 runs on
+    the whole increment array (_fgn_increments); the sampler checks its
+    arguments before the time grid is built.
 
     By default the RK4 grid is the sample grid, one step per cell.  With
     m = n_steps, its local error ~ |d omega|^5 ~ (T/m)^(5H) sums to
@@ -208,17 +206,16 @@ def mc_weak_value(
     if n_paths < 2:
         raise ValueError(f"n_paths must be >= 2 for a standard error, got {n_paths}")
     x0 = _checked_x0(fields, x0, steps_per_piece)  # before the sample is drawn
-    sample = (H, n_steps, len(fields) - 1, n_paths, seed, T)
+    d = len(fields) - 1
     if any(map(callable, fields)):
         # the sampler checks its arguments here, before the grid is built from them
-        increments = _fgn_increments(*sample)
+        increments = _fgn_increments(H, n_steps, d, n_paths, seed, T)
         times = np.arange(n_steps + 1) * (T / n_steps)
         ends = _solve(fields, x0, times, increments, steps_per_piece)
-    elif any(np.any(v != 0.0) for v in fields[1:]):
-        ends = _closed_form(fields, x0, T, _fbm_endpoints(*sample))
-    else:  # no noise field acts, so B_T is never drawn: only the checks run
-        _sample_scale(H, n_steps, len(fields) - 1, n_paths, T)
-        ends = _closed_form(fields, x0, T, np.zeros((n_paths, len(fields) - 1)))
+    else:
+        _sample_scale(H, n_steps, d, n_paths, T)
+        rng = np.random.Generator(np.random.SFC64(seed))
+        ends = _closed_form(fields, x0, T, T**H * rng.standard_normal((n_paths, d)))
     vals = _values(f, ends)
     if not np.all(np.isfinite(vals)):
         return float(vals.mean()), math.nan

@@ -6,10 +6,11 @@ every output bit as it was.
 
 Each command runs in a fresh interpreter (python -m fbmsig.cli) with
 OPENBLAS_NUM_THREADS=1, once with --format csv and once with --format json:
-every `fbmsig ...` line of the README, six `sde compare` runs (many paths
-on 64 and 128 steps, a long grid, the zero problem on 64 steps and on a
-long grid, and one at --gamma 0.2), `approx-sig` over the five grid words
-at three H on grids of 1 to 2^18 cells, a `convergence` ladder to 65536 for
+every `fbmsig ...` line of the README, six `sde compare` runs (the
+quadratic problem four times, once at --gamma 0.2, and the zero problem
+twice, with many and few paths; their --steps, 32 to 1536, is printed but
+does not reach the draw of these constant fields' B_T), `approx-sig` over
+the five grid words at three H on grids of 1 to 2^18 cells, a `convergence` ladder to 65536 for
 each four-letter grid word at H = 0.5001 and 0.9, `bounds` at H = 0.5001
 (series arguments up to about 282, whose sums overflow to inf) and 0.75 on
 T below and above 1 at three --gamma, each command and cubature action on

@@ -2,8 +2,10 @@
 coefficient, an exhaustive sweep of the refined permutation-count bound, the
 per-piece RK4 integrator that `fbmsig.sde._solve` must match bit for bit, the
 closed-form endpoint of constant fields that it must match for those, the
-normals behind a seed's draw on either branch of the sampler and the rounding
-bar between its endpoint sums and its paths' ends, the reduction with float exponents that `fbmsig.simplexquad._reduce_terms` plans
+normals behind a seed's draw on either branch of the sampler, the expected
+signature of the grid interpolation of Brownian motion, which
+`fbmsig.gridapprox.approx_expected_word` must approach as H -> 1/2, the
+reduction with float exponents that `fbmsig.simplexquad._reduce_terms` plans
 once per shape, the integrand of a core (per-axis exponents and spans) rebuilt
 from its factors on every call, which `_reduce_terms` plans once per shape,
 the Beta-map parameters of an integrand, the full-grid evaluation of a simplex
@@ -145,58 +147,37 @@ def split_normals(seed: int, n_paths: int, d: int, m: int) -> np.ndarray:
                            second.standard_normal((n_paths - half, d, m))])
 
 
-def endpoint_sum_bar(H: float, m: int, d: int, n_paths: int, seed: int,
-                     T: float = 1.0) -> np.ndarray:
-    """A bound, shape (n_paths, d), on |_fbm_endpoints - sample_fbm_batch[:, -1]|
-    (or the increments summed in any order) for the same arguments; u = 2^-53
-    and gamma_n = n u / (1 - n u).
+def brownian_grid_signature(m: int, d: int, depth: int) -> list[np.ndarray]:
+    """E S(B^m) up to depth for Brownian motion B in R^d on [0, 1], B^m its
+    piecewise-linear interpolation on m cells with time as letter 0: one
+    array per level, shape (1, (d+1)^level), laid out as
+    batch_grid_signatures' levels.  The cells' increments x = (1/m, X),
+    X ~ N(0, I/m), are independent and identically distributed, and each
+    cell's signature is exp(x), so Chen's identity gives E S = (E exp(x))^m
+    in the truncated tensor algebra, taken here by repeated squaring.  Level
+    n of E exp(x) is E x^(⊗n) / n!, and by Gaussian integration by parts
+    E x^(⊗n) is E x^(⊗(n-1)) ⊗ mu plus, for each position j < n - 1,
+    E x^(⊗(n-2)) with the covariance inserted at positions j and n - 1."""
+    mu = np.zeros(d + 1)
+    mu[0] = 1.0 / m
+    cov = np.diag(np.r_[0.0, np.full(d, 1.0 / m)])
+    moments = [np.ones(()), mu]
+    for n in range(2, depth + 1):
+        paired = np.multiply.outer(moments[n - 2], cov)
+        moments.append(np.multiply.outer(moments[n - 1], mu)
+                       + sum(np.moveaxis(paired, n - 2, j) for j in range(n - 1)))
+    power = [x.ravel() / math.factorial(n) for n, x in enumerate(moments[:depth + 1])]
 
-    Up to 128 steps a row's end is fl(z @ fl(L^T 1)) on one side and a sum
-    of fl(z @ L^T) on the other.  Each side takes two sums of at most m
-    terms, each off by at most gamma_m times the sum of its terms'
-    magnitudes, and every one of those magnitude sums is at most
-    sum_k |z_k| sum_j |L_jk|: so the sides differ by at most 4 gamma_m of
-    it, below 4.01 m u of it for m <= 4096.
+    def product(a, b):
+        return [sum(np.multiply.outer(a[p], b[n - p]).ravel() for p in range(n + 1))
+                for n in range(depth + 1)]
 
-    Above, both sides take one complex row w of n = 2m normals per pair of
-    rows and the same computed scale s, and each pair's exact ends are the
-    real and imaginary parts of E = sum_k s_k w_k h_k, h_k = sum_{j<m}
-    e^(-2 pi i j k / n) (_circulant_end_weights); each bound below holds for
-    the complex error, so for both parts.
-    * The endpoint is fl(w @ c), c = fl(s h) from the closed form of h:
-      with the argument of tan off by 2.1 u relative, tan and the division
-      by 1 ulp each and |Re h_k| = 1 where h_k is not 0 or m, each c_k is
-      within 8 u |c_k| of s_k h_k.  Each part of w @ c is a real sum of
-      2n products a_k p_k and b_k q_k (w = a + ib, c = p + iq), off by
-      gamma_2n sum (|a_k p_k| + |b_k q_k|) <= gamma_2n sum |w_k||c_k|.
-    * The path end sums the first m entries of y = fl(FFT(fl(s w))).  The
-      scaling moves each s_k w_k by u, so E by u sum |w_k||c_k|: with the
-      endpoint's, (4m + 9) 1.01 u sum_k |w_k| |c_k| in all.  The FFT
-      is off by e_F ||FFT(x)||_2 = e_F sqrt(n) ||x||_2 in the 2-norm, x the
-      scaled row, and a sum of m entries of that error by sqrt(m) times its
-      norm: sqrt(2) m e_F ||x||_2.  For e_F this takes 8 u log2(n):
-      Higham's bound for the radix-2 FFT (Accuracy and Stability of
-      Numerical Algorithms, 2002, Theorem 24.2) is log2(n) eta /
-      (1 - log2(n) eta) with eta = mu + gamma_4 (sqrt(2) + mu) < 6.7 u for
-      twiddle factors good to mu <= u, and the 8 leaves room for pocketfft's
-      radix-3, 4 and 5 passes.  The sum of m entries adds gamma_m times
-      their magnitudes, 2.01 m u sum_j |inc_j| with room for both sides'
-      order.
-    The measured differences stay below 0.5% of this bar."""
-    u = 2.0**-53
-    if m > ga._CHOLESKY_STEPS:
-        inc = ga._fgn_increments(H, m, d, n_paths, seed, T)
-        gamma = 0.5 * _covariance_scale(H, m, T) * _second_differences(H, m + 1)
-        scale = ga._circulant_scale(gamma)
-        w = np.abs(split_normals(seed, n_paths, d, m))
-        pair = ((4.0 * m + 9.0) * 1.01 * u * (w @ np.abs(ga._circulant_end_weights(gamma)))
-                + math.sqrt(2.0) * m * 8.0 * math.log2(2 * m) * 1.01 * u
-                * np.sqrt((w * w) @ (scale * scale)))
-        rows = np.repeat(pair, 2)[:n_paths * d].reshape(n_paths, d)
-        return rows + 2.01 * m * u * np.abs(inc).sum(axis=1)
-    gamma = 0.5 * _covariance_scale(H, m, T) * _second_differences(H, m)
-    column_sums = np.abs(ga._fgn_factor(gamma)).sum(axis=0)
-    return 4.01 * m * u * (np.abs(split_normals(seed, n_paths, d, m)) @ column_sums)
+    levels = [np.ones(1)] + [np.zeros((d + 1) ** n) for n in range(1, depth + 1)]
+    while m:
+        if m & 1:
+            levels = product(levels, power)
+        power, m = product(power, power), m >> 1
+    return [x.reshape(1, -1) for x in levels]
 
 
 def reduce_terms_numeric(n: int, factors, variables):

@@ -509,8 +509,8 @@ class TestSde:
 
     def test_unallocatable_paths_is_usage_error(self, tmp_path, capsys):
         # 10^17 paths need 800 PB for their endpoints alone, more than any
-        # address space, so the first allocation fails at once, also for the
-        # zero problem, which draws nothing
+        # address space, so the first allocation fails at once, for either
+        # problem
         for problem in ("quadratic", "zero"):
             rc, text = run(tmp_path, "sde", "compare", "--paths", "100000000000000000",
                            "--steps", "4096", "--problem", problem)
@@ -550,14 +550,15 @@ class TestSde:
             assert array == constant
             return
         # the closed form and RK4 differ by rounding only: by at most
-        # (2 * 1536 + 14) u, 3.4e-13, of each endpoint's magnitude sum here
-        # (_closed_form_bar in test_sde.py), so the printed values agree to
-        # 1e-10 relative, where another sample would differ at 1e-2
+        # (3 * 65 + 14) u, 2.4e-14, of each endpoint's magnitude sum on the
+        # three cubature paths (_closed_form_bar in test_sde.py), so the
+        # printed values agree to 1e-10 relative.  The references differ:
+        # constant fields draw B_T from its law, callable ones the increments
         (head, got), (_, want) = (text.splitlines() for text in (constant, array))
         for name, a, b in zip(head.split(","), got.split(","), want.split(",")):
-            if name in ("cubature_value", "mc_value", "mc_stderr"):
+            if name == "cubature_value":
                 assert abs(float(a) - float(b)) <= 1e-10 * abs(float(b))
-            else:
+            elif name not in ("mc_value", "mc_stderr"):
                 assert a == b
 
     @pytest.mark.parametrize("flag, value", [("--x0", "1e200")])
@@ -635,6 +636,23 @@ class TestSde:
                        for c in ("cubature_value", "mc_value", "mc_stderr"))
         assert se > 0.0
         assert abs(mc - cub) <= 4.0 * se
+
+    def test_output_does_not_depend_on_the_blas_thread_count(self):
+        # the reference draws B_T from its law, and no BLAS routine's sums
+        # reach a printed value; when the draw went through the Cholesky
+        # factor of the fGn covariance, this run printed another mc_value
+        # with two OpenBLAS threads than with one
+        src = os.path.dirname(os.path.dirname(fbmsig.__file__))
+        argv = [sys.executable, "-m", "fbmsig.cli", "sde", "compare", "--H", "0.9",
+                "--T", "0.5", "--paths", "2048", "--steps", "128", "--seed", "4",
+                "--x0", "0.7", "--no-timestamp"]
+        outs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            outs.append(subprocess.run(argv, env=env, check=True, capture_output=True,
+                                       timeout=120).stdout)
+        assert outs[0] == outs[1]
 
     @pytest.mark.parametrize("H, T, problem, seed", [("0.75", "1", "quadratic", "7"),
                                                      ("0.6", "0.3", "quadratic", "8"),

@@ -26,7 +26,6 @@ from fbmsig.sde import (
 )
 from oracles import (
     closed_form_solve,
-    endpoint_sum_bar,
     entire_series_by_terms,
     logaddexp,
     rk4_solve_per_piece,
@@ -311,21 +310,6 @@ class TestCubatureWeakValue:
         assert val == pytest.approx(0.25, abs=1e-13)
 
 
-def _check_z_scores(n_paths, n_steps):
-    """(mc - exact) / se over 199 seeds of the quadratic problem: for
-    standard normal z-scores the mean has sd 0.071 and the sd about 0.05,
-    so the bars are 3.5 and 3 of those."""
-    fields, f, x0 = _sde_problem("quadratic", 0.3)
-    H, T = 0.75, 1.0
-    exact = 0.3**2 + T ** (2.0 * H)
-    z = []
-    for seed in range(199):
-        est, se = mc_weak_value(fields, f, x0, H, T, n_paths, n_steps, seed)
-        z.append((est - exact) / se)
-    assert abs(np.mean(z)) <= 0.25
-    assert 0.85 <= np.std(z, ddof=1) <= 1.15
-
-
 class TestMcWeakValue:
     def test_zero_fields(self):
         vf = (ZERO, ZERO)
@@ -354,8 +338,8 @@ class TestMcWeakValue:
         )
         assert abs(est - cub) <= 4.0 * se
 
-    # callable fields take the whole increment array, constant ones the
-    # endpoint sums
+    # callable fields take the whole increment array, constant ones a draw
+    # of B_T
     @pytest.mark.parametrize("fields, x0, steps_per_piece, message", [
         ((ZERO,), [0.0], 1, r"at least fields \(V_0, V_1\)"),
         ((ZERO, ONE), [[0.0]], 1, "x0 must be a non-empty 1-D vector"),
@@ -382,7 +366,7 @@ class TestMcWeakValue:
             raise AssertionError("sampled before the inputs were checked")
 
         monkeypatch.setattr(sde_module, "_fgn_increments", sampler)
-        monkeypatch.setattr(sde_module, "_fbm_endpoints", sampler)
+        monkeypatch.setattr(np.random, "SFC64", sampler)
         with pytest.raises(ValueError, match=message):
             mc_weak_value(fields, lambda y: y[:, 0], x0, 0.7, 1.0, n_paths=20000,
                           n_steps=1024, seed=0, steps_per_piece=steps_per_piece)
@@ -417,32 +401,27 @@ class TestMcWeakValue:
             mc_weak_value(fields, lambda y: y[:, 0], [0.0], 0.7, T, n_paths=100,
                           n_steps=n_steps, seed=0)
 
-    # a reference without noise draws nothing, but refuses what the sampler
-    # refuses with the same messages
+    # a reference without noise refuses what the sampler refuses with the
+    # same messages
     @pytest.mark.parametrize("H, T, n_paths, n_steps", [
         (0.7, 1.3, 20, 5000), (0.7, math.inf, 20, 16), (0.7, 0.0, 20, 16),
         (0.7, 1.3, 1, 16), (0.7, 1.3, 20, 0), (0.5, 1.3, 20, 16)],
         ids=["long-grid", "infinite-T", "zero-T", "one-path", "no-steps", "H-half"])
-    def test_zero_noise_refuses_what_noise_refuses(self, monkeypatch, H, T, n_paths,
-                                                   n_steps):
+    def test_zero_noise_refuses_what_noise_refuses(self, H, T, n_paths, n_steps):
         def messages(fields):
             with pytest.raises(ValueError) as refused:
                 mc_weak_value(fields, lambda y: y[:, 0], [0.3], H, T, n_paths, n_steps, 3)
             return str(refused.value)
 
-        noise = messages((0.0, 1.0))
-        monkeypatch.setattr(np.random, "SFC64", _no_bit_generator)
-        assert messages((0.0, 0.0)) == noise
+        assert messages((0.0, 0.0)) == messages((0.0, 1.0))
 
     @pytest.mark.parametrize("fields, x0", [
         ((0.0, 0.0), [0.3]), ((0.25, np.array([0.0, -0.0]), 0.0), [0.3, -0.2])])
     @pytest.mark.parametrize("n_steps", [64, 1536])
-    def test_zero_noise_draws_nothing(self, monkeypatch, fields, x0, n_steps):
-        # no V_i with i >= 1 acts, so every endpoint is x0 + V_0 T and no
-        # generator is built; at x0 = 0.3 the mean of 4096 of them is
-        # 0.29999999999999993, as when B_T was drawn and multiplied by 0,
-        # and the standard error is the rounding of that mean
-        monkeypatch.setattr(np.random, "SFC64", _no_bit_generator)
+    def test_zero_noise_endpoints_are_x0_plus_V0_T(self, fields, x0, n_steps):
+        # no V_i with i >= 1 acts, so every endpoint is x0 + V_0 T + 0 B_T;
+        # at x0 = 0.3 the mean of 4096 of them is 0.29999999999999993, and
+        # the standard error is the rounding of that mean
         ends = []
         est, se = mc_weak_value(fields, lambda y: ends.append(y) or y[:, 0], x0, 0.7,
                                 1.3, 4096, n_steps, 3)
@@ -453,9 +432,10 @@ class TestMcWeakValue:
             assert est == 0.29999999999999993
 
     @pytest.mark.parametrize("n_steps", [64, 1536])
-    def test_zero_noise_builds_no_covariance(self, monkeypatch, n_steps):
-        # only the sampler's checks run: the covariance column, a Vandermonde
-        # over n_steps + 1 lags, is never formed, where a noise field needs it
+    def test_constant_fields_build_no_covariance(self, monkeypatch, n_steps):
+        # with constant fields, noise or none, only the sampler's checks
+        # run: the covariance column, a Vandermonde over n_steps + 1 lags,
+        # is never formed, where a callable field's increments need it
         def refuse(*args):
             raise AssertionError("the covariance was built")
 
@@ -463,15 +443,24 @@ class TestMcWeakValue:
         args = (lambda y: y[:, 0], [0.3], 0.7, 1.3, 64, n_steps, 3)
         est, _ = mc_weak_value((0.0, 0.0), *args)
         assert est == np.full(64, 0.3).mean()
+        _, se = mc_weak_value((0.0, 1.0), *args)
+        assert se > 0.0
         with pytest.raises(AssertionError, match="the covariance was built"):
-            mc_weak_value((0.0, 1.0), *args)
+            mc_weak_value((ZERO, ONE), *args)
 
     def test_z_scores_follow_the_standard_normal_law(self):
-        _check_z_scores(4096, 64)
-
-    def test_z_scores_follow_the_standard_normal_law_on_a_long_grid(self):
-        # the circulant branch's endpoints
-        _check_z_scores(512, 1536)
+        # (mc - exact) / se over 199 seeds of the quadratic problem at 4096
+        # paths x 64 steps: for standard normal z-scores the mean has sd
+        # 0.071 and the sd about 0.05, so the bars are 3.5 and 3 of those
+        fields, f, x0 = _sde_problem("quadratic", 0.3)
+        H, T = 0.75, 1.0
+        exact = 0.3**2 + T ** (2.0 * H)
+        z = []
+        for seed in range(199):
+            est, se = mc_weak_value(fields, f, x0, H, T, 4096, 64, seed)
+            z.append((est - exact) / se)
+        assert abs(np.mean(z)) <= 0.25
+        assert 0.85 <= np.std(z, ddof=1) <= 1.15
 
     def test_seed_reproducible(self):
         vf = (ZERO, ONE)
@@ -529,10 +518,6 @@ class TestMcWeakValue:
         vf = (ZERO, ONE)
         with pytest.raises(ValueError, match="n_paths"):
             mc_weak_value(vf, lambda y: y[:, 0], [0.0], 0.75, 1.0, n_paths, 4, seed=0)
-
-
-def _no_bit_generator(*args):
-    raise AssertionError("a bit generator was built")
 
 
 def _closed_form(name):
@@ -679,7 +664,7 @@ def _mc_of(fields, n_paths, n_steps):
                                  n_steps, 5)
 
 
-# the three consumers of a draw on each branch, each of four blocks per
+# the two consumers of a draw on each branch, each of four blocks per
 # stream: 4096 paths x 64 steps in blocks of 512 rows, and 512 x 256 in
 # blocks of 32 pairs of rows
 _CONSUMERS = {
@@ -687,7 +672,6 @@ _CONSUMERS = {
     for n_paths, n_steps in ((4096, 64), (512, 256))
     for name, consume in (
         ("paths", lambda n=n_paths, m=n_steps: sample_fbm_batch(0.7, m, 1, n, 5, 1.3)),
-        ("endpoint sums", _mc_of(_constant_fields(1)[0], n_paths, n_steps)),
         ("increments", _mc_of(_callables(_constant_fields(1)[0]), n_paths, n_steps)))
 }
 
@@ -698,16 +682,14 @@ def _same(a, b):
 
 
 class TestPipelinedReference:
-    # With constant fields mc_weak_value takes the closed form of the
-    # sampler's endpoint sums, and with callable fields RK4 on its gathered
-    # increments; both from the same draws, whose two streams are drawn on
-    # two threads from _AHEAD_BLOCKS blocks up.  3000 x 40 x 2 and
-    # 2000 x 50 x 3 draw blocks of 409 and 218 whole paths, where a block of
-    # _DRAW_BLOCK // m rows would end inside a path; 1001 x 7 in blocks of 13
-    # rows leaves each stream's last block part-filled, as does 1000 x 7;
-    # 5 x 8 is two blocks, 2048 x 32 two, done in turn, and on the
-    # circulant branch 100 x 300 is two blocks of pairs of rows and
-    # 400 x 300 eight
+    # With callable fields mc_weak_value runs RK4 on the sampler's gathered
+    # increments, whose two streams are drawn on two threads from
+    # _AHEAD_BLOCKS blocks up.  3000 x 40 x 2 and 2000 x 50 x 3 draw blocks
+    # of 409 and 218 whole paths, where a block of _DRAW_BLOCK // m rows
+    # would end inside a path; 1001 x 7 in blocks of 13 rows leaves each
+    # stream's last block part-filled, as does 1000 x 7; 5 x 8 is two
+    # blocks, 2048 x 32 two, done in turn, and on the circulant branch
+    # 100 x 300 is two blocks of pairs of rows and 400 x 300 eight
     @pytest.mark.parametrize("n_paths, n_steps, d, block_rows, steps_per_piece", [
         (4096, 64, 1, None, 1), (8020, 33, 1, None, 1), (2048, 128, 1, None, 1),
         (2500, 36, 1, None, 1), (1001, 7, 1, 13, 1), (1001, 7, 1, 13, 4),
@@ -720,36 +702,18 @@ class TestPipelinedReference:
             monkeypatch.setattr(ga, "_DRAW_BLOCK", block_rows * n_steps)
         vf, x0 = _constant_fields(d)
         H, T, seed = 0.7, 1.3, 9
-        args = (x0, H, T, n_paths, n_steps, seed)
-        est, se, ends, times, inc = _recorded_mc(vf, *args,
-                                                 steps_per_piece=steps_per_piece)
-        sums = ga._fbm_endpoints(H, n_steps, d, n_paths, seed, T)
-        assert np.array_equal(ends, closed_form_solve(vf, x0, [0.0, T], sums[:, None]))
-        # one sample: the endpoint sums are the increments' sums, and the
-        # callable fields' RK4 endpoints are the closed form's of those, both
-        # up to rounding.  So the endpoints differ by at most the two bars,
-        # sum_i |V_i| times the sums' bar, and the rounding of the second
-        # closed form, (d + 3) u of the magnitude
-        sums_bar = endpoint_sum_bar(H, n_steps, d, n_paths, seed, T)
-        assert np.all(np.abs(sums - inc.sum(axis=1)) <= sums_bar)
-        rk4_est, _, rk4_ends, _, _ = _recorded_mc(_callables(vf), *args,
-                                                  steps_per_piece=steps_per_piece)
-        bar = (_closed_form_bar(vf, x0, times, inc, steps_per_piece)
-               + 1.01 * (d + 3) * 2.0**-53 * _magnitude(vf, x0, times, inc))
-        for i, v in enumerate(vf[1:]):
-            bar = bar + sums_bar[:, i, None] * np.abs(v)
-        assert np.all(np.abs(ends - rk4_ends) <= bar)
-        # each mean of n values is off by at most gamma_n of its magnitude
-        means = np.abs(ends[:, 0]).mean() + np.abs(rk4_ends[:, 0]).mean()
-        assert abs(est - rk4_est) <= bar[:, 0].mean() + 1.01 * n_paths * 2.0**-53 * means
+        _, _, ends, times, inc = _recorded_mc(_callables(vf), x0, H, T, n_paths,
+                                              n_steps, seed,
+                                              steps_per_piece=steps_per_piece)
+        assert np.array_equal(ends, _solve(_callables(vf), x0, times, inc,
+                                           steps_per_piece))
+        # and RK4's endpoints are the closed form's up to rounding
+        assert np.all(np.abs(ends - closed_form_solve(vf, x0, times, inc))
+                      <= _closed_form_bar(vf, x0, times, inc, steps_per_piece))
         blocks = sum(map(len, ga._draw_plan(n_paths, n_steps, d, seed)[1]))
-        two_threads = blocks >= ga._AHEAD_BLOCKS
-        # one worker per endpoint sum or gather of _AHEAD_BLOCKS blocks or
-        # more: each _recorded_mc samples in mc_weak_value and again for the
-        # increments, the sums above are drawn once more, and above 128
-        # steps endpoint_sum_bar gathers the increments too
-        draws = 5 + (n_steps > ga._CHOLESKY_STEPS)
-        assert len(threads) == (draws if two_threads else 0)
+        # one worker per gather of _AHEAD_BLOCKS blocks or more: _recorded_mc
+        # samples in mc_weak_value and again for the increments
+        assert len(threads) == (2 if blocks >= ga._AHEAD_BLOCKS else 0)
 
     def test_non_finite_endpoint_names_the_end(self):
         # y = 1.7e308 + 1e307 B_T overflows where B_T passes 0.976; the
@@ -794,9 +758,14 @@ class TestPipelinedReference:
 
     def test_memory_error_in_a_block_is_a_usage_error(self, monkeypatch, threads,
                                                       capsys):
-        # the Monte-Carlo reference runs out of memory drawing the second
-        # block of either stream, on the calling thread or the worker, on
-        # either branch
+        # a Monte-Carlo reference with a callable field runs out of memory
+        # drawing the second block of either stream, on the calling thread
+        # or the worker, on either branch
+        def callable_fields(name, x0):
+            fields, f, state0 = _sde_problem(name, x0)
+            return _callables(fields), f, state0
+
+        monkeypatch.setattr("fbmsig.cli._sde_problem", callable_fields)
         generator = np.random.Generator
         for paths, steps in (("4096", "64"), ("512", "256")):
             argv = ["sde", "compare", "--paths", paths, "--steps", steps, "--no-timestamp"]
@@ -821,15 +790,14 @@ class TestPipelinedReference:
         # four calls of each consumer at once, each with its worker, on
         # blocks of one path (16 steps) or of one pair of rows (300 steps);
         # a block read while it is redrawn would change a path or an
-        # endpoint
+        # increment
         monkeypatch.setattr(ga, "_DRAW_BLOCK", 3 * 16)
         vf, x0 = _constant_fields(2)
         for n_paths, n_steps in ((600, 16), (60, 300)):
-            for fields in (vf, _callables(vf)):
-                calls = [(fields, lambda y: y[:, 0], x0, 0.7, 1.3, n_paths, n_steps, seed)
-                         for seed in range(4)]
-                want = [mc_weak_value(*args) for args in calls]
-                assert _run_at_once(calls, mc_weak_value) == want
+            calls = [(_callables(vf), lambda y: y[:, 0], x0, 0.7, 1.3, n_paths, n_steps,
+                      seed) for seed in range(4)]
+            want = [mc_weak_value(*args) for args in calls]
+            assert _run_at_once(calls, mc_weak_value) == want
             calls = [(0.7, n_steps, 2, n_paths, seed, 1.3) for seed in range(4)]
             want = [sample_fbm_batch(*args) for args in calls]
             got = _run_at_once(calls, sample_fbm_batch)
