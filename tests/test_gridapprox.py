@@ -28,6 +28,7 @@ from oracles import (
     cell_covariance_matrix,
     cell_pair_integral,
     crossing_sum_brute,
+    endpoint_sum_bar,
     crossing_sum_by_loop,
     fgn_cholesky_t,
     shuffle_class,
@@ -755,6 +756,30 @@ class TestToeplitzSampler:
             tracemalloc.stop()
         assert peak <= bar
 
+    # (n_paths, d, m, rows per block): odd path counts, each stream's last
+    # block part-filled, the worker thread from three blocks (4097 x 64,
+    # 3001 x 32 x 2, 701 x 64 x 3 and blocks of 12 rows) and not below
+    # (1001 x 64), and the circulant branch in turn (two blocks) and with
+    # the worker (40 x 1536, and 23 x 300 x 3 in blocks of 5 pairs of rows,
+    # whose last pair is one row)
+    @pytest.mark.parametrize("n_paths, d, m, block_rows", [
+        (4097, 1, 64, None), (1001, 1, 64, None), (3001, 2, 32, None),
+        (701, 3, 64, None), (333, 3, 7, 13), (7, 1, 1536, None), (9, 2, 300, None),
+        (5, 3, 200, None), (40, 1, 1536, None), (23, 3, 300, 20)])
+    @pytest.mark.parametrize("H", [0.55, 0.9])
+    def test_endpoint_sums_are_the_paths_ends(self, monkeypatch, H, n_paths, d, m,
+                                             block_rows):
+        # the increments summed are the paths' ends, one draw behind both,
+        # within the rounding bar that endpoint_sum_bar derives (at most
+        # 8.5% of it measured, at 3001 x 32 x 2)
+        if block_rows is not None:
+            monkeypatch.setattr(ga, "_DRAW_BLOCK", block_rows * m)
+        ends = ga._fgn_increments(H, m, d, n_paths, 6, 1.3).sum(axis=1)
+        paths = sample_fbm_batch(H, m, d, n_paths, 6, 1.3)
+        bar = endpoint_sum_bar(H, m, d, n_paths, 6, 1.3)
+        assert ends.shape == (n_paths, d)
+        assert np.all(np.abs(ends - paths[:, -1]) <= bar)
+
     @pytest.mark.parametrize("T", [0.5, 1.3])
     @pytest.mark.parametrize("m", [1, 2, 17, 64, 128])
     @pytest.mark.parametrize("H", [0.5001, 0.7, 0.999])
@@ -762,6 +787,36 @@ class TestToeplitzSampler:
         # |L^T 1|^2 = 1^T S 1 = Var B_T = T^2H
         lt1 = ga._fgn_factor(fgn_gamma(H, m, T)[:m]).sum(axis=0)
         assert lt1 @ lt1 == pytest.approx(T ** (2.0 * H), rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("T", [0.5, 1.3])
+    @pytest.mark.parametrize("m", [129, 130, 700, 1536, 4095, 4096])
+    @pytest.mark.parametrize("H", [0.5001, 0.7, 0.999])
+    def test_circulant_end_weights_have_the_endpoint_variance(self, H, m, T):
+        # the circulant branch's pair of ends from w are the parts of w @ c:
+        # each has variance sum |c_k|^2 = 1^T S 1 = Var B_T = T^2H; and
+        # c_(2m-k) = conj(c_k), the head sums of a real row scaled by a
+        # symmetric spectrum, so sum Re c_k Im c_k = Im(sum c_k^2) / 2 is 0
+        # up to rounding
+        gamma = fgn_gamma(H, m, T)
+        c = oracles.circulant_end_weights(gamma)
+        assert c.shape == (2 * m,)
+        assert (np.abs(c) ** 2).sum() == pytest.approx(T ** (2.0 * H), rel=1e-13, abs=0.0)
+        cross = c.real * c.imag
+        assert abs(cross.sum()) <= 1e-13 * np.abs(cross).sum()
+        # and they are the ends of the pair of rows the branch makes from w,
+        # within the sum's gamma_(2m) of sum |w_k| |c_k| and the FFT's bar
+        # sqrt(2) m 8 log2(2m) u ||s w||_2 (Higham 2002, Theorem 24.2); at
+        # most 0.18% of the bar measured
+        w = split_normals(m, 1, 2, m)[0]
+        scale = ga._circulant_scale(gamma)
+        ends = np.empty((2, m))
+        ga._circulant_fgn(np.repeat(scale, 2), w[None].copy(), ends)
+        u = 2.0**-53
+        bar = (2.01 * 2 * m * u * (np.abs(w) @ np.abs(c))
+               + math.sqrt(2.0) * m * 8.0 * math.log2(2 * m) * 1.01 * u
+               * np.linalg.norm(scale * w) + 2.01 * m * u * np.abs(ends).sum(axis=1))
+        want = w @ c
+        assert np.all(np.abs(ends.sum(axis=1) - [want.real, want.imag]) <= bar)
 
     @pytest.mark.parametrize("m, n_paths, limit_mb", [(4096, 2, 16), (1536, 50, 8)])
     def test_factor_is_never_held_whole(self, m, n_paths, limit_mb):
