@@ -463,8 +463,8 @@ def cmd_sde(args) -> int:
         try:
             mc, se = sde.mc_weak_value(fields, f, state0, H, T, n_paths, n_steps, seed)
         except MemoryError:
-            raise ValueError(f"--paths {n_paths} with --steps {n_steps} needs more "
-                             "memory than is available") from None
+            raise ValueError(f"--paths {n_paths} needs more memory than is "
+                             "available") from None
     shape = sde.error_bound_shape(sde.ErrorBoundParams(
         M, gamma, d=len(fields) - 1, degree=formula.claimed_degree, H=H), T)
     if not all(map(math.isfinite, (cub, mc, se))):

@@ -20,9 +20,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import threading
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -545,12 +544,11 @@ def sample_fbm_batch(
     which are checked before the paths are allocated.  The increments are
     written into the paths and summed there, so no other array of them is
     held; the paths are a view of an (n_paths, d, m+1) array.
-    Deterministic in the seed for a fixed BLAS thread count (see
-    _fgn_increments).
+    Deterministic in the seed.
     """
     gamma = _fgn_gamma(H, m, d, n_paths, T)
     paths = np.zeros((n_paths * d, m + 1))  # one row per (path, coordinate)
-    _fgn_into(gamma, d, seed, paths[:, 1:])
+    _fgn_into(gamma, seed, paths[:, 1:])
     np.cumsum(paths[:, 1:], axis=1, out=paths[:, 1:])
     return _as_paths(paths, d)
 
@@ -562,40 +560,34 @@ def _fgn_increments(H: float, m: int, d: int, n_paths: int, seed: int,
     (n_paths, m, d), after the checks of _fgn_gamma (see _fgn_into)."""
     gamma = _fgn_gamma(H, m, d, n_paths, T)
     out = np.empty((n_paths * d, m))
-    _fgn_into(gamma, d, seed, out)
+    _fgn_into(gamma, seed, out)
     return _as_paths(out, d)
 
 
-def _fgn_into(gamma: np.ndarray, d: int, seed: int, out: np.ndarray) -> None:
-    """Fill out, shape (n_paths d, m), with the increments of n_paths
-    d-dimensional fBm paths, one row per (path, coordinate) in path order.
-    Each row is of law N(0, S), S the Toeplitz covariance with first column
-    gamma_0..gamma_{m-1}.
+def _fgn_into(gamma: np.ndarray, seed: int, out: np.ndarray) -> None:
+    """Fill out, shape (rows, m), with rows of law N(0, S), S the Toeplitz
+    covariance with first column gamma_0..gamma_{m-1}: the increments of
+    fBm paths, one row per (path, coordinate) in path order.
 
-    The normals come in the blocks of _draw_plan (_drawn_in_halves), and
-    each block is turned into its rows of out.  Up to _CHOLESKY_STEPS steps
-    a row of increments is z @ L^T, with L the LAPACK Cholesky factor of S
-    and z m standard normals.  Longer grids use the circulant embedding
-    (_circulant_fgn), O(m log m) per row: each block's complex rows are
-    scaled and FFTed in place, and each gives a pair of rows.  The blocks
-    never move: a product over another number of rows may differ in the
-    last bit.  Deterministic in the seed for a fixed BLAS thread count: the
-    Cholesky factorization and the product with L^T both go through BLAS,
-    and how many threads split their sums moves the last bits of the
-    factor and of the Cholesky-branch increments.
+    Each pair of rows is the circulant embedding (_circulant_fgn) of one
+    complex row of 2m standard normals, for an odd row count the last row
+    alone: O(m log m) per row at every m.  The ceil(rows / 2) complex rows
+    are one draw from Generator(SFC64(seed)), taken in blocks of
+    max(1, _DRAW_BLOCK // 4m) of them into one buffer; a Generator fills
+    sequentially, so the blocks hold the normals of one draw, and each
+    block is scaled and transformed in place and written into its rows of
+    out.  Deterministic in the seed: the FFT calls no BLAS routine.
     """
     rows, m = out.shape
-    if m > _CHOLESKY_STEPS:
-        scale = np.repeat(_circulant_scale(gamma), 2)
-
-        def use(r, z):
-            _circulant_fgn(scale, z.view(complex), out[2 * r:2 * (r + len(z))])
-    else:
-        factor_t = _fgn_factor(gamma[:m]).T
-
-        def use(r, z):
-            np.matmul(z, factor_t, out=out[r:r + len(z)])
-    _drawn_in_halves(_draw_plan(rows // d, m, d, seed), use)
+    scale = np.repeat(_circulant_scale(gamma), 2)
+    pairs = -(-rows // 2)
+    step = max(1, _DRAW_BLOCK // (4 * m))
+    rng = np.random.Generator(np.random.SFC64(seed))
+    z = np.empty((min(step, pairs), 4 * m))
+    for r in range(0, pairs, step):
+        w = z[:min(step, pairs - r)]
+        rng.standard_normal(out=w)
+        _circulant_fgn(scale, w.view(complex), out[2 * r:2 * (r + len(w))])
 
 
 def _fgn_gamma(H: float, m: int, d: int, n_paths: int, T: float) -> np.ndarray:
@@ -621,85 +613,6 @@ def _as_paths(rows: np.ndarray, d: int) -> np.ndarray:
     return rows.reshape(-1, d, rows.shape[1]).transpose(0, 2, 1)
 
 
-def _draw_plan(n_paths: int, m: int, d: int, seed: int) -> tuple[int, list[list[tuple]]]:
-    """The blocks of the sampler's draw for n_paths d rows of m steps, one
-    row per (path, coordinate) in path order: the width of a draw row and,
-    for each of two streams, a list of (generator, first draw row, end draw
-    row).
-
-    Up to _CHOLESKY_STEPS steps a draw row is one row's m standard normals;
-    above, the 2m complex standard normals (4m doubles) of a pair of rows,
-    for an odd row count the last one alone (_circulant_fgn).  Both streams
-    are Generator(SFC64(child)) for the children of
-    SeedSequence(seed).spawn(2), and the first draws the first half of the
-    draw rows, so that two threads can draw them at once: the rows of the
-    first n_paths // 2 paths up to _CHOLESKY_STEPS steps, and the first
-    P // 2 of P pairs above.  Each stream's draw rows are drawn in blocks of
-    about _DRAW_BLOCK normals, whole paths up to _CHOLESKY_STEPS steps
-    (d max(1, _DRAW_BLOCK // (m d)) rows) and max(1, _DRAW_BLOCK // 4m)
-    pairs above, and its last block may be part-filled.
-    """
-    if m > _CHOLESKY_STEPS:
-        rows, width, unit = -(-n_paths * d // 2), 4 * m, 1
-    else:
-        rows, width, unit = n_paths * d, m, d
-    step = unit * max(1, _DRAW_BLOCK // (width * unit))
-    split = rows // (2 * unit) * unit
-    streams = [np.random.Generator(np.random.SFC64(s))
-               for s in np.random.SeedSequence(seed).spawn(2)]
-    return width, [[(rng, r, min(r + step, end)) for r in range(start, end, step)]
-                   for rng, (start, end) in zip(streams, ((0, split), (split, rows)))]
-
-
-def _drawn_in_halves(plan: tuple[int, list[list[tuple]]],
-                     use: Callable[[int, np.ndarray], object]) -> None:
-    """Call use(r, z) for each block of a _draw_plan, z holding the
-    standard normals of its draw rows r, r + 1, ..., valid during the call.
-    A Generator fills sequentially, so each stream's blocks hold the
-    normals of one draw.
-
-    From _AHEAD_BLOCKS blocks up, the calling thread draws and uses the
-    first stream's blocks while a worker thread does the second's (the
-    fill, BLAS and the FFT release the interpreter lock), so `use` must be
-    safe to run on both at once; fewer blocks are done in turn into one
-    buffer.  Either way the normals are the same.  An exception in either
-    thread stops the other at its next block; the worker is joined however
-    the call ends, and its exception is raised in the caller.
-    """
-    failed = []
-    width, (first, second) = plan
-
-    def run(blocks):
-        z = np.empty((max((hi - lo for _, lo, hi in blocks), default=0), width))
-        for rng, lo, hi in blocks:
-            if failed:
-                return
-            rng.standard_normal(out=z[:hi - lo])
-            use(lo, z[:hi - lo])
-
-    if len(first) + len(second) < _AHEAD_BLOCKS:
-        run(first + second)
-        return
-
-    def work():
-        try:
-            run(second)
-        except BaseException as exc:  # re-raised by the caller
-            failed.append(exc)
-
-    worker = threading.Thread(target=work, name="fgn-half", daemon=True)
-    worker.start()
-    try:
-        run(first)
-    except BaseException as exc:
-        failed.append(exc)  # stops the worker at its next block
-        raise
-    finally:
-        worker.join()
-    if failed:
-        raise failed[0]
-
-
 def _covariance_scale(H: float, m: int, T: float) -> float:
     """(T/m)^2H, the scale of the increment covariance of fBm on the
     m-grid of [0, T]; ValueError unless T > 0 and the scale is a positive
@@ -715,44 +628,12 @@ def _covariance_scale(H: float, m: int, T: float) -> float:
     return scale
 
 
-# Grids of up to this many steps apply the Cholesky factor: m = 128
-# multiply-adds per normal at most, half of them on its zero triangle, cost
-# less than drawing the second normal per step the circulant embedding needs.
-# On a 2-vCPU x86 VM the embedding takes 13.3 ms for 4096 paths x 64 steps,
-# the factor 7.4 ms (both drawn on one thread).
-_CHOLESKY_STEPS = 128
-
-# Normals drawn per block (256 KB), into one buffer per drawing thread; on
-# the circulant branch a block is whole pairs of rows, 4m normals each.  On
-# a 2-vCPU x86 VM (interleaved medians of 40 calls, one thread) one
-# (rows, m) draw took 6.3-6.5 ms at 4096 x 64 and 8192 x 32 and 7.4 ms at
-# 2048 x 128, blocks of 2^15 doubles 4.6-4.8 and 5.6 ms; 2^13, 2^14 and
-# 2^16 were 0.2-1.0 ms slower than 2^15, and 2500 x 36 was within noise.
-# With SFC64 streams and both threads drawing, blocks of 2^14 were 1-5%
-# slower than 2^15 in the median for the increments and the paths at 4096 x 64, 2048 x 128, 8192 x 32, 40-50 x 1000-1536 (medians of
-# 31 calls, four interleaved repeats).
+# Normals drawn per block (256 KB), whole complex rows of 4m doubles each.
+# On a 2-vCPU x86 VM (_fgn_increments, medians of 31 calls, three repeats)
+# 2^15 took 6.7-6.9 ms at 4096 x 64 against 7.3-7.6 ms for 2^13 and 2^14,
+# and larger blocks were within noise of it there and at 2048 x 128,
+# 8192 x 32, 2500 x 36 and 50 x 1536 while holding twice the memory.
 _DRAW_BLOCK = 2**15
-
-# Blocks from which _drawn_in_halves draws the second stream on a worker
-# thread.  On a 2-vCPU x86 VM with SFC64 streams (medians of 31 calls in ms,
-# three interleaved repeats, one BLAS thread, worker against in turn), at
-# three blocks, where one stream has a full first block, the worker gained:
-# _fgn_increments 1.21-1.31 against 1.62-1.69 at 2049 x 32 and 2.22-2.25
-# against 2.43-2.54 at 22 x 1536.  At two it gained on full blocks of a
-# matrix-vector product (1.07-1.15 against 1.23-1.49 at 2048 x 32) and lost
-# on small long-grid draws (0.83-0.89 against 0.56-0.57 at 4 x 896,
-# 1.06-1.09 against 0.88-0.89 at 12 x 1536), since starting a thread costs
-# about 0.3 ms.
-_AHEAD_BLOCKS = 3
-
-
-def _fgn_factor(gamma: np.ndarray) -> np.ndarray:
-    """L with L L^T = S, the Toeplitz matrix with first column gamma."""
-    k = np.arange(len(gamma))
-    try:
-        return np.linalg.cholesky(gamma[abs(k[:, None] - k)])
-    except np.linalg.LinAlgError:
-        raise RuntimeError("fGn covariance is not positive definite") from None
 
 
 def _circulant_scale(gamma: np.ndarray) -> np.ndarray:

@@ -182,7 +182,8 @@ def mc_weak_value(
     T^H times n_paths x d standard normals of Generator(SFC64(seed)), after
     the sampler's checks of its arguments (_sample_scale); the sample does
     not depend on n_steps, and no path is formed.  Otherwise RK4 runs on
-    the whole increment array (_fgn_increments); the sampler checks its
+    the whole increment array (_fgn_increments, the circulant embedding of
+    one draw from Generator(SFC64(seed))); the sampler checks its
     arguments before the time grid is built.
 
     By default the RK4 grid is the sample grid, one step per cell.  With
@@ -190,10 +191,10 @@ def mc_weak_value(
     ~ m^(1-5H), which falls faster than the interpolation's own m^(-2H) for
     every H > 1/3.  Against closed-form endpoints (V_0 = y/2 with V_1 = y,
     and V_0 = 0 with V_1 = sin) over H in {0.55, 0.7, 0.9} and T in
-    {0.5, 2}, the worst per-path relative error is 6.4e-3 at n_steps = 32,
-    3.4e-4 at 128 and 3.9e-7 at 1536; the mean bias is at most 5.4e-4
-    relative, 0.014 of the standard error at 4000 paths.  Coarse grids
-    pay: at n_steps = 4 and T = 2 the bias is up to 4% (0.06% with
+    {0.5, 2}, the worst per-path relative error is 1.5e-2 at n_steps = 32,
+    3.0e-4 at 128 and 4.0e-7 at 1536; the mean bias is at most 4.7e-4
+    relative, 0.012 of the standard error at 4000 paths.  Coarse grids
+    pay: at n_steps = 4 and T = 2 the bias is up to 5.4% (0.07% with
     steps_per_piece = 4), so below 32 steps pass steps_per_piece > 1 to
     sub-step each cell.
 

@@ -2,7 +2,7 @@
 coefficient, an exhaustive sweep of the refined permutation-count bound, the
 per-piece RK4 integrator that `fbmsig.sde._solve` must match bit for bit, the
 closed-form endpoint of constant fields that it must match for those, the
-normals behind a seed's draw on either branch of the sampler, the expected
+normals behind a seed's draw in the sampler, the expected
 signature of the grid interpolation of Brownian motion, which
 `fbmsig.gridapprox.approx_expected_word` must approach as H -> 1/2, the
 reduction with float exponents that `fbmsig.simplexquad._reduce_terms` plans
@@ -10,9 +10,9 @@ once per shape, the integrand of a core (per-axis exponents and spans) rebuilt
 from its factors on every call, which `_reduce_terms` plans once per shape,
 the Beta-map parameters of an integrand, the full-grid evaluation of a simplex
 core that `fbmsig.simplexquad._core_numeric` contracts axis by axis, the
-closed-form cell-pair kernel integrals, the Schur recursion for the fGn
-Cholesky factor that `fbmsig.gridapprox._fgn_factor` takes from LAPACK (it
-locates where a broken kernel stops being positive definite), the O(m^2) loop
+closed-form cell-pair kernel integrals, the Schur recursion for the Cholesky
+factor of the fGn covariance (it locates where a broken kernel stops being
+positive definite), the O(m^2) loop
 and the four-fold brute force that `fbmsig.gridapprox._crossing_sum` replaces,
 the words of one shuffle class, the per-call matching sum that
 `fbmsig.expected._word_plan` builds once per word, and the term-by-term sum
@@ -127,24 +127,13 @@ def closed_form_solve(fields, x0, times: np.ndarray, increments: np.ndarray) -> 
     return y
 
 
-def split_normals(seed: int, n_paths: int, d: int, m: int) -> np.ndarray:
-    """The standard normals behind the sampler's draw for a seed, from
-    Generator(SFC64(child)) for the two children of SeedSequence(seed).
-    Up to 128 steps, shape (n_paths, d, m), m per row: the first
-    n_paths // 2 paths from the first child, the others from the second.
-    Above, the complex rows of the circulant embedding, shape (P, 2m), one
-    per pair of rows, P = ceil(n_paths d / 2): the first P // 2 from the
-    first child, the others from the second."""
-    first, second = (np.random.Generator(np.random.SFC64(s))
-                     for s in np.random.SeedSequence(seed).spawn(2))
-    if m > ga._CHOLESKY_STEPS:
-        pairs = -(-n_paths * d // 2)
-        return np.concatenate([first.standard_normal((pairs // 2, 4 * m)),
-                               second.standard_normal((pairs - pairs // 2, 4 * m))]
-                              ).view(complex)
-    half = n_paths // 2
-    return np.concatenate([first.standard_normal((half, d, m)),
-                           second.standard_normal((n_paths - half, d, m))])
+def sampler_normals(seed: int, n_paths: int, d: int, m: int) -> np.ndarray:
+    """The standard normals behind the sampler's draw for a seed: one draw
+    of shape (P, 4m) from Generator(SFC64(seed)), seen as the complex rows
+    of the circulant embedding, shape (P, 2m), one per pair of rows,
+    P = ceil(n_paths d / 2)."""
+    rng = np.random.Generator(np.random.SFC64(seed))
+    return rng.standard_normal((-(-n_paths * d // 2), 4 * m)).view(complex)
 
 
 def circulant_end_weights(gamma: np.ndarray) -> np.ndarray:
@@ -152,7 +141,7 @@ def circulant_end_weights(gamma: np.ndarray) -> np.ndarray:
     (gamma): c_k = s_k h_k, h_k = sum_{j<m} e^(-2 pi i j k / 2m), which is
     m at k = 0, 0 at the other even k, and 1 - i cot(pi k / 2m) at odd k.
     So the real and imaginary parts of w @ c are the ends of the pair of
-    rows the circulant branch makes from w.
+    rows the sampler makes from w.
 
     Above k = m the cotangent is taken as -cot(pi (2m - k) / 2m): near
     k = 2m the argument pi k / 2m is within pi / 2m of pi, and the rounding
@@ -172,7 +161,7 @@ def endpoint_sum_bar(H: float, m: int, d: int, n_paths: int, seed: int,
     of _fgn_increments summed over the steps and sample_fbm_batch[:, -1] for
     the same arguments; u = 2^-53 and gamma_n = n u / (1 - n u).
 
-    Both take the same blocks of normals through the same products, so the
+    Both take the same blocks of normals through the same embedding, so the
     same increments, and differ only in the order of the m-term sum: the
     paths' running sum on one side, numpy's pairwise sum on the other.  Each
     is off by at most gamma_m times the sum of the terms' magnitudes, so the

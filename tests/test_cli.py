@@ -516,7 +516,7 @@ class TestSde:
                            "--steps", "4096", "--problem", problem)
             assert rc == 2 and text == ""
             err = capsys.readouterr().err
-            assert "--paths 100000000000000000 with --steps 4096" in err
+            assert "--paths 100000000000000000 needs more memory than is available" in err
 
     @pytest.mark.parametrize("problem", ["quadratic", "zero"])
     def test_problem_fields_are_constants(self, problem):

@@ -1,5 +1,8 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -31,8 +34,8 @@ from oracles import (
     endpoint_sum_bar,
     crossing_sum_by_loop,
     fgn_cholesky_t,
+    sampler_normals,
     shuffle_class,
-    split_normals,
 )
 
 
@@ -460,8 +463,6 @@ class TestCoefficientBound:
 
 
 class TestSampleFbm:
-    # m = 256 draws through the circulant embedding, the other grids through
-    # the Cholesky factor
     def test_seed_determinism(self):
         for m in (16, 256):
             a = sample_fbm_batch(0.7, m, 2, 1, seed=99)[0]
@@ -472,29 +473,25 @@ class TestSampleFbm:
     def test_starts_at_zero(self):
         assert np.all(sample_fbm_batch(0.6, 8, 3, 1, seed=1)[0, 0] == 0.0)
 
-    def test_single_equals_batch_head(self):
-        # a small batch is the head of each stream of a larger batch on the
-        # same seed: on both branches a four-path batch is paths 0, 1 and
-        # n // 2, n // 2 + 1 of n (on the Cholesky branch a one-row block
-        # could take another BLAS kernel than a longer one), and on the
-        # circulant branch a one-path batch, one pair of rows, is the head
-        # of the second stream
-        for m in (8, 256):
-            a = sample_fbm_batch(0.8, m, 1, 4, seed=5)
-            b = sample_fbm_batch(0.8, m, 1, 9, seed=5)
-            assert np.array_equal(a, b[[0, 1, 4, 5]])
-        a = sample_fbm_batch(0.8, 256, 1, 1, seed=5)[0]
-        b = sample_fbm_batch(0.8, 256, 1, 4, seed=5)[2]
-        assert np.array_equal(a, b)
+    @pytest.mark.parametrize("m", [1, 8, 64, 128, 256, 1536])
+    def test_even_row_batch_is_the_head_of_a_larger_batch(self, m):
+        # the pairs of rows come from one draw in order, so a batch of an
+        # even number of rows is the head of any larger batch on the same
+        # seed, within one block (4 rows) and across blocks (300 rows)
+        for d, n_paths in ((1, 4), (2, 2), (1, 300)):
+            a = sample_fbm_batch(0.8, m, d, n_paths, seed=5)
+            for more in (n_paths + 1, 2 * n_paths + 7):
+                assert np.array_equal(a, sample_fbm_batch(0.8, m, d, more, seed=5)[:n_paths])
 
+    @pytest.mark.parametrize("m", [1, 64, 256])
     @pytest.mark.parametrize("n_paths, d", [(1, 1), (3, 1), (1, 3)])
-    def test_odd_row_count_is_the_head_of_the_next_even_one(self, n_paths, d):
+    def test_odd_row_count_is_the_head_of_the_next_even_one(self, n_paths, d, m):
         # an odd number of rows leaves the last imaginary part of the
         # embedding unused, so the rows are those of one more row's batch
-        a = sample_fbm_batch(0.7, 256, d, n_paths, seed=3)
-        b = sample_fbm_batch(0.7, 256, 1, n_paths * d + 1, seed=3)
-        assert a.shape == (n_paths, 257, d) and np.all(a[:, 0] == 0.0)
-        rows = a.transpose(0, 2, 1).reshape(n_paths * d, 257)
+        a = sample_fbm_batch(0.7, m, d, n_paths, seed=3)
+        b = sample_fbm_batch(0.7, m, 1, n_paths * d + 1, seed=3)
+        assert a.shape == (n_paths, m + 1, d) and np.all(a[:, 0] == 0.0)
+        rows = a.transpose(0, 2, 1).reshape(n_paths * d, m + 1)
         assert np.array_equal(rows, b[:-1, :, 0])
 
     def test_variance_and_covariance(self):
@@ -514,36 +511,47 @@ class TestSampleFbm:
         with pytest.raises(ValueError):
             sample_fbm_batch(0.75, 5000, 1, 1, seed=0)
 
-
-def dense_fbm_batch(H, m, d, n_paths, seed, T=1.0):
-    """Oracle: the dense Cholesky factor of the m x m covariance of the grid
-    points, applied to the same normal draws as sample_fbm_batch on its
-    Cholesky branch."""
-    t = np.arange(1, m + 1) * (T / m)
-    two_h = 2.0 * H
-    C = 0.5 * (
-        t[:, None] ** two_h + t[None, :] ** two_h - np.abs(t[:, None] - t[None, :]) ** two_h
-    )
-    z = split_normals(seed, n_paths, d, m)
-    paths = np.einsum("ij,sdj->sid", np.linalg.cholesky(C), z)
-    return np.concatenate([np.zeros((n_paths, 1, d)), paths], axis=1)
+    def test_bits_do_not_depend_on_the_blas_thread_count(self):
+        # the embedding's FFTs call no BLAS routine; when grids of up to 128
+        # steps went through the LAPACK Cholesky factor of the covariance,
+        # the digests differed between one OpenBLAS thread and two
+        code = (
+            "import hashlib, numpy as np\n"
+            "from fbmsig.gridapprox import sample_fbm_batch\n"
+            "from fbmsig.sde import mc_weak_value\n"
+            "for m in (64, 128):\n"
+            "    paths = sample_fbm_batch(0.7, m, 2, 2048, 4, 1.3)\n"
+            "    print(hashlib.md5(paths.tobytes()).hexdigest())\n"
+            "print(mc_weak_value((0.25, np.sin), lambda y: y[:, 0], [0.3], 0.7, 1.3,\n"
+            "                    2048, 64, 4))\n")
+        src = os.path.dirname(os.path.dirname(ga.__file__))
+        outs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            outs.append(subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                                       capture_output=True, text=True, timeout=120).stdout)
+        assert len(outs[0].splitlines()) == 3
+        assert outs[0] == outs[1]
 
 
 def fgn_gamma(H, m, T=1.0):
-    """gamma_0..gamma_m, the increment covariances the sampler factors."""
+    """gamma_0..gamma_m, the increment covariances the sampler embeds."""
     return 0.5 * ga._covariance_scale(H, m, T) * ga._second_differences(H, m + 1)
 
 
+def toeplitz(gamma, m):
+    """S, the m x m Toeplitz matrix with first column gamma[:m]."""
+    k = np.arange(m)
+    return gamma[:m][abs(k[:, None] - k)]
+
+
 def sampler_map_gram(H, m, T=1.0):
-    """A A^T for the sampler's linear map A from the normals behind one draw
-    to the increments it gives, built by applying the map to every unit
-    vector: m normals -> one row of m increments up to _CHOLESKY_STEPS
-    steps, 4m normals (2m complex) -> two rows above.  The law of those
-    increments is N(0, A A^T)."""
+    """A A^T for the sampler's linear map A from the 4m normals (2m complex)
+    behind one pair of rows to those two rows of increments, built by
+    applying the map to every unit vector.  The law of the pair is
+    N(0, A A^T)."""
     gamma = fgn_gamma(H, m, T)
-    if m <= ga._CHOLESKY_STEPS:
-        rows = ga._fgn_factor(gamma[:m]).T  # z @ L^T for z the identity
-        return rows.T @ rows
     n = 4 * m
     gram = np.zeros((2 * m, 2 * m))
     for j0 in range(0, n, 1024):  # the unit vectors j0, j0 + 1, ... in chunks
@@ -560,101 +568,90 @@ def sampler_map_gram(H, m, T=1.0):
 class TestToeplitzSampler:
     @pytest.mark.parametrize("H", [0.5001, 0.55, 0.75, 0.95, 0.999])
     @pytest.mark.parametrize("m", [1, 2, 3, 17, 256])
-    def test_matches_dense_cholesky(self, H, m):
-        # chol(C) = A chol(S), A the cumulative sum, so up to _CHOLESKY_STEPS
-        # steps the paths agree up to rounding (the dense factor is the less
-        # accurate one: 7e-12 of its largest entry against mpmath at
-        # H = 0.999, m = 120).  The circulant embedding draws other paths, so
-        # at m = 256 its law is checked instead: the cumulative sums of its
-        # increments have the covariance C the dense factor factors.
-        if m > ga._CHOLESKY_STEPS:
-            t = np.arange(1, m + 1) * (1.3 / m)
-            C = 0.5 * (t[:, None] ** (2 * H) + t ** (2 * H) - np.abs(t[:, None] - t) ** (2 * H))
-            A = np.tril(np.ones((m, m)))
-            got = A @ sampler_map_gram(H, m, 1.3)[:m, :m] @ A.T
-            assert np.abs(got - C).max() <= 1e-14 * np.abs(C).max()
-            return
-        new = sample_fbm_batch(H, m, 2, 5, seed=11, T=1.3)
-        old = dense_fbm_batch(H, m, 2, 5, seed=11, T=1.3)
-        assert new.shape == old.shape == (5, m + 1, 2)
-        assert np.abs(new - old).max() <= 1e-9 * np.abs(old).max()
+    def test_paths_have_the_fbm_covariance(self, H, m):
+        # the cumulative sums of a row of increments have the covariance C
+        # of fBm at the grid points
+        t = np.arange(1, m + 1) * (1.3 / m)
+        C = 0.5 * (t[:, None] ** (2 * H) + t ** (2 * H) - np.abs(t[:, None] - t) ** (2 * H))
+        A = np.tril(np.ones((m, m)))
+        got = A @ sampler_map_gram(H, m, 1.3)[:m, :m] @ A.T
+        assert np.abs(got - C).max() <= 1e-14 * np.abs(C).max()
 
     @pytest.mark.parametrize("H", [0.5001, 0.75, 0.999])
-    def test_factor_matches_mpmath(self, H):
-        # the increment covariance built and factored at 40 digits
+    def test_gamma_matches_mpmath(self, H):
+        # gamma_0..gamma_m, scale included, against 40 digits (at most
+        # 4.4e-16 relative measured)
         mpmath = pytest.importorskip("mpmath")
-        m = 64
+        m, T = 64, 1.3
+        got = ga._fgn_gamma(H, m, 2, 3, T)
         with mpmath.workdps(40):
             two_h = 2 * mpmath.mpf(H)
-            gamma = [
-                ((k + 1) ** two_h - 2 * mpmath.mpf(k) ** two_h + abs(k - 1) ** two_h)
-                / (2 * mpmath.mpf(m) ** two_h)
-                for k in range(m)
-            ]
-            S = mpmath.matrix(m, m)
-            for i in range(m):
-                for j in range(m):
-                    S[i, j] = gamma[abs(i - j)]
-            want = np.array(mpmath.cholesky(S).tolist(), dtype=float)
-        got = ga._fgn_factor(fgn_gamma(H, m)[:m])
-        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+            scale = (mpmath.mpf(T) / m) ** two_h / 2
+            want = [scale * ((k + 1) ** two_h - 2 * mpmath.mpf(k) ** two_h
+                             + abs(k - 1) ** two_h) for k in range(m + 1)]
+            rel = max(abs((float(g) - w) / w) for g, w in zip(got, want))
+        assert got.shape == (m + 1,)
+        assert rel <= 1e-14
 
     @pytest.mark.parametrize("H", [0.5001, 0.7, 0.75, 0.999])
     @pytest.mark.parametrize("m", [1, 2, 17, 127, 128, 129, 256, 257, 1536])
     def test_map_has_the_increment_law(self, H, m):
-        # A A^T = S on both sides of the switch, and above it the real and
-        # imaginary rows of one draw are independent: a zero cross block
+        # A A^T = blockdiag(S, S): each row has the law N(0, S), and the
+        # real and imaginary rows of one draw are independent
         gamma = fgn_gamma(H, m, 1.3)
-        k = np.arange(m)
-        S = gamma[:m][abs(k[:, None] - k)]
+        S = toeplitz(gamma, m)
         gram = sampler_map_gram(H, m, 1.3)
         zero = np.zeros_like(S)
-        want = S if m <= ga._CHOLESKY_STEPS else np.block([[S, zero], [zero, S]])
-        assert gram.shape == want.shape
-        assert np.abs(gram - want).max() <= 1e-14 * gamma[0]
-        # the sampler applies this map to its draws and sums the increments;
-        # up to 128 steps in one product per stream, of one path and of two
-        # (a product over another number of rows may differ in the last
-        # bit), and above the real part of each complex row's transform
-        # gives an even row and its imaginary part the next
-        if m <= ga._CHOLESKY_STEPS:
-            z, factor_t = split_normals(m, 3, 2, m).reshape(6, m), ga._fgn_factor(gamma[:m]).T
-            inc = np.concatenate([z[:2] @ factor_t, z[2:] @ factor_t])
-        else:
-            y = np.fft.fft(split_normals(m, 3, 2, m) * ga._circulant_scale(gamma))[:, :m]
-            inc = np.empty((6, m))
-            inc[0::2], inc[1::2] = y.real, y.imag
+        assert np.abs(gram - np.block([[S, zero], [zero, S]])).max() <= 1e-14 * gamma[0]
+        # the sampler applies this map to its draw and sums the increments:
+        # the real part of each complex row's transform gives an even row
+        # and its imaginary part the next
+        y = np.fft.fft(sampler_normals(m, 3, 2, m) * ga._circulant_scale(gamma))[:, :m]
+        inc = np.empty((6, m))
+        inc[0::2], inc[1::2] = y.real, y.imag
         paths = sample_fbm_batch(H, m, 2, 3, seed=m, T=1.3)
         sums = np.cumsum(inc.reshape(3, 2, m), axis=2).transpose(0, 2, 1)
         assert np.array_equal(paths[:, 1:], sums) and np.all(paths[:, 0] == 0.0)
 
-    # (n_paths, d, m, rows per block): the shipped block, where at d = 3 and
-    # m = 64 a block holds 510 rows, 170 whole paths, not 512, and the last
-    # block 60; and blocks of 256 and 13 rows that divide the rows, and of 2
-    # that leave a part-filled last block
-    @pytest.mark.parametrize("n_paths, d, m, block_rows", [
-        (4096, 1, 64, None), (4096, 2, 32, None), (1024, 2, 128, None),
-        (2500, 1, 36, None), (700, 3, 64, None), (4096, 1, 64, 256), (1001, 1, 7, 13),
-        (5, 1, 128, 2)])
-    @pytest.mark.parametrize("H", [0.5001, 0.55, 0.7, 0.93, 0.999])
+    @pytest.mark.parametrize("H", [0.5001, 0.75, 0.999, 0.9999, 1 - 1e-9])
+    def test_embedding_holds_every_short_grid(self, H):
+        # the embedding's eigenvalues are >= 0 at every m up to 128 (the
+        # smallest lambda_min / lambda_max is 6.6e-12, at H = 1 - 1e-9), and
+        # the map has the increment law across that range; above 128 steps
+        # test_map_has_the_increment_law and the cap test cover it
+        for m in range(1, 129):
+            ga._circulant_scale(fgn_gamma(H, m, 1.3))
+        for m in (1, 2, 3, 8, 64, 127, 128):
+            gamma = fgn_gamma(H, m, 1.3)
+            S, zero = toeplitz(gamma, m), np.zeros((m, m))
+            gram = sampler_map_gram(H, m, 1.3)
+            assert np.abs(gram - np.block([[S, zero], [zero, S]])).max() <= 1e-14 * gamma[0]
+
+    # (n_paths, d, m, pairs of rows per block): the shipped block, 128 pairs
+    # at m = 64 (16 whole blocks at 4096 x 64; 26 pairs in the last of
+    # 700 x 3 x 64), 64 at m = 128 and 5 at m = 1536, and one block at
+    # 9 x 2 x 300 and 1 x 1 x 1; and blocks of 5 pairs and of 1, whose last
+    # block is part-filled (1001 x 7: one pair, of one row) or whose last
+    # pair is one row (23 x 3 x 300, 5 x 128)
+    @pytest.mark.parametrize("n_paths, d, m, block_pairs", [
+        (4096, 1, 64, None), (700, 3, 64, None), (1024, 2, 128, None),
+        (50, 1, 1536, None), (9, 2, 300, None), (1, 1, 1, None), (1001, 1, 7, 5),
+        (23, 3, 300, 5), (23, 3, 300, 1), (5, 1, 128, 1)])
+    @pytest.mark.parametrize("H", [0.5001, 0.7, 0.999])
     def test_blocked_draw_is_one_draw(self, monkeypatch, H, n_paths, d, m,
-                                      block_rows):
-        # the blocks take the normals of one two-stream (rows, m) draw in
-        # order; the first block's product is the one-shot product bit for
-        # bit, and a later block may go through another BLAS kernel, within
-        # 4 ulps of each row's largest entry
-        if block_rows is not None:
-            monkeypatch.setattr(ga, "_DRAW_BLOCK", block_rows * m)
+                                      block_pairs):
+        # the blocks take the normals of one draw in order, and the
+        # increments are the embedding of that whole draw in one call, bit
+        # for bit: a block never moves, and each row's FFT is its own
+        if block_pairs is not None:
+            monkeypatch.setattr(ga, "_DRAW_BLOCK", block_pairs * 4 * m)
         rows = n_paths * d
-        z = split_normals(21, n_paths, d, m).reshape(rows, m)
-        want = z @ ga._fgn_factor(fgn_gamma(H, m, 1.3)[:m]).T
+        want = np.empty((rows, m))
+        scale = np.repeat(ga._circulant_scale(fgn_gamma(H, m, 1.3)), 2)
+        ga._circulant_fgn(scale, sampler_normals(21, n_paths, d, m), want)
         inc = ga._fgn_increments(H, m, d, n_paths, 21, 1.3)
         assert inc.shape == (n_paths, m, d)
-        got = inc.transpose(0, 2, 1).reshape(rows, m)
-        head = min(rows, d * max(1, ga._DRAW_BLOCK // (m * d)))
-        assert np.array_equal(got[:head], want[:head])
-        ulp = np.spacing(np.abs(want).max(axis=1))
-        assert np.all(np.abs(got - want).max(axis=1) <= 4 * ulp)
+        assert np.array_equal(inc.transpose(0, 2, 1).reshape(rows, m), want)
 
     @pytest.mark.parametrize("m", [5, 300])
     def test_paths_are_running_sums_of_the_increments(self, m):
@@ -662,54 +659,6 @@ class TestToeplitzSampler:
         paths = sample_fbm_batch(0.7, m, 3, 7, 4, 1.3)
         assert paths.shape == (7, m + 1, 3) and np.all(paths[:, 0] == 0.0)
         assert np.array_equal(paths[:, 1:], np.cumsum(inc, axis=1))
-
-    # (n_paths, d, m, draw rows per block): blocks of 13, 6 and 4 paths at
-    # d = 1, 2 and 3, and of 170 at the shipped size, for each stream's half
-    # of the paths, each half with a part-filled last block; and on the
-    # circulant branch blocks of 5 pairs of rows for 69 rows, whose last
-    # pair is one row, and the shipped 27 pairs, one block for each half
-    @pytest.mark.parametrize("n_paths, d, m, block_rows", [
-        (1000, 1, 7, 13), (500, 2, 7, 13), (334, 3, 7, 13), (700, 3, 64, None),
-        (23, 3, 300, 5), (9, 2, 300, None)])
-    def test_blocks_are_runs_of_whole_paths(self, monkeypatch, n_paths, d, m,
-                                            block_rows):
-        # each block's increments are the product (or the embedding) of its
-        # own normals, bit for bit: a block never moves
-        circulant = m > ga._CHOLESKY_STEPS
-        width = 4 * m if circulant else m  # normals per draw row
-        if block_rows is not None:
-            monkeypatch.setattr(ga, "_DRAW_BLOCK", block_rows * width)
-        inc = ga._fgn_increments(0.7, m, d, n_paths, 3, 1.3)
-        rows = inc.transpose(0, 2, 1).reshape(n_paths * d, m)
-        gamma = fgn_gamma(0.7, m, 1.3)
-        z = split_normals(3, n_paths, d, m)
-        if circulant:  # a draw row is a pair of rows
-            per_draw, step, half = 2, max(1, ga._DRAW_BLOCK // width), len(z) // 2
-            halves = (half, len(z) - half)
-            scale = np.repeat(ga._circulant_scale(gamma), 2)
-
-            def block(lo, hi):
-                out = np.empty((min(2 * hi, len(rows)) - 2 * lo, m))
-                ga._circulant_fgn(scale, z[lo:hi].copy(), out)
-                return out
-        else:  # a draw row is a row, and a block is whole paths
-            per_draw, step, half = 1, d * max(1, ga._DRAW_BLOCK // (m * d)), n_paths // 2 * d
-            halves = (half, len(rows) - half)
-            z, factor_t = z.reshape(-1, m), ga._fgn_factor(gamma[:m]).T
-
-            def block(lo, hi):
-                return z[lo:hi] @ factor_t
-        assert all(n % step for n in halves)
-        got_width, plan = ga._draw_plan(n_paths, m, d, 3)
-        assert got_width == width
-        ends = [0]
-        for blocks, n in zip(plan, halves):
-            assert [hi - lo for _, lo, hi in blocks] == [step] * (n // step) + [n % step]
-            for _, lo, hi in blocks:
-                assert lo == ends[-1]
-                assert np.array_equal(rows[per_draw * lo:per_draw * hi], block(lo, hi))
-                ends.append(hi)
-        assert ends[-1] == sum(halves)
 
     @pytest.mark.parametrize("args, message", [
         ((0.7, 10**7, 1, 1000), "m capped at 4096"),
@@ -720,60 +669,45 @@ class TestToeplitzSampler:
         with pytest.raises(ValueError, match=message):
             ga._fgn_increments(*args, seed=0)
 
-    def test_holds_one_block_of_increments(self):
-        # besides the paths, one block of normals per drawing thread, with
-        # room for the factor
-        tracemalloc.start()
-        try:
-            paths = sample_fbm_batch(0.7, 64, 1, 4096, seed=8)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < paths.nbytes + 4 * ga._DRAW_BLOCK * 8
-
+    @pytest.mark.parametrize("sampler", [sample_fbm_batch, ga._fgn_increments])
     @pytest.mark.parametrize("n_paths, m", [(50, 1536), (4096, 64)])
-    def test_increments_allocated_once_the_factor_is_built(self, n_paths, m):
-        # besides the increments the sampler holds gamma, the factor (up to
-        # 128 steps) or the 4m scale factors of the embedding, and one block
-        # of normals for each of its two drawing threads.  The worker thread,
-        # the two generators, the plan, the closures and each FFT in flight
-        # get 32 KiB, against 8.0-8.2 KB measured at 4096 x 64 and 1416
-        # bytes per FFT, and far below a second block of normals (256 KB) or
-        # a second increment array (600 KB and 2 MiB).  The bars are 1.14
-        # and 2.56 MiB; the embedding that drew every row at once held
-        # 1.96 MiB at 50 x 1536
-        width, plan = ga._draw_plan(n_paths, m, 1, 8)
-        assert sum(map(len, plan)) >= ga._AHEAD_BLOCKS  # two drawing threads
-        block = max(hi - lo for blocks in plan for _, lo, hi in blocks) * width * 8
-        held = (m + 1) * 8 + (m * m if m <= ga._CHOLESKY_STEPS else 4 * m) * 8
-        bar = n_paths * m * 8 + 2 * block + held + 32 * 2**10
-        ga._fgn_increments(0.7, m, 1, n_paths, seed=8)
+    def test_holds_its_output_and_one_block(self, sampler, n_paths, m):
+        # besides its output the sampler holds gamma, the 4m scale factors
+        # of the embedding, one block of normals and the ufunc buffer of
+        # getbufsize() doubles (64 KiB) that scaling a block of many rows
+        # takes; the generator, the views and each FFT in flight get 16 KiB
+        # (at most 3.5 KB measured), far below a second block (256 KB) or a
+        # second output array.  A warm-up call builds the memoised power
+        # table first
+        out_cols = m + 1 if sampler is sample_fbm_batch else m
+        block = min(max(1, ga._DRAW_BLOCK // (4 * m)), -(-n_paths // 2)) * 4 * m * 8
+        bar = (n_paths * out_cols * 8 + block + 4 * m * 8 + (m + 1) * 8
+               + np.getbufsize() * 8 + 16 * 2**10)
+        sampler(0.7, m, 1, n_paths, seed=8)
         tracemalloc.start()
         try:
-            ga._fgn_increments(0.7, m, 1, n_paths, seed=8)
+            sampler(0.7, m, 1, n_paths, seed=8)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= bar
 
-    # (n_paths, d, m, rows per block): odd path counts, each stream's last
-    # block part-filled, the worker thread from three blocks (4097 x 64,
-    # 3001 x 32 x 2, 701 x 64 x 3 and blocks of 12 rows) and not below
-    # (1001 x 64), and the circulant branch in turn (two blocks) and with
-    # the worker (40 x 1536, and 23 x 300 x 3 in blocks of 5 pairs of rows,
-    # whose last pair is one row)
-    @pytest.mark.parametrize("n_paths, d, m, block_rows", [
+    # (n_paths, d, m, pairs of rows per block): odd path counts, part-filled
+    # last blocks of the shipped size (4097 x 64 ends with one pair of one
+    # row, 1001 x 64 with 117 pairs) and of 13 and 20 pairs, and one block
+    # (7 x 1536, 9 x 2 x 300, 5 x 3 x 200)
+    @pytest.mark.parametrize("n_paths, d, m, block_pairs", [
         (4097, 1, 64, None), (1001, 1, 64, None), (3001, 2, 32, None),
         (701, 3, 64, None), (333, 3, 7, 13), (7, 1, 1536, None), (9, 2, 300, None),
         (5, 3, 200, None), (40, 1, 1536, None), (23, 3, 300, 20)])
     @pytest.mark.parametrize("H", [0.55, 0.9])
     def test_endpoint_sums_are_the_paths_ends(self, monkeypatch, H, n_paths, d, m,
-                                             block_rows):
+                                             block_pairs):
         # the increments summed are the paths' ends, one draw behind both,
         # within the rounding bar that endpoint_sum_bar derives (at most
-        # 8.5% of it measured, at 3001 x 32 x 2)
-        if block_rows is not None:
-            monkeypatch.setattr(ga, "_DRAW_BLOCK", block_rows * m)
+        # 10.4% of it measured, at 3001 x 32 x 2)
+        if block_pairs is not None:
+            monkeypatch.setattr(ga, "_DRAW_BLOCK", block_pairs * 4 * m)
         ends = ga._fgn_increments(H, m, d, n_paths, 6, 1.3).sum(axis=1)
         paths = sample_fbm_batch(H, m, d, n_paths, 6, 1.3)
         bar = endpoint_sum_bar(H, m, d, n_paths, 6, 1.3)
@@ -781,18 +715,10 @@ class TestToeplitzSampler:
         assert np.all(np.abs(ends - paths[:, -1]) <= bar)
 
     @pytest.mark.parametrize("T", [0.5, 1.3])
-    @pytest.mark.parametrize("m", [1, 2, 17, 64, 128])
-    @pytest.mark.parametrize("H", [0.5001, 0.7, 0.999])
-    def test_endpoint_map_has_the_endpoint_variance(self, H, m, T):
-        # |L^T 1|^2 = 1^T S 1 = Var B_T = T^2H
-        lt1 = ga._fgn_factor(fgn_gamma(H, m, T)[:m]).sum(axis=0)
-        assert lt1 @ lt1 == pytest.approx(T ** (2.0 * H), rel=1e-13, abs=0.0)
-
-    @pytest.mark.parametrize("T", [0.5, 1.3])
-    @pytest.mark.parametrize("m", [129, 130, 700, 1536, 4095, 4096])
+    @pytest.mark.parametrize("m", [1, 2, 17, 64, 128, 129, 130, 700, 1536, 4095, 4096])
     @pytest.mark.parametrize("H", [0.5001, 0.7, 0.999])
     def test_circulant_end_weights_have_the_endpoint_variance(self, H, m, T):
-        # the circulant branch's pair of ends from w are the parts of w @ c:
+        # the pair of ends the sampler makes from w are the parts of w @ c:
         # each has variance sum |c_k|^2 = 1^T S 1 = Var B_T = T^2H; and
         # c_(2m-k) = conj(c_k), the head sums of a real row scaled by a
         # symmetric spectrum, so sum Re c_k Im c_k = Im(sum c_k^2) / 2 is 0
@@ -803,11 +729,11 @@ class TestToeplitzSampler:
         assert (np.abs(c) ** 2).sum() == pytest.approx(T ** (2.0 * H), rel=1e-13, abs=0.0)
         cross = c.real * c.imag
         assert abs(cross.sum()) <= 1e-13 * np.abs(cross).sum()
-        # and they are the ends of the pair of rows the branch makes from w,
-        # within the sum's gamma_(2m) of sum |w_k| |c_k| and the FFT's bar
-        # sqrt(2) m 8 log2(2m) u ||s w||_2 (Higham 2002, Theorem 24.2); at
-        # most 0.18% of the bar measured
-        w = split_normals(m, 1, 2, m)[0]
+        # and they are the ends of the pair of rows the sampler makes from
+        # w, within the sum's gamma_(2m) of sum |w_k| |c_k| and the FFT's
+        # bar sqrt(2) m 8 log2(2m) u ||s w||_2 (Higham 2002, Theorem 24.2);
+        # at most 5.2% of the bar measured
+        w = sampler_normals(m, 1, 2, m)[0]
         scale = ga._circulant_scale(gamma)
         ends = np.empty((2, m))
         ga._circulant_fgn(np.repeat(scale, 2), w[None].copy(), ends)
@@ -820,7 +746,8 @@ class TestToeplitzSampler:
 
     @pytest.mark.parametrize("m, n_paths, limit_mb", [(4096, 2, 16), (1536, 50, 8)])
     def test_factor_is_never_held_whole(self, m, n_paths, limit_mb):
-        # the whole factor alone is 134 MB at m = 4096 and 19 MB at m = 1536
+        # an m x m factor of the covariance alone is 134 MB at m = 4096 and
+        # 19 MB at m = 1536
         tracemalloc.start()
         try:
             sample_fbm_batch(0.7, m, 1, n_paths, seed=8)
@@ -843,9 +770,9 @@ class TestToeplitzSampler:
     @pytest.mark.parametrize("m, lag, value, step", [(4, 1, 2.5, 0), (300, 150, 3.0, 149)])
     def test_indefinite_covariance_raises(self, monkeypatch, m, lag, value, step):
         # fGn covariances are positive definite, so only a broken kernel can
-        # reach the check; it must raise rather than perturb the matrix, on
-        # the Cholesky branch (m = 4) and the circulant one (m = 300).  The
-        # Schur recursion finds where S stops being positive definite.
+        # reach the check; it must raise rather than perturb the matrix, at
+        # a short grid and a long one.  The Schur recursion finds where S
+        # stops being positive definite.
         kernel = np.zeros(m + 1)
         kernel[0], kernel[lag] = 2.0, value
         def broken(H, n):
@@ -855,9 +782,8 @@ class TestToeplitzSampler:
         monkeypatch.setattr(oracles, "_second_differences", broken)
         with pytest.raises(RuntimeError, match=f"not positive definite at step {step}$"):
             fgn_cholesky_t(0.75, m, 1.0)
-        message = ("fGn covariance is not positive definite$" if m <= ga._CHOLESKY_STEPS
-                   else "circulant embedding of the fGn covariance has an eigenvalue below 0")
-        with pytest.raises(RuntimeError, match=message):
+        with pytest.raises(RuntimeError, match="circulant embedding of the fGn covariance "
+                                               "has an eigenvalue below 0"):
             sample_fbm_batch(0.75, m, 1, 1, seed=0)
 
     def test_nan_eigenvalue_raises(self, monkeypatch):

@@ -544,8 +544,8 @@ def _recorded_mc(vf, x0, H, T, n_paths, n_steps, seed, **kwargs):
 
 class TestMcDefaultGridAccuracy:
     # the default RK4 grid is the sample grid, one step per cell; measured
-    # worst per-path relative errors over these cases are 6.4e-3 (m = 32),
-    # 3.4e-4 (128) and 3.9e-7 (1536), and the worst bias is 0.014 of the
+    # worst per-path relative errors over these cases are 1.5e-2 (m = 32),
+    # 3.0e-4 (128) and 4.0e-7 (1536), and the worst bias is 0.012 of the
     # standard error.  These bounds are never to be loosened.
     REL_BOUND = {32: 5e-2, 128: 1e-3, 1536: 1.5e-6}
     PATHS = {32: 4000, 128: 4000, 1536: 400}
@@ -582,58 +582,39 @@ def _constant_fields(d):
     return values[:d + 1], [0.3, -0.2]
 
 
-class _CountedThread(threading.Thread):
-    """A Thread that records itself in `started` when it starts."""
-
-    started = []
-
-    def start(self):
-        self.started.append(self)
-        super().start()
-
-
 @pytest.fixture
 def threads(monkeypatch):
-    """The threads started during the test, which must all be joined by its
-    end, with the thread count back where it began."""
-    before = threading.active_count()
+    """Records every thread started during the test, and asserts at its end
+    that none was: the sampler draws on the calling thread."""
     started = []
-    monkeypatch.setattr(_CountedThread, "started", started)
-    monkeypatch.setattr(threading, "Thread", _CountedThread)
+    start = threading.Thread.start
+
+    def counted(self):
+        started.append(self)
+        start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", counted)
     yield started
-    assert not any(t.is_alive() for t in started)
-    assert threading.active_count() == before
+    assert not started
 
 
-def _failing_stream(monkeypatch, stream, n, exc):
-    """Make the n-th draw from the given stream of every sampler draw (the
-    generator on the child of the seed's SeedSequence with that spawn key)
-    raise exc, and every draw from the other stream wait for that failure
-    and 20 ms more, so that it comes while the other thread still has
-    blocks to draw.  Returns the Generator class it replaces and a list
-    with one entry per draw from the other stream."""
+def _failing_draw(monkeypatch, n, exc):
+    """Make the n-th draw of every Generator raise exc.  Returns the
+    Generator class it replaces."""
     generator = np.random.Generator
-    failed, others = threading.Event(), []
 
     class FailingDraws:
         def __init__(self, bit_generator):
             self.rng, self.calls = generator(bit_generator), 0
-            self.key = bit_generator.seed_seq.spawn_key
 
         def standard_normal(self, *args, **kwargs):
-            if self.key == (stream,):
-                self.calls += 1
-                if self.calls == n:
-                    failed.set()
-                    raise exc
-            elif self.key == (1 - stream,):
-                others.append(1)
-                failed.wait(timeout=30)
-                time.sleep(0.02)
+            self.calls += 1
+            if self.calls == n:
+                raise exc
             return self.rng.standard_normal(*args, **kwargs)
 
     monkeypatch.setattr(np.random, "Generator", FailingDraws)
-    return generator, others
+    return generator
 
 
 def _run_at_once(calls, fn):
@@ -658,48 +639,24 @@ def _run_at_once(calls, fn):
     return got
 
 
-def _mc_of(fields, n_paths, n_steps):
-    x0 = _constant_fields(1)[1]
-    return lambda: mc_weak_value(fields, lambda y: y[:, 0], x0, 0.7, 1.3, n_paths,
-                                 n_steps, 5)
-
-
-# the two consumers of a draw on each branch, each of four blocks per
-# stream: 4096 paths x 64 steps in blocks of 512 rows, and 512 x 256 in
-# blocks of 32 pairs of rows
-_CONSUMERS = {
-    f"{name} {n_steps}": consume
-    for n_paths, n_steps in ((4096, 64), (512, 256))
-    for name, consume in (
-        ("paths", lambda n=n_paths, m=n_steps: sample_fbm_batch(0.7, m, 1, n, 5, 1.3)),
-        ("increments", _mc_of(_callables(_constant_fields(1)[0]), n_paths, n_steps)))
-}
-
-
-def _same(a, b):
-    """Whether two results of a consumer are equal: arrays bit for bit."""
-    return np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
-
-
 class TestPipelinedReference:
-    # With callable fields mc_weak_value runs RK4 on the sampler's gathered
-    # increments, whose two streams are drawn on two threads from
-    # _AHEAD_BLOCKS blocks up.  3000 x 40 x 2 and 2000 x 50 x 3 draw blocks
-    # of 409 and 218 whole paths, where a block of _DRAW_BLOCK // m rows
-    # would end inside a path; 1001 x 7 in blocks of 13 rows leaves each
-    # stream's last block part-filled, as does 1000 x 7; 5 x 8 is two
-    # blocks, 2048 x 32 two, done in turn, and on the circulant branch
-    # 100 x 300 is two blocks of pairs of rows and 400 x 300 eight
-    @pytest.mark.parametrize("n_paths, n_steps, d, block_rows, steps_per_piece", [
+    # With callable fields mc_weak_value runs RK4 on the sampler's whole
+    # increment array, drawn on the calling thread in blocks of pairs of
+    # rows: 4096 x 64, 2048 x 128 and 2048 x 32 are 16, 16 and 4 whole
+    # blocks; 8020 x 33, 2500 x 36, 3000 x 40 x 2, 2000 x 50 x 3, 100 x 300
+    # and 400 x 300 end with a part-filled block, as do 1001 x 7 and
+    # 1000 x 7 in blocks of 13 pairs and 2000 x 50 x 3 in blocks of 7; and
+    # 5 x 8 x 2 is one block
+    @pytest.mark.parametrize("n_paths, n_steps, d, block_pairs, steps_per_piece", [
         (4096, 64, 1, None, 1), (8020, 33, 1, None, 1), (2048, 128, 1, None, 1),
         (2500, 36, 1, None, 1), (1001, 7, 1, 13, 1), (1001, 7, 1, 13, 4),
         (1000, 7, 1, 13, 1), (3000, 40, 2, None, 1), (2000, 50, 3, None, 1),
         (2000, 50, 3, 7, 4), (5, 8, 2, None, 1), (2048, 32, 1, None, 1),
         (100, 300, 1, None, 1), (400, 300, 1, None, 1)])
     def test_bit_identical_to_one_solve(self, monkeypatch, threads, n_paths, n_steps,
-                                        d, block_rows, steps_per_piece):
-        if block_rows is not None:
-            monkeypatch.setattr(ga, "_DRAW_BLOCK", block_rows * n_steps)
+                                        d, block_pairs, steps_per_piece):
+        if block_pairs is not None:
+            monkeypatch.setattr(ga, "_DRAW_BLOCK", block_pairs * 4 * n_steps)
         vf, x0 = _constant_fields(d)
         H, T, seed = 0.7, 1.3, 9
         _, _, ends, times, inc = _recorded_mc(_callables(vf), x0, H, T, n_paths,
@@ -710,10 +667,6 @@ class TestPipelinedReference:
         # and RK4's endpoints are the closed form's up to rounding
         assert np.all(np.abs(ends - closed_form_solve(vf, x0, times, inc))
                       <= _closed_form_bar(vf, x0, times, inc, steps_per_piece))
-        blocks = sum(map(len, ga._draw_plan(n_paths, n_steps, d, seed)[1]))
-        # one worker per gather of _AHEAD_BLOCKS blocks or more: _recorded_mc
-        # samples in mc_weak_value and again for the increments
-        assert len(threads) == (2 if blocks >= ga._AHEAD_BLOCKS else 0)
 
     def test_non_finite_endpoint_names_the_end(self):
         # y = 1.7e308 + 1e307 B_T overflows where B_T passes 0.976; the
@@ -723,60 +676,22 @@ class TestPipelinedReference:
                 mc_weak_value((0.0, 1e307), lambda y: y[:, 0], [1.7e308], 0.7, 1.3,
                               12, 8, seed=0)
 
-    def test_drawer_exception_reaches_the_caller(self, monkeypatch, threads):
-        # a draw that fails on the worker thread (the third block of the
-        # second stream) raises in the caller, for each consumer of the
-        # draw; pytest turns an unhandled thread exception into an error, so
-        # the thread must not leak it either
-        for name, consume in _CONSUMERS.items():
-            want = consume()
-            generator, others = _failing_stream(monkeypatch, 1, 3,
-                                                FloatingPointError(name))
-            before, started = threading.active_count(), len(threads)
-            with pytest.raises(FloatingPointError, match=name):
-                consume()
-            # the caller stopped before its fourth and last block
-            assert len(others) < 4
-            assert len(threads) == started + 1 and not threads[-1].is_alive()
-            assert threading.active_count() == before
-            monkeypatch.setattr(np.random, "Generator", generator)
-            assert _same(consume(), want), name
-
-    def test_solve_exception_stops_the_drawer(self, monkeypatch, threads):
-        # the calling thread fails on its second block, with the worker
-        # still drawing the second stream
-        for name, consume in _CONSUMERS.items():
-            generator, others = _failing_stream(monkeypatch, 0, 2, KeyError(name))
-            before, started = threading.active_count(), len(threads)
-            with pytest.raises(KeyError, match=name):
-                consume()
-            # the worker stopped before its fourth and last block
-            assert len(others) < 4
-            assert len(threads) == started + 1 and not threads[-1].is_alive()
-            assert threading.active_count() == before
-            monkeypatch.setattr(np.random, "Generator", generator)
-
     def test_memory_error_in_a_block_is_a_usage_error(self, monkeypatch, threads,
                                                       capsys):
         # a Monte-Carlo reference with a callable field runs out of memory
-        # drawing the second block of either stream, on the calling thread
-        # or the worker, on either branch
+        # drawing its second block, at a short grid and a long one
         def callable_fields(name, x0):
             fields, f, state0 = _sde_problem(name, x0)
             return _callables(fields), f, state0
 
         monkeypatch.setattr("fbmsig.cli._sde_problem", callable_fields)
-        generator = np.random.Generator
         for paths, steps in (("4096", "64"), ("512", "256")):
             argv = ["sde", "compare", "--paths", paths, "--steps", steps, "--no-timestamp"]
-            for stream in (0, 1):
-                started = len(threads)
-                _failing_stream(monkeypatch, stream, 2, MemoryError())
-                assert cli_main(argv) == 2
-                assert (f"--paths {paths} with --steps {steps} needs more memory"
-                        in capsys.readouterr().err)
-                assert len(threads) == started + 1 and not threads[-1].is_alive()
-                monkeypatch.setattr(np.random, "Generator", generator)
+            generator = _failing_draw(monkeypatch, 2, MemoryError())
+            assert cli_main(argv) == 2
+            assert (f"--paths {paths} needs more memory than is available"
+                    in capsys.readouterr().err)
+            monkeypatch.setattr(np.random, "Generator", generator)
 
     def test_import_starts_no_thread(self):
         code = ("import threading, fbmsig.cli; "
@@ -787,11 +702,10 @@ class TestPipelinedReference:
         assert out.startswith("1 ")
 
     def test_concurrent_calls_under_fast_switching(self, monkeypatch):
-        # four calls of each consumer at once, each with its worker, on
-        # blocks of one path (16 steps) or of one pair of rows (300 steps);
-        # a block read while it is redrawn would change a path or an
-        # increment
-        monkeypatch.setattr(ga, "_DRAW_BLOCK", 3 * 16)
+        # four calls of each sampler consumer at once, on their own threads,
+        # in blocks of one pair of rows; a block read while another call
+        # redraws it would change a path or an increment
+        monkeypatch.setattr(ga, "_DRAW_BLOCK", 1)
         vf, x0 = _constant_fields(2)
         for n_paths, n_steps in ((600, 16), (60, 300)):
             calls = [(_callables(vf), lambda y: y[:, 0], x0, 0.7, 1.3, n_paths, n_steps,
