@@ -168,7 +168,7 @@ def _check_hurst(H: float, typed: str, check=ex.check_hurst) -> None:
 @functools.lru_cache(maxsize=2048)
 def _word(text: str) -> tuple[Word, str]:
     letters = tuple(map(int, text.split(",")))
-    w = Word(letters, max(1, *letters))
+    w = Word(letters)
     return w, str(w)
 
 
@@ -453,8 +453,8 @@ def cmd_sde(args) -> int:
     seed = _number("seed", args.seed, int)
     if seed < 0:
         raise ValueError(f"--seed must be a non-negative integer, got {args.seed!r}")
-    if not 1 <= n_steps <= ga._MAX_GRID:
-        raise ValueError(f"--steps must lie in [1, {ga._MAX_GRID}], got {n_steps}")
+    if not 1 <= n_steps <= ga._MAX_CELLS:
+        raise ValueError(f"--steps must lie in [1, {ga._MAX_CELLS}], got {n_steps}")
     ga._covariance_scale(H, n_steps, T)  # the sampler's range check, before any solve
     M, gamma = _finite("M", args.M), _finite("gamma", args.gamma)
     # f may overflow (a huge --x0); the finiteness check below reports that

@@ -8,7 +8,6 @@ match the expected fBm values for every word whose weight
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -16,7 +15,7 @@ import numpy as np
 
 from .expected import closed_form_value, expected_word
 from .simplexquad import MAX_PAIRS, QuadConfig
-from .tensor import Word, batch_grid_signatures, word_index
+from .tensor import Word, all_words, batch_grid_signatures, word_index
 
 __all__ = [
     "CubatureFormula",
@@ -95,10 +94,7 @@ def words_of_degree(m: int, H: float, d: int) -> list[Word]:
     out = []
     length = 0
     while 2.0 * H * length <= m + 1e-9:
-        for letters in itertools.product(range(d + 1), repeat=length):
-            w = Word(letters, d)
-            if word_weight(w, H) <= m + 1e-9:
-                out.append(w)
+        out += [w for w in all_words(d, length) if word_weight(w, H) <= m + 1e-9]
         length += 1
     return out
 

@@ -104,7 +104,7 @@ def _word_plan(letters: tuple[int, ...]) -> _WordPlan:
     else:
         sub = tuple(letters[i] for i in positions)
         shapes = tuple(sq._shape(n, tuple((positions[a], positions[b]) for a, b in m))
-                       for m in mt.compatible_matchings(Word(sub, max(sub))))
+                       for m in mt.compatible_matchings(Word(sub)))
         value, k = None, len(positions) // 2
     decay = None
     if len(positions) == n and n % 2 == 0:  # decay_bound_applies
@@ -158,7 +158,7 @@ def canonical_relabel(word: Word) -> Word:
         if x not in mapping:
             mapping[x] = len(mapping) + 1
         out.append(mapping[x])
-    return Word(tuple(out), word.d)
+    return Word(tuple(out))
 
 
 def expected_tensor(

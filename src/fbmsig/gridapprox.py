@@ -43,9 +43,9 @@ __all__ = [
     "sample_fbm_batch",
 ]
 
-_MAX_GRID = 4096
-# approx_expected_word refuses grids of more cells than this; at the ceiling
-# 1,1,1,1 takes about 0.2 s and 60 MiB, most of it the kernel's series powers
+# approx_expected_word, the sampler and the Monte-Carlo reference refuse
+# grids of more cells than this (_check_cells); at the ceiling 1,1,1,1 takes
+# about 0.2 s and 60 MiB, most of it the kernel's series powers
 _MAX_CELLS = 2**18
 
 
@@ -342,7 +342,7 @@ def _tie_table(letters: tuple[int, ...]) -> tuple:
     of an even pure-fBm word, in enumeration order: key = (number of blocks,
     sorted (block pair, pair count) edges), run_weight = 1 / prod s! over
     the block sizes, loops = the pairs inside one block."""
-    matchings_ = mt.compatible_matchings(Word(letters, max(letters)))
+    matchings_ = mt.compatible_matchings(Word(letters))
     table = []
     for cuts in itertools.product((0, 1), repeat=len(letters) - 1):
         # a tie pattern: position i lies in block (number of cuts before i)
@@ -601,10 +601,9 @@ def _sample_scale(H: float, m: int, d: int, n_paths: int, T: float) -> float:
     """The sampler's checks of its arguments, the last of them computing the
     covariance scale (T/m)^2H, which refuses T and is returned."""
     check_hurst(H)
-    if m > _MAX_GRID:
-        raise ValueError(f"m capped at {_MAX_GRID}")
-    if m < 1 or n_paths < 1 or d < 1:
-        raise ValueError("m, d and n_paths must be positive")
+    _check_cells(m)
+    if n_paths < 1 or d < 1:
+        raise ValueError("d and n_paths must be positive")
     return _covariance_scale(H, m, T)
 
 

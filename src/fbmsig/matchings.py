@@ -36,7 +36,7 @@ def enumerate_matchings(two_k: int) -> list[Matching]:
         raise ValueError(f"need an even number of positions, got {two_k}")
     if not 2 <= two_k <= _MAX_TWO_K:
         raise ValueError(f"two_k must be in [2, {_MAX_TWO_K}], got {two_k}")
-    return compatible_matchings(Word((1,) * two_k, 1))
+    return compatible_matchings(Word((1,) * two_k))
 
 
 def compatible_matchings(word: Word) -> list[Matching]:

@@ -22,25 +22,20 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Word:
-    """A finite sequence of letters in {0, ..., d}; the empty word is allowed."""
+    """A finite sequence of non-negative integer letters, 0 the time letter;
+    the empty word is allowed."""
 
     letters: tuple[int, ...]
-    d: int
 
     def __post_init__(self):
         letters = tuple(map(int, self.letters))
         object.__setattr__(self, "letters", letters)
-        if self.d < 1:
-            raise ValueError(f"alphabet width d must be >= 1, got {self.d}")
-        if letters and not (min(letters) >= 0 and max(letters) <= self.d):
-            x = next(x for x in letters if not 0 <= x <= self.d)
-            raise ValueError(f"letter {x} outside alphabet {{0,...,{self.d}}}")
+        if letters and min(letters) < 0:
+            x = next(x for x in letters if x < 0)
+            raise ValueError(f"letter {x} is negative")
 
     def __len__(self) -> int:
         return len(self.letters)
-
-    def __iter__(self):
-        return iter(self.letters)
 
     def __str__(self) -> str:
         return ",".join(map(str, self.letters))
@@ -62,9 +57,12 @@ def word_index(letters, d: int) -> int:
 
 
 def all_words(d: int, length: int):
-    """All words of exactly the given length, lexicographic order."""
+    """All words of exactly the given length over {0, ..., d}, d >= 1, in
+    lexicographic order."""
+    if d < 1:
+        raise ValueError(f"alphabet width d must be >= 1, got {d}")
     for letters in itertools.product(range(d + 1), repeat=length):
-        yield Word(letters, d)
+        yield Word(letters)
 
 
 def batch_grid_signatures(times, spatial: np.ndarray, depth: int) -> list[np.ndarray]:

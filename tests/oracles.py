@@ -69,7 +69,7 @@ def bound_violation_sweep(max_two_k: int = 8, d: int = 3) -> list[tuple]:
     for two_k in range(2, max_two_k + 1, 2):
         k = two_k // 2
         for letters in itertools.product(range(1, d + 1), repeat=two_k):
-            w = Word(letters, d)
+            w = Word(letters)
             c = permutation_count(w)
             b = refined_count_bound(k, len(set(letters)))
             if c > b:
@@ -424,11 +424,11 @@ def crossing_sum_brute(g: np.ndarray) -> float:
                      for d0, d1, d2, d3 in itertools.combinations(range(len(g)), 4))
 
 
-def shuffle_class(letters, d: int) -> list[Word]:
-    """Every distinct arrangement of the multiset of letters, as words over
-    d letters: the class whose expected signatures sum to
+def shuffle_class(letters) -> list[Word]:
+    """Every distinct arrangement of the multiset of letters, as words: the
+    class whose expected signatures sum to
     E prod_i (X^i)^(n_i) / n_i! for a path with increments X."""
-    return [Word(p, d) for p in sorted(set(itertools.permutations(letters)))]
+    return [Word(p) for p in sorted(set(itertools.permutations(letters)))]
 
 
 def expected_word_by_matchings(word: Word, H: float, config: sq.QuadConfig | None = None):
@@ -448,7 +448,7 @@ def expected_word_by_matchings(word: Word, H: float, config: sq.QuadConfig | Non
     n = len(word)
     if not positions:
         return sq.CertifiedValue(1.0 / math.factorial(n), 0.0)
-    sub = Word(tuple(word.letters[i] for i in positions), word.d)
+    sub = Word(tuple(word.letters[i] for i in positions))
     k = len(positions) // 2
     value = 0.0
     error = 0.0

@@ -49,7 +49,7 @@ def report(n, name, ok, detail=""):
 
 @lru_cache(maxsize=None)
 def cached_expected(letters: tuple, H: float) -> tuple:
-    w = canonical_relabel(Word(letters, max(2, max(letters, default=1))))
+    w = canonical_relabel(Word(letters))
     return tuple(expected_word(w, H, QuadConfig(tol=1e-6)))
 
 
@@ -107,7 +107,7 @@ def slope_fits():
     for letters in RATE_WORDS:
         for H in RATE_H:
             out[(letters, H)] = convergence_slope(
-                gap_rows(Word(letters, 2), H, M_LIST, QuadConfig(tol=1e-9))
+                gap_rows(Word(letters), H, M_LIST, QuadConfig(tol=1e-9))
             )
     out["elapsed"] = time.perf_counter() - t0
     return out
@@ -116,7 +116,7 @@ def slope_fits():
 def test_criterion_3_convergence_rate(slope_fits):
     t0 = time.perf_counter()
     zero_ok = all(
-        g.gap <= 1e-14 for _, g in gap_rows(Word((1, 1), 2), 0.75, M_LIST)
+        g.gap <= 1e-14 for _, g in gap_rows(Word((1, 1)), 0.75, M_LIST)
     )
     lines = []
     all_ok = zero_ok
@@ -161,7 +161,7 @@ def test_criterion_4_coefficient_bound(slope_fits):
         details.append(f"H={H}: Atilde={at.value:.6g}+-{at.error:.1e} ident_gap={ident:.1e}")
     for letters in RATE_WORDS:
         for H in RATE_H:
-            w = Word(letters, 2)
+            w = Word(letters)
             rep = coefficient_bound_check(w, H, gap_rows(w, H, M_LIST))
             all_ok &= rep.passed
             details.append(
@@ -206,11 +206,11 @@ def test_criterion_6_combinatorial_oracles():
         len(enumerate_matchings(2 * k)) == dfac(2 * k - 1) for k in range(1, 7)
     )
     inst_ok = (
-        permutation_count(Word((1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6), 6))
+        permutation_count(Word((1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6)))
         == math.factorial(6) * 2**6
-        and permutation_count(Word((1, 1, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5), 5))
+        and permutation_count(Word((1, 1, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5)))
         == (math.factorial(6) // 2) * 2**4 * math.factorial(4)
-        and permutation_count(Word((1, 1, 1, 1, 1, 1, 2, 2, 3, 3, 4, 4), 4))
+        and permutation_count(Word((1, 1, 1, 1, 1, 1, 2, 2, 3, 3, 4, 4)))
         == (math.factorial(6) // math.factorial(3)) * 2**3 * math.factorial(6)
     )
     bij_ok = all(decomposition_bijection_check(k) for k in range(1, 5))
@@ -294,7 +294,7 @@ def _brute_expected_level4(letters, H, G):
     c2 = (H * (2.0 * H - 1.0)) ** 2
     return c2 * sum(
         _brute_level4_matching(m, H, G)
-        for m in compatible_matchings(Word(letters, 2))
+        for m in compatible_matchings(Word(letters))
     )
 
 
@@ -316,7 +316,7 @@ def test_criterion_8_cross_oracle_equivalence():
             ])
         extrap = stages[-1][-1]
         consistency = abs(stages[-1][-1] - stages[-2][-1])
-        exact = expected_word(Word(letters, 2), H, QuadConfig(tol=1e-9)).value
+        exact = expected_word(Word(letters), H, QuadConfig(tol=1e-9)).value
         worst = max(worst, abs(extrap - exact))
         worst_consistency = max(worst_consistency, consistency)
     brute_ok = worst <= 1e-5
@@ -334,7 +334,7 @@ def test_criterion_8_cross_oracle_equivalence():
     for w in words:
         vals = np.concatenate(samples[w])
         mean, se = vals.mean(), vals.std(ddof=1) / math.sqrt(len(vals))
-        want = approx_expected_word(Word(w, 2), H, m)
+        want = approx_expected_word(Word(w), H, m)
         z = abs(mean - want) / se
         zs.append(f"{''.join(map(str, w))}: z={z:.2f}")
         mc_ok &= z <= 4.0

@@ -236,7 +236,7 @@ def _reference_table(texts, hs, fmt):
     rows, passed = [], True
     for text in texts:
         letters = tuple(int(t) for t in text.split(","))
-        word = Word(letters, max(1, *letters))
+        word = Word(letters)
         for H in hs:
             if len(letters) % 2 == 0 and 0 not in letters:
                 rep = decay_bound_check(word, H)
@@ -472,7 +472,7 @@ class TestSde:
         assert rc == 2
         assert "n_paths must be >= 2" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("steps", ["0", "-3", str(ga._MAX_GRID + 1)])
+    @pytest.mark.parametrize("steps", ["0", "-3", "262145"])
     def test_steps_out_of_range_fails_before_any_solve(self, tmp_path, capsys,
                                                        monkeypatch, steps):
         def no_solve(*args, **kwargs):
@@ -482,8 +482,7 @@ class TestSde:
         monkeypatch.setattr(sde, "mc_weak_value", no_solve)
         rc, text = run(tmp_path, "sde", "compare", "--paths", "8", "--steps", steps)
         assert rc == 2 and text == ""
-        assert f"--steps must lie in [1, {ga._MAX_GRID}], got {steps}" in \
-            capsys.readouterr().err
+        assert f"--steps must lie in [1, 262144], got {steps}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("H", ["0.5", "1", "nan"])
     def test_hurst_out_of_range_fails_before_any_solve(self, tmp_path, capsys,
@@ -503,9 +502,23 @@ class TestSde:
         monkeypatch.setattr(sde, "cubature_weak_value", lambda *args: 1.0)
         monkeypatch.setattr(sde, "mc_weak_value",
                             lambda *args: seen.append(args[6]) or (1.0, 0.1))
-        rc, _ = run(tmp_path, "sde", "compare", "--paths", "8", "--steps",
-                    str(ga._MAX_GRID))
-        assert rc == 0 and seen == [ga._MAX_GRID]
+        rc, _ = run(tmp_path, "sde", "compare", "--paths", "8", "--steps", "262144")
+        assert rc == 0 and seen == [ga._MAX_CELLS] == [262144]
+
+    @pytest.mark.parametrize("problem", ["quadratic", "zero"])
+    def test_row_does_not_depend_on_steps(self, tmp_path, problem):
+        # both problems have constant fields, so the reference draws B_T
+        # from its law whatever the grid: every step count up to the
+        # ceiling prints the same row but for n_steps
+        rows = []
+        for steps in ("1", "64", "4096", "262144"):
+            rc, text = run(tmp_path, "sde", "compare", "--H", "0.7", "--paths", "1000",
+                           "--steps", steps, "--problem", problem, "--no-timestamp")
+            assert rc == 0
+            header, row = read_csv(text)
+            assert row[header.index("n_steps")] == steps
+            rows.append(row[:header.index("n_steps")] + row[header.index("n_steps") + 1:])
+        assert all(row == rows[0] for row in rows)
 
     def test_unallocatable_paths_is_usage_error(self, tmp_path, capsys):
         # 10^17 paths need 800 PB for their endpoints alone, more than any
@@ -814,6 +827,20 @@ class TestHarness:
         assert {float(r[1]) for r in rows[1:]} == {0.9}       # config fills H
         assert {r[2] for r in rows[1:]} == {"1", "2"}         # config fills m
 
+    def test_config_skips_blank_and_comment_lines(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# a grid run\n\n   \nH = 0.9\n  # words=1,2,1,2\nwords=1,1\n")
+        rc, text = run(tmp_path, "expected-sig", "--config", str(cfg), "--no-timestamp")
+        assert rc == 0
+        assert [(r[0], float(r[1])) for r in read_csv(text)[1:]] == [("1,1", 0.9)]
+
+    def test_config_line_without_equals_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# H and its value\nH 0.7\nwords=1,1\n")
+        rc, text = run(tmp_path, "expected-sig", "--config", str(cfg), "--no-timestamp")
+        assert rc == 2 and text == ""
+        assert capsys.readouterr().err == "error: config line without '=': 'H 0.7'\n"
+
     def test_config_key_of_no_command_is_usage_error(self, tmp_path, capsys):
         # a misspelled key ("word" for "words") must not leave the default word
         cfg = tmp_path / "run.cfg"
@@ -1018,7 +1045,7 @@ class TestNumberFlags:
         (["expected-sig", "--words", "1,,1"], "--words must be an integer, got ''"),
         (["expected-sig", "--words", "1,1.5"], "--words must be an integer, got '1.5'"),
         (["expected-sig", "--words", "1,-1;1,x"], "--words must be an integer, got 'x'"),
-        (["expected-sig", "--words", "1,1;2,-1"], "letter -1 outside alphabet {0,...,2}"),
+        (["expected-sig", "--words", "1,1;2,-1"], "letter -1 is negative"),
     ])
     def test_malformed_number_names_its_flag(self, tmp_path, capsys, argv, message):
         rc, text = run(tmp_path, *argv, "--no-timestamp")
@@ -1164,7 +1191,7 @@ def test_link_grid_memo_keeps_only_two_axis_grids_within_its_bound(monkeypatch):
         getattr(sq, name).cache_clear()
     monkeypatch.setattr(sq, "_link_grid", spy)
     for w in words:
-        expected_word(Word(w, 3), 0.6789, sq.QuadConfig(tol=1))
+        expected_word(Word(w), 0.6789, sq.QuadConfig(tol=1))
     info = memo.cache_info()
     assert info.misses >= len(grids) > info.maxsize == info.currsize
     assert {N for *_, N in grids} == {sq.POINTS_PER_AXIS, sq.POINTS_PER_AXIS + 16}
@@ -1205,7 +1232,7 @@ def test_grid_memos_hold_read_only_arrays_within_their_bound():
     # series powers; larger grids are not kept
     import tracemalloc
 
-    words = [Word(tuple(map(int, w.split(","))), 2) for w in GRID_WORDS.split(";")]
+    words = [Word(tuple(map(int, w.split(",")))) for w in GRID_WORDS.split(";")]
     ga._grid_cells.cache_clear()
     ga._power_table.cache_clear()
     tracemalloc.start()

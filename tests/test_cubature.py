@@ -23,7 +23,7 @@ SQRT3 = math.sqrt(3.0)
 
 
 def W(*letters):
-    return Word(tuple(letters), 1)
+    return Word(tuple(letters))
 
 
 class TestWordWeight:

@@ -46,8 +46,8 @@ from oracles import (
 H_GRID = (0.6, 0.75, 0.9)
 
 
-def W(*letters, d=2):
-    return Word(tuple(letters), d)
+def W(*letters):
+    return Word(tuple(letters))
 
 
 # Independent closed forms for the three level-4 simplex pair integrals,
@@ -77,30 +77,30 @@ class TestClosedFormTable:
 
     @pytest.mark.parametrize("H", H_GRID)
     def test_table_values(self, H):
-        assert closed_form_value(Word((1, 1), 1), H) == 0.5
-        assert closed_form_value(Word((1, 0, 1), 1), H) == pytest.approx(
+        assert closed_form_value(Word((1, 1)), H) == 0.5
+        assert closed_form_value(Word((1, 0, 1)), H) == pytest.approx(
             (2 * H - 1) / (2 * (2 * H + 1)), abs=1e-15
         )
-        assert closed_form_value(Word((0, 1, 1), 1), H) == pytest.approx(
+        assert closed_form_value(Word((0, 1, 1)), H) == pytest.approx(
             1 / (2 * (2 * H + 1)), abs=1e-15
         )
-        assert closed_form_value(Word((1, 1, 1, 1), 1), H) == 0.125
-        assert closed_form_value(Word((1,), 1), H) == 0.0
+        assert closed_form_value(Word((1, 1, 1, 1)), H) == 0.125
+        assert closed_form_value(Word((1,)), H) == 0.0
 
     def test_rules_beyond_table(self):
         # single letter, pure time, odd count, and the genuinely unknown case
-        assert closed_form_value(Word((1,) * 6, 1), 0.7) == pytest.approx(1 / 48)
-        assert closed_form_value(Word((0, 0), 1), 0.7) == 0.5
-        assert closed_form_value(Word((1, 2), 2), 0.7) == 0.0
-        assert closed_form_value(Word((1, 2, 1, 2), 2), 0.7) is None
+        assert closed_form_value(Word((1,) * 6), 0.7) == pytest.approx(1 / 48)
+        assert closed_form_value(Word((0, 0)), 0.7) == 0.5
+        assert closed_form_value(Word((1, 2)), 0.7) == 0.0
+        assert closed_form_value(Word((1, 2, 1, 2)), 0.7) is None
 
     @pytest.mark.parametrize("H", (0.5, 0.7))
     def test_long_words_underflow(self, H):
         # 1/171! is subnormal and 1/(200! 2^200) is 0: both round once from
         # the exact integers instead of overflowing on the conversion
-        assert closed_form_value(Word((0,) * 171, 1), H) == 1 / math.factorial(171) > 0
-        assert closed_form_value(Word((1,) * 400, 1), H) == 0.0
-        assert closed_form_value(Word((1,) * 302, 1), H) == \
+        assert closed_form_value(Word((0,) * 171), H) == 1 / math.factorial(171) > 0
+        assert closed_form_value(Word((1,) * 400), H) == 0.0
+        assert closed_form_value(Word((1,) * 302), H) == \
             1 / (math.factorial(151) * 2**151) > 0
 
     def test_brownian_rule_equals_table_at_half(self):
@@ -112,12 +112,12 @@ class TestClosedFormTable:
     def test_brownian_rule_every_word_at_half(self):
         # exp(e_0 + 1/2 sum_i e_i e_i): z time letters and p pairs i,i give
         # 2^-p / (z+p)!; a word that does not split that way gives 0
-        assert closed_form_value(Word((1, 2, 1, 2), 2), 0.5) == 0.0
-        assert closed_form_value(Word((1, 1, 0, 2, 2), 2), 0.5) == 1.0 / 24.0
-        assert closed_form_value(Word((0, 1, 1, 0), 1), 0.5) == 1.0 / 12.0
-        assert closed_form_value(Word((2, 2, 1, 1), 2), 0.5) == 1.0 / 8.0
-        assert closed_form_value(Word((1, 0, 1), 1), 0.5) == 0.0
-        assert closed_form_value(Word((1, 1, 1, 1, 1, 1), 1), 0.5) == 1.0 / 48.0
+        assert closed_form_value(Word((1, 2, 1, 2)), 0.5) == 0.0
+        assert closed_form_value(Word((1, 1, 0, 2, 2)), 0.5) == 1.0 / 24.0
+        assert closed_form_value(Word((0, 1, 1, 0)), 0.5) == 1.0 / 12.0
+        assert closed_form_value(Word((2, 2, 1, 1)), 0.5) == 1.0 / 8.0
+        assert closed_form_value(Word((1, 0, 1)), 0.5) == 0.0
+        assert closed_form_value(Word((1, 1, 1, 1, 1, 1)), 0.5) == 1.0 / 48.0
 
     @pytest.mark.parametrize("H", (0.5001, 0.501))
     def test_brownian_rule_is_the_limit_at_half(self, H):
@@ -172,11 +172,11 @@ class TestExpectedWord:
 
     def test_pure_time_words(self):
         for n in (1, 2, 3):
-            res = expected_word(Word((0,) * n, 1), 0.6)
+            res = expected_word(Word((0,) * n), 0.6)
             assert res.value == pytest.approx(1.0 / math.factorial(n), abs=0)
 
     def test_six_letters_single(self):
-        res = expected_word(Word((1,) * 6, 1), 0.6)
+        res = expected_word(Word((1,) * 6), 0.6)
         assert res.value == pytest.approx(1.0 / 48.0, abs=1e-10)
 
     def test_relabel_invariance(self):
@@ -184,6 +184,13 @@ class TestExpectedWord:
             a = expected_word(W(*letters), 0.8).value
             b = expected_word(canonical_relabel(W(*letters)), 0.8).value
             assert a == pytest.approx(b, abs=1e-13)
+
+    def test_relabel_keeps_time_letters_in_place(self):
+        # zeros stay where they are; nonzero letters take 1, 2, ... in the
+        # order of their first appearance
+        assert canonical_relabel(W(0, 3, 0, 1, 3, 0, 1)) == W(0, 1, 0, 2, 1, 0, 2)
+        assert canonical_relabel(W(2, 0, 0, 5, 2)) == W(1, 0, 0, 2, 1)
+        assert canonical_relabel(W(0, 0)) == W(0, 0)
 
     def test_H_range_enforced(self):
         with pytest.raises(ValueError):
@@ -209,7 +216,7 @@ class TestReversalBar:
     @pytest.mark.parametrize("H", NEAR_HALF)
     def test_bar_covers_even_moments(self, H):
         for k in (1, 2, 3):
-            value, err = expected_word(Word((1,) * (2 * k), 1), H, QuadConfig(tol=1))
+            value, err = expected_word(Word((1,) * (2 * k)), H, QuadConfig(tol=1))
             assert abs(value - 1.0 / (math.factorial(k) * 2**k)) <= err, k
 
     @pytest.mark.parametrize("H", NEAR_HALF)
@@ -324,22 +331,23 @@ class TestScalingLaw:
 
 
 def level_coeff(levels, w):
-    """The cell of word w in a list of level arrays indexed by word_index."""
-    return levels[len(w)][..., word_index(w.letters, w.d)]
+    """The cell of word w in a list of level arrays indexed by word_index,
+    level 1 holding the d + 1 letters of the layout."""
+    return levels[len(w)][..., word_index(w.letters, levels[1].shape[-1] - 1)]
 
 
 class TestExpectedTensor:
     def test_depth2_structure(self):
         t, _ = expected_tensor(0.75, 2, depth=2)
         assert [len(level) for level in t] == [1, 3, 9]
-        assert level_coeff(t, Word((), 2)) == 1.0
+        assert level_coeff(t, Word(())) == 1.0
         for i in range(3):
-            assert level_coeff(t, Word((i,), 2)) == (1.0 if i == 0 else 0.0)
+            assert level_coeff(t, Word((i,))) == (1.0 if i == 0 else 0.0)
         for i in (1, 2):
-            assert level_coeff(t, Word((i, i), 2)) == pytest.approx(0.5, abs=1e-12)
-        assert level_coeff(t, Word((1, 2), 2)) == 0.0
-        assert level_coeff(t, Word((2, 1), 2)) == 0.0
-        assert level_coeff(t, Word((0, 0), 2)) == pytest.approx(0.5, abs=0)
+            assert level_coeff(t, Word((i, i))) == pytest.approx(0.5, abs=1e-12)
+        assert level_coeff(t, Word((1, 2))) == 0.0
+        assert level_coeff(t, Word((2, 1))) == 0.0
+        assert level_coeff(t, Word((0, 0))) == pytest.approx(0.5, abs=0)
 
     @pytest.mark.parametrize("d, depth", ((2, 4), (1, 6)))
     def test_every_cell_is_expected_word(self, d, depth):
@@ -376,7 +384,7 @@ class TestExpectedTensor:
 
 class TestDecayBound:
     def test_single_letter_attains_bound(self):
-        rep = decay_bound_check(Word((1, 1, 1, 1), 1), 0.75)
+        rep = decay_bound_check(Word((1, 1, 1, 1)), 0.75)
         assert rep.bound == pytest.approx(0.125)
         assert rep.value == pytest.approx(rep.bound, abs=1e-10)
         assert rep.refined_bound == pytest.approx(rep.bound, abs=1e-15)
@@ -646,7 +654,7 @@ class TestShuffleSumRules:
         assert len(words) == 35
         for w in words:
             base = expected_word(w, H, QuadConfig(tol=1))
-            values = [expected_word(Word(w.letters[:i] + (0,) + w.letters[i:], w.d), H,
+            values = [expected_word(Word(w.letters[:i] + (0,) + w.letters[i:]), H,
                                     QuadConfig(tol=1))
                       for i in range(len(w) + 1)]
             gap = abs(math.fsum(v.value for v in values) - base.value)
@@ -660,7 +668,7 @@ def _class_sum_within_bars(letters, H):
     rule = math.prod(_gaussian_moment(c) / math.factorial(c)
                      for x, c in counts.items() if x) / math.factorial(counts[0])
     values = [expected_word(w, H, QuadConfig(tol=1))
-              for w in shuffle_class(letters, max(letters))]
+              for w in shuffle_class(letters)]
     total = math.fsum(v.value for v in values)
     return abs(total - rule) <= math.fsum(v.error for v in values)
 
@@ -678,7 +686,7 @@ def _even_words(length):
         seen = [x for i, x in enumerate(letters) if x not in letters[:i]]
         if (seen == list(range(1, len(seen) + 1))
                 and all(letters.count(x) % 2 == 0 for x in seen)):
-            words.append(Word(letters, 4))
+            words.append(Word(letters))
     return words
 
 
@@ -694,7 +702,7 @@ class TestEightLetters:
 
     @pytest.mark.parametrize("H", EIGHT_H)
     def test_single_letter_attains_the_bound(self, H):
-        value, error = expected_word(Word((1,) * 8, 1), H)
+        value, error = expected_word(Word((1,) * 8), H)
         assert abs(value - 1.0 / 384.0) <= 1e-13
         assert error <= 1e-10
 
@@ -728,7 +736,7 @@ class TestHurstOneLimit:
                     continue
                 limit = (_gaussian_moment(counts[1]) * _gaussian_moment(counts[2])
                          / math.factorial(length))
-                value = expected_word(Word(letters, 2), H).value
+                value = expected_word(Word(letters), H).value
                 assert abs(value - limit) <= 0.15 * (1.0 - H), letters
                 checked += 1
         assert checked == 792
@@ -742,7 +750,7 @@ class TestHurstOneLimit:
     def test_sweep_within_bar_and_distance(self, H):
         words = [w for n in (2, 4, 6, 8) for w in _even_words(n)]
         assert len(words) == 415
-        words += [Word(letters, 1) for n in range(1, 9)
+        words += [Word(letters) for n in range(1, 9)
                   for letters in itertools.product((0, 1), repeat=n)
                   if 0 in letters and letters.count(1) % 2 == 0]
         assert len(words) == 666
@@ -831,7 +839,7 @@ class TestQuadratureReuse:
 
 def _table_words():
     """The canonical words over {0,1,2,3} of length 4, 5 and 6."""
-    return [Word(tuple(map(int, t.split(","))), 3)
+    return [Word(tuple(map(int, t.split(","))))
             for n in (4, 5, 6) for t in _canonical_words(n)]
 
 
@@ -892,13 +900,13 @@ class TestWordPlan:
         monkeypatch.setattr(mt, "compatible_matchings", no_enumeration)
         ex._word_plan.cache_clear()
         letters = (1,) * (n - 1) + (2,)
-        rep = decay_bound_check(Word(letters, 2), 0.7)
+        rep = decay_bound_check(Word(letters), 0.7)
         k = len(letters) // 2
         assert (rep.value, rep.quad_error, rep.candidate_difference, rep.passed) == \
             (0.0, 0.0, 0.0, True)
         assert rep.bound == 1 / (math.factorial(k) * 2**k)
         with pytest.raises(ValueError, match="at most 8 nonzero letters"):
-            decay_bound_check(Word((1,) * len(letters), 1), 0.7)
+            decay_bound_check(Word((1,) * len(letters)), 0.7)
 
     def test_fresh_h_table_builds_nothing_new(self, tmp_path):
         words = ";".join(_canonical_words(6))

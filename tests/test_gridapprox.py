@@ -39,8 +39,8 @@ from oracles import (
 )
 
 
-def W(*letters, d=2):
-    return Word(tuple(letters), d)
+def W(*letters):
+    return Word(tuple(letters))
 
 
 def cell_integral_by_quadrature(i, j, m, H):
@@ -297,7 +297,7 @@ class TestShuffleSumRules:
     @pytest.mark.parametrize("m", (1, 2, 7, 64, 4096, 65536))
     def test_class_sums(self, H, m):
         for letters, want in [((1, 1, 2, 2), 0.25), ((1, 1, 1, 1), 0.125)]:
-            words = shuffle_class(letters, 2)
+            words = shuffle_class(letters)
             values = [approx_expected_word(w, H, m) for w in words]
             err = abs(math.fsum(values) - want)
             assert err <= 1e-14 * len(words)
@@ -357,6 +357,19 @@ class TestConvergenceSlope:
         local = [math.log(b / a) / math.log(4.0) for a, b in zip(gaps, gaps[1:])]
         assert local[0] > local[1] > local[2]
         assert abs(local[-1] + 2.0 * H) <= 0.05
+
+    @pytest.mark.parametrize("ratios", [(5.0, 5.0, 5.0, 5.0), (2.0, 9.9, 10.0, 50.0)])
+    def test_refuses_gaps_at_the_noise_floor(self, ratios):
+        # every gap lies between 1e-14 and 10 error bars, or too few above,
+        # so nothing is fitted: noise is not read as a rate
+        rows = []
+        for m, ratio in zip((1024, 4096, 16384, 65536), ratios):
+            gap = 1e-6 * m ** -1.5
+            rows.append((m, ga.GapResult(gap, gap / ratio, 0.1, 0.1 - gap)))
+        assert all(g.gap > 1e-14 for _, g in rows)
+        fit = convergence_slope(rows)
+        assert not fit.ok and fit.reason == "gaps at or below the error-bar noise floor"
+        assert math.isnan(fit.slope) and math.isnan(fit.residual)
 
     def test_needs_four_points(self):
         with pytest.raises(ValueError):
@@ -507,10 +520,6 @@ class TestSampleFbm:
             se_cov = np.std(b_half * b_one, ddof=1) / math.sqrt(n)
             assert abs(cov - want) <= 4 * se_cov
 
-    def test_grid_cap(self):
-        with pytest.raises(ValueError):
-            sample_fbm_batch(0.75, 5000, 1, 1, seed=0)
-
     def test_bits_do_not_depend_on_the_blas_thread_count(self):
         # the embedding's FFTs call no BLAS routine; when grids of up to 128
         # steps went through the LAPACK Cholesky factor of the covariance,
@@ -627,6 +636,18 @@ class TestToeplitzSampler:
             gram = sampler_map_gram(H, m, 1.3)
             assert np.abs(gram - np.block([[S, zero], [zero, S]])).max() <= 1e-14 * gamma[0]
 
+    @pytest.mark.parametrize("m", [4097, 2**16, 2**18])
+    @pytest.mark.parametrize("H", [0.5001, 0.75, 0.999, 1 - 1e-9])
+    def test_embedding_holds_every_long_grid(self, H, m):
+        # above the old 4096-step cap up to the grid ceiling the smallest
+        # lambda_min / lambda_max is 3.2e-15 at H = 1 - 1e-9 and 6.2e-4 at
+        # H = 0.75 (m = 2^18, over T in {0.5, 1, 1.3} and m = 4097, 5000,
+        # 10007, 65537, 100003, 262143 and the powers of two up to 2^18)
+        ga._circulant_scale(fgn_gamma(H, m, 1.3))
+        paths = sample_fbm_batch(H, m, 1, 2, 7, 1.3)
+        assert paths.shape == (2, m + 1, 1)
+        assert np.all(np.isfinite(paths)) and np.all(paths[:, 0] == 0.0)
+
     # (n_paths, d, m, pairs of rows per block): the shipped block, 128 pairs
     # at m = 64 (16 whole blocks at 4096 x 64; 26 pairs in the last of
     # 700 x 3 x 64), 64 at m = 128 and 5 at m = 1536, and one block at
@@ -661,8 +682,9 @@ class TestToeplitzSampler:
         assert np.array_equal(paths[:, 1:], np.cumsum(inc, axis=1))
 
     @pytest.mark.parametrize("args, message", [
-        ((0.7, 10**7, 1, 1000), "m capped at 4096"),
-        ((0.7, 64, 1, -3), "m, d and n_paths must be positive")])
+        ((0.7, 2**18 + 1, 1, 1000), "m = 262145 exceeds the grid ceiling of 262144 cells"),
+        ((0.7, 0, 1, 1000), "m must be >= 1, got 0"),
+        ((0.7, 64, 1, -3), "d and n_paths must be positive")])
     def test_arguments_checked_before_allocation(self, args, message):
         with pytest.raises(ValueError, match=message):
             sample_fbm_batch(*args, seed=0)
@@ -670,19 +692,27 @@ class TestToeplitzSampler:
             ga._fgn_increments(*args, seed=0)
 
     @pytest.mark.parametrize("sampler", [sample_fbm_batch, ga._fgn_increments])
-    @pytest.mark.parametrize("n_paths, m", [(50, 1536), (4096, 64)])
+    @pytest.mark.parametrize("n_paths, m", [(50, 1536), (4096, 64), (2, 2**14),
+                                            (40, 2**14)])
     def test_holds_its_output_and_one_block(self, sampler, n_paths, m):
-        # besides its output the sampler holds gamma, the 4m scale factors
-        # of the embedding, one block of normals and the ufunc buffer of
+        # gamma is built before the output: the kernel holds its vectors of
+        # m + 1 doubles (five at most) and, past _POWER_ROWS + 2 distances,
+        # 24 transient power rows per distance, which at a few paths exceed
+        # the output (2 x 2^14).  Then the sampler holds its output, gamma,
+        # the 4m scale factors of the embedding, one block of normals (past
+        # 2^13 steps one complex row of 4m doubles) and the ufunc buffer of
         # getbufsize() doubles (64 KiB) that scaling a block of many rows
-        # takes; the generator, the views and each FFT in flight get 16 KiB
-        # (at most 3.5 KB measured), far below a second block (256 KB) or a
+        # takes.  The generator, the views and each FFT in flight get
+        # 16 KiB (at most 3.5 KB measured), far below a second block or a
         # second output array.  A warm-up call builds the memoised power
         # table first
         out_cols = m + 1 if sampler is sample_fbm_batch else m
         block = min(max(1, ga._DRAW_BLOCK // (4 * m)), -(-n_paths // 2)) * 4 * m * 8
-        bar = (n_paths * out_cols * 8 + block + 4 * m * 8 + (m + 1) * 8
-               + np.getbufsize() * 8 + 16 * 2**10)
+        power_rows = 24 * (m - 1) * 8 if m - 1 > ga._POWER_ROWS else 0
+        kernel = power_rows + 5 * (m + 1) * 8
+        held = (n_paths * out_cols * 8 + block + 4 * m * 8 + (m + 1) * 8
+                + np.getbufsize() * 8)
+        bar = max(kernel, held) + 16 * 2**10
         sampler(0.7, m, 1, n_paths, seed=8)
         tracemalloc.start()
         try:
@@ -796,5 +826,5 @@ class TestToeplitzSampler:
     def test_near_one_at_the_cap_needs_no_jitter(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            paths = sample_fbm_batch(0.9999, 4096, 1, 2, seed=3)
+            paths = sample_fbm_batch(0.9999, ga._MAX_CELLS, 1, 2, seed=3)
         assert np.all(np.isfinite(paths))

@@ -72,30 +72,30 @@ class TestEnumerate:
 
 class TestCompatible:
     def test_unequal_letters_cannot_pair(self):
-        assert compatible_matchings(Word((1, 2), 2)) == []
+        assert compatible_matchings(Word((1, 2))) == []
 
     def test_two_pairs(self):
-        assert compatible_matchings(Word((1, 1, 2, 2), 2)) == [((0, 1), (2, 3))]
+        assert compatible_matchings(Word((1, 1, 2, 2))) == [((0, 1), (2, 3))]
 
     def test_crossing(self):
-        assert compatible_matchings(Word((1, 2, 1, 2), 2)) == [((0, 2), (1, 3))]
+        assert compatible_matchings(Word((1, 2, 1, 2))) == [((0, 2), (1, 3))]
 
     def test_rejects_time_letter(self):
         with pytest.raises(ValueError):
-            compatible_matchings(Word((1, 0), 1))
+            compatible_matchings(Word((1, 0)))
 
     def test_rejects_odd_length(self):
         with pytest.raises(ValueError):
-            compatible_matchings(Word((1, 1, 1), 1))
+            compatible_matchings(Word((1, 1, 1)))
 
     @pytest.mark.parametrize("letters", [(1,) * 14, (1, 2) * 7])
     def test_rejects_fourteen_positions(self, letters):
         with pytest.raises(ValueError, match="at most 12 positions"):
-            compatible_matchings(Word(letters, 2))
+            compatible_matchings(Word(letters))
 
     def test_each_word_gets_its_own_list(self):
         # a caller changing its list must not change the next caller's
-        word = Word((1, 2, 1, 2, 1, 1), 2)
+        word = Word((1, 2, 1, 2, 1, 1))
         first = compatible_matchings(word)
         first.clear()
         assert compatible_matchings(word) == filtered_pairings(word.letters) != []
@@ -104,34 +104,34 @@ class TestCompatible:
     def test_equals_filtered_enumeration_in_order(self, n):
         # every word over {1, 2, 3} of length n, against enumerate-then-filter
         for letters in itertools.product((1, 2, 3), repeat=n):
-            assert compatible_matchings(Word(letters, 3)) == filtered_pairings(letters)
+            assert compatible_matchings(Word(letters)) == filtered_pairings(letters)
 
 
 class TestPermutationCount:
     def test_all_equal_gives_factorial(self):
-        assert permutation_count(Word((1, 1, 1, 1), 1)) == 24
-        assert permutation_count(Word((1,) * 6, 1)) == math.factorial(6)
+        assert permutation_count(Word((1, 1, 1, 1))) == 24
+        assert permutation_count(Word((1,) * 6)) == math.factorial(6)
 
     @pytest.mark.parametrize("n", [14, 36])
     def test_odd_count_is_zero_at_any_length(self, n):
         # no compatible matching, so nothing is enumerated and the cap on
         # positions does not apply; it still applies to an even count
-        assert permutation_count(Word((1,) * (n - 1) + (2,), 2)) == 0
+        assert permutation_count(Word((1,) * (n - 1) + (2,))) == 0
         with pytest.raises(ValueError, match=f"at most 12 positions, got {n}"):
-            permutation_count(Word((1,) * n, 1))
+            permutation_count(Word((1,) * n))
         with pytest.raises(ValueError, match="letter 0 is not allowed"):
-            permutation_count(Word((0,) + (1,) * (n - 1), 1))
+            permutation_count(Word((0,) + (1,) * (n - 1)))
 
     def test_twelve_positions_six_letters(self):
-        w = Word((1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6), 6)
+        w = Word((1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6))
         assert permutation_count(w) == math.factorial(6) * 2**6
 
     def test_twelve_positions_five_letters(self):
-        w = Word((1, 1, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5), 5)
+        w = Word((1, 1, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5))
         assert permutation_count(w) == (math.factorial(6) // 2) * 2**4 * math.factorial(4)
 
     def test_twelve_positions_concentrated_four_letters(self):
-        w = Word((1, 1, 1, 1, 1, 1, 2, 2, 3, 3, 4, 4), 4)
+        w = Word((1, 1, 1, 1, 1, 1, 2, 2, 3, 3, 4, 4))
         assert permutation_count(w) == (
             math.factorial(6) // math.factorial(3)
         ) * 2**3 * math.factorial(6)
@@ -143,9 +143,9 @@ class TestPermutationCount:
     )
     @settings(max_examples=60, deadline=None)
     def test_relabel_and_reversal_invariance(self, letters):
-        w = Word(tuple(letters), 3)
-        relabeled = Word(tuple({1: 3, 2: 1, 3: 2}[x] for x in letters), 3)
-        reversed_ = Word(tuple(reversed(letters)), 3)
+        w = Word(tuple(letters))
+        relabeled = Word(tuple({1: 3, 2: 1, 3: 2}[x] for x in letters))
+        reversed_ = Word(tuple(reversed(letters)))
         assert permutation_count(w) == permutation_count(relabeled)
         assert permutation_count(w) == permutation_count(reversed_)
 

@@ -392,7 +392,7 @@ class TestMcWeakValue:
     @pytest.mark.parametrize("fields", [(ZERO, ONE), (0.0, 1.0)],
                              ids=["callable", "constant"])
     @pytest.mark.parametrize("n_steps, T, message", [
-        (0, 1.0, "m, d and n_paths must be positive"),
+        (0, 1.0, "m must be >= 1, got 0"),
         (16, math.inf, r"T = inf puts the covariance scale \(T/m\)\^2H out of range"),
     ], ids=["no-steps", "infinite-T"])
     def test_sampler_arguments_checked_before_the_grid(self, fields, n_steps, T,
@@ -404,7 +404,7 @@ class TestMcWeakValue:
     # a reference without noise refuses what the sampler refuses with the
     # same messages
     @pytest.mark.parametrize("H, T, n_paths, n_steps", [
-        (0.7, 1.3, 20, 5000), (0.7, math.inf, 20, 16), (0.7, 0.0, 20, 16),
+        (0.7, 1.3, 20, 2**18 + 1), (0.7, math.inf, 20, 16), (0.7, 0.0, 20, 16),
         (0.7, 1.3, 1, 16), (0.7, 1.3, 20, 0), (0.5, 1.3, 20, 16)],
         ids=["long-grid", "infinite-T", "zero-T", "one-path", "no-steps", "H-half"])
     def test_zero_noise_refuses_what_noise_refuses(self, H, T, n_paths, n_steps):

@@ -9,8 +9,8 @@ from fbmsig.tensor import Word, batch_grid_signatures, word_index
 from oracles import signature_coeff_by_quadrature
 
 
-def W(*letters, d=1):
-    return Word(tuple(letters), d)
+def W(*letters):
+    return Word(tuple(letters))
 
 
 def signature(times, spatial, depth):
@@ -23,38 +23,36 @@ def signature(times, spatial, depth):
 
 
 def coeff(levels, w):
-    return float(levels[len(w)][..., word_index(w.letters, w.d)])
+    return float(levels[len(w)][..., word_index(w.letters, levels[1].shape[-1] - 1)])
 
 
 class TestWord:
     def test_parse_roundtrip(self):
-        w = Word((1, 0, 1), 1)
+        w = Word((1, 0, 1))
         assert w.letters == (1, 0, 1)
         assert str(w) == "1,0,1"
         assert w.zero_count == 1
         assert w.nonzero_positions == (0, 2)
 
     def test_empty(self):
-        w = Word((), 1)
+        w = Word(())
         assert w.letters == () and len(w) == 0
         assert str(w) == ""
         assert w.zero_count == 0 and w.nonzero_positions == ()
 
-    def test_letter_range_enforced(self):
-        with pytest.raises(ValueError):
-            Word((3,), d=2)
-        with pytest.raises(ValueError):
-            Word((1,), d=0)
+    def test_letters_are_ints_with_no_upper_bound(self):
+        # a word is its letters; a layout that needs a width takes it itself
+        w = Word((np.int64(7), 0, 12))
+        assert w.letters == (7, 0, 12) and all(type(x) is int for x in w.letters)
 
-    @pytest.mark.parametrize("letters, d, message", [
-        ((1, 5), 3, "letter 5 outside alphabet {0,...,3}"),
-        ((1, -1), 1, "letter -1 outside alphabet {0,...,1}"),
-        ((4, 0, -2), 3, "letter 4 outside alphabet {0,...,3}"),
-        ((0, -2, 4), 3, "letter -2 outside alphabet {0,...,3}"),
+    @pytest.mark.parametrize("letters, message", [
+        ((1, -1), "letter -1 is negative"),
+        ((4, 0, -2), "letter -2 is negative"),
+        ((0, -2, 4, -5), "letter -2 is negative"),
     ])
-    def test_first_letter_outside_the_alphabet_is_named(self, letters, d, message):
+    def test_first_letter_outside_the_alphabet_is_named(self, letters, message):
         with pytest.raises(ValueError) as err:
-            Word(letters, d)
+            Word(letters)
         assert str(err.value) == message
 
 
@@ -127,7 +125,7 @@ class TestPathSignature:
         # level-4 single-letter coefficient is endpoint^4 / 4! = 3/8
         f = three_path_formula(0.5)
         sig = signature(f.times, f.spatial[0], 4)
-        assert coeff(sig, Word((1, 1, 1, 1), 1)) == pytest.approx(3.0 / 8.0, abs=1e-14)
+        assert coeff(sig, Word((1, 1, 1, 1))) == pytest.approx(3.0 / 8.0, abs=1e-14)
 
     def test_negation_flips_odd_words(self):
         rng = np.random.default_rng(3)
@@ -137,7 +135,7 @@ class TestPathSignature:
         sq = signature(times, spatial * [-1.0, 1.0], 3)
         for length in range(1, 4):
             for letters in np.ndindex(*(3,) * length):
-                w = Word(tuple(letters), 2)
+                w = Word(tuple(letters))
                 ones = sum(1 for x in letters if x == 1)
                 sign = -1.0 if ones % 2 else 1.0
                 assert coeff(sq, w) == pytest.approx(sign * coeff(sp, w), abs=1e-14)
@@ -147,9 +145,9 @@ class TestPathSignature:
         sig = signature([0.0, 0.3, 0.7, 1.0], rng.standard_normal((4, 2)), 2)
         for i in range(3):
             for j in range(3):
-                wi, wj = Word((i,), 2), Word((j,), 2)
+                wi, wj = Word((i,)), Word((j,))
                 prod = coeff(sig, wi) * coeff(sig, wj)
-                shuf = coeff(sig, Word((i, j), 2)) + coeff(sig, Word((j, i), 2))
+                shuf = coeff(sig, Word((i, j))) + coeff(sig, Word((j, i)))
                 assert prod == pytest.approx(shuf, abs=1e-12)
 
     def test_against_nested_quadrature(self):
@@ -159,7 +157,7 @@ class TestPathSignature:
             spatial = rng.standard_normal((4, 2))
             sig = signature(times, spatial, 3)
             for letters in [(1,), (2,), (1, 2), (0, 1), (1, 1, 2), (1, 0, 2), (2, 2, 2)]:
-                w = Word(letters, 2)
+                w = Word(letters)
                 direct = signature_coeff_by_quadrature(times, spatial, w,
                                                        points_per_segment=20000)
                 assert coeff(sig, w) == pytest.approx(direct, abs=1e-8)
