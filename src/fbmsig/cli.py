@@ -412,10 +412,10 @@ def cmd_cubature(args) -> int:
                   else formula.claimed_degree)
         rep = cb.verify_formula(formula, degree, config)
         all_ok &= rep.passed
-        for r in rep.rows:
-            table.add(H=H, degree=degree, word=str(r.word), weight=r.weight,
-                      lhs=r.lhs, rhs=r.rhs, abs_err=r.abs_err,
-                      lhs_source=r.lhs_source, passed=r.passed)
+        head = [_fmt(H), _fmt(degree)]  # every row of this H shares them
+        table.rows += [[*head, str(r.word), _fmt(r.weight), _fmt(r.lhs), _fmt(r.rhs),
+                        _fmt(r.abs_err), r.lhs_source, _fmt(r.passed)]
+                       for r in rep.rows]
     _emit(args, table)
     return EXIT_OK if all_ok else EXIT_VERIFICATION
 

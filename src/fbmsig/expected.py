@@ -16,7 +16,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
 from typing import NamedTuple
@@ -64,8 +63,7 @@ class QuadratureToleranceError(RuntimeError):
 
 
 def _odd_letter(letters: tuple[int, ...]) -> bool:
-    counts = Counter(x for x in letters if x != 0)
-    return any(c % 2 for c in counts.values())
+    return any(letters.count(x) % 2 for x in set(letters) if x != 0)
 
 
 class _WordPlan(NamedTuple):
@@ -200,6 +198,25 @@ def closed_form_table() -> dict[str, dict]:
     return {e["word"]: e for e in data["entries"]}
 
 
+# The table's rational functions as float coefficients, lowest degree first,
+# keyed by letters: 17 entries of at most two coefficients each (a few KB),
+# built at the first lookup at H != 1/2.
+@functools.cache
+def _closed_form_coefficients() -> dict[tuple[int, ...], tuple[tuple[float, ...], ...]]:
+    return {tuple(map(int, key.split(","))): (tuple(map(float, e["num"])),
+                                             tuple(map(float, e["den"])))
+            for key, e in closed_form_table().items()}
+
+
+def _horner(c: tuple[float, ...], x: float) -> float:
+    """The polynomial with coefficients c, lowest degree first, at x, in the
+    order of operations of np.polynomial.polynomial.polyval."""
+    acc = c[-1] + x * 0
+    for a in reversed(c[:-1]):
+        acc = a + acc * x
+    return acc
+
+
 def _brownian_value(letters: tuple[int, ...]) -> float:
     """Coefficient of E S = exp(e_0 + 1/2 sum_i e_i e_i) at H = 1/2: a word
     that splits left to right into z letters 0 and p doubled letters i,i has
@@ -219,20 +236,19 @@ def closed_form_value(word: Word, H: float) -> float | None:
     """Closed-form expectation when one is known, else None.
 
     Sources: the Brownian expected signature at H = 1/2 (every word), the
-    shipped table, the even-moment formula for single-letter words
+    shipped table (numerator and denominator by Horner, as polyval takes
+    them), the even-moment formula for single-letter words
     (E B_1^{2k} / (2k)! = 1/(k! 2^k)), pure-time words (1/n!), and the
     exact-zero rule for odd letter counts.  Valid for H >= 1/2.
     """
-    if H == 0.5:
-        return _brownian_value(word.letters)
-    e = closed_form_table().get(str(word))
-    if e is not None:
-        num = np.polynomial.polynomial.polyval(H, e["num"])
-        den = np.polynomial.polynomial.polyval(H, e["den"])
-        return float(num / den)
-    if _odd_letter(word.letters):
-        return 0.0
     letters = word.letters
+    if H == 0.5:
+        return _brownian_value(letters)
+    e = _closed_form_coefficients().get(letters)
+    if e is not None:
+        return float(_horner(e[0], H) / _horner(e[1], H))
+    if _odd_letter(letters):
+        return 0.0
     if not letters:
         return 1.0
     if all(x == 0 for x in letters):

@@ -72,29 +72,36 @@ def batch_grid_signatures(times, spatial: np.ndarray, depth: int) -> list[np.nda
     The paths share the breakpoints `times`; `spatial` holds their spatial
     values, shape (n_paths, len(times), d), and letter 0 is time.  Returns one
     array per level with shape (n_paths, (d+1)**level), indexed by
-    word_index.  Chen's identity: each segment's exponential (level n holds
-    dx^(x)n / n!) is folded into the running signature by the truncated
-    tensor product.
+    word_index; with a single breakpoint, the identity.  Chen's identity:
+    each piece's exponential (level n holds dx^(x)n / n!) is folded into the
+    running signature by the truncated tensor product.  The first piece's
+    exponential is its signature, and a later piece's level l is
+    ex[l] + sum_{p=1}^{l-1} lev[p] (x) ex[l-p] + lev[l] in that order, the
+    products with the unit levels lev[0] = ex[0] = 1 left out: for finite
+    input, equal to folding every piece into the identity (tests/oracles.py).
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    dt = np.broadcast_to(np.diff(times)[:, None], (len(spatial), len(times) - 1, 1))
-    increments = np.concatenate([dt, np.diff(spatial, axis=1)], axis=2)
-    S, r, dim = increments.shape
-    lev = [np.zeros((S, dim**l)) for l in range(depth + 1)]
-    lev[0][:, 0] = 1.0
+    spatial = np.asarray(spatial)
+    S, r, dim = spatial.shape[0], spatial.shape[1] - 1, spatial.shape[2] + 1
+    increments = np.empty((S, r, dim))
+    increments[:, :, 0] = np.diff(times)
+    increments[:, :, 1:] = spatial[:, 1:] - spatial[:, :-1]
+    lev = [np.ones((S, 1))] + [np.zeros((S, dim**l)) for l in range(1, depth + 1)]
     for seg in range(r):
-        dx = increments[:, seg, :]
-        ex = [np.ones((S, 1))]
-        cur = np.ones((S, 1))
+        dx = increments[:, seg, None, :]
+        ex = lev[:1]
         for n in range(1, depth + 1):
-            cur = (cur[:, :, None] * dx[:, None, :]).reshape(S, -1) / n
-            ex.append(cur)
-        new = []
-        for l in range(depth + 1):
-            acc = np.zeros((S, dim**l))
-            for p in range(l + 1):
-                acc += (lev[p][:, :, None] * ex[l - p][:, None, :]).reshape(S, -1)
-            new.append(acc)
-        lev = new
+            ex.append((ex[-1][:, :, None] * dx).reshape(S, -1) / n)
+        if seg:
+            # top level first: ex[l] takes the fold in place once no higher
+            # level reads it
+            heads = [lv[:, :, None] for lv in lev]
+            tails = [e[:, None, :] for e in ex]
+            for l in range(depth, 0, -1):
+                acc = ex[l]
+                for p in range(1, l):
+                    acc += (heads[p] * tails[l - p]).reshape(S, -1)
+                acc += lev[l]
+        lev = ex
     return lev

@@ -13,7 +13,10 @@ does not reach the draw of these constant fields' B_T), `approx-sig` over
 the five grid words at three H on grids of 1 to 2^18 cells, a `convergence` ladder to 65536 for
 each four-letter grid word at H = 0.5001 and 0.9, `bounds` at H = 0.5001
 (series arguments up to about 282, whose sums overflow to inf) and 0.75 on
-T below and above 1 at three --gamma, each command and cubature action on
+T below and above 1 at three --gamma, `cubature verify` on both branches at
+the claimed degree and at --degree 8 over twelve H from 0.5001 to 0.99
+(both sides of 2/3, where the claimed degree drops from 5 to 4), each
+command and cubature action on
 every default (no flag but --format and --no-timestamp), the level table
 of the 715 canonical six-letter words over {0..3} at three H, and the 379
 canonical pure eight-letter words over {1..4} with every letter an even
@@ -62,6 +65,10 @@ GRID_RUNS = (
     *(f"convergence --H {H} --words {word} --m 4,16,64,256,1024,4096,16384,65536"
       for word in GRID_WORDS[1:] for H in ("0.5001", "0.9")),
 )
+VERIFY_H = ("0.5001", "0.52", "0.55", "0.6", "0.65", "0.6666", "0.6667", "0.7",
+            "0.75", "0.8", "0.9", "0.99")
+VERIFY_RUNS = tuple(f"cubature verify --H {','.join(VERIFY_H)} --branch {branch}{degree}"
+                    for branch in ("minus", "plus") for degree in ("", " --degree 8"))
 DEFAULT_RUNS = ("expected-sig", "approx-sig", "convergence", "cubature verify",
                 "cubature solve", "sde compare", "bounds")
 
@@ -89,8 +96,9 @@ def even_words(length: int) -> list[str]:
 
 
 def commands() -> list[tuple[str, list[str]]]:
-    """(name, argv) of every README command, the sde, grid and bounds runs,
-    the runs on every default, the six-letter tables and the eight-letter one."""
+    """(name, argv) of every README command, the sde, grid, bounds and
+    verify runs, the runs on every default, the six-letter tables and the
+    eight-letter one."""
     out = []
     for line in (ROOT / "README.md").read_text().splitlines():
         match = re.match(r"\s*fbmsig\s+(.*)$", line)
@@ -98,7 +106,7 @@ def commands() -> list[tuple[str, list[str]]]:
             argv = shlex.split(match.group(1))
             out.append((" ".join(argv), argv))
     out += [(run, shlex.split(run))
-            for run in SDE_RUNS + GRID_RUNS + BOUND_RUNS + DEFAULT_RUNS]
+            for run in SDE_RUNS + GRID_RUNS + BOUND_RUNS + VERIFY_RUNS + DEFAULT_RUNS]
     words = ";".join(canonical_words(6))
     for H in TABLE_H:
         out.append((f"expected-sig --H {H} --words <715 six-letter words>",

@@ -2,7 +2,9 @@
 coefficient, an exhaustive sweep of the refined permutation-count bound, the
 per-piece RK4 integrator that `fbmsig.sde._solve` must match bit for bit, the
 closed-form endpoint of constant fields that it must match for those, the
-normals behind a seed's draw in the sampler, the expected
+normals behind a seed's draw in the sampler, the fold of every piece of a
+path into the identity that `fbmsig.tensor.batch_grid_signatures` must match
+bit for bit, the expected
 signature of the grid interpolation of Brownian motion, which
 `fbmsig.gridapprox.approx_expected_word` must approach as H -> 1/2, the
 reduction with float exponents that `fbmsig.simplexquad._reduce_terms` plans
@@ -170,6 +172,32 @@ def endpoint_sum_bar(H: float, m: int, d: int, n_paths: int, seed: int,
     magnitude."""
     inc = ga._fgn_increments(H, m, d, n_paths, seed, T)
     return 2.01 * m * 2.0**-53 * np.abs(inc).sum(axis=1)
+
+
+def grid_signatures_from_identity(times, spatial: np.ndarray, depth: int) -> list[np.ndarray]:
+    """batch_grid_signatures' levels by folding every piece's exponential
+    into the identity with the full truncated tensor product, level l of the
+    fold being 0 + sum_{p=0}^{l} lev[p] (x) ex[l-p] in that order."""
+    dt = np.broadcast_to(np.diff(times)[:, None], (len(spatial), len(times) - 1, 1))
+    increments = np.concatenate([dt, np.diff(spatial, axis=1)], axis=2)
+    S, r, dim = increments.shape
+    lev = [np.zeros((S, dim**l)) for l in range(depth + 1)]
+    lev[0][:, 0] = 1.0
+    for seg in range(r):
+        dx = increments[:, seg, :]
+        ex = [np.ones((S, 1))]
+        cur = np.ones((S, 1))
+        for n in range(1, depth + 1):
+            cur = (cur[:, :, None] * dx[:, None, :]).reshape(S, -1) / n
+            ex.append(cur)
+        new = []
+        for l in range(depth + 1):
+            acc = np.zeros((S, dim**l))
+            for p in range(l + 1):
+                acc += (lev[p][:, :, None] * ex[l - p][:, None, :]).reshape(S, -1)
+            new.append(acc)
+        lev = new
+    return lev
 
 
 def brownian_grid_signature(m: int, d: int, depth: int) -> list[np.ndarray]:

@@ -1122,6 +1122,8 @@ def test_every_exported_name_resolves(name):
 # purpose, so whatever reads cache_info() has a fixed list of sources.
 MEMOS = {
     "cli._level_cells", "cli._word", "cli.build_parser",
+    "cubature._words_of_length",  # 18 word tuples at most (2.5 MB at d = 2)
+    "expected._closed_form_coefficients",  # 17 coefficient pairs (a few KB)
     "expected._word_plan", "expected.closed_form_table",
     "gridapprox._grid_cells", "gridapprox._power_table",
     "gridapprox._series_coefficients", "gridapprox._tie_table",
@@ -1141,6 +1143,19 @@ def test_memo_inventory():
                   if hasattr(obj, "cache_info")
                   and getattr(obj, "__module__", None) == module.__name__}
     assert found == MEMOS
+
+
+def test_no_memo_is_filled_at_import():
+    # a memo filled at import would be paid in every process's start-up
+    code = ("import importlib, sys, fbmsig.cli\n"
+            "for name in sys.argv[1:]:\n"
+            "    module, attr = name.split('.')\n"
+            "    memo = getattr(importlib.import_module('fbmsig.' + module), attr)\n"
+            "    assert memo.cache_info().currsize == 0, name\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(fbmsig.__file__).parent.parent))
+    run = subprocess.run([sys.executable, "-c", code, *sorted(MEMOS)], env=env,
+                         capture_output=True, text=True, check=False)
+    assert run.returncode == 0, run.stderr
 
 
 def _clear_memos():
@@ -1172,6 +1187,29 @@ def test_level_table_bytes_do_not_depend_on_memo_state(tmp_path):
             assert table(H, fmt) == warm[H, fmt], (H, fmt)
             if (H, fmt) == (hs[0], "csv"):
                 assert sq._beta_product.cache_info().misses == 34
+
+
+def test_verify_bytes_do_not_depend_on_memo_state(tmp_path):
+    # cubature verify on both branches, at the claimed degree and at 8, in
+    # both formats: once with every memo warm from verify at other H, and
+    # once with every memo cleared first
+    out = tmp_path / "out"
+
+    def table(hs, branch, degree, fmt):
+        rc = main(["cubature", "verify", "--H", hs, "--branch", branch, *degree,
+                   "--no-timestamp", "--format", fmt, "--out", str(out)])
+        return rc, out.read_bytes()
+
+    runs = [(branch, degree, fmt) for branch in ("minus", "plus")
+            for degree in ((), ("--degree", "8")) for fmt in ("csv", "json")]
+    for run in runs:
+        table("0.5802,0.6444,0.8811", *run)
+    hs = "0.5,0.5513,0.6711,0.7341,0.9423"
+    warm = {run: table(hs, *run) for run in runs}
+    for run in runs:
+        _clear_memos()
+        assert table(hs, *run) == warm[run], run
+    assert cubature._words_of_length.cache_info().currsize == 9
 
 
 def test_link_grid_memo_keeps_only_two_axis_grids_within_its_bound(monkeypatch):

@@ -87,6 +87,21 @@ class TestClosedFormTable:
         assert closed_form_value(Word((1, 1, 1, 1)), H) == 0.125
         assert closed_form_value(Word((1,)), H) == 0.0
 
+    def test_horner_equals_polyval_for_every_entry(self):
+        # the table read once as float tuples keyed by letters, evaluated in
+        # polyval's order of operations: no bit moves anywhere in (1/2, 1)
+        polyval = np.polynomial.polynomial.polyval
+        rng = np.random.default_rng(218)
+        hs = [0.5 + 2.0**-52, 1.0 - 2.0**-53, *rng.uniform(0.5, 1.0, 198)]
+        assert len(hs) == 200 and all(0.5 < H < 1.0 for H in hs)
+        for key, e in closed_form_table().items():
+            (w, _), = _parse_words(key)
+            assert str(w) == key
+            for H in map(float, hs):
+                want = float(polyval(H, e["num"]) / polyval(H, e["den"]))
+                got = closed_form_value(w, H)
+                assert type(got) is float and got.hex() == want.hex(), (key, H)
+
     def test_rules_beyond_table(self):
         # single letter, pure time, odd count, and the genuinely unknown case
         assert closed_form_value(Word((1,) * 6), 0.7) == pytest.approx(1 / 48)

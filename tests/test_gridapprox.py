@@ -816,6 +816,34 @@ class TestToeplitzSampler:
                                                "has an eigenvalue below 0"):
             sample_fbm_batch(0.75, m, 1, 1, seed=0)
 
+    @pytest.mark.parametrize("H, m, T", [(1 - 1e-13, 971, 1.0), (1 - 1e-12, 32768, 0.5),
+                                         (1 - 1e-11, 262143, 1.0)])
+    def test_rounding_below_zero_near_one_is_zero(self, H, m, T):
+        # the FFT takes the smallest eigenvalue of these valid embeddings
+        # below 0 by rounding (about -5e-17 of the largest): it is set to 0
+        # and the grid samples
+        gamma = ga._fgn_gamma(H, m, 1, 2, T)
+        lam = np.fft.hfft(gamma, 2 * m)
+        assert lam.min() < 0.0
+        scale = ga._circulant_scale(gamma)
+        kept = lam >= 0.0
+        assert np.all(scale[~kept] == 0.0)
+        assert np.array_equal(scale[kept], np.sqrt(lam[kept] / (2 * m)))
+        paths = sample_fbm_batch(H, m, 1, 2, seed=5, T=T)
+        assert paths.shape == (2, m + 1, 1)
+        assert np.all(np.isfinite(paths)) and np.all(paths[:, 0] == 0.0)
+
+    def test_rounding_bar_separates_zero_from_indefinite(self):
+        # m = 1: the row (1, g) has the eigenvalues 1 + g and 1 - g, each one
+        # rounding, and the bar 8 log2(2) u (1 + g) is about 16 u = 8 eps
+        eps = 2.0**-52
+        assert np.array_equal(ga._circulant_scale(np.array([1.0, 1.0 + eps])),
+                              [math.sqrt((2.0 + eps) / 2.0), 0.0])
+        with pytest.raises(RuntimeError, match="eigenvalue below 0 or NaN$"):
+            ga._circulant_scale(np.array([1.0, 1.0 + 32 * eps]))
+        with pytest.raises(RuntimeError, match="eigenvalue below 0 or NaN$"):
+            ga._circulant_scale(np.array([1.0, math.nan]))
+
     def test_nan_eigenvalue_raises(self, monkeypatch):
         kernel = np.zeros(301)
         kernel[0], kernel[7] = 2.0, math.nan

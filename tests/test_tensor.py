@@ -6,7 +6,7 @@ import pytest
 from fbmsig.cubature import three_path_formula
 from fbmsig.tensor import Word, batch_grid_signatures, word_index
 
-from oracles import signature_coeff_by_quadrature
+from oracles import grid_signatures_from_identity, signature_coeff_by_quadrature
 
 
 def W(*letters):
@@ -178,3 +178,22 @@ class TestBatchSignatures:
             sig = signature(times, spatial[s], 4)
             for l in range(5):
                 np.testing.assert_allclose(lev[l][s], sig[l], atol=1e-13)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("pieces", [1, 2, 3, 7])
+    def test_equals_the_fold_from_the_identity(self, pieces, d):
+        # the first piece's exponential taken as its signature and the unit
+        # levels' products left out change no bit of any level
+        rng = np.random.default_rng(100 * pieces + d)
+        for depth in range(7):
+            times = np.sort(rng.uniform(0.0, 2.0, pieces + 1))
+            spatial = rng.standard_normal((5, pieces + 1, d))
+            got = batch_grid_signatures(times, spatial, depth)
+            want = grid_signatures_from_identity(times, spatial, depth)
+            assert len(got) == len(want) == depth + 1
+            for g, w in zip(got, want):
+                assert g.shape == w.shape and np.array_equal(g, w), (depth, pieces, d)
+        # a single breakpoint is no piece: the identity
+        ident = batch_grid_signatures([0.5], np.zeros((3, 1, d)), 3)
+        assert [lv.shape for lv in ident] == [(3, (d + 1) ** l) for l in range(4)]
+        assert np.all(ident[0] == 1.0) and not any(np.any(lv) for lv in ident[1:])
